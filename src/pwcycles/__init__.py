@@ -20,7 +20,6 @@ from .kernels import (
     SingularityError,
     OracleConvergenceError,
     wallis_half,
-    wallis_full,
     eval_A00,
     eval_B00,
     eval_I00_J00,
@@ -34,18 +33,17 @@ from .averaging import (
     sigma_tau,
     st_coeffs,
     assemble,
+    basis_values,
     eval_F,
     oracle_F,
 )
 from .smooth import (
-    SmoothPerturbationSpec,
-    SmoothExpansion,
+    smooth_perturbation,
     eval_V_family,
     assemble_smooth,
-    eval_smooth_F,
     oracle_smooth_F,
+    smooth_generators,
     place_smooth_zeros,
-    count_smooth_zeros,
     smooth_generating_rank,
 )
 from .zeros import (

@@ -17,6 +17,12 @@ r^(2i) * B[0,0](r).  Two independent routes compute it:
   quadrature and knows nothing about the reduction.
 
 Their agreement is the central correctness property of the package.
+
+`basis_values` is the package's one expansion evaluator: it samples the
+basis functions once, and any coefficient vector (`BasisExpansion.vector`,
+long double kept) times that matrix gives the expansion's values.  The
+smooth system is the special case b = a with equal tables (see
+`pwcycles.smooth`); it has no reduction or evaluator of its own.
 """
 
 from __future__ import annotations
@@ -46,6 +52,13 @@ Table = Dict[Tuple[int, int], Fraction]
 
 class AssemblyError(RuntimeError):
     """An exact structural identity of the reduction failed."""
+
+
+def _random_table(degree: int, rng: np.random.Generator, scale: float) -> np.ndarray:
+    """Uniform entries on the triangle i + j <= degree, zeros above it."""
+    t = rng.uniform(-scale, scale, size=(degree + 1, degree + 1))
+    i, j = np.indices(t.shape)
+    return np.where(i + j <= degree, t, 0.0)
 
 
 def _dense_table(degree: int, entries, name: str) -> np.ndarray:
@@ -97,16 +110,8 @@ class PerturbationSpec:
 
     @staticmethod
     def random(degree: int, rng: np.random.Generator, scale: float = 1.0) -> "PerturbationSpec":
-        def tri(n):
-            t = rng.uniform(-scale, scale, size=(n + 1, n + 1))
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    if i + j > n:
-                        t[i, j] = 0.0
-            return t
-
-        n = degree
-        return PerturbationSpec(n, tri(n), tri(n), tri(n), tri(n))
+        tables = [_random_table(degree, rng, scale) for _ in range(4)]
+        return PerturbationSpec(degree, *tables)
 
     def scaled_add(self, alpha: float, other: "PerturbationSpec", beta: float) -> "PerturbationSpec":
         if other.degree != self.degree:
@@ -197,12 +202,7 @@ def st_coeffs(table: SigmaTauTable) -> STTable:
 
 
 def _reduce_half(
-    S: Table,
-    c: Fraction,
-    degree: int,
-    wallis,
-    alternate: bool,
-    linear_seed: Fraction,
+    S: Table, c: Fraction, degree: int, alternate: bool
 ) -> Tuple[List[Fraction], List[PiNumber]]:
     """Collapse one half-circle family to {r^(2i) K[0,0]} + monomials.
 
@@ -213,8 +213,9 @@ def _reduce_half(
     with poly ladder weights (-c)^k (front half) or (-1)^i c^k (back
     half, `alternate=True`).  The first-power seed then dissolves via
     L[0,0] = linear_seed * r + c*K[0,0] - (r^2/c)*K[0,0], where
-    linear_seed is +2/c^2 (front), -2/c^2 (back) or 0 (full circle).
+    linear_seed is +2/c^2 (front) or -2/c^2 (back).
     """
+    linear_seed = Fraction(-2 if alternate else 2) / c**2
     h = (degree + 1) // 2
     coef_K = [Fraction(0)] * (h + 2)
     coef_L = [Fraction(0)] * (h + 1)
@@ -227,7 +228,7 @@ def _reduce_half(
         if i >= 1:
             coef_L[j] += s * i * (-c) ** (i - 1)
         for k in range(i - 1):  # k = 0 .. i-2
-            w = wallis(i - k - 2)
+            w = wallis_half_exact(i - k - 2)
             if w.is_zero:
                 continue
             lad = ((-1) ** i) * c**k if alternate else (-c) ** k
@@ -237,8 +238,7 @@ def _reduce_half(
         cl = coef_L[j]
         if cl == 0:
             continue
-        if linear_seed != 0:
-            poly[2 * j + 1] += PiNumber.of(cl * linear_seed)
+        poly[2 * j + 1] += PiNumber.of(cl * linear_seed)
         coef_K[j] += cl * c
         coef_K[j + 1] -= cl / c
 
@@ -271,15 +271,16 @@ class BasisExpansion:
             np.zeros(2 * h + 2),
         )
 
-    def scaled_add(self, alpha: float, other: "BasisExpansion", beta: float) -> "BasisExpansion":
-        if other.degree != self.degree:
-            raise ValueError("degrees differ")
-        return BasisExpansion(
-            self.degree,
-            alpha * self.coeff_A + beta * other.coeff_A,
-            alpha * self.coeff_B + beta * other.coeff_B,
-            alpha * self.coeff_poly + beta * other.coeff_poly,
-        )
+    def vector(self, dtype=None) -> np.ndarray:
+        """coeff_A, coeff_B and coeff_poly in one vector, the row order of
+        `basis_values`; dtype None keeps the coefficients' own precision."""
+        return np.asarray(np.concatenate([self.coeff_A, self.coeff_B, self.coeff_poly]), dtype=dtype)
+
+    @staticmethod
+    def from_vector(degree: int, v: np.ndarray) -> "BasisExpansion":
+        """Inverse of `vector`."""
+        k = (degree + 1) // 2 + 2
+        return BasisExpansion(degree, v[:k], v[k : 2 * k], v[2 * k :])
 
     @property
     def max_abs_coeff(self) -> float:
@@ -304,14 +305,22 @@ class AveragedFunction:
         return eval_F(self, r)
 
 
-def expansion_values(expansion: BasisExpansion, params: SystemParams, r):
-    """Vectorized evaluation of a BasisExpansion (no domain checks)."""
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    r2 = rr * rr
-    out = npoly.polyval(rr, expansion.coeff_poly)
-    out = out + npoly.polyval(r2, expansion.coeff_A) * a00(rr, params.a)
-    out = out + npoly.polyval(r2, expansion.coeff_B) * a00(-rr, params.b)
-    return out
+def basis_values(params: SystemParams, n: int, r, dtype=np.float64) -> np.ndarray:
+    """The degree-n basis at the points r, one row per basis function.
+
+    Rows follow `BasisExpansion.vector`: r^(2i) A[0,0] for i = 0..h+1,
+    r^(2i) B[0,0] for i = 0..h+1, then r^k for k = 0..2h+1, with
+    h = floor((n+1)/2).  A coefficient vector times this matrix is the
+    expansion's value; since every entry is nonnegative for r >= 0 (the
+    kernels are positive), |vector| times it, times machine epsilon,
+    bounds the roundoff of that sum.  No domain checks: points outside
+    the analyticity domain give NaN columns.
+    """
+    h = (n + 1) // 2
+    rr = np.atleast_1d(np.asarray(r, dtype=dtype))
+    powers = rr ** np.arange(2 * h + 3)[:, None]
+    even = powers[::2]
+    return np.concatenate([even * a00(rr, params.a), even * a00(-rr, params.b), powers[:-1]])
 
 
 def eval_F(fn: AveragedFunction, r):
@@ -320,7 +329,8 @@ def eval_F(fn: AveragedFunction, r):
     r0 = fn.params.r0
     if np.any(rr < 0) or np.any(rr >= r0):
         raise DomainError(f"evaluation point outside [0, {r0})")
-    out = expansion_values(fn.expansion, fn.params, rr)
+    c = fn.expansion.vector()
+    out = c @ basis_values(fn.params, fn.expansion.degree, rr, c.dtype)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
@@ -331,12 +341,8 @@ def _exact_assemble(
     fa = as_fraction(params.a)
     fb = as_fraction(params.b)
     st = st_coeffs(sigma_tau(pert))
-    coef_A, poly_plus = _reduce_half(
-        st.S, fa, pert.degree, wallis_half_exact, alternate=False, linear_seed=Fraction(2) / fa**2
-    )
-    coef_B, poly_minus = _reduce_half(
-        st.T, fb, pert.degree, wallis_half_exact, alternate=True, linear_seed=Fraction(-2) / fb**2
-    )
+    coef_A, poly_plus = _reduce_half(st.S, fa, pert.degree, alternate=False)
+    coef_B, poly_minus = _reduce_half(st.T, fb, pert.degree, alternate=True)
     h = (pert.degree + 1) // 2
 
     # Exact structural identities of the expansion; a failure here means
@@ -380,16 +386,6 @@ def null_perturbation(degree: int) -> PerturbationSpec:
     return PerturbationSpec(degree, **quads)
 
 
-def _expansion_vector(expansion: BasisExpansion) -> np.ndarray:
-    return np.concatenate(
-        [
-            np.asarray(expansion.coeff_A, dtype=float),
-            np.asarray(expansion.coeff_B, dtype=float),
-            np.asarray(expansion.coeff_poly, dtype=float),
-        ]
-    )
-
-
 def perturbation_for_expansion(
     params: SystemParams, expansion: BasisExpansion, rcond: float = 1e-12
 ) -> PerturbationSpec:
@@ -408,10 +404,10 @@ def perturbation_for_expansion(
         for i in range(n + 1):
             for j in range(n + 1 - i):
                 unit = PerturbationSpec(n, **{name: {(i, j): 1.0}})
-                columns.append(_expansion_vector(assemble(params, unit).expansion))
+                columns.append(assemble(params, unit).expansion.vector())
                 keys.append((name, i, j))
     Phi = np.array(columns).T
-    y = _expansion_vector(expansion)
+    y = expansion.vector(np.float64)
     x, *_ = np.linalg.lstsq(Phi, y, rcond=rcond)
     resid = np.linalg.norm(Phi @ x - y)
     if resid > 1e-8 * max(1.0, np.linalg.norm(y)):

@@ -3,13 +3,16 @@
 Subcommands map onto manifest kinds; a JSON config supplies the inputs
 and flags override its common fields.  Exit codes: 0 all checks passed,
 1 at least one check failed, 2 configuration error, 3 runtime or
-numerical error.
+numerical error.  PWCYCLES_LOG sets the log level (default WARNING); log
+lines go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
+import os
 import sys
 from pathlib import Path
 
@@ -75,9 +78,30 @@ def _manifest_from_args(args: argparse.Namespace) -> ExperimentManifest:
     return ExperimentManifest.from_dict(doc)
 
 
+def _set_log_level() -> None:
+    level = os.environ.get("PWCYCLES_LOG", "WARNING").upper()
+    try:
+        logging.getLogger("pwcycles").setLevel(level)
+    except ValueError as exc:
+        raise ManifestError(f"PWCYCLES_LOG: {exc}") from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Log lines go to this call's stderr; the level comes from PWCYCLES_LOG.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log = logging.getLogger("pwcycles")
+    log.addHandler(handler)
     try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+
+
+def _run(args: argparse.Namespace) -> int:
+    try:
+        _set_log_level()
         manifest = _manifest_from_args(args)
     except ManifestError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

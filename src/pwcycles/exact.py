@@ -80,7 +80,3 @@ class PiNumber:
 
     def __float__(self) -> float:
         return float(self.rat) + float(self.pi) * math.pi
-
-
-PI_ZERO = PiNumber()
-PI_ONE_PI = PiNumber(Fraction(0), Fraction(1))

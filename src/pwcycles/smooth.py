@@ -1,164 +1,90 @@
-"""The smooth restriction: one global parameter, full-circle averaging.
+"""The smooth system: the piecewise system at b = a with equal tables.
 
 When both half-planes carry the same constant a and the same perturbation
 polynomials, the system is smooth and the averaged function reduces to
 
     F(r) = sum alpha_i r^(2i) V[0,0](r) + sum beta_(2i) r^(2i),
 
-with V[i,j] the full-circle analogues of the half-circle families.  The
-full-circle cosine moments vanish for odd order, so only even monomials
-survive, and the first-power seed relation U[0,0] = a V[0,0] - (r^2/a)
-V[0,0] carries no standalone r term — two structural differences from the
+with V[0,0] = A[0,0] + B[0,0] at b = a, the full-circle kernel.  The two
+half-circles carry the same kernel coefficients alpha_i; their odd
+monomials and their first-power seed terms cancel, so only even monomials
+up to 2*floor((n-1)/2) survive — two structural differences from the
 piecewise case that halve the attainable zero count.
 
-V-family evaluation reuses the half-circle machinery through
+This module adds no reduction, evaluator or zero finder of its own.  A
+smooth perturbation is a `PerturbationSpec` with equal tables,
+`assemble_smooth` is `assemble` at `SystemParams(a, a)` plus the exact
+smooth checks, zeros are counted by `count_simple_zeros`, and placement
+and the ceiling survey run the piecewise code over `smooth_generators`.
+Two independent paths stay separate on purpose: the full-circle
+quadrature oracle `oracle_smooth_F`, and the V families through
 
     V[i,j](r) = A[i,j](r; a) + (-1)^(i+j) A[i,j](-r; a),
 
-the split of the circle into its two half-turns; the identity is
-validated against full-circle quadrature in tests.
+the split of the circle into its two half-turns; both are validated
+against full-circle quadrature in tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .averaging import _dense_table, _reduce_half, AssemblyError
-from .exact import as_fraction
+from .averaging import (
+    AssemblyError,
+    AveragedFunction,
+    BasisExpansion,
+    PerturbationSpec,
+    _random_table,
+    assemble,
+    basis_values,
+)
 from .kernels import (
     FULL_CIRCLE,
     DomainError,
     FamilyIndex,
     QuadratureSpec,
     SystemParams,
-    a00,
     eval_family,
     quad_oracle,
-    wallis_full_exact,
 )
-
-Table = Dict[Tuple[int, int], Fraction]
-LONG = np.longdouble
+from .zeros import LONG, _basis_element, _generator_matrix, _place, _survey, chebyshev_points, sample_rank
 
 
-@dataclass(frozen=True)
-class SmoothPerturbationSpec:
-    """Triangular coefficient tables of f and g for the smooth system."""
-
-    degree: int
-    f_table: np.ndarray
-    g_table: np.ndarray
-
-    def __init__(self, degree, f_table=None, g_table=None):
-        if degree < 1:
-            raise ValueError("perturbation degree must be >= 1")
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "f_table", _dense_table(self.degree, f_table, "f_table"))
-        object.__setattr__(self, "g_table", _dense_table(self.degree, g_table, "g_table"))
-
-    @staticmethod
-    def random(degree: int, rng: np.random.Generator, scale: float = 1.0) -> "SmoothPerturbationSpec":
-        def tri(n):
-            t = rng.uniform(-scale, scale, size=(n + 1, n + 1))
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    if i + j > n:
-                        t[i, j] = 0.0
-            return t
-
-        return SmoothPerturbationSpec(degree, tri(degree), tri(degree))
+def smooth_perturbation(degree: int, f_table=None, g_table=None) -> PerturbationSpec:
+    """The same f and g tables on both half-planes."""
+    return PerturbationSpec(degree, f_table, g_table, f_table, g_table)
 
 
-@dataclass(frozen=True)
-class SmoothExpansion:
-    """F over {r^(2i) V[0,0]} and even monomials; beta indexed by i, not 2i."""
-
-    degree: int
-    a: float
-    alpha: np.ndarray
-    beta_even: np.ndarray
-    exact_parts: Optional[tuple] = None
-
-    def value(self, r):
-        rr = np.asarray(r, dtype=float)
-        if np.any(np.abs(rr) >= abs(self.a)):
-            raise DomainError(f"smooth expansion defined for |r| < {abs(self.a)}")
-        out = _smooth_values(self, rr)
-        return float(out[0]) if np.ndim(r) == 0 else out.astype(float)
+def random_smooth_perturbation(degree: int, rng: np.random.Generator) -> PerturbationSpec:
+    """Uniform random f, then g, on the triangle i + j <= degree."""
+    f = _random_table(degree, rng, 1.0)
+    g = _random_table(degree, rng, 1.0)
+    return smooth_perturbation(degree, f, g)
 
 
-def _smooth_values(exp: SmoothExpansion, r: np.ndarray, dtype=np.float64):
-    rr = np.atleast_1d(np.asarray(r, dtype=dtype))
-    r2 = rr * rr
-    v00 = a00(rr, exp.a) + a00(-rr, exp.a)
-    return npoly.polyval(r2, exp.alpha.astype(dtype)) * v00 + npoly.polyval(
-        r2, exp.beta_even.astype(dtype)
-    )
+def assemble_smooth(a: float, pert: PerturbationSpec) -> AveragedFunction:
+    """`assemble` at b = a, with the smooth system's exact structural checks.
 
-
-def lambda_q_tables(pert: SmoothPerturbationSpec) -> Tuple[Table, Table]:
-    """lambda[i,j] = f[i-1,j] + g[i,j-1]; Q = the binomial compression."""
-    n = pert.degree
-    lam: Table = {}
-    for i in range(n + 2):
-        for j in range(n + 2 - i):
-            if i + j < 1:
-                continue
-            v = Fraction(0)
-            if i >= 1 and (i - 1) + j <= n:
-                v += as_fraction(float(pert.f_table[i - 1, j]))
-            if j >= 1 and i + (j - 1) <= n:
-                v += as_fraction(float(pert.g_table[i, j - 1]))
-            lam[(i, j)] = v
-    Q: Table = {}
-    for i in range(n + 2):
-        for j in range((n + 1 - i) // 2 + 1):
-            acc = Fraction(0)
-            for k in range(i // 2 + 1):
-                acc += (-1) ** k * math.comb(j + k, k) * lam.get((i - 2 * k, 2 * j + 2 * k), Fraction(0))
-            Q[(i, j)] = acc
-    return lam, Q
-
-
-def assemble_smooth(a: float, pert: SmoothPerturbationSpec) -> SmoothExpansion:
-    """Exact reduction of the smooth averaged function.
-
-    Same ladder collapse as the piecewise halves, with full-circle moments
-    and a seed relation without a linear term.  Exact structural checks:
-    only even monomials appear, the monomial degree is capped at
-    2*floor((n-1)/2), and F(0) = 0 ties beta_0 to alpha_0.
+    Raises ValueError when the half-planes carry different tables.  Exact
+    checks on the reduction: both half-circles give the same kernel
+    coefficients, and their merged monomials are even and capped at
+    2*floor((n-1)/2).
     """
-    if a == 0:
-        raise ValueError("parameter a must be nonzero")
-    n = pert.degree
-    fa = as_fraction(a)
-    _, Q = lambda_q_tables(pert)
-    coef_V, poly = _reduce_half(
-        Q, fa, n, wallis_full_exact, alternate=False, linear_seed=Fraction(0)
-    )
-    h = (n + 1) // 2
-    beta_cap = 2 * ((n - 1) // 2)
-    for idx, c in enumerate(poly):
-        if idx % 2 == 1 and not c.is_zero:
-            raise AssemblyError(f"odd monomial r^{idx} appeared in the smooth reduction")
-        if idx % 2 == 0 and idx > beta_cap and not c.is_zero:
-            raise AssemblyError(f"monomial r^{idx} exceeds the structural degree cap {beta_cap}")
-    if poly[0].rat != 0 or coef_V[0] != -(fa * fa) * poly[0].pi / 2:
-        raise AssemblyError("constant tie alpha_0 = -(a^2/(2*pi)) beta_0 failed")
-
-    alpha = np.array([float(x) for x in coef_V])
-    beta = np.array([float(poly[2 * i]) for i in range((n - 1) // 2 + 1)])
-    return SmoothExpansion(n, float(a), alpha, beta, exact_parts=(coef_V, poly))
-
-
-def eval_smooth_F(exp: SmoothExpansion, r):
-    return exp.value(r)
+    if not (np.array_equal(pert.plus_f, pert.minus_f) and np.array_equal(pert.plus_g, pert.minus_g)):
+        raise ValueError("the smooth system needs the same f and g tables on both half-planes")
+    fn = assemble(SystemParams(a, a), pert)
+    coef_A, poly_plus, coef_B, poly_minus = fn.expansion.exact_parts
+    if coef_A != coef_B:
+        raise AssemblyError("the two half-circles gave different kernel coefficients")
+    cap = 2 * ((pert.degree - 1) // 2)
+    for k, (p, q) in enumerate(zip(poly_plus, poly_minus)):
+        if (k % 2 == 1 or k > cap) and not (p + q).is_zero:
+            raise AssemblyError(f"monomial r^{k} outside the smooth range (even, at most r^{cap})")
+    return fn
 
 
 def eval_V_family(i: int, j: int, r: float, a: float) -> float:
@@ -172,17 +98,18 @@ def eval_V_family(i: int, j: int, r: float, a: float) -> float:
 
 
 def oracle_smooth_F(
-    a: float, pert: SmoothPerturbationSpec, r: float, spec: QuadratureSpec = QuadratureSpec()
+    a: float, pert: PerturbationSpec, r: float, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
-    """F(r) by full-circle quadrature, independent of the reduction."""
+    """F(r) by full-circle quadrature of f = plus_f, g = plus_g,
+    independent of the reduction."""
     if not (0 < r < abs(a)):
         raise DomainError(f"need 0 < r < {abs(a)}")
 
     def integrand(t: float) -> float:
         ct, st = math.cos(t), math.sin(t)
         x, y = r * ct, r * st
-        f = float(npoly.polyval2d(x, y, pert.f_table))
-        g = float(npoly.polyval2d(x, y, pert.g_table))
+        f = float(npoly.polyval2d(x, y, pert.plus_f))
+        g = float(npoly.polyval2d(x, y, pert.plus_g))
         return (f * ct + g * st) / (r * ct + a) ** 2
 
     return r * quad_oracle(integrand, FULL_CIRCLE, spec)
@@ -193,130 +120,52 @@ def oracle_smooth_F(
 # ---------------------------------------------------------------------------
 
 
-def _smooth_generator_stack(a: float, n: int, r: np.ndarray, dtype=LONG) -> np.ndarray:
-    """Rows: V-shift, r^(2i) V for i=1..n//2+1, even monomials r^(2i)."""
-    rr = np.asarray(r, dtype=dtype)
-    r2 = rr * rr
-    v00 = a00(rr, a) + a00(-rr, a)
-    rows = [v00 - 2 * np.pi / a**2]
-    for i in range(1, n // 2 + 2):
-        rows.append(r2**i * v00)
-    for i in range(1, (n - 1) // 2 + 1):
-        rows.append(r2**i)
-    return np.array(rows)
+def smooth_generators(a: float, n: int) -> List[BasisExpansion]:
+    """Basis of the smooth reachable span for degree n (n + 1 functions).
+
+    V-shift = V[0,0] - 2 pi/a^2 (the constant tie that makes F(0) = 0),
+    r^(2i) V for i = 1..floor(n/2)+1, and the even monomials r^(2i) for
+    i = 1..floor((n-1)/2), as expansions at b = a with V = A + B.
+    """
+    gens = [_basis_element(n, coeff_A={0: 1.0}, coeff_B={0: 1.0}, coeff_poly={0: -2 * math.pi / a**2})]
+    gens += [_basis_element(n, coeff_A={i: 1.0}, coeff_B={i: 1.0}) for i in range(1, n // 2 + 2)]
+    gens += [_basis_element(n, coeff_poly={2 * i: 1.0}) for i in range(1, (n - 1) // 2 + 1)]
+    return gens
 
 
-def place_smooth_zeros(a: float, n: int, targets: Sequence[float]) -> SmoothExpansion:
-    """Null-space placement in the smooth reachable span (n+1 generators)."""
-    targets = [float(t) for t in targets]
-    if sorted(set(targets)) != targets:
-        raise ValueError("targets must be strictly increasing and distinct")
-    if targets and not (0 < targets[0] and targets[-1] < abs(a)):
-        raise ValueError(f"targets must lie in (0, {abs(a)})")
+def place_smooth_zeros(a: float, n: int, targets: Sequence[float]) -> BasisExpansion:
+    """Null-space placement in the smooth reachable span (n+1 generators);
+    the result is an expansion at `SystemParams(a, a)`."""
     if len(targets) > n:
         raise ValueError(f"the smooth span for degree {n} places at most {n} zeros")
-
-    m = n + 1
-    h = (n + 1) // 2
-    if not targets:
-        alpha = np.zeros(h + 2)
-        alpha[0] = 1.0
-        beta = np.zeros((n - 1) // 2 + 1)
-        beta[0] = -2 * math.pi / a**2
-        return SmoothExpansion(n, float(a), alpha, beta)
-
-    G = _smooth_generator_stack(a, n, np.asarray(targets))
-    scale = np.max(np.abs(_smooth_generator_stack(a, n, np.linspace(min(targets) * 0.5, abs(a) * 0.98, 64))), axis=1)
-    M = (G / scale[:, None]).T
-    _, sv, vt = np.linalg.svd(M.astype(float))
-    if sv[0] / sv[len(targets) - 1] > 1e12:
-        raise ValueError("smooth collocation matrix numerically singular")
-    d = vt[-1].astype(LONG) / scale
-
-    alpha = np.zeros(h + 2)
-    beta = np.zeros((n - 1) // 2 + 1)
-    alpha[0] = float(d[0])
-    beta[0] = -2 * math.pi / a**2 * float(d[0])
-    for i in range(1, n // 2 + 2):
-        alpha[i] = float(d[i])
-    for i in range(1, (n - 1) // 2 + 1):
-        beta[i] = float(d[n // 2 + 1 + i])
-    top = max(np.max(np.abs(alpha)), np.max(np.abs(beta)))
-    return SmoothExpansion(n, float(a), alpha / top, beta / top)
-
-
-def count_smooth_zeros(exp: SmoothExpansion, r_max: float, grid: int = 2000) -> List[float]:
-    """Envelope-aware sign-change count on (0, r_max), bisection-refined."""
-    if not (0 < r_max < abs(exp.a)):
-        raise ValueError("need 0 < r_max < |a|")
-    rr = np.linspace(r_max / grid, r_max, grid)
-    vals = _smooth_values(exp, rr, dtype=LONG)
-    r2 = rr.astype(LONG) ** 2
-    v00 = a00(rr.astype(LONG), exp.a) + a00(-rr.astype(LONG), exp.a)
-    env = (
-        npoly.polyval(r2, np.abs(exp.alpha.astype(LONG))) * v00
-        + npoly.polyval(r2, np.abs(exp.beta_even.astype(LONG)))
-    ) * float(np.finfo(LONG).eps)
-    sig = np.abs(vals) > 64.0 * env
-    rs = rr[sig]
-    vs = vals[sig]
-    sgn = np.sign(vs)
-    flips = np.where(sgn[:-1] * sgn[1:] < 0)[0]
-    zeros = []
-    for k in flips:
-        lo, hi = float(rs[k]), float(rs[k + 1])
-        flo = float(_smooth_values(exp, np.array([lo]), dtype=LONG)[0])
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 1e-12:
-                break
-            fm = float(_smooth_values(exp, np.array([mid]), dtype=LONG)[0])
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        zeros.append(0.5 * (lo + hi))
-    return zeros
+    return _place(SystemParams(a, a), smooth_generators(a, n), targets)
 
 
 def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
     """Resolve the even-degree generating-set question by rank measurement.
 
     The listed generating set for degrees 2k and 2k+1 is identical
-    ({r^(2i)}_(1..k), V-shift, {r^(2i) V}_(1..k+1)); as plain functions
-    those are independent for either parity.  The reachable span of
-    assembled expansions, however, has dimension n+1 for both parities —
-    the even monomial range is capped at 2*floor((n-1)/2), so for n = 2k
-    the listed r^(2k) is unreachable and the set overcounts by one.
+    ({r^(2i)}_(1..k), V-shift, {r^(2i) V}_(1..k+1)), the reachable set of
+    degree 2k+1; as plain functions those are independent for either
+    parity.  The reachable span of assembled expansions, however, has
+    dimension n+1 for both parities — the even monomial range is capped
+    at 2*floor((n-1)/2), so for n = 2k the listed r^(2k) is unreachable
+    and the set overcounts by one.
     """
     k = n // 2
     if not (0 < r_max < abs(a)):
         raise ValueError("need 0 < r_max < |a|")
-    count = 4 * (2 * k + 2)
-    lo = r_max / 100
-    pts = 0.5 * (lo + r_max) + 0.5 * (r_max - lo) * np.cos(
-        (2 * np.arange(count) + 1) * np.pi / (2 * count)
-    )
-    rr = np.asarray(pts, dtype=LONG)
-    r2 = rr * rr
-    v00 = a00(rr, a) + a00(-rr, a)
-    listed = [v00 - 2 * np.pi / a**2]
-    for i in range(1, k + 2):
-        listed.append(r2**i * v00)
-    for i in range(1, k + 1):
-        listed.append(r2**i)
-    Ml = np.array(listed).T.astype(float)
-    norms = np.linalg.norm(Ml, axis=0)
-    sv = np.linalg.svd(Ml / norms, compute_uv=False)
-    listed_rank = int(np.sum(sv > 1e-10))
+    params = SystemParams(a, a)
+    pts = chebyshev_points(r_max / 100, r_max, 4 * (2 * k + 2))
+    listed = _generator_matrix(smooth_generators(a, 2 * k + 1)) @ basis_values(params, 2 * k + 1, pts, LONG)
+    listed_rank, _ = sample_rank(listed.T.astype(float))
 
     rng = np.random.default_rng(0)
-    cols = []
-    for _ in range(6 * (n + 3)):
-        pert = SmoothPerturbationSpec.random(n, rng)
-        exp = assemble_smooth(a, pert)
-        cols.append(_smooth_values(exp, np.asarray(pts, float)))
-    Mr = np.array(cols).T
+    coeffs = [
+        assemble_smooth(a, random_smooth_perturbation(n, rng)).expansion.vector()
+        for _ in range(6 * (n + 3))
+    ]
+    Mr = (np.array(coeffs) @ basis_values(params, n, pts)).T
     norms = np.linalg.norm(Mr, axis=0)
     keep = norms > 1e-13
     sv = np.linalg.svd(Mr[:, keep] / norms[keep], compute_uv=False)
@@ -335,23 +184,7 @@ def random_search_max_smooth_zeros(
 ) -> Tuple[int, Dict[int, int]]:
     """Max zero count over random smooth perturbations."""
     rng = np.random.default_rng(seed)
-    rr = np.linspace(r_max / grid, r_max, grid)
-    hist: Dict[int, int] = {}
-    best = 0
-    for _ in range(draws):
-        pert = SmoothPerturbationSpec.random(n, rng)
-        exp = assemble_smooth(a, pert)
-        vals = _smooth_values(exp, rr, dtype=LONG)
-        r2 = rr.astype(LONG) ** 2
-        v00 = a00(rr.astype(LONG), a) + a00(-rr.astype(LONG), a)
-        env = (
-            npoly.polyval(r2, np.abs(exp.alpha.astype(LONG))) * v00
-            + npoly.polyval(r2, np.abs(exp.beta_even.astype(LONG)))
-        ) * float(np.finfo(LONG).eps)
-        sig = np.abs(vals) > 64.0 * env
-        v = vals[sig]
-        s = np.sign(v)
-        c = int(np.sum(s[:-1] * s[1:] < 0))
-        hist[c] = hist.get(c, 0) + 1
-        best = max(best, c)
-    return best, hist
+    expansions = (
+        assemble_smooth(a, random_smooth_perturbation(n, rng)).expansion for _ in range(draws)
+    )
+    return _survey(SystemParams(a, a), n, r_max, grid, expansions)

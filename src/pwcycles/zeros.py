@@ -38,10 +38,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .averaging import (
     AveragedFunction,
@@ -49,10 +48,12 @@ from .averaging import (
     PerturbationSpec,
     _exact_assemble,
     assemble,
+    basis_values,
 )
-from .kernels import SystemParams, a00
+from .kernels import SystemParams
 
 LONG = np.longdouble
+_EPS = float(np.finfo(LONG).eps)
 
 # Multiple of the roundoff envelope below which a value is treated as
 # numerically indistinguishable from zero.
@@ -171,52 +172,30 @@ def independence_generators(params: SystemParams, n: int) -> List[BasisExpansion
     return gens
 
 
-def _eval_stack(
-    gens: Sequence[BasisExpansion], params: SystemParams, r: np.ndarray, dtype=LONG
-) -> np.ndarray:
-    """Matrix of generator values, shape (len(gens), len(r)).
-
-    Shares the kernel evaluations across generators; dtype controls the
-    combination precision (longdouble by default: the raw basis is badly
-    scaled at high degree and cancellation in double precision can bury
-    genuine zeros in noise).
-    """
-    rr = np.asarray(r, dtype=dtype)
-    r2 = rr * rr
-    A = a00(rr, params.a)
-    B = a00(-rr, params.b)
-    rows = []
-    for g in gens:
-        row = npoly.polyval(rr, g.coeff_poly.astype(dtype))
-        row = row + npoly.polyval(r2, g.coeff_A.astype(dtype)) * A
-        row = row + npoly.polyval(r2, g.coeff_B.astype(dtype)) * B
-        rows.append(row)
-    return np.array(rows)
+def _generator_matrix(gens: Sequence[BasisExpansion]) -> np.ndarray:
+    """Generator coefficient vectors as rows; times `basis_values` it gives
+    the generator values, shape (len(gens), len(r))."""
+    return np.array([g.vector(LONG) for g in gens])
 
 
-def _expansion_values_precise(
-    expansion: BasisExpansion, params: SystemParams, r: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Longdouble values plus a pointwise roundoff envelope.
+def _envelope(coeffs: np.ndarray, abs_values: np.ndarray) -> np.ndarray:
+    """Roundoff envelope of `coeffs @ values`, given |values|.
 
-    The envelope sums absolute contributions of every term (the kernels
-    are positive, so absolute coefficients suffice) scaled by machine
+    Sums the absolute contribution of every term scaled by long-double
     epsilon; values inside a small multiple of it are numerically zero.
     """
-    rr = np.asarray(r, dtype=LONG)
-    r2 = rr * rr
-    A = a00(rr, params.a)
-    B = a00(-rr, params.b)
-    pa = expansion.coeff_A.astype(LONG)
-    pb = expansion.coeff_B.astype(LONG)
-    pp = expansion.coeff_poly.astype(LONG)
-    vals = npoly.polyval(rr, pp) + npoly.polyval(r2, pa) * A + npoly.polyval(r2, pb) * B
-    env = (
-        npoly.polyval(np.abs(rr), np.abs(pp))
-        + npoly.polyval(r2, np.abs(pa)) * A
-        + npoly.polyval(r2, np.abs(pb)) * B
-    ) * float(np.finfo(LONG).eps)
-    return vals, env
+    return np.abs(coeffs) @ abs_values * _EPS
+
+
+def _values(expansion: BasisExpansion, params: SystemParams, r) -> Tuple[np.ndarray, np.ndarray]:
+    """Long-double values at r plus their roundoff envelope.
+
+    Long double because the raw basis is badly scaled at high degree and
+    cancellation in double precision can bury genuine zeros in noise.
+    """
+    c = expansion.vector(LONG)
+    basis = basis_values(params, expansion.degree, r, LONG)
+    return c @ basis, _envelope(c, np.abs(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +225,7 @@ def _scan_brackets(
 ) -> Tuple[List[Tuple[float, float]], float, bool]:
     """Sign-change brackets among noise-significant grid samples."""
     rr = np.linspace(r_max / grid, r_max, grid)
-    vals, env = _expansion_values_precise(expansion, params, rr)
+    vals, env = _values(expansion, params, rr)
     scale = float(np.max(np.abs(vals)))
     significant = np.abs(vals) > _NOISE_FACTOR * env
     if not np.any(significant):
@@ -259,12 +238,12 @@ def _scan_brackets(
 
 
 def _bisect_zero(expansion: BasisExpansion, params: SystemParams, lo: float, hi: float) -> float:
-    flo = float(_expansion_values_precise(expansion, params, np.array([lo]))[0][0])
+    flo = float(_values(expansion, params, lo)[0][0])
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-12:
             return mid
-        fm = float(_expansion_values_precise(expansion, params, np.array([mid]))[0][0])
+        fm = float(_values(expansion, params, mid)[0][0])
         if fm == 0.0:
             return mid
         if (fm > 0) == (flo > 0):
@@ -282,7 +261,7 @@ def _derivative(expansion: BasisExpansion, params: SystemParams, z: float, r_cap
         hi = z
     if lo <= 0:
         lo = z
-    v = _expansion_values_precise(expansion, params, np.array([lo, hi]))[0]
+    v = _values(expansion, params, [lo, hi])[0]
     return float((v[1] - v[0]) / (hi - lo))
 
 
@@ -420,13 +399,23 @@ def place_zeros(
     with a diagnostic — it exists to probe the claimed-count question
     honestly.
     """
+    return _place(params, reachable_generators(params, n), targets, seed, scan_r_max)
+
+
+def _place(
+    params: SystemParams,
+    gens: List[BasisExpansion],
+    targets: Sequence[float],
+    seed: int = 0,
+    scan_r_max: Optional[float] = None,
+) -> BasisExpansion:
+    """The null-space placement of `place_zeros` over a given generator list."""
     targets = [float(t) for t in targets]
     if sorted(set(targets)) != targets:
         raise ValueError("targets must be strictly increasing and distinct")
     if targets and not (0 < targets[0] and targets[-1] < params.r0):
         raise ValueError(f"targets must lie in (0, {params.r0})")
 
-    gens = reachable_generators(params, n)
     m = len(gens)
     p = len(targets)
     if p > m:
@@ -436,16 +425,24 @@ def place_zeros(
     if p == 0:
         return gens[0]
 
+    n = gens[0].degree
+    G = _generator_matrix(gens)
+
+    def stack(r) -> np.ndarray:
+        return G @ basis_values(params, n, r, LONG)
+
     r_hi = scan_r_max if scan_r_max is not None else min(params.r0 * 0.999, 2.0 * targets[-1])
     scan = np.linspace(r_hi / 2048, r_hi, 2048)
-    Gs = _eval_stack(gens, params, scan)
+    Gs = stack(scan)
     colscale = np.max(np.abs(Gs), axis=1)  # per-generator window scale
 
-    tstack = _eval_stack(gens, params, np.asarray(targets))
+    tstack = stack(targets)
     M_long = (tstack / colscale[:, None]).T  # p x m, diagonally equilibrated
 
     if p == m:
-        return _saturated_placement(params, gens, colscale, targets, scan, Gs)
+        dg = _saturated_placement(stack, n, colscale, targets, scan)
+        dg = dg / float(np.max(np.abs(dg @ Gs)))
+        return BasisExpansion.from_vector(n, dg @ G)
 
     # Condition diagnostic in an orthonormalized basis: it reflects the
     # geometry of the targets, not the raw basis skew.
@@ -467,63 +464,42 @@ def place_zeros(
         candidates.append(c / np.sqrt(np.sum(c * c)))
 
     fd = 1e-6 * np.maximum(1.0, np.asarray(targets))
-    tlo = _eval_stack(gens, params, np.asarray(targets) - fd)
-    thi = _eval_stack(gens, params, np.asarray(targets) + fd)
+    tlo = stack(np.asarray(targets) - fd)
+    thi = stack(np.asarray(targets) + fd)
 
+    abs_Gs = np.abs(Gs)
     best = None
     for c in candidates:
         dg = c / colscale.astype(LONG)  # back to raw generator coordinates
         vals = dg @ Gs
-        env = np.abs(dg) @ np.abs(Gs) * float(np.finfo(LONG).eps)
-        extra = max(0, _count_grid_zeros(vals, env) - p)
+        extra = max(0, _count_grid_zeros(vals, _envelope(dg, abs_Gs)) - p)
         deriv = np.abs((dg @ thi - dg @ tlo) / (2 * fd))
         scale_f = float(np.max(np.abs(vals)))
         score = (extra, -float(np.min(deriv)) / scale_f)
         if best is None or score < best[0]:
             best = (score, dg / scale_f)
-    dg = best[1]
-    return _combine(gens, dg)
-
-
-def _combine(gens: Sequence[BasisExpansion], coeffs: np.ndarray) -> BasisExpansion:
-    """Linear combination kept in longdouble.
-
-    High-degree placements carry delicately cancelling coefficients whose
-    rounding to double would visibly shift the outer zeros.
-    """
-    n = gens[0].degree
-    cA = np.zeros(gens[0].coeff_A.shape, dtype=LONG)
-    cB = np.zeros(gens[0].coeff_B.shape, dtype=LONG)
-    cP = np.zeros(gens[0].coeff_poly.shape, dtype=LONG)
-    for coef, g in zip(np.asarray(coeffs, dtype=LONG), gens):
-        cA += coef * g.coeff_A.astype(LONG)
-        cB += coef * g.coeff_B.astype(LONG)
-        cP += coef * g.coeff_poly.astype(LONG)
-    return BasisExpansion(n, cA, cB, cP)
+    # Combined in long double: high-degree placements carry delicately
+    # cancelling coefficients whose rounding to double would visibly
+    # shift the outer zeros.
+    return BasisExpansion.from_vector(n, best[1] @ G)
 
 
 def _saturated_placement(
-    params: SystemParams,
-    gens: List[BasisExpansion],
-    colscale: np.ndarray,
-    targets: List[float],
-    scan: np.ndarray,
-    Gs: np.ndarray,
-) -> BasisExpansion:
-    """Square homogeneous placement: needs a singular collocation matrix."""
-    m = len(gens)
-    n = gens[0].degree
-    fixed = np.asarray(targets[:-1])
-    rows_fixed = (_eval_stack(gens, params, fixed) / colscale[:, None]).T
+    stack: Callable[..., np.ndarray], n: int, colscale: np.ndarray, targets: List[float], scan: np.ndarray
+) -> np.ndarray:
+    """Square homogeneous placement: needs a singular collocation matrix.
+
+    Returns the raw generator coordinates of the singular configuration.
+    """
+    m = len(colscale)
+    rows_fixed = (stack(targets[:-1]) / colscale[:, None]).T
 
     lo = targets[-2] * 1.02
     zs = np.linspace(lo, max(float(scan[-1]), targets[-1] * 1.5), 600)
-    sigmins = []
-    for z in zs:
-        row = (_eval_stack(gens, params, np.array([z])) / colscale[:, None]).T
-        M = np.vstack([rows_fixed, row]).astype(float)
-        sigmins.append(np.linalg.svd(M, compute_uv=False)[-1])
-    sigmins = np.asarray(sigmins)
+    rows = (stack(zs) / colscale[:, None]).T  # one candidate last row per z
+    sigmins = np.array(
+        [np.linalg.svd(np.vstack([rows_fixed, row]).astype(float), compute_uv=False)[-1] for row in rows]
+    )
     k = int(np.argmin(sigmins))
     if sigmins[k] > 1e-13:
         raise PlacementError(
@@ -531,12 +507,8 @@ def _saturated_placement(
             f"degree {n} has capacity {m - 1} simple zeros "
             f"(min singular value along the last-target scan: {sigmins[k]:.2e})"
         )
-    row = (_eval_stack(gens, params, np.array([zs[k]])) / colscale[:, None]).T
-    M_long = np.vstack([rows_fixed, row])
-    V, _ = _jacobi_right_vectors(M_long)
-    dg = V[:, -1] / colscale.astype(LONG)
-    vals = dg @ Gs
-    return _combine(gens, dg / float(np.max(np.abs(vals))))
+    V, _ = _jacobi_right_vectors(np.vstack([rows_fixed, rows[k]]))
+    return V[:, -1] / colscale.astype(LONG)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +541,8 @@ def independence_check(params: SystemParams, n: int, r_max: float) -> Tuple[int,
         raise ValueError("need 0 < r_max < r0")
     gens = independence_generators(params, n)
     pts = chebyshev_points(r_max / 100.0, r_max, 4 * len(gens))
-    M = _eval_stack(gens, params, pts).T.astype(float)
-    return sample_rank(M)
+    M = _generator_matrix(gens) @ basis_values(params, n, pts, LONG)
+    return sample_rank(M.T.astype(float))
 
 
 def claimed_coefficient_indices(n: int) -> List[Tuple[str, int]]:
@@ -646,14 +618,23 @@ def random_search_max_zeros(
     stress the claimed ceiling, not to certify individual zero lists.
     """
     rng = np.random.default_rng(seed)
+    expansions = (assemble(params, PerturbationSpec.random(n, rng)).expansion for _ in range(draws))
+    return _survey(params, n, r_max, grid, expansions)
+
+
+def _survey(
+    params: SystemParams, n: int, r_max: float, grid: int, expansions: Iterable[BasisExpansion]
+) -> Tuple[int, Dict[int, int]]:
+    """(max, histogram) of grid zero counts over degree-n expansions.
+
+    The basis is sampled once on the grid and shared by every expansion.
+    """
     rr = np.linspace(r_max / grid, r_max, grid)
+    basis = basis_values(params, n, rr, LONG)
+    abs_basis = np.abs(basis)
     hist: Dict[int, int] = {}
-    best = 0
-    for _ in range(draws):
-        pert = PerturbationSpec.random(n, rng)
-        fn = assemble(params, pert)
-        vals, env = _expansion_values_precise(fn.expansion, params, rr)
-        c = _count_grid_zeros(vals, env)
-        hist[c] = hist.get(c, 0) + 1
-        best = max(best, c)
-    return best, hist
+    for expansion in expansions:
+        c = expansion.vector(LONG)
+        count = _count_grid_zeros(c @ basis, _envelope(c, abs_basis))
+        hist[count] = hist.get(count, 0) + 1
+    return max(hist, default=0), hist

@@ -40,8 +40,6 @@ from pwcycles.poincare import (
     return_map,
 )
 from pwcycles.smooth import (
-    SmoothPerturbationSpec,
-    count_smooth_zeros,
     place_smooth_zeros,
     random_search_max_smooth_zeros,
     smooth_generating_rank,
@@ -340,8 +338,8 @@ def test_criterion_6_smooth_case():
     details = {}
     for n in (2, 3):
         targets = list(np.linspace(0.15, 0.8, n))
-        exp = place_smooth_zeros(a, n, targets)
-        zeros = count_smooth_zeros(exp, 0.95)
+        fn = AveragedFunction(SystemParams(a, a), place_smooth_zeros(a, n, targets), "placed")
+        zeros = count_simple_zeros(fn, 0.95, grid=2000).locations
         best, _ = random_search_max_smooth_zeros(a, n, 200, seed=606 + n, r_max=0.95)
         ranks = smooth_generating_rank(a, n, 0.9)
         details[n] = {

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from pwcycles.averaging import (
     AveragedFunction,
     BasisExpansion,
     PerturbationSpec,
     assemble,
+    basis_values,
     eval_F,
     null_perturbation,
     oracle_F,
@@ -18,7 +20,10 @@ from pwcycles.averaging import (
     st_coeffs,
 )
 from pwcycles.kernels import DomainError, SystemParams, a00
-from pwcycles.smooth import SmoothPerturbationSpec, assemble_smooth
+from pwcycles.smooth import assemble_smooth, oracle_smooth_F, random_smooth_perturbation
+from pwcycles.zeros import place_zeros, reachable_zero_capacity
+
+LONG = np.longdouble
 
 
 class TestPerturbationSpec:
@@ -193,17 +198,59 @@ class TestOracleF:
 
 class TestSmoothRestriction:
     def test_smooth_consistency(self, rng):
-        # a = b with equal tables: the piecewise pipeline must agree with
-        # the full-circle smooth pipeline
-        a = 1.3
-        p = SystemParams(a, a)
-        for n in (1, 2, 3):
-            f_t = SmoothPerturbationSpec.random(n, rng)
-            pert = PerturbationSpec(n, f_t.f_table, f_t.g_table, f_t.f_table, f_t.g_table)
-            fn = assemble(p, pert)
-            sm = assemble_smooth(a, f_t)
-            rr = np.linspace(0.05, 0.9 * a, 17)
-            assert np.max(np.abs(eval_F(fn, rr) - sm.value(rr))) < 1e-9
+        # a = b with equal tables: the smooth assembly, which is the
+        # piecewise reduction at b = a, must agree with the independent
+        # full-circle quadrature
+        for a in (1.3, -1.7):
+            for n in (1, 2, 3, 4):
+                pert = random_smooth_perturbation(n, rng)
+                fn = assemble_smooth(a, pert)
+                rr = np.linspace(0.05, 0.9 * abs(a), 9)
+                want = np.array([oracle_smooth_F(a, pert, float(r)) for r in rr])
+                assert np.max(np.abs(eval_F(fn, rr) - want)) < 1e-9
+
+
+def _horner_values_precise(expansion, params, r):
+    """The Horner-form evaluator that `basis_values` replaced, kept as the
+    reference: long-double values plus the roundoff envelope."""
+    rr = np.asarray(r, dtype=LONG)
+    r2 = rr * rr
+    A = a00(rr, params.a)
+    B = a00(-rr, params.b)
+    pa = expansion.coeff_A.astype(LONG)
+    pb = expansion.coeff_B.astype(LONG)
+    pp = expansion.coeff_poly.astype(LONG)
+    vals = npoly.polyval(rr, pp) + npoly.polyval(r2, pa) * A + npoly.polyval(r2, pb) * B
+    env = (
+        npoly.polyval(np.abs(rr), np.abs(pp))
+        + npoly.polyval(r2, np.abs(pa)) * A
+        + npoly.polyval(r2, np.abs(pb)) * B
+    ) * float(np.finfo(LONG).eps)
+    return vals, env
+
+
+class TestBasisValues:
+    # Tolerance fixed before the first run: both routes sum the same
+    # terms in a different order, so values may differ by a few roundoffs
+    # of the summed absolute terms (16 eps * sum = 16 envelopes) and
+    # envelopes, sums of nonnegative terms, by a few ulps (16 eps * env).
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_horner_reference(self, ab, n, rng):
+        params = SystemParams(*ab)
+        eps = np.finfo(LONG).eps
+        rr = np.linspace(0.01, 4.0, 200)
+        assembled = assemble(params, PerturbationSpec.random(n, rng)).expansion
+        capacity = reachable_zero_capacity(n, params.resonant)
+        placed = place_zeros(params, n, [0.5, 1.2, 2.0][:capacity])
+        assert placed.coeff_A.dtype == LONG
+        basis = basis_values(params, n, rr, LONG)
+        for expansion in (assembled, placed):
+            want, want_env = _horner_values_precise(expansion, params, rr)
+            c = expansion.vector(LONG)
+            got, got_env = c @ basis, np.abs(c) @ np.abs(basis) * eps
+            assert np.all(np.abs(got - want) <= 16 * want_env)
+            assert np.all(np.abs(got_env - want_env) <= 16 * eps * want_env)
 
 
 class TestRealization:

@@ -202,6 +202,42 @@ class TestCli:
         )
         assert main(["place", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
+    def test_invalid_log_level_exit_two(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "v.json"
+        cfg.write_text(json.dumps(_verify_doc()))
+        monkeypatch.setenv("PWCYCLES_LOG", "verbose")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_info_log_reaches_stderr(self, tmp_path, monkeypatch, capsys):
+        # the n=2 claimed-count placement fails by design and is logged at
+        # INFO; the log must not touch the record
+        cfg = tmp_path / "hn.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "kind": "reproduce_hn",
+                    "a": 1.0,
+                    "b": -1.0,
+                    "seed": 2,
+                    "n_list": [2],
+                    "draws": 10,
+                    "r_max": 6.0,
+                }
+            )
+        )
+        logged, records = {}, {}
+        for level in ("WARNING", "INFO"):
+            monkeypatch.setenv("PWCYCLES_LOG", level)
+            out = tmp_path / level
+            assert main(["reproduce-hn", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 1
+            logged[level] = "claimed-count placement failed for n=2" in capsys.readouterr().err
+            doc = json.loads(next(out.glob("*.json")).read_text())
+            records[level] = json.dumps(doc["record"], sort_keys=True, indent=1)
+        assert logged == {"WARNING": False, "INFO": True}
+        assert records["INFO"] == records["WARNING"]
+
     def test_place_subcommand_skips_simulation(self, tmp_path):
         cfg = tmp_path / "p.json"
         cfg.write_text(

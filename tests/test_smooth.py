@@ -1,22 +1,28 @@
-"""Smooth (full-circle) pipeline: V families, assembly, zero capacity."""
+"""Smooth case (b = a, equal tables): V families, assembly, zero capacity."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pwcycles.kernels import DomainError, quad_oracle, trig_rational, FULL_CIRCLE
+from pwcycles.averaging import AveragedFunction, PerturbationSpec
+from pwcycles.kernels import DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
 from pwcycles.smooth import (
-    SmoothExpansion,
-    SmoothPerturbationSpec,
     assemble_smooth,
-    count_smooth_zeros,
     eval_V_family,
     oracle_smooth_F,
     place_smooth_zeros,
     random_search_max_smooth_zeros,
+    random_smooth_perturbation,
     smooth_generating_rank,
+    smooth_perturbation,
 )
+from pwcycles.zeros import count_simple_zeros
+
+
+def _smooth_zeros(a, expansion, r_max):
+    fn = AveragedFunction(SystemParams(a, a), expansion, "placed")
+    return list(count_simple_zeros(fn, r_max, grid=2000).locations)
 
 
 class TestVFamily:
@@ -48,34 +54,43 @@ class TestVFamily:
 
 class TestAssembleSmooth:
     def test_zero_perturbation(self):
-        exp = assemble_smooth(1.0, SmoothPerturbationSpec(2))
-        assert np.all(exp.alpha == 0.0)
-        assert np.all(exp.beta_even == 0.0)
+        fn = assemble_smooth(1.0, smooth_perturbation(2))
+        assert fn.expansion.max_abs_coeff == 0.0
 
     def test_frozen_linear_case(self):
         # n=1, f = 1: F(0.4) = 0.4 * integral of cos/(0.4 cos + 1)^2
-        exp = assemble_smooth(1.0, SmoothPerturbationSpec(1, f_table={(0, 0): 1.0}))
-        assert exp.value(0.4) == pytest.approx(-1.3058128016138242, rel=1e-9)
+        fn = assemble_smooth(1.0, smooth_perturbation(1, f_table={(0, 0): 1.0}))
+        assert fn.value(0.4) == pytest.approx(-1.3058128016138242, rel=1e-9)
 
     def test_oracle_equivalence(self, rng):
         a = 1.0
-        pert = SmoothPerturbationSpec.random(3, rng)
-        exp = assemble_smooth(a, pert)
+        pert = random_smooth_perturbation(3, rng)
+        fn = assemble_smooth(a, pert)
         for r in np.linspace(0.05, 0.9, 20):
             want = oracle_smooth_F(a, pert, float(r))
-            assert exp.value(float(r)) == pytest.approx(want, rel=1e-8, abs=1e-12)
+            assert fn.value(float(r)) == pytest.approx(want, rel=1e-8, abs=1e-12)
 
     def test_evenness_exact(self, rng):
-        # only even monomials, none beyond the structural cap, exactly
+        # the two halves' merged monomials: only even ones, none beyond
+        # the structural cap, exactly; the kernel parts coincide
         for n in (1, 2, 3, 4):
-            pert = SmoothPerturbationSpec.random(n, rng)
-            exp = assemble_smooth(1.5, pert)
-            _, poly = exp.exact_parts
-            for idx, c in enumerate(poly):
-                if idx % 2 == 1:
-                    assert c.is_zero
-                elif idx > 2 * ((n - 1) // 2):
-                    assert c.is_zero
+            pert = random_smooth_perturbation(n, rng)
+            coef_A, poly_plus, coef_B, poly_minus = assemble_smooth(1.5, pert).expansion.exact_parts
+            assert coef_A == coef_B
+            for idx, (p, q) in enumerate(zip(poly_plus, poly_minus)):
+                if idx % 2 == 1 or idx > 2 * ((n - 1) // 2):
+                    assert (p + q).is_zero
+
+    def test_unequal_tables_rejected(self, rng):
+        f = random_smooth_perturbation(2, rng)
+        shifted = f.plus_f.copy()
+        shifted[0, 0] += 0.5
+        for tables in (
+            (f.plus_f, f.plus_g, shifted, f.plus_g),
+            (f.plus_f, f.plus_g, f.plus_f, np.zeros_like(f.plus_g)),
+        ):
+            with pytest.raises(ValueError, match="same f and g"):
+                assemble_smooth(1.0, PerturbationSpec(2, *tables))
 
     def test_generating_set_membership(self, rng):
         # assembled F lies in span{r^(2i)} U {V - 2pi/a^2} U {r^(2i) V}
@@ -91,8 +106,8 @@ class TestAssembleSmooth:
         cols += [rr ** (2 * i) for i in range(1, k + 1)]
         G = np.array(cols).T
         for _ in range(6):
-            exp = assemble_smooth(a, SmoothPerturbationSpec.random(n, rng))
-            y = exp.value(rr)
+            fn = assemble_smooth(a, random_smooth_perturbation(n, rng))
+            y = fn.value(rr)
             coef, *_ = np.linalg.lstsq(G, y, rcond=None)
             assert np.linalg.norm(y - G @ coef) < 1e-10 * max(1.0, np.linalg.norm(y))
 
@@ -100,8 +115,7 @@ class TestAssembleSmooth:
 class TestSmoothZeros:
     def test_placement_round_trip(self):
         targets = [0.2, 0.45, 0.7]
-        exp = place_smooth_zeros(1.0, 3, targets)
-        zeros = count_smooth_zeros(exp, 0.95)
+        zeros = _smooth_zeros(1.0, place_smooth_zeros(1.0, 3, targets), 0.95)
         assert len(zeros) == 3
         assert np.allclose(zeros, targets, atol=1e-9)
 
@@ -110,8 +124,7 @@ class TestSmoothZeros:
             place_smooth_zeros(1.0, 3, [0.2, 0.4, 0.6, 0.8])
 
     def test_empty_targets_signs_definite(self):
-        exp = place_smooth_zeros(1.0, 2, [])
-        assert count_smooth_zeros(exp, 0.9) == []
+        assert _smooth_zeros(1.0, place_smooth_zeros(1.0, 2, []), 0.9) == []
 
     def test_ceiling_survey(self):
         for n in (2, 3):
