@@ -12,6 +12,14 @@ split.  Because the switching manifold is fixed in the independent
 variable (theta = pi/2, 3pi/2), integrating leg by leg handles the
 discontinuity exactly — no event detection is needed in polar form.
 
+Every start radius meets the leg boundaries at the same theta, so
+`return_map` integrates a whole vector of start radii at once: a lockstep
+DOP853 engine steps each radius under its own step-size control, exactly
+as scipy's scalar DOP853 would step it alone, and shares only the
+right-hand-side evaluations.  A radius's result is bit for bit independent
+of the batch it is in, which lets `find_fixed_points` evaluate its grid in
+one call and refine all its brackets with one call per iteration.
+
 The Poincare section is {y = 0, x > 0} (theta = 0).  A first-order
 expansion of the return map gives P(r) - r = eps * f0(r) + O(eps^2), so
 scaled displacements converge to the averaged function and fixed points
@@ -19,26 +27,31 @@ converge to its simple zeros — the correspondence the package verifies.
 
 A Cartesian integration path with event location at the switching line
 x = 0 cross-checks the polar pipeline; at eps = 0 it must conserve
-x^2 + y^2 to integrator precision.
+x^2 + y^2 to integrator precision.  It keeps scipy's ``solve_ivp`` as an
+independent integrator.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .averaging import PerturbationSpec
 from .kernels import SystemParams
 
+log = logging.getLogger("pwcycles")
+
 _H_FLOOR = 1e-10  # squared-denominator guard
 _INTEGRATOR_TOL = 1e-12
 _SECTION_MARGIN_FACTOR = 1e-3
+_ROOT_XTOL = 1e-11
 
 
 class NearSingularityError(RuntimeError):
@@ -55,6 +68,78 @@ class BlowUpError(RuntimeError):
 
 class SlidingDetectedError(RuntimeError):
     """Transversality at the switching line failed (grazing contact)."""
+
+
+# ---------------------------------------------------------------------------
+# The polar right-hand side, one closure per half-plane
+# ---------------------------------------------------------------------------
+
+
+def _horner_columns(table: np.ndarray) -> List[List[float]]:
+    """Per power of y, the coefficients of x, highest power first.
+
+    Leading zero coefficients are dropped: in Horner's scheme they only
+    produce exact zeros, so dropping them changes no bit of a value.
+    """
+    cols = []
+    for j in range(table.shape[1]):
+        col = [float(v) for v in table[:, j]]
+        while col and col[-1] == 0.0:
+            col.pop()
+        cols.append(col[::-1])
+    while cols and not cols[-1]:
+        cols.pop()
+    return cols
+
+
+def _horner(coeffs, z):
+    v = coeffs[0] if coeffs else 0.0
+    for c in coeffs[1:]:
+        v = c + v * z
+    return v
+
+
+def _polyval2d(cols: List[List[float]], x: np.ndarray, y: np.ndarray):
+    """``numpy.polynomial.polynomial.polyval2d(x, y, table)`` in its order of
+    operations — Horner in x for each power of y, then Horner in y — so the
+    values are bit-equal, elementwise over arrays."""
+    return _horner([_horner(col, x) for col in reversed(cols)], y)
+
+
+def _leg_terms(field: "PolarField", plus: bool) -> Callable:
+    """(h, numerator, dtheta/dt) of the polar equation on one half-plane,
+    as a function of arrays (cos theta, sin theta, r)."""
+    const = field.params.a if plus else field.params.b
+    f_cols = _horner_columns(field.pert.plus_f if plus else field.pert.minus_f)
+    g_cols = _horner_columns(field.pert.plus_g if plus else field.pert.minus_g)
+    eps = field.epsilon
+
+    def terms(c, s, r):
+        x, y = r * c, r * s
+        h = (x + const) ** 2
+        fv = _polyval2d(f_cols, x, y)
+        gv = _polyval2d(g_cols, x, y)
+        return h, fv * c + gv * s, h + (eps / r) * (gv * c - fv * s)
+
+    return terms
+
+
+def _leg_rhs(field: "PolarField", plus: bool) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """dr/dtheta on one half-plane, elementwise over arrays (theta, r)."""
+    const = field.params.a if plus else field.params.b
+    terms = _leg_terms(field, plus)
+    eps = field.epsilon
+
+    def rhs(theta, r):
+        h, num, den = terms(np.cos(theta), np.sin(theta), r)
+        low = h < _H_FLOOR
+        if low.any():
+            raise NearSingularityError(
+                f"(r cos t + {const})^2 = {h[np.argmax(low)]:.2e} below guard"
+            )
+        return eps * num / den
+
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -89,26 +174,16 @@ class PolarField:
     def _validate_theta_speed(self) -> None:
         thetas = np.linspace(0.0, 2 * math.pi, 181)
         radii = np.linspace(self.r_range[0], self.r_range[1], 33)
-        for r in radii:
-            for t in thetas:
-                c, s = math.cos(t), math.sin(t)
-                const = self.params.a if c >= 0 else self.params.b
-                f_t, g_t = self._tables(c)
-                x, y = r * c, r * s
-                h = (r * c + const) ** 2
-                fv = float(npoly.polyval2d(x, y, f_t))
-                gv = float(npoly.polyval2d(x, y, g_t))
-                speed = h + (self.epsilon / r) * (gv * c - fv * s)
-                if speed <= 0:
-                    raise EpsilonValidityError(
-                        f"dtheta/dt = {speed:.3g} at (r={r:.3g}, theta={t:.3g}); "
-                        "epsilon too large for this annulus"
-                    )
-
-    def _tables(self, cos_t: float):
-        if cos_t >= 0:
-            return self.pert.plus_f, self.pert.plus_g
-        return self.pert.minus_f, self.pert.minus_g
+        r, t = np.meshgrid(radii, thetas, indexing="ij")
+        c, s = np.cos(t), np.sin(t)
+        speed = np.where(c >= 0, _leg_terms(self, True)(c, s, r)[2], _leg_terms(self, False)(c, s, r)[2])
+        bad = speed <= 0
+        if bad.any():
+            i, k = np.unravel_index(np.argmax(bad), bad.shape)
+            raise EpsilonValidityError(
+                f"dtheta/dt = {speed[i, k]:.3g} at (r={radii[i]:.3g}, theta={thetas[k]:.3g}); "
+                "epsilon too large for this annulus"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,30 +200,16 @@ class ReturnMapResult:
     epsilon: float
 
 
-def _rhs_side(field: PolarField, theta: float, r: float, plus: bool) -> float:
-    c, s = math.cos(theta), math.sin(theta)
-    const = field.params.a if plus else field.params.b
-    f_t = field.pert.plus_f if plus else field.pert.minus_f
-    g_t = field.pert.plus_g if plus else field.pert.minus_g
-    x, y = r * c, r * s
-    h = (r * c + const) ** 2
-    if h < _H_FLOOR:
-        raise NearSingularityError(f"(r cos t + {const})^2 = {h:.2e} below guard")
-    fv = float(npoly.polyval2d(x, y, f_t))
-    gv = float(npoly.polyval2d(x, y, g_t))
-    num = fv * c + gv * s
-    den = h + (field.epsilon / r) * (gv * c - fv * s)
-    return field.epsilon * num / den
-
-
 def polar_rhs(field: PolarField, theta: float, r: float) -> float:
     """dr/dtheta, selecting the half-plane by the sign of cos(theta).
 
-    At cos(theta) = 0 the plus side is returned (the limit from the leg
-    the integrator is entering; the legs split exactly there, so the
-    choice never influences an integration).
+    A one-point view of the leg right-hand side that `return_map`
+    integrates.  At cos(theta) = 0 the plus side is returned (the limit
+    from the leg the integrator is entering; the legs split exactly there,
+    so the choice never influences an integration).
     """
-    return _rhs_side(field, theta, r, plus=math.cos(theta) >= 0)
+    rhs = _leg_rhs(field, math.cos(theta) >= 0)
+    return float(rhs(np.array([theta], dtype=float), np.array([r], dtype=float))[0])
 
 
 def polar_XY(field: PolarField, theta: float, r: float, plus: bool) -> Tuple[float, float]:
@@ -167,36 +228,147 @@ def polar_XY(field: PolarField, theta: float, r: float, plus: bool) -> Tuple[flo
     return X, Y
 
 
+# ---------------------------------------------------------------------------
+# Lockstep DOP853
+# ---------------------------------------------------------------------------
+
+# scipy's DOP853 (Hairer, Norsett and Wanner, Solving Ordinary Differential
+# Equations I, II.5): the tableau, the step-size factors and the error
+# exponent are taken from scipy, so that each radius takes scipy's steps.
+_STAGES = DOP853.n_stages
+_STEP_EXPONENT = 1.0 / (DOP853.error_estimator_order + 1)
+
+
+def _weights(row: np.ndarray, width: int) -> Tuple[Tuple[int, float], ...]:
+    return tuple((j, float(row[j])) for j in range(width) if row[j] != 0)
+
+
+_A = tuple(_weights(DOP853.A[s], s) for s in range(_STAGES))
+_B = _weights(DOP853.B, _STAGES)
+_C = tuple(float(c) for c in DOP853.C)
+_E3 = _weights(DOP853.E3, _STAGES + 1)
+_E5 = _weights(DOP853.E5, _STAGES + 1)
+
+
+def _combine(weights, K: List[np.ndarray]) -> np.ndarray:
+    """sum_j w_j K[j], added left to right.
+
+    A fixed elementwise order, not a BLAS product (whose blocking depends
+    on the number of radii), keeps each radius's result independent of the
+    batch it is in.
+    """
+    (j, w), *rest = weights
+    acc = K[j] * w
+    for j, w in rest:
+        acc += K[j] * w
+    return acc
+
+
+def _dop853(rhs, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarray, int, int]:
+    """Integrate dr/dtheta = rhs(theta, r) from t0 to t1 for every start radius.
+
+    Each radius keeps its own angle, step size and accept/reject state and
+    takes the steps of scipy's ``solve_ivp(method="DOP853")`` with
+    rtol = atol = 1e-12 on that radius alone: the same initial-step
+    selection, error norm, step-size factors, minimum step and clipping at
+    t1.  Only the right-hand side is evaluated for all unfinished radii
+    together.  Returns the radii at t1, the number of right-hand-side
+    evaluations summed over radii and the number of rejected steps.
+    """
+    tol = _INTEGRATOR_TOL
+    r = r_start.copy()
+    theta = np.full_like(r, t0)
+    f = rhs(theta, r)
+    span = t1 - t0
+    # scipy.integrate._ivp.common.select_initial_step, radius by radius
+    scale = tol + np.abs(r) * tol
+    d0, d1 = np.abs(r / scale), np.abs(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), span)
+        d2 = np.abs((rhs(theta + h0, r + h0 * f) - f) / scale) / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            (0.01 / np.maximum(d1, d2)) ** _STEP_EXPONENT,
+        )
+    step = np.minimum(np.minimum(100 * h0, h1), span)
+    nfev, rejected = 2 * r.size, 0
+    retry = np.zeros(r.shape, dtype=bool)
+    live = np.arange(r.size)
+    while live.size:
+        t, y = theta[live], r[live]
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(~retry[live] & (step[live] < min_step), min_step, step[live])
+        stuck = h_abs < min_step
+        if stuck.any():
+            i = np.argmax(stuck)
+            raise BlowUpError(
+                f"integration failed on leg ({t0:.3g},{t1:.3g}) at theta = {t[i]:.6g}, "
+                f"r = {float(y[i])!r}: required step size is less than spacing between numbers"
+            )
+        t_new = np.minimum(t + h_abs, t1)
+        h = t_new - t
+        K = [f[live]]
+        for s in range(1, _STAGES):
+            K.append(rhs(t + _C[s] * h, y + _combine(_A[s], K) * h))
+        y_new = y + h * _combine(_B, K)
+        K.append(rhs(t + h, y_new))
+        nfev += _STAGES * live.size
+        scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+        e5 = (_combine(_E5, K) / scale) ** 2
+        e3 = (_combine(_E3, K) / scale) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where((e5 == 0) & (e3 == 0), 0.0, np.abs(h) * e5 / np.sqrt(e5 + 0.01 * e3))
+            factor = SAFETY * err**-_STEP_EXPONENT
+        accept = err < 1
+        factor = np.where(
+            accept,
+            np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, factor)),
+            np.fmax(MIN_FACTOR, factor),
+        )
+        factor = np.where(accept & retry[live], np.minimum(1.0, factor), factor)
+        step[live] = np.abs(h) * factor
+        retry[live] = ~accept
+        rejected += live.size - int(np.count_nonzero(accept))
+        moved = live[accept]
+        theta[moved], r[moved], f[moved] = t_new[accept], y_new[accept], K[-1][accept]
+        live = live[~accept | (t_new < t1)]
+    return r, nfev, rejected
+
+
 _LEGS = ((0.0, math.pi / 2, True), (math.pi / 2, 3 * math.pi / 2, False), (3 * math.pi / 2, 2 * math.pi, True))
 
 
-def return_map(field: PolarField, r_start: float) -> float:
+def return_map(field: PolarField, r_start: Union[float, Sequence[float], np.ndarray]):
     """One full turn of the section map starting at theta = 0.
 
-    Integrates the three legs (plus, minus, plus) with a high-order
-    adaptive pair at tolerance 1e-12; switching happens exactly at the
-    leg boundaries.
+    `r_start` is one radius (the result is a float) or a 1-D array of
+    radii (the result is an array).  The three legs (plus, minus, plus)
+    are integrated by the lockstep DOP853 engine at tolerance 1e-12;
+    switching happens exactly at the leg boundaries.  Each radius gets the
+    value it gets on its own, bit for bit.
     """
+    r = np.array(r_start, dtype=float)
+    scalar = r.ndim == 0
+    r = r.reshape(-1) if scalar else r
+    if r.ndim != 1:
+        raise ValueError("r_start must be a number or a 1-D array of radii")
     lo, hi = field.r_range
     margin = _SECTION_MARGIN_FACTOR * hi
-    if not (lo - margin <= r_start <= hi + margin):
-        raise ValueError(f"r_start {r_start} outside the field's validated range {field.r_range}")
-    r = float(r_start)
-    for t0, t1, plus in _LEGS:
-        sol = solve_ivp(
-            lambda t, y: [_rhs_side(field, t, float(y[0]), plus)],
-            (t0, t1),
-            [r],
-            method="DOP853",
-            rtol=_INTEGRATOR_TOL,
-            atol=_INTEGRATOR_TOL,
+    outside = ~((lo - margin <= r) & (r <= hi + margin))
+    if outside.any():
+        raise ValueError(
+            f"r_start {float(r[np.argmax(outside)])} outside the field's validated range {field.r_range}"
         )
-        if not sol.success:
-            raise BlowUpError(f"integration failed on leg ({t0:.3g},{t1:.3g}): {sol.message}")
-        r = float(sol.y[0, -1])
-        if not (0 < r < field.params.r0):
-            raise BlowUpError(f"trajectory left the annulus: r = {r}")
-    return r
+    nfev = rejected = 0
+    for t0, t1, plus in _LEGS:
+        r, leg_nfev, leg_rejected = _dop853(_leg_rhs(field, plus), t0, t1, r)
+        nfev, rejected = nfev + leg_nfev, rejected + leg_rejected
+        left = ~((0 < r) & (r < field.params.r0))
+        if left.any():
+            raise BlowUpError(f"trajectory left the annulus: r = {float(r[np.argmax(left)])}")
+    log.debug("return_map: %d radii, %d RHS evaluations, %d rejected steps", r.size, nfev, rejected)
+    return float(r[0]) if scalar else r
 
 
 def displacement_profile(
@@ -205,10 +377,51 @@ def displacement_profile(
     """Scaled displacements (P(r) - r)/eps; converge to f0 as eps -> 0."""
     if field.epsilon <= 0:
         raise ValueError("displacement scaling requires epsilon > 0")
-    out = []
-    for r in r_grid:
-        out.append((float(r), (return_map(field, float(r)) - float(r)) / field.epsilon))
-    return out
+    rr = np.asarray(r_grid, dtype=float)
+    scaled = (return_map(field, rr) - rr) / field.epsilon
+    return [(float(r), float(d)) for r, d in zip(rr, scaled)]
+
+
+def _bracketed_roots(fun, lo, hi, f_lo, f_hi, xtol: float = _ROOT_XTOL) -> np.ndarray:
+    """A root of `fun` in each sign-change bracket [lo[k], hi[k]], all refined together.
+
+    Illinois regula falsi: an end kept by two steps in a row has its
+    function value halved, so that both ends converge.  A bracket that has
+    not halved over its last three steps takes a bisection step instead,
+    which bounds the work when `fun` is noisy near the root.  Each
+    iteration makes one call of `fun` on the open brackets.  A bracket
+    closes when `fun` vanishes at the new point, or when it is at most
+    2*xtol + 4*eps*(|lo| + |hi|) wide; its midpoint is then within xtol
+    (and a few ulps) of a sign change.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    w_lo, w_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
+    roots = 0.5 * (lo + hi)
+    kept = np.zeros(lo.size, dtype=int)  # end kept by the last step: -1 lo, +1 hi
+    history = np.full((3, lo.size), np.inf)  # bracket widths one, two and three steps back
+
+    def wide(a, b):
+        return b - a > 2 * xtol + 4 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
+
+    open_ = np.flatnonzero(wide(lo, hi))
+    while open_.size:
+        a, b, wa, wb = lo[open_], hi[open_], w_lo[open_], w_hi[open_]
+        x = a + (b - a) * (wa / (wa - wb))
+        bisect = ~((a < x) & (x < b)) | (b - a > 0.5 * history[2, open_])
+        x = np.where(bisect, 0.5 * (a + b), x)
+        fx = np.asarray(fun(x), dtype=float)
+        history[1:, open_] = history[:-1, open_]
+        history[0, open_] = b - a
+        moves_lo = np.sign(fx) == np.sign(wa)
+        halve = kept[open_] == np.where(moves_lo, 1, -1)
+        lo[open_] = np.where(moves_lo, x, a)
+        hi[open_] = np.where(moves_lo, b, x)
+        w_lo[open_] = np.where(moves_lo, fx, np.where(halve, 0.5 * wa, wa))
+        w_hi[open_] = np.where(moves_lo, np.where(halve, 0.5 * wb, wb), fx)
+        kept[open_] = np.where(moves_lo, 1, -1)
+        roots[open_] = np.where(fx == 0, x, 0.5 * (lo[open_] + hi[open_]))
+        open_ = open_[(fx != 0) & wide(lo[open_], hi[open_])]
+    return roots
 
 
 def find_fixed_points(
@@ -219,36 +432,35 @@ def find_fixed_points(
 ) -> ReturnMapResult:
     """Locate fixed points of the return map by displacement sign scan.
 
-    Stability follows the sign of the displacement slope: negative means
-    the forward (theta-increasing) flow contracts onto the cycle.
+    The grid is one batched return-map call; the sign-change brackets are
+    refined together to within 1e-11 (`_bracketed_roots`), and the slopes
+    come from one batched call at z +- h.  Stability follows the sign of
+    the displacement slope: negative means the forward (theta-increasing)
+    flow contracts onto the cycle.
     """
     rr = np.linspace(r_lo, r_hi, grid)
-    disp = np.array([return_map(field, float(r)) - float(r) for r in rr])
+    disp = return_map(field, rr) - rr
     samples = tuple((float(r), float(r + d)) for r, d in zip(rr, disp))
 
-    fixed: List[FixedPoint] = []
     sgn = np.sign(disp)
-    for k in np.where(sgn[:-1] * sgn[1:] < 0)[0]:
-        z = brentq(
-            lambda r: return_map(field, float(r)) - float(r),
-            float(rr[k]),
-            float(rr[k + 1]),
-            xtol=1e-11,
-        )
-        h = max(1e-4, (r_hi - r_lo) / (8 * grid))
-        d_plus = return_map(field, z + h) - (z + h)
-        d_minus = return_map(field, z - h) - (z - h)
-        slope = (d_plus - d_minus) / (2 * h)
-        # Classify by sign whenever the slope clears the finite-difference
-        # noise floor of two integrator-tolerance evaluations.
-        thr = 100.0 * _INTEGRATOR_TOL / h
+    k = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
+    z = _bracketed_roots(lambda r: return_map(field, r) - r, rr[k], rr[k + 1], disp[k], disp[k + 1])
+    h = max(1e-4, (r_hi - r_lo) / (8 * grid))
+    ends = np.concatenate([z + h, z - h])
+    d = return_map(field, ends) - ends
+    slopes = (d[: z.size] - d[z.size :]) / (2 * h)
+    # Classify by sign whenever the slope clears the finite-difference
+    # noise floor of two integrator-tolerance evaluations.
+    thr = 100.0 * _INTEGRATOR_TOL / h
+    fixed = []
+    for loc, slope in zip(z, slopes):
         if slope < -thr:
             kind = "attracting"
         elif slope > thr:
             kind = "repelling"
         else:
             kind = "neutral"
-        fixed.append(FixedPoint(float(z), kind, float(slope)))
+        fixed.append(FixedPoint(float(loc), kind, float(slope)))
     return ReturnMapResult(samples, tuple(fixed), field.epsilon)
 
 

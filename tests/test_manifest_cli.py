@@ -238,6 +238,39 @@ class TestCli:
         assert logged == {"WARNING": False, "INFO": True}
         assert records["INFO"] == records["WARNING"]
 
+    def test_debug_log_reports_integrator_work(self, tmp_path, monkeypatch, capsys):
+        # every batched return map logs its RHS evaluations and rejected
+        # steps at DEBUG; the record stays byte-identical
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "kind": "place_and_simulate",
+                    "a": 1.0,
+                    "b": -2.0,
+                    "seed": 3,
+                    "degree": 1,
+                    "targets": [0.5, 1.0, 1.5, 2.0],
+                    "epsilons": [0.01, 0.005],
+                    "r_max": 5.0,
+                    "grid": 20,
+                }
+            )
+        )
+        logged, records = {}, {}
+        for level in ("WARNING", "DEBUG"):
+            monkeypatch.setenv("PWCYCLES_LOG", level)
+            out = tmp_path / level
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+            err = capsys.readouterr().err
+            logged[level] = [line for line in err.splitlines() if "return_map:" in line]
+            doc = json.loads(next(out.glob("*.json")).read_text())
+            records[level] = json.dumps(doc["record"], sort_keys=True, indent=1)
+        assert logged["WARNING"] == []
+        assert logged["DEBUG"] and all("RHS evaluations" in line for line in logged["DEBUG"])
+        assert records["DEBUG"] == records["WARNING"]
+
     def test_place_subcommand_skips_simulation(self, tmp_path):
         cfg = tmp_path / "p.json"
         cfg.write_text(

@@ -1,9 +1,12 @@
 """Return-map integration: polar and Cartesian routes."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
+from scipy.integrate import solve_ivp
 
 from pwcycles.averaging import (
     PerturbationSpec,
@@ -13,8 +16,13 @@ from pwcycles.averaging import (
 )
 from pwcycles.kernels import SystemParams
 from pwcycles.poincare import (
+    _LEGS,
+    BlowUpError,
     EpsilonValidityError,
+    NearSingularityError,
     PolarField,
+    _bracketed_roots,
+    _leg_rhs,
     cartesian_crosscheck,
     displacement_profile,
     find_fixed_points,
@@ -46,6 +54,38 @@ class TestPolarField:
         p = SystemParams(-1.5, 2.0)  # r0 = 1.5
         with pytest.raises(ValueError):
             PolarField(p, PerturbationSpec(1), 1e-3, r_range=(0.1, 2.0))
+
+    def test_validation_grid_matches_pointwise_loop(self, params, rng):
+        # the validation grid is evaluated in one pass; the reference is the
+        # per-point loop it replaced, which names the first offending
+        # (r, theta) in r-major order
+        def first_slow_point(pert, eps, r_range):
+            for r in np.linspace(r_range[0], r_range[1], 33):
+                for t in np.linspace(0.0, 2 * math.pi, 181):
+                    c, s = math.cos(t), math.sin(t)
+                    plus = c >= 0
+                    const = params.a if plus else params.b
+                    f_t = pert.plus_f if plus else pert.minus_f
+                    g_t = pert.plus_g if plus else pert.minus_g
+                    fv = float(npoly.polyval2d(r * c, r * s, f_t))
+                    gv = float(npoly.polyval2d(r * c, r * s, g_t))
+                    if (r * c + const) ** 2 + (eps / r) * (gv * c - fv * s) <= 0:
+                        return r, t
+            return None
+
+        verdicts = set()
+        for n in (1, 2, 3):
+            pert = PerturbationSpec.random(n, rng)
+            for eps in (1e-3, 0.3, 3.0, 30.0):
+                want = first_slow_point(pert, eps, (0.2, 3.0))
+                verdicts.add(want is None)
+                if want is None:
+                    PolarField(params, pert, eps, r_range=(0.2, 3.0))
+                    continue
+                with pytest.raises(EpsilonValidityError) as exc:
+                    PolarField(params, pert, eps, r_range=(0.2, 3.0))
+                assert f"(r={want[0]:.3g}, theta={want[1]:.3g})" in str(exc.value)
+        assert verdicts == {True, False}
 
 
 class TestPolarRhs:
@@ -115,6 +155,105 @@ class TestReturnMap:
     def test_out_of_range_start_rejected(self, field):
         with pytest.raises(ValueError):
             return_map(field, 9.0)
+
+
+class TestLockstepEngine:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0)])
+    def test_matches_scalar_scipy_dop853(self, ab, n, rng):
+        # each radius takes the steps scipy's scalar DOP853 takes on it alone
+        fld = PolarField(SystemParams(*ab), PerturbationSpec.random(n, rng), 1e-3, r_range=(0.2, 3.5))
+        rr = np.linspace(0.3, 3.2, 7)
+        got = return_map(fld, rr)
+        for r, g in zip(rr, got):
+            want = float(r)
+            for t0, t1, plus in _LEGS:
+                rhs = _leg_rhs(fld, plus)
+                sol = solve_ivp(
+                    lambda t, y: rhs(np.array([t]), y),
+                    (t0, t1),
+                    [want],
+                    method="DOP853",
+                    rtol=1e-12,
+                    atol=1e-12,
+                )
+                want = float(sol.y[0, -1])
+            assert abs(g - want) <= 1e-14, (r, g, want)
+
+    def test_batch_invariance_is_bitwise(self, field):
+        rr = np.linspace(0.25, 3.9, 37)
+        batch = return_map(field, rr)
+        assert [return_map(field, float(r)) for r in rr] == batch.tolist()
+        assert return_map(field, rr[::-3]).tolist() == batch[::-3].tolist()
+
+    def test_scalar_in_scalar_out(self, field):
+        assert isinstance(return_map(field, 1.0), float)
+        assert return_map(field, [1.0]).shape == (1,)
+
+    def test_debug_log_counts_work(self, field, caplog):
+        with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+            return_map(field, np.array([0.5, 1.0, 2.0]))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("return_map")]
+        assert len(lines) == 1
+        assert "3 radii" in lines[0] and "RHS evaluations" in lines[0] and "rejected steps" in lines[0]
+
+
+class TestBracketedRoots:
+    def _refine(self, fun, lo, hi):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return fun(x)
+
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        return _bracketed_roots(counted, lo, hi, fun(lo), fun(hi)), calls
+
+    def test_smooth_roots_within_xtol(self):
+        roots = np.array([-2.0, 0.3, 1.7])
+        fun = lambda x: (x - roots[0]) * (x - roots[1]) * (x - roots[2])  # noqa: E731
+        got, calls = self._refine(fun, [-3.0, 0.0, 1.0], [-1.0, 1.0, 2.5])
+        assert np.all(np.abs(got - roots) <= 1e-11)
+        # superlinear: far fewer calls than the ~38 bisections, each call
+        # covering only the brackets still open
+        assert len(calls) <= 15 and calls == sorted(calls, reverse=True)
+
+    def test_sign_step_falls_back_to_bisection(self):
+        # a function with no slope to interpolate: only the bisection
+        # safeguard can close the bracket
+        edge = 0.123456789
+        got, calls = self._refine(lambda x: np.where(x < edge, -1.0, 1.0), [0.0], [1.0])
+        assert abs(got[0] - edge) <= 1e-11
+        # the safeguard at least halves the bracket every fourth step
+        assert len(calls) <= 4 * 37
+
+
+class TestErrorPaths:
+    """Every radius of a batch is checked; one bad radius fails the call."""
+
+    def test_one_out_of_range_radius_in_batch(self, field):
+        with pytest.raises(ValueError, match="r_start 9.0 outside"):
+            return_map(field, np.array([0.5, 9.0, 1.0]))
+
+    def test_near_singularity_in_batch(self, bounded_params):
+        # a radial push on the plus side carries r cos(theta) onto the
+        # singular line x = 1.5 just after the section
+        pert = PerturbationSpec(1, plus_f={(1, 0): 1.0}, plus_g={(0, 1): 1.0})
+        fld = PolarField(bounded_params, pert, 0.01, r_range=(0.2, 1.45))
+        assert return_map(fld, 0.5) > 0.5
+        with pytest.raises(NearSingularityError):
+            return_map(fld, np.array([0.5, 1.45]))
+
+    def test_blow_up_in_batch(self, bounded_params):
+        # a radial push on the minus side carries the orbit past r0 = 1.5
+        pert = PerturbationSpec(1, minus_f={(1, 0): 1.0}, minus_g={(0, 1): 1.0})
+        rr = np.array([0.5, 1.45])
+        with pytest.raises(BlowUpError, match="left the annulus"):
+            return_map(PolarField(bounded_params, pert, 0.01, r_range=(0.2, 1.45)), rr)
+        # stronger, the orbit runs onto the minus-side singular line x = -2
+        # and the step size collapses
+        with pytest.raises(BlowUpError, match="integration failed"):
+            return_map(PolarField(bounded_params, pert, 0.1, r_range=(0.2, 1.45)), rr)
 
 
 class TestDisplacementProfile:
