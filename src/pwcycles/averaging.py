@@ -18,6 +18,10 @@ r^(2i) * B[0,0](r).  Two independent routes compute it:
 
 Their agreement is the central correctness property of the package.
 
+The reduction is linear in `PerturbationSpec.vector`: `assembly_matrix`
+caches its exact unit columns, whose structural checks then cover every
+input, for the realization, the surjectivity rank and the surveys.
+
 `basis_values` is the package's one expansion evaluator: it samples the
 basis functions once, and any coefficient vector (`BasisExpansion.vector`,
 long double kept) times that matrix gives the expansion's values.  The
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,11 +59,16 @@ class AssemblyError(RuntimeError):
     """An exact structural identity of the reduction failed."""
 
 
+def _triangle(degree: int) -> np.ndarray:
+    """Mask of the triangle i + j <= degree in a (degree+1)^2 table."""
+    i, j = np.indices((degree + 1, degree + 1))
+    return i + j <= degree
+
+
 def _random_table(degree: int, rng: np.random.Generator, scale: float) -> np.ndarray:
     """Uniform entries on the triangle i + j <= degree, zeros above it."""
     t = rng.uniform(-scale, scale, size=(degree + 1, degree + 1))
-    i, j = np.indices(t.shape)
-    return np.where(i + j <= degree, t, 0.0)
+    return np.where(_triangle(degree), t, 0.0)
 
 
 def _dense_table(degree: int, entries, name: str) -> np.ndarray:
@@ -113,23 +123,27 @@ class PerturbationSpec:
         tables = [_random_table(degree, rng, scale) for _ in range(4)]
         return PerturbationSpec(degree, *tables)
 
+    def vector(self) -> np.ndarray:
+        """The coefficients in one vector: plus_f, plus_g, minus_f, minus_g,
+        each over the triangle i + j <= degree in row-major order."""
+        mask = _triangle(self.degree)
+        return np.concatenate([t[mask] for t in (self.plus_f, self.plus_g, self.minus_f, self.minus_g)])
+
+    @staticmethod
+    def from_vector(degree: int, v) -> "PerturbationSpec":
+        """Inverse of `vector`."""
+        tables = np.zeros((4, degree + 1, degree + 1))
+        tables[:, _triangle(degree)] = np.reshape(v, (4, -1))
+        return PerturbationSpec(degree, *tables)
+
     def scaled_add(self, alpha: float, other: "PerturbationSpec", beta: float) -> "PerturbationSpec":
         if other.degree != self.degree:
             raise ValueError("degrees differ")
-        return PerturbationSpec(
-            self.degree,
-            alpha * self.plus_f + beta * other.plus_f,
-            alpha * self.plus_g + beta * other.plus_g,
-            alpha * self.minus_f + beta * other.minus_f,
-            alpha * self.minus_g + beta * other.minus_g,
-        )
+        return PerturbationSpec.from_vector(self.degree, alpha * self.vector() + beta * other.vector())
 
     @property
     def max_abs_coeff(self) -> float:
-        return max(
-            float(np.max(np.abs(t)))
-            for t in (self.plus_f, self.plus_g, self.minus_f, self.minus_g)
-        )
+        return float(np.max(np.abs(self.vector())))
 
     def normalized(self) -> "PerturbationSpec":
         """Unit max coefficient: same averaged-function zeros, smaller
@@ -284,11 +298,7 @@ class BasisExpansion:
 
     @property
     def max_abs_coeff(self) -> float:
-        return max(
-            float(np.max(np.abs(self.coeff_A))),
-            float(np.max(np.abs(self.coeff_B))),
-            float(np.max(np.abs(self.coeff_poly))),
-        )
+        return float(np.max(np.abs(self.vector())))
 
 
 @dataclass(frozen=True)
@@ -334,10 +344,12 @@ def eval_F(fn: AveragedFunction, r):
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def _exact_assemble(
-    params: SystemParams, pert: PerturbationSpec
-) -> Tuple[List[Fraction], List[PiNumber], List[Fraction], List[PiNumber]]:
-    """Run the reduction in exact arithmetic; returns pre-merge parts."""
+def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
+    """Symbolic reduction of a perturbation to its BasisExpansion.
+
+    Runs in exact arithmetic; the expansion keeps the exact pre-merge parts
+    (coef_A, poly_plus, coef_B, poly_minus) as `exact_parts`.
+    """
     fa = as_fraction(params.a)
     fb = as_fraction(params.b)
     st = st_coeffs(sigma_tau(pert))
@@ -354,12 +366,6 @@ def _exact_assemble(
             raise AssemblyError("constant monomial must be a pure pi multiple")
         if coef[0] != -(f2 * f2) * poly[0].pi:
             raise AssemblyError("constant-term tie between the kernel and monomial parts failed")
-    return coef_A, poly_plus, coef_B, poly_minus
-
-
-def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
-    """Symbolic reduction of a perturbation to its BasisExpansion."""
-    coef_A, poly_plus, coef_B, poly_minus = _exact_assemble(params, pert)
     merged = [float(p + q) for p, q in zip(poly_plus, poly_minus)]
     expansion = BasisExpansion(
         pert.degree,
@@ -369,6 +375,27 @@ def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
         exact_parts=(coef_A, poly_plus, coef_B, poly_minus),
     )
     return AveragedFunction(params, expansion, "assembled")
+
+
+@lru_cache(maxsize=None)
+def _unit_expansions(params: SystemParams, n: int) -> Tuple[BasisExpansion, ...]:
+    """`assemble` of each unit perturbation of degree n, in the order of
+    `PerturbationSpec.vector`; the exact parts are kept."""
+    m = 2 * (n + 1) * (n + 2)
+    return tuple(assemble(params, PerturbationSpec.from_vector(n, e)).expansion for e in np.eye(m))
+
+
+@lru_cache(maxsize=None)
+def assembly_matrix(params: SystemParams, n: int) -> np.ndarray:
+    """The degree-n assembly as a read-only float64 matrix.
+
+    Column k is the expansion vector of the k-th unit perturbation, so
+    `assembly_matrix(params, n) @ pert.vector()` is `assemble(params,
+    pert).expansion.vector()` up to double rounding of the sum.
+    """
+    M = np.array([e.vector() for e in _unit_expansions(params, n)]).T
+    M.flags.writeable = False
+    return M
 
 
 def null_perturbation(degree: int) -> PerturbationSpec:
@@ -391,22 +418,12 @@ def perturbation_for_expansion(
 ) -> PerturbationSpec:
     """A perturbation whose assembly reproduces the given expansion.
 
-    Inverts the (linear, underdetermined) assembly map by least squares
-    over unit perturbations.  Raises if the expansion is not in the
-    reachable span — e.g. hand-built coefficients ignoring the structural
-    ties.
+    Inverts the (linear, underdetermined) `assembly_matrix` by least
+    squares.  Raises if the expansion is not in the reachable span — e.g.
+    hand-built coefficients ignoring the structural ties.
     """
     n = expansion.degree
-    names = ("plus_f", "plus_g", "minus_f", "minus_g")
-    columns = []
-    keys = []
-    for name in names:
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                unit = PerturbationSpec(n, **{name: {(i, j): 1.0}})
-                columns.append(assemble(params, unit).expansion.vector())
-                keys.append((name, i, j))
-    Phi = np.array(columns).T
+    Phi = assembly_matrix(params, n)
     y = expansion.vector(np.float64)
     x, *_ = np.linalg.lstsq(Phi, y, rcond=rcond)
     resid = np.linalg.norm(Phi @ x - y)
@@ -415,11 +432,7 @@ def perturbation_for_expansion(
             f"expansion is not reachable by a degree-{n} perturbation "
             f"(inversion residual {resid:.2e})"
         )
-    tables = {name: {} for name in names}
-    for (name, i, j), v in zip(keys, x):
-        if v != 0.0:
-            tables[name][(i, j)] = float(v)
-    return PerturbationSpec(n, **tables)
+    return PerturbationSpec.from_vector(n, x)
 
 
 # ---------------------------------------------------------------------------

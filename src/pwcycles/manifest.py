@@ -111,14 +111,6 @@ class ExperimentManifest:
                 raise ManifestError(f"referenced file does not exist: {options[key]}")
         return ExperimentManifest(kind, a, b, seed, options)
 
-    @staticmethod
-    def from_file(path: str | Path) -> "ExperimentManifest":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-        return ExperimentManifest.from_dict(doc)
-
     def canonical(self) -> str:
         return json.dumps(
             {
@@ -181,6 +173,22 @@ def _pert_from_options(manifest: ExperimentManifest, params: SystemParams) -> Pe
 # ---------------------------------------------------------------------------
 # Experiment bodies
 # ---------------------------------------------------------------------------
+
+
+def _displacement_table(
+    params: SystemParams, pert: PerturbationSpec, fn: AveragedFunction, epsilons, rr, r_range
+) -> Dict[str, Any]:
+    """Scaled displacement at each eps and radius against the f0 = F/r
+    prediction of `fn`, one `PolarField` per eps over `r_range`."""
+    pred = eval_F(fn, rr) / rr
+    rows = []
+    for eps in epsilons:
+        prof = displacement_profile(PolarField(params, pert, eps, r_range=r_range), rr)
+        rows += [[eps, r, d, p, abs(d - p)] for (r, d), p in zip(prof, pred)]
+    return {
+        "columns": ["epsilon", "r", "scaled_displacement", "f0_prediction", "abs_error"],
+        "rows": rows,
+    }
 
 
 def _run_verify(manifest: ExperimentManifest) -> Dict[str, Any]:
@@ -256,17 +264,13 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
         claimed = hn_formula(CountFormulaInput(n, params.resonant))
         capacity = reachable_zero_capacity(n, params.resonant)
         lo, hi = 0.3, 0.75 * r_max if r_max < 8 else 5.0
-        targets = _auto_targets(claimed, lo, hi)
-        attained = None
         try:
-            expansion = place_zeros(params, n, targets, seed=manifest.seed)
-            fn = AveragedFunction(params, expansion, "placed")
-            attained = count_simple_zeros(fn, r_max=min(r_max, 1.5 * hi), grid=800).count
+            expansion = place_zeros(params, n, _auto_targets(claimed, lo, hi), seed=manifest.seed)
         except PlacementError as exc:
             log.info("claimed-count placement failed for n=%d: %s", n, exc)
             expansion = place_zeros(params, n, _auto_targets(capacity, lo, hi), seed=manifest.seed)
-            fn = AveragedFunction(params, expansion, "placed")
-            attained = count_simple_zeros(fn, r_max=min(r_max, 1.5 * hi), grid=800).count
+        fn = AveragedFunction(params, expansion, "placed")
+        attained = count_simple_zeros(fn, r_max=min(r_max, 1.5 * hi), grid=800).count
         checks.append(_check(f"attained_equals_claimed_n{n}", attained == claimed, attained, claimed, 0))
         if attained != claimed:
             checks.append(
@@ -329,21 +333,12 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
 
     lo = max(0.5 * min(predicted), 0.05)
     hi = min(1.2 * max(predicted), 0.95 * r_max)
-    errs = []
-    profile_rows = []
-    for eps in epsilons:
-        field_eps = PolarField(params, pert_g, eps, r_range=(lo * 0.5, min(r_max, params.r0 * 0.5)))
-        rr = np.linspace(lo, hi, grid)
-        prof = displacement_profile(field_eps, rr)
-        pred = eval_F(fn_scaled, rr) / rr
-        err = max(abs(d - p) for (_, d), p in zip(prof, pred))
-        errs.append(err)
-        for (r, d), p in zip(prof, pred):
-            profile_rows.append([eps, r, d, p, abs(d - p)])
-    payloads["displacement"] = {
-        "columns": ["epsilon", "r", "scaled_displacement", "f0_prediction", "abs_error"],
-        "rows": profile_rows,
-    }
+    r_range = (lo * 0.5, min(r_max, params.r0 * 0.5))
+    payloads["displacement"] = _displacement_table(
+        params, pert_g, fn_scaled, epsilons, np.linspace(lo, hi, grid), r_range
+    )
+    rows = payloads["displacement"]["rows"]
+    errs = [max(row[4] for row in rows if row[0] == eps) for eps in epsilons]
     if len(epsilons) >= 3:
         slope = float(
             np.polyfit(np.log(np.asarray(epsilons)), np.log(np.asarray(errs)), 1)[0]
@@ -351,7 +346,7 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
         checks.append(_check("epsilon_convergence_slope", abs(slope - 1.0) <= 0.2, slope, 1.0, 0.2))
 
     eps_fp = min(epsilons)
-    field_fp = PolarField(params, pert, eps_fp, r_range=(lo * 0.5, min(r_max, params.r0 * 0.5)))
+    field_fp = PolarField(params, pert, eps_fp, r_range=r_range)
     result = find_fixed_points(field_fp, lo, hi, grid=grid)
     checks.append(
         _check(
@@ -427,22 +422,11 @@ def _run_sweep(manifest: ExperimentManifest) -> Dict[str, Any]:
     lo = float(rspec.get("lo", 0.2))
     hi = float(rspec.get("hi", min(3.0, 0.8 * params.r0)))
     count = int(rspec.get("count", 40))
-    fn = assemble(params, pert)
-    rows = []
-    for eps in epsilons:
-        field_eps = PolarField(params, pert, eps, r_range=(0.5 * lo, min(1.5 * hi, 0.97 * params.r0)))
-        rr = np.linspace(lo, hi, count)
-        prof = displacement_profile(field_eps, rr)
-        pred = eval_F(fn, rr) / rr
-        for (r, d), p in zip(prof, pred):
-            rows.append([eps, r, d, p, abs(d - p)])
-    payload = {
-        "displacement": {
-            "columns": ["epsilon", "r", "scaled_displacement", "f0_prediction", "abs_error"],
-            "rows": rows,
-        }
-    }
-    return {"checks": [], "payloads": payload}
+    r_range = (0.5 * lo, min(1.5 * hi, 0.97 * params.r0))
+    table = _displacement_table(
+        params, pert, assemble(params, pert), epsilons, np.linspace(lo, hi, count), r_range
+    )
+    return {"checks": [], "payloads": {"displacement": table}}
 
 
 _RUNNERS = {

@@ -15,7 +15,10 @@ This module adds no reduction, evaluator or zero finder of its own.  A
 smooth perturbation is a `PerturbationSpec` with equal tables,
 `assemble_smooth` is `assemble` at `SystemParams(a, a)` plus the exact
 smooth checks, zeros are counted by `count_simple_zeros`, and placement
-and the ceiling survey run the piecewise code over `smooth_generators`.
+and the ceiling survey run the piecewise code over `smooth_generators`
+and `assembly_matrix` at b = a.  The survey runs the exact smooth checks
+once per (a, n), on the smooth unit directions; the checks are linear,
+so they then hold for every draw.
 Two independent paths stay separate on purpose: the full-circle
 quadrature oracle `oracle_smooth_F`, and the V families through
 
@@ -182,9 +185,13 @@ def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
 def random_search_max_smooth_zeros(
     a: float, n: int, draws: int, seed: int, r_max: float, grid: int = 1500
 ) -> Tuple[int, Dict[int, int]]:
-    """Max zero count over random smooth perturbations."""
+    """Max zero count over random smooth perturbations.
+
+    The exact smooth checks run on each unit direction of f and g (the
+    same unit on both half-planes); by linearity they cover every draw.
+    """
+    for e in np.eye((n + 1) * (n + 2)):
+        assemble_smooth(a, PerturbationSpec.from_vector(n, np.concatenate([e, e])))
     rng = np.random.default_rng(seed)
-    expansions = (
-        assemble_smooth(a, random_smooth_perturbation(n, rng)).expansion for _ in range(draws)
-    )
-    return _survey(SystemParams(a, a), n, r_max, grid, expansions)
+    rows = [random_smooth_perturbation(n, rng).vector() for _ in range(draws)]
+    return _survey(SystemParams(a, a), n, r_max, grid, rows)

@@ -31,6 +31,9 @@ interpolation is solved in double precision with longdouble iterative
 refinement, and all zero *verification* evaluates in longdouble with a
 running roundoff envelope, because high-degree placements are legitimately
 ill-conditioned in the raw generator basis.
+
+The surjectivity rank and the random ceiling survey never re-run the
+reduction: they read the exact unit columns of `assembly_matrix`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,8 +49,8 @@ from .averaging import (
     AveragedFunction,
     BasisExpansion,
     PerturbationSpec,
-    _exact_assemble,
-    assemble,
+    _unit_expansions,
+    assembly_matrix,
     basis_values,
 )
 from .kernels import SystemParams
@@ -198,6 +201,15 @@ def _values(expansion: BasisExpansion, params: SystemParams, r) -> Tuple[np.ndar
     return c @ basis, _envelope(c, np.abs(basis))
 
 
+def _sign_flips(vals: np.ndarray, env: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Indices of the noise-significant samples (|value| above
+    `_NOISE_FACTOR` times the envelope), and the positions among them
+    after which the sign flips."""
+    keep = np.flatnonzero(np.abs(vals) > _NOISE_FACTOR * env)
+    sgn = np.sign(vals[keep])
+    return keep, np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
+
+
 # ---------------------------------------------------------------------------
 # Zero counting
 # ---------------------------------------------------------------------------
@@ -227,14 +239,10 @@ def _scan_brackets(
     rr = np.linspace(r_max / grid, r_max, grid)
     vals, env = _values(expansion, params, rr)
     scale = float(np.max(np.abs(vals)))
-    significant = np.abs(vals) > _NOISE_FACTOR * env
-    if not np.any(significant):
+    keep, flips = _sign_flips(vals, env)
+    if keep.size == 0:
         return [], scale, True
-    rs = rr[significant]
-    vs = vals[significant]
-    sgn = np.sign(vs)
-    flips = np.where(sgn[:-1] * sgn[1:] < 0)[0]
-    return [(float(rs[i]), float(rs[i + 1])) for i in flips], scale, False
+    return [(float(rr[keep[i]]), float(rr[keep[i + 1]])) for i in flips], scale, False
 
 
 def _bisect_zero(expansion: BasisExpansion, params: SystemParams, lo: float, hi: float) -> float:
@@ -369,13 +377,6 @@ def _orthonormal_transform(stack_window: np.ndarray) -> np.ndarray:
     return (Vt.T / S).astype(float)  # generators x orthonormal directions
 
 
-def _count_grid_zeros(vals: np.ndarray, env: np.ndarray) -> int:
-    sig = np.abs(vals) > _NOISE_FACTOR * env
-    v = vals[sig]
-    s = np.sign(v)
-    return int(np.sum(s[:-1] * s[1:] < 0))
-
-
 def place_zeros(
     params: SystemParams,
     n: int,
@@ -472,7 +473,7 @@ def _place(
     for c in candidates:
         dg = c / colscale.astype(LONG)  # back to raw generator coordinates
         vals = dg @ Gs
-        extra = max(0, _count_grid_zeros(vals, _envelope(dg, abs_Gs)) - p)
+        extra = max(0, len(_sign_flips(vals, _envelope(dg, abs_Gs))[1]) - p)
         deriv = np.abs((dg @ thi - dg @ tlo) / (2 * fd))
         scale_f = float(np.max(np.abs(vals)))
         score = (extra, -float(np.min(deriv)) / scale_f)
@@ -565,32 +566,21 @@ def claimed_coefficient_indices(n: int) -> List[Tuple[str, int]]:
 def coefficient_surjectivity_check(params: SystemParams, n: int) -> Tuple[int, int]:
     """Rank of the map from perturbation coefficients to claimed coordinates.
 
-    Builds the linear map column by column from unit perturbations (exact
-    reduction, pre-merge coefficients) restricted to the claimed-arbitrary
-    coordinate list for both halves; returns (numerical rank, claimed
-    count).  rank == claimed certifies the joint-arbitrariness claim;
-    a deficiency measures how far the claim overcounts.
+    Reads the assembly's unit columns (exact reduction, pre-merge
+    coefficients) restricted to the claimed-arbitrary coordinate list for
+    both halves; returns (numerical rank, claimed count).  rank == claimed
+    certifies the joint-arbitrariness claim; a deficiency measures how far
+    the claim overcounts.
     """
     claimed = claimed_coefficient_indices(n)
-    cols: List[List[float]] = []
-    tables = ("plus_f", "plus_g", "minus_f", "minus_g")
-    for name in tables:
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                pert = PerturbationSpec(n, **{name: {(i, j): 1.0}})
-                coef_A, poly_plus, coef_B, poly_minus = _exact_assemble(params, pert)
-                vec: List[float] = []
-                for kind, idx in claimed:
-                    if kind == "kernel":
-                        vec.append(float(coef_A[idx]))
-                    else:
-                        vec.append(float(poly_plus[idx]))
-                for kind, idx in claimed:
-                    if kind == "kernel":
-                        vec.append(float(coef_B[idx]))
-                    else:
-                        vec.append(float(poly_minus[idx]))
-                cols.append(vec)
+
+    def coords(kernel, poly) -> List[float]:
+        return [float(kernel[i] if kind == "kernel" else poly[i]) for kind, i in claimed]
+
+    cols = []
+    for unit in _unit_expansions(params, n):
+        coef_A, poly_plus, coef_B, poly_minus = unit.exact_parts
+        cols.append(coords(coef_A, poly_plus) + coords(coef_B, poly_minus))
     M = np.array(cols).T  # coordinates x perturbation directions
     expected = 2 * len(claimed)
     row_scale = np.max(np.abs(M), axis=1)
@@ -618,23 +608,27 @@ def random_search_max_zeros(
     stress the claimed ceiling, not to certify individual zero lists.
     """
     rng = np.random.default_rng(seed)
-    expansions = (assemble(params, PerturbationSpec.random(n, rng)).expansion for _ in range(draws))
-    return _survey(params, n, r_max, grid, expansions)
+    rows = [PerturbationSpec.random(n, rng).vector() for _ in range(draws)]
+    return _survey(params, n, r_max, grid, rows)
 
 
 def _survey(
-    params: SystemParams, n: int, r_max: float, grid: int, expansions: Iterable[BasisExpansion]
+    params: SystemParams, n: int, r_max: float, grid: int, rows: Sequence[np.ndarray]
 ) -> Tuple[int, Dict[int, int]]:
-    """(max, histogram) of grid zero counts over degree-n expansions.
+    """(max, histogram) of grid zero counts over degree-n perturbations.
 
-    The basis is sampled once on the grid and shared by every expansion.
+    `rows` are perturbation coefficient vectors (`PerturbationSpec.vector`).
+    One product with `assembly_matrix` turns them into expansion
+    coefficients, combining the exactly reduced unit columns in double;
+    the basis is sampled once on the grid and shared by every draw.
     """
+    M = assembly_matrix(params, n)
+    coeffs = np.reshape(rows, (-1, M.shape[1])) @ M.T
     rr = np.linspace(r_max / grid, r_max, grid)
     basis = basis_values(params, n, rr, LONG)
     abs_basis = np.abs(basis)
     hist: Dict[int, int] = {}
-    for expansion in expansions:
-        c = expansion.vector(LONG)
-        count = _count_grid_zeros(c @ basis, _envelope(c, abs_basis))
+    for c in coeffs.astype(LONG):
+        count = len(_sign_flips(c @ basis, _envelope(c, abs_basis))[1])
         hist[count] = hist.get(count, 0) + 1
     return max(hist, default=0), hist

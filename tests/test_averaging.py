@@ -11,6 +11,7 @@ from pwcycles.averaging import (
     BasisExpansion,
     PerturbationSpec,
     assemble,
+    assembly_matrix,
     basis_values,
     eval_F,
     null_perturbation,
@@ -251,6 +252,60 @@ class TestBasisValues:
             got, got_env = c @ basis, np.abs(c) @ np.abs(basis) * eps
             assert np.all(np.abs(got - want) <= 16 * want_env)
             assert np.all(np.abs(got_env - want_env) <= 16 * eps * want_env)
+
+
+TABLES = ("plus_f", "plus_g", "minus_f", "minus_g")
+
+
+def _enumeration(n):
+    return [(name, i, j) for name in TABLES for i in range(n + 1) for j in range(n + 1 - i)]
+
+
+class TestAssemblyMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_vector_order_and_round_trip(self, n, rng):
+        pert = PerturbationSpec.random(n, rng)
+        keys = _enumeration(n)
+        v = pert.vector()
+        assert v.tolist() == [getattr(pert, name)[i, j] for name, i, j in keys]
+        back = PerturbationSpec.from_vector(n, v)
+        assert all(np.array_equal(getattr(back, name), getattr(pert, name)) for name in TABLES)
+        for k, (name, i, j) in enumerate(keys):
+            unit = PerturbationSpec.from_vector(n, np.eye(len(keys))[k])
+            assert getattr(unit, name)[i, j] == 1.0 and unit.vector().sum() == 1.0
+
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_columns_are_unit_assemblies_bitwise(self, ab, n):
+        params = SystemParams(*ab)
+        M = assembly_matrix(params, n)
+        keys = _enumeration(n)
+        assert M.dtype == np.float64 and M.shape[1] == len(keys) == 2 * (n + 1) * (n + 2)
+        for k, (name, i, j) in enumerate(keys):
+            unit = PerturbationSpec(n, **{name: {(i, j): 1.0}})
+            assert M[:, k].tobytes() == assemble(params, unit).expansion.vector().tobytes()
+
+    def test_read_only_and_cached(self):
+        M = assembly_matrix(SystemParams(1.0, -2.0), 2)
+        assert assembly_matrix(SystemParams(1.0, -2.0), 2) is M
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+    def test_matrix_product_is_assembly(self, params, rng):
+        for n in (1, 2, 3, 4):
+            pert = PerturbationSpec.random(n, rng)
+            want = assemble(params, pert).expansion.vector()
+            got = assembly_matrix(params, n) @ pert.vector()
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_scaled_add_is_tablewise(self, rng):
+        p1 = PerturbationSpec.random(3, rng)
+        p2 = PerturbationSpec.random(3, rng)
+        combo = p1.scaled_add(0.7, p2, -1.3)
+        for name in TABLES:
+            want = 0.7 * getattr(p1, name) + -1.3 * getattr(p2, name)
+            assert getattr(combo, name).tobytes() == want.tobytes()
 
 
 class TestRealization:

@@ -131,6 +131,15 @@ class TestSmoothZeros:
             best, _ = random_search_max_smooth_zeros(1.0, n, 60, seed=5, r_max=0.95)
             assert best <= n
 
+    # Histograms of the per-draw exact reduction that the matrix survey
+    # replaced, recorded before the change.
+    @pytest.mark.parametrize(
+        "n, seed, hist", [(2, 15, {0: 46, 1: 14}), (3, 16, {0: 42, 1: 18}), (4, 17, {0: 47, 1: 12, 2: 1})]
+    )
+    def test_pinned_histograms(self, n, seed, hist):
+        best, got = random_search_max_smooth_zeros(1.0, n, 60, seed, 0.95, grid=600)
+        assert got == hist and best == max(hist)
+
     def test_even_degree_rank_resolution(self):
         # the printed generating set for n = 2k lists one function more
         # than the reachable span contains; n = 2k+1 matches exactly

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pwcycles import averaging, smooth
 from pwcycles.averaging import AveragedFunction, BasisExpansion, basis_values
 from pwcycles.kernels import SystemParams
 from pwcycles.zeros import (
@@ -218,3 +219,43 @@ class TestCeiling:
                 claimed = hn_formula(CountFormulaInput(n, p.resonant))
                 best, _ = random_search_max_zeros(p, n, 60, seed=3, r_max=6.0)
                 assert best <= claimed
+
+    # Histograms of the per-draw exact reduction that the matrix survey
+    # replaced, recorded before the change.
+    @pytest.mark.parametrize(
+        "b, n, seed, hist",
+        [
+            (-2.0, 1, 11, {0: 36, 1: 23, 2: 1}),
+            (-2.0, 3, 12, {0: 26, 1: 30, 2: 4}),
+            (-1.0, 2, 13, {0: 31, 1: 23, 2: 6}),
+            (-1.0, 4, 14, {0: 22, 1: 27, 2: 9, 3: 2}),
+        ],
+    )
+    def test_pinned_histograms(self, b, n, seed, hist):
+        best, got = random_search_max_zeros(SystemParams(1.0, b), n, 60, seed, r_max=8.0, grid=300)
+        assert got == hist and best == max(hist)
+
+    def test_no_draws(self, params):
+        assert random_search_max_zeros(params, 2, 0, seed=1, r_max=6.0) == (0, {})
+
+    def test_assemble_calls_do_not_grow_with_draws(self, monkeypatch):
+        calls = []
+        original = averaging.assemble
+        monkeypatch.setattr(averaging, "assemble", lambda *a: calls.append(1) or original(*a))
+        monkeypatch.setattr(smooth, "assemble", averaging.assemble)
+        piecewise, n = SystemParams(1.0, -2.0), 2
+        m = 2 * (n + 1) * (n + 2)
+        averaging.assembly_matrix.cache_clear()
+        averaging._unit_expansions.cache_clear()
+        counts = []
+        for draws in (5, 40):
+            calls.clear()
+            random_search_max_zeros(piecewise, n, draws, seed=1, r_max=6.0, grid=100)
+            counts.append(len(calls))
+        assert counts == [m, 0]
+        counts = []
+        for draws in (5, 40):
+            calls.clear()
+            smooth.random_search_max_smooth_zeros(1.0, n, draws, seed=1, r_max=0.9, grid=100)
+            counts.append(len(calls))
+        assert counts == [m + m // 2, m // 2]
