@@ -12,6 +12,10 @@ small eps), and verifies the prediction by direct Poincare return-map
 integration of the perturbed system.
 """
 
+# numpy loads numpy.random on first use; the surveys and the CLI draw from
+# it, so it is loaded here, with the package, and not inside the first run.
+import numpy.random  # noqa: F401
+
 from .kernels import (
     SystemParams,
     QuadratureSpec,

@@ -59,10 +59,13 @@ class AssemblyError(RuntimeError):
     """An exact structural identity of the reduction failed."""
 
 
+@lru_cache(maxsize=None)
 def _triangle(degree: int) -> np.ndarray:
-    """Mask of the triangle i + j <= degree in a (degree+1)^2 table."""
+    """Read-only mask of the triangle i + j <= degree in a (degree+1)^2 table."""
     i, j = np.indices((degree + 1, degree + 1))
-    return i + j <= degree
+    mask = i + j <= degree
+    mask.flags.writeable = False
+    return mask
 
 
 def _random_table(degree: int, rng: np.random.Generator, scale: float) -> np.ndarray:
@@ -72,24 +75,29 @@ def _random_table(degree: int, rng: np.random.Generator, scale: float) -> np.nda
 
 
 def _dense_table(degree: int, entries, name: str) -> np.ndarray:
-    """Dense (degree+1)^2 coefficient array from an array-like or dict."""
-    out = np.zeros((degree + 1, degree + 1))
-    if entries is None:
+    """Dense (degree+1)^2 coefficient array from an array-like or dict.
+
+    Zero entries (either sign) are stored as +0.0; any other entry, NaN
+    included, must lie on the triangle i + j <= degree.
+    """
+    if entries is None or isinstance(entries, dict):
+        out = np.zeros((degree + 1, degree + 1))
+        for (i, j), v in (entries or {}).items():
+            if v == 0.0:
+                continue
+            if i < 0 or j < 0 or i + j > degree:
+                raise ValueError(f"{name}: index ({i},{j}) outside triangle of degree {degree}")
+            out[i, j] = v
         return out
-    if isinstance(entries, dict):
-        items = entries.items()
-    else:
-        arr = np.asarray(entries, dtype=float)
-        if arr.shape != (degree + 1, degree + 1):
-            raise ValueError(f"{name}: expected shape {(degree + 1, degree + 1)}, got {arr.shape}")
-        items = (((i, j), arr[i, j]) for i in range(degree + 1) for j in range(degree + 1))
-    for (i, j), v in items:
-        if v == 0.0:
-            continue
-        if i < 0 or j < 0 or i + j > degree:
-            raise ValueError(f"{name}: index ({i},{j}) outside triangle of degree {degree}")
-        out[i, j] = v
-    return out
+    arr = np.asarray(entries, dtype=float)
+    if arr.shape != (degree + 1, degree + 1):
+        raise ValueError(f"{name}: expected shape {(degree + 1, degree + 1)}, got {arr.shape}")
+    nonzero = arr != 0.0
+    outside = nonzero & ~_triangle(degree)
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise ValueError(f"{name}: index ({i},{j}) outside triangle of degree {degree}")
+    return np.where(nonzero, arr, 0.0)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .exact import PiNumber
 
@@ -157,22 +156,6 @@ def wallis_half_exact(k: int) -> PiNumber:
 
 def wallis_half(k: int) -> float:
     return float(wallis_half_exact(k))
-
-
-@lru_cache(maxsize=None)
-def wallis_full_exact(k: int) -> PiNumber:
-    """Full-circle moment p(k): 2*pi*(k-1)!!/k!! for even k, else 0."""
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
-    if k % 2 == 1:
-        return PiNumber.of(0)
-    if k == 0:
-        return PiNumber.of(0, 2)
-    return wallis_full_exact(k - 2) * Fraction(k - 1, k)
-
-
-def wallis_full(k: int) -> float:
-    return float(wallis_full_exact(k))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +380,8 @@ def quad_oracle(
 ) -> float:
     """Adaptive Gauss-Kronrod estimate with enforced error control.
 
+    The quadrature is scipy's ``integrate.quad``, imported on first use.
+
     Raises OracleConvergenceError when the subdivision budget is exhausted
     or the reported error exceeds the requested tolerance by more than two
     orders (the default tolerances sit near machine precision, so QUADPACK
@@ -404,6 +389,8 @@ def quad_oracle(
     genuinely unmet budget — the signature of a near-singular parameter
     set — is escalated).
     """
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         result = integrate.quad(

@@ -28,7 +28,9 @@ converge to its simple zeros — the correspondence the package verifies.
 A Cartesian integration path with event location at the switching line
 x = 0 cross-checks the polar pipeline; at eps = 0 it must conserve
 x^2 + y^2 to integrator precision.  It keeps scipy's ``solve_ivp`` as an
-independent integrator.
+independent integrator, imported on its first call: the lockstep engine
+holds its DOP853 constants as literals equal to scipy's, so importing this
+module loads no scipy.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .averaging import PerturbationSpec
 from .kernels import SystemParams
@@ -232,22 +232,68 @@ def polar_XY(field: PolarField, theta: float, r: float, plus: bool) -> Tuple[flo
 # Lockstep DOP853
 # ---------------------------------------------------------------------------
 
-# scipy's DOP853 (Hairer, Norsett and Wanner, Solving Ordinary Differential
+# DOP853 (Hairer, Norsett and Wanner, Solving Ordinary Differential
 # Equations I, II.5): the tableau, the step-size factors and the error
-# exponent are taken from scipy, so that each radius takes scipy's steps.
-_STAGES = DOP853.n_stages
-_STEP_EXPONENT = 1.0 / (DOP853.error_estimator_order + 1)
-
-
-def _weights(row: np.ndarray, width: int) -> Tuple[Tuple[int, float], ...]:
-    return tuple((j, float(row[j])) for j in range(width) if row[j] != 0)
-
-
-_A = tuple(_weights(DOP853.A[s], s) for s in range(_STAGES))
-_B = _weights(DOP853.B, _STAGES)
-_C = tuple(float(c) for c in DOP853.C)
-_E3 = _weights(DOP853.E3, _STAGES + 1)
-_E5 = _weights(DOP853.E5, _STAGES + 1)
+# exponent are literals equal to scipy's, bit for bit (a test compares them
+# with scipy.integrate's DOP853), so that each radius takes scipy's steps.
+# Each tableau row lists its nonzero (stage, weight) pairs.
+_STAGES = 12
+_STEP_EXPONENT = 0.125  # 1 / (error estimator order 7 + 1)
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+_A = (
+    (),
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125)),
+    (
+        (0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+        (5, -0.015319437748624402), (6, 0.008273789163814023),
+    ),
+    (
+        (0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+        (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996),
+    ),
+    (
+        (0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+        (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+        (8, -0.020331201708508627),
+    ),
+    (
+        (0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+        (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+        (8, 2.4936055526796523), (9, -3.0467644718982196),
+    ),
+    (
+        (0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+        (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+        (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636),
+    ),
+)
+_B = (
+    (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.04471061572777259),
+)
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+    0.8571428571428571, 1.0,
+)
+_E3 = (
+    (0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.02265179219836082),
+)
+_E5 = (
+    (0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+    (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+    (10, 0.08192320648511571), (11, -0.022355307863886294),
+)
 
 
 def _combine(weights, K: List[np.ndarray]) -> np.ndarray:
@@ -474,6 +520,13 @@ class CartesianSummary:
     section_radii: Tuple[float, ...]
     max_invariant_drift: float
     total_time: float
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on first use."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _cartesian_rhs(field: PolarField, plus: bool):

@@ -16,9 +16,10 @@ smooth perturbation is a `PerturbationSpec` with equal tables,
 `assemble_smooth` is `assemble` at `SystemParams(a, a)` plus the exact
 smooth checks, zeros are counted by `count_simple_zeros`, and placement
 and the ceiling survey run the piecewise code over `smooth_generators`
-and `assembly_matrix` at b = a.  The survey runs the exact smooth checks
-once per (a, n), on the smooth unit directions; the checks are linear,
-so they then hold for every draw.
+and `assembly_matrix` at b = a, and so does the rank measurement
+`smooth_generating_rank`.  The exact smooth checks run once per (a, n)
+and process, on the smooth unit directions; the checks are linear, so
+they then hold for every draw.
 Two independent paths stay separate on purpose: the full-circle
 quadrature oracle `oracle_smooth_F`, and the V families through
 
@@ -31,6 +32,7 @@ against full-circle quadrature in tests.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +45,7 @@ from .averaging import (
     PerturbationSpec,
     _random_table,
     assemble,
+    assembly_matrix,
     basis_values,
 )
 from .kernels import (
@@ -88,6 +91,15 @@ def assemble_smooth(a: float, pert: PerturbationSpec) -> AveragedFunction:
         if (k % 2 == 1 or k > cap) and not (p + q).is_zero:
             raise AssemblyError(f"monomial r^{k} outside the smooth range (even, at most r^{cap})")
     return fn
+
+
+@lru_cache(maxsize=None)
+def _check_smooth_units(a: float, n: int) -> None:
+    """`assemble_smooth`'s exact checks on each unit direction of f and g
+    (the same unit on both half-planes), once per (a, n).  The checks are
+    linear, so they then hold for every smooth perturbation of degree n."""
+    for e in np.eye((n + 1) * (n + 2)):
+        assemble_smooth(a, PerturbationSpec.from_vector(n, np.concatenate([e, e])))
 
 
 def eval_V_family(i: int, j: int, r: float, a: float) -> float:
@@ -163,12 +175,10 @@ def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
     listed = _generator_matrix(smooth_generators(a, 2 * k + 1)) @ basis_values(params, 2 * k + 1, pts, LONG)
     listed_rank, _ = sample_rank(listed.T.astype(float))
 
+    _check_smooth_units(a, n)
     rng = np.random.default_rng(0)
-    coeffs = [
-        assemble_smooth(a, random_smooth_perturbation(n, rng)).expansion.vector()
-        for _ in range(6 * (n + 3))
-    ]
-    Mr = (np.array(coeffs) @ basis_values(params, n, pts)).T
+    rows = np.array([random_smooth_perturbation(n, rng).vector() for _ in range(6 * (n + 3))])
+    Mr = (rows @ assembly_matrix(params, n).T @ basis_values(params, n, pts)).T
     norms = np.linalg.norm(Mr, axis=0)
     keep = norms > 1e-13
     sv = np.linalg.svd(Mr[:, keep] / norms[keep], compute_uv=False)
@@ -185,13 +195,8 @@ def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
 def random_search_max_smooth_zeros(
     a: float, n: int, draws: int, seed: int, r_max: float, grid: int = 1500
 ) -> Tuple[int, Dict[int, int]]:
-    """Max zero count over random smooth perturbations.
-
-    The exact smooth checks run on each unit direction of f and g (the
-    same unit on both half-planes); by linearity they cover every draw.
-    """
-    for e in np.eye((n + 1) * (n + 2)):
-        assemble_smooth(a, PerturbationSpec.from_vector(n, np.concatenate([e, e])))
+    """Max zero count over random smooth perturbations."""
+    _check_smooth_units(a, n)
     rng = np.random.default_rng(seed)
     rows = [random_smooth_perturbation(n, rng).vector() for _ in range(draws)]
     return _survey(SystemParams(a, a), n, r_max, grid, rows)

@@ -34,6 +34,26 @@ class TestPerturbationSpec:
         with pytest.raises(ValueError):
             PerturbationSpec(0)
 
+    def test_outside_triangle_message(self):
+        # the first offending entry in row-major order is named, for
+        # arrays as for dicts; NaN counts as nonzero, zeros of either sign
+        # anywhere are accepted and stored as +0.0
+        bad = np.zeros((3, 3))
+        bad[1, 2], bad[2, 2], bad[2, 1] = 1.0, 2.0, 3.0
+        with pytest.raises(ValueError, match=r"^minus_f: index \(1,2\) outside triangle of degree 2$"):
+            PerturbationSpec(2, minus_f=bad)
+        with pytest.raises(ValueError, match=r"^plus_g: index \(0,3\) outside triangle of degree 2$"):
+            PerturbationSpec(2, plus_g={(0, 3): 1.0})
+        nan = np.zeros((3, 3))
+        nan[2, 2] = np.nan
+        with pytest.raises(ValueError, match=r"^plus_f: index \(2,2\) outside triangle of degree 2$"):
+            PerturbationSpec(2, plus_f=nan)
+        with pytest.raises(ValueError, match=r"^plus_f: index \(2,2\) outside triangle of degree 2$"):
+            PerturbationSpec(2, plus_f={(2, 2): np.nan})
+        edge = np.array([[-0.0, 1.0, np.nan], [2.0, -3.0, -0.0], [4.0, 0.0, -0.0]])
+        got = PerturbationSpec(2, plus_f=edge).plus_f
+        assert got.tobytes() == np.array([[0.0, 1.0, np.nan], [2.0, -3.0, 0.0], [4.0, 0.0, 0.0]]).tobytes()
+
     def test_dense_round_trip(self):
         p = PerturbationSpec(2, plus_f={(0, 2): 3.0}, minus_g={(1, 0): -1.0})
         assert p.plus_f[0, 2] == 3.0

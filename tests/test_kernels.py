@@ -27,8 +27,6 @@ from pwcycles.kernels import (
     oracle_family,
     quad_oracle,
     trig_rational,
-    wallis_full,
-    wallis_full_exact,
     wallis_half,
     wallis_half_exact,
 )
@@ -61,11 +59,6 @@ class TestWallis:
         # frozen quadrature value of cos^3 over the half circle: 4/3
         assert wallis_half(3) == pytest.approx(1.3333333333333333, rel=1e-12)
 
-    def test_full_circle_values(self):
-        assert wallis_full(0) == pytest.approx(2 * math.pi, rel=1e-15)
-        assert wallis_full(1) == 0.0
-        assert wallis_full(2) == pytest.approx(math.pi, rel=1e-15)
-
     def test_recurrence_exact_mode(self):
         for k in range(2, 20):
             assert k * wallis_half_exact(k) == (k - 1) * wallis_half_exact(k - 2)
@@ -74,10 +67,6 @@ class TestWallis:
     def test_recurrence_float_mode(self):
         for k in range(2, 20):
             assert k * wallis_half(k) == pytest.approx((k - 1) * wallis_half(k - 2), rel=1e-14)
-
-    def test_full_odd_orders_vanish_exactly(self):
-        for k in range(1, 15, 2):
-            assert wallis_full_exact(k).is_zero
 
 
 class TestA00:

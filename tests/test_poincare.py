@@ -8,6 +8,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
+from pwcycles import poincare
 from pwcycles.averaging import (
     PerturbationSpec,
     assemble,
@@ -179,6 +180,31 @@ class TestLockstepEngine:
                 )
                 want = float(sol.y[0, -1])
             assert abs(g - want) <= 1e-14, (r, g, want)
+
+    def test_tableau_literals_equal_scipys_bitwise(self):
+        from scipy.integrate._ivp import rk
+
+        def dense(pairs, width):
+            row = np.zeros(width)
+            for j, w in pairs:
+                row[j] = w
+            return row
+
+        s = poincare._STAGES
+        assert s == rk.DOP853.n_stages
+        assert np.array([dense(row, s) for row in poincare._A]).tobytes() == rk.DOP853.A.tobytes()
+        assert dense(poincare._B, s).tobytes() == rk.DOP853.B.tobytes()
+        assert np.array(poincare._C).tobytes() == rk.DOP853.C.tobytes()
+        assert dense(poincare._E3, s + 1).tobytes() == rk.DOP853.E3.tobytes()
+        assert dense(poincare._E5, s + 1).tobytes() == rk.DOP853.E5.tobytes()
+        # only the nonzero weights are listed, each stage once, in order
+        for pairs in (*poincare._A, poincare._B, poincare._E3, poincare._E5):
+            stages = [j for j, _ in pairs]
+            assert stages == sorted(set(stages)) and all(w != 0.0 for _, w in pairs)
+        for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
+            ours, theirs = getattr(poincare, name), getattr(rk, name)
+            assert type(ours) is float and ours == theirs, name
+        assert poincare._STEP_EXPONENT == 1.0 / (rk.DOP853.error_estimator_order + 1)
 
     def test_batch_invariance_is_bitwise(self, field):
         rr = np.linspace(0.25, 3.9, 37)

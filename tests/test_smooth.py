@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pwcycles import averaging, smooth
 from pwcycles.averaging import AveragedFunction, PerturbationSpec
 from pwcycles.kernels import DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
 from pwcycles.smooth import (
@@ -139,6 +140,26 @@ class TestSmoothZeros:
     def test_pinned_histograms(self, n, seed, hist):
         best, got = random_search_max_smooth_zeros(1.0, n, 60, seed, 0.95, grid=600)
         assert got == hist and best == max(hist)
+
+    def test_rank_reads_the_cached_matrix(self, monkeypatch):
+        # the reachable rank takes random smooth rows times assembly_matrix;
+        # the exact smooth checks run once, on the unit directions
+        calls = []
+        original = averaging.assemble
+        monkeypatch.setattr(averaging, "assemble", lambda *a: calls.append(1) or original(*a))
+        monkeypatch.setattr(smooth, "assemble", averaging.assemble)
+        n = 3
+        m = 2 * (n + 1) * (n + 2)
+        averaging.assembly_matrix.cache_clear()
+        averaging._unit_expansions.cache_clear()
+        smooth._check_smooth_units.cache_clear()
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            ranks = smooth_generating_rank(1.0, n, 0.9)
+            counts.append(len(calls))
+            assert ranks["reachable_rank"] == n + 1
+        assert counts == [m + m // 2, 0]
 
     def test_even_degree_rank_resolution(self):
         # the printed generating set for n = 2k lists one function more
