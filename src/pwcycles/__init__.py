@@ -34,8 +34,6 @@ from .averaging import (
     PerturbationSpec,
     BasisExpansion,
     AveragedFunction,
-    sigma_tau,
-    st_coeffs,
     assemble,
     basis_values,
     eval_F,

@@ -7,11 +7,13 @@ For a degree-n perturbation the scaled averaged function
 is a finite combination of monomials r^i and of r^(2i) * A[0,0](r),
 r^(2i) * B[0,0](r).  Two independent routes compute it:
 
-* `assemble` reduces the coefficient tables symbolically (exact rational
-  arithmetic in Q + Q*pi): build the sigma/tau sums, fold odd sine powers
-  away, lower even sine powers binomially (S/T tables), collapse the
-  cosine ladders, and eliminate the first-power seeds I[0,0], J[0,0]
-  through their closed relations.  The result is a `BasisExpansion`.
+* `assemble` reduces the coefficients symbolically (exact rational
+  arithmetic in Q + Q*pi): each nonzero coefficient of f and g goes to
+  its polar numerator term (the sigma/tau sums), an odd sine power drops
+  out, an even one is lowered binomially into the S/T tables, then the
+  cosine ladders collapse and the first-power seeds I[0,0], J[0,0] are
+  eliminated through their closed relations.  Only the nonzero
+  coefficients are visited.  The result is a `BasisExpansion`.
 
 * `oracle_F` integrates the polar right-hand side directly with adaptive
   quadrature and knows nothing about the reduction.
@@ -68,10 +70,16 @@ def _triangle(degree: int) -> np.ndarray:
     return mask
 
 
-def _random_table(degree: int, rng: np.random.Generator, scale: float) -> np.ndarray:
-    """Uniform entries on the triangle i + j <= degree, zeros above it."""
-    t = rng.uniform(-scale, scale, size=(degree + 1, degree + 1))
-    return np.where(_triangle(degree), t, 0.0)
+def _random_rows(degree: int, rng: np.random.Generator, count: int, tables: int) -> np.ndarray:
+    """`count` rows of `tables` uniform (-1, 1) tables over the triangle
+    i + j <= degree, in the order of `PerturbationSpec.vector`.
+
+    One draw of full (degree+1)^2 tables, masked: the same numbers as
+    drawing the tables one by one and keeping their triangles.
+    """
+    mask = _triangle(degree)
+    t = rng.uniform(-1.0, 1.0, (count, tables, *mask.shape))[:, :, mask]
+    return t.reshape(count, t.shape[1] * t.shape[2])
 
 
 def _dense_table(degree: int, entries, name: str) -> np.ndarray:
@@ -127,9 +135,9 @@ class PerturbationSpec:
             object.__setattr__(self, name, _dense_table(self.degree, entries, name))
 
     @staticmethod
-    def random(degree: int, rng: np.random.Generator, scale: float = 1.0) -> "PerturbationSpec":
-        tables = [_random_table(degree, rng, scale) for _ in range(4)]
-        return PerturbationSpec(degree, *tables)
+    def random(degree: int, rng: np.random.Generator) -> "PerturbationSpec":
+        """Uniform (-1, 1) coefficients on the four triangles."""
+        return PerturbationSpec.from_vector(degree, _random_rows(degree, rng, 1, 4)[0])
 
     def vector(self) -> np.ndarray:
         """The coefficients in one vector: plus_f, plus_g, minus_f, minus_g,
@@ -162,65 +170,36 @@ class PerturbationSpec:
         return self.scaled_add(1.0 / s, self, 0.0)
 
 
-@dataclass(frozen=True)
-class SigmaTauTable:
-    degree: int
-    sigma: Table
-    tau: Table
+def _st_tables(pert: PerturbationSpec) -> Tuple[Table, Table]:
+    """The S (plus half) and T (minus half) tables of a perturbation.
 
+    The polar numerator f cos + g sin sends f x^i y^j to sigma[i+1, j] and
+    g x^i y^j to sigma[i, j+1] (tau likewise from the minus tables).  An
+    odd sine power is odd in the angle about the middle of each half
+    circle and drops out; an even one, sigma[p, 2l], is lowered by
+    sin^2 = 1 - cos^2 into
 
-@dataclass(frozen=True)
-class STTable:
-    degree: int
-    S: Table
-    T: Table
+        S[p + 2k, l - k] += (-1)^k C(l, k) sigma[p, 2l],   k = 0..l.
 
-
-def sigma_tau(pert: PerturbationSpec) -> SigmaTauTable:
-    """Combine f and g tables into the polar numerator coefficients.
-
-    sigma[i,j] = plus_f[i-1,j] + plus_g[i,j-1] (zero convention for the
-    out-of-range indices), and tau likewise from the minus tables.
+    Only the nonzero coefficients are visited, so a unit perturbation
+    costs l + 1 exact updates.
     """
-    n = pert.degree
-
-    def build(ft: np.ndarray, gt: np.ndarray) -> Table:
-        out: Table = {}
-        for i in range(n + 2):
-            for j in range(n + 2 - i):
-                if i + j < 1:
+    out = []
+    for ft, gt in ((pert.plus_f, pert.plus_g), (pert.minus_f, pert.minus_g)):
+        S: Table = {}
+        for (di, dj), table in (((1, 0), ft), ((0, 1), gt)):
+            for i, j in zip(*np.nonzero(table)):
+                # np.int64 indices would overflow silently in the powers
+                p, q = int(i) + di, int(j) + dj
+                if q % 2:
                     continue
-                v = Fraction(0)
-                if i >= 1 and (i - 1) + j <= n:
-                    v += as_fraction(float(ft[i - 1, j]))
-                if j >= 1 and i + (j - 1) <= n:
-                    v += as_fraction(float(gt[i, j - 1]))
-                out[(i, j)] = v
-        return out
-
-    return SigmaTauTable(n, build(pert.plus_f, pert.plus_g), build(pert.minus_f, pert.minus_g))
-
-
-def st_coeffs(table: SigmaTauTable) -> STTable:
-    """Binomial compression of even sine powers.
-
-    S[i,j] = sum_k (-1)^k C(j+k, k) sigma[i-2k, 2j+2k], k = 0..floor(i/2);
-    the map (sigma, tau) -> (S, T) is triangular with unit diagonal, hence
-    invertible on its range.
-    """
-    n = table.degree
-
-    def build(src: Table) -> Table:
-        out: Table = {}
-        for i in range(n + 2):
-            for j in range((n + 1 - i) // 2 + 1):
-                acc = Fraction(0)
-                for k in range(i // 2 + 1):
-                    acc += (-1) ** k * math.comb(j + k, k) * src.get((i - 2 * k, 2 * j + 2 * k), Fraction(0))
-                out[(i, j)] = acc
-        return out
-
-    return STTable(n, build(table.sigma), build(table.tau))
+                x = as_fraction(float(table[i, j]))
+                l = q // 2
+                for k in range(l + 1):
+                    key = (p + 2 * k, l - k)
+                    S[key] = S.get(key, 0) + (-1) ** k * math.comb(l, k) * x
+        out.append(S)
+    return out[0], out[1]
 
 
 def _reduce_half(
@@ -360,9 +339,9 @@ def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
     """
     fa = as_fraction(params.a)
     fb = as_fraction(params.b)
-    st = st_coeffs(sigma_tau(pert))
-    coef_A, poly_plus = _reduce_half(st.S, fa, pert.degree, alternate=False)
-    coef_B, poly_minus = _reduce_half(st.T, fb, pert.degree, alternate=True)
+    S, T = _st_tables(pert)
+    coef_A, poly_plus = _reduce_half(S, fa, pert.degree, alternate=False)
+    coef_B, poly_minus = _reduce_half(T, fb, pert.degree, alternate=True)
     h = (pert.degree + 1) // 2
 
     # Exact structural identities of the expansion; a failure here means
@@ -421,9 +400,7 @@ def null_perturbation(degree: int) -> PerturbationSpec:
     return PerturbationSpec(degree, **quads)
 
 
-def perturbation_for_expansion(
-    params: SystemParams, expansion: BasisExpansion, rcond: float = 1e-12
-) -> PerturbationSpec:
+def perturbation_for_expansion(params: SystemParams, expansion: BasisExpansion) -> PerturbationSpec:
     """A perturbation whose assembly reproduces the given expansion.
 
     Inverts the (linear, underdetermined) `assembly_matrix` by least
@@ -433,7 +410,7 @@ def perturbation_for_expansion(
     n = expansion.degree
     Phi = assembly_matrix(params, n)
     y = expansion.vector(np.float64)
-    x, *_ = np.linalg.lstsq(Phi, y, rcond=rcond)
+    x, *_ = np.linalg.lstsq(Phi, y, rcond=1e-12)
     resid = np.linalg.norm(Phi @ x - y)
     if resid > 1e-8 * max(1.0, np.linalg.norm(y)):
         raise ValueError(

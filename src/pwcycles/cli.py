@@ -72,7 +72,10 @@ def _manifest_from_args(args: argparse.Namespace) -> ExperimentManifest:
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.epsilon:
-        doc["epsilons"] = [float(x) for x in args.epsilon.split(",")]
+        try:
+            doc["epsilons"] = [float(x) for x in args.epsilon.split(",")]
+        except ValueError as exc:
+            raise ManifestError(f"--epsilon: {exc}") from exc
     if args.command == "place":
         doc["epsilons"] = []
     return ExperimentManifest.from_dict(doc)

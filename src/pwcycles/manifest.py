@@ -89,18 +89,20 @@ class ExperimentManifest:
             raise ManifestError(f"kind must be one of {KINDS}, got {kind!r}")
         if "a" not in doc or "b" not in doc:
             raise ManifestError("manifest must name the system constants 'a' and 'b'")
-        a, b = float(doc["a"]), float(doc["b"])
-        if a * b == 0:
-            raise ManifestError("system constants must be nonzero")
         if "seed" not in doc:
             raise ManifestError("manifest must carry an explicit integer 'seed'")
-        seed = int(doc["seed"])
         options = {
             k: v for k, v in doc.items() if k not in ("schema_version", "kind", "a", "b", "seed")
         }
         eps = options.get("epsilons")
+        try:
+            a, b, seed = float(doc["a"]), float(doc["b"]), int(doc["seed"])
+            eps = None if eps is None else [float(e) for e in eps]
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"'a', 'b' and 'epsilons' must be numbers, 'seed' an integer: {exc}") from exc
+        if a * b == 0:
+            raise ManifestError("system constants must be nonzero")
         if eps is not None:
-            eps = [float(e) for e in eps]
             if any(e <= 0 for e in eps):
                 raise ManifestError("epsilon values must be positive")
             if any(e1 <= e2 for e1, e2 in zip(eps, eps[1:])):
@@ -149,25 +151,33 @@ def _finding(name: str, measured, expected, note: str) -> Dict[str, Any]:
     }
 
 
+def _pert_from_doc(doc: Dict[str, Any]) -> PerturbationSpec:
+    """A perturbation from `degree` and [i, j, value] entries per table."""
+    tables = {
+        name: {(int(i), int(j)): float(v) for i, j, v in doc.get(name, [])}
+        for name in ("plus_f", "plus_g", "minus_f", "minus_g")
+    }
+    return PerturbationSpec(int(doc["degree"]), **tables)
+
+
 def _pert_from_options(manifest: ExperimentManifest, params: SystemParams) -> PerturbationSpec:
+    """The sweep's perturbation: inline tables, a table file, or a placement
+    at `pert_targets`.  A missing or malformed entry is a ManifestError."""
     opts = manifest.options
-    if "pert_inline" in opts:
-        doc = opts["pert_inline"]
-    elif "pert_file" in opts:
-        doc = json.loads(Path(opts["pert_file"]).read_text())
-    elif "pert_targets" in opts:
-        n = int(opts["degree"])
-        expansion = place_zeros(
-            params, n, [float(t) for t in opts["pert_targets"]], seed=manifest.seed
-        )
-        return perturbation_for_expansion(params, expansion).normalized()
-    else:
+    if not any(k in opts for k in ("pert_inline", "pert_file", "pert_targets")):
         raise ManifestError("sweep needs pert_inline, pert_file, or pert_targets + degree")
-    n = int(doc["degree"])
-    tables = {}
-    for name in ("plus_f", "plus_g", "minus_f", "minus_g"):
-        tables[name] = {(int(i), int(j)): float(v) for i, j, v in doc.get(name, [])}
-    return PerturbationSpec(n, **tables)
+    try:
+        if "pert_inline" in opts:
+            return _pert_from_doc(opts["pert_inline"])
+        if "pert_file" in opts:
+            return _pert_from_doc(json.loads(Path(opts["pert_file"]).read_text()))
+        n, targets = int(opts["degree"]), [float(t) for t in opts["pert_targets"]]
+    except KeyError as exc:
+        raise ManifestError(f"sweep perturbation is missing {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ManifestError(f"malformed sweep perturbation: {exc}") from exc
+    expansion = place_zeros(params, n, targets, seed=manifest.seed)
+    return perturbation_for_expansion(params, expansion).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,7 @@ def displacement_profile(
     return [(float(r), float(d)) for r, d in zip(rr, scaled)]
 
 
-def _bracketed_roots(fun, lo, hi, f_lo, f_hi, xtol: float = _ROOT_XTOL) -> np.ndarray:
+def _bracketed_roots(fun, lo, hi, f_lo, f_hi) -> np.ndarray:
     """A root of `fun` in each sign-change bracket [lo[k], hi[k]], all refined together.
 
     Illinois regula falsi: an end kept by two steps in a row has its
@@ -437,8 +437,8 @@ def _bracketed_roots(fun, lo, hi, f_lo, f_hi, xtol: float = _ROOT_XTOL) -> np.nd
     which bounds the work when `fun` is noisy near the root.  Each
     iteration makes one call of `fun` on the open brackets.  A bracket
     closes when `fun` vanishes at the new point, or when it is at most
-    2*xtol + 4*eps*(|lo| + |hi|) wide; its midpoint is then within xtol
-    (and a few ulps) of a sign change.
+    2*xtol + 4*eps*(|lo| + |hi|) wide with xtol = `_ROOT_XTOL`; its
+    midpoint is then within xtol (and a few ulps) of a sign change.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     w_lo, w_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
@@ -447,7 +447,7 @@ def _bracketed_roots(fun, lo, hi, f_lo, f_hi, xtol: float = _ROOT_XTOL) -> np.nd
     history = np.full((3, lo.size), np.inf)  # bracket widths one, two and three steps back
 
     def wide(a, b):
-        return b - a > 2 * xtol + 4 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
+        return b - a > 2 * _ROOT_XTOL + 4 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
 
     open_ = np.flatnonzero(wide(lo, hi))
     while open_.size:

@@ -43,7 +43,7 @@ from .averaging import (
     AveragedFunction,
     BasisExpansion,
     PerturbationSpec,
-    _random_table,
+    _random_rows,
     assemble,
     assembly_matrix,
     basis_values,
@@ -65,11 +65,15 @@ def smooth_perturbation(degree: int, f_table=None, g_table=None) -> Perturbation
     return PerturbationSpec(degree, f_table, g_table, f_table, g_table)
 
 
+def _random_smooth_rows(degree: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` smooth coefficient rows: uniform (-1, 1) f, then g, on the
+    triangle i + j <= degree, the (f, g) row repeated on both half-planes."""
+    return np.tile(_random_rows(degree, rng, count, 2), 2)
+
+
 def random_smooth_perturbation(degree: int, rng: np.random.Generator) -> PerturbationSpec:
     """Uniform random f, then g, on the triangle i + j <= degree."""
-    f = _random_table(degree, rng, 1.0)
-    g = _random_table(degree, rng, 1.0)
-    return smooth_perturbation(degree, f, g)
+    return PerturbationSpec.from_vector(degree, _random_smooth_rows(degree, rng, 1)[0])
 
 
 def assemble_smooth(a: float, pert: PerturbationSpec) -> AveragedFunction:
@@ -176,8 +180,7 @@ def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
     listed_rank, _ = sample_rank(listed.T.astype(float))
 
     _check_smooth_units(a, n)
-    rng = np.random.default_rng(0)
-    rows = np.array([random_smooth_perturbation(n, rng).vector() for _ in range(6 * (n + 3))])
+    rows = _random_smooth_rows(n, np.random.default_rng(0), 6 * (n + 3))
     Mr = (rows @ assembly_matrix(params, n).T @ basis_values(params, n, pts)).T
     norms = np.linalg.norm(Mr, axis=0)
     keep = norms > 1e-13
@@ -197,6 +200,5 @@ def random_search_max_smooth_zeros(
 ) -> Tuple[int, Dict[int, int]]:
     """Max zero count over random smooth perturbations."""
     _check_smooth_units(a, n)
-    rng = np.random.default_rng(seed)
-    rows = [random_smooth_perturbation(n, rng).vector() for _ in range(draws)]
+    rows = _random_smooth_rows(n, np.random.default_rng(seed), draws)
     return _survey(SystemParams(a, a), n, r_max, grid, rows)

@@ -38,22 +38,24 @@ reduction: they read the exact unit columns of `assembly_matrix`.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .averaging import (
     AveragedFunction,
     BasisExpansion,
-    PerturbationSpec,
+    _random_rows,
     _unit_expansions,
     assembly_matrix,
     basis_values,
 )
 from .kernels import SystemParams
+
+log = logging.getLogger("pwcycles")
 
 LONG = np.longdouble
 _EPS = float(np.finfo(LONG).eps)
@@ -279,7 +281,7 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
     The scan doubles the grid (up to four times) whenever two detected
     zeros sit closer than twice the grid spacing; zeros whose finite-
     difference derivative falls below the simple-zero threshold are
-    flagged and a warning is emitted.
+    flagged and logged as a warning on the `pwcycles` logger.
     """
     params = fn.params
     if not (0 < r_max < params.r0):
@@ -312,7 +314,7 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
         d = _derivative(expansion, params, z, params.r0)
         if abs(d) < threshold:
             flagged.append(z)
-            warnings.warn(f"zero at r={z:.6g} has near-vanishing derivative {d:.3g}")
+            log.warning("zero at r=%.6g has near-vanishing derivative %.3g", z, d)
         pairs.append((z, d))
     return ZeroReport(tuple(pairs), (0.0, r_max), grid, non_simple=tuple(flagged))
 
@@ -382,7 +384,6 @@ def place_zeros(
     n: int,
     targets: Sequence[float],
     seed: int = 0,
-    scan_r_max: Optional[float] = None,
 ) -> BasisExpansion:
     """Construct an expansion whose zero set includes the given targets.
 
@@ -400,7 +401,7 @@ def place_zeros(
     with a diagnostic — it exists to probe the claimed-count question
     honestly.
     """
-    return _place(params, reachable_generators(params, n), targets, seed, scan_r_max)
+    return _place(params, reachable_generators(params, n), targets, seed)
 
 
 def _place(
@@ -408,7 +409,6 @@ def _place(
     gens: List[BasisExpansion],
     targets: Sequence[float],
     seed: int = 0,
-    scan_r_max: Optional[float] = None,
 ) -> BasisExpansion:
     """The null-space placement of `place_zeros` over a given generator list."""
     targets = [float(t) for t in targets]
@@ -432,7 +432,7 @@ def _place(
     def stack(r) -> np.ndarray:
         return G @ basis_values(params, n, r, LONG)
 
-    r_hi = scan_r_max if scan_r_max is not None else min(params.r0 * 0.999, 2.0 * targets[-1])
+    r_hi = min(params.r0 * 0.999, 2.0 * targets[-1])
     scan = np.linspace(r_hi / 2048, r_hi, 2048)
     Gs = stack(scan)
     colscale = np.max(np.abs(Gs), axis=1)  # per-generator window scale
@@ -607,23 +607,23 @@ def random_search_max_zeros(
     Counts envelope-significant sign changes on a fixed fine grid; used to
     stress the claimed ceiling, not to certify individual zero lists.
     """
-    rng = np.random.default_rng(seed)
-    rows = [PerturbationSpec.random(n, rng).vector() for _ in range(draws)]
+    rows = _random_rows(n, np.random.default_rng(seed), draws, 4)
     return _survey(params, n, r_max, grid, rows)
 
 
 def _survey(
-    params: SystemParams, n: int, r_max: float, grid: int, rows: Sequence[np.ndarray]
+    params: SystemParams, n: int, r_max: float, grid: int, rows: np.ndarray
 ) -> Tuple[int, Dict[int, int]]:
     """(max, histogram) of grid zero counts over degree-n perturbations.
 
-    `rows` are perturbation coefficient vectors (`PerturbationSpec.vector`).
-    One product with `assembly_matrix` turns them into expansion
-    coefficients, combining the exactly reduced unit columns in double;
-    the basis is sampled once on the grid and shared by every draw.
+    `rows` holds one perturbation coefficient vector
+    (`PerturbationSpec.vector`) per row.  One product with
+    `assembly_matrix` turns them into expansion coefficients, combining
+    the exactly reduced unit columns in double; the basis is sampled once
+    on the grid and shared by every draw.
     """
     M = assembly_matrix(params, n)
-    coeffs = np.reshape(rows, (-1, M.shape[1])) @ M.T
+    coeffs = rows @ M.T
     rr = np.linspace(r_max / grid, r_max, grid)
     basis = basis_values(params, n, rr, LONG)
     abs_basis = np.abs(basis)

@@ -1,5 +1,6 @@
 """Averaged-function assembly against the direct-quadrature route."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,9 @@ from pwcycles.averaging import (
     AveragedFunction,
     BasisExpansion,
     PerturbationSpec,
+    _random_rows,
+    _st_tables,
+    _triangle,
     assemble,
     assembly_matrix,
     basis_values,
@@ -17,12 +21,18 @@ from pwcycles.averaging import (
     null_perturbation,
     oracle_F,
     perturbation_for_expansion,
-    sigma_tau,
-    st_coeffs,
 )
+from pwcycles.exact import as_fraction
 from pwcycles.kernels import DomainError, SystemParams, a00
-from pwcycles.smooth import assemble_smooth, oracle_smooth_F, random_smooth_perturbation
-from pwcycles.zeros import place_zeros, reachable_zero_capacity
+from pwcycles.smooth import (
+    _random_smooth_rows,
+    assemble_smooth,
+    oracle_smooth_F,
+    random_search_max_smooth_zeros,
+    random_smooth_perturbation,
+    smooth_perturbation,
+)
+from pwcycles.zeros import _survey, place_zeros, random_search_max_zeros, reachable_zero_capacity
 
 LONG = np.longdouble
 
@@ -61,40 +71,144 @@ class TestPerturbationSpec:
         assert p.plus_g.sum() == 0.0
 
 
+def _random_table(degree, rng, scale):
+    """The per-table draw that `_random_rows` replaced, kept as the
+    reference: uniform entries on the triangle, zeros above it."""
+    t = rng.uniform(-scale, scale, size=(degree + 1, degree + 1))
+    return np.where(_triangle(degree), t, 0.0)
+
+
+class TestRandomRows:
+    # the one-call rows are the numbers of the per-table draws, bit for
+    # bit, and leave the generator in the same state
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_rows_equal_per_table_draws_bitwise(self, n):
+        old, new = np.random.default_rng(3), np.random.default_rng(3)
+        want = [PerturbationSpec(n, *[_random_table(n, old, 1.0) for _ in range(4)]).vector()
+                for _ in range(40)]
+        assert _random_rows(n, new, 40, 4).tobytes() == np.array(want).tobytes()
+        want = [smooth_perturbation(n, _random_table(n, old, 1.0), _random_table(n, old, 1.0)).vector()
+                for _ in range(40)]
+        assert _random_smooth_rows(n, new, 40).tobytes() == np.array(want).tobytes()
+        want = PerturbationSpec(n, *[_random_table(n, old, 1.0) for _ in range(4)])
+        got = PerturbationSpec.random(n, new)
+        assert all(getattr(got, t).tobytes() == getattr(want, t).tobytes() for t in TABLES)
+        f, g = _random_table(n, old, 1.0), _random_table(n, old, 1.0)
+        got = random_smooth_perturbation(n, new)
+        assert got.vector().tobytes() == smooth_perturbation(n, f, g).vector().tobytes()
+        assert old.random() == new.random()
+
+    def test_surveys_draw_the_reference_rows(self):
+        params = SystemParams(1.0, -2.0)
+        rng = np.random.default_rng(5)
+        rows = [PerturbationSpec(2, *[_random_table(2, rng, 1.0) for _ in range(4)]).vector()
+                for _ in range(30)]
+        assert random_search_max_zeros(params, 2, 30, 5, 4.0) == _survey(params, 2, 4.0, 600, np.array(rows))
+        rng = np.random.default_rng(6)
+        rows = [smooth_perturbation(3, _random_table(3, rng, 1.0), _random_table(3, rng, 1.0)).vector()
+                for _ in range(30)]
+        want = _survey(SystemParams(1.0, 1.0), 3, 0.95, 1500, np.array(rows))
+        assert random_search_max_smooth_zeros(1.0, 3, 30, 6, 0.95) == want
+
+
+def _st_reference(pert):
+    """The dense sigma/tau sums and their binomial compression that
+    `_st_tables` replaced, kept as the reference: (S, T) over every table
+    entry, zeros included."""
+    n = pert.degree
+
+    def sigma_tau(ft, gt):
+        out = {}
+        for i in range(n + 2):
+            for j in range(n + 2 - i):
+                if i + j < 1:
+                    continue
+                v = Fraction(0)
+                if i >= 1 and (i - 1) + j <= n:
+                    v += as_fraction(float(ft[i - 1, j]))
+                if j >= 1 and i + (j - 1) <= n:
+                    v += as_fraction(float(gt[i, j - 1]))
+                out[(i, j)] = v
+        return out
+
+    def st_coeffs(src):
+        out = {}
+        for i in range(n + 2):
+            for j in range((n + 1 - i) // 2 + 1):
+                acc = Fraction(0)
+                for k in range(i // 2 + 1):
+                    acc += (-1) ** k * math.comb(j + k, k) * src.get((i - 2 * k, 2 * j + 2 * k), Fraction(0))
+                out[(i, j)] = acc
+        return out
+
+    return (
+        st_coeffs(sigma_tau(pert.plus_f, pert.plus_g)),
+        st_coeffs(sigma_tau(pert.minus_f, pert.minus_g)),
+    )
+
+
+def _nonzero(table):
+    return {k: v for k, v in table.items() if v != 0}
+
+
 class TestSigmaTau:
+    """How table entries feed the sigma/tau sums inside `_st_tables`."""
+
     def test_zero_input(self):
-        t = sigma_tau(PerturbationSpec(2))
-        assert all(v == 0 for v in t.sigma.values())
-        assert all(v == 0 for v in t.tau.values())
+        # explicit zero coefficients are skipped, not accumulated
+        assert _st_tables(PerturbationSpec(2, plus_f={(0, 0): 0.0}, minus_g={(1, 0): 0.0})) == ({}, {})
 
     def test_single_f_constant(self):
-        # a_plus[0,0] feeds sigma[1,0] through the cosine factor only
-        t = sigma_tau(PerturbationSpec(1, plus_f={(0, 0): 1.0}))
-        assert t.sigma[(1, 0)] == 1
-        assert sum(v != 0 for v in t.sigma.values()) == 1
-
-    def test_tau_combination(self):
-        t = sigma_tau(PerturbationSpec(1, minus_f={(0, 1): 2.0}, minus_g={(1, 0): 3.0}))
-        assert t.tau[(1, 1)] == 5
+        # plus_f[0,0] feeds sigma[1,0] through the cosine factor only
+        S, T = _st_tables(PerturbationSpec(1, plus_f={(0, 0): 1.0}))
+        assert _nonzero(S) == {(1, 0): 1}
+        assert not _nonzero(T)
 
 
 class TestSTCoeffs:
-    def test_single_entry_passthrough(self):
-        t = sigma_tau(PerturbationSpec(1, plus_f={(0, 0): 1.0}))
-        st = st_coeffs(t)
-        assert st.S[(1, 0)] == 1
+    """The binomial lowering of sigma[p, 2l] onto S inside `_st_tables`."""
 
-    def test_binomial_cancellation(self):
-        # sigma[2,0] = sigma[0,2] = 1 cancels in S[2,0]
-        pert = PerturbationSpec(2, plus_f={(1, 0): 1.0}, plus_g={(0, 1): 1.0})
-        st = st_coeffs(sigma_tau(pert))
-        assert st.S[(2, 0)] == 0
-        assert st.S[(0, 1)] == 1
+    def test_single_entry_passthrough(self):
+        # x^2 in f feeds sigma[3,0]; with no sine power it lands on S[3,0] unchanged
+        S, T = _st_tables(PerturbationSpec(2, plus_f={(2, 0): 1.5}))
+        assert _nonzero(S) == {(3, 0): 1.5}
+        assert not _nonzero(T)
 
     def test_zero_maps_to_zero(self):
-        st = st_coeffs(sigma_tau(PerturbationSpec(3)))
-        assert all(v == 0 for v in st.S.values())
-        assert all(v == 0 for v in st.T.values())
+        assert _st_tables(PerturbationSpec(3)) == ({}, {})
+
+
+class TestSTTables:
+    def test_binomial_cancellation(self):
+        # x in f and y in g give sigma[2,0] = sigma[0,2] = 1, which cancel in S[2,0]
+        S, _ = _st_tables(PerturbationSpec(2, plus_f={(1, 0): 1.0}, plus_g={(0, 1): 1.0}))
+        assert S.get((2, 0), 0) == 0
+        assert _nonzero(S) == {(0, 1): 1}
+
+    def test_f_and_g_combine_in_one_T_slot(self):
+        # y^2 in f and xy in g both feed tau[1,2] = 5, lowered to T[1,1] and T[3,0]
+        S, T = _st_tables(PerturbationSpec(2, minus_f={(0, 2): 2.0}, minus_g={(1, 1): 3.0}))
+        assert not _nonzero(S)
+        assert _nonzero(T) == {(1, 1): 5, (3, 0): -5}
+
+    def test_odd_sine_power_drops_out(self):
+        # y in f and x in g feed tau[1,1], an odd sine power
+        S, T = _st_tables(PerturbationSpec(1, minus_f={(0, 1): 2.0}, minus_g={(1, 0): 3.0}))
+        assert not _nonzero(S) and not _nonzero(T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equals_dense_reference_exactly(self, n, rng):
+        m = 2 * (n + 1) * (n + 2)
+        perts = [PerturbationSpec.random(n, rng) for _ in range(3)]
+        perts += [PerturbationSpec.from_vector(n, np.where(rng.random(m) < 0.2, rng.uniform(-1, 1, m), 0.0))
+                  for _ in range(3)]
+        perts += [PerturbationSpec.from_vector(n, e) for e in np.eye(m)]
+        for pert in perts:
+            got, want = _st_tables(pert), _st_reference(pert)
+            for g, w in zip(got, want):
+                assert set(g) <= set(w)
+                assert _nonzero(g) == _nonzero(w)
+                assert all(isinstance(k, int) for key in g for k in key)
 
 
 class TestAssemble:

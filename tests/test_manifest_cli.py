@@ -27,6 +27,10 @@ def _verify_doc(**over):
     return doc
 
 
+_SIM = {"kind": "place_and_simulate", "degree": 1, "targets": [0.5]}
+_SWEEP = {"kind": "sweep", "epsilons": [0.01]}
+
+
 class TestManifestValidation:
     def test_minimal_valid(self):
         m = ExperimentManifest.from_dict(_verify_doc())
@@ -174,6 +178,29 @@ class TestCli:
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         assert main(["verify", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "command,over,argv",
+        [
+            ("verify", {"a": "abc"}, []),
+            ("verify", {"b": [1.0]}, []),
+            ("verify", {"seed": "three"}, []),
+            ("simulate", {**_SIM, "epsilons": [0.01, "abc"]}, []),
+            ("simulate", _SIM, ["--epsilon", "0.1,abc"]),
+            ("sweep", {**_SWEEP, "pert_targets": [0.5, 1.0]}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"plus_f": [[0, 0, 1.0]]}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1, "plus_f": [[1, 1, 2.0]]}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1, "plus_f": [[0, "x", 2.0]]}}, []),
+        ],
+        ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
+             "off_triangle", "inline_index"],
+    )
+    def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(_verify_doc(**over)))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2

@@ -1,5 +1,8 @@
 """Zero counting, placement round trips, and rank diagnostics."""
 
+import logging
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,18 @@ class TestCountSimpleZeros:
         assert report.count == 3
         assert np.allclose(report.locations, targets, atol=1e-9)
         assert not report.non_simple
+
+    def test_near_vanishing_derivative_goes_to_the_logger(self, params, caplog):
+        # F = (r - 1)^3: one zero at r = 1 with a vanishing derivative
+        e = BasisExpansion.zeros(1)
+        e.coeff_poly[:] = [-1.0, 3.0, -3.0, 1.0]
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="pwcycles"):
+            warnings.simplefilter("error")
+            report = count_simple_zeros(AveragedFunction(params, e, "placed"), 2.0)
+        assert report.non_simple == pytest.approx((1.0,), abs=1e-9)
+        assert report.locations == report.non_simple
+        assert [(r.name, r.levelname) for r in caplog.records] == [("pwcycles", "WARNING")]
+        assert "near-vanishing derivative" in caplog.records[0].getMessage()
 
     def test_monotone_refinement(self, params):
         exp = place_zeros(params, 3, list(np.linspace(0.2, 3.0, 8)))
