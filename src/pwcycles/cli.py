@@ -92,14 +92,17 @@ def _set_log_level() -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # Log lines go to this call's stderr; the level comes from PWCYCLES_LOG.
+    # Both are undone on return, so a caller's own logging is left as it was.
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     log = logging.getLogger("pwcycles")
+    level = log.level
     log.addHandler(handler)
     try:
         return _run(args)
     finally:
         log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def _run(args: argparse.Namespace) -> int:

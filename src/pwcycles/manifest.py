@@ -26,7 +26,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 import numpy as np
 
@@ -151,6 +151,28 @@ def _finding(name: str, measured, expected, note: str) -> Dict[str, Any]:
     }
 
 
+def _option(opts: Dict[str, Any], key: str, convert: Callable[[Any], Any], default: Any = None) -> Any:
+    """`convert(opts[key])`, or `default` when the key is absent.  A value
+    that `convert` rejects is a ManifestError: a configuration error, not a
+    runtime error mid-experiment."""
+    if key not in opts:
+        return default
+    try:
+        return convert(opts[key])
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"malformed option {key!r}: {exc}") from exc
+
+
+def _of_type(kind: type, value: Any) -> Any:
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], List[Any]]:
+    return lambda value: [convert(v) for v in _of_type(list, value)]
+
+
 def _pert_from_doc(doc: Dict[str, Any]) -> PerturbationSpec:
     """A perturbation from `degree` and [i, j, value] entries per table."""
     tables = {
@@ -204,7 +226,7 @@ def _displacement_table(
 def _run_verify(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
     rng = np.random.default_rng(manifest.seed)
-    samples = int(manifest.options.get("samples", 40))
+    samples = _option(manifest.options, "samples", int, 40)
     checks: List[Dict[str, Any]] = []
 
     worst = 0.0
@@ -265,9 +287,9 @@ def _auto_targets(count: int, lo: float, hi: float) -> List[float]:
 def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
     opts = manifest.options
-    n_list = [int(n) for n in opts.get("n_list", [1, 2, 3, 4])]
-    draws = int(opts.get("draws", 500))
-    r_max = float(opts.get("r_max", 10.0 * max(abs(params.a), abs(params.b))))
+    n_list = _option(opts, "n_list", _list_of(int), [1, 2, 3, 4])
+    draws = _option(opts, "draws", int, 500)
+    r_max = _option(opts, "r_max", float, 10.0 * max(abs(params.a), abs(params.b)))
     checks: List[Dict[str, Any]] = []
     rows = []
     for n in n_list:
@@ -307,13 +329,13 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
 def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
     opts = manifest.options
-    if "degree" not in opts or "targets" not in opts:
-        raise ManifestError("place_and_simulate needs 'degree' and 'targets'")
-    n = int(opts["degree"])
-    targets = [float(t) for t in opts["targets"]]
+    n = _option(opts, "degree", int)
+    targets = _option(opts, "targets", _list_of(float))
+    if n is None or not targets:
+        raise ManifestError("place_and_simulate needs 'degree' and a non-empty 'targets' list")
     epsilons = opts.get("epsilons", [])
-    r_max = float(opts.get("r_max", 1.5 * max(targets)))
-    grid = int(opts.get("grid", 60))
+    r_max = _option(opts, "r_max", float, 1.5 * max(targets))
+    grid = _option(opts, "grid", int, 60)
     checks: List[Dict[str, Any]] = []
     payloads: Dict[str, Any] = {}
 
@@ -385,8 +407,8 @@ def _run_smooth(manifest: ExperimentManifest) -> Dict[str, Any]:
     a = manifest.a
     params = SystemParams(a, a)
     opts = manifest.options
-    n_list = [int(n) for n in opts.get("n_list", [2, 3])]
-    draws = int(opts.get("draws", 200))
+    n_list = _option(opts, "n_list", _list_of(int), [2, 3])
+    draws = _option(opts, "draws", int, 200)
     checks: List[Dict[str, Any]] = []
     rows = []
     for n in n_list:
@@ -428,10 +450,10 @@ def _run_sweep(manifest: ExperimentManifest) -> Dict[str, Any]:
     epsilons = opts.get("epsilons")
     if not epsilons:
         raise ManifestError("sweep needs a descending 'epsilons' list")
-    rspec = opts.get("r_grid", {})
-    lo = float(rspec.get("lo", 0.2))
-    hi = float(rspec.get("hi", min(3.0, 0.8 * params.r0)))
-    count = int(rspec.get("count", 40))
+    rspec = _option(opts, "r_grid", lambda v: _of_type(dict, v), {})
+    lo = _option(rspec, "lo", float, 0.2)
+    hi = _option(rspec, "hi", float, min(3.0, 0.8 * params.r0))
+    count = _option(rspec, "count", int, 40)
     r_range = (0.5 * lo, min(1.5 * hi, 0.97 * params.r0))
     table = _displacement_table(
         params, pert, assemble(params, pert), epsilons, np.linspace(lo, hi, count), r_range

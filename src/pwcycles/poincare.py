@@ -18,7 +18,8 @@ DOP853 engine steps each radius under its own step-size control, exactly
 as scipy's scalar DOP853 would step it alone, and shares only the
 right-hand-side evaluations.  A radius's result is bit for bit independent
 of the batch it is in, which lets `find_fixed_points` evaluate its grid in
-one call and refine all its brackets with one call per iteration.
+one call and refine all its brackets with one call per iteration of
+`zeros._bracketed_roots`, the refiner that also finds the zeros of F.
 
 The Poincare section is {y = 0, x > 0} (theta = 0).  A first-order
 expansion of the return map gives P(r) - r = eps * f0(r) + O(eps^2), so
@@ -45,6 +46,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .averaging import PerturbationSpec
 from .kernels import SystemParams
+from .zeros import _bracketed_roots, _sign_flips
 
 log = logging.getLogger("pwcycles")
 
@@ -428,48 +430,6 @@ def displacement_profile(
     return [(float(r), float(d)) for r, d in zip(rr, scaled)]
 
 
-def _bracketed_roots(fun, lo, hi, f_lo, f_hi) -> np.ndarray:
-    """A root of `fun` in each sign-change bracket [lo[k], hi[k]], all refined together.
-
-    Illinois regula falsi: an end kept by two steps in a row has its
-    function value halved, so that both ends converge.  A bracket that has
-    not halved over its last three steps takes a bisection step instead,
-    which bounds the work when `fun` is noisy near the root.  Each
-    iteration makes one call of `fun` on the open brackets.  A bracket
-    closes when `fun` vanishes at the new point, or when it is at most
-    2*xtol + 4*eps*(|lo| + |hi|) wide with xtol = `_ROOT_XTOL`; its
-    midpoint is then within xtol (and a few ulps) of a sign change.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    w_lo, w_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
-    roots = 0.5 * (lo + hi)
-    kept = np.zeros(lo.size, dtype=int)  # end kept by the last step: -1 lo, +1 hi
-    history = np.full((3, lo.size), np.inf)  # bracket widths one, two and three steps back
-
-    def wide(a, b):
-        return b - a > 2 * _ROOT_XTOL + 4 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
-
-    open_ = np.flatnonzero(wide(lo, hi))
-    while open_.size:
-        a, b, wa, wb = lo[open_], hi[open_], w_lo[open_], w_hi[open_]
-        x = a + (b - a) * (wa / (wa - wb))
-        bisect = ~((a < x) & (x < b)) | (b - a > 0.5 * history[2, open_])
-        x = np.where(bisect, 0.5 * (a + b), x)
-        fx = np.asarray(fun(x), dtype=float)
-        history[1:, open_] = history[:-1, open_]
-        history[0, open_] = b - a
-        moves_lo = np.sign(fx) == np.sign(wa)
-        halve = kept[open_] == np.where(moves_lo, 1, -1)
-        lo[open_] = np.where(moves_lo, x, a)
-        hi[open_] = np.where(moves_lo, b, x)
-        w_lo[open_] = np.where(moves_lo, fx, np.where(halve, 0.5 * wa, wa))
-        w_hi[open_] = np.where(moves_lo, np.where(halve, 0.5 * wb, wb), fx)
-        kept[open_] = np.where(moves_lo, 1, -1)
-        roots[open_] = np.where(fx == 0, x, 0.5 * (lo[open_] + hi[open_]))
-        open_ = open_[(fx != 0) & wide(lo[open_], hi[open_])]
-    return roots
-
-
 def find_fixed_points(
     field: PolarField,
     r_lo: float,
@@ -478,8 +438,9 @@ def find_fixed_points(
 ) -> ReturnMapResult:
     """Locate fixed points of the return map by displacement sign scan.
 
-    The grid is one batched return-map call; the sign-change brackets are
-    refined together to within 1e-11 (`_bracketed_roots`), and the slopes
+    The grid is one batched return-map call; its sign changes
+    (`zeros._sign_flips`) bracket the fixed points, which
+    `zeros._bracketed_roots` refines together to within 1e-11, and the slopes
     come from one batched call at z +- h.  Stability follows the sign of
     the displacement slope: negative means the forward (theta-increasing)
     flow contracts onto the cycle.
@@ -488,9 +449,9 @@ def find_fixed_points(
     disp = return_map(field, rr) - rr
     samples = tuple((float(r), float(r + d)) for r, d in zip(rr, disp))
 
-    sgn = np.sign(disp)
-    k = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
-    z = _bracketed_roots(lambda r: return_map(field, r) - r, rr[k], rr[k + 1], disp[k], disp[k + 1])
+    keep, flips = _sign_flips(disp, 0.0)
+    i, j = keep[flips], keep[flips + 1]
+    z = _bracketed_roots(lambda r: return_map(field, r) - r, rr[i], rr[j], disp[i], disp[j], _ROOT_XTOL)
     h = max(1e-4, (r_hi - r_lo) / (8 * grid))
     ends = np.concatenate([z + h, z - h])
     d = return_map(field, ends) - ends

@@ -32,6 +32,10 @@ refinement, and all zero *verification* evaluates in longdouble with a
 running roundoff envelope, because high-degree placements are legitimately
 ill-conditioned in the raw generator basis.
 
+Counting refines all sign-change brackets of a grid together with
+`_bracketed_roots`, the package's one bracket refiner; `poincare` locates
+the return map's fixed points with it and the same sign scan.
+
 The surjectivity rank and the random ceiling survey never re-run the
 reduction: they read the exact unit columns of `assembly_matrix`.
 """
@@ -234,54 +238,56 @@ class ZeroReport:
         return len(self.zeros)
 
 
-def _scan_brackets(
-    expansion: BasisExpansion, params: SystemParams, r_max: float, grid: int
-) -> Tuple[List[Tuple[float, float]], float, bool]:
-    """Sign-change brackets among noise-significant grid samples."""
-    rr = np.linspace(r_max / grid, r_max, grid)
-    vals, env = _values(expansion, params, rr)
-    scale = float(np.max(np.abs(vals)))
-    keep, flips = _sign_flips(vals, env)
-    if keep.size == 0:
-        return [], scale, True
-    return [(float(rr[keep[i]]), float(rr[keep[i + 1]])) for i in flips], scale, False
+def _bracketed_roots(fun, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
+    """A root of `fun` in each sign-change bracket [lo[k], hi[k]], all refined together.
 
+    Illinois regula falsi: an end kept by two steps in a row has its
+    function value halved, so that both ends converge.  A bracket that has
+    not halved over its last three steps takes a bisection step instead,
+    which bounds the work when `fun` is noisy near the root.  Each
+    iteration makes one call of `fun` on the open brackets.  A bracket
+    closes when `fun` vanishes at the new point, or when it is at most
+    2*xtol + 4*eps*(|lo| + |hi|) wide; its midpoint is then within xtol
+    (and a few ulps) of a sign change.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    w_lo, w_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
+    roots = 0.5 * (lo + hi)
+    kept = np.zeros(lo.size, dtype=int)  # end kept by the last step: -1 lo, +1 hi
+    history = np.full((3, lo.size), np.inf)  # bracket widths one, two and three steps back
 
-def _bisect_zero(expansion: BasisExpansion, params: SystemParams, lo: float, hi: float) -> float:
-    flo = float(_values(expansion, params, lo)[0][0])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12:
-            return mid
-        fm = float(_values(expansion, params, mid)[0][0])
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo = mid
-            flo = fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    def wide(a, b):
+        return b - a > 2 * xtol + 4 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
 
-
-def _derivative(expansion: BasisExpansion, params: SystemParams, z: float, r_cap: float) -> float:
-    h = 1e-6 * max(1.0, abs(z))
-    lo, hi = z - h, z + h
-    if hi >= r_cap:
-        hi = z
-    if lo <= 0:
-        lo = z
-    v = _values(expansion, params, [lo, hi])[0]
-    return float((v[1] - v[0]) / (hi - lo))
+    open_ = np.flatnonzero(wide(lo, hi))
+    while open_.size:
+        a, b, wa, wb = lo[open_], hi[open_], w_lo[open_], w_hi[open_]
+        x = a + (b - a) * (wa / (wa - wb))
+        bisect = ~((a < x) & (x < b)) | (b - a > 0.5 * history[2, open_])
+        x = np.where(bisect, 0.5 * (a + b), x)
+        fx = np.asarray(fun(x), dtype=float)
+        history[1:, open_] = history[:-1, open_]
+        history[0, open_] = b - a
+        moves_lo = np.sign(fx) == np.sign(wa)
+        halve = kept[open_] == np.where(moves_lo, 1, -1)
+        lo[open_] = np.where(moves_lo, x, a)
+        hi[open_] = np.where(moves_lo, b, x)
+        w_lo[open_] = np.where(moves_lo, fx, np.where(halve, 0.5 * wa, wa))
+        w_hi[open_] = np.where(moves_lo, np.where(halve, 0.5 * wb, wb), fx)
+        kept[open_] = np.where(moves_lo, 1, -1)
+        roots[open_] = np.where(fx == 0, x, 0.5 * (lo[open_] + hi[open_]))
+        open_ = open_[(fx != 0) & wide(lo[open_], hi[open_])]
+    return roots
 
 
 def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> ZeroReport:
-    """Locate the simple zeros of F on (0, r_max) by sign-scan + bisection.
+    """Locate the simple zeros of F on (0, r_max) by sign scan + regula falsi.
 
-    The scan doubles the grid (up to four times) whenever two detected
-    zeros sit closer than twice the grid spacing; zeros whose finite-
-    difference derivative falls below the simple-zero threshold are
-    flagged and logged as a warning on the `pwcycles` logger.
+    `_bracketed_roots` refines the grid's brackets together to 5e-13.  The
+    scan doubles the grid (up to four times) whenever two detected zeros
+    sit closer than twice the grid spacing; zeros whose finite-difference
+    derivative (one-sided at 0 and r0) falls below the simple-zero
+    threshold are flagged and logged as a warning on the `pwcycles` logger.
     """
     params = fn.params
     if not (0 < r_max < params.r0):
@@ -292,13 +298,16 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
     expansion = fn.expansion
     doublings = 0
     while True:
-        brackets, scale, degenerate = _scan_brackets(expansion, params, r_max, grid)
-        if degenerate:
+        rr = np.linspace(r_max / grid, r_max, grid)
+        vals, env = _values(expansion, params, rr)
+        keep, flips = _sign_flips(vals, env)
+        if keep.size == 0:
             return ZeroReport((), (0.0, r_max), grid, degenerate=True)
-        zeros = [_bisect_zero(expansion, params, lo, hi) for lo, hi in brackets]
-        spacing = r_max / grid
-        clustered = any(z2 - z1 < 2 * spacing for z1, z2 in zip(zeros, zeros[1:]))
-        if not clustered:
+        i, j = keep[flips], keep[flips + 1]
+        zeros = _bracketed_roots(
+            lambda r: _values(expansion, params, r)[0], rr[i], rr[j], vals[i], vals[j], 5e-13
+        )
+        if not np.any(np.diff(zeros) < 2 * r_max / grid):
             break
         if doublings >= 4:
             raise UnresolvedClusterError(
@@ -307,16 +316,19 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
         grid *= 2
         doublings += 1
 
-    pairs = []
+    h = 1e-6 * np.maximum(1.0, np.abs(zeros))
+    lo = np.where(zeros - h <= 0, zeros, zeros - h)
+    hi = np.where(zeros + h >= params.r0, zeros, zeros + h)
+    v = _values(expansion, params, np.concatenate([lo, hi]))[0]
+    derivs = ((v[zeros.size :] - v[: zeros.size]) / (hi - lo)).astype(float)
+    pairs = tuple(zip(zeros.tolist(), derivs.tolist()))
+    threshold = SIMPLE_ZERO_RTOL * (1.0 + float(np.max(np.abs(vals))))
     flagged = []
-    threshold = SIMPLE_ZERO_RTOL * (1.0 + scale)
-    for z in zeros:
-        d = _derivative(expansion, params, z, params.r0)
+    for z, d in pairs:
         if abs(d) < threshold:
             flagged.append(z)
             log.warning("zero at r=%.6g has near-vanishing derivative %.3g", z, d)
-        pairs.append((z, d))
-    return ZeroReport(tuple(pairs), (0.0, r_max), grid, non_simple=tuple(flagged))
+    return ZeroReport(pairs, (0.0, r_max), grid, non_simple=tuple(flagged))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 
 import pytest
 
@@ -191,9 +192,27 @@ class TestCli:
             ("sweep", {**_SWEEP, "pert_inline": {"plus_f": [[0, 0, 1.0]]}}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1, "plus_f": [[1, 1, 2.0]]}}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1, "plus_f": [[0, "x", 2.0]]}}, []),
+            ("verify", {"samples": "many"}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "n_list": [1, "x"]}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "n_list": 3}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "draws": "abc"}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "r_max": "far"}, []),
+            ("smooth", {"kind": "smooth_theorem12", "draws": [10]}, []),
+            ("simulate", {**_SIM, "degree": "one"}, []),
+            ("simulate", {**_SIM, "targets": [0.5, "x"]}, []),
+            ("simulate", {**_SIM, "targets": []}, []),
+            ("simulate", {**_SIM, "targets": 0.5}, []),
+            ("simulate", {**_SIM, "grid": "fine"}, []),
+            ("simulate", {**_SIM, "r_max": None}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": [0.2, 1.0]}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"lo": "x"}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"hi": [1.0]}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"count": "forty"}}, []),
         ],
         ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
-             "off_triangle", "inline_index"],
+             "off_triangle", "inline_index", "samples", "n_list", "n_list_scalar", "draws",
+             "r_max", "smooth_draws", "degree", "targets", "targets_empty", "targets_scalar",
+             "grid", "sim_r_max", "r_grid", "r_grid_lo", "r_grid_hi", "r_grid_count"],
     )
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
         cfg = tmp_path / "bad.json"
@@ -235,6 +254,15 @@ class TestCli:
         monkeypatch.setenv("PWCYCLES_LOG", "verbose")
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_log_level_restored_after_main(self, tmp_path, monkeypatch):
+        log = logging.getLogger("pwcycles")
+        before = log.level
+        cfg = tmp_path / "v.json"
+        cfg.write_text(json.dumps(_verify_doc()))
+        monkeypatch.setenv("PWCYCLES_LOG", "DEBUG")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert log.level == before
 
     def test_info_log_reaches_stderr(self, tmp_path, monkeypatch, capsys):
         # the n=2 claimed-count placement fails by design and is logged at

@@ -22,7 +22,6 @@ from pwcycles.poincare import (
     EpsilonValidityError,
     NearSingularityError,
     PolarField,
-    _bracketed_roots,
     _leg_rhs,
     cartesian_crosscheck,
     displacement_profile,
@@ -222,36 +221,6 @@ class TestLockstepEngine:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("return_map")]
         assert len(lines) == 1
         assert "3 radii" in lines[0] and "RHS evaluations" in lines[0] and "rejected steps" in lines[0]
-
-
-class TestBracketedRoots:
-    def _refine(self, fun, lo, hi):
-        calls = []
-
-        def counted(x):
-            calls.append(x.size)
-            return fun(x)
-
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        return _bracketed_roots(counted, lo, hi, fun(lo), fun(hi)), calls
-
-    def test_smooth_roots_within_xtol(self):
-        roots = np.array([-2.0, 0.3, 1.7])
-        fun = lambda x: (x - roots[0]) * (x - roots[1]) * (x - roots[2])  # noqa: E731
-        got, calls = self._refine(fun, [-3.0, 0.0, 1.0], [-1.0, 1.0, 2.5])
-        assert np.all(np.abs(got - roots) <= 1e-11)
-        # superlinear: far fewer calls than the ~38 bisections, each call
-        # covering only the brackets still open
-        assert len(calls) <= 15 and calls == sorted(calls, reverse=True)
-
-    def test_sign_step_falls_back_to_bisection(self):
-        # a function with no slope to interpolate: only the bisection
-        # safeguard can close the bracket
-        edge = 0.123456789
-        got, calls = self._refine(lambda x: np.where(x < edge, -1.0, 1.0), [0.0], [1.0])
-        assert abs(got[0] - edge) <= 1e-11
-        # the safeguard at least halves the bracket every fourth step
-        assert len(calls) <= 4 * 37
 
 
 class TestErrorPaths:

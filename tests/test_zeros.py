@@ -6,13 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from pwcycles import averaging, smooth
+from pwcycles import averaging, smooth, zeros
 from pwcycles.averaging import AveragedFunction, BasisExpansion, basis_values
 from pwcycles.kernels import SystemParams
 from pwcycles.zeros import (
     CountFormulaInput,
     PlacementError,
     RankDeficiencyError,
+    _bracketed_roots,
     chebyshev_points,
     claimed_coefficient_indices,
     coefficient_surjectivity_check,
@@ -92,12 +93,80 @@ class TestCountSimpleZeros:
         counts = [count_simple_zeros(fn, 3.4, grid=g).count for g in (200, 400, 800, 1600)]
         assert all(c2 >= c1 for c1, c2 in zip(counts, counts[1:]))
 
+    @staticmethod
+    def _spy_on_basis_values(monkeypatch) -> list:
+        """Record the points of every `basis_values` call made by `zeros`."""
+        seen = []
+
+        def spy(params, n, r, dtype=np.float64):
+            seen.append(np.atleast_1d(r))
+            return basis_values(params, n, r, dtype)
+
+        monkeypatch.setattr(zeros, "basis_values", spy)
+        return seen
+
+    def test_refinement_calls_do_not_grow_with_brackets(self, params, monkeypatch):
+        # all brackets of a grid are refined together, one evaluation per
+        # iteration, and all derivatives come from one more evaluation
+        exp = place_zeros(params, 3, list(np.linspace(0.3, 5.0, 8)))
+        seen = self._spy_on_basis_values(monkeypatch)
+        report = count_simple_zeros(AveragedFunction(params, exp, "placed"), 7.5, grid=800)
+        assert report.count == 8
+        assert len(seen) <= 20
+
+    @pytest.mark.parametrize(
+        "z0,r_max", [(5e-7, 1e-5), (1.5 - 3e-7, 1.5 - 1e-7)], ids=["origin", "annulus_edge"]
+    )
+    def test_derivative_samples_stay_inside_the_annulus(self, bounded_params, monkeypatch, z0, r_max):
+        # F = r - z0 with z0 within the difference step of 0 or of r0 = 1.5:
+        # the difference turns one-sided there and the basis is never
+        # sampled outside (0, r0), where it is not defined
+        e = BasisExpansion.zeros(1)
+        e.coeff_poly[:2] = [-z0, 1.0]
+        seen = self._spy_on_basis_values(monkeypatch)
+        report = count_simple_zeros(AveragedFunction(bounded_params, e, "placed"), r_max)
+        assert report.locations == pytest.approx((z0,), abs=1e-12)
+        assert report.zeros[0][1] == pytest.approx(1.0, rel=1e-6)
+        r = np.concatenate(seen)
+        assert np.all((0 < r) & (r < bounded_params.r0))
+
     def test_validation(self, params):
         fn = AveragedFunction(params, BasisExpansion.zeros(1), "placed")
         with pytest.raises(ValueError):
             count_simple_zeros(fn, -1.0)
         with pytest.raises(ValueError):
             count_simple_zeros(fn, 1.0, grid=2)
+
+
+class TestBracketedRoots:
+    def _refine(self, fun, lo, hi, xtol):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return fun(x)
+
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        return _bracketed_roots(counted, lo, hi, fun(lo), fun(hi), xtol), calls
+
+    @pytest.mark.parametrize("xtol,tol", [(1e-11, 1e-11), (5e-13, 1e-12)], ids=["1e-11", "5e-13"])
+    def test_smooth_roots_within_xtol(self, xtol, tol):
+        roots = np.array([-2.0, 0.3, 1.7])
+        fun = lambda x: (x - roots[0]) * (x - roots[1]) * (x - roots[2])  # noqa: E731
+        got, calls = self._refine(fun, [-3.0, 0.0, 1.0], [-1.0, 1.0, 2.5], xtol)
+        assert np.all(np.abs(got - roots) <= tol)
+        # superlinear: far fewer calls than the ~38 bisections, each call
+        # covering only the brackets still open
+        assert len(calls) <= 15 and calls == sorted(calls, reverse=True)
+
+    def test_sign_step_falls_back_to_bisection(self):
+        # a function with no slope to interpolate: only the bisection
+        # safeguard can close the bracket
+        edge = 0.123456789
+        got, calls = self._refine(lambda x: np.where(x < edge, -1.0, 1.0), [0.0], [1.0], 1e-11)
+        assert abs(got[0] - edge) <= 1e-11
+        # the safeguard at least halves the bracket every fourth step
+        assert len(calls) <= 4 * 37
 
 
 ROUND_TRIPS = [
