@@ -289,7 +289,7 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
     opts = manifest.options
     n_list = _option(opts, "n_list", _list_of(int), [1, 2, 3, 4])
     draws = _option(opts, "draws", int, 500)
-    r_max = _option(opts, "r_max", float, 10.0 * max(abs(params.a), abs(params.b)))
+    r_max = _option(opts, "r_max", float, min(10.0 * max(abs(params.a), abs(params.b)), 0.95 * params.r0))
     checks: List[Dict[str, Any]] = []
     rows = []
     for n in n_list:

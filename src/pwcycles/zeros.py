@@ -37,13 +37,17 @@ Counting refines all sign-change brackets of a grid together with
 the return map's fixed points with it and the same sign scan.
 
 The surjectivity rank and the random ceiling survey never re-run the
-reduction: they read the exact unit columns of `assembly_matrix`.
+reduction: they read the exact unit columns of `assembly_matrix`.  The
+survey decides signs in double where the dot-product roundoff bound
+certifies them, and in long double elsewhere; its histograms are those of
+the long-double evaluation.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -67,6 +71,14 @@ _EPS = float(np.finfo(LONG).eps)
 # Multiple of the roundoff envelope below which a value is treated as
 # numerically indistinguishable from zero.
 _NOISE_FACTOR = 64.0
+
+# Double-precision constants of the survey's sign decisions (see `_survey`).
+_U64 = float(np.finfo(float).eps) / 2
+_TINY64 = float(np.finfo(float).tiny)
+_FLOOR = 2 * _TINY64 / _U64
+
+# Samples per block of the survey's double-precision products.
+_BLOCK_SAMPLES = 1 << 15
 
 # Relative derivative threshold separating simple zeros from tangencies.
 SIMPLE_ZERO_RTOL = 1e-8
@@ -453,7 +465,7 @@ def _place(
     M_long = (tstack / colscale[:, None]).T  # p x m, diagonally equilibrated
 
     if p == m:
-        dg = _saturated_placement(stack, n, colscale, targets, scan)
+        dg = _saturated_placement(stack, n, colscale, targets, scan, params.r0)
         dg = dg / float(np.max(np.abs(dg @ Gs)))
         return BasisExpansion.from_vector(n, dg @ G)
 
@@ -498,21 +510,32 @@ def _place(
 
 
 def _saturated_placement(
-    stack: Callable[..., np.ndarray], n: int, colscale: np.ndarray, targets: List[float], scan: np.ndarray
+    stack: Callable[..., np.ndarray],
+    n: int,
+    colscale: np.ndarray,
+    targets: List[float],
+    scan: np.ndarray,
+    r0: float,
 ) -> np.ndarray:
     """Square homogeneous placement: needs a singular collocation matrix.
 
-    Returns the raw generator coordinates of the singular configuration.
+    Scans the last target over 600 points up to at most 0.999*r0, one
+    stacked SVD for all of them, and returns the raw generator coordinates
+    of the singular configuration.
     """
     m = len(colscale)
     rows_fixed = (stack(targets[:-1]) / colscale[:, None]).T
 
     lo = targets[-2] * 1.02
-    zs = np.linspace(lo, max(float(scan[-1]), targets[-1] * 1.5), 600)
+    hi = min(max(float(scan[-1]), targets[-1] * 1.5), 0.999 * r0)
+    if not lo < hi:
+        raise PlacementError(f"no room for the last target scan: {lo:.6g} >= {hi:.6g}")
+    zs = np.linspace(lo, hi, 600)
     rows = (stack(zs) / colscale[:, None]).T  # one candidate last row per z
-    sigmins = np.array(
-        [np.linalg.svd(np.vstack([rows_fixed, row]).astype(float), compute_uv=False)[-1] for row in rows]
-    )
+    candidates = np.empty((len(zs), m, m))
+    candidates[:, :-1] = rows_fixed.astype(float)
+    candidates[:, -1] = rows.astype(float)
+    sigmins = np.linalg.svd(candidates, compute_uv=False)[:, -1]
     k = int(np.argmin(sigmins))
     if sigmins[k] > 1e-13:
         raise PlacementError(
@@ -633,14 +656,70 @@ def _survey(
     `assembly_matrix` turns them into expansion coefficients, combining
     the exactly reduced unit columns in double; the basis is sampled once
     on the grid and shared by every draw.
+
+    The counts are those of `_sign_flips` on each draw's long-double
+    values and envelope.  Each block of at most `_BLOCK_SAMPLES` samples
+    takes two double BLAS products, v = c @ b64 and S = |c| @ |b64|, with
+    b64 the basis rounded to double; only the samples that the roundoff
+    bound cannot decide from them are evaluated in long double.
     """
-    M = assembly_matrix(params, n)
-    coeffs = rows @ M.T
+    if not (0 < r_max < params.r0):
+        raise ValueError(f"need 0 < r_max < r0 = {params.r0}")
+    coeffs = rows @ assembly_matrix(params, n).T
     rr = np.linspace(r_max / grid, r_max, grid)
     basis = basis_values(params, n, rr, LONG)
-    abs_basis = np.abs(basis)
-    hist: Dict[int, int] = {}
-    for c in coeffs.astype(LONG):
-        count = len(_sign_flips(c @ basis, _envelope(c, abs_basis))[1])
-        hist[count] = hist.get(count, 0) + 1
+    b64 = basis.astype(float)
+    abs_b64 = np.abs(b64)
+    # An entry outside double's normal range makes its column's threshold inf or NaN.
+    abs_b64[:, np.any((np.abs(basis) < _TINY64) & (basis != 0), axis=0)] = np.inf
+    # Why |v| > slack*S decides a sample.  Let m be the basis length, u the
+    # double unit roundoff, x = c @ basis exactly and T = |c| @ |basis|.
+    # The dot-product bounds (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., section 3.1; any summation order) give, with
+    # gamma_m = m u / (1 - m u) and gamma^L_m its long-double analogue
+    # from u_L = _EPS/2:
+    #   |b64 - basis| <= u |basis|                                (cast)
+    #   |v - x| <= (gamma_m (1 + u) + u) T,  S >= (1 - gamma_m)(1 - u) T
+    #   |vals - x| <= gamma^L_m T,  env <= (1 + gamma^L_m) _EPS T  (long double)
+    # So |v| > slack*S gives |x| > (gamma^L_m + _NOISE_FACTOR (1 + gamma^L_m)
+    # _EPS) T: the long-double value clears `_NOISE_FACTOR` times its
+    # envelope, and vals, x and v share one sign.  The factor 1.01 covers
+    # the second-order terms and the 1/((1 - gamma_m)(1 - u)).  The cast
+    # bound needs every nonzero basis entry inside double's normal range,
+    # so other columns are never decided in double.  Requiring |v| >
+    # _FLOOR = 2^-968 as well keeps S above 2^-969, where the underflow of
+    # the products (at most m 2^-1075 in all) stays below m u^2 S.  NaN
+    # and inf samples fail the comparison and go to long double, where
+    # they are dropped.
+    m = len(basis)
+    slack = 1.01 * ((m + 4) * _U64 + m * _EPS / 2 + _NOISE_FACTOR * _EPS)
+    per_block = max(1, _BLOCK_SAMPLES // grid)
+    counts = np.empty(len(coeffs), dtype=int)
+    in_long = 0
+    for start in range(0, len(coeffs), per_block):
+        c = coeffs[start : start + per_block]
+        v = c @ b64
+        neg = v < 0
+        threshold = np.abs(c) @ abs_b64
+        threshold *= slack
+        decided = np.abs(v, out=v) > np.maximum(threshold, _FLOOR, out=threshold)
+        counts[start : start + len(c)] = np.count_nonzero(neg[:, 1:] != neg[:, :-1], axis=1)
+        for i in np.flatnonzero(~decided.all(axis=1)):
+            cols = np.flatnonzero(~decided[i])
+            in_long += cols.size
+            # Long-double matmul sums each column in order, so a column
+            # subset gives the per-draw product's entries bitwise.
+            cl = c[i].astype(LONG)
+            vals = cl @ basis[:, cols]
+            sgn = np.where(neg[i], -1.0, 1.0)
+            sgn[cols] = np.where(
+                np.abs(vals) > _NOISE_FACTOR * _envelope(cl, np.abs(basis[:, cols])), np.sign(vals), 0
+            )
+            sgn = sgn[sgn != 0]
+            counts[start + i] = np.count_nonzero(sgn[1:] != sgn[:-1])
+    log.debug(
+        "survey: %d draws, grid %d, %d draws per block, %d samples decided in long double",
+        len(coeffs), grid, per_block, in_long,
+    )
+    hist = dict(Counter(counts.tolist()))
     return max(hist, default=0), hist

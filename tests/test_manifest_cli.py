@@ -347,3 +347,27 @@ class TestCli:
         names = {p.name for p in out.iterdir()}
         assert any("zeros" in n for n in names)
         assert not any("fixed_points" in n for n in names)
+
+    @staticmethod
+    def _bounded_reproduce_hn(tmp_path, **over):
+        # (a, b) = (1, 2): the annulus ends at r0 = 2
+        cfg = tmp_path / "hn.json"
+        doc = {"schema_version": 1, "kind": "reproduce_hn", "a": 1.0, "b": 2.0, "seed": 3, **over}
+        cfg.write_text(json.dumps(doc))
+        return main(["reproduce-hn", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    def test_reproduce_hn_default_r_max_stays_inside_the_annulus(self, tmp_path, monkeypatch, capsys):
+        # the default r_max is min(10 max(|a|, |b|), 0.95 r0) = 1.9; every
+        # survey logs its draws and long-double samples at DEBUG
+        monkeypatch.setenv("PWCYCLES_LOG", "DEBUG")
+        assert self._bounded_reproduce_hn(tmp_path, n_list=[1]) == 0
+        err = capsys.readouterr().err
+        assert "survey: 500 draws, grid 600, 54 draws per block," in err
+
+    def test_reproduce_hn_saturated_scan_stays_inside_the_annulus(self, tmp_path, capsys):
+        # the 7-target placement at n = 2 fails by design inside (0, 2),
+        # and the run reports the even-degree deviation instead of a crash
+        assert self._bounded_reproduce_hn(tmp_path, n_list=[1, 2], r_max=1.9) == 1
+        out, err = capsys.readouterr()
+        assert "runtime error" not in err
+        assert "[FAIL] attained_equals_claimed_n2: measured=6 expected=7" in out

@@ -1,13 +1,21 @@
 """Zero counting, placement round trips, and rank diagnostics."""
 
 import logging
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from pwcycles import averaging, smooth, zeros
-from pwcycles.averaging import AveragedFunction, BasisExpansion, basis_values
+from pwcycles.averaging import (
+    AveragedFunction,
+    BasisExpansion,
+    assembly_matrix,
+    basis_values,
+    perturbation_for_expansion,
+)
 from pwcycles.kernels import SystemParams
 from pwcycles.zeros import (
     CountFormulaInput,
@@ -239,6 +247,62 @@ class TestPlacement:
         with pytest.raises(PlacementError, match="capacity 6"):
             place_zeros(params, 2, targets)
 
+    @staticmethod
+    def _per_z_saturated_placement(stack, n, colscale, targets, scan, r0):
+        """The saturated placement as one SVD per scanned last target, with
+        the scan uncapped: the batched code must agree with it where r0 is
+        infinite."""
+        m = len(colscale)
+        rows_fixed = (stack(targets[:-1]) / colscale[:, None]).T
+        zs = np.linspace(targets[-2] * 1.02, max(float(scan[-1]), targets[-1] * 1.5), 600)
+        rows = (stack(zs) / colscale[:, None]).T
+        sigmins = np.array(
+            [np.linalg.svd(np.vstack([rows_fixed, row]).astype(float), compute_uv=False)[-1] for row in rows]
+        )
+        k = int(np.argmin(sigmins))
+        if sigmins[k] > 1e-13:
+            raise PlacementError(
+                f"no singular collocation found for {m} zeros: the reachable span for "
+                f"degree {n} has capacity {m - 1} simple zeros "
+                f"(min singular value along the last-target scan: {sigmins[k]:.2e})"
+            )
+        V, _ = zeros._jacobi_right_vectors(np.vstack([rows_fixed, rows[k]]))
+        return V[:, -1] / colscale.astype(zeros.LONG)
+
+    def _saturated_outcome(self, params, n, targets):
+        try:
+            return place_zeros(params, n, targets).vector(zeros.LONG)
+        except PlacementError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_batched_saturated_placement_matches_per_z_svds(self, params, monkeypatch, n):
+        # n = 2 fails with a diagnosis; at n = 4 the scan reaches the 1e-13
+        # floor and places: the error text, or the placed vector, is the same
+        targets = list(np.linspace(0.5, 4.1, reachable_zero_capacity(n, False) + 1))
+        batched = self._saturated_outcome(params, n, targets)
+        monkeypatch.setattr(zeros, "_saturated_placement", self._per_z_saturated_placement)
+        per_z = self._saturated_outcome(params, n, targets)
+        if n == 2:
+            assert isinstance(batched, str) and "capacity 6" in batched
+            assert batched == per_z
+        else:
+            assert np.array_equal(batched, per_z)
+
+    @pytest.mark.parametrize(
+        "n,targets,match",
+        [
+            (2, list(np.linspace(0.3, 1.425, 7)), "capacity 6"),
+            (1, [0.3, 0.8, 1.3, 1.97, 1.99], "no room for the last target"),
+        ],
+        ids=["scan_end", "scan_start"],
+    )
+    def test_saturated_scan_stays_inside_the_annulus(self, n, targets, match):
+        # r0 = 2: an uncapped scan would run to 2.14, or start at 2.0094,
+        # outside the annulus, and hand NaN rows to LAPACK
+        with pytest.raises(PlacementError, match=match):
+            place_zeros(SystemParams(1.0, 2.0), n, targets)
+
     def test_rank_deficiency_detected(self, params):
         targets = [0.5, 0.5 + 1e-14, 1.0, 1.5]
         with pytest.raises((RankDeficiencyError, ValueError)):
@@ -344,3 +408,84 @@ class TestCeiling:
             smooth.random_search_max_smooth_zeros(1.0, n, draws, seed=1, r_max=0.9, grid=100)
             counts.append(len(calls))
         assert counts == [m + m // 2, 0]
+
+
+def _long_double_survey(params, n, r_max, grid, rows):
+    """The survey as one long-double evaluation per draw: the oracle that
+    `zeros._survey` must reproduce histogram for histogram."""
+    coeffs = rows @ assembly_matrix(params, n).T
+    rr = np.linspace(r_max / grid, r_max, grid)
+    basis = basis_values(params, n, rr, zeros.LONG)
+    abs_basis = np.abs(basis)
+    hist = {}
+    for c in coeffs.astype(zeros.LONG):
+        count = len(zeros._sign_flips(c @ basis, zeros._envelope(c, abs_basis))[1])
+        hist[count] = hist.get(count, 0) + 1
+    return max(hist, default=0), hist
+
+
+class TestSurveySignDecisions:
+    PARAMS, N, R_MAX, GRID = SystemParams(1.0, -2.0), 4, 7.7, 600
+
+    @classmethod
+    def _noise_band_rows(cls, count):
+        """Rows of the capacity placement at (1, -2), n = 4, jittered by 1e-13
+        relative.  Their values cancel to the double roundoff level over much
+        of the grid and, at some samples, to the long-double one."""
+        targets = list(np.linspace(0.3, 5.5, reachable_zero_capacity(cls.N, False)))
+        x = perturbation_for_expansion(cls.PARAMS, place_zeros(cls.PARAMS, cls.N, targets, seed=404)).vector()
+        rng = np.random.default_rng(404)
+        return x * (1 + 1e-13 * rng.standard_normal((count, x.size)))
+
+    @staticmethod
+    def _long_double_samples(caplog):
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("survey:")]
+        return int(re.search(r"(\d+) samples decided in long double", line).group(1))
+
+    def test_noise_band_rows_match_the_long_double_loop(self, caplog):
+        rows = self._noise_band_rows(40)
+        with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+            got = zeros._survey(self.PARAMS, self.N, self.R_MAX, self.GRID, rows)
+        assert got == _long_double_survey(self.PARAMS, self.N, self.R_MAX, self.GRID, rows)
+        assert self._long_double_samples(caplog) > 0
+        # the rows tell the two precisions apart: plain double signs count
+        # other flips than the long-double survey
+        rr = np.linspace(self.R_MAX / self.GRID, self.R_MAX, self.GRID)
+        neg = (rows @ assembly_matrix(self.PARAMS, self.N).T @ basis_values(self.PARAMS, self.N, rr)) < 0
+        plain = np.count_nonzero(neg[:, 1:] != neg[:, :-1], axis=1)
+        assert {k: int(np.sum(plain == k)) for k in np.unique(plain)} != got[1]
+
+    def test_block_boundaries(self):
+        per_block = zeros._BLOCK_SAMPLES // self.GRID
+        rows = self._noise_band_rows(per_block + 1)
+        rows[::3] = averaging._random_rows(self.N, np.random.default_rng(5), len(rows[::3]), 4)
+        for draws in (0, 1, per_block - 1, per_block, per_block + 1):
+            got = zeros._survey(self.PARAMS, self.N, self.R_MAX, self.GRID, rows[:draws])
+            assert got == _long_double_survey(self.PARAMS, self.N, self.R_MAX, self.GRID, rows[:draws])
+
+    def test_random_draws_decided_in_double(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+            got = random_search_max_zeros(self.PARAMS, 2, 200, seed=9, r_max=8.0)
+        rows = averaging._random_rows(2, np.random.default_rng(9), 200, 4)
+        assert got == _long_double_survey(self.PARAMS, 2, 8.0, 600, rows)
+        assert self._long_double_samples(caplog) == 0
+
+    def test_r_max_outside_the_annulus_raises(self):
+        with pytest.raises(ValueError, match="r0"):
+            random_search_max_zeros(SystemParams(1.0, 2.0), 1, 5, seed=1, r_max=3.0)
+        with pytest.raises(ValueError, match="r0"):
+            random_search_max_zeros(SystemParams(1.0, 2.0), 1, 5, seed=1, r_max=2.0)
+        with pytest.raises(ValueError, match="r0"):
+            smooth.random_search_max_smooth_zeros(1.0, 2, 5, seed=1, r_max=1.0)
+
+    def test_smooth_survey_memory_is_bounded_by_the_block(self):
+        # one block of double products at a time: 800 draws at grid 1500
+        # stay far below the 800 x 1500 long-double array (19 MB)
+        smooth.random_search_max_smooth_zeros(1.0, 3, 1, seed=1, r_max=0.95)  # warm the caches
+        tracemalloc.start()
+        try:
+            smooth.random_search_max_smooth_zeros(1.0, 3, 800, seed=3, r_max=0.95, grid=1500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
