@@ -292,11 +292,6 @@ class BasisExpansion:
 class AveragedFunction:
     params: SystemParams
     expansion: BasisExpansion
-    provenance: str = "assembled"  # assembled | placed | fitted
-
-    def __post_init__(self) -> None:
-        if self.provenance not in ("assembled", "placed", "fitted"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     def value(self, r):
         return eval_F(self, r)
@@ -361,7 +356,7 @@ def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
         np.array(merged),
         exact_parts=(coef_A, poly_plus, coef_B, poly_minus),
     )
-    return AveragedFunction(params, expansion, "assembled")
+    return AveragedFunction(params, expansion)
 
 
 @lru_cache(maxsize=None)

@@ -52,15 +52,6 @@ class PiNumber:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "PiNumber":
-        return PiNumber(-self.rat, -self.pi)
-
-    def __sub__(self, other: "PiNumber | Scalar") -> "PiNumber":
-        return self + (-other if isinstance(other, PiNumber) else PiNumber.of(other).__neg__())
-
-    def __rsub__(self, other: Scalar) -> "PiNumber":
-        return PiNumber.of(other) - self
-
     def __mul__(self, other: "PiNumber | Scalar") -> "PiNumber":
         if isinstance(other, PiNumber):
             if self.pi != 0 and other.pi != 0:
@@ -73,10 +64,6 @@ class PiNumber:
         return PiNumber(self.rat * f, self.pi * f)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar) -> "PiNumber":
-        f = as_fraction(other)
-        return PiNumber(self.rat / f, self.pi / f)
 
     def __float__(self) -> float:
         return float(self.rat) + float(self.pi) * math.pi

@@ -301,7 +301,7 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
         except PlacementError as exc:
             log.info("claimed-count placement failed for n=%d: %s", n, exc)
             expansion = place_zeros(params, n, _auto_targets(capacity, lo, hi), seed=manifest.seed)
-        fn = AveragedFunction(params, expansion, "placed")
+        fn = AveragedFunction(params, expansion)
         attained = count_simple_zeros(fn, r_max=min(r_max, 1.5 * hi), grid=800).count
         checks.append(_check(f"attained_equals_claimed_n{n}", attained == claimed, attained, claimed, 0))
         if attained != claimed:
@@ -334,13 +334,13 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     if n is None or not targets:
         raise ManifestError("place_and_simulate needs 'degree' and a non-empty 'targets' list")
     epsilons = opts.get("epsilons", [])
-    r_max = _option(opts, "r_max", float, 1.5 * max(targets))
+    r_max = _option(opts, "r_max", float, min(1.5 * max(targets), 0.95 * params.r0))
     grid = _option(opts, "grid", int, 60)
     checks: List[Dict[str, Any]] = []
     payloads: Dict[str, Any] = {}
 
     expansion = place_zeros(params, n, targets, seed=manifest.seed)
-    fn = AveragedFunction(params, expansion, "placed")
+    fn = AveragedFunction(params, expansion)
     report = count_simple_zeros(fn, r_max=r_max, grid=800)
     checks.append(
         _check("placed_zero_count", report.count == len(targets), report.count, len(targets), 0)
@@ -365,7 +365,7 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
 
     lo = max(0.5 * min(predicted), 0.05)
     hi = min(1.2 * max(predicted), 0.95 * r_max)
-    r_range = (lo * 0.5, min(r_max, params.r0 * 0.5))
+    r_range = (lo * 0.5, r_max)
     payloads["displacement"] = _displacement_table(
         params, pert_g, fn_scaled, epsilons, np.linspace(lo, hi, grid), r_range
     )
@@ -413,7 +413,7 @@ def _run_smooth(manifest: ExperimentManifest) -> Dict[str, Any]:
     rows = []
     for n in n_list:
         targets = _auto_targets(n, 0.15 * abs(a), 0.8 * abs(a))
-        fn = AveragedFunction(params, place_smooth_zeros(a, n, targets), "placed")
+        fn = AveragedFunction(params, place_smooth_zeros(a, n, targets))
         attained = count_simple_zeros(fn, 0.95 * abs(a), grid=2000).count
         checks.append(_check(f"smooth_attained_n{n}", attained == n, attained, n, 0))
         best, _ = random_search_max_smooth_zeros(a, n, draws, manifest.seed + n, 0.95 * abs(a))

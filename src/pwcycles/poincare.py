@@ -480,7 +480,6 @@ def find_fixed_points(
 class CartesianSummary:
     section_radii: Tuple[float, ...]
     max_invariant_drift: float
-    total_time: float
 
 
 def solve_ivp(*args, **kwargs):
@@ -586,4 +585,4 @@ def cartesian_crosscheck(
                         f"grazing contact at switching line: x' = {xdot:.2e} at y = {state[1]:.3g}"
                     )
         radii.append(float(math.hypot(state[0], state[1])))
-    return CartesianSummary(tuple(radii), float(drift), t_now)
+    return CartesianSummary(tuple(radii), float(drift))

@@ -18,8 +18,9 @@ smooth checks, zeros are counted by `count_simple_zeros`, and placement
 and the ceiling survey run the piecewise code over `smooth_generators`
 and `assembly_matrix` at b = a, and so does the rank measurement
 `smooth_generating_rank`.  The exact smooth checks run once per (a, n)
-and process, on the smooth unit directions; the checks are linear, so
-they then hold for every draw.
+and process, on the smooth unit directions as read from the cached
+piecewise unit reductions at b = a; the checks are linear, so they then
+hold for every draw.
 Two independent paths stay separate on purpose: the full-circle
 quadrature oracle `oracle_smooth_F`, and the V families through
 
@@ -44,6 +45,7 @@ from .averaging import (
     BasisExpansion,
     PerturbationSpec,
     _random_rows,
+    _unit_expansions,
     assemble,
     assembly_matrix,
     basis_values,
@@ -87,23 +89,32 @@ def assemble_smooth(a: float, pert: PerturbationSpec) -> AveragedFunction:
     if not (np.array_equal(pert.plus_f, pert.minus_f) and np.array_equal(pert.plus_g, pert.minus_g)):
         raise ValueError("the smooth system needs the same f and g tables on both half-planes")
     fn = assemble(SystemParams(a, a), pert)
-    coef_A, poly_plus, coef_B, poly_minus = fn.expansion.exact_parts
+    _check_smooth_parts(pert.degree, *fn.expansion.exact_parts)
+    return fn
+
+
+def _check_smooth_parts(n: int, coef_A, poly_plus, coef_B, poly_minus) -> None:
+    """The smooth checks on the exact parts of a degree-n reduction."""
     if coef_A != coef_B:
         raise AssemblyError("the two half-circles gave different kernel coefficients")
-    cap = 2 * ((pert.degree - 1) // 2)
+    cap = 2 * ((n - 1) // 2)
     for k, (p, q) in enumerate(zip(poly_plus, poly_minus)):
         if (k % 2 == 1 or k > cap) and not (p + q).is_zero:
             raise AssemblyError(f"monomial r^{k} outside the smooth range (even, at most r^{cap})")
-    return fn
 
 
 @lru_cache(maxsize=None)
 def _check_smooth_units(a: float, n: int) -> None:
-    """`assemble_smooth`'s exact checks on each unit direction of f and g
-    (the same unit on both half-planes), once per (a, n).  The checks are
-    linear, so they then hold for every smooth perturbation of degree n."""
-    for e in np.eye((n + 1) * (n + 2)):
-        assemble_smooth(a, PerturbationSpec.from_vector(n, np.concatenate([e, e])))
+    """`assemble_smooth`'s checks on each smooth unit direction k, once per
+    (a, n): its plus parts are those of the cached piecewise unit k at
+    b = a, its minus parts those of unit k + half.  The checks are linear,
+    so they then hold for every smooth perturbation of degree n."""
+    units = _unit_expansions(SystemParams(a, a), n)
+    half = len(units) // 2
+    for plus, minus in zip(units[:half], units[half:]):
+        coef_A, poly_plus, _, _ = plus.exact_parts
+        _, _, coef_B, poly_minus = minus.exact_parts
+        _check_smooth_parts(n, coef_A, poly_plus, coef_B, poly_minus)
 
 
 def eval_V_family(i: int, j: int, r: float, a: float) -> float:

@@ -26,11 +26,13 @@ maximum number of simple zeros equals (reachable dimension - 1).
 
 Placement follows the classical device: fix p targets, p <= dim - 1,
 evaluate the generators there, and pick a null vector of the resulting
-underdetermined system; the combination vanishes at every target.  The
-interpolation is solved in double precision with longdouble iterative
-refinement, and all zero *verification* evaluates in longdouble with a
-running roundoff envelope, because high-degree placements are legitimately
-ill-conditioned in the raw generator basis.
+underdetermined system; the combination vanishes at every target.  A
+request for p >= dim targets is refused before any sampling: the span
+places at most dim - 1 simple zeros.  The null space comes from a
+one-sided Jacobi SVD of the equilibrated collocation matrix, all in long
+double, and all zero *verification* evaluates in long double with a
+running roundoff envelope, because high-degree placements are
+legitimately ill-conditioned in the raw generator basis.
 
 Counting refines all sign-change brackets of a grid together with
 `_bracketed_roots`, the package's one bracket refiner; `poincare` locates
@@ -49,7 +51,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -80,7 +82,8 @@ _FLOOR = 2 * _TINY64 / _U64
 # Samples per block of the survey's double-precision products.
 _BLOCK_SAMPLES = 1 << 15
 
-# Relative derivative threshold separating simple zeros from tangencies.
+# Derivative threshold separating simple zeros from tangencies, relative to
+# max|F| / r_max on the scan grid: a flag that does not depend on F's scale.
 SIMPLE_ZERO_RTOL = 1e-8
 
 
@@ -236,7 +239,6 @@ def _sign_flips(vals: np.ndarray, env: np.ndarray) -> Tuple[np.ndarray, np.ndarr
 @dataclass(frozen=True)
 class ZeroReport:
     zeros: Tuple[Tuple[float, float], ...]  # (location, derivative)
-    interval: Tuple[float, float]
     grid_resolution: int
     degenerate: bool = False
     non_simple: Tuple[float, ...] = ()
@@ -298,8 +300,9 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
     `_bracketed_roots` refines the grid's brackets together to 5e-13.  The
     scan doubles the grid (up to four times) whenever two detected zeros
     sit closer than twice the grid spacing; zeros whose finite-difference
-    derivative (one-sided at 0 and r0) falls below the simple-zero
-    threshold are flagged and logged as a warning on the `pwcycles` logger.
+    derivative (one-sided at 0 and r0) falls below SIMPLE_ZERO_RTOL *
+    max|F| / r_max are flagged and logged as a warning on the `pwcycles`
+    logger.
     """
     params = fn.params
     if not (0 < r_max < params.r0):
@@ -314,7 +317,7 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
         vals, env = _values(expansion, params, rr)
         keep, flips = _sign_flips(vals, env)
         if keep.size == 0:
-            return ZeroReport((), (0.0, r_max), grid, degenerate=True)
+            return ZeroReport((), grid, degenerate=True)
         i, j = keep[flips], keep[flips + 1]
         zeros = _bracketed_roots(
             lambda r: _values(expansion, params, r)[0], rr[i], rr[j], vals[i], vals[j], 5e-13
@@ -334,13 +337,13 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
     v = _values(expansion, params, np.concatenate([lo, hi]))[0]
     derivs = ((v[zeros.size :] - v[: zeros.size]) / (hi - lo)).astype(float)
     pairs = tuple(zip(zeros.tolist(), derivs.tolist()))
-    threshold = SIMPLE_ZERO_RTOL * (1.0 + float(np.max(np.abs(vals))))
+    threshold = SIMPLE_ZERO_RTOL * float(np.max(np.abs(vals))) / r_max
     flagged = []
     for z, d in pairs:
         if abs(d) < threshold:
             flagged.append(z)
             log.warning("zero at r=%.6g has near-vanishing derivative %.3g", z, d)
-    return ZeroReport(pairs, (0.0, r_max), grid, non_simple=tuple(flagged))
+    return ZeroReport(pairs, grid, non_simple=tuple(flagged))
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +418,7 @@ def place_zeros(
     space; among a sampled basis of it (seeded, deterministic) the
     combination is chosen to avoid spurious extra zeros on the scan window
     first and to maximize the minimum |F'| over the targets second.
-
-    p == m requests saturation of the span's capacity plus one.  The
-    collocation system is then square and homogeneous, so a solution needs
-    a singular matrix; the last target is treated as an initial guess and
-    a singular configuration is searched along it.  High-precision
-    surveys show the collocation determinant keeps one sign (the span is
-    numerically a Chebyshev system), so this path is expected to fail
-    with a diagnostic — it exists to probe the claimed-count question
-    honestly.
+    p >= m raises PlacementError naming the capacity m - 1.
     """
     return _place(params, reachable_generators(params, n), targets, seed)
 
@@ -443,14 +438,15 @@ def _place(
 
     m = len(gens)
     p = len(targets)
-    if p > m:
+    n = gens[0].degree
+    if p >= m:
         raise PlacementError(
-            f"{p} targets exceed the reachable span's capacity ({m} generators)"
+            f"cannot place {p} zeros: the reachable span for degree {n} has capacity "
+            f"{m - 1} simple zeros"
         )
     if p == 0:
         return gens[0]
 
-    n = gens[0].degree
     G = _generator_matrix(gens)
 
     def stack(r) -> np.ndarray:
@@ -463,11 +459,6 @@ def _place(
 
     tstack = stack(targets)
     M_long = (tstack / colscale[:, None]).T  # p x m, diagonally equilibrated
-
-    if p == m:
-        dg = _saturated_placement(stack, n, colscale, targets, scan, params.r0)
-        dg = dg / float(np.max(np.abs(dg @ Gs)))
-        return BasisExpansion.from_vector(n, dg @ G)
 
     # Condition diagnostic in an orthonormalized basis: it reflects the
     # geometry of the targets, not the raw basis skew.
@@ -507,44 +498,6 @@ def _place(
     # cancelling coefficients whose rounding to double would visibly
     # shift the outer zeros.
     return BasisExpansion.from_vector(n, best[1] @ G)
-
-
-def _saturated_placement(
-    stack: Callable[..., np.ndarray],
-    n: int,
-    colscale: np.ndarray,
-    targets: List[float],
-    scan: np.ndarray,
-    r0: float,
-) -> np.ndarray:
-    """Square homogeneous placement: needs a singular collocation matrix.
-
-    Scans the last target over 600 points up to at most 0.999*r0, one
-    stacked SVD for all of them, and returns the raw generator coordinates
-    of the singular configuration.
-    """
-    m = len(colscale)
-    rows_fixed = (stack(targets[:-1]) / colscale[:, None]).T
-
-    lo = targets[-2] * 1.02
-    hi = min(max(float(scan[-1]), targets[-1] * 1.5), 0.999 * r0)
-    if not lo < hi:
-        raise PlacementError(f"no room for the last target scan: {lo:.6g} >= {hi:.6g}")
-    zs = np.linspace(lo, hi, 600)
-    rows = (stack(zs) / colscale[:, None]).T  # one candidate last row per z
-    candidates = np.empty((len(zs), m, m))
-    candidates[:, :-1] = rows_fixed.astype(float)
-    candidates[:, -1] = rows.astype(float)
-    sigmins = np.linalg.svd(candidates, compute_uv=False)[:, -1]
-    k = int(np.argmin(sigmins))
-    if sigmins[k] > 1e-13:
-        raise PlacementError(
-            f"no singular collocation found for {m} zeros: the reachable span for "
-            f"degree {n} has capacity {m - 1} simple zeros "
-            f"(min singular value along the last-target scan: {sigmins[k]:.2e})"
-        )
-    V, _ = _jacobi_right_vectors(np.vstack([rows_fixed, rows[k]]))
-    return V[:, -1] / colscale.astype(LONG)
 
 
 # ---------------------------------------------------------------------------

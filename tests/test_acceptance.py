@@ -159,7 +159,7 @@ _C4_START = time.monotonic()
 def _attained_count(p: SystemParams, n: int, count: int, window=(0.3, 5.0)) -> int:
     targets = list(np.linspace(window[0], window[1], count))
     expansion = place_zeros(p, n, targets, seed=404)
-    fn = AveragedFunction(p, expansion, "placed")
+    fn = AveragedFunction(p, expansion)
     return count_simple_zeros(fn, r_max=1.4 * window[1], grid=900).count
 
 
@@ -338,7 +338,7 @@ def test_criterion_6_smooth_case():
     details = {}
     for n in (2, 3):
         targets = list(np.linspace(0.15, 0.8, n))
-        fn = AveragedFunction(SystemParams(a, a), place_smooth_zeros(a, n, targets), "placed")
+        fn = AveragedFunction(SystemParams(a, a), place_smooth_zeros(a, n, targets))
         zeros = count_simple_zeros(fn, 0.95, grid=2000).locations
         best, _ = random_search_max_smooth_zeros(a, n, 200, seed=606 + n, r_max=0.95)
         ranks = smooth_generating_rank(a, n, 0.9)

@@ -281,7 +281,7 @@ class TestEvalF:
         p = SystemParams(2.0, 1.0)
         e = BasisExpansion.zeros(1)
         e.coeff_A[1] = 1.0
-        fn = AveragedFunction(p, e, "placed")
+        fn = AveragedFunction(p, e)
         assert eval_F(fn, 0.5) == pytest.approx(0.25 * a00(0.5, 2.0), rel=1e-14)
 
     def test_independent_resummation(self, params, rng):

@@ -348,6 +348,32 @@ class TestCli:
         assert any("zeros" in n for n in names)
         assert not any("fixed_points" in n for n in names)
 
+    @pytest.mark.parametrize(
+        "command,epsilons", [("place", []), ("simulate", [0.01, 0.005, 0.0025])]
+    )
+    def test_place_and_simulate_defaults_stay_inside_the_annulus(self, tmp_path, capsys, command, epsilons):
+        # (a, b) = (1, 2), r0 = 2: the default r_max is min(1.5 * 1.5, 0.95 * 2)
+        # = 1.9, and the fixed-point search's field is validated up to it
+        cfg = tmp_path / "sim.json"
+        doc = {
+            "schema_version": 1,
+            "kind": "place_and_simulate",
+            "a": 1.0,
+            "b": 2.0,
+            "seed": 3,
+            "degree": 1,
+            "targets": [0.5, 1.0, 1.5],
+            "epsilons": epsilons,
+            "grid": 20,
+        }
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] placed_zero_count: measured=3 expected=3" in out
+        assert "[FAIL]" not in out
+        if epsilons:
+            assert "[PASS] fixed_point_count: measured=3 expected=3" in out
+
     @staticmethod
     def _bounded_reproduce_hn(tmp_path, **over):
         # (a, b) = (1, 2): the annulus ends at r0 = 2
@@ -365,8 +391,8 @@ class TestCli:
         assert "survey: 500 draws, grid 600, 54 draws per block," in err
 
     def test_reproduce_hn_saturated_scan_stays_inside_the_annulus(self, tmp_path, capsys):
-        # the 7-target placement at n = 2 fails by design inside (0, 2),
-        # and the run reports the even-degree deviation instead of a crash
+        # the 7-target placement at n = 2 is refused by design, and the run
+        # reports the even-degree deviation instead of a crash
         assert self._bounded_reproduce_hn(tmp_path, n_list=[1, 2], r_max=1.9) == 1
         out, err = capsys.readouterr()
         assert "runtime error" not in err

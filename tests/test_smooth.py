@@ -22,7 +22,7 @@ from pwcycles.zeros import count_simple_zeros
 
 
 def _smooth_zeros(a, expansion, r_max):
-    fn = AveragedFunction(SystemParams(a, a), expansion, "placed")
+    fn = AveragedFunction(SystemParams(a, a), expansion)
     return list(count_simple_zeros(fn, r_max, grid=2000).locations)
 
 
@@ -143,7 +143,7 @@ class TestSmoothZeros:
 
     def test_rank_reads_the_cached_matrix(self, monkeypatch):
         # the reachable rank takes random smooth rows times assembly_matrix;
-        # the exact smooth checks run once, on the unit directions
+        # the exact smooth checks read the same cached unit reductions
         calls = []
         original = averaging.assemble
         monkeypatch.setattr(averaging, "assemble", lambda *a: calls.append(1) or original(*a))
@@ -159,7 +159,7 @@ class TestSmoothZeros:
             ranks = smooth_generating_rank(1.0, n, 0.9)
             counts.append(len(calls))
             assert ranks["reachable_rank"] == n + 1
-        assert counts == [m + m // 2, 0]
+        assert counts == [m, 0]
 
     def test_even_degree_rank_resolution(self):
         # the printed generating set for n = 2k lists one function more

@@ -64,7 +64,7 @@ class TestCountFormula:
 
 class TestCountSimpleZeros:
     def test_degenerate_flag(self, params):
-        fn = AveragedFunction(params, BasisExpansion.zeros(2), "placed")
+        fn = AveragedFunction(params, BasisExpansion.zeros(2))
         report = count_simple_zeros(fn, 3.0)
         assert report.degenerate
         assert report.count == 0
@@ -72,13 +72,13 @@ class TestCountSimpleZeros:
     def test_sign_definite_kernel_term(self, params):
         e = BasisExpansion.zeros(1)
         e.coeff_A[1] = 1.0  # r^2 A[0,0] > 0 on the annulus
-        report = count_simple_zeros(AveragedFunction(params, e, "placed"), 4.0)
+        report = count_simple_zeros(AveragedFunction(params, e), 4.0)
         assert report.count == 0
 
     def test_round_trip_small(self, params):
         targets = [0.2, 0.5, 0.8]
         exp = place_zeros(params, 1, targets)
-        report = count_simple_zeros(AveragedFunction(params, exp, "placed"), 1.2, grid=400)
+        report = count_simple_zeros(AveragedFunction(params, exp), 1.2, grid=400)
         assert report.count == 3
         assert np.allclose(report.locations, targets, atol=1e-9)
         assert not report.non_simple
@@ -89,15 +89,29 @@ class TestCountSimpleZeros:
         e.coeff_poly[:] = [-1.0, 3.0, -3.0, 1.0]
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING, logger="pwcycles"):
             warnings.simplefilter("error")
-            report = count_simple_zeros(AveragedFunction(params, e, "placed"), 2.0)
+            report = count_simple_zeros(AveragedFunction(params, e), 2.0)
         assert report.non_simple == pytest.approx((1.0,), abs=1e-9)
         assert report.locations == report.non_simple
         assert [(r.name, r.levelname) for r in caplog.records] == [("pwcycles", "WARNING")]
         assert "near-vanishing derivative" in caplog.records[0].getMessage()
 
+    def test_simple_zero_flag_ignores_the_scale_of_f(self):
+        # capacity placements at (-1.5, 2) on (0.3, 0.9) have max|F| ~ 1e-9
+        # on (0, 1) and |F'| of 1e-12 to 1e-8 at clean, well-separated
+        # zeros: none is flagged, at either scale of F
+        p = SystemParams(-1.5, 2.0)
+        for n in (2, 3):
+            targets = list(np.linspace(0.3, 0.9, reachable_zero_capacity(n, p.resonant)))
+            exp = place_zeros(p, n, targets, seed=0)
+            for scale in (1.0, 1e9):
+                scaled = BasisExpansion.from_vector(n, scale * exp.vector())
+                report = count_simple_zeros(AveragedFunction(p, scaled), 1.0)
+                assert report.count == len(targets)
+                assert report.non_simple == ()
+
     def test_monotone_refinement(self, params):
         exp = place_zeros(params, 3, list(np.linspace(0.2, 3.0, 8)))
-        fn = AveragedFunction(params, exp, "placed")
+        fn = AveragedFunction(params, exp)
         counts = [count_simple_zeros(fn, 3.4, grid=g).count for g in (200, 400, 800, 1600)]
         assert all(c2 >= c1 for c1, c2 in zip(counts, counts[1:]))
 
@@ -118,7 +132,7 @@ class TestCountSimpleZeros:
         # iteration, and all derivatives come from one more evaluation
         exp = place_zeros(params, 3, list(np.linspace(0.3, 5.0, 8)))
         seen = self._spy_on_basis_values(monkeypatch)
-        report = count_simple_zeros(AveragedFunction(params, exp, "placed"), 7.5, grid=800)
+        report = count_simple_zeros(AveragedFunction(params, exp), 7.5, grid=800)
         assert report.count == 8
         assert len(seen) <= 20
 
@@ -132,14 +146,14 @@ class TestCountSimpleZeros:
         e = BasisExpansion.zeros(1)
         e.coeff_poly[:2] = [-z0, 1.0]
         seen = self._spy_on_basis_values(monkeypatch)
-        report = count_simple_zeros(AveragedFunction(bounded_params, e, "placed"), r_max)
+        report = count_simple_zeros(AveragedFunction(bounded_params, e), r_max)
         assert report.locations == pytest.approx((z0,), abs=1e-12)
         assert report.zeros[0][1] == pytest.approx(1.0, rel=1e-6)
         r = np.concatenate(seen)
         assert np.all((0 < r) & (r < bounded_params.r0))
 
     def test_validation(self, params):
-        fn = AveragedFunction(params, BasisExpansion.zeros(1), "placed")
+        fn = AveragedFunction(params, BasisExpansion.zeros(1))
         with pytest.raises(ValueError):
             count_simple_zeros(fn, -1.0)
         with pytest.raises(ValueError):
@@ -202,20 +216,20 @@ class TestPlacement:
         r_cap = 1.5 * max(targets)
         if np.isfinite(p.r0):
             r_cap = min(r_cap, 0.98 * p.r0)
-        report = count_simple_zeros(AveragedFunction(p, exp, "placed"), r_cap, grid=700)
+        report = count_simple_zeros(AveragedFunction(p, exp), r_cap, grid=700)
         assert report.count == len(targets)
         assert np.allclose(report.locations, targets, atol=1e-9)
 
     def test_empty_targets(self, params):
         exp = place_zeros(params, 1, [])
-        report = count_simple_zeros(AveragedFunction(params, exp, "placed"), 5.0)
+        report = count_simple_zeros(AveragedFunction(params, exp), 5.0)
         assert report.count == 0
 
     def test_equispaced_count_example(self, params):
         # eight equally spaced zeros over (0.2, 3.0) for degree 3
         targets = list(np.linspace(0.2, 3.0, 8))
         exp = place_zeros(params, 3, targets)
-        report = count_simple_zeros(AveragedFunction(params, exp, "placed"), 4.0, grid=800)
+        report = count_simple_zeros(AveragedFunction(params, exp), 4.0, grid=800)
         assert report.count == 8
 
     def test_capacity_counts(self, params, resonant_params):
@@ -230,7 +244,7 @@ class TestPlacement:
             targets = list(np.linspace(window[0], window[1], cap))
             exp = place_zeros(p, n, targets)
             report = count_simple_zeros(
-                AveragedFunction(p, exp, "placed"), 1.4 * window[1], grid=900
+                AveragedFunction(p, exp), 1.4 * window[1], grid=900
             )
             assert report.count == cap
             assert np.allclose(report.locations, targets, atol=1e-3)
@@ -241,65 +255,45 @@ class TestPlacement:
 
     def test_saturated_even_degree_fails_with_diagnosis(self, params):
         # one more zero than the measured capacity: the square collocation
-        # system needs a singular matrix, and the reachable span (a
+        # system would need a singular matrix, and the reachable span (a
         # numerical Chebyshev system) never provides one
         targets = list(np.linspace(0.5, 4.1, 7))
         with pytest.raises(PlacementError, match="capacity 6"):
             place_zeros(params, 2, targets)
 
-    @staticmethod
-    def _per_z_saturated_placement(stack, n, colscale, targets, scan, r0):
-        """The saturated placement as one SVD per scanned last target, with
-        the scan uncapped: the batched code must agree with it where r0 is
-        infinite."""
-        m = len(colscale)
-        rows_fixed = (stack(targets[:-1]) / colscale[:, None]).T
-        zs = np.linspace(targets[-2] * 1.02, max(float(scan[-1]), targets[-1] * 1.5), 600)
-        rows = (stack(zs) / colscale[:, None]).T
-        sigmins = np.array(
-            [np.linalg.svd(np.vstack([rows_fixed, row]).astype(float), compute_uv=False)[-1] for row in rows]
-        )
-        k = int(np.argmin(sigmins))
-        if sigmins[k] > 1e-13:
-            raise PlacementError(
-                f"no singular collocation found for {m} zeros: the reachable span for "
-                f"degree {n} has capacity {m - 1} simple zeros "
-                f"(min singular value along the last-target scan: {sigmins[k]:.2e})"
-            )
-        V, _ = zeros._jacobi_right_vectors(np.vstack([rows_fixed, rows[k]]))
-        return V[:, -1] / colscale.astype(zeros.LONG)
-
-    def _saturated_outcome(self, params, n, targets):
-        try:
-            return place_zeros(params, n, targets).vector(zeros.LONG)
-        except PlacementError as exc:
-            return str(exc)
-
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_batched_saturated_placement_matches_per_z_svds(self, params, monkeypatch, n):
-        # n = 2 fails with a diagnosis; at n = 4 the scan reaches the 1e-13
-        # floor and places: the error text, or the placed vector, is the same
-        targets = list(np.linspace(0.5, 4.1, reachable_zero_capacity(n, False) + 1))
-        batched = self._saturated_outcome(params, n, targets)
-        monkeypatch.setattr(zeros, "_saturated_placement", self._per_z_saturated_placement)
-        per_z = self._saturated_outcome(params, n, targets)
-        if n == 2:
-            assert isinstance(batched, str) and "capacity 6" in batched
-            assert batched == per_z
-        else:
-            assert np.array_equal(batched, per_z)
+    @pytest.mark.parametrize(
+        "a,b,n,window",
+        [
+            (1.0, -2.0, 4, (0.1, 1.0)),
+            (1.0, -2.0, 4, (2.0, 7.0)),
+            (-1.5, 2.0, 4, (0.3, 1.06875)),
+            (-1.5, 2.0, 5, (0.3, 1.06875)),
+            (1.0, 2.0, 5, (0.3, 1.425)),
+        ],
+    )
+    def test_capacity_plus_one_targets_are_refused_before_sampling(self, monkeypatch, a, b, n, window):
+        # from n = 4 on, the square collocation matrices of these windows
+        # are singular to double roundoff, so a search for a singular one
+        # would "place" capacity + 1 zeros out of noise; the target count
+        # alone decides, and the basis is never sampled
+        p = SystemParams(a, b)
+        cap = reachable_zero_capacity(n, p.resonant)
+        seen = TestCountSimpleZeros._spy_on_basis_values(monkeypatch)
+        with pytest.raises(PlacementError, match=f"degree {n} has capacity {cap} simple zeros"):
+            place_zeros(p, n, list(np.linspace(*window, cap + 1)))
+        assert seen == []
 
     @pytest.mark.parametrize(
         "n,targets,match",
         [
             (2, list(np.linspace(0.3, 1.425, 7)), "capacity 6"),
-            (1, [0.3, 0.8, 1.3, 1.97, 1.99], "no room for the last target"),
+            (1, [0.3, 0.8, 1.3, 1.97, 1.99], "capacity 4"),
         ],
         ids=["scan_end", "scan_start"],
     )
     def test_saturated_scan_stays_inside_the_annulus(self, n, targets, match):
-        # r0 = 2: an uncapped scan would run to 2.14, or start at 2.0094,
-        # outside the annulus, and hand NaN rows to LAPACK
+        # r0 = 2: capacity + 1 targets close to r0 are refused, not handed
+        # to a sampling of the basis, which is NaN outside the annulus
         with pytest.raises(PlacementError, match=match):
             place_zeros(SystemParams(1.0, 2.0), n, targets)
 
@@ -407,7 +401,7 @@ class TestCeiling:
             calls.clear()
             smooth.random_search_max_smooth_zeros(1.0, n, draws, seed=1, r_max=0.9, grid=100)
             counts.append(len(calls))
-        assert counts == [m + m // 2, 0]
+        assert counts == [m, 0]
 
 
 def _long_double_survey(params, n, r_max, grid, rows):
