@@ -62,9 +62,7 @@ from .poincare import (
     PolarField,
     ReturnMapResult,
     FixedPoint,
-    polar_rhs,
     return_map,
-    displacement_profile,
     find_fixed_points,
     cartesian_crosscheck,
 )

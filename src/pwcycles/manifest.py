@@ -48,7 +48,7 @@ from .kernels import (
     oracle_family,
     wallis_half,
 )
-from .poincare import PolarField, displacement_profile, find_fixed_points
+from .poincare import PolarField, find_fixed_points, return_map
 from .smooth import place_smooth_zeros, random_search_max_smooth_zeros, smooth_generating_rank
 from .zeros import (
     CountFormulaInput,
@@ -207,16 +207,15 @@ def _pert_from_options(manifest: ExperimentManifest, params: SystemParams) -> Pe
 # ---------------------------------------------------------------------------
 
 
-def _displacement_table(
-    params: SystemParams, pert: PerturbationSpec, fn: AveragedFunction, epsilons, rr, r_range
-) -> Dict[str, Any]:
-    """Scaled displacement at each eps and radius against the f0 = F/r
-    prediction of `fn`, one `PolarField` per eps over `r_range`."""
+def _displacement_table(fn: AveragedFunction, fields, rr, images) -> Dict[str, Any]:
+    """Scaled displacements (P(r) - r)/eps of each field's `images` of the
+    radii `rr`, against the f0 = F/r prediction of `fn`."""
     pred = eval_F(fn, rr) / rr
-    rows = []
-    for eps in epsilons:
-        prof = displacement_profile(PolarField(params, pert, eps, r_range=r_range), rr)
-        rows += [[eps, r, d, p, abs(d - p)] for (r, d), p in zip(prof, pred)]
+    rows = [
+        [fld.epsilon, float(r), d, p, abs(d - p)]
+        for fld, image in zip(fields, images)
+        for r, d, p in zip(rr, ((image - rr) / fld.epsilon).tolist(), pred)
+    ]
     return {
         "columns": ["epsilon", "r", "scaled_displacement", "f0_prediction", "abs_error"],
         "rows": rows,
@@ -366,9 +365,14 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     lo = max(0.5 * min(predicted), 0.05)
     hi = min(1.2 * max(predicted), 0.95 * r_max)
     r_range = (lo * 0.5, r_max)
-    payloads["displacement"] = _displacement_table(
-        params, pert_g, fn_scaled, epsilons, np.linspace(lo, hi, grid), r_range
-    )
+    fields = [PolarField(params, pert_g, eps, r_range=r_range) for eps in epsilons]
+    eps_fp = min(epsilons)
+    field_fp = PolarField(params, pert, eps_fp, r_range=r_range)
+    rr = np.linspace(lo, hi, grid)
+    # one lockstep call: the displacement grid at every eps and the
+    # fixed-point grid
+    *images, images_fp = return_map([(fld, rr) for fld in (*fields, field_fp)])
+    payloads["displacement"] = _displacement_table(fn_scaled, fields, rr, images)
     rows = payloads["displacement"]["rows"]
     errs = [max(row[4] for row in rows if row[0] == eps) for eps in epsilons]
     if len(epsilons) >= 3:
@@ -377,9 +381,7 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
         )
         checks.append(_check("epsilon_convergence_slope", abs(slope - 1.0) <= 0.2, slope, 1.0, 0.2))
 
-    eps_fp = min(epsilons)
-    field_fp = PolarField(params, pert, eps_fp, r_range=r_range)
-    result = find_fixed_points(field_fp, lo, hi, grid=grid)
+    result = find_fixed_points(field_fp, rr, images_fp)
     checks.append(
         _check(
             "fixed_point_count",
@@ -455,9 +457,9 @@ def _run_sweep(manifest: ExperimentManifest) -> Dict[str, Any]:
     hi = _option(rspec, "hi", float, min(3.0, 0.8 * params.r0))
     count = _option(rspec, "count", int, 40)
     r_range = (0.5 * lo, min(1.5 * hi, 0.97 * params.r0))
-    table = _displacement_table(
-        params, pert, assemble(params, pert), epsilons, np.linspace(lo, hi, count), r_range
-    )
+    fields = [PolarField(params, pert, eps, r_range=r_range) for eps in epsilons]
+    rr = np.linspace(lo, hi, count)
+    table = _displacement_table(assemble(params, pert), fields, rr, return_map([(fld, rr) for fld in fields]))
     return {"checks": [], "payloads": {"displacement": table}}
 
 

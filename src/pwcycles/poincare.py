@@ -13,13 +13,15 @@ variable (theta = pi/2, 3pi/2), integrating leg by leg handles the
 discontinuity exactly — no event detection is needed in polar form.
 
 Every start radius meets the leg boundaries at the same theta, so
-`return_map` integrates a whole vector of start radii at once: a lockstep
-DOP853 engine steps each radius under its own step-size control, exactly
-as scipy's scalar DOP853 would step it alone, and shares only the
-right-hand-side evaluations.  A radius's result is bit for bit independent
-of the batch it is in, which lets `find_fixed_points` evaluate its grid in
-one call and refine all its brackets with one call per iteration of
-`zeros._bracketed_roots`, the refiner that also finds the zeros of F.
+`return_map` integrates many rows at once, each carrying its own (radius,
+eps, perturbation): a lockstep DOP853 engine steps each row under its own
+step-size control, exactly as scipy's scalar DOP853 would step it alone,
+and shares only the right-hand-side evaluations, where eps and the Horner
+coefficients are per-row arrays.  A row's result is bit for bit
+independent of the batch it is in, so an experiment integrates the
+displacement grids at all its eps and the fixed-point grid in one call,
+and `find_fixed_points` refines all its brackets with one call per
+iteration of `zeros._bracketed_roots`.
 
 The Poincare section is {y = 0, x > 0} (theta = 0).  A first-order
 expansion of the return map gives P(r) - r = eps * f0(r) + O(eps^2), so
@@ -39,7 +41,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -73,25 +75,32 @@ class SlidingDetectedError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# The polar right-hand side, one closure per half-plane
+# The polar right-hand side, with each row's eps and perturbation
 # ---------------------------------------------------------------------------
 
 
-def _horner_columns(table: np.ndarray) -> List[List[float]]:
-    """Per power of y, the coefficients of x, highest power first.
+def _horner_rows(tables: Sequence[np.ndarray], start: int) -> Tuple[List[np.ndarray], List[List[int]]]:
+    """The Horner coefficients of several tables, one value per table in each row.
 
-    Leading zero coefficients are dropped: in Horner's scheme they only
-    produce exact zeros, so dropping them changes no bit of a value.
+    Per power of y, highest first, returns the indices (counted from
+    `start`) of the rows of its coefficients of x, highest power first.
+    Leading coefficients that are zero in every table are dropped, and a
+    table's own leading zeros kept: in Horner's scheme either only produces
+    exact zeros, so neither changes a bit of a value.
     """
-    cols = []
-    for j in range(table.shape[1]):
-        col = [float(v) for v in table[:, j]]
-        while col and col[-1] == 0.0:
-            col.pop()
-        cols.append(col[::-1])
-    while cols and not cols[-1]:
-        cols.pop()
-    return cols
+    size = max(len(t) for t in tables)
+    stack = np.zeros((size, size, len(tables)))
+    for k, t in enumerate(tables):
+        stack[: len(t), : len(t), k] = t
+    rows: List[np.ndarray] = []
+    layout = []
+    for col in stack.transpose(1, 0, 2):
+        width = int(np.flatnonzero(col.any(axis=1)).max(initial=-1)) + 1
+        layout.append(list(range(start + len(rows), start + len(rows) + width)))
+        rows += list(col[:width][::-1])
+    while layout and not layout[-1]:
+        layout.pop()
+    return rows, layout[::-1]
 
 
 def _horner(coeffs, z):
@@ -101,47 +110,71 @@ def _horner(coeffs, z):
     return v
 
 
-def _polyval2d(cols: List[List[float]], x: np.ndarray, y: np.ndarray):
+def _polyval2d(cols, x: np.ndarray, y: np.ndarray):
     """``numpy.polynomial.polynomial.polyval2d(x, y, table)`` in its order of
     operations — Horner in x for each power of y, then Horner in y — so the
-    values are bit-equal, elementwise over arrays."""
-    return _horner([_horner(col, x) for col in reversed(cols)], y)
+    values are bit-equal, elementwise over arrays.  `cols` holds the
+    coefficients of x per power of y, both from the highest power."""
+    return _horner([_horner(col, x) for col in cols], y)
 
 
-def _leg_terms(field: "PolarField", plus: bool) -> Callable:
-    """(h, numerator, dtheta/dt) of the polar equation on one half-plane,
-    as a function of arrays (cos theta, sin theta, r)."""
-    const = field.params.a if plus else field.params.b
-    f_cols = _horner_columns(field.pert.plus_f if plus else field.pert.minus_f)
-    g_cols = _horner_columns(field.pert.plus_g if plus else field.pert.minus_g)
-    eps = field.epsilon
+def _leg_terms(fields: Sequence["PolarField"], plus: bool) -> Callable:
+    """The polar equation on one half-plane for rows that each carry their
+    own field, all of the same `params`.
 
-    def terms(c, s, r):
-        x, y = r * c, r * s
-        h = (x + const) ** 2
-        fv = _polyval2d(f_cols, x, y)
-        gv = _polyval2d(g_cols, x, y)
-        return h, fv * c + gv * s, h + (eps / r) * (gv * c - fv * s)
+    Returns `at(rows)`: for the field indices `rows` it gathers each row's
+    eps and coefficients and returns the function of arrays (cos theta,
+    sin theta, r) giving (h, eps * numerator, dtheta/dt).
+    """
+    const = fields[0].params.a if plus else fields[0].params.b
+    perts = [fl.pert for fl in fields]
+    f_rows, f_layout = _horner_rows([p.plus_f if plus else p.minus_f for p in perts], 1)
+    g_rows, g_layout = _horner_rows([p.plus_g if plus else p.minus_g for p in perts], 1 + len(f_rows))
+    coef = np.array([[fl.epsilon for fl in fields], *f_rows, *g_rows], dtype=float)
 
-    return terms
+    def at(rows):
+        c = coef[:, rows]
+        eps = c[0]
+        f_cols = [[c[k] for k in col] for col in f_layout]
+        g_cols = [[c[k] for k in col] for col in g_layout]
+
+        def terms(cos, sin, r):
+            x, y = r * cos, r * sin
+            h = (x + const) ** 2
+            fv = _polyval2d(f_cols, x, y)
+            gv = _polyval2d(g_cols, x, y)
+            return h, eps * (fv * cos + gv * sin), h + (eps / r) * (gv * cos - fv * sin)
+
+        return terms
+
+    return at
 
 
-def _leg_rhs(field: "PolarField", plus: bool) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """dr/dtheta on one half-plane, elementwise over arrays (theta, r)."""
-    const = field.params.a if plus else field.params.b
-    terms = _leg_terms(field, plus)
-    eps = field.epsilon
+def _leg_rhs(fields: Sequence["PolarField"], group: np.ndarray, plus: bool) -> Callable:
+    """dr/dtheta on one half-plane for rows whose fields are `fields[group]`.
 
-    def rhs(theta, r):
-        h, num, den = terms(np.cos(theta), np.sin(theta), r)
-        low = h < _H_FLOOR
-        if low.any():
-            raise NearSingularityError(
-                f"(r cos t + {const})^2 = {h[np.argmax(low)]:.2e} below guard"
-            )
-        return eps * num / den
+    `_dop853` calls the result once per step with the indices of its live
+    rows, which gathers their coefficients once for all stages; the
+    function it returns evaluates dr/dtheta on arrays (theta, r).
+    """
+    const = fields[0].params.a if plus else fields[0].params.b
+    terms_at = _leg_terms(fields, plus)
 
-    return rhs
+    def at(live):
+        terms = terms_at(group[live])
+
+        def rhs(theta, r):
+            h, num, den = terms(np.cos(theta), np.sin(theta), r)
+            low = h < _H_FLOOR
+            if low.any():
+                raise NearSingularityError(
+                    f"(r cos t + {const})^2 = {h[np.argmax(low)]:.2e} below guard"
+                )
+            return num / den
+
+        return rhs
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -178,7 +211,8 @@ class PolarField:
         radii = np.linspace(self.r_range[0], self.r_range[1], 33)
         r, t = np.meshgrid(radii, thetas, indexing="ij")
         c, s = np.cos(t), np.sin(t)
-        speed = np.where(c >= 0, _leg_terms(self, True)(c, s, r)[2], _leg_terms(self, False)(c, s, r)[2])
+        plus, minus = (_leg_terms((self,), side)(0)(c, s, r)[2] for side in (True, False))
+        speed = np.where(c >= 0, plus, minus)
         bad = speed <= 0
         if bad.any():
             i, k = np.unravel_index(np.argmax(bad), bad.shape)
@@ -200,34 +234,6 @@ class ReturnMapResult:
     samples: Tuple[Tuple[float, float], ...]  # (r_in, r_out)
     fixed_points: Tuple[FixedPoint, ...]
     epsilon: float
-
-
-def polar_rhs(field: PolarField, theta: float, r: float) -> float:
-    """dr/dtheta, selecting the half-plane by the sign of cos(theta).
-
-    A one-point view of the leg right-hand side that `return_map`
-    integrates.  At cos(theta) = 0 the plus side is returned (the limit
-    from the leg the integrator is entering; the legs split exactly there,
-    so the choice never influences an integration).
-    """
-    rhs = _leg_rhs(field, math.cos(theta) >= 0)
-    return float(rhs(np.array([theta], dtype=float), np.array([r], dtype=float))[0])
-
-
-def polar_XY(field: PolarField, theta: float, r: float, plus: bool) -> Tuple[float, float]:
-    """The averaging decomposition (X, Y) with dr/dtheta = eps X + eps^2 Y."""
-    c, s = math.cos(theta), math.sin(theta)
-    const = field.params.a if plus else field.params.b
-    f_t = field.pert.plus_f if plus else field.pert.minus_f
-    g_t = field.pert.plus_g if plus else field.pert.minus_g
-    x, y = r * c, r * s
-    h = (r * c + const) ** 2
-    fv = float(npoly.polyval2d(x, y, f_t))
-    gv = float(npoly.polyval2d(x, y, g_t))
-    X = (fv * c + gv * s) / h
-    w = gv * c - fv * s
-    Y = -(fv * c + gv * s) * w / (h * (r * h + field.epsilon * w))
-    return X, Y
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +318,13 @@ def _combine(weights, K: List[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def _dop853(rhs, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarray, int, int]:
+def _dop853(rhs_at, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarray, int, int]:
     """Integrate dr/dtheta = rhs(theta, r) from t0 to t1 for every start radius.
 
-    Each radius keeps its own angle, step size and accept/reject state and
-    takes the steps of scipy's ``solve_ivp(method="DOP853")`` with
-    rtol = atol = 1e-12 on that radius alone: the same initial-step
+    `rhs_at(rows)` returns the right-hand side of the rows with those
+    indices.  Each radius keeps its own angle, step size and accept/reject
+    state and takes the steps of scipy's ``solve_ivp(method="DOP853")``
+    with rtol = atol = 1e-12 on that radius alone: the same initial-step
     selection, error norm, step-size factors, minimum step and clipping at
     t1.  Only the right-hand side is evaluated for all unfinished radii
     together.  Returns the radii at t1, the number of right-hand-side
@@ -326,6 +333,7 @@ def _dop853(rhs, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarray,
     tol = _INTEGRATOR_TOL
     r = r_start.copy()
     theta = np.full_like(r, t0)
+    rhs = rhs_at(np.arange(r.size))
     f = rhs(theta, r)
     span = t1 - t0
     # scipy.integrate._ivp.common.select_initial_step, radius by radius
@@ -344,6 +352,7 @@ def _dop853(rhs, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarray,
     retry = np.zeros(r.shape, dtype=bool)
     live = np.arange(r.size)
     while live.size:
+        rhs = rhs_at(live)
         t, y = theta[live], r[live]
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(~retry[live] & (step[live] < min_step), min_step, step[live])
@@ -387,87 +396,80 @@ def _dop853(rhs, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarray,
 _LEGS = ((0.0, math.pi / 2, True), (math.pi / 2, 3 * math.pi / 2, False), (3 * math.pi / 2, 2 * math.pi, True))
 
 
-def return_map(field: PolarField, r_start: Union[float, Sequence[float], np.ndarray]):
+def return_map(field, r_start=None):
     """One full turn of the section map starting at theta = 0.
 
-    `r_start` is one radius (the result is a float) or a 1-D array of
-    radii (the result is an array).  The three legs (plus, minus, plus)
-    are integrated by the lockstep DOP853 engine at tolerance 1e-12;
-    switching happens exactly at the leg boundaries.  Each radius gets the
+    `return_map(field, r_start)` maps one radius (the result is a float)
+    or a 1-D array of radii (the result is an array).  `return_map(groups)`
+    maps a sequence of (field, radii) groups whose fields share `params`
+    and returns one array per group.  Every row carries its own radius, eps
+    and perturbation, and all rows go through the three legs (plus, minus,
+    plus) together in the lockstep DOP853 engine at tolerance 1e-12;
+    switching happens exactly at the leg boundaries.  Each row gets the
     value it gets on its own, bit for bit.
     """
-    r = np.array(r_start, dtype=float)
-    scalar = r.ndim == 0
-    r = r.reshape(-1) if scalar else r
-    if r.ndim != 1:
-        raise ValueError("r_start must be a number or a 1-D array of radii")
-    lo, hi = field.r_range
-    margin = _SECTION_MARGIN_FACTOR * hi
-    outside = ~((lo - margin <= r) & (r <= hi + margin))
-    if outside.any():
-        raise ValueError(
-            f"r_start {float(r[np.argmax(outside)])} outside the field's validated range {field.r_range}"
-        )
+    one = isinstance(field, PolarField)
+    fields, radii = zip(*([(field, r_start)] if one else field))
+    radii = [np.atleast_1d(np.asarray(rr, dtype=float)) for rr in radii]
+    params = fields[0].params
+    for fl, rr in zip(fields, radii):
+        if rr.ndim != 1:
+            raise ValueError("r_start must be a number or a 1-D array of radii")
+        if fl.params != params:
+            raise ValueError(f"batched fields must share params: {fl.params} differs from {params}")
+        lo, hi = fl.r_range
+        margin = _SECTION_MARGIN_FACTOR * hi
+        outside = ~((lo - margin <= rr) & (rr <= hi + margin))
+        if outside.any():
+            raise ValueError(
+                f"r_start {float(rr[np.argmax(outside)])} outside the validated range {fl.r_range} "
+                f"of the field at epsilon {fl.epsilon}"
+            )
+    group = np.repeat(np.arange(len(fields)), [rr.size for rr in radii])
+    r = np.concatenate(radii)
     nfev = rejected = 0
     for t0, t1, plus in _LEGS:
-        r, leg_nfev, leg_rejected = _dop853(_leg_rhs(field, plus), t0, t1, r)
+        r, leg_nfev, leg_rejected = _dop853(_leg_rhs(fields, group, plus), t0, t1, r)
         nfev, rejected = nfev + leg_nfev, rejected + leg_rejected
-        left = ~((0 < r) & (r < field.params.r0))
+        left = ~((0 < r) & (r < params.r0))
         if left.any():
             raise BlowUpError(f"trajectory left the annulus: r = {float(r[np.argmax(left)])}")
-    log.debug("return_map: %d radii, %d RHS evaluations, %d rejected steps", r.size, nfev, rejected)
-    return float(r[0]) if scalar else r
+    log.debug(
+        "return_map: %d radii in %d fields, %d RHS evaluations, %d rejected steps",
+        r.size, len(fields), nfev, rejected,
+    )
+    if not one:
+        return np.split(r, np.cumsum([rr.size for rr in radii])[:-1])
+    return float(r[0]) if np.ndim(r_start) == 0 else r
 
 
-def displacement_profile(
-    field: PolarField, r_grid: Sequence[float]
-) -> List[Tuple[float, float]]:
-    """Scaled displacements (P(r) - r)/eps; converge to f0 as eps -> 0."""
-    if field.epsilon <= 0:
-        raise ValueError("displacement scaling requires epsilon > 0")
-    rr = np.asarray(r_grid, dtype=float)
-    scaled = (return_map(field, rr) - rr) / field.epsilon
-    return [(float(r), float(d)) for r, d in zip(rr, scaled)]
+def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray) -> ReturnMapResult:
+    """Locate fixed points of the return map from its images on a grid.
 
-
-def find_fixed_points(
-    field: PolarField,
-    r_lo: float,
-    r_hi: float,
-    grid: int = 80,
-) -> ReturnMapResult:
-    """Locate fixed points of the return map by displacement sign scan.
-
-    The grid is one batched return-map call; its sign changes
-    (`zeros._sign_flips`) bracket the fixed points, which
-    `zeros._bracketed_roots` refines together to within 1e-11, and the slopes
-    come from one batched call at z +- h.  Stability follows the sign of
-    the displacement slope: negative means the forward (theta-increasing)
-    flow contracts onto the cycle.
+    `images` = `return_map(field, radii)` on increasing `radii`; the caller
+    evaluates them, typically in one call with other rows.  The sign
+    changes of the displacement (`zeros._sign_flips`) bracket the fixed
+    points, which `zeros._bracketed_roots` refines together to within
+    1e-11, and the slopes come from one batched call at z +- h.  Stability
+    follows the sign of the displacement slope: negative means the forward
+    (theta-increasing) flow contracts onto the cycle.
     """
-    rr = np.linspace(r_lo, r_hi, grid)
-    disp = return_map(field, rr) - rr
-    samples = tuple((float(r), float(r + d)) for r, d in zip(rr, disp))
+    rr, images = np.asarray(radii, dtype=float), np.asarray(images, dtype=float)
+    disp = images - rr
+    samples = tuple((float(r), float(p)) for r, p in zip(rr, images))
 
     keep, flips = _sign_flips(disp, 0.0)
     i, j = keep[flips], keep[flips + 1]
     z = _bracketed_roots(lambda r: return_map(field, r) - r, rr[i], rr[j], disp[i], disp[j], _ROOT_XTOL)
-    h = max(1e-4, (r_hi - r_lo) / (8 * grid))
+    h = max(1e-4, (rr[-1] - rr[0]) / (8 * rr.size))
     ends = np.concatenate([z + h, z - h])
     d = return_map(field, ends) - ends
     slopes = (d[: z.size] - d[z.size :]) / (2 * h)
     # Classify by sign whenever the slope clears the finite-difference
     # noise floor of two integrator-tolerance evaluations.
     thr = 100.0 * _INTEGRATOR_TOL / h
-    fixed = []
-    for loc, slope in zip(z, slopes):
-        if slope < -thr:
-            kind = "attracting"
-        elif slope > thr:
-            kind = "repelling"
-        else:
-            kind = "neutral"
-        fixed.append(FixedPoint(float(loc), kind, float(slope)))
+    kinds = np.where(slopes < -thr, "attracting", np.where(slopes > thr, "repelling", "neutral"))
+    fixed = (FixedPoint(float(loc), str(kind), float(slope)) for loc, kind, slope in zip(z, kinds, slopes))
     return ReturnMapResult(samples, tuple(fixed), field.epsilon)
 
 

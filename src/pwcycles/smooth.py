@@ -73,11 +73,6 @@ def _random_smooth_rows(degree: int, rng: np.random.Generator, count: int) -> np
     return np.tile(_random_rows(degree, rng, count, 2), 2)
 
 
-def random_smooth_perturbation(degree: int, rng: np.random.Generator) -> PerturbationSpec:
-    """Uniform random f, then g, on the triangle i + j <= degree."""
-    return PerturbationSpec.from_vector(degree, _random_smooth_rows(degree, rng, 1)[0])
-
-
 def assemble_smooth(a: float, pert: PerturbationSpec) -> AveragedFunction:
     """`assemble` at b = a, with the smooth system's exact structural checks.
 

@@ -35,7 +35,6 @@ from pwcycles.kernels import (
 from pwcycles.poincare import (
     PolarField,
     cartesian_crosscheck,
-    displacement_profile,
     find_fixed_points,
     return_map,
 )
@@ -259,16 +258,15 @@ def _simulate_configuration(p: SystemParams, n: int, targets):
     lo, hi = 0.6 * min(predicted), 1.25 * max(predicted)
     grid = np.linspace(lo, hi, 40)
     pred_f0 = eval_F(fn, grid) / grid
-    errs = []
-    for eps in _EPSILONS:
-        fld = PolarField(p, pert_g, eps, r_range=(0.3 * lo, 1.3 * hi))
-        prof = displacement_profile(fld, grid)
-        errs.append(max(abs(d - f) for (_, d), f in zip(prof, pred_f0)))
-    slope = float(np.polyfit(np.log(_EPSILONS), np.log(errs), 1)[0])
-
+    fields = [PolarField(p, pert_g, eps, r_range=(0.3 * lo, 1.3 * hi)) for eps in _EPSILONS]
     eps_fp = 1e-3
     fld = PolarField(p, pert, eps_fp, r_range=(0.3 * lo, 1.3 * hi))
-    res = find_fixed_points(fld, lo, hi, grid=60)
+    fp_grid = np.linspace(lo, hi, 60)
+    *images, fp_images = return_map([(f, grid) for f in fields] + [(fld, fp_grid)])
+    errs = [float(np.max(np.abs((im - grid) / eps - pred_f0))) for im, eps in zip(images, _EPSILONS)]
+    slope = float(np.polyfit(np.log(_EPSILONS), np.log(errs), 1)[0])
+
+    res = find_fixed_points(fld, fp_grid, fp_images)
     gaps = [abs(f.location - z) for f, z in zip(res.fixed_points, predicted)]
     return len(res.fixed_points), len(predicted), max(gaps, default=math.nan), slope, eps_fp
 

@@ -29,7 +29,6 @@ from pwcycles.smooth import (
     assemble_smooth,
     oracle_smooth_F,
     random_search_max_smooth_zeros,
-    random_smooth_perturbation,
     smooth_perturbation,
 )
 from pwcycles.zeros import _survey, place_zeros, random_search_max_zeros, reachable_zero_capacity
@@ -94,7 +93,7 @@ class TestRandomRows:
         got = PerturbationSpec.random(n, new)
         assert all(getattr(got, t).tobytes() == getattr(want, t).tobytes() for t in TABLES)
         f, g = _random_table(n, old, 1.0), _random_table(n, old, 1.0)
-        got = random_smooth_perturbation(n, new)
+        got = PerturbationSpec.from_vector(n, _random_smooth_rows(n, new, 1)[0])
         assert got.vector().tobytes() == smooth_perturbation(n, f, g).vector().tobytes()
         assert old.random() == new.random()
 
@@ -338,7 +337,7 @@ class TestSmoothRestriction:
         # full-circle quadrature
         for a in (1.3, -1.7):
             for n in (1, 2, 3, 4):
-                pert = random_smooth_perturbation(n, rng)
+                pert = PerturbationSpec.from_vector(n, _random_smooth_rows(n, rng, 1)[0])
                 fn = assemble_smooth(a, pert)
                 rr = np.linspace(0.05, 0.9 * abs(a), 9)
                 want = np.array([oracle_smooth_F(a, pert, float(r)) for r in rr])

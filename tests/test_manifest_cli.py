@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import re
 
 import pytest
 
@@ -30,6 +31,11 @@ def _verify_doc(**over):
 
 _SIM = {"kind": "place_and_simulate", "degree": 1, "targets": [0.5]}
 _SWEEP = {"kind": "sweep", "epsilons": [0.01]}
+# the README simulate example at grid 20 and three eps
+_SIM_REDUCED = {
+    "schema_version": 1, "kind": "place_and_simulate", "a": 1.0, "b": -2.0, "seed": 3, "degree": 1,
+    "targets": [0.5, 1.0, 1.5, 2.0], "epsilons": [0.01, 0.005, 0.0025], "r_max": 5.0, "grid": 20,
+}
 
 
 class TestManifestValidation:
@@ -79,6 +85,21 @@ class TestRunDeterminism:
         r1 = run_manifest(m)
         r2 = run_manifest(m)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            _SIM_REDUCED,
+            _verify_doc(kind="sweep", epsilons=[0.01, 0.005], pert_inline={
+                "degree": 2, "plus_f": [[0, 0, 0.3], [1, 0, -0.5]], "minus_g": [[1, 1, 0.7]]}),
+            _verify_doc(kind="sweep", epsilons=[0.01, 0.005], degree=1, pert_targets=[0.5, 1.5]),
+        ],
+        ids=["simulate", "sweep_inline", "sweep_targets"],
+    )
+    def test_return_map_experiments_rerun_byte_identical(self, doc):
+        m = ExperimentManifest.from_dict(doc)
+        r1, r2 = (json.dumps(run_manifest(m), sort_keys=True, indent=1) for _ in range(2))
+        assert r1 == r2 and '"displacement"' in r1
 
     def test_json_mirror_round_trip(self, tmp_path):
         m = ExperimentManifest.from_dict(_verify_doc())
@@ -325,6 +346,18 @@ class TestCli:
         assert logged["WARNING"] == []
         assert logged["DEBUG"] and all("RHS evaluations" in line for line in logged["DEBUG"])
         assert records["DEBUG"] == records["WARNING"]
+
+    def test_debug_log_shows_one_grid_call(self, tmp_path, monkeypatch, capsys):
+        # the displacement grid at every eps and the fixed-point grid are
+        # one return-map call; the refinement and slope calls stay narrow
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(_SIM_REDUCED))
+        monkeypatch.setenv("PWCYCLES_LOG", "DEBUG")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        widths = [int(w) for w in re.findall(r"return_map: (\d+) radii in \d+ fields", capsys.readouterr().err)]
+        grid_rows = (len(_SIM_REDUCED["epsilons"]) + 1) * _SIM_REDUCED["grid"]
+        assert widths.count(grid_rows) == 1 and len(widths) > 1
+        assert all(w <= 2 * len(_SIM_REDUCED["targets"]) for w in widths if w != grid_rows)
 
     def test_place_subcommand_skips_simulation(self, tmp_path):
         cfg = tmp_path / "p.json"

@@ -24,13 +24,41 @@ from pwcycles.poincare import (
     PolarField,
     _leg_rhs,
     cartesian_crosscheck,
-    displacement_profile,
     find_fixed_points,
-    polar_XY,
-    polar_rhs,
     return_map,
 )
 from pwcycles.zeros import place_zeros
+
+
+def _one_field_rhs(field, plus):
+    """The right-hand side `return_map` integrates, for rows of one field."""
+    return _leg_rhs([field], np.zeros(1, dtype=int), plus)(np.zeros(1, dtype=int))
+
+
+def polar_rhs(field, theta, r):
+    """dr/dtheta at one point, on the plus side when cos(theta) >= 0 (the
+    legs split exactly at cos(theta) = 0, so the choice never influences
+    an integration)."""
+    rhs = _one_field_rhs(field, math.cos(theta) >= 0)
+    return float(rhs(np.array([theta]), np.array([r]))[0])
+
+
+def polar_XY(field, theta, r, plus):
+    """The averaging decomposition (X, Y) with dr/dtheta = eps X + eps^2 Y:
+    the two-term form, an independent oracle for the closed rational
+    right-hand side."""
+    c, s = math.cos(theta), math.sin(theta)
+    const = field.params.a if plus else field.params.b
+    f_t = field.pert.plus_f if plus else field.pert.minus_f
+    g_t = field.pert.plus_g if plus else field.pert.minus_g
+    x, y = r * c, r * s
+    h = (r * c + const) ** 2
+    fv = float(npoly.polyval2d(x, y, f_t))
+    gv = float(npoly.polyval2d(x, y, g_t))
+    X = (fv * c + gv * s) / h
+    w = gv * c - fv * s
+    Y = -(fv * c + gv * s) * w / (h * (r * h + field.epsilon * w))
+    return X, Y
 
 
 @pytest.fixture
@@ -148,7 +176,8 @@ class TestReturnMap:
         pert = perturbation_for_expansion(params, exp).normalized()
         eps = 1e-3
         fld = PolarField(params, pert, eps, r_range=(0.2, 3.0))
-        res = find_fixed_points(fld, 0.5, 1.2, grid=30)
+        rr = np.linspace(0.5, 1.2, 30)
+        res = find_fixed_points(fld, rr, return_map(fld, rr))
         assert len(res.fixed_points) == 1
         assert abs(res.fixed_points[0].location - 0.8) < 10 * eps
 
@@ -168,7 +197,7 @@ class TestLockstepEngine:
         for r, g in zip(rr, got):
             want = float(r)
             for t0, t1, plus in _LEGS:
-                rhs = _leg_rhs(fld, plus)
+                rhs = _one_field_rhs(fld, plus)
                 sol = solve_ivp(
                     lambda t, y: rhs(np.array([t]), y),
                     (t0, t1),
@@ -252,10 +281,12 @@ class TestErrorPaths:
 
 
 class TestDisplacementProfile:
+    """Scaled displacements (P(r) - r)/eps converge to f0 as eps -> 0."""
+
     def test_zero_perturbation(self, params):
         fld = PolarField(params, PerturbationSpec(1), 1e-3, r_range=(0.2, 3.0))
-        prof = displacement_profile(fld, [0.5, 1.0, 2.0])
-        assert all(abs(d) < 1e-8 for _, d in prof)
+        rr = np.array([0.5, 1.0, 2.0])
+        assert np.all(np.abs(return_map(fld, rr) - rr) / fld.epsilon < 1e-8)
 
     def test_first_order_convergence(self, params, rng):
         pert = PerturbationSpec.random(1, rng)
@@ -265,8 +296,8 @@ class TestDisplacementProfile:
         errs = []
         for eps in (2e-3, 1e-3):
             fld = PolarField(params, pert, eps, r_range=(0.2, 3.0))
-            prof = displacement_profile(fld, grid)
-            errs.append(max(abs(d - p) for (_, d), p in zip(prof, pred)))
+            scaled = (return_map(fld, grid) - grid) / eps
+            errs.append(float(np.max(np.abs(scaled - pred))))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
 
     def test_sign_agreement(self, params, rng):
@@ -277,15 +308,70 @@ class TestDisplacementProfile:
         grid = np.linspace(0.4, 3.0, 9)
         f0 = eval_F(fn, grid) / grid
         norm = float(np.max(np.abs(f0)))
-        prof = displacement_profile(fld, grid)
-        for (r, d), p in zip(prof, f0):
+        scaled = (return_map(fld, grid) - grid) / eps
+        for r, d, p in zip(grid, scaled, f0):
             if abs(p) > 10 * eps * norm:
                 assert np.sign(d) == np.sign(p), r
 
-    def test_requires_positive_epsilon(self, params):
-        fld = PolarField(params, PerturbationSpec(1), 0.0, r_range=(0.2, 3.0))
-        with pytest.raises(ValueError):
-            displacement_profile(fld, [1.0])
+
+class TestMixedBatch:
+    """Rows that carry their own (radius, eps, perturbation) in one call."""
+
+    @staticmethod
+    def _groups(params, rng):
+        # degrees 1 and 3, so the shorter coefficient columns are padded
+        perts = [PerturbationSpec.random(1, rng), PerturbationSpec.random(3, rng)]
+        fields = [PolarField(params, p, eps, r_range=(0.2, 3.5)) for p in perts for eps in (4e-3, 2e-3, 1e-3)]
+        groups = [(fld, np.linspace(0.3, 3.2, 4 + k)) for k, fld in enumerate(fields)]
+        return groups + [(fields[4], np.array([0.7, 2.9]))]  # one field twice
+
+    def test_rows_equal_their_solo_calls_bitwise(self, params, rng):
+        groups = self._groups(params, rng)
+        got = return_map(groups)
+        assert [g.shape for g in got] == [rr.shape for _, rr in groups]
+        for (fld, rr), images in zip(groups, got):
+            assert images.tolist() == [return_map(fld, float(r)) for r in rr]
+
+    def test_group_order_does_not_change_a_value(self, params, rng):
+        groups = self._groups(params, rng)
+        got = return_map(groups)
+        order = rng.permutation(len(groups))
+        permuted = return_map([groups[k] for k in order])
+        assert [permuted[i].tolist() for i in np.argsort(order)] == [g.tolist() for g in got]
+
+    def test_groups_must_share_params(self, params, resonant_params):
+        pert = PerturbationSpec(1, plus_f={(0, 0): 1.0})
+        groups = [(PolarField(p, pert, 1e-3, r_range=(0.2, 0.9)), [0.5]) for p in (params, resonant_params)]
+        with pytest.raises(ValueError, match="share params"):
+            return_map(groups)
+
+    def test_row_outside_its_own_fields_range(self, params):
+        pert = PerturbationSpec(1, plus_f={(0, 0): 1.0})
+        wide = PolarField(params, pert, 1e-3, r_range=(0.2, 4.0))
+        narrow = PolarField(params, pert, 2e-3, r_range=(0.2, 2.0))
+        return_map([(wide, [3.0]), (narrow, [1.0])])
+        with pytest.raises(ValueError) as exc:
+            return_map([(wide, [3.0]), (narrow, [1.0, 3.0])])
+        assert "r_start 3.0 outside the validated range (0.2, 2.0) of the field at epsilon 0.002" in str(exc.value)
+
+    @staticmethod
+    def _calm_and_pushed(bounded_params, **tables):
+        calm = PolarField(bounded_params, PerturbationSpec(1), 0.01, r_range=(0.2, 1.45))
+        pushed = PolarField(bounded_params, PerturbationSpec(1, **tables), 0.01, r_range=(0.2, 1.45))
+        assert return_map([(calm, [0.5, 1.0]), (pushed, [0.5])])[1][0] != 0.5
+        return [(calm, [0.5, 1.0]), (pushed, [1.45])]
+
+    def test_near_singularity_in_one_group_fails_the_call(self, bounded_params):
+        # the plus-side push of TestErrorPaths meets the singular line x = 1.5
+        groups = self._calm_and_pushed(bounded_params, plus_f={(1, 0): 1.0}, plus_g={(0, 1): 1.0})
+        with pytest.raises(NearSingularityError):
+            return_map(groups)
+
+    def test_blow_up_in_one_group_fails_the_call(self, bounded_params):
+        # the minus-side push carries the orbit past r0 = 1.5
+        groups = self._calm_and_pushed(bounded_params, minus_f={(1, 0): 1.0}, minus_g={(0, 1): 1.0})
+        with pytest.raises(BlowUpError, match="left the annulus"):
+            return_map(groups)
 
 
 class TestCartesianCrosscheck:

@@ -9,16 +9,21 @@ from pwcycles import averaging, smooth
 from pwcycles.averaging import AveragedFunction, PerturbationSpec
 from pwcycles.kernels import DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
 from pwcycles.smooth import (
+    _random_smooth_rows,
     assemble_smooth,
     eval_V_family,
     oracle_smooth_F,
     place_smooth_zeros,
     random_search_max_smooth_zeros,
-    random_smooth_perturbation,
     smooth_generating_rank,
     smooth_perturbation,
 )
 from pwcycles.zeros import count_simple_zeros
+
+
+def _random_smooth(n, rng):
+    """Uniform random f, then g, on the triangle i + j <= n."""
+    return PerturbationSpec.from_vector(n, _random_smooth_rows(n, rng, 1)[0])
 
 
 def _smooth_zeros(a, expansion, r_max):
@@ -65,7 +70,7 @@ class TestAssembleSmooth:
 
     def test_oracle_equivalence(self, rng):
         a = 1.0
-        pert = random_smooth_perturbation(3, rng)
+        pert = _random_smooth(3, rng)
         fn = assemble_smooth(a, pert)
         for r in np.linspace(0.05, 0.9, 20):
             want = oracle_smooth_F(a, pert, float(r))
@@ -75,7 +80,7 @@ class TestAssembleSmooth:
         # the two halves' merged monomials: only even ones, none beyond
         # the structural cap, exactly; the kernel parts coincide
         for n in (1, 2, 3, 4):
-            pert = random_smooth_perturbation(n, rng)
+            pert = _random_smooth(n, rng)
             coef_A, poly_plus, coef_B, poly_minus = assemble_smooth(1.5, pert).expansion.exact_parts
             assert coef_A == coef_B
             for idx, (p, q) in enumerate(zip(poly_plus, poly_minus)):
@@ -83,7 +88,7 @@ class TestAssembleSmooth:
                     assert (p + q).is_zero
 
     def test_unequal_tables_rejected(self, rng):
-        f = random_smooth_perturbation(2, rng)
+        f = _random_smooth(2, rng)
         shifted = f.plus_f.copy()
         shifted[0, 0] += 0.5
         for tables in (
@@ -107,7 +112,7 @@ class TestAssembleSmooth:
         cols += [rr ** (2 * i) for i in range(1, k + 1)]
         G = np.array(cols).T
         for _ in range(6):
-            fn = assemble_smooth(a, random_smooth_perturbation(n, rng))
+            fn = assemble_smooth(a, _random_smooth(n, rng))
             y = fn.value(rr)
             coef, *_ = np.linalg.lstsq(G, y, rcond=None)
             assert np.linalg.norm(y - G @ coef) < 1e-10 * max(1.0, np.linalg.norm(y))
