@@ -18,7 +18,6 @@ import numpy.random  # noqa: F401
 
 from .kernels import (
     SystemParams,
-    QuadratureSpec,
     FamilyIndex,
     DomainError,
     SingularityError,

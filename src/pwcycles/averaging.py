@@ -47,7 +47,6 @@ from .kernels import (
     BACK_HALF_CIRCLE,
     HALF_CIRCLE,
     DomainError,
-    QuadratureSpec,
     SystemParams,
     a00,
     quad_oracle,
@@ -424,12 +423,7 @@ def _poly_eval(table: np.ndarray, x: float, y: float) -> float:
     return float(npoly.polyval2d(x, y, table))
 
 
-def oracle_F(
-    params: SystemParams,
-    pert: PerturbationSpec,
-    r: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def oracle_F(params: SystemParams, pert: PerturbationSpec, r: float) -> float:
     """F(r) = r * f0(r) by adaptive quadrature of the polar numerators.
 
     f0(r) is the integral of [f cos + g sin] / (r cos t + a)^2 over the
@@ -454,4 +448,4 @@ def oracle_F(
             r * ct + params.b
         ) ** 2
 
-    return r * (quad_oracle(x_plus, HALF_CIRCLE, spec) + quad_oracle(x_minus, BACK_HALF_CIRCLE, spec))
+    return r * (quad_oracle(x_plus, HALF_CIRCLE) + quad_oracle(x_minus, BACK_HALF_CIRCLE))

@@ -48,6 +48,11 @@ _SEAM_TERMS = 6
 # Hard cap on family orders; assembly never needs more than degree + 1.
 MAX_FAMILY_ORDER = 32
 
+# Tolerances and subdivision budget of the quadrature oracle.
+_QUAD_ABS_TOL = 1e-14
+_QUAD_REL_TOL = 1e-12
+_QUAD_MAX_SUBDIVISIONS = 2000
+
 # Fraction of |a| below which the defining power series in r is used for
 # the j = 0 ladders instead of the closed ladder (which divides by r^i).
 _SERIES_RADIUS = 0.5
@@ -102,19 +107,6 @@ class SystemParams:
     def resonant(self) -> bool:
         # Exact equality on purpose: near-resonant studies must opt in.
         return self.a == -self.b
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.rel_tol < 100 * np.finfo(float).eps:
-            raise ValueError("rel_tol below 100*machine-epsilon is not resolvable")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
 
 
 @dataclass(frozen=True)
@@ -373,18 +365,14 @@ def trig_rational(i: int, j: int, r: float, c: float, power: int = 2) -> Callabl
     return f
 
 
-def quad_oracle(
-    integrand: Callable[[float], float],
-    interval: Tuple[float, float],
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def quad_oracle(integrand: Callable[[float], float], interval: Tuple[float, float]) -> float:
     """Adaptive Gauss-Kronrod estimate with enforced error control.
 
     The quadrature is scipy's ``integrate.quad``, imported on first use.
 
     Raises OracleConvergenceError when the subdivision budget is exhausted
     or the reported error exceeds the requested tolerance by more than two
-    orders (the default tolerances sit near machine precision, so QUADPACK
+    orders (the tolerances sit near machine precision, so QUADPACK
     may flag roundoff while still delivering ~1e-12 relative error; only a
     genuinely unmet budget — the signature of a near-singular parameter
     set — is escalated).
@@ -397,22 +385,22 @@ def quad_oracle(
             integrand,
             interval[0],
             interval[1],
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
+            epsabs=_QUAD_ABS_TOL,
+            epsrel=_QUAD_REL_TOL,
+            limit=_QUAD_MAX_SUBDIVISIONS,
             full_output=1,
         )
     value, err, info = result[0], result[1], result[2]
     if len(result) > 3 and "number of subdivisions" in result[3]:
         raise OracleConvergenceError(
-            f"subdivision budget {spec.max_subdivisions} exhausted: {result[3]}"
+            f"subdivision budget {_QUAD_MAX_SUBDIVISIONS} exhausted: {result[3]}"
         )
     # Judge the reported error against the natural scale of the integral,
     # not only its value: integrals that vanish by symmetry carry roundoff
     # proportional to the integrand's magnitude.
     ts = np.linspace(interval[0], interval[1], 33)
     scale = (interval[1] - interval[0]) * max(abs(integrand(float(t))) for t in ts)
-    if err > 100.0 * max(spec.abs_tol, spec.rel_tol * max(abs(value), scale)):
+    if err > 100.0 * max(_QUAD_ABS_TOL, _QUAD_REL_TOL * max(abs(value), scale)):
         raise OracleConvergenceError(
             f"reported error {err:g} exceeds tolerance for value {value:g} "
             f"({info['last']} subintervals)"
@@ -420,14 +408,9 @@ def quad_oracle(
     return value
 
 
-def oracle_family(
-    idx: FamilyIndex,
-    r: float,
-    params: SystemParams,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def oracle_family(idx: FamilyIndex, r: float, params: SystemParams) -> float:
     """Direct quadrature of the defining integral (independent of ladders)."""
     power = 2 if idx.family in ("A", "B") else 1
     if idx.family in ("A", "I"):
-        return quad_oracle(trig_rational(idx.i, idx.j, r, params.a, power), HALF_CIRCLE, spec)
-    return quad_oracle(trig_rational(idx.i, idx.j, r, params.b, power), BACK_HALF_CIRCLE, spec)
+        return quad_oracle(trig_rational(idx.i, idx.j, r, params.a, power), HALF_CIRCLE)
+    return quad_oracle(trig_rational(idx.i, idx.j, r, params.b, power), BACK_HALF_CIRCLE)

@@ -248,8 +248,7 @@ def _run_verify(manifest: ExperimentManifest) -> Dict[str, Any]:
     checks.append(_check("kernel_vs_oracle", worst < 1e-9, worst, 0.0, 1e-9))
 
     a = params.a
-    sgn = 1.0 if a > 0 else -1.0
-    grid = [sgn * a * t for t in (-0.7, -0.3, 0.1, 0.5, 0.9, 1.2, 2.0, 5.0)]
+    grid = [a * t for t in (-0.7, -0.3, 0.1, 0.5, 0.9, 1.2, 2.0, 5.0)]
     worst_ode = 0.0
     for r in grid:
         if abs(abs(r) - abs(a)) < 1e-3:
@@ -335,6 +334,10 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     epsilons = opts.get("epsilons", [])
     r_max = _option(opts, "r_max", float, min(1.5 * max(targets), 0.95 * params.r0))
     grid = _option(opts, "grid", int, 60)
+    if r_max <= max(targets):
+        raise ManifestError(f"r_max = {r_max} must exceed the largest target {max(targets)}")
+    if grid < 1:
+        raise ManifestError(f"grid must be a positive number of radii, got {grid}")
     checks: List[Dict[str, Any]] = []
     payloads: Dict[str, Any] = {}
 

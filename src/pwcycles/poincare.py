@@ -16,8 +16,9 @@ Every start radius meets the leg boundaries at the same theta, so
 `return_map` integrates many rows at once, each carrying its own (radius,
 eps, perturbation): a lockstep DOP853 engine steps each row under its own
 step-size control, exactly as scipy's scalar DOP853 would step it alone,
-and shares only the right-hand-side evaluations, where eps and the Horner
-coefficients are per-row arrays.  A row's result is bit for bit
+and shares only the right-hand-side evaluations, which read each row's eps
+and perturbation from one array of all the fields' tables, zero-padded to
+the largest degree.  A row's result is bit for bit
 independent of the batch it is in, so an experiment integrates the
 displacement grids at all its eps and the fixed-point grid in one call,
 and `find_fixed_points` refines all its brackets with one call per
@@ -79,71 +80,62 @@ class SlidingDetectedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _horner_rows(tables: Sequence[np.ndarray], start: int) -> Tuple[List[np.ndarray], List[List[int]]]:
-    """The Horner coefficients of several tables, one value per table in each row.
-
-    Per power of y, highest first, returns the indices (counted from
-    `start`) of the rows of its coefficients of x, highest power first.
-    Leading coefficients that are zero in every table are dropped, and a
-    table's own leading zeros kept: in Horner's scheme either only produces
-    exact zeros, so neither changes a bit of a value.
-    """
-    size = max(len(t) for t in tables)
-    stack = np.zeros((size, size, len(tables)))
-    for k, t in enumerate(tables):
-        stack[: len(t), : len(t), k] = t
-    rows: List[np.ndarray] = []
-    layout = []
-    for col in stack.transpose(1, 0, 2):
-        width = int(np.flatnonzero(col.any(axis=1)).max(initial=-1)) + 1
-        layout.append(list(range(start + len(rows), start + len(rows) + width)))
-        rows += list(col[:width][::-1])
-    while layout and not layout[-1]:
-        layout.pop()
-    return rows, layout[::-1]
+def _triangle(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The indices (i, j) of the triangle i + j <= size - 1 of a table, per
+    power j of y and then per power i of x, both from the highest: the
+    order in which `_polyval2d` reads the coefficients."""
+    i, j = zip(*((i, j) for j in range(size)[::-1] for i in range(size - j)[::-1]))
+    return np.array(i), np.array(j)
 
 
-def _horner(coeffs, z):
-    v = coeffs[0] if coeffs else 0.0
-    for c in coeffs[1:]:
-        v = c + v * z
-    return v
-
-
-def _polyval2d(cols, x: np.ndarray, y: np.ndarray):
+def _polyval2d(c, x: np.ndarray, y: np.ndarray):
     """``numpy.polynomial.polynomial.polyval2d(x, y, table)`` in its order of
     operations — Horner in x for each power of y, then Horner in y — so the
-    values are bit-equal, elementwise over arrays.  `cols` holds the
-    coefficients of x per power of y, both from the highest power."""
-    return _horner([_horner(col, x) for col in cols], y)
+    values are bit-equal, elementwise over arrays.  `c` lists the triangle
+    i + j <= size - 1 of the table in the order of `_triangle`: the one
+    coefficient of x for y^(size-1), then the two for y^(size-2), and so on."""
+    v, k, width = None, 0, 1
+    while k < len(c):
+        col = c[k]
+        for coeff in c[k + 1 : k + width]:
+            col = coeff + col * x
+        v = col if v is None else col + v * y
+        k, width = k + width, width + 1
+    return v
 
 
 def _leg_terms(fields: Sequence["PolarField"], plus: bool) -> Callable:
     """The polar equation on one half-plane for rows that each carry their
     own field, all of the same `params`.
 
-    Returns `at(rows)`: for the field indices `rows` it gathers each row's
-    eps and coefficients and returns the function of arrays (cos theta,
-    sin theta, r) giving (h, eps * numerator, dtheta/dt).
+    The `f` and `g` tables of every field, zero-padded to the largest
+    degree, form one array; the padding only ever adds exact zeros, so it
+    changes no bit of a value.  Returns `at(rows)`: for a field index or an
+    index array `rows` it gathers those fields' eps and the triangles of
+    their tables and returns the function of arrays (cos theta, sin theta,
+    r), which broadcast against `rows`, giving (h, eps * numerator,
+    dtheta/dt).
     """
     const = fields[0].params.a if plus else fields[0].params.b
-    perts = [fl.pert for fl in fields]
-    f_rows, f_layout = _horner_rows([p.plus_f if plus else p.minus_f for p in perts], 1)
-    g_rows, g_layout = _horner_rows([p.plus_g if plus else p.minus_g for p in perts], 1 + len(f_rows))
-    coef = np.array([[fl.epsilon for fl in fields], *f_rows, *g_rows], dtype=float)
+    tables = [(p.plus_f, p.plus_g) if plus else (p.minus_f, p.minus_g) for p in (fl.pert for fl in fields)]
+    size = max(len(f) for f, _ in tables)
+    coef = np.zeros((2, size, size, len(fields)))
+    for k, (f, g) in enumerate(tables):
+        coef[:, : len(f), : len(f), k] = f, g
+    i, j = _triangle(size)
+    coef = coef[:, i, j]
+    eps = np.array([fl.epsilon for fl in fields], dtype=float)
 
     def at(rows):
-        c = coef[:, rows]
-        eps = c[0]
-        f_cols = [[c[k] for k in col] for col in f_layout]
-        g_cols = [[c[k] for k in col] for col in g_layout]
+        f_c, g_c = (list(c) for c in coef[:, :, rows])
+        e = eps[rows]
 
         def terms(cos, sin, r):
             x, y = r * cos, r * sin
             h = (x + const) ** 2
-            fv = _polyval2d(f_cols, x, y)
-            gv = _polyval2d(g_cols, x, y)
-            return h, eps * (fv * cos + gv * sin), h + (eps / r) * (gv * cos - fv * sin)
+            fv = _polyval2d(f_c, x, y)
+            gv = _polyval2d(g_c, x, y)
+            return h, e * (fv * cos + gv * sin), h + (e / r) * (gv * cos - fv * sin)
 
         return terms
 
@@ -165,11 +157,8 @@ def _leg_rhs(fields: Sequence["PolarField"], group: np.ndarray, plus: bool) -> C
 
         def rhs(theta, r):
             h, num, den = terms(np.cos(theta), np.sin(theta), r)
-            low = h < _H_FLOOR
-            if low.any():
-                raise NearSingularityError(
-                    f"(r cos t + {const})^2 = {h[np.argmax(low)]:.2e} below guard"
-                )
+            if h.min() < _H_FLOOR:
+                raise NearSingularityError(f"(r cos t + {const})^2 = {h.min():.2e} below guard")
             return num / den
 
         return rhs
@@ -189,16 +178,11 @@ class PolarField:
     params: SystemParams
     pert: PerturbationSpec
     epsilon: float
-    r_range: Tuple[float, float] = (0.0, 0.0)
+    r_range: Tuple[float, float]
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.r_range == (0.0, 0.0):
-            hi = self.params.r0
-            if not math.isfinite(hi):
-                hi = 10.0 * max(abs(self.params.a), abs(self.params.b))
-            object.__setattr__(self, "r_range", (0.01 * hi, 0.95 * hi))
         lo, hi = self.r_range
         if not (0 < lo < hi):
             raise ValueError("invalid r_range")
@@ -505,7 +489,7 @@ def _cartesian_rhs(field: PolarField, plus: bool):
             x * w + eps * float(npoly.polyval2d(x, y, g_t)),
         ]
 
-    return rhs, const, f_t
+    return rhs
 
 
 def _leg_time_bound(field: PolarField, r: float) -> float:
@@ -528,8 +512,6 @@ def cartesian_crosscheck(
     x0, y0 = float(start[0]), float(start[1])
     if x0 == 0.0:
         raise ValueError("start must be off the switching line x = 0")
-    if y0 == 0.0 and x0 < 0:
-        raise ValueError("the section is {y = 0, x > 0}; start with x > 0")
     if x0 < 0:
         raise ValueError("cross-check starts in the plus half-plane (x > 0)")
     r_start = math.hypot(x0, y0)
@@ -557,7 +539,7 @@ def cartesian_crosscheck(
         for plus, event, direction in ((True, switching, -1.0), (False, switching, 1.0), (True, section, 1.0)):
             event.direction = direction
             event.terminal = True
-            rhs, const, _ = _cartesian_rhs(field, plus)
+            rhs = _cartesian_rhs(field, plus)
             sol = solve_ivp(
                 rhs,
                 (t_now, t_now + t_bound),
@@ -579,9 +561,7 @@ def cartesian_crosscheck(
                 r2 = state[0] ** 2 + state[1] ** 2
                 drift = max(drift, abs(r2 - r2_ref) / r2_ref)
             if event is switching:
-                xdot = -state[1] * (state[0] + const) ** 2 + field.epsilon * float(
-                    npoly.polyval2d(state[0], state[1], field.pert.plus_f if plus else field.pert.minus_f)
-                )
+                xdot = rhs(t_now, state)[0]
                 if abs(xdot) < 1e-9 * max(1.0, abs(state[1])):
                     raise SlidingDetectedError(
                         f"grazing contact at switching line: x' = {xdot:.2e} at y = {state[1]:.3g}"

@@ -54,7 +54,6 @@ from .kernels import (
     FULL_CIRCLE,
     DomainError,
     FamilyIndex,
-    QuadratureSpec,
     SystemParams,
     eval_family,
     quad_oracle,
@@ -122,9 +121,7 @@ def eval_V_family(i: int, j: int, r: float, a: float) -> float:
     return plus + (-1) ** (i + j) * minus
 
 
-def oracle_smooth_F(
-    a: float, pert: PerturbationSpec, r: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
+def oracle_smooth_F(a: float, pert: PerturbationSpec, r: float) -> float:
     """F(r) by full-circle quadrature of f = plus_f, g = plus_g,
     independent of the reduction."""
     if not (0 < r < abs(a)):
@@ -137,7 +134,7 @@ def oracle_smooth_F(
         g = float(npoly.polyval2d(x, y, pert.plus_g))
         return (f * ct + g * st) / (r * ct + a) ** 2
 
-    return r * quad_oracle(integrand, FULL_CIRCLE, spec)
+    return r * quad_oracle(integrand, FULL_CIRCLE)
 
 
 # ---------------------------------------------------------------------------

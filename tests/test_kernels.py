@@ -17,7 +17,6 @@ from pwcycles.kernels import (
     FamilyIndex,
     FamilyIndexError,
     OracleConvergenceError,
-    QuadratureSpec,
     SingularityError,
     SystemParams,
     eval_A00,
@@ -288,12 +287,6 @@ class TestQuadOracle:
         f = trig_rational(0, 0, 1.0, -0.5, 2)
         with pytest.raises(OracleConvergenceError):
             quad_oracle(f, HALF_CIRCLE)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=1e-18)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
 
 
 def test_exact_ring_guard():

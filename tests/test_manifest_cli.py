@@ -196,6 +196,14 @@ class TestCli:
         cfg.write_text(json.dumps(_verify_doc()))
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    def test_verify_negative_a_exit_zero(self, tmp_path, capsys):
+        # for a < 0 the ODE-residual grid a * t must stay in A00's domain r < -a
+        cfg = tmp_path / "v.json"
+        cfg.write_text(json.dumps(_verify_doc(a=-1.0, b=2.0)))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 4 and "[FAIL]" not in out
+
     def test_config_error_exit_two(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -225,6 +233,8 @@ class TestCli:
             ("simulate", {**_SIM, "targets": 0.5}, []),
             ("simulate", {**_SIM, "grid": "fine"}, []),
             ("simulate", {**_SIM, "r_max": None}, []),
+            ("simulate", {**_SIM, "r_max": 0.5}, []),
+            ("simulate", {**_SIM, "grid": 0}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": [0.2, 1.0]}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"lo": "x"}}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"hi": [1.0]}}, []),
@@ -233,7 +243,7 @@ class TestCli:
         ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
              "off_triangle", "inline_index", "samples", "n_list", "n_list_scalar", "draws",
              "r_max", "smooth_draws", "degree", "targets", "targets_empty", "targets_scalar",
-             "grid", "sim_r_max", "r_grid", "r_grid_lo", "r_grid_hi", "r_grid_count"],
+             "grid", "sim_r_max", "sim_r_max_at_target", "sim_grid_empty", "r_grid", "r_grid_lo", "r_grid_hi", "r_grid_count"],
     )
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
         cfg = tmp_path / "bad.json"

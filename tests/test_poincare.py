@@ -70,7 +70,7 @@ def field(params, rng):
 class TestPolarField:
     def test_negative_epsilon_rejected(self, params):
         with pytest.raises(ValueError):
-            PolarField(params, PerturbationSpec(1), -1e-3)
+            PolarField(params, PerturbationSpec(1), -1e-3, r_range=(0.2, 3.0))
 
     def test_epsilon_validity_guard(self, params):
         # a huge epsilon flips the angular speed somewhere on the annulus
@@ -150,6 +150,38 @@ class TestPolarRhs:
             X, Y = polar_XY(field, theta, r, plus)
             want = field.epsilon * X + field.epsilon**2 * Y
             assert polar_rhs(field, theta, r) == pytest.approx(want, rel=1e-12)
+
+
+class TestLegTerms:
+    def test_zero_padded_tables_match_polyval2d_bitwise(self, params, rng):
+        # rows of degrees 1-4 and a degree-3 perturbation whose top
+        # coefficients are zero share one array padded to degree 4; each
+        # row's terms equal those built from numpy's polyval2d on its own
+        # tables, bit for bit
+        base = PerturbationSpec.random(3, rng)
+        tables = [t.copy() for t in (base.plus_f, base.plus_g, base.minus_f, base.minus_g)]
+        for t in tables:
+            t[np.add.outer(np.arange(4), np.arange(4)) == 3] = 0.0
+        perts = [PerturbationSpec.random(n, rng) for n in (1, 2, 3, 4)] + [PerturbationSpec(3, *tables)]
+        fields = [PolarField(params, p, eps, r_range=(0.2, 1.5)) for p in perts for eps in (1e-3, 1e-2)]
+        m = 7
+        theta = rng.uniform(0.0, 2 * math.pi, (len(fields), m))
+        r = rng.uniform(0.2, 1.5, (len(fields), m))
+        cos, sin = np.cos(theta), np.sin(theta)
+        rows = np.repeat(np.arange(len(fields)), m)
+        for plus in (True, False):
+            got = poincare._leg_terms(fields, plus)(rows)(cos.ravel(), sin.ravel(), r.ravel())
+            const = params.a if plus else params.b
+            for k, fld in enumerate(fields):
+                pert = fld.pert
+                f_t, g_t = (pert.plus_f, pert.plus_g) if plus else (pert.minus_f, pert.minus_g)
+                c, s, rk, eps = cos[k], sin[k], r[k], fld.epsilon
+                x, y = rk * c, rk * s
+                h = (x + const) ** 2
+                fv, gv = npoly.polyval2d(x, y, f_t), npoly.polyval2d(x, y, g_t)
+                want = (h, eps * (fv * c + gv * s), h + (eps / rk) * (gv * c - fv * s))
+                for g, w in zip(got, want):
+                    assert g[k * m : (k + 1) * m].tolist() == w.tolist(), (plus, k)
 
 
 class TestReturnMap:
