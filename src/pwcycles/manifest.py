@@ -335,6 +335,8 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     r_max = _option(opts, "r_max", float, min(1.5 * max(targets), 0.95 * params.r0))
     grid = _option(opts, "grid", int, 60)
     if r_max <= max(targets):
+        if "r_max" not in opts:
+            raise ManifestError(f"the largest target {max(targets)} must stay below 0.95*r0 = {r_max}")
         raise ManifestError(f"r_max = {r_max} must exceed the largest target {max(targets)}")
     if grid < 1:
         raise ManifestError(f"grid must be a positive number of radii, got {grid}")

@@ -157,8 +157,10 @@ def _leg_rhs(fields: Sequence["PolarField"], group: np.ndarray, plus: bool) -> C
 
         def rhs(theta, r):
             h, num, den = terms(np.cos(theta), np.sin(theta), r)
-            if h.min() < _H_FLOOR:
-                raise NearSingularityError(f"(r cos t + {const})^2 = {h.min():.2e} below guard")
+            # fmin skips NaN rows and an empty batch, so each row is judged alone
+            h_min = np.fmin.reduce(h, axis=None, initial=np.inf)
+            if h_min < _H_FLOOR:
+                raise NearSingularityError(f"(r cos t + {const})^2 = {h_min:.2e} below guard")
             return num / den
 
         return rhs

@@ -235,6 +235,7 @@ class TestCli:
             ("simulate", {**_SIM, "r_max": None}, []),
             ("simulate", {**_SIM, "r_max": 0.5}, []),
             ("simulate", {**_SIM, "grid": 0}, []),
+            ("simulate", {**_SIM, "a": -1.0, "b": 2.0, "targets": [0.5, 0.98]}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": [0.2, 1.0]}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"lo": "x"}}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"hi": [1.0]}}, []),
@@ -243,7 +244,8 @@ class TestCli:
         ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
              "off_triangle", "inline_index", "samples", "n_list", "n_list_scalar", "draws",
              "r_max", "smooth_draws", "degree", "targets", "targets_empty", "targets_scalar",
-             "grid", "sim_r_max", "sim_r_max_at_target", "sim_grid_empty", "r_grid", "r_grid_lo", "r_grid_hi", "r_grid_count"],
+             "grid", "sim_r_max", "sim_r_max_at_target", "sim_grid_empty",
+             "sim_target_past_default_r_max", "r_grid", "r_grid_lo", "r_grid_hi", "r_grid_count"],
     )
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
         cfg = tmp_path / "bad.json"

@@ -213,6 +213,20 @@ class TestReturnMap:
         assert len(res.fixed_points) == 1
         assert abs(res.fixed_points[0].location - 0.8) < 10 * eps
 
+    def test_grid_without_sign_change_has_no_fixed_point(self, params):
+        # the placed zero at 0.8 lies below the grid, so the displacement
+        # keeps one sign and the slope call maps an empty batch
+        exp = place_zeros(params, 1, [0.8])
+        pert = perturbation_for_expansion(params, exp).normalized()
+        fld = PolarField(params, pert, 1e-3, r_range=(0.2, 3.0))
+        rr = np.linspace(1.5, 2.5, 12)
+        images = return_map(fld, rr)
+        assert len(set(np.sign(images - rr))) == 1
+        assert find_fixed_points(fld, rr, images).fixed_points == ()
+
+    def test_empty_batch_maps_to_empty_array(self, field):
+        assert return_map(field, np.array([])).shape == (0,)
+
     def test_out_of_range_start_rejected(self, field):
         with pytest.raises(ValueError):
             return_map(field, 9.0)
@@ -299,6 +313,14 @@ class TestErrorPaths:
         assert return_map(fld, 0.5) > 0.5
         with pytest.raises(NearSingularityError):
             return_map(fld, np.array([0.5, 1.45]))
+
+    def test_nan_row_does_not_hide_a_singular_row(self, bounded_params):
+        # the guard judges each row alone: a NaN row beside the singular
+        # line x = 1.5 does not mask it
+        fld = PolarField(bounded_params, PerturbationSpec(1), 0.01, r_range=(0.2, 1.45))
+        rhs = _leg_rhs([fld], np.zeros(2, dtype=int), True)(np.arange(2))
+        with pytest.raises(NearSingularityError):
+            rhs(np.zeros(2), np.array([np.nan, 1.5]))
 
     def test_blow_up_in_batch(self, bounded_params):
         # a radial push on the minus side carries the orbit past r0 = 1.5
