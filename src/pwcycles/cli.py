@@ -58,9 +58,12 @@ def _manifest_from_args(args: argparse.Namespace) -> ExperimentManifest:
         if not args.config.exists():
             raise ManifestError(f"config file not found: {args.config}")
         try:
-            doc.update(json.loads(args.config.read_text()))
+            loaded = json.loads(args.config.read_text())
         except json.JSONDecodeError as exc:
             raise ManifestError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ManifestError("config must be a JSON object")
+        doc.update(loaded)
         if doc.get("kind") != kind:
             raise ManifestError(
                 f"config kind {doc.get('kind')!r} does not match subcommand {args.command!r}"
@@ -108,12 +111,7 @@ def main(argv=None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         _set_log_level()
-        manifest = _manifest_from_args(args)
-    except ManifestError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        record = run_manifest(manifest)
+        record = run_manifest(_manifest_from_args(args))
         written = emit_table(record, args.format, args.out)
     except ManifestError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -213,16 +213,11 @@ def a00(r, a: float):
 
 def _check_a_domain(r: float, a: float) -> None:
     sing = -a  # the singular endpoint for either sign of a
-    if a > 0:
-        if r == sing:
-            raise SingularityError(f"A[0,0] has a branch-point blow-up at r = {sing}")
-        if r < sing:
-            raise DomainError(f"r = {r} is outside the analyticity domain ({sing}, +inf)")
-    else:
-        if r == sing:
-            raise SingularityError(f"A[0,0] has a branch-point blow-up at r = {sing}")
-        if r > sing:
-            raise DomainError(f"r = {r} is outside the analyticity domain (-inf, {sing})")
+    if r == sing:
+        raise SingularityError(f"A[0,0] has a branch-point blow-up at r = {sing}")
+    if (r < sing) if a > 0 else (r > sing):
+        domain = f"({sing}, +inf)" if a > 0 else f"(-inf, {sing})"
+        raise DomainError(f"r = {r} is outside the analyticity domain {domain}")
 
 
 def eval_A00(r: float, params: SystemParams) -> float:
@@ -241,14 +236,14 @@ def eval_B00(r: float, params: SystemParams) -> float:
     return a00(-r, params.b)
 
 
+def _i00(r: float, a: float, A: float) -> float:
+    """I[0,0](r; a) from A = A[0,0](r; a); J[0,0](r) is _i00(-r, b, B[0,0](r))."""
+    return 2.0 * r / (a * a) + (a - r * r / a) * A
+
+
 def eval_I00_J00(r: float, params: SystemParams) -> Tuple[float, float]:
     """First-power seeds expressed through A[0,0] and B[0,0]."""
-    a, b = params.a, params.b
-    A = eval_A00(r, params)
-    B = eval_B00(r, params)
-    i00 = 2.0 * r / (a * a) + (a - r * r / a) * A
-    j00 = -2.0 * r / (b * b) + (b - r * r / b) * B
-    return i00, j00
+    return _i00(r, params.a, eval_A00(r, params)), _i00(-r, params.b, eval_B00(r, params))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +282,7 @@ def _a_i0(i: int, r: float, a: float) -> float:
     if abs(r) <= _SERIES_RADIUS * abs(a):
         return _series_j0(i, r, a, power=2)
     A = a00(r, a)
-    I = 2.0 * r / (a * a) + (a - r * r / a) * A
-    acc = (-a) ** i * A + i * (-a) ** (i - 1) * I
+    acc = (-a) ** i * A + i * (-a) ** (i - 1) * _i00(r, a, A)
     for k in range(i - 1):  # k = 0 .. i-2
         acc += (k + 1) * (-a) ** k * wallis_half(i - k - 2) * r ** (i - k - 2)
     return acc / r**i
@@ -300,8 +294,7 @@ def _i_i0(i: int, r: float, a: float) -> float:
         return wallis_half(i) / a
     if abs(r) <= _SERIES_RADIUS * abs(a):
         return _series_j0(i, r, a, power=1)
-    A = a00(r, a)
-    I = 2.0 * r / (a * a) + (a - r * r / a) * A
+    I = _i00(r, a, a00(r, a))
     if i == 0:
         return I
     acc = (-a) ** i * I
@@ -310,44 +303,26 @@ def _i_i0(i: int, r: float, a: float) -> float:
     return acc / r**i
 
 
-def _b_i0(i: int, r: float, b: float) -> float:
-    # Half-turn substitution: B[i,0](r; b) = (-1)^i A[i,0](-r; b).
-    return (-1) ** i * _a_i0(i, -r, b)
-
-
-def _j_i0(i: int, r: float, b: float) -> float:
-    return (-1) ** i * _i_i0(i, -r, b)
-
-
 def eval_family(idx: FamilyIndex, r: float, params: SystemParams) -> float:
     """Evaluate any of A, B, I, J at arbitrary (i, j).
 
     Odd j annihilates all four families (odd integrand on a symmetric
     window).  Even j = 2l reduces binomially through sin^2 = 1 - cos^2 to
-    a signed sum of j = 0 members, which the ladders evaluate.
+    a signed sum of j = 0 members, which the ladders evaluate.  B and J
+    are A and I by the half-turn substitution t -> t + pi:
+    B[i,0](r; b) = (-1)^i A[i,0](-r; b), and J from I the same way.
     """
     fam, i, j = idx.family, idx.i, idx.j
     if j % 2 == 1:
         return 0.0
-    if fam in ("A", "I"):
-        _check_a_domain(r, params.a)
-    else:
-        _check_a_domain(-r, params.b)
-
+    c, s = (params.a, 1) if fam in ("A", "I") else (params.b, -1)
+    _check_a_domain(s * r, c)
+    ladder = _a_i0 if fam in ("A", "B") else _i_i0
     l = j // 2
-    base: Callable[[int], float]
-    if fam == "A":
-        base = lambda ii: _a_i0(ii, r, params.a)
-    elif fam == "B":
-        base = lambda ii: _b_i0(ii, r, params.b)
-    elif fam == "I":
-        base = lambda ii: _i_i0(ii, r, params.a)
-    else:
-        base = lambda ii: _j_i0(ii, r, params.b)
-
     acc = 0.0
     for k in range(l + 1):
-        acc += (-1) ** k * math.comb(l, k) * base(i + 2 * k)
+        ii = i + 2 * k
+        acc += (-1) ** k * math.comb(l, k) * (s**ii * ladder(ii, s * r, c))
     return acc
 
 

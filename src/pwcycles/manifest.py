@@ -108,9 +108,12 @@ class ExperimentManifest:
             if any(e1 <= e2 for e1, e2 in zip(eps, eps[1:])):
                 raise ManifestError("epsilon values must be descending")
             options["epsilons"] = eps
-        for key in ("pert_file",):
-            if key in options and not Path(options[key]).exists():
-                raise ManifestError(f"referenced file does not exist: {options[key]}")
+        if "pert_file" in options:
+            pert_file = options["pert_file"]
+            if not isinstance(pert_file, str):
+                raise ManifestError(f"'pert_file' must be a path string, got {pert_file!r}")
+            if not Path(pert_file).exists():
+                raise ManifestError(f"referenced file does not exist: {pert_file}")
         return ExperimentManifest(kind, a, b, seed, options)
 
     def canonical(self) -> str:
@@ -167,6 +170,18 @@ def _of_type(kind: type, value: Any) -> Any:
     if not isinstance(value, kind):
         raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
     return value
+
+
+def _at_least(low: int) -> Callable[[Any], int]:
+    """An integer conversion that rejects values below `low`."""
+
+    def convert(value: Any) -> int:
+        v = int(value)
+        if v < low:
+            raise ValueError(f"expected an integer >= {low}, got {v}")
+        return v
+
+    return convert
 
 
 def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], List[Any]]:
@@ -285,15 +300,18 @@ def _auto_targets(count: int, lo: float, hi: float) -> List[float]:
 def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
     opts = manifest.options
-    n_list = _option(opts, "n_list", _list_of(int), [1, 2, 3, 4])
-    draws = _option(opts, "draws", int, 500)
+    n_list = _option(opts, "n_list", _list_of(_at_least(1)), [1, 2, 3, 4])
+    draws = _option(opts, "draws", _at_least(0), 500)
     r_max = _option(opts, "r_max", float, min(10.0 * max(abs(params.a), abs(params.b)), 0.95 * params.r0))
+    if r_max <= 0.4:
+        given = "r_max" if "r_max" in opts else "the default r_max = min(10*max(|a|, |b|), 0.95*r0)"
+        raise ManifestError(f"{given} = {r_max} must exceed 0.4: the targets lie on (0.3, 0.75*r_max)")
+    lo, hi = 0.3, 0.75 * r_max if r_max < 8 else 5.0
     checks: List[Dict[str, Any]] = []
     rows = []
     for n in n_list:
         claimed = hn_formula(CountFormulaInput(n, params.resonant))
         capacity = reachable_zero_capacity(n, params.resonant)
-        lo, hi = 0.3, 0.75 * r_max if r_max < 8 else 5.0
         try:
             expansion = place_zeros(params, n, _auto_targets(claimed, lo, hi), seed=manifest.seed)
         except PlacementError as exc:
@@ -333,13 +351,11 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
         raise ManifestError("place_and_simulate needs 'degree' and a non-empty 'targets' list")
     epsilons = opts.get("epsilons", [])
     r_max = _option(opts, "r_max", float, min(1.5 * max(targets), 0.95 * params.r0))
-    grid = _option(opts, "grid", int, 60)
+    grid = _option(opts, "grid", _at_least(1), 60)
     if r_max <= max(targets):
         if "r_max" not in opts:
             raise ManifestError(f"the largest target {max(targets)} must stay below 0.95*r0 = {r_max}")
         raise ManifestError(f"r_max = {r_max} must exceed the largest target {max(targets)}")
-    if grid < 1:
-        raise ManifestError(f"grid must be a positive number of radii, got {grid}")
     checks: List[Dict[str, Any]] = []
     payloads: Dict[str, Any] = {}
 
@@ -414,8 +430,8 @@ def _run_smooth(manifest: ExperimentManifest) -> Dict[str, Any]:
     a = manifest.a
     params = SystemParams(a, a)
     opts = manifest.options
-    n_list = _option(opts, "n_list", _list_of(int), [2, 3])
-    draws = _option(opts, "draws", int, 200)
+    n_list = _option(opts, "n_list", _list_of(_at_least(1)), [2, 3])
+    draws = _option(opts, "draws", _at_least(0), 200)
     checks: List[Dict[str, Any]] = []
     rows = []
     for n in n_list:
@@ -453,14 +469,16 @@ def _run_smooth(manifest: ExperimentManifest) -> Dict[str, Any]:
 def _run_sweep(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
     opts = manifest.options
-    pert = _pert_from_options(manifest, params)
     epsilons = opts.get("epsilons")
     if not epsilons:
         raise ManifestError("sweep needs a descending 'epsilons' list")
     rspec = _option(opts, "r_grid", lambda v: _of_type(dict, v), {})
     lo = _option(rspec, "lo", float, 0.2)
     hi = _option(rspec, "hi", float, min(3.0, 0.8 * params.r0))
-    count = _option(rspec, "count", int, 40)
+    count = _option(rspec, "count", _at_least(1), 40)
+    if not 0 < lo < hi <= 0.97 * params.r0:
+        raise ManifestError(f"r_grid needs 0 < lo < hi <= 0.97*r0 = {0.97 * params.r0}; got lo = {lo}, hi = {hi}")
+    pert = _pert_from_options(manifest, params)
     r_range = (0.5 * lo, min(1.5 * hi, 0.97 * params.r0))
     fields = [PolarField(params, pert, eps, r_range=r_range) for eps in epsilons]
     rr = np.linspace(lo, hi, count)
@@ -511,19 +529,13 @@ def emit_table(record: Dict[str, Any], fmt: str, out_dir: str | Path) -> List[Pa
         path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
         written.append(path)
     if fmt in ("csv", "both"):
-        path = out / f"{base}_checks.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "status", "measured", "expected", "tolerance"])
-            for c in record["checks"]:
-                writer.writerow([c["name"], c["status"], c["measured"], c["expected"], c["tolerance"]])
-        written.append(path)
-        for name, table in record["payloads"].items():
+        columns = ["name", "status", "measured", "expected", "tolerance"]
+        checks = {"columns": columns, "rows": [[c[k] for k in columns] for c in record["checks"]]}
+        for name, table in {"checks": checks, **record["payloads"]}.items():
             path = out / f"{base}_{name}.csv"
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(table["columns"])
-                for row in table["rows"]:
-                    writer.writerow(row)
+                writer.writerows(table["rows"])
             written.append(path)
     return written

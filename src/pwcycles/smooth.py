@@ -16,11 +16,12 @@ smooth perturbation is a `PerturbationSpec` with equal tables,
 `assemble_smooth` is `assemble` at `SystemParams(a, a)` plus the exact
 smooth checks, zeros are counted by `count_simple_zeros`, and placement
 and the ceiling survey run the piecewise code over `smooth_generators`
-and `assembly_matrix` at b = a, and so does the rank measurement
-`smooth_generating_rank`.  The exact smooth checks run once per (a, n)
-and process, on the smooth unit directions as read from the cached
-piecewise unit reductions at b = a; the checks are linear, so they then
-hold for every draw.
+and `assembly_matrix` at b = a.  The rank measurement
+`smooth_generating_rank` is `sample_rank` over the smooth unit columns
+of that matrix, with no random draws.  The exact smooth checks run once
+per (a, n) and process, on the smooth unit directions as read from the
+cached piecewise unit reductions at b = a; the checks are linear, so
+they then hold for every draw.
 Two independent paths stay separate on purpose: the full-circle
 quadrature oracle `oracle_smooth_F`, and the V families through
 
@@ -156,10 +157,8 @@ def smooth_generators(a: float, n: int) -> List[BasisExpansion]:
 
 
 def place_smooth_zeros(a: float, n: int, targets: Sequence[float]) -> BasisExpansion:
-    """Null-space placement in the smooth reachable span (n+1 generators);
-    the result is an expansion at `SystemParams(a, a)`."""
-    if len(targets) > n:
-        raise ValueError(f"the smooth span for degree {n} places at most {n} zeros")
+    """Null-space placement in the smooth reachable span (n+1 generators,
+    so capacity n); the result is an expansion at `SystemParams(a, a)`."""
     return _place(SystemParams(a, a), smooth_generators(a, n), targets)
 
 
@@ -173,6 +172,11 @@ def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
     dimension n+1 for both parities — the even monomial range is capped
     at 2*floor((n-1)/2), so for n = 2k the listed r^(2k) is unreachable
     and the set overcounts by one.
+
+    Both ranks are `sample_rank` of values at the same Chebyshev points:
+    the listed set's, and the smooth unit directions' (plus unit k plus
+    minus unit k of the cached `assembly_matrix` at b = a), which span the
+    reachable set; no random draws.
     """
     k = n // 2
     if not (0 < r_max < abs(a)):
@@ -183,12 +187,9 @@ def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
     listed_rank, _ = sample_rank(listed.T.astype(float))
 
     _check_smooth_units(a, n)
-    rows = _random_smooth_rows(n, np.random.default_rng(0), 6 * (n + 3))
-    Mr = (rows @ assembly_matrix(params, n).T @ basis_values(params, n, pts)).T
-    norms = np.linalg.norm(Mr, axis=0)
-    keep = norms > 1e-13
-    sv = np.linalg.svd(Mr[:, keep] / norms[keep], compute_uv=False)
-    reachable_rank = int(np.sum(sv > 1e-8 * sv[0]))
+    M = assembly_matrix(params, n)
+    half = M.shape[1] // 2
+    reachable_rank, _ = sample_rank(((M[:, :half] + M[:, half:]).T @ basis_values(params, n, pts)).T)
 
     return {
         "listed_set_size": 2 * k + 2,

@@ -130,12 +130,7 @@ def reachable_zero_capacity(n: int, resonant: bool) -> int:
     exact reduction ties it to the top kernel coefficient (see module
     docstring), which removes one dimension.
     """
-    h = (n + 1) // 2
-    if resonant:
-        dim = 3 * h + (1 if n % 2 == 0 else 0)
-    else:
-        dim = 4 * h + (3 if n % 2 == 0 else 1)
-    return dim - 1
+    return hn_formula(CountFormulaInput(n, resonant)) - (n % 2 == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,25 @@ class TestFamilies:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (fam, i, j, r, a, b)
             checked += 1
 
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (-1.0, -2.0)])
+    def test_back_half_families_are_the_half_turn_of_the_front(self, a, b):
+        # B[i,j](r; b) = (-1)^i A[i,j](-r; b) and J from I, bit for bit; past
+        # and at r = b both raise eval_B00's error
+        p, front = SystemParams(a, b), SystemParams(b, a)
+        for r in (t * b for t in (-2.0, -0.3, 0.0, 0.3, 0.49, 0.7, 0.999)):
+            for back, fwd in (("B", "A"), ("J", "I")):
+                for i in range(9):
+                    for j in range(9 - i):
+                        got = eval_family(FamilyIndex(back, i, j), r, p)
+                        assert got == (-1) ** i * eval_family(FamilyIndex(fwd, i, j), -r, front)
+        for r in (b, 1.5 * b):
+            with pytest.raises((DomainError, SingularityError)) as want:
+                eval_B00(r, p)
+            for fam in "BJ":
+                with pytest.raises(want.type) as got:
+                    eval_family(FamilyIndex(fam, 2, 2), r, p)
+                assert str(got.value) == str(want.value)
+
     def test_r_zero_uses_direct_values(self, params):
         # even orders at r = 0 come straight from the moments
         got = eval_family(FamilyIndex("A", 4, 2), 0.0, params)

@@ -240,16 +240,34 @@ class TestCli:
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"lo": "x"}}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"hi": [1.0]}}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"count": "forty"}}, []),
+            ("verify", [1, 2], []),
+            ("verify", "x", []),
+            ("sweep", {**_SWEEP, "pert_file": 5}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "a": 1.0, "b": 0.35}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "a": -0.3, "b": 1.0}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "r_max": 0.35}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "n_list": [1, 0]}, []),
+            ("smooth", {"kind": "smooth_theorem12", "n_list": [0]}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "draws": -1}, []),
+            ("smooth", {"kind": "smooth_theorem12", "draws": -1}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"lo": 0.0}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"lo": 1.0, "hi": 0.5}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"count": 0}}, []),
+            ("sweep", {**_SWEEP, "b": 2.0, "pert_inline": {"degree": 1}, "r_grid": {"hi": 2.5}}, []),
         ],
         ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
              "off_triangle", "inline_index", "samples", "n_list", "n_list_scalar", "draws",
              "r_max", "smooth_draws", "degree", "targets", "targets_empty", "targets_scalar",
              "grid", "sim_r_max", "sim_r_max_at_target", "sim_grid_empty",
-             "sim_target_past_default_r_max", "r_grid", "r_grid_lo", "r_grid_hi", "r_grid_count"],
+             "sim_target_past_default_r_max", "r_grid", "r_grid_lo", "r_grid_hi", "r_grid_count",
+             "config_list", "config_string", "pert_file_number", "hn_default_r_max_window",
+             "hn_default_r_max_window_negative_a", "hn_r_max_window", "n_list_below_one",
+             "smooth_n_list_below_one", "draws_negative", "smooth_draws_negative", "r_grid_lo_zero",
+             "r_grid_hi_below_lo", "r_grid_count_zero", "r_grid_hi_past_r0"],
     )
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(_verify_doc(**over)))
+        cfg.write_text(json.dumps(_verify_doc(**over) if isinstance(over, dict) else over))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "Traceback" not in err

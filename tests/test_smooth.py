@@ -18,7 +18,7 @@ from pwcycles.smooth import (
     smooth_generating_rank,
     smooth_perturbation,
 )
-from pwcycles.zeros import count_simple_zeros
+from pwcycles.zeros import PlacementError, count_simple_zeros
 
 
 def _random_smooth(n, rng):
@@ -126,7 +126,7 @@ class TestSmoothZeros:
         assert np.allclose(zeros, targets, atol=1e-9)
 
     def test_placement_capacity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PlacementError, match="capacity 3 simple zeros"):
             place_smooth_zeros(1.0, 3, [0.2, 0.4, 0.6, 0.8])
 
     def test_empty_targets_signs_definite(self):
@@ -147,7 +147,7 @@ class TestSmoothZeros:
         assert got == hist and best == max(hist)
 
     def test_rank_reads_the_cached_matrix(self, monkeypatch):
-        # the reachable rank takes random smooth rows times assembly_matrix;
+        # the reachable rank reads the smooth unit columns of assembly_matrix;
         # the exact smooth checks read the same cached unit reductions
         calls = []
         original = averaging.assemble
@@ -165,6 +165,11 @@ class TestSmoothZeros:
             counts.append(len(calls))
             assert ranks["reachable_rank"] == n + 1
         assert counts == [m, 0]
+
+    @pytest.mark.parametrize("a", [1.0, -1.3, 0.5, 2.0])
+    def test_reachable_rank_is_n_plus_one(self, a):
+        for n in range(1, 7):
+            assert smooth_generating_rank(a, n, 0.9 * abs(a))["reachable_rank"] == n + 1
 
     def test_even_degree_rank_resolution(self):
         # the printed generating set for n = 2k lists one function more
