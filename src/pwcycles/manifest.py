@@ -240,7 +240,7 @@ def _displacement_table(fn: AveragedFunction, fields, rr, images) -> Dict[str, A
 def _run_verify(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
     rng = np.random.default_rng(manifest.seed)
-    samples = _option(manifest.options, "samples", int, 40)
+    samples = _option(manifest.options, "samples", _at_least(1), 40)
     checks: List[Dict[str, Any]] = []
 
     worst = 0.0
@@ -306,6 +306,11 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
     if r_max <= 0.4:
         given = "r_max" if "r_max" in opts else "the default r_max = min(10*max(|a|, |b|), 0.95*r0)"
         raise ManifestError(f"{given} = {r_max} must exceed 0.4: the targets lie on (0.3, 0.75*r_max)")
+    reach = min(r_max, 8.0)  # the survey radius, which bounds the count radius and the targets
+    if not reach < params.r0:
+        raise ManifestError(
+            f"r_max = {r_max}: the run reaches min(r_max, 8.0) = {reach}, which must stay below r0 = {params.r0}"
+        )
     lo, hi = 0.3, 0.75 * r_max if r_max < 8 else 5.0
     checks: List[Dict[str, Any]] = []
     rows = []
@@ -330,7 +335,7 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
                     "(top kernel and monomial coefficients are rationally tied)",
                 )
             )
-        best, hist = random_search_max_zeros(params, n, draws, manifest.seed + n, r_max=min(r_max, 8.0))
+        best, hist = random_search_max_zeros(params, n, draws, manifest.seed + n, r_max=reach)
         checks.append(_check(f"random_ceiling_n{n}", best <= claimed, best, claimed, 0))
         rows.append([n, claimed, capacity, attained, best])
     payload = {

@@ -254,6 +254,10 @@ class TestCli:
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"lo": 1.0, "hi": 0.5}}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"count": 0}}, []),
             ("sweep", {**_SWEEP, "b": 2.0, "pert_inline": {"degree": 1}, "r_grid": {"hi": 2.5}}, []),
+            ("verify", {"samples": 0}, []),
+            ("verify", {"samples": -4}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "b": 2.0, "r_max": 2.2}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "b": 2.0, "r_max": 3.0}, []),
         ],
         ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
              "off_triangle", "inline_index", "samples", "n_list", "n_list_scalar", "draws",
@@ -263,7 +267,8 @@ class TestCli:
              "config_list", "config_string", "pert_file_number", "hn_default_r_max_window",
              "hn_default_r_max_window_negative_a", "hn_r_max_window", "n_list_below_one",
              "smooth_n_list_below_one", "draws_negative", "smooth_draws_negative", "r_grid_lo_zero",
-             "r_grid_hi_below_lo", "r_grid_count_zero", "r_grid_hi_past_r0"],
+             "r_grid_hi_below_lo", "r_grid_count_zero", "r_grid_hi_past_r0", "samples_zero",
+             "samples_negative", "hn_r_max_past_r0", "hn_r_max_far_past_r0"],
     )
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
         cfg = tmp_path / "bad.json"
@@ -271,6 +276,17 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("b,exit_code", [(2.0, 2), (-2.0, 0)], ids=["r0_2", "r0_inf"])
+    def test_hn_large_r_max_is_bounded_by_r0(self, tmp_path, capsys, b, exit_code):
+        # r_max 12 reaches the survey radius min(12, 8.0) = 8: a configuration
+        # error naming the bound when r0 = 2, a working run when r0 is infinite
+        cfg = tmp_path / "hn.json"
+        doc = _verify_doc(kind="reproduce_hn", b=b, n_list=[1], draws=10, r_max=12.0)
+        cfg.write_text(json.dumps(doc))
+        assert main(["reproduce-hn", "--config", str(cfg), "--out", str(tmp_path / "o")]) == exit_code
+        err = capsys.readouterr().err
+        assert ("min(r_max, 8.0) = 8.0, which must stay below r0 = 2.0" in err) == (exit_code == 2)
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,16 +19,19 @@ from pwcycles.averaging import (
 from pwcycles.kernels import SystemParams
 from pwcycles.poincare import (
     _LEGS,
+    _MAP_ROUNDOFF,
+    _ROOT_XTOL,
     BlowUpError,
     EpsilonValidityError,
     NearSingularityError,
     PolarField,
+    _displacement,
     _leg_rhs,
     cartesian_crosscheck,
     find_fixed_points,
     return_map,
 )
-from pwcycles.zeros import place_zeros
+from pwcycles.zeros import _bracketed_roots, _sign_flips, count_simple_zeros, place_zeros
 
 
 def _one_field_rhs(field, plus):
@@ -230,6 +234,93 @@ class TestReturnMap:
     def test_out_of_range_start_rejected(self, field):
         with pytest.raises(ValueError):
             return_map(field, 9.0)
+
+
+@pytest.fixture(scope="module")
+def readme_fp():
+    """The fixed-point search of the README simulate example at seed 3:
+    its field at eps = 1.25e-3, its 60-radius grid and the grid's images,
+    built as `manifest._run_place_and_simulate` builds them."""
+    params = SystemParams(1.0, -2.0)
+    exp = place_zeros(params, 1, [0.5, 1.0, 1.5, 2.0], seed=3)
+    pert = perturbation_for_expansion(params, exp).normalized()
+    predicted = count_simple_zeros(assemble(params, pert), r_max=5.0, grid=800).locations
+    lo, hi = max(0.5 * min(predicted), 0.05), min(1.2 * max(predicted), 0.95 * 5.0)
+    fld = PolarField(params, pert, 1.25e-3, r_range=(0.5 * lo, 5.0))
+    rr = np.linspace(lo, hi, 60)
+    return fld, rr, return_map(fld, rr)
+
+
+class TestFixedPointRefinement:
+    """A bracket closes once the displacement is below the map's roundoff."""
+
+    @pytest.fixture
+    def run(self, readme_fp, monkeypatch):
+        """find_fixed_points on the README field, with every radius the
+        return map is called on."""
+        fld, rr, images = readme_fp
+        calls = []
+
+        def counted(field, r_start=None):
+            calls.append(np.array(r_start, dtype=float))
+            return return_map(field, r_start)
+
+        with monkeypatch.context() as m:
+            m.setattr(poincare, "return_map", counted)
+            return find_fixed_points(fld, rr, images), calls
+
+    def test_refinement_takes_at_most_five_calls(self, run):
+        result, calls = run
+        assert len(result.fixed_points) == 4
+        # every call but the last (the +-h slope call) refines brackets
+        assert len(calls) - 1 <= 5
+
+    def test_points_match_the_xtol_only_refinement(self, readme_fp, run):
+        fld, rr, images = readme_fp
+        disp = images - rr
+        keep, flips = _sign_flips(disp, 0.0)
+        i, j = keep[flips], keep[flips + 1]
+        ref = _bracketed_roots(lambda r: return_map(fld, r) - r, rr[i], rr[j], disp[i], disp[j], _ROOT_XTOL)
+        got = np.array([f.location for f in run[0].fixed_points])
+        assert np.all(np.abs(got - ref) <= 1e-8)
+
+    def test_each_point_is_at_the_floor_or_in_a_narrow_bracket(self, readme_fp, run):
+        fld, rr, _ = readme_fp
+        result, calls = run
+        z = np.array([f.location for f in result.fixed_points])
+        at_floor = np.abs(return_map(fld, z) - z) <= _MAP_ROUNDOFF * z
+        seen = np.sort(np.concatenate([rr, *calls[:-1]]))
+        for zk in z[~at_floor]:
+            a, b = seen[seen < zk].max(), seen[seen > zk].min()
+            assert b - a <= 2 * _ROOT_XTOL + 4 * np.finfo(float).eps * (abs(a) + abs(b))
+        assert at_floor.all()  # on this field every bracket closes at the floor
+
+    def test_displacement_above_the_floor_passes_unchanged(self, readme_fp, monkeypatch):
+        fld, rr, images = readme_fp
+        floored = []
+        assert np.array_equal(_displacement(fld, rr, floored), images - rr)
+        assert floored[0].size == 0
+        # 4*eps*r is 4 ulps of r = 1.0 and 6 ulps of r = 1.5
+        r = np.array([1.0, 1.0, 1.0, 1.5, 1.5, 1.5])
+        d = np.array([4, -5, 5, -6, 7, -7]) * np.spacing(r)
+        monkeypatch.setattr(poincare, "return_map", lambda field, radii: radii + d)
+        out = _displacement(fld, r, floored)
+        assert np.array_equal(out, np.where([True, False, False, True, False, False], 0.0, d))
+        assert np.array_equal(floored[1], np.abs(d[[0, 3]]))
+
+    def test_debug_line_counts_the_refinement(self, readme_fp, run, caplog):
+        fld, rr, images = readme_fp
+        with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+            find_fixed_points(fld, rr, images)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_fixed_points")]
+        assert len(lines) == 1
+        brackets, calls, floor, width = map(
+            int, re.match(r"find_fixed_points: (\d+) brackets, (\d+) refinement calls, (\d+) closed at "
+                          r"the roundoff floor and (\d+) by width", lines[0]).groups()
+        )
+        assert (brackets, calls, floor, width) == (4, len(run[1]) - 1, 4, 0)
+        largest = float(lines[0].rsplit("|P(z) - z| ", 1)[1].split()[0])
+        assert 0 <= largest <= _MAP_ROUNDOFF * 2.0
 
 
 class TestLockstepEngine:
