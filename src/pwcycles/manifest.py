@@ -417,12 +417,18 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
             0,
         )
     )
-    worst_gap = max(
-        (abs(f.location - z) for f, z in zip(result.fixed_points, predicted)),
-        default=float("nan"),
-    )
+    # each fixed point against its nearest predicted zero; with none to
+    # pair, nothing is measured and the check fails
+    gaps = [min(abs(f.location - z) for z in predicted) for f in result.fixed_points] if predicted else []
+    worst_gap = max(gaps, default=None)
     checks.append(
-        _check("fixed_points_near_zeros", worst_gap <= 10 * eps_fp, worst_gap, 0.0, 10 * eps_fp)
+        _check(
+            "fixed_points_near_zeros",
+            worst_gap is not None and worst_gap <= 10 * eps_fp,
+            worst_gap,
+            0.0,
+            10 * eps_fp,
+        )
     )
     payloads["fixed_points"] = {
         "columns": ["location", "stability", "displacement_slope"],

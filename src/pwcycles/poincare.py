@@ -20,13 +20,16 @@ and shares only the right-hand-side evaluations, which read each row's eps
 and perturbation from one array of all the fields' tables, zero-padded to
 the largest degree.  A row's result is bit for bit
 independent of the batch it is in, so an experiment integrates the
-displacement grids at all its eps and the fixed-point grid in one call,
-and `find_fixed_points` refines all its brackets with one call per
-iteration of `zeros._bracketed_roots`.  A bracket closes once the
-displacement at its new point is within the map's roundoff, |P(r) - r| <=
-4*eps*r.  At the README example's displacement slopes, about 1e-7, that
-roundoff alone moves a fixed point by about 1e-8, so refining further
-gains nothing.
+displacement grids at all its eps and the fixed-point grid in one call.
+Since a call costs about the same whatever its width, `find_fixed_points`
+spends one wide call on eight interior Chebyshev points of every bracket
+and takes the root of each bracket's interpolant; one more call checks
+those roots and samples the slopes beside them.  A bracket closes once the
+displacement at its point is within the map's roundoff, |P(r) - r| <=
+4*eps*r; the few that do not go on to `zeros._bracketed_roots`, one call
+per iteration for all of them.  At the README example's displacement
+slopes, about 1e-7, that roundoff alone moves a fixed point by about 1e-8,
+so refining further gains nothing.
 
 The Poincare section is {y = 0, x > 0} (theta = 0).  A first-order
 expansion of the return map gives P(r) - r = eps * f0(r) + O(eps^2), so
@@ -49,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from numpy.polynomial import polynomial as npoly
 
 from .averaging import PerturbationSpec
@@ -62,6 +66,9 @@ _INTEGRATOR_TOL = 1e-12
 _SECTION_MARGIN_FACTOR = 1e-3
 _ROOT_XTOL = 1e-11
 _MAP_ROUNDOFF = 4 * np.finfo(float).eps  # |P(r) - r| <= this * r is roundoff of the map
+_INTERP_NODES = 8  # interior Chebyshev points sampled in each fixed-point bracket
+_INTERP_T = -np.cos(np.pi * np.arange(_INTERP_NODES + 2) / (_INTERP_NODES + 1))  # -1 to 1, increasing
+_NEWTON_STEPS = 3  # on the README field Newton settles in two steps from the regula falsi point
 
 
 class NearSingularityError(RuntimeError):
@@ -434,13 +441,49 @@ def return_map(field, r_start=None):
     return float(r[0]) if np.ndim(r_start) == 0 else r
 
 
-def _displacement(field: PolarField, r: np.ndarray, floored: List[np.ndarray]) -> np.ndarray:
-    """P(r) - r, or exact 0.0 where |P(r) - r| <= 4*eps*r, the map's roundoff, which closes the
-    bracket being refined there.  Appends the zeroed |P(r) - r|, one array per call, to `floored`."""
-    d = return_map(field, r) - r
+def _at_floor(r: np.ndarray, d: np.ndarray, floored: List[np.ndarray]) -> np.ndarray:
+    """The displacement `d` at `r`, or exact 0.0 where |d| <= 4*eps*r, the map's roundoff, which
+    closes the bracket being refined there.  Appends the zeroed |d|, one array per call, to `floored`."""
     at = np.abs(d) <= _MAP_ROUNDOFF * r
     floored.append(np.abs(d[at]))
     return np.where(at, 0.0, d)
+
+
+def _displacement(field: PolarField, r: np.ndarray, floored: List[np.ndarray]) -> np.ndarray:
+    """P(r) - r under the roundoff floor of `_at_floor`."""
+    return _at_floor(r, return_map(field, r) - r, floored)
+
+
+def _interpolated_roots(xs: np.ndarray, ds: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """A root of each bracket's Chebyshev interpolant and the sampled sign change around it.
+
+    Row k of `xs` holds the ends of bracket k with its `_INTERP_NODES`
+    interior Chebyshev points between them, in increasing order; `ds`
+    holds the displacement there.  The interpolant of degree `_INTERP_NODES` + 1
+    through a row changes sign where the samples do, so the first sampled
+    sign change [a, b] holds a root of it, which Newton's method reaches
+    from the regula falsi point of [a, b] (Trefethen, Approximation Theory
+    and Approximation Practice, 2013).  A Newton step that would leave
+    (a, b) is not taken, so where the first one would, z is the regula
+    falsi point, the step `zeros._bracketed_roots` takes first.  Returns
+    the points z and their brackets a, b with the displacement fa, fb at
+    a and b.
+    """
+    lo, hi = xs[:, 0], xs[:, -1]
+    k = np.arange(lo.size)
+    sgn = np.sign(ds)
+    m = np.argmax(sgn[:, 1:] != sgn[:, :1], axis=1)
+    a, b, fa, fb = xs[k, m], xs[k, m + 1], ds[k, m], ds[k, m + 1]
+    c = chebyshev.chebfit(_INTERP_T, ds.T, _INTERP_NODES + 1)
+    dc = chebyshev.chebder(c)
+    half = 0.5 * (hi - lo)
+    z = a + (b - a) * (fa / (fa - fb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            t = (z - lo) / half - 1
+            step = z - half * chebyshev.chebval(t, c, tensor=False) / chebyshev.chebval(t, dc, tensor=False)
+            z = np.where((a < step) & (step < b), step, z)
+    return z, a, b, fa, fb
 
 
 def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray) -> ReturnMapResult:
@@ -449,12 +492,22 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray) 
     `images` = `return_map(field, radii)` on increasing `radii`; the caller
     evaluates them, typically in one call with other rows.  The sign
     changes of the displacement (`zeros._sign_flips`) bracket the fixed
-    points, which `zeros._bracketed_roots` refines together: a bracket
-    closes at a point z where |P(z) - z| <= 4*eps*z (the map's roundoff,
-    `_displacement`), or when it is at most 2e-11 wide.  The slopes come
-    from one batched call at z +- h.  Stability follows the sign of the
-    displacement slope: negative means the forward (theta-increasing) flow
-    contracts onto the cycle.
+    points, one per bracket, and every call below maps all the brackets
+    it works on at once:
+
+    1. the displacement at the `_INTERP_NODES` interior Chebyshev points
+       of every bracket; the root z of each bracket's interpolant, inside
+       the sampled sign change [a, b] (`_interpolated_roots`);
+    2. the displacement at every z, with the rows z +- h of the slopes; a
+       bracket closes at z where |P(z) - z| <= 4*eps*z (the map's
+       roundoff, `_at_floor`);
+    3. `zeros._bracketed_roots` on [a, z] or [z, b] for the others, one
+       call per iteration, closing at the roundoff floor or once a bracket
+       is at most 2e-11 wide.
+
+    With no sign change no call is made.  Stability follows the sign of
+    the displacement slope at z: negative means the forward
+    (theta-increasing) flow contracts onto the cycle.
     """
     rr, images = np.asarray(radii, dtype=float), np.asarray(images, dtype=float)
     disp = images - rr
@@ -462,18 +515,35 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray) 
 
     keep, flips = _sign_flips(disp, 0.0)
     i, j = keep[flips], keep[flips + 1]
+    lo, hi = rr[i], rr[j]
+    n = lo.size
+    h = max(1e-4, (rr[-1] - rr[0]) / (8 * rr.size))
+    z, slopes = np.zeros(0), np.zeros(0)
     floored: List[np.ndarray] = []
-    z = _bracketed_roots(lambda r: _displacement(field, r, floored), rr[i], rr[j], disp[i], disp[j], _ROOT_XTOL)
+    if n:
+        inner = lo[:, None] + np.outer(hi - lo, 0.5 * (1 + _INTERP_T[1:-1]))
+        d_inner = return_map(field, inner.ravel()).reshape(inner.shape) - inner
+        xs, ds = np.column_stack([lo, inner, hi]), np.column_stack([disp[i], d_inner, disp[j]])
+        z, a, b, fa, fb = _interpolated_roots(xs, ds)
+        ends = np.concatenate([z, z + h, z - h])
+        d = return_map(field, ends) - ends
+        dz = _at_floor(z, d[:n], floored)
+        slopes = (d[n : 2 * n] - d[2 * n :]) / (2 * h)
+        up = np.sign(dz) == np.sign(fa)  # the root lies in [z, b]
+        refine = np.flatnonzero(dz != 0)
+        z[refine] = _bracketed_roots(
+            lambda r: _displacement(field, r, floored),
+            np.where(up, z, a)[refine], np.where(up, b, z)[refine],
+            np.where(up, dz, fa)[refine], np.where(up, fb, dz)[refine], _ROOT_XTOL,
+        )
     at_floor = np.concatenate([np.zeros(0), *floored])
     log.debug(
-        "find_fixed_points: %d brackets, %d refinement calls, %d closed at the roundoff floor and %d "
-        "by width, largest |P(z) - z| %.2g at the floor-closed points",
-        z.size, len(floored), at_floor.size, z.size - at_floor.size, at_floor.max(initial=0.0),
+        "find_fixed_points: %d brackets, %d interpolation rows, %d closed at the interpolated point, "
+        "%d follow-up refinement calls, %d closed at the roundoff floor and %d by width, "
+        "largest |P(z) - z| %.2g at the floor-closed points",
+        n, n * _INTERP_NODES, floored[0].size if n else 0, max(len(floored) - 1, 0),
+        at_floor.size, n - at_floor.size, at_floor.max(initial=0.0),
     )
-    h = max(1e-4, (rr[-1] - rr[0]) / (8 * rr.size))
-    ends = np.concatenate([z + h, z - h])
-    d = return_map(field, ends) - ends
-    slopes = (d[: z.size] - d[z.size :]) / (2 * h)
     # Classify by sign whenever the slope clears the finite-difference
     # noise floor of two integrator-tolerance evaluations.
     thr = 100.0 * _INTEGRATOR_TOL / h

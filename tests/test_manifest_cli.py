@@ -14,6 +14,7 @@ from pwcycles.manifest import (
     emit_table,
     run_manifest,
 )
+from pwcycles.poincare import _INTERP_NODES
 
 
 def _verify_doc(**over):
@@ -395,7 +396,8 @@ class TestCli:
 
     def test_debug_log_shows_one_grid_call(self, tmp_path, monkeypatch, capsys):
         # the displacement grid at every eps and the fixed-point grid are
-        # one return-map call; the refinement and slope calls stay narrow
+        # one return-map call; the fixed-point search's calls are at most
+        # its interpolation nodes per bracket wide
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps(_SIM_REDUCED))
         monkeypatch.setenv("PWCYCLES_LOG", "DEBUG")
@@ -403,7 +405,25 @@ class TestCli:
         widths = [int(w) for w in re.findall(r"return_map: (\d+) radii in \d+ fields", capsys.readouterr().err)]
         grid_rows = (len(_SIM_REDUCED["epsilons"]) + 1) * _SIM_REDUCED["grid"]
         assert widths.count(grid_rows) == 1 and len(widths) > 1
-        assert all(w <= 2 * len(_SIM_REDUCED["targets"]) for w in widths if w != grid_rows)
+        assert all(w <= _INTERP_NODES * len(_SIM_REDUCED["targets"]) for w in widths if w != grid_rows)
+
+    def test_simulate_without_fixed_points_writes_strict_json(self, tmp_path):
+        # at grid 2 the displacement keeps one sign, so no fixed point is
+        # found and the gap check has nothing to measure
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({**_SIM_REDUCED, "grid": 2}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 1
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        (path,) = out.glob("*.json")
+        doc = json.loads(path.read_text(), parse_constant=refuse)
+        checks = {c["name"]: c for c in doc["record"]["checks"]}
+        assert checks["fixed_point_count"]["measured"] == 0
+        assert checks["fixed_points_near_zeros"]["measured"] is None
+        assert checks["fixed_points_near_zeros"]["status"] == "fail"
 
     def test_place_subcommand_skips_simulation(self, tmp_path):
         cfg = tmp_path / "p.json"

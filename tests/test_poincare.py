@@ -219,7 +219,7 @@ class TestReturnMap:
 
     def test_grid_without_sign_change_has_no_fixed_point(self, params):
         # the placed zero at 0.8 lies below the grid, so the displacement
-        # keeps one sign and the slope call maps an empty batch
+        # keeps one sign and the search makes no return-map call
         exp = place_zeros(params, 1, [0.8])
         pert = perturbation_for_expansion(params, exp).normalized()
         fld = PolarField(params, pert, 1e-3, r_range=(0.2, 3.0))
@@ -269,11 +269,13 @@ class TestFixedPointRefinement:
             m.setattr(poincare, "return_map", counted)
             return find_fixed_points(fld, rr, images), calls
 
-    def test_refinement_takes_at_most_five_calls(self, run):
+    def test_refinement_takes_at_most_three_calls(self, run):
         result, calls = run
         assert len(result.fixed_points) == 4
-        # every call but the last (the +-h slope call) refines brackets
-        assert len(calls) - 1 <= 5
+        # the interior Chebyshev points, z with the +-h slope rows, then
+        # at most one regula falsi call
+        assert len(calls) <= 3
+        assert calls[0].size == 4 * poincare._INTERP_NODES and calls[1].size == 3 * 4
 
     def test_points_match_the_xtol_only_refinement(self, readme_fp, run):
         fld, rr, images = readme_fp
@@ -289,11 +291,77 @@ class TestFixedPointRefinement:
         result, calls = run
         z = np.array([f.location for f in result.fixed_points])
         at_floor = np.abs(return_map(fld, z) - z) <= _MAP_ROUNDOFF * z
-        seen = np.sort(np.concatenate([rr, *calls[:-1]]))
+        seen = np.sort(np.concatenate([rr, *calls]))
         for zk in z[~at_floor]:
             a, b = seen[seen < zk].max(), seen[seen > zk].min()
             assert b - a <= 2 * _ROOT_XTOL + 4 * np.finfo(float).eps * (abs(a) + abs(b))
         assert at_floor.all()  # on this field every bracket closes at the floor
+
+    def test_newton_leaving_the_sign_change_falls_back_to_regula_falsi(self, readme_fp, monkeypatch):
+        # On the grid bracket [1, 2] the displacement is -1 + 2u^7 (times
+        # 1e-3), u running from 0 to 1 over the fifth sampled sub-interval
+        # [a, b].  It changes sign there only, and its interpolant is
+        # itself; Newton from the regula falsi point u = 1/2 would jump to
+        # u = 5, past b, so the refinement starts from u = 1/2.
+        fld = readme_fp[0]
+        nodes = 1 + 0.5 * (1 + poincare._INTERP_T)
+        a, b = nodes[4], nodes[5]
+
+        def disp(r):
+            return 1e-3 * (-1 + 2 * ((r - a) / (b - a)) ** 7)
+
+        assert 0.5 - (-1 + 2 * 0.5**7) / (14 * 0.5**6) == 5.0
+        calls = []
+
+        def fake(field, r):
+            calls.append(np.array(r, dtype=float))
+            return r + disp(r)
+
+        monkeypatch.setattr(poincare, "return_map", fake)
+        rr = np.array([1.0, 2.0])
+        (fp,) = find_fixed_points(fld, rr, rr + disp(rr)).fixed_points
+        assert abs(calls[1][0] - 0.5 * (a + b)) <= 1e-12
+        root = a + (b - a) * 0.5 ** (1 / 7)
+        assert abs(fp.location - root) <= 2 * _ROOT_XTOL
+        assert fp.stability == "repelling"
+
+    def test_no_sign_change_makes_no_call(self, readme_fp, monkeypatch):
+        fld, rr, images = readme_fp
+
+        def refuse(field, r_start=None):
+            raise AssertionError("return_map called")
+
+        monkeypatch.setattr(poincare, "return_map", refuse)
+        assert find_fixed_points(fld, rr, rr + np.abs(images - rr) + 1e-9).fixed_points == ()
+
+    def test_seeds_match_the_xtol_only_refinement(self, params):
+        # seeds 0-9 of the README example: the points within 2e-8 of the
+        # refinement that closes by width alone, in the same stability
+        # classes as the +-h slopes there.  Seeds that place the same
+        # expansion give the same field, which is checked once.
+        placed = {}
+        for seed in range(10):
+            exp = place_zeros(params, 1, [0.5, 1.0, 1.5, 2.0], seed=seed)
+            placed.setdefault(exp.coeff_A.tobytes() + exp.coeff_B.tobytes() + exp.coeff_poly.tobytes(), exp)
+        assert len(placed) > 1
+        for exp in placed.values():
+            pert = perturbation_for_expansion(params, exp).normalized()
+            predicted = count_simple_zeros(assemble(params, pert), r_max=5.0, grid=800).locations
+            lo, hi = max(0.5 * min(predicted), 0.05), min(1.2 * max(predicted), 0.95 * 5.0)
+            fld = PolarField(params, pert, 1.25e-3, r_range=(0.5 * lo, 5.0))
+            rr = np.linspace(lo, hi, 60)
+            images = return_map(fld, rr)
+            disp = images - rr
+            keep, flips = _sign_flips(disp, 0.0)
+            i, j = keep[flips], keep[flips + 1]
+            ref = _bracketed_roots(lambda r: return_map(fld, r) - r, rr[i], rr[j], disp[i], disp[j], _ROOT_XTOL)
+            h = (hi - lo) / (8 * rr.size)
+            ends = np.concatenate([ref + h, ref - h])
+            d = return_map(fld, ends) - ends
+            ref_slopes = d[: ref.size] - d[ref.size :]
+            got = find_fixed_points(fld, rr, images).fixed_points
+            assert np.all(np.abs(np.array([f.location for f in got]) - ref) <= 2e-8)
+            assert [f.stability for f in got] == [("repelling" if s > 0 else "attracting") for s in ref_slopes]
 
     def test_displacement_above_the_floor_passes_unchanged(self, readme_fp, monkeypatch):
         fld, rr, images = readme_fp
@@ -314,11 +382,13 @@ class TestFixedPointRefinement:
             find_fixed_points(fld, rr, images)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_fixed_points")]
         assert len(lines) == 1
-        brackets, calls, floor, width = map(
-            int, re.match(r"find_fixed_points: (\d+) brackets, (\d+) refinement calls, (\d+) closed at "
-                          r"the roundoff floor and (\d+) by width", lines[0]).groups()
+        brackets, rows, at_z, calls, floor, width = map(
+            int, re.match(r"find_fixed_points: (\d+) brackets, (\d+) interpolation rows, (\d+) closed at the "
+                          r"interpolated point, (\d+) follow-up refinement calls, (\d+) closed at the roundoff "
+                          r"floor and (\d+) by width", lines[0]).groups()
         )
-        assert (brackets, calls, floor, width) == (4, len(run[1]) - 1, 4, 0)
+        assert (brackets, rows, calls, floor, width) == (4, run[1][0].size, len(run[1]) - 2, 4, 0)
+        assert 1 <= at_z <= 4
         largest = float(lines[0].rsplit("|P(z) - z| ", 1)[1].split()[0])
         assert 0 <= largest <= _MAP_ROUNDOFF * 2.0
 
