@@ -22,7 +22,10 @@ Their agreement is the central correctness property of the package.
 
 The reduction is linear in `PerturbationSpec.vector`: `assembly_matrix`
 caches its exact unit columns, whose structural checks then cover every
-input, for the realization, the surjectivity rank and the surveys.
+input, for the realization, the surjectivity rank and the surveys.  A
+unit puts 1 on one half-circle sigma entry: `_unit_half` reduces each
+entry once for every unit, degree and system that share its half-circle
+constant, and an odd sine power gives a zero column without a reduction.
 
 `basis_values` is the package's one expansion evaluator: it samples the
 basis functions once, and any coefficient vector (`BasisExpansion.vector`,
@@ -33,6 +36,7 @@ smooth system is the special case b = a with equal tables (see
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,6 +58,8 @@ from .kernels import (
 )
 
 Table = Dict[Tuple[int, int], Fraction]
+
+log = logging.getLogger("pwcycles")
 
 
 class AssemblyError(RuntimeError):
@@ -169,19 +175,27 @@ class PerturbationSpec:
         return self.scaled_add(1.0 / s, self, 0.0)
 
 
+def _lower(S: Table, p: int, q: int, x: Fraction) -> None:
+    """Add the entry sigma[p, q] = x, q even, to S: sin^2 = 1 - cos^2 lowers
+    it binomially into
+
+        S[p + 2k, l - k] += (-1)^k C(l, k) x,   k = 0..l,  l = q/2.
+    """
+    l = q // 2
+    for k in range(l + 1):
+        key = (p + 2 * k, l - k)
+        S[key] = S.get(key, 0) + (-1) ** k * math.comb(l, k) * x
+
+
 def _st_tables(pert: PerturbationSpec) -> Tuple[Table, Table]:
     """The S (plus half) and T (minus half) tables of a perturbation.
 
     The polar numerator f cos + g sin sends f x^i y^j to sigma[i+1, j] and
     g x^i y^j to sigma[i, j+1] (tau likewise from the minus tables).  An
     odd sine power is odd in the angle about the middle of each half
-    circle and drops out; an even one, sigma[p, 2l], is lowered by
-    sin^2 = 1 - cos^2 into
-
-        S[p + 2k, l - k] += (-1)^k C(l, k) sigma[p, 2l],   k = 0..l.
-
-    Only the nonzero coefficients are visited, so a unit perturbation
-    costs l + 1 exact updates.
+    circle and drops out; an even one is lowered by `_lower`.  Only the
+    nonzero coefficients are visited, so a unit perturbation costs l + 1
+    exact updates.
     """
     out = []
     for ft, gt in ((pert.plus_f, pert.plus_g), (pert.minus_f, pert.minus_g)):
@@ -190,13 +204,8 @@ def _st_tables(pert: PerturbationSpec) -> Tuple[Table, Table]:
             for i, j in zip(*np.nonzero(table)):
                 # np.int64 indices would overflow silently in the powers
                 p, q = int(i) + di, int(j) + dj
-                if q % 2:
-                    continue
-                x = as_fraction(float(table[i, j]))
-                l = q // 2
-                for k in range(l + 1):
-                    key = (p + 2 * k, l - k)
-                    S[key] = S.get(key, 0) + (-1) ** k * math.comb(l, k) * x
+                if q % 2 == 0:
+                    _lower(S, p, q, as_fraction(float(table[i, j])))
         out.append(S)
     return out[0], out[1]
 
@@ -243,6 +252,40 @@ def _reduce_half(
         coef_K[j + 1] -= cl / c
 
     return coef_K, poly
+
+
+def _checked_half(
+    S: Table, c: Fraction, degree: int, alternate: bool
+) -> Tuple[List[Fraction], List[PiNumber]]:
+    """`_reduce_half`, then the exact structural identities of the half.
+
+    A failure means the reduction itself is broken, not the input.
+    """
+    coef, poly = _reduce_half(S, c, degree, alternate)
+    if not poly[2 * ((degree + 1) // 2)].is_zero:
+        raise AssemblyError("monomial coefficient at index 2*floor((n+1)/2) must vanish")
+    if poly[0].rat != 0:
+        raise AssemblyError("constant monomial must be a pure pi multiple")
+    if coef[0] != -(c * c) * poly[0].pi:
+        raise AssemblyError("constant-term tie between the kernel and monomial parts failed")
+    return coef, poly
+
+
+@lru_cache(maxsize=None)
+def _unit_half(
+    c: Fraction, alternate: bool, p: int, q: int
+) -> Tuple[Tuple[Fraction, ...], Tuple[PiNumber, ...]]:
+    """The checked reduction of the single entry sigma[p, q] = 1, q even,
+    at the smallest degree that holds it, max(1, p + q - 1).
+
+    A larger degree only appends zeros to both parts, and its check at
+    index 2*floor((n+1)/2) then reads one of them, so these checks hold
+    at every degree.
+    """
+    S: Table = {}
+    _lower(S, p, q, Fraction(1))
+    coef, poly = _checked_half(S, c, max(1, p + q - 1), alternate)
+    return tuple(coef), tuple(poly)
 
 
 @dataclass(frozen=True)
@@ -331,22 +374,9 @@ def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
     Runs in exact arithmetic; the expansion keeps the exact pre-merge parts
     (coef_A, poly_plus, coef_B, poly_minus) as `exact_parts`.
     """
-    fa = as_fraction(params.a)
-    fb = as_fraction(params.b)
     S, T = _st_tables(pert)
-    coef_A, poly_plus = _reduce_half(S, fa, pert.degree, alternate=False)
-    coef_B, poly_minus = _reduce_half(T, fb, pert.degree, alternate=True)
-    h = (pert.degree + 1) // 2
-
-    # Exact structural identities of the expansion; a failure here means
-    # the reduction itself is broken, not the input.
-    if not poly_plus[2 * h].is_zero or not poly_minus[2 * h].is_zero:
-        raise AssemblyError("monomial coefficient at index 2*floor((n+1)/2) must vanish")
-    for poly, coef, f2 in ((poly_plus, coef_A, fa), (poly_minus, coef_B, fb)):
-        if poly[0].rat != 0:
-            raise AssemblyError("constant monomial must be a pure pi multiple")
-        if coef[0] != -(f2 * f2) * poly[0].pi:
-            raise AssemblyError("constant-term tie between the kernel and monomial parts failed")
+    coef_A, poly_plus = _checked_half(S, as_fraction(params.a), pert.degree, alternate=False)
+    coef_B, poly_minus = _checked_half(T, as_fraction(params.b), pert.degree, alternate=True)
     merged = [float(p + q) for p, q in zip(poly_plus, poly_minus)]
     expansion = BasisExpansion(
         pert.degree,
@@ -360,10 +390,40 @@ def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
 
 @lru_cache(maxsize=None)
 def _unit_expansions(params: SystemParams, n: int) -> Tuple[BasisExpansion, ...]:
-    """`assemble` of each unit perturbation of degree n, in the order of
-    `PerturbationSpec.vector`; the exact parts are kept."""
-    m = 2 * (n + 1) * (n + 2)
-    return tuple(assemble(params, PerturbationSpec.from_vector(n, e)).expansion for e in np.eye(m))
+    """The reduction of each unit perturbation of degree n, in the order of
+    `PerturbationSpec.vector`; the exact parts are kept.
+
+    Unit f x^i y^j puts 1 on sigma[i+1, j] (tau on the minus half) and
+    unit g x^i y^j on sigma[i, j+1].  An odd sine power gives a zero
+    column; an even one reads `_unit_half`, zero-padded to degree n, and
+    the other half is zero.  Each column is `assemble` of its unit, bit
+    for bit.
+    """
+    h = (n + 1) // 2
+
+    def padded(coef=(), poly=()):
+        return list(coef) + [Fraction(0)] * (h + 2 - len(coef)), list(poly) + [PiNumber()] * (2 * h + 2 - len(poly))
+
+    before = _unit_half.cache_info()
+    units, zero_columns = [], 0
+    for c, alternate in ((as_fraction(params.a), False), (as_fraction(params.b), True)):
+        for di, dj in ((1, 0), (0, 1)):
+            for i, j in np.argwhere(_triangle(n)).tolist():
+                p, q = i + di, j + dj
+                zero_columns += q % 2
+                coef, poly = padded() if q % 2 else padded(*_unit_half(c, alternate, p, q))
+                # the other half is zero: so are its kernel coefficients, and
+                # the merged monomials are this half's
+                kernel, empty = np.array([float(x) for x in coef]), np.zeros(h + 2)
+                exact = (*padded(), coef, poly) if alternate else (coef, poly, *padded())
+                A, B = (empty, kernel) if alternate else (kernel, empty)
+                units.append(BasisExpansion(n, A, B, np.array([float(x) for x in poly]), exact_parts=exact))
+    after = _unit_half.cache_info()
+    log.debug(
+        "unit columns: degree %d, (a, b) = (%r, %r), %d columns, %d half reductions run, %d reused, %d zero columns",
+        n, params.a, params.b, len(units), after.misses - before.misses, after.hits - before.hits, zero_columns,
+    )
+    return tuple(units)
 
 
 @lru_cache(maxsize=None)

@@ -62,7 +62,16 @@ from .zeros import (
 
 log = logging.getLogger("pwcycles")
 
-KINDS = ("verify_identities", "reproduce_hn", "place_and_simulate", "smooth_theorem12", "sweep")
+# The options each kind reads, besides the common fields; any other key is
+# refused, so a misspelt option cannot silently fall back to its default.
+OPTIONS = {
+    "verify_identities": ("samples",),
+    "reproduce_hn": ("n_list", "draws", "r_max"),
+    "place_and_simulate": ("degree", "targets", "epsilons", "r_max", "grid"),
+    "smooth_theorem12": ("n_list", "draws"),
+    "sweep": ("epsilons", "r_grid", "pert_inline", "pert_file", "pert_targets", "degree"),
+}
+KINDS = tuple(OPTIONS)
 
 
 class ManifestError(ValueError):
@@ -94,6 +103,12 @@ class ExperimentManifest:
         options = {
             k: v for k, v in doc.items() if k not in ("schema_version", "kind", "a", "b", "seed")
         }
+        unknown = sorted(set(options) - set(OPTIONS[kind]))
+        if unknown:
+            raise ManifestError(
+                f"{kind}: unknown option {', '.join(map(repr, unknown))}; the known keys are "
+                f"{', '.join(OPTIONS[kind])}, besides schema_version, kind, a, b and seed"
+            )
         eps = options.get("epsilons")
         try:
             a, b, seed = float(doc["a"]), float(doc["b"]), int(doc["seed"])

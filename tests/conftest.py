@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pwcycles import SystemParams
+from pwcycles import SystemParams, averaging, smooth
 
 
 @pytest.fixture
@@ -24,3 +24,26 @@ def bounded_params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _clear_reduction_caches():
+    for cached in (averaging.assembly_matrix, averaging._unit_expansions, averaging._unit_half,
+                   smooth._check_smooth_units):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """(c, alternate) of every `_reduce_half` call, from cold reduction
+    caches; the caches are cleared again afterwards."""
+    calls = []
+    original = averaging._reduce_half
+
+    def counting(S, c, degree, alternate):
+        calls.append((c, alternate))
+        return original(S, c, degree, alternate)
+
+    monkeypatch.setattr(averaging, "_reduce_half", counting)
+    _clear_reduction_caches()
+    yield calls
+    _clear_reduction_caches()

@@ -1,5 +1,6 @@
 """Averaged-function assembly against the direct-quadrature route."""
 
+import logging
 import math
 from fractions import Fraction
 
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from pwcycles import averaging
 from pwcycles.averaging import (
+    AssemblyError,
     AveragedFunction,
     BasisExpansion,
     PerturbationSpec,
     _random_rows,
     _st_tables,
     _triangle,
+    _unit_expansions,
     assemble,
     assembly_matrix,
     basis_values,
@@ -407,16 +411,57 @@ class TestAssemblyMatrix:
             unit = PerturbationSpec.from_vector(n, np.eye(len(keys))[k])
             assert getattr(unit, name)[i, j] == 1.0 and unit.vector().sum() == 1.0
 
-    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0)])
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_columns_are_unit_assemblies_bitwise(self, ab, n):
+        # assemble reduces each unit on its own: the oracle of the cached,
+        # zero-padded unit halves, exact parts included
         params = SystemParams(*ab)
         M = assembly_matrix(params, n)
         keys = _enumeration(n)
         assert M.dtype == np.float64 and M.shape[1] == len(keys) == 2 * (n + 1) * (n + 2)
         for k, (name, i, j) in enumerate(keys):
-            unit = PerturbationSpec(n, **{name: {(i, j): 1.0}})
-            assert M[:, k].tobytes() == assemble(params, unit).expansion.vector().tobytes()
+            want = assemble(params, PerturbationSpec(n, **{name: {(i, j): 1.0}})).expansion
+            assert M[:, k].tobytes() == want.vector().tobytes()
+            assert repr(_unit_expansions(params, n)[k].exact_parts) == repr(want.exact_parts)
+
+    def test_unit_reductions_are_shared_across_degrees_and_systems(self, reduce_calls):
+        # degree 4 reaches 11 even-sine entries sigma[p, q], p + q <= 5, per
+        # half; the smaller degrees pad them, and (1, -1) shares the front
+        # half of (1, -2)
+        assembly_matrix(SystemParams(1.0, -2.0), 4)
+        assert sorted(reduce_calls) == [(-2, True)] * 11 + [(1, False)] * 11
+        reduce_calls.clear()
+        for n in (1, 2, 3):
+            assembly_matrix(SystemParams(1.0, -2.0), n)
+        assert reduce_calls == []
+        assembly_matrix(SystemParams(1.0, -1.0), 4)
+        assert reduce_calls == [(-1, True)] * 11
+
+    def test_unit_columns_log_their_reductions(self, reduce_calls, caplog):
+        # degree 2, per half: 6 even-sine units on 5 entries, 6 zero columns
+        with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+            assembly_matrix(SystemParams(1.0, -2.0), 2)
+            assembly_matrix(SystemParams(1.0, -2.0), 2)
+        assert caplog.messages == [
+            "unit columns: degree 2, (a, b) = (1.0, -2.0), 24 columns, "
+            "10 half reductions run, 2 reused, 12 zero columns"
+        ]
+
+    def test_broken_reduction_is_refused(self, reduce_calls, monkeypatch):
+        # a reduction that breaks the constant-term tie fails the checks of
+        # the cached unit halves and of assemble alike
+        reduce = averaging._reduce_half
+
+        def broken(S, c, degree, alternate):
+            coef, poly = reduce(S, c, degree, alternate)
+            return [coef[0] + 1, *coef[1:]], poly
+
+        monkeypatch.setattr(averaging, "_reduce_half", broken)
+        with pytest.raises(AssemblyError, match="constant-term tie"):
+            assembly_matrix(SystemParams(1.0, -2.0), 2)
+        with pytest.raises(AssemblyError, match="constant-term tie"):
+            assemble(SystemParams(1.0, -2.0), PerturbationSpec(2, minus_g={(1, 1): 1.0}))
 
     def test_read_only_and_cached(self):
         M = assembly_matrix(SystemParams(1.0, -2.0), 2)

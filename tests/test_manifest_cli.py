@@ -18,6 +18,8 @@ from pwcycles.poincare import _INTERP_NODES
 
 
 def _verify_doc(**over):
+    """A verify_identities manifest at 10 samples; another `kind` in `over`
+    drops `samples`, which only that kind reads."""
     doc = {
         "schema_version": 1,
         "kind": "verify_identities",
@@ -26,6 +28,8 @@ def _verify_doc(**over):
         "seed": 7,
         "samples": 10,
     }
+    if over.get("kind", doc["kind"]) != doc["kind"]:
+        del doc["samples"]
     doc.update(over)
     return doc
 
@@ -65,12 +69,12 @@ class TestManifestValidation:
             ExperimentManifest.from_dict(doc)
 
     def test_epsilons_must_descend(self):
-        doc = _verify_doc(epsilons=[1e-3, 1e-2])
+        doc = _verify_doc(kind="sweep", epsilons=[1e-3, 1e-2])
         with pytest.raises(ManifestError, match="descending"):
             ExperimentManifest.from_dict(doc)
 
     def test_epsilons_must_be_positive(self):
-        doc = _verify_doc(epsilons=[1e-2, -1e-3])
+        doc = _verify_doc(kind="sweep", epsilons=[1e-2, -1e-3])
         with pytest.raises(ManifestError, match="positive"):
             ExperimentManifest.from_dict(doc)
 
@@ -259,6 +263,13 @@ class TestCli:
             ("verify", {"samples": -4}, []),
             ("reproduce-hn", {"kind": "reproduce_hn", "b": 2.0, "r_max": 2.2}, []),
             ("reproduce-hn", {"kind": "reproduce_hn", "b": 2.0, "r_max": 3.0}, []),
+            ("simulate", {**_SIM, "epsilonz": [0.01, 0.005]}, []),
+            ("simulate", {**_SIM, "grd": 20}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "samples": 10}, []),
+            ("smooth", {"kind": "smooth_theorem12", "r_max": 0.9}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "grid": 20}, []),
+            ("verify", {}, ["--epsilon", "0.01"]),
+            ("reproduce-hn", {"kind": "reproduce_hn"}, ["--epsilon", "0.01"]),
         ],
         ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
              "off_triangle", "inline_index", "samples", "n_list", "n_list_scalar", "draws",
@@ -269,7 +280,9 @@ class TestCli:
              "hn_default_r_max_window_negative_a", "hn_r_max_window", "n_list_below_one",
              "smooth_n_list_below_one", "draws_negative", "smooth_draws_negative", "r_grid_lo_zero",
              "r_grid_hi_below_lo", "r_grid_count_zero", "r_grid_hi_past_r0", "samples_zero",
-             "samples_negative", "hn_r_max_past_r0", "hn_r_max_far_past_r0"],
+             "samples_negative", "hn_r_max_past_r0", "hn_r_max_far_past_r0", "sim_unknown_epsilonz",
+             "sim_unknown_grd", "hn_option_of_verify", "smooth_unknown_r_max", "sweep_unknown_grid",
+             "verify_epsilon_flag", "hn_epsilon_flag"],
     )
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
         cfg = tmp_path / "bad.json"
@@ -277,6 +290,17 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "Traceback" not in err
+
+    def test_unknown_option_names_the_known_keys(self, tmp_path, capsys):
+        # a misspelt epsilons used to skip the simulation with exit 0
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({**_SIM_REDUCED, "epsilonz": [0.01]}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: place_and_simulate: unknown option 'epsilonz'; the known keys are "
+            "degree, targets, epsilons, r_max, grid, besides schema_version, kind, a, b and seed\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("b,exit_code", [(2.0, 2), (-2.0, 0)], ids=["r0_2", "r0_inf"])
     def test_hn_large_r_max_is_bounded_by_r0(self, tmp_path, capsys, b, exit_code):
@@ -392,6 +416,27 @@ class TestCli:
             records[level] = json.dumps(doc["record"], sort_keys=True, indent=1)
         assert logged["WARNING"] == []
         assert logged["DEBUG"] and all("RHS evaluations" in line for line in logged["DEBUG"])
+        assert records["DEBUG"] == records["WARNING"]
+
+    def test_debug_log_reports_unit_reductions(self, tmp_path, monkeypatch, capsys, reduce_calls):
+        # from cold caches, each degree's unit columns log their reductions
+        # at DEBUG; the record is the one a warm WARNING run writes
+        cfg = tmp_path / "hn.json"
+        cfg.write_text(json.dumps(_verify_doc(kind="reproduce_hn", n_list=[1, 2], draws=10, r_max=6.0)))
+        logged, records = {}, {}
+        for level in ("DEBUG", "WARNING"):
+            monkeypatch.setenv("PWCYCLES_LOG", level)
+            out = tmp_path / level
+            assert main(["reproduce-hn", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 1
+            logged[level] = [line for line in capsys.readouterr().err.splitlines() if "unit columns:" in line]
+            doc = json.loads(next(out.glob("*.json")).read_text())
+            records[level] = json.dumps(doc["record"], sort_keys=True, indent=1)
+        assert logged["WARNING"] == [] and len(logged["DEBUG"]) == 2
+        # degree 2 reduces only its two new entries per half, sigma[3, 0] and sigma[1, 2]
+        assert [line.split("unit columns: ")[1] for line in logged["DEBUG"]] == [
+            "degree 1, (a, b) = (1.0, -2.0), 12 columns, 6 half reductions run, 0 reused, 6 zero columns",
+            "degree 2, (a, b) = (1.0, -2.0), 24 columns, 4 half reductions run, 8 reused, 12 zero columns",
+        ]
         assert records["DEBUG"] == records["WARNING"]
 
     def test_debug_log_shows_one_grid_call(self, tmp_path, monkeypatch, capsys):

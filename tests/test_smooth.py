@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from pwcycles import averaging, smooth
 from pwcycles.averaging import AveragedFunction, PerturbationSpec
 from pwcycles.kernels import DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
 from pwcycles.smooth import (
@@ -146,25 +145,17 @@ class TestSmoothZeros:
         best, got = random_search_max_smooth_zeros(1.0, n, 60, seed, 0.95, grid=600)
         assert got == hist and best == max(hist)
 
-    def test_rank_reads_the_cached_matrix(self, monkeypatch):
+    def test_rank_reads_the_cached_matrix(self, reduce_calls):
         # the reachable rank reads the smooth unit columns of assembly_matrix;
-        # the exact smooth checks read the same cached unit reductions
-        calls = []
-        original = averaging.assemble
-        monkeypatch.setattr(averaging, "assemble", lambda *a: calls.append(1) or original(*a))
-        monkeypatch.setattr(smooth, "assemble", averaging.assemble)
-        n = 3
-        m = 2 * (n + 1) * (n + 2)
-        averaging.assembly_matrix.cache_clear()
-        averaging._unit_expansions.cache_clear()
-        smooth._check_smooth_units.cache_clear()
+        # the exact smooth checks read the same cached unit reductions:
+        # 8 even-sine entries sigma[p, q], p + q <= 4, on each half
         counts = []
         for _ in range(2):
-            calls.clear()
-            ranks = smooth_generating_rank(1.0, n, 0.9)
-            counts.append(len(calls))
-            assert ranks["reachable_rank"] == n + 1
-        assert counts == [m, 0]
+            reduce_calls.clear()
+            ranks = smooth_generating_rank(1.0, 3, 0.9)
+            counts.append(len(reduce_calls))
+            assert ranks["reachable_rank"] == 4
+        assert counts == [16, 0]
 
     @pytest.mark.parametrize("a", [1.0, -1.3, 0.5, 2.0])
     def test_reachable_rank_is_n_plus_one(self, a):

@@ -380,28 +380,21 @@ class TestCeiling:
     def test_no_draws(self, params):
         assert random_search_max_zeros(params, 2, 0, seed=1, r_max=6.0) == (0, {})
 
-    def test_assemble_calls_do_not_grow_with_draws(self, monkeypatch):
-        calls = []
-        original = averaging.assemble
-        monkeypatch.setattr(averaging, "assemble", lambda *a: calls.append(1) or original(*a))
-        monkeypatch.setattr(smooth, "assemble", averaging.assemble)
-        piecewise, n = SystemParams(1.0, -2.0), 2
-        m = 2 * (n + 1) * (n + 2)
-        averaging.assembly_matrix.cache_clear()
-        averaging._unit_expansions.cache_clear()
-        smooth._check_smooth_units.cache_clear()
+    def test_reductions_do_not_grow_with_draws(self, reduce_calls):
+        # degree 2 reaches 5 even-sine entries sigma[p, q] per half; the
+        # smooth survey at a = 1 reuses the front half of (1, -2)
         counts = []
         for draws in (5, 40):
-            calls.clear()
-            random_search_max_zeros(piecewise, n, draws, seed=1, r_max=6.0, grid=100)
-            counts.append(len(calls))
-        assert counts == [m, 0]
+            reduce_calls.clear()
+            random_search_max_zeros(SystemParams(1.0, -2.0), 2, draws, seed=1, r_max=6.0, grid=100)
+            counts.append(len(reduce_calls))
+        assert counts == [10, 0]
         counts = []
         for draws in (5, 40):
-            calls.clear()
-            smooth.random_search_max_smooth_zeros(1.0, n, draws, seed=1, r_max=0.9, grid=100)
-            counts.append(len(calls))
-        assert counts == [m, 0]
+            reduce_calls.clear()
+            smooth.random_search_max_smooth_zeros(1.0, 2, draws, seed=1, r_max=0.9, grid=100)
+            counts.append(len(reduce_calls))
+        assert counts == [5, 0]
 
 
 def _long_double_survey(params, n, r_max, grid, rows):
