@@ -29,15 +29,21 @@ constant, and an odd sine power gives a zero column without a reduction.
 
 `basis_values` is the package's one expansion evaluator: it samples the
 basis functions once, and any coefficient vector (`BasisExpansion.vector`,
-long double kept) times that matrix gives the expansion's values.  The
-smooth system is the special case b = a with equal tables (see
-`pwcycles.smooth`); it has no reduction or evaluator of its own.
+long double kept) times that matrix gives the expansion's values.  A
+grid of at least `_GRID_MIN` points keeps its powers r^k (extended as
+the degree grows) and its kernel rows A[0,0](+-r) per constant, for the
+`_GRIDS_KEPT` most recent grids, so a later degree or system on the same
+grid only multiplies and stacks them; the values are bit for bit those
+of sampling afresh.  The smooth system is the special case b = a with
+equal tables (see `pwcycles.smooth`); it has no reduction or evaluator
+of its own.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -339,6 +345,54 @@ class AveragedFunction:
         return eval_F(self, r)
 
 
+# Grids of at least _GRID_MIN points keep the rows of `basis_values` that
+# do not depend on the degree, for the _GRIDS_KEPT most recently sampled
+# (grid, dtype) pairs: a ceiling pass samples three grids 24 times.
+_GRID_MIN = 256
+_GRIDS_KEPT = 4
+_grids: "OrderedDict[Tuple[np.dtype, bytes], _GridRows]" = OrderedDict()
+
+
+class _GridRows:
+    """The powers r^k and the kernel rows of one sampled grid."""
+
+    def __init__(self, rr: np.ndarray):
+        self.rr = rr
+        self.powers = np.empty((0, rr.size), dtype=rr.dtype)
+        self.kernels: Dict[Tuple[int, float], np.ndarray] = {}
+
+    def power_rows(self, count: int) -> np.ndarray:
+        """r^k for k = 0..count-1; rows past those held are appended."""
+        have = len(self.powers)
+        if have < count:
+            self.powers = np.concatenate([self.powers, self.rr ** np.arange(have, count)[:, None]])
+        return self.powers[:count]
+
+    def kernel(self, side: int, c: float) -> np.ndarray:
+        """a00(side * r, c).  a00(-x, -c) is how a00(x, c) evaluates for
+        c < 0, so the row is stored once under c > 0, bit for bit."""
+        key = (side if c > 0 else -side, abs(c))
+        if key not in self.kernels:
+            self.kernels[key] = a00(self.rr if key[0] > 0 else -self.rr, key[1])
+        return self.kernels[key]
+
+
+def _grid_rows(r, dtype) -> _GridRows:
+    """The rows of the grid r in dtype: kept when r is a float64 grid of at
+    least _GRID_MIN points, keyed on its bytes."""
+    r64 = np.asarray(r)
+    if r64.dtype != np.float64 or r64.ndim != 1 or r64.size < _GRID_MIN:
+        return _GridRows(np.atleast_1d(np.asarray(r, dtype=dtype)))
+    key = (np.dtype(dtype), r64.tobytes())
+    if key in _grids:
+        _grids.move_to_end(key)
+    else:
+        _grids[key] = _GridRows(np.array(r64, dtype=dtype))
+        if len(_grids) > _GRIDS_KEPT:
+            _grids.popitem(last=False)
+    return _grids[key]
+
+
 def basis_values(params: SystemParams, n: int, r, dtype=np.float64) -> np.ndarray:
     """The degree-n basis at the points r, one row per basis function.
 
@@ -349,12 +403,16 @@ def basis_values(params: SystemParams, n: int, r, dtype=np.float64) -> np.ndarra
     kernels are positive), |vector| times it, times machine epsilon,
     bounds the roundoff of that sum.  No domain checks: points outside
     the analyticity domain give NaN columns.
+
+    The powers and the kernel rows of a large grid are computed once
+    (`_grid_rows`) and shared by every degree and system that samples it;
+    the values are those of sampling afresh, bit for bit.
     """
     h = (n + 1) // 2
-    rr = np.atleast_1d(np.asarray(r, dtype=dtype))
-    powers = rr ** np.arange(2 * h + 3)[:, None]
+    grid = _grid_rows(r, dtype)
+    powers = grid.power_rows(2 * h + 3)
     even = powers[::2]
-    return np.concatenate([even * a00(rr, params.a), even * a00(-rr, params.b), powers[:-1]])
+    return np.concatenate([even * grid.kernel(1, params.a), even * grid.kernel(-1, params.b), powers[:-1]])
 
 
 def eval_F(fn: AveragedFunction, r):

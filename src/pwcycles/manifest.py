@@ -26,7 +26,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -72,6 +72,8 @@ OPTIONS = {
     "sweep": ("epsilons", "r_grid", "pert_inline", "pert_file", "pert_targets", "degree"),
 }
 KINDS = tuple(OPTIONS)
+# The tables of a `pert_inline` or `pert_file` document, besides its degree.
+PERT_TABLES = ("plus_f", "plus_g", "minus_f", "minus_g")
 
 
 class ManifestError(ValueError):
@@ -103,12 +105,9 @@ class ExperimentManifest:
         options = {
             k: v for k, v in doc.items() if k not in ("schema_version", "kind", "a", "b", "seed")
         }
-        unknown = sorted(set(options) - set(OPTIONS[kind]))
-        if unknown:
-            raise ManifestError(
-                f"{kind}: unknown option {', '.join(map(repr, unknown))}; the known keys are "
-                f"{', '.join(OPTIONS[kind])}, besides schema_version, kind, a, b and seed"
-            )
+        _refuse_unknown(
+            options, OPTIONS[kind], f"{kind}: unknown option", ", besides schema_version, kind, a, b and seed"
+        )
         eps = options.get("epsilons")
         try:
             a, b, seed = float(doc["a"]), float(doc["b"]), int(doc["seed"])
@@ -203,12 +202,20 @@ def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], List[Any]]:
     return lambda value: [convert(v) for v in _of_type(list, value)]
 
 
-def _pert_from_doc(doc: Dict[str, Any]) -> PerturbationSpec:
+def _refuse_unknown(doc: Dict[str, Any], known: Sequence[str], what: str, besides: str = "") -> None:
+    """Refuse the keys of `doc` outside `known`, so that a misspelt key
+    cannot silently fall back to its default."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ManifestError(
+            f"{what} {', '.join(map(repr, unknown))}; the known keys are {', '.join(known)}{besides}"
+        )
+
+
+def _pert_from_doc(doc: Dict[str, Any], source: str) -> PerturbationSpec:
     """A perturbation from `degree` and [i, j, value] entries per table."""
-    tables = {
-        name: {(int(i), int(j)): float(v) for i, j, v in doc.get(name, [])}
-        for name in ("plus_f", "plus_g", "minus_f", "minus_g")
-    }
+    _refuse_unknown(_of_type(dict, doc), ("degree", *PERT_TABLES), f"{source}: unknown key")
+    tables = {name: {(int(i), int(j)): float(v) for i, j, v in doc.get(name, [])} for name in PERT_TABLES}
     return PerturbationSpec(int(doc["degree"]), **tables)
 
 
@@ -220,10 +227,12 @@ def _pert_from_options(manifest: ExperimentManifest, params: SystemParams) -> Pe
         raise ManifestError("sweep needs pert_inline, pert_file, or pert_targets + degree")
     try:
         if "pert_inline" in opts:
-            return _pert_from_doc(opts["pert_inline"])
+            return _pert_from_doc(opts["pert_inline"], "pert_inline")
         if "pert_file" in opts:
-            return _pert_from_doc(json.loads(Path(opts["pert_file"]).read_text()))
+            return _pert_from_doc(json.loads(Path(opts["pert_file"]).read_text()), "pert_file")
         n, targets = int(opts["degree"]), [float(t) for t in opts["pert_targets"]]
+    except ManifestError:
+        raise
     except KeyError as exc:
         raise ManifestError(f"sweep perturbation is missing {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
@@ -499,6 +508,7 @@ def _run_sweep(manifest: ExperimentManifest) -> Dict[str, Any]:
     if not epsilons:
         raise ManifestError("sweep needs a descending 'epsilons' list")
     rspec = _option(opts, "r_grid", lambda v: _of_type(dict, v), {})
+    _refuse_unknown(rspec, ("lo", "hi", "count"), "r_grid: unknown key")
     lo = _option(rspec, "lo", float, 0.2)
     hi = _option(rspec, "hi", float, min(3.0, 0.8 * params.r0))
     count = _option(rspec, "count", _at_least(1), 40)

@@ -30,13 +30,19 @@ underdetermined system; the combination vanishes at every target.  A
 request for p >= dim targets is refused before any sampling: the span
 places at most dim - 1 simple zeros.  The null space comes from a
 one-sided Jacobi SVD of the equilibrated collocation matrix, all in long
-double, and all zero *verification* evaluates in long double with a
-running roundoff envelope, because high-degree placements are
-legitimately ill-conditioned in the raw generator basis.
+double; at capacity (one null column) its sweeps end as soon as one
+leaves V unchanged.  All zero *verification* evaluates in long double
+with a running roundoff envelope, because high-degree placements are
+legitimately ill-conditioned in the raw generator basis.  Each placement
+logs its sweeps and condition number at DEBUG.
 
 Counting refines all sign-change brackets of a grid together with
 `_bracketed_roots`, the package's one bracket refiner; `poincare` locates
-the return map's fixed points with it and the same sign scan.
+the return map's fixed points with it and the same sign scan.  Only the
+scan grid carries a roundoff envelope; the refinement evaluates values
+alone.  The placement scan, the count grid and the survey grid of a
+ceiling run are the same few grids for every degree and system, so
+`basis_values` samples their powers and kernel rows once.
 
 The surjectivity rank and the random ceiling survey never re-run the
 reduction: they read the exact unit columns of `assembly_matrix`.  The
@@ -206,17 +212,6 @@ def _envelope(coeffs: np.ndarray, abs_values: np.ndarray) -> np.ndarray:
     return np.abs(coeffs) @ abs_values * _EPS
 
 
-def _values(expansion: BasisExpansion, params: SystemParams, r) -> Tuple[np.ndarray, np.ndarray]:
-    """Long-double values at r plus their roundoff envelope.
-
-    Long double because the raw basis is badly scaled at high degree and
-    cancellation in double precision can bury genuine zeros in noise.
-    """
-    c = expansion.vector(LONG)
-    basis = basis_values(params, expansion.degree, r, LONG)
-    return c @ basis, _envelope(c, np.abs(basis))
-
-
 def _sign_flips(vals: np.ndarray, env: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Indices of the noise-significant samples (|value| above
     `_NOISE_FACTOR` times the envelope), and the positions among them
@@ -305,18 +300,25 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
     if grid < 8:
         raise ValueError("grid too coarse")
 
-    expansion = fn.expansion
+    # Long double because the raw basis is badly scaled at high degree and
+    # cancellation in double precision can bury genuine zeros in noise; only
+    # the scan grid needs the roundoff envelope.
+    c = fn.expansion.vector(LONG)
+    n = fn.expansion.degree
+
+    def values(r) -> np.ndarray:
+        return c @ basis_values(params, n, r, LONG)
+
     doublings = 0
     while True:
         rr = np.linspace(r_max / grid, r_max, grid)
-        vals, env = _values(expansion, params, rr)
-        keep, flips = _sign_flips(vals, env)
+        basis = basis_values(params, n, rr, LONG)
+        vals = c @ basis
+        keep, flips = _sign_flips(vals, _envelope(c, np.abs(basis)))
         if keep.size == 0:
             return ZeroReport((), grid, degenerate=True)
         i, j = keep[flips], keep[flips + 1]
-        zeros = _bracketed_roots(
-            lambda r: _values(expansion, params, r)[0], rr[i], rr[j], vals[i], vals[j], 5e-13
-        )
+        zeros = _bracketed_roots(values, rr[i], rr[j], vals[i], vals[j], 5e-13)
         if not np.any(np.diff(zeros) < 2 * r_max / grid):
             break
         if doublings >= 4:
@@ -329,7 +331,7 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
     h = 1e-6 * np.maximum(1.0, np.abs(zeros))
     lo = np.where(zeros - h <= 0, zeros, zeros - h)
     hi = np.where(zeros + h >= params.r0, zeros, zeros + h)
-    v = _values(expansion, params, np.concatenate([lo, hi]))[0]
+    v = values(np.concatenate([lo, hi]))
     derivs = ((v[zeros.size :] - v[: zeros.size]) / (hi - lo)).astype(float)
     pairs = tuple(zip(zeros.tolist(), derivs.tolist()))
     threshold = SIMPLE_ZERO_RTOL * float(np.max(np.abs(vals))) / r_max
@@ -346,28 +348,45 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_right_vectors(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _jacobi_right_vectors(M: np.ndarray) -> Tuple[np.ndarray, int, str]:
     """Right singular vectors of M by one-sided Jacobi, all in longdouble.
 
     LAPACK has no extended-precision path, and double-precision null
     vectors of the badly conditioned collocation matrices stall far above
-    the longdouble floor.  The matrices here are tiny (at most ~20
-    columns), so Jacobi sweeps are essentially free and give residuals at
-    the longdouble roundoff level even at condition 1e15.
+    the longdouble floor; Jacobi gives residuals at the longdouble
+    roundoff level even at condition 1e15.  Its sweeps are not free: each
+    costs m(m-1)/2 rotations of interpreted code, and with m - p null
+    columns of the p x m matrix the off-diagonal test alone keeps
+    sweeping while the null columns shrink by about eps per sweep, until
+    their dot products underflow.
 
-    Returns (V, sv) with V's columns ordered by decreasing singular value.
+    Column k of A and column k of V are row k of one array, so one row
+    rotation updates both.  With one null column (m - p == 1) the sweeps
+    also end when a full sweep leaves V bit for bit unchanged: the other
+    columns are then orthogonal to working precision, every remaining
+    rotation pairs a column with the null column, and its sine shrinks
+    with that column's norm, so it can no longer change V, and the null
+    column sorts last either way.  With more null columns the later
+    sweeps still reorder them by norms near the underflow threshold, so
+    that stop would change the result.
+
+    Returns (V, sweeps, stop): V's columns ordered by decreasing singular
+    value, the number of sweeps run, and why they ended ("V fixed",
+    "off-diagonal" or "sweep limit").
     """
-    A = np.array(M, dtype=LONG)
-    _, m = A.shape
-    V = np.eye(m, dtype=LONG)
+    p, m = M.shape
+    W = np.concatenate([np.asarray(M, dtype=LONG).T, np.eye(m, dtype=LONG)], axis=1)
+    A, V = W[:, :p], W[:, p:]
     eps = float(np.finfo(LONG).eps)
-    for _ in range(60):
+    stop = "sweep limit"
+    for sweeps in range(1, 61):
+        before = V.copy()
         off = 0.0
         for i in range(m - 1):
             for j in range(i + 1, m):
-                aii = np.dot(A[:, i], A[:, i])
-                ajj = np.dot(A[:, j], A[:, j])
-                aij = np.dot(A[:, i], A[:, j])
+                aii = np.dot(A[i], A[i])
+                ajj = np.dot(A[j], A[j])
+                aij = np.dot(A[i], A[j])
                 denom = math.sqrt(float(aii) * float(ajj)) or 1e-300
                 if aij == 0 or abs(float(aij)) <= 1e2 * eps * denom:
                     continue
@@ -376,15 +395,16 @@ def _jacobi_right_vectors(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
                 t = np.sign(tau) / (abs(tau) + np.sqrt(1 + tau * tau))
                 c = 1 / np.sqrt(1 + t * t)
                 s = c * t
-                Ai, Aj = A[:, i].copy(), A[:, j].copy()
-                A[:, i], A[:, j] = c * Ai - s * Aj, s * Ai + c * Aj
-                Vi, Vj = V[:, i].copy(), V[:, j].copy()
-                V[:, i], V[:, j] = c * Vi - s * Vj, s * Vi + c * Vj
+                Wi, Wj = W[i].copy(), W[j].copy()
+                W[i], W[j] = c * Wi - s * Wj, s * Wi + c * Wj
         if off < 1e2 * eps:
+            stop = "off-diagonal"
             break
-    sv = np.sqrt(np.sum(A * A, axis=0))
-    order = np.argsort(sv)[::-1]
-    return V[:, order], sv[order]
+        if m - p == 1 and np.array_equal(V, before):
+            stop = "V fixed"
+            break
+    order = np.argsort(np.sqrt(np.sum(A * A, axis=1)))[::-1]
+    return V[order].T, sweeps, stop
 
 
 def _orthonormal_transform(stack_window: np.ndarray) -> np.ndarray:
@@ -459,13 +479,18 @@ def _place(
     # geometry of the targets, not the raw basis skew.
     T = _orthonormal_transform(Gs)
     sv_geo = np.linalg.svd(tstack.T.astype(float) @ T, compute_uv=False)
-    if sv_geo[0] / sv_geo[p - 1] > 1e12:
+    condition = sv_geo[0] / sv_geo[p - 1]
+    if condition > 1e12:
         raise RankDeficiencyError(
-            f"interpolation matrix condition {sv_geo[0] / sv_geo[p - 1]:.2e} exceeds 1e12; "
+            f"interpolation matrix condition {condition:.2e} exceeds 1e12; "
             "targets too close together or too near the annulus boundary"
         )
 
-    V, _ = _jacobi_right_vectors(M_long)
+    V, sweeps, stop = _jacobi_right_vectors(M_long)
+    log.debug(
+        "placement: %d targets, %d generators, %d Jacobi sweeps (stopped: %s), condition %.3g",
+        p, m, sweeps, stop, condition,
+    )
     null_basis = V[:, p:].T  # (m - p) exact-null directions, longdouble
     rng = np.random.default_rng(seed)
     candidates = [null_basis[i] for i in range(m - p)]

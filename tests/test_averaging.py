@@ -2,6 +2,7 @@
 
 import logging
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -389,6 +390,67 @@ class TestBasisValues:
             got, got_env = c @ basis, np.abs(c) @ np.abs(basis) * eps
             assert np.all(np.abs(got - want) <= 16 * want_env)
             assert np.all(np.abs(got_env - want_env) <= 16 * eps * want_env)
+
+    @pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["double", "long_double"])
+    @pytest.mark.parametrize("ab,hi", [((1.0, -2.0), 8.0), ((1.0, -1.0), 8.0), ((-1.5, 2.0), 2.0)])
+    def test_kept_grid_rows_give_the_fresh_values(self, monkeypatch, ab, hi, dtype):
+        # degrees out of order, so that the kept powers grow and are reread;
+        # at (-1.5, 2) the grid runs past r0 = 1.5 into NaN columns
+        monkeypatch.setattr(averaging, "_grids", OrderedDict())
+        params = SystemParams(*ab)
+        rr = np.linspace(hi / 600, hi, 600)
+        for n in (3, 1, 4, 2, 6):
+            got = basis_values(params, n, rr, dtype)
+            assert got.dtype == dtype
+            assert np.array_equal(got, _fresh_basis(params, n, rr, dtype), equal_nan=True)
+        assert len(averaging._grids) == 1
+
+    def test_kernel_rows_are_sampled_once_per_grid_and_constant(self, monkeypatch):
+        monkeypatch.setattr(averaging, "_grids", OrderedDict())
+        calls = []
+
+        def counting(r, a):
+            calls.append(a)
+            return a00(r, a)
+
+        monkeypatch.setattr(averaging, "a00", counting)
+        grids = [np.linspace(0.01, 8.0, 600), np.linspace(0.01, 7.0, 800)]
+        for rr in grids:
+            for n in (1, 2, 3, 4):
+                basis_values(SystemParams(1.0, -2.0), n, rr, LONG)
+        assert calls == [1.0, 2.0, 1.0, 2.0]
+        # at (1, -1) the A row is that of a = 1 again, and B[0,0](r; -1) is
+        # A[0,0](r; 1), the same row
+        for rr in grids:
+            for n in (1, 2, 3, 4):
+                basis_values(SystemParams(1.0, -1.0), n, rr, LONG)
+        assert len(calls) == 4
+
+    def test_kept_grids_are_few_and_private(self, monkeypatch):
+        monkeypatch.setattr(averaging, "_grids", OrderedDict())
+        params = SystemParams(1.0, -2.0)
+        basis_values(params, 2, np.linspace(0.1, 1.0, averaging._GRID_MIN - 1), LONG)
+        assert len(averaging._grids) == 0
+        for k in range(averaging._GRIDS_KEPT + 2):
+            basis_values(params, 2, np.linspace(0.1, 1.0 + k, 400), LONG)
+        assert len(averaging._grids) == averaging._GRIDS_KEPT
+        # neither the caller's grid nor the returned matrix is kept
+        rr = np.linspace(0.1, 5.0, 400)
+        basis_values(params, 2, rr)[:] = 0.0
+        want = _fresh_basis(params, 2, rr, np.float64)
+        assert np.array_equal(basis_values(params, 2, rr), want)
+        rr *= 0.5
+        assert np.array_equal(basis_values(params, 2, rr), _fresh_basis(params, 2, rr, np.float64))
+
+
+def _fresh_basis(params, n, r, dtype):
+    """`basis_values` with every row sampled afresh: the reference for the
+    kept grid rows."""
+    h = (n + 1) // 2
+    rr = np.atleast_1d(np.asarray(r, dtype=dtype))
+    powers = rr ** np.arange(2 * h + 3)[:, None]
+    even = powers[::2]
+    return np.concatenate([even * a00(rr, params.a), even * a00(-rr, params.b), powers[:-1]])
 
 
 TABLES = ("plus_f", "plus_g", "minus_f", "minus_g")

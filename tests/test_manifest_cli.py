@@ -270,6 +270,9 @@ class TestCli:
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "grid": 20}, []),
             ("verify", {}, ["--epsilon", "0.01"]),
             ("reproduce-hn", {"kind": "reproduce_hn"}, ["--epsilon", "0.01"]),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"lo": 0.2, "hii": 1.0, "count": 3}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1, "minus_gg": [[0, 0, 1.0]]}}, []),
+            ("sweep", {**_SWEEP, "pert_file": {"degree": 1, "plus_f": [[0, 0, 1.0]], "seed": 3}}, []),
         ],
         ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
              "off_triangle", "inline_index", "samples", "n_list", "n_list_scalar", "draws",
@@ -282,9 +285,14 @@ class TestCli:
              "r_grid_hi_below_lo", "r_grid_count_zero", "r_grid_hi_past_r0", "samples_zero",
              "samples_negative", "hn_r_max_past_r0", "hn_r_max_far_past_r0", "sim_unknown_epsilonz",
              "sim_unknown_grd", "hn_option_of_verify", "smooth_unknown_r_max", "sweep_unknown_grid",
-             "verify_epsilon_flag", "hn_epsilon_flag"],
+             "verify_epsilon_flag", "hn_epsilon_flag", "r_grid_unknown_hii", "inline_unknown_table",
+             "pert_file_unknown_key"],
     )
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
+        if isinstance(over, dict) and isinstance(over.get("pert_file"), dict):
+            # a document given as pert_file is written out, and the manifest names its path
+            (tmp_path / "pert.json").write_text(json.dumps(over["pert_file"]))
+            over = {**over, "pert_file": str(tmp_path / "pert.json")}
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(_verify_doc(**over) if isinstance(over, dict) else over))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
@@ -301,6 +309,25 @@ class TestCli:
             "degree, targets, epsilons, r_max, grid, besides schema_version, kind, a, b and seed\n"
         )
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"r_grid": {"lo": 0.2, "hii": 1.0, "count": 3}},
+             "r_grid: unknown key 'hii'; the known keys are lo, hi, count"),
+            ({"pert_inline": {"degree": 1, "minus_gg": [], "plus_ff": []}},
+             "pert_inline: unknown key 'minus_gg', 'plus_ff'; the known keys are degree, plus_f, plus_g, "
+             "minus_f, minus_g"),
+        ],
+        ids=["r_grid", "pert_inline"],
+    )
+    def test_unknown_nested_key_names_the_known_keys(self, tmp_path, capsys, over, message):
+        # both used to be ignored: the run went on with the default hi = 3.0,
+        # or without the misspelt tables
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(_verify_doc(**{**_SWEEP, "pert_inline": {"degree": 1}, **over})))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize("b,exit_code", [(2.0, 2), (-2.0, 0)], ids=["r0_2", "r0_inf"])
     def test_hn_large_r_max_is_bounded_by_r0(self, tmp_path, capsys, b, exit_code):

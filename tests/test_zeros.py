@@ -309,6 +309,86 @@ class TestPlacement:
         assert np.array_equal(e1.coeff_poly, e2.coeff_poly)
 
 
+
+def _full_sweep_jacobi(M):
+    """One-sided Jacobi without the fixed-V stop: the sweeps end only on
+    the off-diagonal test (or after 60).  The oracle that
+    `zeros._jacobi_right_vectors` must reproduce bit for bit."""
+    A = np.array(M, dtype=zeros.LONG)
+    _, m = A.shape
+    V = np.eye(m, dtype=zeros.LONG)
+    eps = float(np.finfo(zeros.LONG).eps)
+    for _ in range(60):
+        off = 0.0
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                aii = np.dot(A[:, i], A[:, i])
+                ajj = np.dot(A[:, j], A[:, j])
+                aij = np.dot(A[:, i], A[:, j])
+                denom = np.sqrt(float(aii) * float(ajj)) or 1e-300
+                if aij == 0 or abs(float(aij)) <= 1e2 * eps * denom:
+                    continue
+                off = max(off, abs(float(aij)) / denom)
+                tau = (ajj - aii) / (2 * aij)
+                t = np.sign(tau) / (abs(tau) + np.sqrt(1 + tau * tau))
+                c = 1 / np.sqrt(1 + t * t)
+                s = c * t
+                Ai, Aj = A[:, i].copy(), A[:, j].copy()
+                A[:, i], A[:, j] = c * Ai - s * Aj, s * Ai + c * Aj
+                Vi, Vj = V[:, i].copy(), V[:, j].copy()
+                V[:, i], V[:, j] = c * Vi - s * Vj, s * Vi + c * Vj
+        if off < 1e2 * eps:
+            break
+    return V[:, np.argsort(np.sqrt(np.sum(A * A, axis=0)))[::-1]]
+
+
+class TestJacobi:
+    @staticmethod
+    def _spy_on_jacobi(monkeypatch) -> list:
+        """(M, V, sweeps, stop) of every `_jacobi_right_vectors` call."""
+        seen = []
+        original = zeros._jacobi_right_vectors
+
+        def spy(M):
+            V, sweeps, stop = original(M)
+            seen.append((M, V, sweeps, stop))
+            return V, sweeps, stop
+
+        monkeypatch.setattr(zeros, "_jacobi_right_vectors", spy)
+        return seen
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3)])
+    def test_early_stop_matches_the_full_sweeps_bitwise(self, monkeypatch, ab, n):
+        # every target count p = 1..m-1, so null spaces of one column (where
+        # the fixed-V stop may end the sweeps) and of several (where it must not)
+        params = SystemParams(*ab)
+        m = len(zeros.reachable_generators(params, n))
+        hi = min(5.0, 0.8 * params.r0)
+        seen = self._spy_on_jacobi(monkeypatch)
+        for p in range(1, m):
+            place_zeros(params, n, list(np.linspace(0.1 * hi, hi, p)), seed=3)
+        assert [M.shape for M, *_ in seen] == [(p, m) for p in range(1, m)]
+        for M, V, _, stop in seen:
+            assert np.array_equal(V, _full_sweep_jacobi(M))
+            assert stop != "V fixed" or M.shape[0] == m - 1
+        assert seen[-1][3] == "V fixed"
+
+    def test_capacity_placement_stops_when_v_is_fixed(self, params, caplog):
+        # the (1, -2), n = 4 capacity placement of `reproduce_hn`: the full
+        # sweeps run 24, shrinking the null column until its dot products
+        # underflow
+        targets = list(np.linspace(0.3, 5.0, reachable_zero_capacity(4, False)))
+        with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+            place_zeros(params, 4, targets, seed=3)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("placement:")]
+        got = re.fullmatch(
+            r"placement: 10 targets, 11 generators, (\d+) Jacobi sweeps \(stopped: V fixed\), condition (\S+)",
+            line,
+        )
+        assert got and int(got.group(1)) <= 10
+        assert float(got.group(2)) == pytest.approx(1.05e4, rel=0.01)
+
 class TestIndependence:
     def test_nonresonant_n1(self, params):
         rank, sv = independence_check(params, 1, 4.0)
