@@ -9,23 +9,24 @@ r^(2i) * B[0,0](r).  Two independent routes compute it:
 
 * `assemble` reduces the coefficients symbolically (exact rational
   arithmetic in Q + Q*pi): each nonzero coefficient of f and g goes to
-  its polar numerator term (the sigma/tau sums), an odd sine power drops
-  out, an even one is lowered binomially into the S/T tables, then the
-  cosine ladders collapse and the first-power seeds I[0,0], J[0,0] are
-  eliminated through their closed relations.  Only the nonzero
-  coefficients are visited.  The result is a `BasisExpansion`.
+  its polar numerator entry (the sigma/tau sums); an odd sine power drops
+  out, and an even one adds the coefficient times its entry's reduction
+  (`_unit_half`: binomial lowering into the S/T tables, collapse of the
+  cosine ladders, elimination of the first-power seeds I[0,0], J[0,0]
+  through their closed relations).  The result is a `BasisExpansion`.
 
 * `oracle_F` integrates the polar right-hand side directly with adaptive
   quadrature and knows nothing about the reduction.
 
 Their agreement is the central correctness property of the package.
 
-The reduction is linear in `PerturbationSpec.vector`: `assembly_matrix`
-caches its exact unit columns, whose structural checks then cover every
-input, for the realization, the surjectivity rank and the surveys.  A
-unit puts 1 on one half-circle sigma entry: `_unit_half` reduces each
-entry once for every unit, degree and system that share its half-circle
-constant, and an odd sine power gives a zero column without a reduction.
+The reduction is one exact linear map of `PerturbationSpec.vector`.
+Each entry's reduction runs and is checked once per half-circle constant
+and is shared by every unit, degree and system, so its checks cover every
+input; an odd sine power gives a zero column without a reduction.
+`_unit_parts` holds the exact unit columns, read by the surjectivity rank
+and the smooth checks, and `assembly_matrix` the same in double, read by
+the realization and the surveys.
 
 `basis_values` is the package's one expansion evaluator: it samples the
 basis functions once, and any coefficient vector (`BasisExpansion.vector`,
@@ -181,41 +182,6 @@ class PerturbationSpec:
         return self.scaled_add(1.0 / s, self, 0.0)
 
 
-def _lower(S: Table, p: int, q: int, x: Fraction) -> None:
-    """Add the entry sigma[p, q] = x, q even, to S: sin^2 = 1 - cos^2 lowers
-    it binomially into
-
-        S[p + 2k, l - k] += (-1)^k C(l, k) x,   k = 0..l,  l = q/2.
-    """
-    l = q // 2
-    for k in range(l + 1):
-        key = (p + 2 * k, l - k)
-        S[key] = S.get(key, 0) + (-1) ** k * math.comb(l, k) * x
-
-
-def _st_tables(pert: PerturbationSpec) -> Tuple[Table, Table]:
-    """The S (plus half) and T (minus half) tables of a perturbation.
-
-    The polar numerator f cos + g sin sends f x^i y^j to sigma[i+1, j] and
-    g x^i y^j to sigma[i, j+1] (tau likewise from the minus tables).  An
-    odd sine power is odd in the angle about the middle of each half
-    circle and drops out; an even one is lowered by `_lower`.  Only the
-    nonzero coefficients are visited, so a unit perturbation costs l + 1
-    exact updates.
-    """
-    out = []
-    for ft, gt in ((pert.plus_f, pert.plus_g), (pert.minus_f, pert.minus_g)):
-        S: Table = {}
-        for (di, dj), table in (((1, 0), ft), ((0, 1), gt)):
-            for i, j in zip(*np.nonzero(table)):
-                # np.int64 indices would overflow silently in the powers
-                p, q = int(i) + di, int(j) + dj
-                if q % 2 == 0:
-                    _lower(S, p, q, as_fraction(float(table[i, j])))
-        out.append(S)
-    return out[0], out[1]
-
-
 def _reduce_half(
     S: Table, c: Fraction, degree: int, alternate: bool
 ) -> Tuple[List[Fraction], List[PiNumber]]:
@@ -260,13 +226,24 @@ def _reduce_half(
     return coef_K, poly
 
 
-def _checked_half(
-    S: Table, c: Fraction, degree: int, alternate: bool
-) -> Tuple[List[Fraction], List[PiNumber]]:
-    """`_reduce_half`, then the exact structural identities of the half.
+@lru_cache(maxsize=None)
+def _unit_half(
+    c: Fraction, alternate: bool, p: int, q: int
+) -> Tuple[Tuple[Fraction, ...], Tuple[PiNumber, ...]]:
+    """The reduction of the single entry sigma[p, q] = 1, q even, at the
+    smallest degree that holds it, max(1, p + q - 1): the only place a
+    reduction runs.  sin^2 = 1 - cos^2 lowers the entry binomially onto
+    S[p + 2k, l - k] = (-1)^k C(l, k), k = 0..l, l = q/2.
 
-    A failure means the reduction itself is broken, not the input.
+    Then the half's exact structural identities are checked; a failure
+    means the reduction itself is broken, not the input.  A larger degree
+    only appends zeros to both parts, and its check at index
+    2*floor((n+1)/2) then reads one of them; the checks are linear, so
+    they hold for every degree and every combination `assemble` makes.
     """
+    l = q // 2
+    S: Table = {(p + 2 * k, l - k): Fraction((-1) ** k * math.comb(l, k)) for k in range(l + 1)}
+    degree = max(1, p + q - 1)
     coef, poly = _reduce_half(S, c, degree, alternate)
     if not poly[2 * ((degree + 1) // 2)].is_zero:
         raise AssemblyError("monomial coefficient at index 2*floor((n+1)/2) must vanish")
@@ -274,23 +251,6 @@ def _checked_half(
         raise AssemblyError("constant monomial must be a pure pi multiple")
     if coef[0] != -(c * c) * poly[0].pi:
         raise AssemblyError("constant-term tie between the kernel and monomial parts failed")
-    return coef, poly
-
-
-@lru_cache(maxsize=None)
-def _unit_half(
-    c: Fraction, alternate: bool, p: int, q: int
-) -> Tuple[Tuple[Fraction, ...], Tuple[PiNumber, ...]]:
-    """The checked reduction of the single entry sigma[p, q] = 1, q even,
-    at the smallest degree that holds it, max(1, p + q - 1).
-
-    A larger degree only appends zeros to both parts, and its check at
-    index 2*floor((n+1)/2) then reads one of them, so these checks hold
-    at every degree.
-    """
-    S: Table = {}
-    _lower(S, p, q, Fraction(1))
-    coef, poly = _checked_half(S, c, max(1, p + q - 1), alternate)
     return tuple(coef), tuple(poly)
 
 
@@ -426,56 +386,80 @@ def eval_F(fn: AveragedFunction, r):
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
+@lru_cache(maxsize=None)
+def _sigma_entries(n: int) -> Tuple[Tuple[bool, int, int], ...]:
+    """(alternate, p, q) of each coefficient of a degree-n perturbation, in
+    the order of `PerturbationSpec.vector`: the polar numerator f cos + g sin
+    sends f x^i y^j to sigma[i+1, j] and g x^i y^j to sigma[i, j+1] on the
+    front half (plus tables), and to tau likewise on the back half
+    (`alternate`, minus tables)."""
+    ij = np.argwhere(_triangle(n)).tolist()
+    return tuple((alt, i + di, j + dj) for alt in (False, True) for di, dj in ((1, 0), (0, 1)) for i, j in ij)
+
+
 def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
     """Symbolic reduction of a perturbation to its BasisExpansion.
 
-    Runs in exact arithmetic; the expansion keeps the exact pre-merge parts
-    (coef_A, poly_plus, coef_B, poly_minus) as `exact_parts`.
+    An odd sine power of a sigma entry (`_sigma_entries`) is odd in the
+    angle about the middle of its half circle and drops out; an even one
+    adds its coefficient times the cached, checked `_unit_half` of its
+    entry to its half.  Only the nonzero coefficients are visited.  The
+    arithmetic is exact, so each half is the reduction of its whole sigma
+    table, number for number.  The expansion keeps the exact pre-merge
+    parts (coef_A, poly_plus, coef_B, poly_minus) as `exact_parts`.
     """
-    S, T = _st_tables(pert)
-    coef_A, poly_plus = _checked_half(S, as_fraction(params.a), pert.degree, alternate=False)
-    coef_B, poly_minus = _checked_half(T, as_fraction(params.b), pert.degree, alternate=True)
-    merged = [float(p + q) for p, q in zip(poly_plus, poly_minus)]
+    h = (pert.degree + 1) // 2
+    consts = (as_fraction(params.a), as_fraction(params.b))
+    # per half: the kernel coefficients, and the rational and pi parts of
+    # the monomial coefficients, summed apart as plain Fractions (summing
+    # PiNumbers made a warm call about 1.5 times slower)
+    halves = [[[Fraction(0)] * size for size in (h + 2, 2 * h + 2, 2 * h + 2)] for _ in consts]
+    v = pert.vector()
+    for k in np.flatnonzero(v).tolist():
+        alternate, p, q = _sigma_entries(pert.degree)[k]
+        if q % 2 == 0:
+            x = as_fraction(float(v[k]))
+            (coef, rat, pi), (unit_coef, unit_poly) = halves[alternate], _unit_half(consts[alternate], alternate, p, q)
+            for i, u in enumerate(unit_coef):
+                if u:
+                    coef[i] += x * u
+            for i, u in enumerate(unit_poly):
+                if u.rat:
+                    rat[i] += x * u.rat
+                if u.pi:
+                    pi[i] += x * u.pi
+    (coef_A, *plus), (coef_B, *minus) = halves
+    poly_plus, poly_minus = ([PiNumber(*u) for u in zip(*half)] for half in (plus, minus))
     expansion = BasisExpansion(
         pert.degree,
         np.array([float(x) for x in coef_A]),
         np.array([float(x) for x in coef_B]),
-        np.array(merged),
+        np.array([float(p + q) for p, q in zip(poly_plus, poly_minus)]),
         exact_parts=(coef_A, poly_plus, coef_B, poly_minus),
     )
     return AveragedFunction(params, expansion)
 
 
 @lru_cache(maxsize=None)
-def _unit_expansions(params: SystemParams, n: int) -> Tuple[BasisExpansion, ...]:
-    """The reduction of each unit perturbation of degree n, in the order of
-    `PerturbationSpec.vector`; the exact parts are kept.
+def _unit_parts(params: SystemParams, n: int) -> Tuple[tuple, ...]:
+    """The exact parts (coef_A, poly_plus, coef_B, poly_minus) of each unit
+    perturbation of degree n, in the order of `PerturbationSpec.vector`:
+    those of `assemble` of the unit.
 
-    Unit f x^i y^j puts 1 on sigma[i+1, j] (tau on the minus half) and
-    unit g x^i y^j on sigma[i, j+1].  An odd sine power gives a zero
-    column; an even one reads `_unit_half`, zero-padded to degree n, and
-    the other half is zero.  Each column is `assemble` of its unit, bit
-    for bit.
+    A unit puts 1 on one sigma entry.  An odd sine power gives zero parts;
+    an even one reads `_unit_half`, zero-padded to degree n, and the other
+    half is zero.
     """
     h = (n + 1) // 2
-
-    def padded(coef=(), poly=()):
-        return list(coef) + [Fraction(0)] * (h + 2 - len(coef)), list(poly) + [PiNumber()] * (2 * h + 2 - len(poly))
-
+    zero = (Fraction(0),) * (h + 2), (PiNumber(),) * (2 * h + 2)
+    consts = (as_fraction(params.a), as_fraction(params.b))
     before = _unit_half.cache_info()
     units, zero_columns = [], 0
-    for c, alternate in ((as_fraction(params.a), False), (as_fraction(params.b), True)):
-        for di, dj in ((1, 0), (0, 1)):
-            for i, j in np.argwhere(_triangle(n)).tolist():
-                p, q = i + di, j + dj
-                zero_columns += q % 2
-                coef, poly = padded() if q % 2 else padded(*_unit_half(c, alternate, p, q))
-                # the other half is zero: so are its kernel coefficients, and
-                # the merged monomials are this half's
-                kernel, empty = np.array([float(x) for x in coef]), np.zeros(h + 2)
-                exact = (*padded(), coef, poly) if alternate else (coef, poly, *padded())
-                A, B = (empty, kernel) if alternate else (kernel, empty)
-                units.append(BasisExpansion(n, A, B, np.array([float(x) for x in poly]), exact_parts=exact))
+    for alternate, p, q in _sigma_entries(n):
+        zero_columns += q % 2
+        coef, poly = ((), ()) if q % 2 else _unit_half(consts[alternate], alternate, p, q)
+        half = (coef + zero[0][len(coef) :], poly + zero[1][len(poly) :])
+        units.append((*zero, *half) if alternate else (*half, *zero))
     after = _unit_half.cache_info()
     log.debug(
         "unit columns: degree %d, (a, b) = (%r, %r), %d columns, %d half reductions run, %d reused, %d zero columns",
@@ -490,9 +474,13 @@ def assembly_matrix(params: SystemParams, n: int) -> np.ndarray:
 
     Column k is the expansion vector of the k-th unit perturbation, so
     `assembly_matrix(params, n) @ pert.vector()` is `assemble(params,
-    pert).expansion.vector()` up to double rounding of the sum.
+    pert).expansion.vector()` up to double rounding of the sum.  A unit's
+    other half is zero, so its merged monomials are those of its own half.
     """
-    M = np.array([e.vector() for e in _unit_expansions(params, n)]).T
+    units = _unit_parts(params, n)
+    back = len(units) // 2
+    M = np.array([[float(x) for x in (*coef_A, *coef_B, *(poly_minus if k >= back else poly_plus))]
+                  for k, (coef_A, poly_plus, coef_B, poly_minus) in enumerate(units)]).T
     M.flags.writeable = False
     return M
 

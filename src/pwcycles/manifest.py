@@ -110,17 +110,15 @@ class ExperimentManifest:
         )
         eps = options.get("epsilons")
         try:
-            a, b, seed = float(doc["a"]), float(doc["b"]), int(doc["seed"])
-            eps = None if eps is None else [float(e) for e in eps]
-        except (TypeError, ValueError) as exc:
-            raise ManifestError(f"'a', 'b' and 'epsilons' must be numbers, 'seed' an integer: {exc}") from exc
+            a, b, seed = _finite(doc["a"]), _finite(doc["b"]), int(doc["seed"])
+            eps = None if eps is None else [_finite(e) for e in eps]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ManifestError(f"'a', 'b' and 'epsilons' must be finite numbers, 'seed' an integer: {exc}") from exc
         if a * b == 0:
             raise ManifestError("system constants must be nonzero")
         if eps is not None:
-            if any(e <= 0 for e in eps):
-                raise ManifestError("epsilon values must be positive")
-            if any(e1 <= e2 for e1, e2 in zip(eps, eps[1:])):
-                raise ManifestError("epsilon values must be descending")
+            if not all(e1 > e2 for e1, e2 in zip(eps, [*eps[1:], 0.0])):
+                raise ManifestError(f"epsilon values must be positive and descending, got {eps}")
             options["epsilons"] = eps
         if "pert_file" in options:
             pert_file = options["pert_file"]
@@ -176,8 +174,17 @@ def _option(opts: Dict[str, Any], key: str, convert: Callable[[Any], Any], defau
         return default
     try:
         return convert(opts[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ManifestError(f"malformed option {key!r}: {exc}") from exc
+
+
+def _finite(value: Any) -> float:
+    """`float(value)`, refusing NaN and the infinities, which JSON parsing
+    and `float` both accept."""
+    v = float(value)
+    if not np.isfinite(v):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return v
 
 
 def _of_type(kind: type, value: Any) -> Any:
@@ -202,6 +209,19 @@ def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], List[Any]]:
     return lambda value: [convert(v) for v in _of_type(list, value)]
 
 
+def _targets_in(r0: float) -> Callable[[Any], List[float]]:
+    """A conversion of a target list that refuses one not strictly
+    increasing inside (0, r0), the radii that placement accepts."""
+
+    def convert(value: Any) -> List[float]:
+        targets = _list_of(_finite)(value)
+        if not all(lo < hi for lo, hi in zip([0.0, *targets], [*targets, r0])):
+            raise ValueError(f"expected radii strictly increasing inside (0, r0 = {r0}), got {targets}")
+        return targets
+
+    return convert
+
+
 def _refuse_unknown(doc: Dict[str, Any], known: Sequence[str], what: str, besides: str = "") -> None:
     """Refuse the keys of `doc` outside `known`, so that a misspelt key
     cannot silently fall back to its default."""
@@ -215,7 +235,7 @@ def _refuse_unknown(doc: Dict[str, Any], known: Sequence[str], what: str, beside
 def _pert_from_doc(doc: Dict[str, Any], source: str) -> PerturbationSpec:
     """A perturbation from `degree` and [i, j, value] entries per table."""
     _refuse_unknown(_of_type(dict, doc), ("degree", *PERT_TABLES), f"{source}: unknown key")
-    tables = {name: {(int(i), int(j)): float(v) for i, j, v in doc.get(name, [])} for name in PERT_TABLES}
+    tables = {name: {(int(i), int(j)): _finite(v) for i, j, v in doc.get(name, [])} for name in PERT_TABLES}
     return PerturbationSpec(int(doc["degree"]), **tables)
 
 
@@ -223,19 +243,23 @@ def _pert_from_options(manifest: ExperimentManifest, params: SystemParams) -> Pe
     """The sweep's perturbation: inline tables, a table file, or a placement
     at `pert_targets`.  A missing or malformed entry is a ManifestError."""
     opts = manifest.options
-    if not any(k in opts for k in ("pert_inline", "pert_file", "pert_targets")):
-        raise ManifestError("sweep needs pert_inline, pert_file, or pert_targets + degree")
+    sources = [k for k in ("pert_inline", "pert_file", "pert_targets") if k in opts]
+    if len(sources) != 1:
+        found = ", ".join(sources) or "none"
+        raise ManifestError(f"sweep needs one of pert_inline, pert_file, or pert_targets + degree; got {found}")
+    if "degree" in opts and "pert_targets" not in opts:
+        raise ManifestError(f"sweep 'degree' goes with pert_targets; {sources[0]} carries its own degree")
     try:
         if "pert_inline" in opts:
             return _pert_from_doc(opts["pert_inline"], "pert_inline")
         if "pert_file" in opts:
             return _pert_from_doc(json.loads(Path(opts["pert_file"]).read_text()), "pert_file")
-        n, targets = int(opts["degree"]), [float(t) for t in opts["pert_targets"]]
+        n, targets = _at_least(1)(opts["degree"]), _targets_in(params.r0)(opts["pert_targets"])
     except ManifestError:
         raise
     except KeyError as exc:
         raise ManifestError(f"sweep perturbation is missing {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ManifestError(f"malformed sweep perturbation: {exc}") from exc
     expansion = place_zeros(params, n, targets, seed=manifest.seed)
     return perturbation_for_expansion(params, expansion).normalized()
@@ -326,7 +350,7 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
     opts = manifest.options
     n_list = _option(opts, "n_list", _list_of(_at_least(1)), [1, 2, 3, 4])
     draws = _option(opts, "draws", _at_least(0), 500)
-    r_max = _option(opts, "r_max", float, min(10.0 * max(abs(params.a), abs(params.b)), 0.95 * params.r0))
+    r_max = _option(opts, "r_max", _finite, min(10.0 * max(abs(params.a), abs(params.b)), 0.95 * params.r0))
     if r_max <= 0.4:
         given = "r_max" if "r_max" in opts else "the default r_max = min(10*max(|a|, |b|), 0.95*r0)"
         raise ManifestError(f"{given} = {r_max} must exceed 0.4: the targets lie on (0.3, 0.75*r_max)")
@@ -374,17 +398,19 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
 def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
     opts = manifest.options
-    n = _option(opts, "degree", int)
-    targets = _option(opts, "targets", _list_of(float))
+    n = _option(opts, "degree", _at_least(1))
+    targets = _option(opts, "targets", _targets_in(params.r0))
     if n is None or not targets:
         raise ManifestError("place_and_simulate needs 'degree' and a non-empty 'targets' list")
     epsilons = opts.get("epsilons", [])
-    r_max = _option(opts, "r_max", float, min(1.5 * max(targets), 0.95 * params.r0))
+    r_max = _option(opts, "r_max", _finite, min(1.5 * max(targets), 0.95 * params.r0))
     grid = _option(opts, "grid", _at_least(1), 60)
     if r_max <= max(targets):
         if "r_max" not in opts:
             raise ManifestError(f"the largest target {max(targets)} must stay below 0.95*r0 = {r_max}")
         raise ManifestError(f"r_max = {r_max} must exceed the largest target {max(targets)}")
+    if not r_max < params.r0:
+        raise ManifestError(f"r_max = {r_max} must stay below r0 = {params.r0}")
     checks: List[Dict[str, Any]] = []
     payloads: Dict[str, Any] = {}
 
@@ -509,8 +535,8 @@ def _run_sweep(manifest: ExperimentManifest) -> Dict[str, Any]:
         raise ManifestError("sweep needs a descending 'epsilons' list")
     rspec = _option(opts, "r_grid", lambda v: _of_type(dict, v), {})
     _refuse_unknown(rspec, ("lo", "hi", "count"), "r_grid: unknown key")
-    lo = _option(rspec, "lo", float, 0.2)
-    hi = _option(rspec, "hi", float, min(3.0, 0.8 * params.r0))
+    lo = _option(rspec, "lo", _finite, 0.2)
+    hi = _option(rspec, "hi", _finite, min(3.0, 0.8 * params.r0))
     count = _option(rspec, "count", _at_least(1), 40)
     if not 0 < lo < hi <= 0.97 * params.r0:
         raise ManifestError(f"r_grid needs 0 < lo < hi <= 0.97*r0 = {0.97 * params.r0}; got lo = {lo}, hi = {hi}")

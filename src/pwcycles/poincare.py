@@ -195,8 +195,8 @@ class PolarField:
     r_range: Tuple[float, float]
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
         lo, hi = self.r_range
         if not (0 < lo < hi):
             raise ValueError("invalid r_range")
@@ -211,7 +211,7 @@ class PolarField:
         c, s = np.cos(t), np.sin(t)
         plus, minus = (_leg_terms((self,), side)(0)(c, s, r)[2] for side in (True, False))
         speed = np.where(c >= 0, plus, minus)
-        bad = speed <= 0
+        bad = ~(speed > 0)  # NaN included
         if bad.any():
             i, k = np.unravel_index(np.argmax(bad), bad.shape)
             raise EpsilonValidityError(
@@ -354,7 +354,8 @@ def _dop853(rhs_at, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarr
         t, y = theta[live], r[live]
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(~retry[live] & (step[live] < min_step), min_step, step[live])
-        stuck = h_abs < min_step
+        # a NaN step is neither accepted nor rejected: refuse it here
+        stuck = ~(h_abs >= min_step)
         if stuck.any():
             i = np.argmax(stuck)
             raise BlowUpError(

@@ -46,7 +46,7 @@ from .averaging import (
     BasisExpansion,
     PerturbationSpec,
     _random_rows,
-    _unit_expansions,
+    _unit_parts,
     assemble,
     assembly_matrix,
     basis_values,
@@ -74,42 +74,33 @@ def _random_smooth_rows(degree: int, rng: np.random.Generator, count: int) -> np
 
 
 def assemble_smooth(a: float, pert: PerturbationSpec) -> AveragedFunction:
-    """`assemble` at b = a, with the smooth system's exact structural checks.
+    """`assemble` at b = a, after the smooth system's exact structural checks.
 
-    Raises ValueError when the half-planes carry different tables.  Exact
-    checks on the reduction: both half-circles give the same kernel
-    coefficients, and their merged monomials are even and capped at
-    2*floor((n-1)/2).
+    Raises ValueError when the half-planes carry different tables.
     """
     if not (np.array_equal(pert.plus_f, pert.minus_f) and np.array_equal(pert.plus_g, pert.minus_g)):
         raise ValueError("the smooth system needs the same f and g tables on both half-planes")
-    fn = assemble(SystemParams(a, a), pert)
-    _check_smooth_parts(pert.degree, *fn.expansion.exact_parts)
-    return fn
-
-
-def _check_smooth_parts(n: int, coef_A, poly_plus, coef_B, poly_minus) -> None:
-    """The smooth checks on the exact parts of a degree-n reduction."""
-    if coef_A != coef_B:
-        raise AssemblyError("the two half-circles gave different kernel coefficients")
-    cap = 2 * ((n - 1) // 2)
-    for k, (p, q) in enumerate(zip(poly_plus, poly_minus)):
-        if (k % 2 == 1 or k > cap) and not (p + q).is_zero:
-            raise AssemblyError(f"monomial r^{k} outside the smooth range (even, at most r^{cap})")
+    _check_smooth_units(a, pert.degree)
+    return assemble(SystemParams(a, a), pert)
 
 
 @lru_cache(maxsize=None)
 def _check_smooth_units(a: float, n: int) -> None:
-    """`assemble_smooth`'s checks on each smooth unit direction k, once per
-    (a, n): its plus parts are those of the cached piecewise unit k at
-    b = a, its minus parts those of unit k + half.  The checks are linear,
-    so they then hold for every smooth perturbation of degree n."""
-    units = _unit_expansions(SystemParams(a, a), n)
+    """The smooth system's exact structural checks, once per (a, n), on each
+    smooth unit direction k: its plus parts are those of the cached
+    piecewise unit k at b = a, its minus parts those of unit k + half.  Both
+    half-circles give the same kernel coefficients, and their merged
+    monomials are even and capped at 2*floor((n-1)/2).  The checks are
+    linear, so they then hold for every smooth perturbation of degree n."""
+    units = _unit_parts(SystemParams(a, a), n)
     half = len(units) // 2
-    for plus, minus in zip(units[:half], units[half:]):
-        coef_A, poly_plus, _, _ = plus.exact_parts
-        _, _, coef_B, poly_minus = minus.exact_parts
-        _check_smooth_parts(n, coef_A, poly_plus, coef_B, poly_minus)
+    cap = 2 * ((n - 1) // 2)
+    for (coef_A, poly_plus, _, _), (_, _, coef_B, poly_minus) in zip(units[:half], units[half:]):
+        if coef_A != coef_B:
+            raise AssemblyError("the two half-circles gave different kernel coefficients")
+        for k, (p, q) in enumerate(zip(poly_plus, poly_minus)):
+            if (k % 2 == 1 or k > cap) and not (p + q).is_zero:
+                raise AssemblyError(f"monomial r^{k} outside the smooth range (even, at most r^{cap})")
 
 
 def eval_V_family(i: int, j: int, r: float, a: float) -> float:

@@ -65,7 +65,7 @@ from .averaging import (
     AveragedFunction,
     BasisExpansion,
     _random_rows,
-    _unit_expansions,
+    _unit_parts,
     assembly_matrix,
     basis_values,
 )
@@ -586,8 +586,7 @@ def coefficient_surjectivity_check(params: SystemParams, n: int) -> Tuple[int, i
         return [float(kernel[i] if kind == "kernel" else poly[i]) for kind, i in claimed]
 
     cols = []
-    for unit in _unit_expansions(params, n):
-        coef_A, poly_plus, coef_B, poly_minus = unit.exact_parts
+    for coef_A, poly_plus, coef_B, poly_minus in _unit_parts(params, n):
         cols.append(coords(coef_A, poly_plus) + coords(coef_B, poly_minus))
     M = np.array(cols).T  # coordinates x perturbation directions
     expected = 2 * len(claimed)

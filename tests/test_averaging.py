@@ -16,9 +16,8 @@ from pwcycles.averaging import (
     BasisExpansion,
     PerturbationSpec,
     _random_rows,
-    _st_tables,
     _triangle,
-    _unit_expansions,
+    _unit_parts,
     assemble,
     assembly_matrix,
     basis_values,
@@ -116,9 +115,8 @@ class TestRandomRows:
 
 
 def _st_reference(pert):
-    """The dense sigma/tau sums and their binomial compression that
-    `_st_tables` replaced, kept as the reference: (S, T) over every table
-    entry, zeros included."""
+    """The dense sigma/tau sums and their binomial compression, kept as the
+    reference: (S, T) over every table entry, zeros included."""
     n = pert.degree
 
     def sigma_tau(ft, gt):
@@ -151,68 +149,95 @@ def _st_reference(pert):
     )
 
 
-def _nonzero(table):
-    return {k: v for k, v in table.items() if v != 0}
+def _reference_parts(params, pert, tables=None):
+    """`_reduce_half` of whole S and T tables, the dense reference ones or
+    the given ones: the exact parts (coef_A, poly_plus, coef_B,
+    poly_minus) that `assemble` must give."""
+    S, T = _st_reference(pert) if tables is None else tables
+    n = pert.degree
+    return (
+        *averaging._reduce_half(S, as_fraction(params.a), n, False),
+        *averaging._reduce_half(T, as_fraction(params.b), n, True),
+    )
+
+
+def _reference_vector(parts):
+    """The expansion vector of exact parts: the kernel coefficients, then
+    the two halves' monomials merged."""
+    coef_A, poly_plus, coef_B, poly_minus = parts
+    merged = [float(p + q) for p, q in zip(poly_plus, poly_minus)]
+    return np.array([float(x) for x in (*coef_A, *coef_B)] + merged)
+
+
+def _assert_reduces_to(params, pert, tables=None):
+    """`assemble` gives the reference reduction, exactly and bit for bit."""
+    want = _reference_parts(params, pert, tables)
+    got = assemble(params, pert).expansion
+    assert repr(got.exact_parts) == repr(want)
+    assert got.vector().tobytes() == _reference_vector(want).tobytes()
+
+
+# the systems of the bitwise tests: unbounded, resonant, bounded (r0 = 1.5),
+# smooth, and a small bounded annulus (r0 = 0.3)
+SYSTEMS = [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (1.0, 1.0), (0.7, -0.3)]
 
 
 class TestSigmaTau:
-    """How table entries feed the sigma/tau sums inside `_st_tables`."""
+    """How table entries feed the sigma/tau sums that `assemble` reduces."""
 
-    def test_zero_input(self):
+    def test_zero_input(self, params):
         # explicit zero coefficients are skipped, not accumulated
-        assert _st_tables(PerturbationSpec(2, plus_f={(0, 0): 0.0}, minus_g={(1, 0): 0.0})) == ({}, {})
+        pert = PerturbationSpec(2, plus_f={(0, 0): 0.0}, minus_g={(1, 0): 0.0})
+        _assert_reduces_to(params, pert, ({}, {}))
+        assert assemble(params, pert).expansion.max_abs_coeff == 0.0
 
-    def test_single_f_constant(self):
+    def test_single_f_constant(self, params):
         # plus_f[0,0] feeds sigma[1,0] through the cosine factor only
-        S, T = _st_tables(PerturbationSpec(1, plus_f={(0, 0): 1.0}))
-        assert _nonzero(S) == {(1, 0): 1}
-        assert not _nonzero(T)
+        _assert_reduces_to(params, PerturbationSpec(1, plus_f={(0, 0): 1.0}), ({(1, 0): Fraction(1)}, {}))
 
 
 class TestSTCoeffs:
-    """The binomial lowering of sigma[p, 2l] onto S inside `_st_tables`."""
+    """The binomial lowering of sigma[p, 2l] onto S inside `_unit_half`."""
 
-    def test_single_entry_passthrough(self):
+    def test_single_entry_passthrough(self, params):
         # x^2 in f feeds sigma[3,0]; with no sine power it lands on S[3,0] unchanged
-        S, T = _st_tables(PerturbationSpec(2, plus_f={(2, 0): 1.5}))
-        assert _nonzero(S) == {(3, 0): 1.5}
-        assert not _nonzero(T)
+        _assert_reduces_to(params, PerturbationSpec(2, plus_f={(2, 0): 1.5}), ({(3, 0): Fraction(3, 2)}, {}))
 
-    def test_zero_maps_to_zero(self):
-        assert _st_tables(PerturbationSpec(3)) == ({}, {})
+    def test_zero_maps_to_zero(self, params):
+        _assert_reduces_to(params, PerturbationSpec(3), ({}, {}))
 
 
 class TestSTTables:
-    def test_binomial_cancellation(self):
+    def test_binomial_cancellation(self, params):
         # x in f and y in g give sigma[2,0] = sigma[0,2] = 1, which cancel in S[2,0]
-        S, _ = _st_tables(PerturbationSpec(2, plus_f={(1, 0): 1.0}, plus_g={(0, 1): 1.0}))
-        assert S.get((2, 0), 0) == 0
-        assert _nonzero(S) == {(0, 1): 1}
+        pert = PerturbationSpec(2, plus_f={(1, 0): 1.0}, plus_g={(0, 1): 1.0})
+        _assert_reduces_to(params, pert, ({(0, 1): Fraction(1)}, {}))
 
-    def test_f_and_g_combine_in_one_T_slot(self):
+    def test_f_and_g_combine_in_one_T_slot(self, params):
         # y^2 in f and xy in g both feed tau[1,2] = 5, lowered to T[1,1] and T[3,0]
-        S, T = _st_tables(PerturbationSpec(2, minus_f={(0, 2): 2.0}, minus_g={(1, 1): 3.0}))
-        assert not _nonzero(S)
-        assert _nonzero(T) == {(1, 1): 5, (3, 0): -5}
+        pert = PerturbationSpec(2, minus_f={(0, 2): 2.0}, minus_g={(1, 1): 3.0})
+        _assert_reduces_to(params, pert, ({}, {(1, 1): Fraction(5), (3, 0): Fraction(-5)}))
 
-    def test_odd_sine_power_drops_out(self):
+    def test_odd_sine_power_drops_out(self, params):
         # y in f and x in g feed tau[1,1], an odd sine power
-        S, T = _st_tables(PerturbationSpec(1, minus_f={(0, 1): 2.0}, minus_g={(1, 0): 3.0}))
-        assert not _nonzero(S) and not _nonzero(T)
+        pert = PerturbationSpec(1, minus_f={(0, 1): 2.0}, minus_g={(1, 0): 3.0})
+        _assert_reduces_to(params, pert, ({}, {}))
+        assert assemble(params, pert).expansion.max_abs_coeff == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_equals_dense_reference_exactly(self, n, rng):
+        # assemble combines the cached unit reductions; the reduction of the
+        # dense reference tables gives the same exact parts and floats, on
+        # random, 20 %-sparse and unit perturbations of every system
         m = 2 * (n + 1) * (n + 2)
         perts = [PerturbationSpec.random(n, rng) for _ in range(3)]
         perts += [PerturbationSpec.from_vector(n, np.where(rng.random(m) < 0.2, rng.uniform(-1, 1, m), 0.0))
                   for _ in range(3)]
         perts += [PerturbationSpec.from_vector(n, e) for e in np.eye(m)]
         for pert in perts:
-            got, want = _st_tables(pert), _st_reference(pert)
-            for g, w in zip(got, want):
-                assert set(g) <= set(w)
-                assert _nonzero(g) == _nonzero(w)
-                assert all(isinstance(k, int) for key in g for k in key)
+            tables = _st_reference(pert)
+            for ab in SYSTEMS:
+                _assert_reduces_to(SystemParams(*ab), pert, tables)
 
 
 class TestAssemble:
@@ -476,16 +501,29 @@ class TestAssemblyMatrix:
     @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (1.0, 1.0)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_columns_are_unit_assemblies_bitwise(self, ab, n):
-        # assemble reduces each unit on its own: the oracle of the cached,
-        # zero-padded unit halves, exact parts included
+        # the reduction of each unit's dense reference tables at degree n:
+        # the oracle of the cached, zero-padded unit halves, exact parts
+        # included
         params = SystemParams(*ab)
         M = assembly_matrix(params, n)
         keys = _enumeration(n)
         assert M.dtype == np.float64 and M.shape[1] == len(keys) == 2 * (n + 1) * (n + 2)
         for k, (name, i, j) in enumerate(keys):
-            want = assemble(params, PerturbationSpec(n, **{name: {(i, j): 1.0}})).expansion
-            assert M[:, k].tobytes() == want.vector().tobytes()
-            assert repr(_unit_expansions(params, n)[k].exact_parts) == repr(want.exact_parts)
+            want = _reference_parts(params, PerturbationSpec(n, **{name: {(i, j): 1.0}}))
+            assert M[:, k].tobytes() == _reference_vector(want).tobytes()
+            assert repr(_unit_parts(params, n)[k]) == repr(tuple(map(tuple, want)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_assemble_is_the_exact_unit_combination(self, n, rng):
+        # the exact counterpart of the matrix product: the perturbation's
+        # coefficients times the unit parts, summed in Q + Q*pi
+        params = SystemParams(0.7, -0.3)
+        pert = PerturbationSpec.random(n, rng)
+        want = [[0 * u for u in part] for part in _unit_parts(params, n)[0]]
+        for x, unit in zip(pert.vector().tolist(), _unit_parts(params, n)):
+            for total, part in zip(want, unit):
+                total[:] = [t + u * as_fraction(x) for t, u in zip(total, part)]
+        assert assemble(params, pert).expansion.exact_parts == tuple(want)
 
     def test_unit_reductions_are_shared_across_degrees_and_systems(self, reduce_calls):
         # degree 4 reaches 11 even-sine entries sigma[p, q], p + q <= 5, per
@@ -512,7 +550,7 @@ class TestAssemblyMatrix:
 
     def test_broken_reduction_is_refused(self, reduce_calls, monkeypatch):
         # a reduction that breaks the constant-term tie fails the checks of
-        # the cached unit halves and of assemble alike
+        # the cached unit halves, which assemble reads too
         reduce = averaging._reduce_half
 
         def broken(S, c, degree, alternate):

@@ -3,12 +3,18 @@
 import csv
 import json
 import logging
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pwcycles.cli import main
 from pwcycles.manifest import (
+    OPTIONS,
     ExperimentManifest,
     ManifestError,
     emit_table,
@@ -273,6 +279,30 @@ class TestCli:
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"lo": 0.2, "hii": 1.0, "count": 3}}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1, "minus_gg": [[0, 0, 1.0]]}}, []),
             ("sweep", {**_SWEEP, "pert_file": {"degree": 1, "plus_f": [[0, 0, 1.0]], "seed": 3}}, []),
+            ("verify", {"a": math.nan}, []),
+            ("verify", {}, ["--a", "nan"]),
+            ("reproduce-hn", {"kind": "reproduce_hn", "a": math.inf}, []),
+            ("verify", {"seed": math.inf}, []),
+            ("verify", {"samples": math.inf}, []),
+            ("simulate", _SIM, ["--epsilon", "inf,0.01"]),
+            ("simulate", {**_SIM, "targets": [0.5, math.nan]}, []),
+            ("simulate", {**_SIM, "r_max": math.inf}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "r_max": math.nan}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"hi": math.nan}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1, "plus_f": [[0, 0, math.nan]]}}, []),
+            ("sweep", {**_SWEEP, "pert_targets": [0.5, math.nan], "degree": 1}, []),
+            ("place", {**_SIM, "degree": 0}, []),
+            ("simulate", {**_SIM, "degree": 0}, []),
+            ("simulate", {**_SIM, "targets": [1.0, 0.5]}, []),
+            ("simulate", {**_SIM, "targets": [-0.5, 1.0]}, []),
+            ("simulate", {**_SIM, "targets": [0.5, 0.5]}, []),
+            ("simulate", {**_SIM, "b": 2.0, "targets": [0.5, 2.5], "r_max": 3.0}, []),
+            ("simulate", {**_SIM, "b": 2.0, "r_max": 3.0}, []),
+            ("sweep", {**_SWEEP, "pert_targets": [0.5], "degree": 0}, []),
+            ("sweep", {**_SWEEP, "pert_targets": [1.0, 0.5], "degree": 1}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "pert_targets": [0.5], "degree": 1}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "pert_file": {"degree": 1}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "degree": 1}, []),
         ],
         ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
              "off_triangle", "inline_index", "samples", "n_list", "n_list_scalar", "draws",
@@ -286,7 +316,13 @@ class TestCli:
              "samples_negative", "hn_r_max_past_r0", "hn_r_max_far_past_r0", "sim_unknown_epsilonz",
              "sim_unknown_grd", "hn_option_of_verify", "smooth_unknown_r_max", "sweep_unknown_grid",
              "verify_epsilon_flag", "hn_epsilon_flag", "r_grid_unknown_hii", "inline_unknown_table",
-             "pert_file_unknown_key"],
+             "pert_file_unknown_key", "a_nan", "a_flag_nan", "hn_a_infinity", "seed_infinity",
+             "samples_infinity", "epsilon_flag_infinity", "targets_nan",
+             "sim_r_max_infinity", "hn_r_max_nan", "r_grid_hi_nan", "inline_nan", "pert_targets_nan",
+             "place_degree_zero", "sim_degree_zero", "targets_decreasing", "targets_negative",
+             "targets_repeated", "targets_past_r0", "sim_r_max_past_r0", "sweep_degree_zero",
+             "pert_targets_decreasing", "inline_and_pert_targets", "inline_and_pert_file",
+             "inline_with_degree"],
     )
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
         if isinstance(over, dict) and isinstance(over.get("pert_file"), dict):
@@ -298,6 +334,44 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("over,argv", [({}, ["--epsilon", "nan"]), ({"epsilons": [0.01, math.nan]}, [])],
+                             ids=["flag", "config"])
+    def test_nan_epsilon_exits_two_promptly(self, tmp_path, over, argv):
+        # a NaN epsilon passed every guard and the integrator never returned;
+        # a fresh process with a timeout, so that a regression fails, not hangs
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({**_SIM_REDUCED, **over}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]
+        out = subprocess.run(
+            [sys.executable, "-m", "pwcycles.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("configuration error: ") and "finite" in out.stderr
+
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"pert_inline": {"degree": 1}, "pert_targets": [0.5], "degree": 1},
+             "sweep needs one of pert_inline, pert_file, or pert_targets + degree; got pert_inline, pert_targets"),
+            ({"pert_inline": {"degree": 1}, "degree": 1},
+             "sweep 'degree' goes with pert_targets; pert_inline carries its own degree"),
+            ({}, "sweep needs one of pert_inline, pert_file, or pert_targets + degree; got none"),
+        ],
+        ids=["two_sources", "degree_without_targets", "no_source"],
+    )
+    def test_perturbation_sources_are_named(self, tmp_path, capsys, over, message):
+        # with two sources the sweep used to run on the first it found
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(_verify_doc(**{**_SWEEP, **over})))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_unknown_option_names_the_known_keys(self, tmp_path, capsys):
         # a misspelt epsilons used to skip the simulation with exit 0
@@ -568,3 +642,15 @@ class TestCli:
         out, err = capsys.readouterr()
         assert "runtime error" not in err
         assert "[FAIL] attained_equals_claimed_n2: measured=6 expected=7" in out
+
+
+def test_readme_lists_every_manifest_option():
+    # each kind's bullet under "Kind-specific fields" names every key that
+    # the kind reads, backticked
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("\n* ", text.index("Kind-specific fields"))
+    section = text[start + 1 : text.index("\n\n", start)]
+    bullets = dict(re.findall(r"^\* `(\w+)`:(.*?)(?=^\* |\Z)", section, re.M | re.S))
+    assert set(bullets) == set(OPTIONS)
+    missing = {kind: [k for k in keys if f"`{k}`" not in bullets[kind]] for kind, keys in OPTIONS.items()}
+    assert missing == {kind: [] for kind in OPTIONS}

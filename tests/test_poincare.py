@@ -76,6 +76,18 @@ class TestPolarField:
         with pytest.raises(ValueError):
             PolarField(params, PerturbationSpec(1), -1e-3, r_range=(0.2, 3.0))
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, params, eps):
+        # NaN passed the old epsilon < 0 test and hung the integrator
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            PolarField(params, PerturbationSpec(1), eps, r_range=(0.2, 3.0))
+
+    def test_nan_table_entry_rejected(self, params):
+        # a NaN angular speed is refused like a nonpositive one
+        pert = PerturbationSpec(1, plus_f={(0, 0): math.nan})
+        with pytest.raises(EpsilonValidityError, match="dtheta/dt = nan"):
+            PolarField(params, pert, 1e-3, r_range=(0.2, 3.0))
+
     def test_epsilon_validity_guard(self, params):
         # a huge epsilon flips the angular speed somewhere on the annulus
         pert = PerturbationSpec(1, plus_g={(0, 0): -1.0})
@@ -493,6 +505,16 @@ class TestErrorPaths:
         # and the step size collapses
         with pytest.raises(BlowUpError, match="integration failed"):
             return_map(PolarField(bounded_params, pert, 0.1, r_range=(0.2, 1.45)), rr)
+
+
+    def test_nan_right_hand_side_raises(self):
+        # a NaN step is neither accepted nor rejected; it used to leave the
+        # radius live forever
+        def rhs_at(rows):
+            return lambda theta, r: np.full(r.shape, np.nan)
+
+        with pytest.raises(BlowUpError, match="integration failed"):
+            poincare._dop853(rhs_at, 0.0, 1.0, np.array([0.5, 1.0]))
 
 
 class TestDisplacementProfile:

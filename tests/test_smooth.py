@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pwcycles.averaging import AveragedFunction, PerturbationSpec
+from pwcycles import averaging
+from pwcycles.averaging import AssemblyError, AveragedFunction, PerturbationSpec
 from pwcycles.kernels import DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
 from pwcycles.smooth import (
     _random_smooth_rows,
@@ -96,6 +97,22 @@ class TestAssembleSmooth:
         ):
             with pytest.raises(ValueError, match="same f and g"):
                 assemble_smooth(1.0, PerturbationSpec(2, *tables))
+
+    def test_broken_reduction_is_refused(self, reduce_calls, monkeypatch):
+        # an odd monomial that both halves keep passes the piecewise checks
+        # of the unit halves and fails the smooth ones, which assemble_smooth
+        # and the survey read once per (a, n)
+        reduce = averaging._reduce_half
+
+        def broken(S, c, degree, alternate):
+            coef, poly = reduce(S, c, degree, alternate)
+            return coef, [poly[0], poly[1] + 1, *poly[2:]]
+
+        monkeypatch.setattr(averaging, "_reduce_half", broken)
+        with pytest.raises(AssemblyError, match=r"monomial r\^1 outside the smooth range"):
+            assemble_smooth(1.5, smooth_perturbation(2, f_table={(0, 0): 1.0}))
+        with pytest.raises(AssemblyError, match=r"monomial r\^1 outside the smooth range"):
+            random_search_max_smooth_zeros(1.5, 2, 5, 0, 1.4)
 
     def test_generating_set_membership(self, rng):
         # assembled F lies in span{r^(2i)} U {V - 2pi/a^2} U {r^(2i) V}
