@@ -23,10 +23,11 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -62,31 +63,144 @@ from .zeros import (
 
 log = logging.getLogger("pwcycles")
 
-# The options each kind reads, besides the common fields; any other key is
-# refused, so a misspelt option cannot silently fall back to its default.
-OPTIONS = {
-    "verify_identities": ("samples",),
-    "reproduce_hn": ("n_list", "draws", "r_max"),
-    "place_and_simulate": ("degree", "targets", "epsilons", "r_max", "grid"),
-    "smooth_theorem12": ("n_list", "draws"),
-    "sweep": ("epsilons", "r_grid", "pert_inline", "pert_file", "pert_targets", "degree"),
-}
-KINDS = tuple(OPTIONS)
-# The tables of a `pert_inline` or `pert_file` document, besides its degree.
-PERT_TABLES = ("plus_f", "plus_g", "minus_f", "minus_g")
-
 
 class ManifestError(ValueError):
     """Invalid or incomplete experiment manifest."""
 
 
+def _integer(low: int) -> Callable[[Any], int]:
+    """A JSON integer >= `low`."""
+
+    def convert(value: Any) -> int:
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            raise ValueError(f"expected an integer >= {low}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _number(value: Any) -> float:
+    """A finite JSON number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _list(convert: Callable[[Any], Any], nonempty: bool = False) -> Callable[[Any], List[Any]]:
+    """A JSON list, each item converted."""
+
+    def convert_list(value: Any) -> List[Any]:
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ValueError(f"expected a {'non-empty ' * nonempty}list, got {value!r}")
+        return [convert(v) for v in value]
+
+    return convert_list
+
+
+def _descending(eps: List[float]) -> List[float]:
+    if not all(e1 > e2 for e1, e2 in zip(eps, [*eps[1:], 0.0])):
+        raise ValueError(f"epsilon values must be positive and descending, got {eps}")
+    return eps
+
+
+def _entry(value: Any) -> Tuple[int, int, float]:
+    """One [i, j, value] entry of a perturbation table."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"expected an [i, j, value] entry, got {value!r}")
+    return _integer(0)(value[0]), _integer(0)(value[1]), _number(value[2])
+
+
+def _perturbation(doc: Any, what: str) -> PerturbationSpec:
+    """A perturbation from a `pert_inline` or `pert_file` document."""
+    tables = _convert(doc, PERTURBATION, what)
+    degree = tables.pop("degree")
+    return PerturbationSpec(degree, **{k: {(i, j): v for i, j, v in t} for k, t in tables.items()})
+
+
+def _pert_file(path: Any) -> PerturbationSpec:
+    if not isinstance(path, str):
+        raise ValueError(f"expected a path string, got {path!r}")
+    if not Path(path).exists():
+        raise ValueError(f"referenced file does not exist: {path}")
+    return _perturbation(json.loads(Path(path).read_text()), "pert_file")
+
+
+# An option table maps each key to its conversion and its default.  A
+# default goes through the conversion; REQUIRED marks a key that must be
+# given, and None one whose absence the experiment itself handles (r_max
+# and the r_grid `hi` from r0, the sweep's perturbation sources).
+REQUIRED = object()
+COMMON = {"a": (_number, REQUIRED), "b": (_number, REQUIRED), "seed": (_integer(0), REQUIRED)}
+PERT_TABLES = ("plus_f", "plus_g", "minus_f", "minus_g")
+PERTURBATION = {"degree": (_integer(1), REQUIRED), **{table: (_list(_entry), []) for table in PERT_TABLES}}
+R_GRID = {"lo": (_number, 0.2), "hi": (_number, None), "count": (_integer(1), 40)}
+OPTIONS = {
+    "verify_identities": {"samples": (_integer(1), 40)},
+    "reproduce_hn": {
+        "n_list": (_list(_integer(1)), [1, 2, 3, 4]),
+        "draws": (_integer(0), 500),
+        "r_max": (_number, None),
+    },
+    "place_and_simulate": {
+        "degree": (_integer(1), REQUIRED),
+        "targets": (_list(_number, nonempty=True), REQUIRED),
+        "epsilons": (lambda eps: _descending(_list(_number)(eps)), []),
+        "r_max": (_number, None),
+        "grid": (_integer(1), 60),
+    },
+    "smooth_theorem12": {"n_list": (_list(_integer(1)), [2, 3]), "draws": (_integer(0), 200)},
+    "sweep": {
+        "epsilons": (lambda eps: _descending(_list(_number, nonempty=True)(eps)), REQUIRED),
+        "r_grid": (lambda doc: _convert(doc, R_GRID, "r_grid"), {}),
+        "pert_inline": (lambda doc: _perturbation(doc, "pert_inline"), None),
+        "pert_file": (_pert_file, None),
+        "pert_targets": (_list(_number), None),
+        "degree": (_integer(1), None),
+    },
+}
+
+
+def _convert(doc: Any, table: Dict[str, Tuple[Callable, Any]], what: str, noun: str = "key", besides: str = "") -> Dict:
+    """Every key of `table`, converted from the JSON object `doc` or from its
+    default.  A key outside `table` is refused, so that a misspelt key cannot
+    silently fall back to its default; every error names the key.  The
+    conversions follow strict JSON types: an integer refuses a fraction, a
+    boolean or a string, a number NaN, the infinities, a boolean or a
+    string, and a list a string."""
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ManifestError(
+            f"{what}: unknown {noun} {', '.join(map(repr, unknown))}; the known keys are {', '.join(table)}{besides}"
+        )
+    values = dict.fromkeys(table)
+    for key, (convert, default) in table.items():
+        if key not in doc and default in (None, REQUIRED):
+            continue
+        try:
+            values[key] = convert(doc.get(key, default))
+        except ManifestError:
+            raise
+        except (ValueError, OverflowError, OSError) as exc:
+            raise ManifestError(f"{what} {key!r}: {exc}") from exc
+    missing = [key for key, (_, default) in table.items() if key not in doc and default is REQUIRED]
+    if missing:
+        raise ManifestError(f"{what} needs {', '.join(map(repr, missing))}")
+    return values
+
+
 @dataclass(frozen=True)
 class ExperimentManifest:
+    """One experiment: the options as given, which the digest hashes, and
+    every option of the kind converted or defaulted, which the run reads."""
+
     kind: str
     a: float
     b: float
     seed: int
-    options: Dict[str, Any] = field(default_factory=dict)
+    given: Dict[str, Any]
+    options: Dict[str, Any] = field(compare=False, repr=False)
 
     @staticmethod
     def from_dict(doc: Dict[str, Any]) -> "ExperimentManifest":
@@ -96,50 +210,22 @@ class ExperimentManifest:
         if version != 1:
             raise ManifestError(f"schema_version must be 1, got {version!r}")
         kind = doc.get("kind")
-        if kind not in KINDS:
-            raise ManifestError(f"kind must be one of {KINDS}, got {kind!r}")
+        if kind not in OPTIONS:
+            raise ManifestError(f"kind must be one of {tuple(OPTIONS)}, got {kind!r}")
         if "a" not in doc or "b" not in doc:
             raise ManifestError("manifest must name the system constants 'a' and 'b'")
         if "seed" not in doc:
             raise ManifestError("manifest must carry an explicit integer 'seed'")
-        options = {
-            k: v for k, v in doc.items() if k not in ("schema_version", "kind", "a", "b", "seed")
-        }
-        _refuse_unknown(
-            options, OPTIONS[kind], f"{kind}: unknown option", ", besides schema_version, kind, a, b and seed"
-        )
-        eps = options.get("epsilons")
-        try:
-            a, b, seed = _finite(doc["a"]), _finite(doc["b"]), int(doc["seed"])
-            eps = None if eps is None else [_finite(e) for e in eps]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ManifestError(f"'a', 'b' and 'epsilons' must be finite numbers, 'seed' an integer: {exc}") from exc
-        if a * b == 0:
+        common = _convert({k: doc[k] for k in COMMON}, COMMON, "manifest")
+        if common["a"] * common["b"] == 0:
             raise ManifestError("system constants must be nonzero")
-        if eps is not None:
-            if not all(e1 > e2 for e1, e2 in zip(eps, [*eps[1:], 0.0])):
-                raise ManifestError(f"epsilon values must be positive and descending, got {eps}")
-            options["epsilons"] = eps
-        if "pert_file" in options:
-            pert_file = options["pert_file"]
-            if not isinstance(pert_file, str):
-                raise ManifestError(f"'pert_file' must be a path string, got {pert_file!r}")
-            if not Path(pert_file).exists():
-                raise ManifestError(f"referenced file does not exist: {pert_file}")
-        return ExperimentManifest(kind, a, b, seed, options)
+        given = {k: v for k, v in doc.items() if k not in ("schema_version", "kind", *COMMON)}
+        options = _convert(given, OPTIONS[kind], kind, "option", ", besides schema_version, kind, a, b and seed")
+        return ExperimentManifest(kind, common["a"], common["b"], common["seed"], given, options)
 
     def canonical(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": 1,
-                "kind": self.kind,
-                "a": self.a,
-                "b": self.b,
-                "seed": self.seed,
-                **self.options,
-            },
-            sort_keys=True,
-        )
+        common = {"schema_version": 1, "kind": self.kind, "a": self.a, "b": self.b, "seed": self.seed}
+        return json.dumps({**common, **self.given}, sort_keys=True)
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -166,102 +252,27 @@ def _finding(name: str, measured, expected, note: str) -> Dict[str, Any]:
     }
 
 
-def _option(opts: Dict[str, Any], key: str, convert: Callable[[Any], Any], default: Any = None) -> Any:
-    """`convert(opts[key])`, or `default` when the key is absent.  A value
-    that `convert` rejects is a ManifestError: a configuration error, not a
-    runtime error mid-experiment."""
-    if key not in opts:
-        return default
-    try:
-        return convert(opts[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ManifestError(f"malformed option {key!r}: {exc}") from exc
+def _check_radii(what: str, radii: List[float], r0: float) -> None:
+    """Refuse radii that placement does not accept."""
+    if not all(lo < hi for lo, hi in zip([0.0, *radii], [*radii, r0])):
+        raise ManifestError(f"{what}: expected radii strictly increasing inside (0, r0 = {r0}), got {radii}")
 
 
-def _finite(value: Any) -> float:
-    """`float(value)`, refusing NaN and the infinities, which JSON parsing
-    and `float` both accept."""
-    v = float(value)
-    if not np.isfinite(v):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return v
-
-
-def _of_type(kind: type, value: Any) -> Any:
-    if not isinstance(value, kind):
-        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
-def _at_least(low: int) -> Callable[[Any], int]:
-    """An integer conversion that rejects values below `low`."""
-
-    def convert(value: Any) -> int:
-        v = int(value)
-        if v < low:
-            raise ValueError(f"expected an integer >= {low}, got {v}")
-        return v
-
-    return convert
-
-
-def _list_of(convert: Callable[[Any], Any]) -> Callable[[Any], List[Any]]:
-    return lambda value: [convert(v) for v in _of_type(list, value)]
-
-
-def _targets_in(r0: float) -> Callable[[Any], List[float]]:
-    """A conversion of a target list that refuses one not strictly
-    increasing inside (0, r0), the radii that placement accepts."""
-
-    def convert(value: Any) -> List[float]:
-        targets = _list_of(_finite)(value)
-        if not all(lo < hi for lo, hi in zip([0.0, *targets], [*targets, r0])):
-            raise ValueError(f"expected radii strictly increasing inside (0, r0 = {r0}), got {targets}")
-        return targets
-
-    return convert
-
-
-def _refuse_unknown(doc: Dict[str, Any], known: Sequence[str], what: str, besides: str = "") -> None:
-    """Refuse the keys of `doc` outside `known`, so that a misspelt key
-    cannot silently fall back to its default."""
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ManifestError(
-            f"{what} {', '.join(map(repr, unknown))}; the known keys are {', '.join(known)}{besides}"
-        )
-
-
-def _pert_from_doc(doc: Dict[str, Any], source: str) -> PerturbationSpec:
-    """A perturbation from `degree` and [i, j, value] entries per table."""
-    _refuse_unknown(_of_type(dict, doc), ("degree", *PERT_TABLES), f"{source}: unknown key")
-    tables = {name: {(int(i), int(j)): _finite(v) for i, j, v in doc.get(name, [])} for name in PERT_TABLES}
-    return PerturbationSpec(int(doc["degree"]), **tables)
-
-
-def _pert_from_options(manifest: ExperimentManifest, params: SystemParams) -> PerturbationSpec:
-    """The sweep's perturbation: inline tables, a table file, or a placement
-    at `pert_targets`.  A missing or malformed entry is a ManifestError."""
+def _sweep_perturbation(manifest: ExperimentManifest, params: SystemParams) -> PerturbationSpec:
+    """The sweep's one perturbation: inline tables, a file, or a placement."""
     opts = manifest.options
-    sources = [k for k in ("pert_inline", "pert_file", "pert_targets") if k in opts]
+    sources = [k for k in ("pert_inline", "pert_file", "pert_targets") if opts[k] is not None]
     if len(sources) != 1:
         found = ", ".join(sources) or "none"
         raise ManifestError(f"sweep needs one of pert_inline, pert_file, or pert_targets + degree; got {found}")
-    if "degree" in opts and "pert_targets" not in opts:
-        raise ManifestError(f"sweep 'degree' goes with pert_targets; {sources[0]} carries its own degree")
-    try:
-        if "pert_inline" in opts:
-            return _pert_from_doc(opts["pert_inline"], "pert_inline")
-        if "pert_file" in opts:
-            return _pert_from_doc(json.loads(Path(opts["pert_file"]).read_text()), "pert_file")
-        n, targets = _at_least(1)(opts["degree"]), _targets_in(params.r0)(opts["pert_targets"])
-    except ManifestError:
-        raise
-    except KeyError as exc:
-        raise ManifestError(f"sweep perturbation is missing {exc}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise ManifestError(f"malformed sweep perturbation: {exc}") from exc
-    expansion = place_zeros(params, n, targets, seed=manifest.seed)
+    if sources != ["pert_targets"]:
+        if opts["degree"] is not None:
+            raise ManifestError(f"sweep 'degree' goes with pert_targets; {sources[0]} carries its own degree")
+        return opts[sources[0]]
+    if opts["degree"] is None:
+        raise ManifestError("sweep pert_targets needs 'degree'")
+    _check_radii("sweep 'pert_targets'", opts["pert_targets"], params.r0)
+    expansion = place_zeros(params, opts["degree"], opts["pert_targets"], seed=manifest.seed)
     return perturbation_for_expansion(params, expansion).normalized()
 
 
@@ -288,7 +299,7 @@ def _displacement_table(fn: AveragedFunction, fields, rr, images) -> Dict[str, A
 def _run_verify(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
     rng = np.random.default_rng(manifest.seed)
-    samples = _option(manifest.options, "samples", _at_least(1), 40)
+    samples = manifest.options["samples"]
     checks: List[Dict[str, Any]] = []
 
     worst = 0.0
@@ -314,8 +325,6 @@ def _run_verify(manifest: ExperimentManifest) -> Dict[str, Any]:
     grid = [a * t for t in (-0.7, -0.3, 0.1, 0.5, 0.9, 1.2, 2.0, 5.0)]
     worst_ode = 0.0
     for r in grid:
-        if abs(abs(r) - abs(a)) < 1e-3:
-            continue
         h = 1e-6 * max(1.0, abs(r))
         d = (eval_A00(r + h, params) - eval_A00(r - h, params)) / (2 * h)
         res = abs(a * (a * a - r * r) * d - 3 * a * r * eval_A00(r, params) + 4)
@@ -348,11 +357,11 @@ def _auto_targets(count: int, lo: float, hi: float) -> List[float]:
 def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
     opts = manifest.options
-    n_list = _option(opts, "n_list", _list_of(_at_least(1)), [1, 2, 3, 4])
-    draws = _option(opts, "draws", _at_least(0), 500)
-    r_max = _option(opts, "r_max", _finite, min(10.0 * max(abs(params.a), abs(params.b)), 0.95 * params.r0))
+    r_max = opts["r_max"]
+    if r_max is None:
+        r_max = min(10.0 * max(abs(params.a), abs(params.b)), 0.95 * params.r0)
     if r_max <= 0.4:
-        given = "r_max" if "r_max" in opts else "the default r_max = min(10*max(|a|, |b|), 0.95*r0)"
+        given = "r_max" if "r_max" in manifest.given else "the default r_max = min(10*max(|a|, |b|), 0.95*r0)"
         raise ManifestError(f"{given} = {r_max} must exceed 0.4: the targets lie on (0.3, 0.75*r_max)")
     reach = min(r_max, 8.0)  # the survey radius, which bounds the count radius and the targets
     if not reach < params.r0:
@@ -362,7 +371,7 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
     lo, hi = 0.3, 0.75 * r_max if r_max < 8 else 5.0
     checks: List[Dict[str, Any]] = []
     rows = []
-    for n in n_list:
+    for n in opts["n_list"]:
         claimed = hn_formula(CountFormulaInput(n, params.resonant))
         capacity = reachable_zero_capacity(n, params.resonant)
         try:
@@ -383,7 +392,7 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
                     "(top kernel and monomial coefficients are rationally tied)",
                 )
             )
-        best, hist = random_search_max_zeros(params, n, draws, manifest.seed + n, r_max=reach)
+        best, hist = random_search_max_zeros(params, n, opts["draws"], manifest.seed + n, r_max=reach)
         checks.append(_check(f"random_ceiling_n{n}", best <= claimed, best, claimed, 0))
         rows.append([n, claimed, capacity, attained, best])
     payload = {
@@ -398,15 +407,12 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
 def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
     opts = manifest.options
-    n = _option(opts, "degree", _at_least(1))
-    targets = _option(opts, "targets", _targets_in(params.r0))
-    if n is None or not targets:
-        raise ManifestError("place_and_simulate needs 'degree' and a non-empty 'targets' list")
-    epsilons = opts.get("epsilons", [])
-    r_max = _option(opts, "r_max", _finite, min(1.5 * max(targets), 0.95 * params.r0))
-    grid = _option(opts, "grid", _at_least(1), 60)
+    n, targets, epsilons, r_max = opts["degree"], opts["targets"], opts["epsilons"], opts["r_max"]
+    _check_radii("place_and_simulate 'targets'", targets, params.r0)
+    if r_max is None:
+        r_max = min(1.5 * max(targets), 0.95 * params.r0)
     if r_max <= max(targets):
-        if "r_max" not in opts:
+        if "r_max" not in manifest.given:
             raise ManifestError(f"the largest target {max(targets)} must stay below 0.95*r0 = {r_max}")
         raise ManifestError(f"r_max = {r_max} must exceed the largest target {max(targets)}")
     if not r_max < params.r0:
@@ -444,7 +450,7 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     fields = [PolarField(params, pert_g, eps, r_range=r_range) for eps in epsilons]
     eps_fp = min(epsilons)
     field_fp = PolarField(params, pert, eps_fp, r_range=r_range)
-    rr = np.linspace(lo, hi, grid)
+    rr = np.linspace(lo, hi, opts["grid"])
     # one lockstep call: the displacement grid at every eps and the
     # fixed-point grid
     *images, images_fp = return_map([(fld, rr) for fld in (*fields, field_fp)])
@@ -491,16 +497,14 @@ def _run_smooth(manifest: ExperimentManifest) -> Dict[str, Any]:
     a = manifest.a
     params = SystemParams(a, a)
     opts = manifest.options
-    n_list = _option(opts, "n_list", _list_of(_at_least(1)), [2, 3])
-    draws = _option(opts, "draws", _at_least(0), 200)
     checks: List[Dict[str, Any]] = []
     rows = []
-    for n in n_list:
+    for n in opts["n_list"]:
         targets = _auto_targets(n, 0.15 * abs(a), 0.8 * abs(a))
         fn = AveragedFunction(params, place_smooth_zeros(a, n, targets))
         attained = count_simple_zeros(fn, 0.95 * abs(a), grid=2000).count
         checks.append(_check(f"smooth_attained_n{n}", attained == n, attained, n, 0))
-        best, _ = random_search_max_smooth_zeros(a, n, draws, manifest.seed + n, 0.95 * abs(a))
+        best, _ = random_search_max_smooth_zeros(a, n, opts["draws"], manifest.seed + n, 0.95 * abs(a))
         checks.append(_check(f"smooth_ceiling_n{n}", best <= n, best, n, 0))
         ranks = smooth_generating_rank(a, n, 0.9 * abs(a))
         ok = ranks["reachable_rank"] == ranks["expected_reachable"]
@@ -529,18 +533,12 @@ def _run_smooth(manifest: ExperimentManifest) -> Dict[str, Any]:
 
 def _run_sweep(manifest: ExperimentManifest) -> Dict[str, Any]:
     params = SystemParams(manifest.a, manifest.b)
-    opts = manifest.options
-    epsilons = opts.get("epsilons")
-    if not epsilons:
-        raise ManifestError("sweep needs a descending 'epsilons' list")
-    rspec = _option(opts, "r_grid", lambda v: _of_type(dict, v), {})
-    _refuse_unknown(rspec, ("lo", "hi", "count"), "r_grid: unknown key")
-    lo = _option(rspec, "lo", _finite, 0.2)
-    hi = _option(rspec, "hi", _finite, min(3.0, 0.8 * params.r0))
-    count = _option(rspec, "count", _at_least(1), 40)
+    epsilons, (lo, hi, count) = manifest.options["epsilons"], manifest.options["r_grid"].values()
+    if hi is None:
+        hi = min(3.0, 0.8 * params.r0)
     if not 0 < lo < hi <= 0.97 * params.r0:
         raise ManifestError(f"r_grid needs 0 < lo < hi <= 0.97*r0 = {0.97 * params.r0}; got lo = {lo}, hi = {hi}")
-    pert = _pert_from_options(manifest, params)
+    pert = _sweep_perturbation(manifest, params)
     r_range = (0.5 * lo, min(1.5 * hi, 0.97 * params.r0))
     fields = [PolarField(params, pert, eps, r_range=r_range) for eps in epsilons]
     rr = np.linspace(lo, hi, count)

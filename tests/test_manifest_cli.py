@@ -1,6 +1,7 @@
 """Manifest validation, determinism, emission formats, CLI exit codes."""
 
 import csv
+import importlib.util
 import json
 import logging
 import math
@@ -15,6 +16,7 @@ import pytest
 from pwcycles.cli import main
 from pwcycles.manifest import (
     OPTIONS,
+    REQUIRED,
     ExperimentManifest,
     ManifestError,
     emit_table,
@@ -40,6 +42,7 @@ def _verify_doc(**over):
     return doc
 
 
+_ROOT = Path(__file__).resolve().parents[1]
 _SIM = {"kind": "place_and_simulate", "degree": 1, "targets": [0.5]}
 _SWEEP = {"kind": "sweep", "epsilons": [0.01]}
 # the README simulate example at grid 20 and three eps
@@ -83,6 +86,15 @@ class TestManifestValidation:
         doc = _verify_doc(kind="sweep", epsilons=[1e-2, -1e-3])
         with pytest.raises(ManifestError, match="positive"):
             ExperimentManifest.from_dict(doc)
+
+    def test_readme_simulate_digest_is_pinned(self):
+        # the digest hashes the manifest as given, without defaults; a change
+        # to it would rename every record of that manifest
+        text = (_ROOT / "README.md").read_text()
+        start = text.index("\n", text.index("cat > sim.json")) + 1
+        doc = json.loads(text[start : text.index("\nEOF", start)])
+        digest = ExperimentManifest.from_dict(doc).digest()
+        assert digest == "35e530c09cca77784433937de404a07c28d4947e06f191c5cd00b8dab246ec70"
 
     def test_missing_file_reference(self, tmp_path):
         doc = _verify_doc(kind="sweep", pert_file=str(tmp_path / "nope.json"))
@@ -303,6 +315,22 @@ class TestCli:
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "pert_targets": [0.5], "degree": 1}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "pert_file": {"degree": 1}}, []),
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "degree": 1}, []),
+            ("verify", {"samples": 2.9}, []),
+            ("verify", {"samples": True}, []),
+            ("verify", {"seed": 2.9}, []),
+            ("verify", {"a": "1"}, []),
+            ("verify", {"a": 0.0}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "n_list": [1.5]}, []),
+            ("reproduce-hn", {"kind": "reproduce_hn", "draws": 5.5}, []),
+            ("simulate", {**_SIM, "grid": 20.5}, []),
+            ("place", {**_SIM, "degree": 1.9}, []),
+            ("sweep", {**_SWEEP, "epsilons": "21", "pert_inline": {"degree": 1}}, []),
+            ("sweep", {**_SWEEP, "epsilons": [], "pert_inline": {"degree": 1}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1}, "r_grid": {"count": 3.7}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1.5}}, []),
+            ("sweep", {**_SWEEP, "pert_inline": {"degree": 1, "plus_f": [[0.6, 0, 1.0]]}}, []),
+            ("verify", {"seed": -1}, []),
+            ("sweep", {**_SWEEP, "pert_file": "."}, []),
         ],
         ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
              "off_triangle", "inline_index", "samples", "n_list", "n_list_scalar", "draws",
@@ -322,7 +350,10 @@ class TestCli:
              "place_degree_zero", "sim_degree_zero", "targets_decreasing", "targets_negative",
              "targets_repeated", "targets_past_r0", "sim_r_max_past_r0", "sweep_degree_zero",
              "pert_targets_decreasing", "inline_and_pert_targets", "inline_and_pert_file",
-             "inline_with_degree"],
+             "inline_with_degree", "samples_fraction", "samples_boolean", "seed_fraction", "a_string",
+             "a_zero", "n_list_fraction", "draws_fraction", "grid_fraction", "place_degree_fraction",
+             "epsilons_string", "sweep_epsilons_empty", "r_grid_count_fraction", "inline_degree_fraction",
+             "inline_index_fraction", "seed_negative", "pert_file_directory"],
     )
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
         if isinstance(over, dict) and isinstance(over.get("pert_file"), dict):
@@ -593,6 +624,22 @@ class TestCli:
         assert any("zeros" in n for n in names)
         assert not any("fixed_points" in n for n in names)
 
+    def test_smooth_subcommand_runs_to_completion(self, tmp_path):
+        # the benchmark's smooth workload at 20 draws: its verdicts, and each
+        # degree's zeros attained with a reachable span of n + 1 functions
+        spec = importlib.util.spec_from_file_location("workloads", _ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        doc = _verify_doc(kind="smooth_theorem12", a=1.0, b=1.0, n_list=[2, 3], draws=20)
+        cfg, out = tmp_path / "smooth.json", tmp_path / "o"
+        cfg.write_text(json.dumps(doc))
+        assert main(["smooth", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+        record = json.loads(next(out.glob("*.json")).read_text())["record"]
+        assert {c["name"]: c["status"] for c in record["checks"]} == workloads.expected_verdicts(doc)
+        table = record["payloads"]["smooth_counts"]
+        columns = [table["columns"].index(c) for c in ("n", "attained", "reachable_rank")]
+        assert [[row[i] for i in columns] for row in table["rows"]] == [[2, 2, 3], [3, 3, 4]]
+
     @pytest.mark.parametrize(
         "command,epsilons", [("place", []), ("simulate", [0.01, 0.005, 0.0025])]
     )
@@ -644,13 +691,29 @@ class TestCli:
         assert "[FAIL] attained_equals_claimed_n2: measured=6 expected=7" in out
 
 
+def _literal_defaults(table):
+    """The defaults of an option table as converted, a nested object's
+    values one by one; the defaults that depend on r0 or the targets (None)
+    are left out."""
+    for convert, default in table.values():
+        if default is not None and default is not REQUIRED:
+            value = convert(default)
+            yield from (v for v in value.values() if v is not None) if isinstance(value, dict) else [value]
+
+
 def test_readme_lists_every_manifest_option():
     # each kind's bullet under "Kind-specific fields" names every key that
-    # the kind reads, backticked
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # the kind reads, backticked, and gives each literal default of its table
+    text = (_ROOT / "README.md").read_text()
     start = text.index("\n* ", text.index("Kind-specific fields"))
     section = text[start + 1 : text.index("\n\n", start)]
     bullets = dict(re.findall(r"^\* `(\w+)`:(.*?)(?=^\* |\Z)", section, re.M | re.S))
     assert set(bullets) == set(OPTIONS)
     missing = {kind: [k for k in keys if f"`{k}`" not in bullets[kind]] for kind, keys in OPTIONS.items()}
     assert missing == {kind: [] for kind in OPTIONS}
+    words = {kind: " ".join(bullet.split()) for kind, bullet in bullets.items()}
+    undocumented = {
+        kind: [d for d in _literal_defaults(table) if f"default `{json.dumps(d)}`" not in words[kind]]
+        for kind, table in OPTIONS.items()
+    }
+    assert undocumented == {kind: [] for kind in OPTIONS}

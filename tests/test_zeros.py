@@ -109,6 +109,16 @@ class TestCountSimpleZeros:
                 assert report.count == len(targets)
                 assert report.non_simple == ()
 
+    def test_close_zeros_double_the_grid(self, params):
+        # F = (r - 0.5)(r - 0.85) on the 10-point grid 0.2, 0.4, ..., 2.0: the
+        # zeros fall in different cells but sit 0.35 apart, under twice the
+        # spacing 0.2, so the scan doubles the grid once
+        e = BasisExpansion.zeros(1)
+        e.coeff_poly[:] = [0.425, -1.35, 1.0, 0.0]
+        report = count_simple_zeros(AveragedFunction(params, e), 2.0, grid=10)
+        assert report.locations == pytest.approx((0.5, 0.85), abs=1e-12)
+        assert report.grid_resolution == 20
+
     def test_monotone_refinement(self, params):
         exp = place_zeros(params, 3, list(np.linspace(0.2, 3.0, 8)))
         fn = AveragedFunction(params, exp)
