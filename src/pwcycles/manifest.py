@@ -49,7 +49,7 @@ from .kernels import (
     oracle_family,
     wallis_half,
 )
-from .poincare import PolarField, find_fixed_points, return_map
+from .poincare import PolarField, _interpolation_rows, find_fixed_points, return_map
 from .smooth import place_smooth_zeros, random_search_max_smooth_zeros, smooth_generating_rank
 from .zeros import (
     CountFormulaInput,
@@ -207,8 +207,8 @@ class ExperimentManifest:
         if not isinstance(doc, dict):
             raise ManifestError("manifest must be a JSON object")
         version = doc.get("schema_version")
-        if version != 1:
-            raise ManifestError(f"schema_version must be 1, got {version!r}")
+        if type(version) is not int or version != 1:
+            raise ManifestError(f"schema_version must be the integer 1, got {version!r}")
         kind = doc.get("kind")
         if kind not in OPTIONS:
             raise ManifestError(f"kind must be one of {tuple(OPTIONS)}, got {kind!r}")
@@ -224,8 +224,14 @@ class ExperimentManifest:
         return ExperimentManifest(kind, common["a"], common["b"], common["seed"], given, options)
 
     def canonical(self) -> str:
+        """The manifest as given, with a `pert_file` path joined by the
+        perturbation the file holds, so that a changed file changes the digest."""
         common = {"schema_version": 1, "kind": self.kind, "a": self.a, "b": self.b, "seed": self.seed}
-        return json.dumps({**common, **self.given}, sort_keys=True)
+        given = dict(self.given)
+        if "pert_file" in given:
+            pert = self.options["pert_file"]
+            given["pert_file"] = {"path": given["pert_file"], "degree": pert.degree, "vector": pert.vector().tolist()}
+        return json.dumps({**common, **given}, sort_keys=True)
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -451,9 +457,12 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     eps_fp = min(epsilons)
     field_fp = PolarField(params, pert, eps_fp, r_range=r_range)
     rr = np.linspace(lo, hi, opts["grid"])
-    # one lockstep call: the displacement grid at every eps and the
-    # fixed-point grid
-    *images, images_fp = return_map([(fld, rr) for fld in (*fields, field_fp)])
+    # one lockstep call: the displacement grid at every eps, the fixed-point
+    # grid and the interpolation rows of each grid interval that holds a
+    # predicted zero, which the fixed-point search then need not map
+    k = np.array(sorted({int(m) for m in np.searchsorted(rr, predicted) if 0 < m < rr.size}), dtype=int)
+    inner = _interpolation_rows(rr[k - 1], rr[k]).ravel()
+    *images, images_fp, images_inner = return_map([(fld, rr) for fld in (*fields, field_fp)] + [(field_fp, inner)])
     payloads["displacement"] = _displacement_table(fn_scaled, fields, rr, images)
     rows = payloads["displacement"]["rows"]
     errs = [max(row[4] for row in rows if row[0] == eps) for eps in epsilons]
@@ -463,7 +472,7 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
         )
         checks.append(_check("epsilon_convergence_slope", abs(slope - 1.0) <= 0.2, slope, 1.0, 0.2))
 
-    result = find_fixed_points(field_fp, rr, images_fp)
+    result = find_fixed_points(field_fp, rr, images_fp, mapped=(inner, images_inner))
     checks.append(
         _check(
             "fixed_point_count",

@@ -22,9 +22,12 @@ the largest degree.  A row's result is bit for bit
 independent of the batch it is in, so an experiment integrates the
 displacement grids at all its eps and the fixed-point grid in one call.
 Since a call costs about the same whatever its width, `find_fixed_points`
-spends one wide call on eight interior Chebyshev points of every bracket
-and takes the root of each bracket's interpolant; one more call checks
-those roots and samples the slopes beside them.  A bracket closes once the
+takes the root of each bracket's interpolant through eight interior
+Chebyshev points (`_interpolation_rows`).  Where the averaged function
+predicts a fixed point, the experiment maps those rows in its one call
+beside the grids; the search maps the rows of the other brackets in one
+call of its own.  One more call checks the roots and samples the slopes
+beside them.  A bracket closes once the
 displacement at its point is within the map's roundoff, |P(r) - r| <=
 4*eps*r; the few that do not go on to `zeros._bracketed_roots`, one call
 per iteration for all of them.  At the README example's displacement
@@ -455,6 +458,13 @@ def _displacement(field: PolarField, r: np.ndarray, floored: List[np.ndarray]) -
     return _at_floor(r, return_map(field, r) - r, floored)
 
 
+def _interpolation_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The `_INTERP_NODES` interior Chebyshev points of each bracket [lo[k], hi[k]], one row per
+    bracket, increasing.  Each point is computed from its own bracket alone, so a caller that maps
+    the rows of some brackets gets the very radii `find_fixed_points` looks up."""
+    return lo[:, None] + np.outer(hi - lo, 0.5 * (1 + _INTERP_T[1:-1]))
+
+
 def _interpolated_roots(xs: np.ndarray, ds: np.ndarray) -> Tuple[np.ndarray, ...]:
     """A root of each bracket's Chebyshev interpolant and the sampled sign change around it.
 
@@ -487,7 +497,7 @@ def _interpolated_roots(xs: np.ndarray, ds: np.ndarray) -> Tuple[np.ndarray, ...
     return z, a, b, fa, fb
 
 
-def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray) -> ReturnMapResult:
+def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray, mapped=((), ())) -> ReturnMapResult:
     """Locate fixed points of the return map from its images on a grid.
 
     `images` = `return_map(field, radii)` on increasing `radii`; the caller
@@ -497,8 +507,12 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray) 
     it works on at once:
 
     1. the displacement at the `_INTERP_NODES` interior Chebyshev points
-       of every bracket; the root z of each bracket's interpolant, inside
-       the sampled sign change [a, b] (`_interpolated_roots`);
+       of every bracket (`_interpolation_rows`).  `mapped` = (radii,
+       images) are rows the caller has already mapped, looked up by exact
+       radius: a bracket whose rows are all among them costs no call, and
+       the others are mapped here in one call.  The root z of each
+       bracket's interpolant, inside the sampled sign change [a, b]
+       (`_interpolated_roots`);
     2. the displacement at every z, with the rows z +- h of the slopes; a
        bracket closes at z where |P(z) - z| <= 4*eps*z (the map's
        roundoff, `_at_floor`);
@@ -506,9 +520,11 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray) 
        call per iteration, closing at the roundoff floor or once a bracket
        is at most 2e-11 wide.
 
-    With no sign change no call is made.  Stability follows the sign of
-    the displacement slope at z: negative means the forward
-    (theta-increasing) flow contracts onto the cycle.
+    With no sign change no call is made.  A row's image does not depend on
+    the call it is mapped in, so the result is the same bit for bit with
+    or without `mapped`.  Stability follows the sign of the displacement
+    slope at z: negative means the forward (theta-increasing) flow
+    contracts onto the cycle.
     """
     rr, images = np.asarray(radii, dtype=float), np.asarray(images, dtype=float)
     disp = images - rr
@@ -521,10 +537,14 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray) 
     h = max(1e-4, (rr[-1] - rr[0]) / (8 * rr.size))
     z, slopes = np.zeros(0), np.zeros(0)
     floored: List[np.ndarray] = []
+    known = dict(zip(*(np.asarray(v, dtype=float).tolist() for v in mapped)))
+    inner = _interpolation_rows(lo, hi)
+    p_inner = np.array([[known.get(r, np.nan) for r in row] for row in inner.tolist()]).reshape(inner.shape)
+    here = np.isnan(p_inner).any(axis=1)  # return_map never gives NaN
+    if here.any():
+        p_inner[here] = return_map(field, inner[here].ravel()).reshape(-1, _INTERP_NODES)
     if n:
-        inner = lo[:, None] + np.outer(hi - lo, 0.5 * (1 + _INTERP_T[1:-1]))
-        d_inner = return_map(field, inner.ravel()).reshape(inner.shape) - inner
-        xs, ds = np.column_stack([lo, inner, hi]), np.column_stack([disp[i], d_inner, disp[j]])
+        xs, ds = np.column_stack([lo, inner, hi]), np.column_stack([disp[i], p_inner - inner, disp[j]])
         z, a, b, fa, fb = _interpolated_roots(xs, ds)
         ends = np.concatenate([z, z + h, z - h])
         d = return_map(field, ends) - ends
@@ -539,10 +559,11 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray) 
         )
     at_floor = np.concatenate([np.zeros(0), *floored])
     log.debug(
-        "find_fixed_points: %d brackets, %d interpolation rows, %d closed at the interpolated point, "
+        "find_fixed_points: %d brackets (%d with interpolation rows from the caller's call, %d mapped here), "
+        "%d interpolation rows, %d closed at the interpolated point, "
         "%d follow-up refinement calls, %d closed at the roundoff floor and %d by width, "
         "largest |P(z) - z| %.2g at the floor-closed points",
-        n, n * _INTERP_NODES, floored[0].size if n else 0, max(len(floored) - 1, 0),
+        n, n - here.sum(), here.sum(), n * _INTERP_NODES, floored[0].size if n else 0, max(len(floored) - 1, 0),
         at_floor.size, n - at_floor.size, at_floor.max(initial=0.0),
     )
     # Classify by sign whenever the slope clears the finite-difference

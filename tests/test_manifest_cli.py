@@ -96,6 +96,31 @@ class TestManifestValidation:
         digest = ExperimentManifest.from_dict(doc).digest()
         assert digest == "35e530c09cca77784433937de404a07c28d4947e06f191c5cd00b8dab246ec70"
 
+    @pytest.mark.parametrize(
+        "over,digest",
+        [({"pert_inline": {"degree": 2, "plus_f": [[0, 0, 0.3], [1, 0, -0.5]], "minus_g": [[1, 1, 0.7]]}},
+          "25b54b986879036151895015f05e18c2de2349be5cde31c70e1f6239b3278ff7"),
+         ({"degree": 1, "pert_targets": [0.5, 1.5]},
+          "550976634e41603af33a88bdf2b2ded89023f0e839b660e1df38784c58be448d")],
+        ids=["pert_inline", "pert_targets"],
+    )
+    def test_sweep_digests_are_pinned(self, over, digest):
+        doc = _verify_doc(kind="sweep", epsilons=[0.01, 0.005], **over)
+        assert ExperimentManifest.from_dict(doc).digest() == digest
+
+    def test_pert_file_digest_follows_the_file(self, tmp_path):
+        # two tables written in turn under one path are two experiments
+        path = tmp_path / "pert.json"
+        doc = _verify_doc(**_SWEEP, pert_file=str(path), r_grid={"lo": 0.5, "hi": 1.5, "count": 2})
+        records = []
+        for value in (0.4, -0.9):
+            path.write_text(json.dumps({"degree": 1, "plus_g": [[0, 1, value]]}))
+            records.append(run_manifest(ExperimentManifest.from_dict(doc)))
+        (first, second) = records
+        assert first["inputs_digest"] != second["inputs_digest"]
+        assert first["experiment_id"] != second["experiment_id"]
+        assert first["payloads"] != second["payloads"]
+
     def test_missing_file_reference(self, tmp_path):
         doc = _verify_doc(kind="sweep", pert_file=str(tmp_path / "nope.json"))
         with pytest.raises(ManifestError, match="does not exist"):
@@ -331,6 +356,9 @@ class TestCli:
             ("sweep", {**_SWEEP, "pert_inline": {"degree": 1, "plus_f": [[0.6, 0, 1.0]]}}, []),
             ("verify", {"seed": -1}, []),
             ("sweep", {**_SWEEP, "pert_file": "."}, []),
+            ("verify", {"schema_version": True}, []),
+            ("verify", {"schema_version": 1.0}, []),
+            ("verify", {"schema_version": "1"}, []),
         ],
         ids=["a", "b", "seed", "epsilons", "epsilon_flag", "no_degree", "inline_no_degree",
              "off_triangle", "inline_index", "samples", "n_list", "n_list_scalar", "draws",
@@ -353,7 +381,8 @@ class TestCli:
              "inline_with_degree", "samples_fraction", "samples_boolean", "seed_fraction", "a_string",
              "a_zero", "n_list_fraction", "draws_fraction", "grid_fraction", "place_degree_fraction",
              "epsilons_string", "sweep_epsilons_empty", "r_grid_count_fraction", "inline_degree_fraction",
-             "inline_index_fraction", "seed_negative", "pert_file_directory"],
+             "inline_index_fraction", "seed_negative", "pert_file_directory",
+             "schema_version_true", "schema_version_float", "schema_version_string"],
     )
     def test_malformed_manifest_exit_two(self, tmp_path, capsys, command, over, argv):
         if isinstance(over, dict) and isinstance(over.get("pert_file"), dict):
@@ -572,17 +601,33 @@ class TestCli:
         assert records["DEBUG"] == records["WARNING"]
 
     def test_debug_log_shows_one_grid_call(self, tmp_path, monkeypatch, capsys):
-        # the displacement grid at every eps and the fixed-point grid are
-        # one return-map call; the fixed-point search's calls are at most
-        # its interpolation nodes per bracket wide
+        # the displacement grid at every eps, the fixed-point grid and the
+        # interpolation rows of the intervals that hold a zero of F are one
+        # return-map call.  Each of the 4 zeros lies in its own interval of
+        # the grid and so does each fixed point, so the search maps no
+        # interpolation rows: one call for the points with their slope rows
+        # (3 per bracket), then regula falsi calls of at most one row each
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps(_SIM_REDUCED))
         monkeypatch.setenv("PWCYCLES_LOG", "DEBUG")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         widths = [int(w) for w in re.findall(r"return_map: (\d+) radii in \d+ fields", capsys.readouterr().err)]
-        grid_rows = (len(_SIM_REDUCED["epsilons"]) + 1) * _SIM_REDUCED["grid"]
-        assert widths.count(grid_rows) == 1 and len(widths) > 1
-        assert all(w <= _INTERP_NODES * len(_SIM_REDUCED["targets"]) for w in widths if w != grid_rows)
+        brackets = len(_SIM_REDUCED["targets"])
+        grid_rows = (len(_SIM_REDUCED["epsilons"]) + 1) * _SIM_REDUCED["grid"] + _INTERP_NODES * brackets
+        assert widths[:2] == [grid_rows, 3 * brackets]
+        assert all(w <= brackets for w in widths[2:])
+
+    def test_readme_simulate_makes_three_return_map_calls(self, caplog):
+        # the grid call, the interpolated points with their slope rows, and
+        # one regula falsi call
+        text = (_ROOT / "README.md").read_text()
+        start = text.index("\n", text.index("cat > sim.json")) + 1
+        doc = json.loads(text[start : text.index("\nEOF", start)])
+        with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+            record = run_manifest(ExperimentManifest.from_dict(doc))
+        calls = [r for r in caplog.records if r.getMessage().startswith("return_map:")]
+        assert len(calls) == 3
+        assert len(record["payloads"]["fixed_points"]["rows"]) == 4
 
     def test_simulate_without_fixed_points_writes_strict_json(self, tmp_path):
         # at grid 2 the displacement keeps one sign, so no fixed point is

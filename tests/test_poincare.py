@@ -248,18 +248,24 @@ class TestReturnMap:
             return_map(field, 9.0)
 
 
+def _fixed_point_grid(ab, degree, targets, r_max):
+    """The fixed-point field at eps = 1.25e-3 of a placement at seed 3, its
+    60-radius grid and the zeros of its averaged function, built as
+    `manifest._run_place_and_simulate` builds them."""
+    params = SystemParams(*ab)
+    exp = place_zeros(params, degree, targets, seed=3)
+    pert = perturbation_for_expansion(params, exp).normalized()
+    predicted = count_simple_zeros(assemble(params, pert), r_max=r_max, grid=800).locations
+    lo, hi = max(0.5 * min(predicted), 0.05), min(1.2 * max(predicted), 0.95 * r_max)
+    fld = PolarField(params, pert, 1.25e-3, r_range=(0.5 * lo, r_max))
+    return fld, np.linspace(lo, hi, 60), predicted
+
+
 @pytest.fixture(scope="module")
 def readme_fp():
     """The fixed-point search of the README simulate example at seed 3:
-    its field at eps = 1.25e-3, its 60-radius grid and the grid's images,
-    built as `manifest._run_place_and_simulate` builds them."""
-    params = SystemParams(1.0, -2.0)
-    exp = place_zeros(params, 1, [0.5, 1.0, 1.5, 2.0], seed=3)
-    pert = perturbation_for_expansion(params, exp).normalized()
-    predicted = count_simple_zeros(assemble(params, pert), r_max=5.0, grid=800).locations
-    lo, hi = max(0.5 * min(predicted), 0.05), min(1.2 * max(predicted), 0.95 * 5.0)
-    fld = PolarField(params, pert, 1.25e-3, r_range=(0.5 * lo, 5.0))
-    rr = np.linspace(lo, hi, 60)
+    its field, its grid and the grid's images."""
+    fld, rr, _ = _fixed_point_grid((1.0, -2.0), 1, [0.5, 1.0, 1.5, 2.0], 5.0)
     return fld, rr, return_map(fld, rr)
 
 
@@ -394,15 +400,76 @@ class TestFixedPointRefinement:
             find_fixed_points(fld, rr, images)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_fixed_points")]
         assert len(lines) == 1
-        brackets, rows, at_z, calls, floor, width = map(
-            int, re.match(r"find_fixed_points: (\d+) brackets, (\d+) interpolation rows, (\d+) closed at the "
+        brackets, given, here, rows, at_z, calls, floor, width = map(
+            int, re.match(r"find_fixed_points: (\d+) brackets \((\d+) with interpolation rows from the caller's "
+                          r"call, (\d+) mapped here\), (\d+) interpolation rows, (\d+) closed at the "
                           r"interpolated point, (\d+) follow-up refinement calls, (\d+) closed at the roundoff "
                           r"floor and (\d+) by width", lines[0]).groups()
         )
-        assert (brackets, rows, calls, floor, width) == (4, run[1][0].size, len(run[1]) - 2, 4, 0)
+        assert (brackets, given, here, rows, calls, floor, width) == (4, 0, 4, run[1][0].size, len(run[1]) - 2, 4, 0)
         assert 1 <= at_z <= 4
         largest = float(lines[0].rsplit("|P(z) - z| ", 1)[1].split()[0])
         assert 0 <= largest <= _MAP_ROUNDOFF * 2.0
+
+
+class TestCallerMappedRows:
+    """Interpolation rows the caller maps in its own call, as `place_and_simulate` maps
+    those of the grid intervals that hold a zero of the averaged function."""
+
+    @staticmethod
+    def _search(fld, rr, images, monkeypatch, mapped=((), ())):
+        """find_fixed_points with the radii of every return-map call it makes."""
+        calls = []
+
+        def counted(field, r_start=None):
+            calls.append(np.array(r_start, dtype=float))
+            return return_map(field, r_start)
+
+        with monkeypatch.context() as m:
+            m.setattr(poincare, "return_map", counted)
+            return find_fixed_points(fld, rr, images, mapped=mapped), calls
+
+    @staticmethod
+    def _mapped_with_grid(fld, rr, k):
+        """The grid's images and the interpolation rows of the intervals [rr[k - 1], rr[k]], in one call."""
+        inner = poincare._interpolation_rows(rr[k - 1], rr[k]).ravel()
+        images, images_inner = return_map([(fld, rr), (fld, inner)])
+        return images, (inner, images_inner)
+
+    @pytest.mark.parametrize(
+        "ab,degree,targets,r_max",
+        [((1.0, -2.0), 1, [0.5, 1.0, 1.5, 2.0], 5.0), ((1.0, -2.0), 2, [0.5, 1.0, 1.5, 2.0], 5.0),
+         ((1.0, -1.0), 2, [0.5, 1.0, 1.5], 1.9)],
+        ids=["readme", "degree_2", "resonant_degree_2"],
+    )
+    def test_predicted_rows_give_the_same_fixed_points_bitwise(self, monkeypatch, ab, degree, targets, r_max):
+        fld, rr, predicted = _fixed_point_grid(ab, degree, targets, r_max)
+        images, mapped = self._mapped_with_grid(fld, rr, np.searchsorted(rr, predicted))
+        want, want_calls = self._search(fld, rr, images, monkeypatch)
+        got, calls = self._search(fld, rr, images, monkeypatch, mapped)
+        assert len(got.fixed_points) == len(targets)
+        assert repr(got) == repr(want)
+        # every bracket's rows came with the grid: the interpolation call is gone
+        assert want_calls[0].size == len(targets) * poincare._INTERP_NODES
+        assert [c.size for c in calls] == [c.size for c in want_calls[1:]]
+
+    @pytest.mark.parametrize("case", ["shifted", "some"])
+    def test_rows_that_miss_map_only_the_uncovered_brackets(self, readme_fp, monkeypatch, caplog, case):
+        fld, rr, images = readme_fp
+        disp = images - rr
+        keep, flips = _sign_flips(disp, 0.0)
+        k = keep[flips + 1]
+        # rows one interval off cover no bracket; rows of two brackets cover those two
+        covered = {"shifted": 0, "some": 2}[case]
+        _, mapped = self._mapped_with_grid(fld, rr, k + 1 if case == "shifted" else k[[0, 2]])
+        want, want_calls = self._search(fld, rr, images, monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+            got, calls = self._search(fld, rr, images, monkeypatch, mapped)
+        assert repr(got) == repr(want)
+        assert calls[0].size == (k.size - covered) * poincare._INTERP_NODES
+        counts = f"{k.size} brackets ({covered} with interpolation rows from the caller's call, {k.size - covered}"
+        assert counts in caplog.text
+        assert [c.size for c in calls[1:]] == [c.size for c in want_calls[1:]]
 
 
 class TestLockstepEngine:
