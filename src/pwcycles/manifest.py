@@ -278,7 +278,7 @@ def _sweep_perturbation(manifest: ExperimentManifest, params: SystemParams) -> P
     if opts["degree"] is None:
         raise ManifestError("sweep pert_targets needs 'degree'")
     _check_radii("sweep 'pert_targets'", opts["pert_targets"], params.r0)
-    expansion = place_zeros(params, opts["degree"], opts["pert_targets"], seed=manifest.seed)
+    expansion = place_zeros(params, opts["degree"], opts["pert_targets"])
     return perturbation_for_expansion(params, expansion).normalized()
 
 
@@ -381,10 +381,10 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
         claimed = hn_formula(CountFormulaInput(n, params.resonant))
         capacity = reachable_zero_capacity(n, params.resonant)
         try:
-            expansion = place_zeros(params, n, _auto_targets(claimed, lo, hi), seed=manifest.seed)
+            expansion = place_zeros(params, n, _auto_targets(claimed, lo, hi))
         except PlacementError as exc:
             log.info("claimed-count placement failed for n=%d: %s", n, exc)
-            expansion = place_zeros(params, n, _auto_targets(capacity, lo, hi), seed=manifest.seed)
+            expansion = place_zeros(params, n, _auto_targets(capacity, lo, hi))
         fn = AveragedFunction(params, expansion)
         attained = count_simple_zeros(fn, r_max=min(r_max, 1.5 * hi), grid=800).count
         checks.append(_check(f"attained_equals_claimed_n{n}", attained == claimed, attained, claimed, 0))
@@ -426,7 +426,7 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     checks: List[Dict[str, Any]] = []
     payloads: Dict[str, Any] = {}
 
-    expansion = place_zeros(params, n, targets, seed=manifest.seed)
+    expansion = place_zeros(params, n, targets)
     fn = AveragedFunction(params, expansion)
     report = count_simple_zeros(fn, r_max=r_max, grid=800)
     checks.append(

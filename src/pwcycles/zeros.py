@@ -28,13 +28,17 @@ Placement follows the classical device: fix p targets, p <= dim - 1,
 evaluate the generators there, and pick a null vector of the resulting
 underdetermined system; the combination vanishes at every target.  A
 request for p >= dim targets is refused before any sampling: the span
-places at most dim - 1 simple zeros.  The null space comes from a
-one-sided Jacobi SVD of the equilibrated collocation matrix, all in long
-double; at capacity (one null column) its sweeps end as soon as one
-leaves V unchanged.  All zero *verification* evaluates in long double
-with a running roundoff envelope, because high-degree placements are
-legitimately ill-conditioned in the raw generator basis.  Each placement
-logs its sweeps and condition number at DEBUG.
+places at most dim - 1 simple zeros.  The candidates are fixed Gaussian
+draws with their component in the row space of the equilibrated
+collocation matrix removed, all in long double: the row space's
+orthonormal basis comes from classical Gram–Schmidt and every projection
+is applied twice.  No basis of the null space is formed and no seed is
+read, so a placement depends on its parameters, generators and targets
+alone.  All zero *verification* evaluates in long double with a running
+roundoff envelope, because high-degree placements are legitimately
+ill-conditioned in the raw generator basis.  Each placement logs its
+condition number and how close its values at the targets come to their
+roundoff envelope at DEBUG.
 
 Counting refines all sign-change brackets of a grid together with
 `_bracketed_roots`, the package's one bracket refiner; `poincare` locates
@@ -348,65 +352,6 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_right_vectors(M: np.ndarray) -> Tuple[np.ndarray, int, str]:
-    """Right singular vectors of M by one-sided Jacobi, all in longdouble.
-
-    LAPACK has no extended-precision path, and double-precision null
-    vectors of the badly conditioned collocation matrices stall far above
-    the longdouble floor; Jacobi gives residuals at the longdouble
-    roundoff level even at condition 1e15.  Its sweeps are not free: each
-    costs m(m-1)/2 rotations of interpreted code, and with m - p null
-    columns of the p x m matrix the off-diagonal test alone keeps
-    sweeping while the null columns shrink by about eps per sweep, until
-    their dot products underflow.
-
-    Column k of A and column k of V are row k of one array, so one row
-    rotation updates both.  With one null column (m - p == 1) the sweeps
-    also end when a full sweep leaves V bit for bit unchanged: the other
-    columns are then orthogonal to working precision, every remaining
-    rotation pairs a column with the null column, and its sine shrinks
-    with that column's norm, so it can no longer change V, and the null
-    column sorts last either way.  With more null columns the later
-    sweeps still reorder them by norms near the underflow threshold, so
-    that stop would change the result.
-
-    Returns (V, sweeps, stop): V's columns ordered by decreasing singular
-    value, the number of sweeps run, and why they ended ("V fixed",
-    "off-diagonal" or "sweep limit").
-    """
-    p, m = M.shape
-    W = np.concatenate([np.asarray(M, dtype=LONG).T, np.eye(m, dtype=LONG)], axis=1)
-    A, V = W[:, :p], W[:, p:]
-    eps = float(np.finfo(LONG).eps)
-    stop = "sweep limit"
-    for sweeps in range(1, 61):
-        before = V.copy()
-        off = 0.0
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                aii = np.dot(A[i], A[i])
-                ajj = np.dot(A[j], A[j])
-                aij = np.dot(A[i], A[j])
-                denom = math.sqrt(float(aii) * float(ajj)) or 1e-300
-                if aij == 0 or abs(float(aij)) <= 1e2 * eps * denom:
-                    continue
-                off = max(off, abs(float(aij)) / denom)
-                tau = (ajj - aii) / (2 * aij)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1 + tau * tau))
-                c = 1 / np.sqrt(1 + t * t)
-                s = c * t
-                Wi, Wj = W[i].copy(), W[j].copy()
-                W[i], W[j] = c * Wi - s * Wj, s * Wi + c * Wj
-        if off < 1e2 * eps:
-            stop = "off-diagonal"
-            break
-        if m - p == 1 and np.array_equal(V, before):
-            stop = "V fixed"
-            break
-    order = np.argsort(np.sqrt(np.sum(A * A, axis=1)))[::-1]
-    return V[order].T, sweeps, stop
-
-
 def _orthonormal_transform(stack_window: np.ndarray) -> np.ndarray:
     """Column transform turning the raw generators into an orthonormal set.
 
@@ -421,29 +366,39 @@ def _orthonormal_transform(stack_window: np.ndarray) -> np.ndarray:
     return (Vt.T / S).astype(float)  # generators x orthonormal directions
 
 
-def place_zeros(
-    params: SystemParams,
-    n: int,
-    targets: Sequence[float],
-    seed: int = 0,
-) -> BasisExpansion:
+def _row_space_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the rows of M (p x m) as the columns of an m x p array.
+
+    Classical Gram–Schmidt in long double with each projection applied
+    twice, which keeps the basis orthogonal to working precision (Giraud,
+    Langou and Rozložník, Comput. Math. Appl. 50, 2005).  LAPACK has no
+    extended-precision path, and double-precision null vectors of the
+    badly conditioned collocation matrices stall far above the long-double
+    floor.
+    """
+    Q = np.empty((M.shape[1], 0), dtype=LONG)
+    for row in M:
+        for _ in range(2):
+            row = row - Q @ (Q.T @ row)
+        Q = np.column_stack([Q, row / np.sqrt(np.sum(row * row))])
+    return Q
+
+
+def place_zeros(params: SystemParams, n: int, targets: Sequence[float]) -> BasisExpansion:
     """Construct an expansion whose zero set includes the given targets.
 
     With p targets and m reachable generators, p <= m - 1 leaves a null
-    space; among a sampled basis of it (seeded, deterministic) the
-    combination is chosen to avoid spurious extra zeros on the scan window
-    first and to maximize the minimum |F'| over the targets second.
-    p >= m raises PlacementError naming the capacity m - 1.
+    space; among fixed Gaussian draws projected onto it the combination is
+    chosen to avoid spurious extra zeros on the scan window first and to
+    maximize the minimum |F'| over the targets second, and signed so that
+    F rises through the first target.  The result depends on the
+    parameters, the degree and the targets alone.  p >= m raises
+    PlacementError naming the capacity m - 1.
     """
-    return _place(params, reachable_generators(params, n), targets, seed)
+    return _place(params, reachable_generators(params, n), targets)
 
 
-def _place(
-    params: SystemParams,
-    gens: List[BasisExpansion],
-    targets: Sequence[float],
-    seed: int = 0,
-) -> BasisExpansion:
+def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[float]) -> BasisExpansion:
     """The null-space placement of `place_zeros` over a given generator list."""
     targets = [float(t) for t in targets]
     if sorted(set(targets)) != targets:
@@ -472,7 +427,8 @@ def _place(
     Gs = stack(scan)
     colscale = np.max(np.abs(Gs), axis=1)  # per-generator window scale
 
-    tstack = stack(targets)
+    bt = basis_values(params, n, targets, LONG)
+    tstack = G @ bt
     M_long = (tstack / colscale[:, None]).T  # p x m, diagonally equilibrated
 
     # Condition diagnostic in an orthonormalized basis: it reflects the
@@ -486,18 +442,12 @@ def _place(
             "targets too close together or too near the annulus boundary"
         )
 
-    V, sweeps, stop = _jacobi_right_vectors(M_long)
-    log.debug(
-        "placement: %d targets, %d generators, %d Jacobi sweeps (stopped: %s), condition %.3g",
-        p, m, sweeps, stop, condition,
-    )
-    null_basis = V[:, p:].T  # (m - p) exact-null directions, longdouble
-    rng = np.random.default_rng(seed)
-    candidates = [null_basis[i] for i in range(m - p)]
-    for _ in range(4 * (m - p)):
-        w = rng.standard_normal(m - p).astype(LONG)
-        c = w @ null_basis
-        candidates.append(c / np.sqrt(np.sum(c * c)))
+    # Candidates: fixed Gaussian draws with their row-space part removed,
+    # twice, as the basis itself was built.
+    Q = _row_space_basis(M_long)
+    candidates = np.random.default_rng(0).standard_normal((5 * (m - p), m)).astype(LONG)
+    for _ in range(2):
+        candidates -= (candidates @ Q) @ Q.T
 
     fd = 1e-6 * np.maximum(1.0, np.asarray(targets))
     tlo = stack(np.asarray(targets) - fd)
@@ -509,15 +459,21 @@ def _place(
         dg = c / colscale.astype(LONG)  # back to raw generator coordinates
         vals = dg @ Gs
         extra = max(0, len(_sign_flips(vals, _envelope(dg, abs_Gs))[1]) - p)
-        deriv = np.abs((dg @ thi - dg @ tlo) / (2 * fd))
+        slope = (dg @ thi - dg @ tlo) / (2 * fd)
         scale_f = float(np.max(np.abs(vals)))
-        score = (extra, -float(np.min(deriv)) / scale_f)
+        score = (extra, -float(np.min(np.abs(slope))) / scale_f)
         if best is None or score < best[0]:
-            best = (score, dg / scale_f)
+            best = (score, dg / scale_f if slope[0] >= 0 else -dg / scale_f)
     # Combined in long double: high-degree placements carry delicately
     # cancelling coefficients whose rounding to double would visibly
     # shift the outer zeros.
-    return BasisExpansion.from_vector(n, best[1] @ G)
+    coeffs = best[1] @ G
+    envelope_ratio = np.max(np.abs(coeffs @ bt) / _envelope(coeffs, np.abs(bt)))
+    log.debug(
+        "placement: %d targets, %d generators, condition %.3g, largest |F(t)|/envelope at the targets %.3g",
+        p, m, condition, envelope_ratio,
+    )
+    return BasisExpansion.from_vector(n, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ _C4_START = time.monotonic()
 
 def _attained_count(p: SystemParams, n: int, count: int, window=(0.3, 5.0)) -> int:
     targets = list(np.linspace(window[0], window[1], count))
-    expansion = place_zeros(p, n, targets, seed=404)
+    expansion = place_zeros(p, n, targets)
     fn = AveragedFunction(p, expansion)
     return count_simple_zeros(fn, r_max=1.4 * window[1], grid=900).count
 
@@ -246,7 +246,7 @@ def _simulate_configuration(p: SystemParams, n: int, targets):
     component breaks the symmetry for the slope study without touching
     the averaged function.
     """
-    expansion = place_zeros(p, n, targets, seed=505)
+    expansion = place_zeros(p, n, targets)
     pert = perturbation_for_expansion(p, expansion).normalized()
     fn = assemble(p, pert)
     report = count_simple_zeros(fn, r_max=1.4 * max(targets), grid=900)

@@ -21,6 +21,7 @@ from pwcycles.zeros import (
     CountFormulaInput,
     PlacementError,
     RankDeficiencyError,
+    UnresolvedClusterError,
     _bracketed_roots,
     chebyshev_points,
     claimed_coefficient_indices,
@@ -102,12 +103,21 @@ class TestCountSimpleZeros:
         p = SystemParams(-1.5, 2.0)
         for n in (2, 3):
             targets = list(np.linspace(0.3, 0.9, reachable_zero_capacity(n, p.resonant)))
-            exp = place_zeros(p, n, targets, seed=0)
+            exp = place_zeros(p, n, targets)
             for scale in (1.0, 1e9):
                 scaled = BasisExpansion.from_vector(n, scale * exp.vector())
                 report = count_simple_zeros(AveragedFunction(p, scaled), 1.0)
                 assert report.count == len(targets)
                 assert report.non_simple == ()
+
+    def test_unresolved_cluster_raises(self, params):
+        # F = (r - 1)^2 - 1e-8: zeros at 1 -+ 1e-4, 2e-4 apart around r = 1,
+        # which is a point of the 400-point grid on (0, 2] and of every
+        # doubling of it, so no doubling separates them
+        e = BasisExpansion.zeros(1)
+        e.coeff_poly[:] = [1 - 1e-8, -2.0, 1.0, 0.0]
+        with pytest.raises(UnresolvedClusterError, match="after 4 doublings"):
+            count_simple_zeros(AveragedFunction(params, e), 2.0)
 
     def test_close_zeros_double_the_grid(self, params):
         # F = (r - 0.5)(r - 0.85) on the 10-point grid 0.2, 0.4, ..., 2.0: the
@@ -313,91 +323,47 @@ class TestPlacement:
             place_zeros(params, 1, targets)
 
     def test_deterministic(self, params):
-        e1 = place_zeros(params, 2, [0.4, 1.0, 1.9], seed=11)
-        e2 = place_zeros(params, 2, [0.4, 1.0, 1.9], seed=11)
+        e1 = place_zeros(params, 2, [0.4, 1.0, 1.9])
+        e2 = place_zeros(params, 2, [0.4, 1.0, 1.9])
         assert np.array_equal(e1.coeff_A, e2.coeff_A)
         assert np.array_equal(e1.coeff_poly, e2.coeff_poly)
 
-
-
-def _full_sweep_jacobi(M):
-    """One-sided Jacobi without the fixed-V stop: the sweeps end only on
-    the off-diagonal test (or after 60).  The oracle that
-    `zeros._jacobi_right_vectors` must reproduce bit for bit."""
-    A = np.array(M, dtype=zeros.LONG)
-    _, m = A.shape
-    V = np.eye(m, dtype=zeros.LONG)
-    eps = float(np.finfo(zeros.LONG).eps)
-    for _ in range(60):
-        off = 0.0
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                aii = np.dot(A[:, i], A[:, i])
-                ajj = np.dot(A[:, j], A[:, j])
-                aij = np.dot(A[:, i], A[:, j])
-                denom = np.sqrt(float(aii) * float(ajj)) or 1e-300
-                if aij == 0 or abs(float(aij)) <= 1e2 * eps * denom:
-                    continue
-                off = max(off, abs(float(aij)) / denom)
-                tau = (ajj - aii) / (2 * aij)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1 + tau * tau))
-                c = 1 / np.sqrt(1 + t * t)
-                s = c * t
-                Ai, Aj = A[:, i].copy(), A[:, j].copy()
-                A[:, i], A[:, j] = c * Ai - s * Aj, s * Ai + c * Aj
-                Vi, Vj = V[:, i].copy(), V[:, j].copy()
-                V[:, i], V[:, j] = c * Vi - s * Vj, s * Vi + c * Vj
-        if off < 1e2 * eps:
-            break
-    return V[:, np.argsort(np.sqrt(np.sum(A * A, axis=0)))[::-1]]
-
-
-class TestJacobi:
-    @staticmethod
-    def _spy_on_jacobi(monkeypatch) -> list:
-        """(M, V, sweeps, stop) of every `_jacobi_right_vectors` call."""
-        seen = []
-        original = zeros._jacobi_right_vectors
-
-        def spy(M):
-            V, sweeps, stop = original(M)
-            seen.append((M, V, sweeps, stop))
-            return V, sweeps, stop
-
-        monkeypatch.setattr(zeros, "_jacobi_right_vectors", spy)
-        return seen
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3)])
-    def test_early_stop_matches_the_full_sweeps_bitwise(self, monkeypatch, ab, n):
-        # every target count p = 1..m-1, so null spaces of one column (where
-        # the fixed-V stop may end the sweeps) and of several (where it must not)
+    def test_placed_values_stay_inside_the_roundoff_envelope(self, ab, n):
+        # at capacity (p = m - 1) and half way there, the placed F vanishes at
+        # every target to within the noise of its own long-double evaluation,
+        # and it rises through the first target
         params = SystemParams(*ab)
         m = len(zeros.reachable_generators(params, n))
         hi = min(5.0, 0.8 * params.r0)
-        seen = self._spy_on_jacobi(monkeypatch)
-        for p in range(1, m):
-            place_zeros(params, n, list(np.linspace(0.1 * hi, hi, p)), seed=3)
-        assert [M.shape for M, *_ in seen] == [(p, m) for p in range(1, m)]
-        for M, V, _, stop in seen:
-            assert np.array_equal(V, _full_sweep_jacobi(M))
-            assert stop != "V fixed" or M.shape[0] == m - 1
-        assert seen[-1][3] == "V fixed"
+        for p in sorted({m - 1, m // 2}):
+            targets = np.linspace(0.1 * hi, hi, p)
+            c = place_zeros(params, n, list(targets)).vector(zeros.LONG)
+            b = basis_values(params, n, targets, zeros.LONG)
+            assert np.all(np.abs(c @ b) <= zeros._NOISE_FACTOR * zeros._envelope(c, np.abs(b)))
+            h = 1e-6 * max(1.0, targets[0])
+            below, above = c @ basis_values(params, n, targets[0] + np.array([-h, h]), zeros.LONG)
+            assert above > below
 
-    def test_capacity_placement_stops_when_v_is_fixed(self, params, caplog):
-        # the (1, -2), n = 4 capacity placement of `reproduce_hn`: the full
-        # sweeps run 24, shrinking the null column until its dot products
-        # underflow
+    def test_debug_line_reports_condition_and_envelope_margin(self, params, caplog):
+        # the (1, -2), n = 4 capacity placement of `reproduce_hn`
         targets = list(np.linspace(0.3, 5.0, reachable_zero_capacity(4, False)))
         with caplog.at_level(logging.DEBUG, logger="pwcycles"):
-            place_zeros(params, 4, targets, seed=3)
+            c = place_zeros(params, 4, targets).vector(zeros.LONG)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("placement:")]
         got = re.fullmatch(
-            r"placement: 10 targets, 11 generators, (\d+) Jacobi sweeps \(stopped: V fixed\), condition (\S+)",
+            r"placement: 10 targets, 11 generators, condition (\S+), "
+            r"largest \|F\(t\)\|/envelope at the targets (\S+)",
             line,
         )
-        assert got and int(got.group(1)) <= 10
-        assert float(got.group(2)) == pytest.approx(1.05e4, rel=0.01)
+        assert got
+        assert float(got.group(1)) == pytest.approx(1.05e4, rel=0.01)
+        b = basis_values(params, 4, np.array(targets), zeros.LONG)
+        margin = float(np.max(np.abs(c @ b) / zeros._envelope(c, np.abs(b))))
+        assert float(got.group(2)) == pytest.approx(margin, rel=1e-3)
+        assert margin <= zeros._NOISE_FACTOR
+
 
 class TestIndependence:
     def test_nonresonant_n1(self, params):
@@ -510,7 +476,7 @@ class TestSurveySignDecisions:
         relative.  Their values cancel to the double roundoff level over much
         of the grid and, at some samples, to the long-double one."""
         targets = list(np.linspace(0.3, 5.5, reachable_zero_capacity(cls.N, False)))
-        x = perturbation_for_expansion(cls.PARAMS, place_zeros(cls.PARAMS, cls.N, targets, seed=404)).vector()
+        x = perturbation_for_expansion(cls.PARAMS, place_zeros(cls.PARAMS, cls.N, targets)).vector()
         rng = np.random.default_rng(404)
         return x * (1 + 1e-13 * rng.standard_normal((count, x.size)))
 
