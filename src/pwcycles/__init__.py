@@ -49,7 +49,6 @@ from .smooth import (
 )
 from .zeros import (
     ZeroReport,
-    CountFormulaInput,
     hn_formula,
     reachable_zero_capacity,
     count_simple_zeros,

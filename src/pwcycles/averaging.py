@@ -8,25 +8,26 @@ is a finite combination of monomials r^i and of r^(2i) * A[0,0](r),
 r^(2i) * B[0,0](r).  Two independent routes compute it:
 
 * `assemble` reduces the coefficients symbolically (exact rational
-  arithmetic in Q + Q*pi): each nonzero coefficient of f and g goes to
-  its polar numerator entry (the sigma/tau sums); an odd sine power drops
-  out, and an even one adds the coefficient times its entry's reduction
-  (`_unit_half`: binomial lowering into the S/T tables, collapse of the
-  cosine ladders, elimination of the first-power seeds I[0,0], J[0,0]
-  through their closed relations).  The result is a `BasisExpansion`.
+  arithmetic in Q + Q*pi): it combines the perturbation's nonzero
+  coefficients with the exact unit columns of `_unit_parts` and rounds
+  the sum to a `BasisExpansion` once.  A unit column is the reduction of
+  one polar numerator entry (the sigma/tau sums): zero for an odd sine
+  power, else `_unit_half` (binomial lowering into the S/T tables,
+  collapse of the cosine ladders, elimination of the first-power seeds
+  I[0,0], J[0,0] through their closed relations).
 
 * `oracle_F` integrates the polar right-hand side directly with adaptive
   quadrature and knows nothing about the reduction.
 
 Their agreement is the central correctness property of the package.
 
-The reduction is one exact linear map of `PerturbationSpec.vector`.
-Each entry's reduction runs and is checked once per half-circle constant
-and is shared by every unit, degree and system, so its checks cover every
-input; an odd sine power gives a zero column without a reduction.
-`_unit_parts` holds the exact unit columns, read by the surjectivity rank
-and the smooth checks, and `assembly_matrix` the same in double, read by
-the realization and the surveys.
+The reduction is one exact linear map of `PerturbationSpec.vector`, and
+`_unit_parts` holds its columns.  Each entry's reduction runs and is
+checked once per half-circle constant and is shared by every unit,
+degree and system, so its checks cover every input.  `_exact_parts`
+combines the columns exactly for `assemble`; the surjectivity rank and
+the smooth checks read them as they are, and `assembly_matrix` holds
+them in double for the realization and the surveys.
 
 `basis_values` is the package's one expansion evaluator: it samples the
 basis functions once, and any coefficient vector (`BasisExpansion.vector`,
@@ -45,10 +46,10 @@ from __future__ import annotations
 import logging
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -260,15 +261,13 @@ class BasisExpansion:
 
     `coeff_A[i]` multiplies r^(2i) A[0,0](r), `coeff_B[i]` multiplies
     r^(2i) B[0,0](r), and `coeff_poly[i]` multiplies r^i (the two halves'
-    monomial parts already merged).  The exact pre-merge parts are kept
-    when the expansion came out of the symbolic reduction.
+    monomial parts already merged).
     """
 
     degree: int
     coeff_A: np.ndarray
     coeff_B: np.ndarray
     coeff_poly: np.ndarray
-    exact_parts: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def zeros(degree: int) -> "BasisExpansion":
@@ -387,79 +386,31 @@ def eval_F(fn: AveragedFunction, r):
 
 
 @lru_cache(maxsize=None)
-def _sigma_entries(n: int) -> Tuple[Tuple[bool, int, int], ...]:
-    """(alternate, p, q) of each coefficient of a degree-n perturbation, in
-    the order of `PerturbationSpec.vector`: the polar numerator f cos + g sin
-    sends f x^i y^j to sigma[i+1, j] and g x^i y^j to sigma[i, j+1] on the
-    front half (plus tables), and to tau likewise on the back half
-    (`alternate`, minus tables)."""
-    ij = np.argwhere(_triangle(n)).tolist()
-    return tuple((alt, i + di, j + dj) for alt in (False, True) for di, dj in ((1, 0), (0, 1)) for i, j in ij)
-
-
-def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
-    """Symbolic reduction of a perturbation to its BasisExpansion.
-
-    An odd sine power of a sigma entry (`_sigma_entries`) is odd in the
-    angle about the middle of its half circle and drops out; an even one
-    adds its coefficient times the cached, checked `_unit_half` of its
-    entry to its half.  Only the nonzero coefficients are visited.  The
-    arithmetic is exact, so each half is the reduction of its whole sigma
-    table, number for number.  The expansion keeps the exact pre-merge
-    parts (coef_A, poly_plus, coef_B, poly_minus) as `exact_parts`.
-    """
-    h = (pert.degree + 1) // 2
-    consts = (as_fraction(params.a), as_fraction(params.b))
-    # per half: the kernel coefficients, and the rational and pi parts of
-    # the monomial coefficients, summed apart as plain Fractions (summing
-    # PiNumbers made a warm call about 1.5 times slower)
-    halves = [[[Fraction(0)] * size for size in (h + 2, 2 * h + 2, 2 * h + 2)] for _ in consts]
-    v = pert.vector()
-    for k in np.flatnonzero(v).tolist():
-        alternate, p, q = _sigma_entries(pert.degree)[k]
-        if q % 2 == 0:
-            x = as_fraction(float(v[k]))
-            (coef, rat, pi), (unit_coef, unit_poly) = halves[alternate], _unit_half(consts[alternate], alternate, p, q)
-            for i, u in enumerate(unit_coef):
-                if u:
-                    coef[i] += x * u
-            for i, u in enumerate(unit_poly):
-                if u.rat:
-                    rat[i] += x * u.rat
-                if u.pi:
-                    pi[i] += x * u.pi
-    (coef_A, *plus), (coef_B, *minus) = halves
-    poly_plus, poly_minus = ([PiNumber(*u) for u in zip(*half)] for half in (plus, minus))
-    expansion = BasisExpansion(
-        pert.degree,
-        np.array([float(x) for x in coef_A]),
-        np.array([float(x) for x in coef_B]),
-        np.array([float(p + q) for p, q in zip(poly_plus, poly_minus)]),
-        exact_parts=(coef_A, poly_plus, coef_B, poly_minus),
-    )
-    return AveragedFunction(params, expansion)
-
-
-@lru_cache(maxsize=None)
 def _unit_parts(params: SystemParams, n: int) -> Tuple[tuple, ...]:
     """The exact parts (coef_A, poly_plus, coef_B, poly_minus) of each unit
     perturbation of degree n, in the order of `PerturbationSpec.vector`:
-    those of `assemble` of the unit.
+    the columns of the assembly map.
 
-    A unit puts 1 on one sigma entry.  An odd sine power gives zero parts;
-    an even one reads `_unit_half`, zero-padded to degree n, and the other
-    half is zero.
+    A unit puts 1 on one sigma entry: the polar numerator f cos + g sin
+    sends f x^i y^j to sigma[i+1, j] and g x^i y^j to sigma[i, j+1] on the
+    front half (plus tables), and to tau likewise on the back half
+    (`alternate`, minus tables).  An odd sine power is odd in the angle
+    about the middle of its half circle and gives zero parts; an even one
+    reads `_unit_half`, zero-padded to degree n, and the other half is zero.
     """
     h = (n + 1) // 2
     zero = (Fraction(0),) * (h + 2), (PiNumber(),) * (2 * h + 2)
     consts = (as_fraction(params.a), as_fraction(params.b))
     before = _unit_half.cache_info()
     units, zero_columns = [], 0
-    for alternate, p, q in _sigma_entries(n):
-        zero_columns += q % 2
-        coef, poly = ((), ()) if q % 2 else _unit_half(consts[alternate], alternate, p, q)
-        half = (coef + zero[0][len(coef) :], poly + zero[1][len(poly) :])
-        units.append((*zero, *half) if alternate else (*half, *zero))
+    for alternate in (False, True):
+        for di, dj in ((1, 0), (0, 1)):
+            for i, j in np.argwhere(_triangle(n)).tolist():
+                p, q = i + di, j + dj
+                zero_columns += q % 2
+                coef, poly = ((), ()) if q % 2 else _unit_half(consts[alternate], alternate, p, q)
+                half = (coef + zero[0][len(coef) :], poly + zero[1][len(poly) :])
+                units.append((*zero, *half) if alternate else (*half, *zero))
     after = _unit_half.cache_info()
     log.debug(
         "unit columns: degree %d, (a, b) = (%r, %r), %d columns, %d half reductions run, %d reused, %d zero columns",
@@ -468,19 +419,48 @@ def _unit_parts(params: SystemParams, n: int) -> Tuple[tuple, ...]:
     return tuple(units)
 
 
+def _exact_parts(params: SystemParams, pert: PerturbationSpec) -> Tuple[list, list, list, list]:
+    """The exact parts (coef_A, poly_plus, coef_B, poly_minus) of a
+    perturbation: its nonzero coefficients times the columns of
+    `_unit_parts`, summed in Q + Q*pi.  Every nonzero coefficient converts
+    exactly first, so a non-finite one raises ValueError wherever it sits."""
+    units = _unit_parts(params, pert.degree)
+    v = pert.vector()
+    sums = [[0 * u for u in part] for part in units[0]]
+    for k in np.flatnonzero(v).tolist():
+        x = as_fraction(float(v[k]))
+        for total, part in zip(sums, units[k]):
+            for i, u in enumerate(part):
+                if u:
+                    total[i] += u * x
+    return tuple(sums)
+
+
+def _rounded(parts) -> np.ndarray:
+    """The expansion vector of exact parts (coef_A, poly_plus, coef_B,
+    poly_minus): the kernel coefficients, then the two halves' monomials
+    merged, each rounded to double once.  A zero half is not added: a unit
+    column has one, and the exact sums cost more than the rest."""
+    coef_A, poly_plus, coef_B, poly_minus = parts
+    merged = (p + q if p and q else p or q for p, q in zip(poly_plus, poly_minus))
+    return np.array([float(x) for x in (*coef_A, *coef_B, *merged)])
+
+
+def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
+    """The perturbation's BasisExpansion: `_exact_parts`, the exact
+    combination of the checked unit columns, rounded once."""
+    return AveragedFunction(params, BasisExpansion.from_vector(pert.degree, _rounded(_exact_parts(params, pert))))
+
+
 @lru_cache(maxsize=None)
 def assembly_matrix(params: SystemParams, n: int) -> np.ndarray:
     """The degree-n assembly as a read-only float64 matrix.
 
-    Column k is the expansion vector of the k-th unit perturbation, so
+    Column k is the rounded k-th unit column of `_unit_parts`, so
     `assembly_matrix(params, n) @ pert.vector()` is `assemble(params,
-    pert).expansion.vector()` up to double rounding of the sum.  A unit's
-    other half is zero, so its merged monomials are those of its own half.
+    pert).expansion.vector()` up to double rounding of the sum.
     """
-    units = _unit_parts(params, n)
-    back = len(units) // 2
-    M = np.array([[float(x) for x in (*coef_A, *coef_B, *(poly_minus if k >= back else poly_plus))]
-                  for k, (coef_A, poly_plus, coef_B, poly_minus) in enumerate(units)]).T
+    M = np.array([_rounded(unit) for unit in _unit_parts(params, n)]).T
     M.flags.writeable = False
     return M
 

@@ -46,6 +46,9 @@ class PiNumber:
     def is_zero(self) -> bool:
         return self.rat == 0 and self.pi == 0
 
+    def __bool__(self) -> bool:
+        return bool(self.rat or self.pi)
+
     def __add__(self, other: "PiNumber | Scalar") -> "PiNumber":
         o = other if isinstance(other, PiNumber) else PiNumber.of(other)
         return PiNumber(self.rat + o.rat, self.pi + o.pi)

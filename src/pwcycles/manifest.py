@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -52,16 +51,12 @@ from .kernels import (
 from .poincare import PolarField, _interpolation_rows, find_fixed_points, return_map
 from .smooth import place_smooth_zeros, random_search_max_smooth_zeros, smooth_generating_rank
 from .zeros import (
-    CountFormulaInput,
-    PlacementError,
     count_simple_zeros,
     hn_formula,
     place_zeros,
     random_search_max_zeros,
     reachable_zero_capacity,
 )
-
-log = logging.getLogger("pwcycles")
 
 
 class ManifestError(ValueError):
@@ -378,15 +373,10 @@ def _run_reproduce_hn(manifest: ExperimentManifest) -> Dict[str, Any]:
     checks: List[Dict[str, Any]] = []
     rows = []
     for n in opts["n_list"]:
-        claimed = hn_formula(CountFormulaInput(n, params.resonant))
-        capacity = reachable_zero_capacity(n, params.resonant)
-        try:
-            expansion = place_zeros(params, n, _auto_targets(claimed, lo, hi))
-        except PlacementError as exc:
-            log.info("claimed-count placement failed for n=%d: %s", n, exc)
-            expansion = place_zeros(params, n, _auto_targets(capacity, lo, hi))
-        fn = AveragedFunction(params, expansion)
-        attained = count_simple_zeros(fn, r_max=min(r_max, 1.5 * hi), grid=800).count
+        claimed = hn_formula(n, params.resonant)
+        capacity = reachable_zero_capacity(params, n)
+        fn = AveragedFunction(params, place_zeros(params, n, _auto_targets(capacity, lo, hi)))
+        attained = count_simple_zeros(fn, r_max=min(r_max, 1.5 * hi), grid=800).simple_count
         checks.append(_check(f"attained_equals_claimed_n{n}", attained == claimed, attained, claimed, 0))
         if attained != claimed:
             checks.append(
@@ -430,7 +420,7 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     fn = AveragedFunction(params, expansion)
     report = count_simple_zeros(fn, r_max=r_max, grid=800)
     checks.append(
-        _check("placed_zero_count", report.count == len(targets), report.count, len(targets), 0)
+        _check("placed_zero_count", report.simple_count == len(targets), report.simple_count, len(targets), 0)
     )
     payloads["zeros"] = {
         "columns": ["location", "derivative", "simple_flag"],
@@ -511,7 +501,7 @@ def _run_smooth(manifest: ExperimentManifest) -> Dict[str, Any]:
     for n in opts["n_list"]:
         targets = _auto_targets(n, 0.15 * abs(a), 0.8 * abs(a))
         fn = AveragedFunction(params, place_smooth_zeros(a, n, targets))
-        attained = count_simple_zeros(fn, 0.95 * abs(a), grid=2000).count
+        attained = count_simple_zeros(fn, 0.95 * abs(a), grid=2000).simple_count
         checks.append(_check(f"smooth_attained_n{n}", attained == n, attained, n, 0))
         best, _ = random_search_max_smooth_zeros(a, n, opts["draws"], manifest.seed + n, 0.95 * abs(a))
         checks.append(_check(f"smooth_ceiling_n{n}", best <= n, best, n, 0))

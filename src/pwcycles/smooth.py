@@ -18,10 +18,11 @@ smooth checks, zeros are counted by `count_simple_zeros`, and placement
 and the ceiling survey run the piecewise code over `smooth_generators`
 and `assembly_matrix` at b = a.  The rank measurement
 `smooth_generating_rank` is `sample_rank` over the smooth unit columns
-of that matrix, with no random draws.  The exact smooth checks run once
-per (a, n) and process, on the smooth unit directions as read from the
-cached piecewise unit reductions at b = a; the checks are linear, so
-they then hold for every draw.
+of that matrix, with no random draws, against the length of
+`smooth_generators`.  The exact smooth checks run once per (a, n) and
+process, on the smooth unit directions as read from the cached
+piecewise unit reductions at b = a; the checks are linear, so they then
+hold for every draw.
 Two independent paths stay separate on purpose: the full-circle
 quadrature oracle `oracle_smooth_F`, and the V families through
 
@@ -167,15 +168,16 @@ def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
     Both ranks are `sample_rank` of values at the same Chebyshev points:
     the listed set's, and the smooth unit directions' (plus unit k plus
     minus unit k of the cached `assembly_matrix` at b = a), which span the
-    reachable set; no random draws.
+    reachable set; no random draws.  The sizes are list lengths:
+    `smooth_generators(a, 2k+1)` listed, `smooth_generators(a, n)` expected.
     """
-    k = n // 2
     if not (0 < r_max < abs(a)):
         raise ValueError("need 0 < r_max < |a|")
     params = SystemParams(a, a)
-    pts = chebyshev_points(r_max / 100, r_max, 4 * (2 * k + 2))
-    listed = _generator_matrix(smooth_generators(a, 2 * k + 1)) @ basis_values(params, 2 * k + 1, pts, LONG)
-    listed_rank, _ = sample_rank(listed.T.astype(float))
+    odd = 2 * (n // 2) + 1
+    listed = smooth_generators(a, odd)
+    pts = chebyshev_points(r_max / 100, r_max, 4 * len(listed))
+    listed_rank, _ = sample_rank((_generator_matrix(listed) @ basis_values(params, odd, pts, LONG)).T.astype(float))
 
     _check_smooth_units(a, n)
     M = assembly_matrix(params, n)
@@ -183,10 +185,10 @@ def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
     reachable_rank, _ = sample_rank(((M[:, :half] + M[:, half:]).T @ basis_values(params, n, pts)).T)
 
     return {
-        "listed_set_size": 2 * k + 2,
+        "listed_set_size": len(listed),
         "listed_rank": listed_rank,
         "reachable_rank": reachable_rank,
-        "expected_reachable": n + 1,
+        "expected_reachable": len(smooth_generators(a, n)),
     }
 
 

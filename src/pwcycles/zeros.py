@@ -20,9 +20,11 @@ rational tie between the top kernel coefficient and the top monomial
 coefficient: the two are never independently reachable.  The tie is
 proved exactly by the symbolic reduction and confirmed by quadrature-only
 rank measurements; it lowers the reachable dimension for even n by one
-relative to treating the top monomial as free.  High-precision collocation
-surveys show the reachable span behaves as a Chebyshev system, so the
-maximum number of simple zeros equals (reachable dimension - 1).
+relative to treating the top monomial as free.  The list's length is the
+reachable dimension; a test checks it against the exact rank over Q of
+the assembly's unit columns.  High-precision collocation surveys show the
+span behaves as a Chebyshev system, so `reachable_zero_capacity`, the
+most simple zeros, is that length minus one.
 
 Placement follows the classical device: fix p targets, p <= dim - 1,
 evaluate the generators there, and pick a null vector of the resulting
@@ -38,11 +40,13 @@ alone.  All zero *verification* evaluates in long double with a running
 roundoff envelope, because high-degree placements are legitimately
 ill-conditioned in the raw generator basis.  Each placement logs its
 condition number and how close its values at the targets come to their
-roundoff envelope at DEBUG.
+roundoff envelope at DEBUG, and a WARNING when its scan window resolves
+fewer sign changes than there are targets.
 
 Counting refines all sign-change brackets of a grid together with
 `_bracketed_roots`, the package's one bracket refiner; `poincare` locates
-the return map's fixed points with it and the same sign scan.  Only the
+the return map's fixed points with it and the same sign scan.  A flagged
+zero (near-vanishing derivative) is left out of `simple_count`.  Only the
 scan grid carries a roundoff envelope; the refinement evaluates values
 alone.  The placement scan, the count grid and the survey grid of a
 ceiling run are the same few grids for every degree and system, so
@@ -109,38 +113,19 @@ class UnresolvedClusterError(RuntimeError):
     """Grid doubling failed to separate adjacent sign changes."""
 
 
-@dataclass(frozen=True)
-class CountFormulaInput:
-    n: int
-    resonant: bool
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("degree must be >= 1")
-
-
-def hn_formula(inp: CountFormulaInput) -> int:
-    """The claimed maximum cycle count for degree n.
+def hn_formula(n: int, resonant: bool) -> int:
+    """The claimed maximum cycle count for degree n >= 1.
 
     4*floor((n+1)/2) + (3/2)(1+(-1)^n) in general; 3*floor((n+1)/2) +
     (-1)^n when b = -a (the A and B families coincide and the count
     drops).
     """
-    h = (inp.n + 1) // 2
-    if inp.resonant:
-        return 3 * h + (1 if inp.n % 2 == 0 else -1)
-    return 4 * h + (3 if inp.n % 2 == 0 else 0)
-
-
-def reachable_zero_capacity(n: int, resonant: bool) -> int:
-    """Measured ceiling on simple zeros: reachable dimension minus one.
-
-    Equals hn_formula for odd n.  For even n it is hn_formula - 1: the
-    claimed count treats the top monomial coefficient as free, but the
-    exact reduction ties it to the top kernel coefficient (see module
-    docstring), which removes one dimension.
-    """
-    return hn_formula(CountFormulaInput(n, resonant)) - (n % 2 == 0)
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    h = (n + 1) // 2
+    if resonant:
+        return 3 * h + (1 if n % 2 == 0 else -1)
+    return 4 * h + (3 if n % 2 == 0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,31 +136,39 @@ def reachable_zero_capacity(n: int, resonant: bool) -> int:
 def _basis_element(degree: int, coeff_A=None, coeff_B=None, coeff_poly=None) -> BasisExpansion:
     e = BasisExpansion.zeros(degree)
     for arr, updates in ((e.coeff_A, coeff_A), (e.coeff_B, coeff_B), (e.coeff_poly, coeff_poly)):
-        if updates:
-            for idx, v in updates.items():
-                arr[idx] = v
+        for idx, v in (updates or {}).items():
+            arr[idx] = v
     return e
+
+
+def _kernel_halves(params: SystemParams) -> List[Tuple[str, float, float]]:
+    """(coefficient name, constant, top tie) of each kernel half K: A with
+    -2/a, and B with +2/b unless b = -a (then B = A identically).  Each
+    half starts with the shifted kernel K[0,0] - pi/c^2, the constant tie
+    that makes F(0) = 0; for even n its r^(2h+1) coefficient is the top
+    tie times that of r^(2h+2) K[0,0]."""
+    halves = [("coeff_A", params.a, -2.0 / params.a)]
+    return halves if params.resonant else halves + [("coeff_B", params.b, 2.0 / params.b)]
 
 
 def reachable_generators(params: SystemParams, n: int) -> List[BasisExpansion]:
     """Basis of the span of assembled expansions for degree n."""
-    a, b = params.a, params.b
     h = (n + 1) // 2
     gens: List[BasisExpansion] = []
-    gens.append(_basis_element(n, coeff_A={0: 1.0}, coeff_poly={0: -math.pi / a**2}))
-    for i in range(1, h + 1):
-        gens.append(_basis_element(n, coeff_A={i: 1.0}))
-    if n % 2 == 0:
-        gens.append(_basis_element(n, coeff_A={h + 1: 1.0}, coeff_poly={2 * h + 1: -2.0 / a}))
-    if not params.resonant:
-        gens.append(_basis_element(n, coeff_B={0: 1.0}, coeff_poly={0: -math.pi / b**2}))
-        for i in range(1, h + 1):
-            gens.append(_basis_element(n, coeff_B={i: 1.0}))
+    for side, c, tie in _kernel_halves(params):
+        gens.append(_basis_element(n, coeff_poly={0: -math.pi / c**2}, **{side: {0: 1.0}}))
+        gens += [_basis_element(n, **{side: {i: 1.0}}) for i in range(1, h + 1)]
         if n % 2 == 0:
-            gens.append(_basis_element(n, coeff_B={h + 1: 1.0}, coeff_poly={2 * h + 1: 2.0 / b}))
-    for k in range(1, 2 * h):
-        gens.append(_basis_element(n, coeff_poly={k: 1.0}))
-    return gens
+            gens.append(_basis_element(n, coeff_poly={2 * h + 1: tie}, **{side: {h + 1: 1.0}}))
+    return gens + [_basis_element(n, coeff_poly={k: 1.0}) for k in range(1, 2 * h)]
+
+
+def reachable_zero_capacity(params: SystemParams, n: int) -> int:
+    """Ceiling on simple zeros: the length of `reachable_generators`, the
+    reachable dimension, minus one.  Equals hn_formula for odd n and
+    hn_formula - 1 for even n, where the exact reduction ties the top
+    monomial coefficient to the top kernel one (see module docstring)."""
+    return len(reachable_generators(params, n)) - 1
 
 
 def independence_generators(params: SystemParams, n: int) -> List[BasisExpansion]:
@@ -186,18 +179,11 @@ def independence_generators(params: SystemParams, n: int) -> List[BasisExpansion
     though for even n the top pair is not jointly reachable; resonance
     (b = -a) drops the B block since B = A identically.
     """
-    a, b = params.a, params.b
     h = (n + 1) // 2
-    gens: List[BasisExpansion] = []
-    for k in range(1, 2 * h + 2):
-        gens.append(_basis_element(n, coeff_poly={k: 1.0}))
-    gens.append(_basis_element(n, coeff_A={0: 1.0}, coeff_poly={0: -math.pi / a**2}))
-    for i in range(1, h + 2):
-        gens.append(_basis_element(n, coeff_A={i: 1.0}))
-    if not params.resonant:
-        gens.append(_basis_element(n, coeff_B={0: 1.0}, coeff_poly={0: -math.pi / b**2}))
-        for i in range(1, h + 2):
-            gens.append(_basis_element(n, coeff_B={i: 1.0}))
+    gens = [_basis_element(n, coeff_poly={k: 1.0}) for k in range(1, 2 * h + 2)]
+    for side, c, _ in _kernel_halves(params):
+        gens.append(_basis_element(n, coeff_poly={0: -math.pi / c**2}, **{side: {0: 1.0}}))
+        gens += [_basis_element(n, **{side: {i: 1.0}}) for i in range(1, h + 2)]
     return gens
 
 
@@ -244,6 +230,10 @@ class ZeroReport:
     @property
     def count(self) -> int:
         return len(self.zeros)
+
+    @property
+    def simple_count(self) -> int:  # the zeros not flagged in `non_simple`
+        return len(self.zeros) - len(self.non_simple)
 
 
 def _bracketed_roots(fun, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
@@ -468,6 +458,14 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
     # cancelling coefficients whose rounding to double would visibly
     # shift the outer zeros.
     coeffs = best[1] @ G
+    # The sign changes `count_simple_zeros` would see on the scan; the basis
+    # is nonnegative there, so |coeffs| times it is the envelope's sum.
+    # (np.dot takes half the time of @ on long double.)
+    vals, env = np.dot(np.stack([coeffs, np.abs(coeffs)]), basis_values(params, n, scan, LONG))
+    resolved = len(_sign_flips(vals, env * _EPS)[1])
+    if resolved < p:
+        log.warning("placement: the scan resolves %d of %d targets; the placed function is below "
+                    "long-double resolution between them", resolved, p)
     envelope_ratio = np.max(np.abs(coeffs @ bt) / _envelope(coeffs, np.abs(bt)))
     log.debug(
         "placement: %d targets, %d generators, condition %.3g, largest |F(t)|/envelope at the targets %.3g",

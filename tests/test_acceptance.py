@@ -44,7 +44,6 @@ from pwcycles.smooth import (
     smooth_generating_rank,
 )
 from pwcycles.zeros import (
-    CountFormulaInput,
     PlacementError,
     coefficient_surjectivity_check,
     count_simple_zeros,
@@ -166,7 +165,7 @@ def test_criterion_4_attainability_odd_degrees():
     """Odd degrees attain the claimed counts exactly."""
     results = {}
     for p, n in ((NONRES, 1), (NONRES, 3), (RES, 1), (RES, 3)):
-        claimed = hn_formula(CountFormulaInput(n, p.resonant))
+        claimed = hn_formula(n, p.resonant)
         results[(p.a, p.b, n)] = (claimed, _attained_count(p, n, claimed))
     ok = all(att == cl for cl, att in results.values())
     _report("C4.odd", ok, f"claimed vs attained: {results}")
@@ -183,7 +182,7 @@ def test_criterion_4_attainability_even_degrees():
     """
     outcomes = {}
     for p, n in ((NONRES, 2), (NONRES, 4), (RES, 2), (RES, 4)):
-        claimed = hn_formula(CountFormulaInput(n, p.resonant))
+        claimed = hn_formula(n, p.resonant)
         try:
             outcomes[(p.a, p.b, n)] = (claimed, _attained_count(p, n, claimed))
         except PlacementError as exc:
@@ -205,7 +204,7 @@ def test_criterion_4_even_capacity_companion():
         (RES, 2, (0.4, 2.4)),
         (RES, 4, (0.3, 4.0)),
     ):
-        cap = reachable_zero_capacity(n, p.resonant)
+        cap = reachable_zero_capacity(p, n)
         results[(p.a, p.b, n)] = (cap, _attained_count(p, n, cap, window))
     ok = all(att == cap for cap, att in results.values())
     _report("C4.capacity", ok, f"capacity vs attained: {results}")
@@ -218,7 +217,7 @@ def test_criterion_4_random_ceiling_and_runtime():
     worst = {}
     for p in (NONRES, RES):
         for n in (1, 2, 3, 4):
-            claimed = hn_formula(CountFormulaInput(n, p.resonant))
+            claimed = hn_formula(n, p.resonant)
             best, _ = random_search_max_zeros(p, n, 500, seed=500 + n, r_max=8.0)
             worst[(p.a, p.b, n)] = (best, claimed)
             assert best <= claimed, (p, n, best, claimed)

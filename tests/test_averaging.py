@@ -15,6 +15,7 @@ from pwcycles.averaging import (
     AveragedFunction,
     BasisExpansion,
     PerturbationSpec,
+    _exact_parts,
     _random_rows,
     _triangle,
     _unit_parts,
@@ -152,7 +153,7 @@ def _st_reference(pert):
 def _reference_parts(params, pert, tables=None):
     """`_reduce_half` of whole S and T tables, the dense reference ones or
     the given ones: the exact parts (coef_A, poly_plus, coef_B,
-    poly_minus) that `assemble` must give."""
+    poly_minus) that `_exact_parts` must give."""
     S, T = _st_reference(pert) if tables is None else tables
     n = pert.degree
     return (
@@ -172,9 +173,8 @@ def _reference_vector(parts):
 def _assert_reduces_to(params, pert, tables=None):
     """`assemble` gives the reference reduction, exactly and bit for bit."""
     want = _reference_parts(params, pert, tables)
-    got = assemble(params, pert).expansion
-    assert repr(got.exact_parts) == repr(want)
-    assert got.vector().tobytes() == _reference_vector(want).tobytes()
+    assert repr(_exact_parts(params, pert)) == repr(want)
+    assert assemble(params, pert).expansion.vector().tobytes() == _reference_vector(want).tobytes()
 
 
 # the systems of the bitwise tests: unbounded, resonant, bounded (r0 = 1.5),
@@ -241,6 +241,14 @@ class TestSTTables:
 
 
 class TestAssemble:
+    @pytest.mark.parametrize("entry", [{"minus_f": {(0, 1): np.nan}}, {"plus_g": {(0, 0): np.inf}}])
+    def test_non_finite_coefficient_refused(self, params, entry):
+        # every nonzero coefficient converts exactly, so a non-finite one is
+        # refused wherever it sits: y in minus_f feeds tau[1, 1], an odd sine
+        # power whose column is zero, and g = 1 feeds sigma[0, 1], odd as well
+        with pytest.raises(ValueError, match="cannot represent"):
+            assemble(params, PerturbationSpec(1, **entry))
+
     def test_zero_perturbation(self, params):
         fn = assemble(params, PerturbationSpec(2))
         assert fn.expansion.max_abs_coeff == 0.0
@@ -266,8 +274,7 @@ class TestAssemble:
         # a0 = -(a^2/pi) b0 and c0 = -(b^2/pi) d0, exactly, pre-merge
         fa, fb = Fraction(1), Fraction(-2)
         for n in (1, 2, 3, 4):
-            fn = assemble(params, PerturbationSpec.random(n, rng))
-            coef_A, poly_plus, coef_B, poly_minus = fn.expansion.exact_parts
+            coef_A, poly_plus, coef_B, poly_minus = _exact_parts(params, PerturbationSpec.random(n, rng))
             assert poly_plus[0].rat == 0
             assert coef_A[0] == -(fa * fa) * poly_plus[0].pi
             assert poly_minus[0].rat == 0
@@ -277,8 +284,7 @@ class TestAssemble:
         # the monomial coefficient at index 2*floor((n+1)/2) vanishes exactly
         for n in (1, 2, 3, 4, 5):
             h = (n + 1) // 2
-            fn = assemble(params, PerturbationSpec.random(n, rng))
-            _, poly_plus, _, poly_minus = fn.expansion.exact_parts
+            _, poly_plus, _, poly_minus = _exact_parts(params, PerturbationSpec.random(n, rng))
             assert poly_plus[2 * h].is_zero
             assert poly_minus[2 * h].is_zero
 
@@ -288,8 +294,7 @@ class TestAssemble:
         fa, fb = Fraction(1), Fraction(-2)
         for n in (2, 4):
             h = (n + 1) // 2
-            fn = assemble(params, PerturbationSpec.random(n, rng))
-            coef_A, poly_plus, coef_B, poly_minus = fn.expansion.exact_parts
+            coef_A, poly_plus, coef_B, poly_minus = _exact_parts(params, PerturbationSpec.random(n, rng))
             assert poly_plus[2 * h + 1].pi == 0
             assert poly_plus[2 * h + 1].rat == -(Fraction(2) / fa) * coef_A[h + 1]
             assert poly_minus[2 * h + 1].pi == 0
@@ -405,7 +410,7 @@ class TestBasisValues:
         eps = np.finfo(LONG).eps
         rr = np.linspace(0.01, 4.0, 200)
         assembled = assemble(params, PerturbationSpec.random(n, rng)).expansion
-        capacity = reachable_zero_capacity(n, params.resonant)
+        capacity = reachable_zero_capacity(params, n)
         placed = place_zeros(params, n, [0.5, 1.2, 2.0][:capacity])
         assert placed.coeff_A.dtype == LONG
         basis = basis_values(params, n, rr, LONG)
@@ -523,7 +528,7 @@ class TestAssemblyMatrix:
         for x, unit in zip(pert.vector().tolist(), _unit_parts(params, n)):
             for total, part in zip(want, unit):
                 total[:] = [t + u * as_fraction(x) for t, u in zip(total, part)]
-        assert assemble(params, pert).expansion.exact_parts == tuple(want)
+        assert _exact_parts(params, pert) == tuple(want)
 
     def test_unit_reductions_are_shared_across_degrees_and_systems(self, reduce_calls):
         # degree 4 reaches 11 even-sine entries sigma[p, q], p + q <= 5, per

@@ -517,9 +517,9 @@ class TestCli:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert log.level == before
 
-    def test_info_log_reaches_stderr(self, tmp_path, monkeypatch, capsys):
-        # the n=2 claimed-count placement fails by design and is logged at
-        # INFO; the log must not touch the record
+    def test_placement_debug_log_reaches_stderr(self, tmp_path, monkeypatch, capsys):
+        # the n=2 capacity placement logs its condition at DEBUG; the log
+        # must not touch the record
         cfg = tmp_path / "hn.json"
         cfg.write_text(
             json.dumps(
@@ -536,15 +536,15 @@ class TestCli:
             )
         )
         logged, records = {}, {}
-        for level in ("WARNING", "INFO"):
+        for level in ("WARNING", "DEBUG"):
             monkeypatch.setenv("PWCYCLES_LOG", level)
             out = tmp_path / level
             assert main(["reproduce-hn", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 1
-            logged[level] = "claimed-count placement failed for n=2" in capsys.readouterr().err
+            logged[level] = "placement: 3 targets, 4 generators" in capsys.readouterr().err
             doc = json.loads(next(out.glob("*.json")).read_text())
             records[level] = json.dumps(doc["record"], sort_keys=True, indent=1)
-        assert logged == {"WARNING": False, "INFO": True}
-        assert records["INFO"] == records["WARNING"]
+        assert logged == {"WARNING": False, "DEBUG": True}
+        assert records["DEBUG"] == records["WARNING"]
 
     def test_debug_log_reports_integrator_work(self, tmp_path, monkeypatch, capsys):
         # every batched return map logs its RHS evaluations and rejected
@@ -668,6 +668,23 @@ class TestCli:
         names = {p.name for p in out.iterdir()}
         assert any("zeros" in n for n in names)
         assert not any("fixed_points" in n for n in names)
+
+    def test_placed_zero_count_skips_flagged_zeros(self, caplog):
+        # at (0.7, -0.3) the degree-4 capacity placement on (0.5, 5) lies
+        # below long-double resolution beyond r = 2: the count on (0, 7.5)
+        # finds 6 of its 10 zeros and flags two of them, which the payload
+        # lists and the check does not count
+        doc = {
+            "schema_version": 1, "kind": "place_and_simulate", "a": 0.7, "b": -0.3, "seed": 3,
+            "degree": 4, "targets": [0.5 + 0.5 * k for k in range(10)],
+        }
+        with caplog.at_level(logging.WARNING, logger="pwcycles"):
+            record = run_manifest(ExperimentManifest.from_dict(doc))
+        (check,) = record["checks"]
+        assert (check["name"], check["measured"], check["expected"]) == ("placed_zero_count", 4, 10)
+        flags = [row[2] for row in record["payloads"]["zeros"]["rows"]]
+        assert len(flags) == 6 and flags.count(False) == 2
+        assert sum("near-vanishing derivative" in m for m in caplog.messages) == 2
 
     def test_smooth_subcommand_runs_to_completion(self, tmp_path):
         # the benchmark's smooth workload at 20 draws: its verdicts, and each

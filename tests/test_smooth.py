@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pwcycles import averaging
-from pwcycles.averaging import AssemblyError, AveragedFunction, PerturbationSpec
+from pwcycles.averaging import AssemblyError, AveragedFunction, PerturbationSpec, _exact_parts
 from pwcycles.kernels import DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
 from pwcycles.smooth import (
     _random_smooth_rows,
@@ -81,7 +81,7 @@ class TestAssembleSmooth:
         # the structural cap, exactly; the kernel parts coincide
         for n in (1, 2, 3, 4):
             pert = _random_smooth(n, rng)
-            coef_A, poly_plus, coef_B, poly_minus = assemble_smooth(1.5, pert).expansion.exact_parts
+            coef_A, poly_plus, coef_B, poly_minus = _exact_parts(SystemParams(1.5, 1.5), pert)
             assert coef_A == coef_B
             for idx, (p, q) in enumerate(zip(poly_plus, poly_minus)):
                 if idx % 2 == 1 or idx > 2 * ((n - 1) // 2):

@@ -18,7 +18,6 @@ from pwcycles.averaging import (
 )
 from pwcycles.kernels import SystemParams
 from pwcycles.zeros import (
-    CountFormulaInput,
     PlacementError,
     RankDeficiencyError,
     UnresolvedClusterError,
@@ -40,27 +39,27 @@ from pwcycles.zeros import (
 class TestCountFormula:
     @pytest.mark.parametrize("n,want", [(1, 4), (2, 7), (3, 8), (4, 11), (5, 12)])
     def test_generic(self, n, want):
-        assert hn_formula(CountFormulaInput(n, resonant=False)) == want
+        assert hn_formula(n, False) == want
 
     @pytest.mark.parametrize("n,want", [(1, 2), (2, 4), (3, 5), (4, 7), (5, 8)])
     def test_resonant(self, n, want):
-        assert hn_formula(CountFormulaInput(n, resonant=True)) == want
+        assert hn_formula(n, True) == want
 
     def test_degree_validated(self):
-        with pytest.raises(ValueError):
-            CountFormulaInput(0, False)
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            hn_formula(0, False)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_capacity_matches_claim_odd(self, n):
-        assert reachable_zero_capacity(n, False) == hn_formula(CountFormulaInput(n, False))
-        assert reachable_zero_capacity(n, True) == hn_formula(CountFormulaInput(n, True))
+        assert reachable_zero_capacity(SystemParams(1.0, -2.0), n) == hn_formula(n, False)
+        assert reachable_zero_capacity(SystemParams(1.0, -1.0), n) == hn_formula(n, True)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_capacity_one_short_even(self, n):
         # the measured reachable span loses one dimension to the exact
         # top-coefficient tie, so the ceiling sits one below the claim
-        assert reachable_zero_capacity(n, False) == hn_formula(CountFormulaInput(n, False)) - 1
-        assert reachable_zero_capacity(n, True) == hn_formula(CountFormulaInput(n, True)) - 1
+        assert reachable_zero_capacity(SystemParams(1.0, -2.0), n) == hn_formula(n, False) - 1
+        assert reachable_zero_capacity(SystemParams(1.0, -1.0), n) == hn_formula(n, True) - 1
 
 
 class TestCountSimpleZeros:
@@ -96,13 +95,23 @@ class TestCountSimpleZeros:
         assert [(r.name, r.levelname) for r in caplog.records] == [("pwcycles", "WARNING")]
         assert "near-vanishing derivative" in caplog.records[0].getMessage()
 
+    def test_simple_count_skips_flagged_zeros(self, caplog):
+        # the degree-4 capacity placement at (0.7, -0.3) on (0.5, 5) is noise
+        # beyond r = 3: on (0, 10) the count finds 6 zeros and flags r ~ 3.00016
+        p = SystemParams(0.7, -0.3)
+        exp = place_zeros(p, 4, list(np.linspace(0.5, 5.0, 10)))
+        with caplog.at_level(logging.WARNING, logger="pwcycles"):
+            report = count_simple_zeros(AveragedFunction(p, exp), 10.0)
+        assert report.non_simple == pytest.approx((3.00016,), abs=1e-5)
+        assert (report.count, report.simple_count) == (6, 5)
+
     def test_simple_zero_flag_ignores_the_scale_of_f(self):
         # capacity placements at (-1.5, 2) on (0.3, 0.9) have max|F| ~ 1e-9
         # on (0, 1) and |F'| of 1e-12 to 1e-8 at clean, well-separated
         # zeros: none is flagged, at either scale of F
         p = SystemParams(-1.5, 2.0)
         for n in (2, 3):
-            targets = list(np.linspace(0.3, 0.9, reachable_zero_capacity(n, p.resonant)))
+            targets = list(np.linspace(0.3, 0.9, reachable_zero_capacity(p, n)))
             exp = place_zeros(p, n, targets)
             for scale in (1.0, 1e9):
                 scaled = BasisExpansion.from_vector(n, scale * exp.vector())
@@ -260,7 +269,7 @@ class TestPlacement:
             (params, 4, (0.3, 5.5)),
             (resonant_params, 4, (0.3, 4.0)),
         ]:
-            cap = reachable_zero_capacity(n, p.resonant)
+            cap = reachable_zero_capacity(p, n)
             targets = list(np.linspace(window[0], window[1], cap))
             exp = place_zeros(p, n, targets)
             report = count_simple_zeros(
@@ -297,7 +306,7 @@ class TestPlacement:
         # would "place" capacity + 1 zeros out of noise; the target count
         # alone decides, and the basis is never sampled
         p = SystemParams(a, b)
-        cap = reachable_zero_capacity(n, p.resonant)
+        cap = reachable_zero_capacity(p, n)
         seen = TestCountSimpleZeros._spy_on_basis_values(monkeypatch)
         with pytest.raises(PlacementError, match=f"degree {n} has capacity {cap} simple zeros"):
             place_zeros(p, n, list(np.linspace(*window, cap + 1)))
@@ -346,9 +355,32 @@ class TestPlacement:
             below, above = c @ basis_values(params, n, targets[0] + np.array([-h, h]), zeros.LONG)
             assert above > below
 
+    @pytest.mark.parametrize("n,resolved", [(4, 6), (5, 4)])
+    def test_unresolved_placement_warns(self, n, resolved, caplog):
+        # at (0.7, -0.3) the capacity placements on (0.5, 5) lie below
+        # long-double resolution beyond r ~ 3: the scan sees only some of
+        # the sign changes, and the placement says so
+        p = SystemParams(0.7, -0.3)
+        cap = reachable_zero_capacity(p, n)
+        with caplog.at_level(logging.WARNING, logger="pwcycles"):
+            place_zeros(p, n, list(np.linspace(0.5, 5.0, cap)))
+        assert caplog.messages == [
+            f"placement: the scan resolves {resolved} of {cap} targets; the placed function "
+            "is below long-double resolution between them"
+        ]
+
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0)])
+    def test_resolved_placements_do_not_warn(self, ab, caplog):
+        # the capacity placements of reproduce_hn by default, n = 1..4
+        p = SystemParams(*ab)
+        with caplog.at_level(logging.WARNING, logger="pwcycles"):
+            for n in (1, 2, 3, 4):
+                place_zeros(p, n, list(np.linspace(0.3, 5.0, reachable_zero_capacity(p, n))))
+        assert caplog.messages == []
+
     def test_debug_line_reports_condition_and_envelope_margin(self, params, caplog):
         # the (1, -2), n = 4 capacity placement of `reproduce_hn`
-        targets = list(np.linspace(0.3, 5.0, reachable_zero_capacity(4, False)))
+        targets = list(np.linspace(0.3, 5.0, reachable_zero_capacity(params, 4)))
         with caplog.at_level(logging.DEBUG, logger="pwcycles"):
             c = place_zeros(params, 4, targets).vector(zeros.LONG)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("placement:")]
@@ -410,11 +442,75 @@ class TestSurjectivity:
         assert ("poly", 3) in claimed_coefficient_indices(2)
 
 
+def _exact_columns(units, resonant):
+    """The expansion vector of each unit column in rationals: the kernel rows
+    (A and B merged at b = -a, where B00 = A00), then the two halves'
+    merged monomials, each even-index one divided by pi.  Every
+    even-index monomial coefficient is a pure pi multiple and every
+    odd-index one rational (the parity of the Wallis order), which the
+    helper asserts; so the rank over Q is the rank over R."""
+    cols = []
+    for coef_A, poly_plus, coef_B, poly_minus in units:
+        kernels = [x + y for x, y in zip(coef_A, coef_B)] if resonant else [*coef_A, *coef_B]
+        monomials = []
+        for k, (p, q) in enumerate(zip(poly_plus, poly_minus)):
+            if k % 2 == 0:
+                assert p.rat == q.rat == 0
+                monomials.append(p.pi + q.pi)
+            else:
+                assert p.pi == q.pi == 0
+                monomials.append(p.rat + q.rat)
+        cols.append(kernels + monomials)
+    return cols
+
+
+def _exact_rank(rows):
+    """Rank over Q of a list of equally long Fraction rows (Gaussian elimination)."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / top[col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+class TestGeneratorListsAgainstTheExactAssembly:
+    """The hand-written generator lists have as many functions as the exact
+    assembly's column space has dimensions: their lengths, and so every
+    capacity, are the exact rank of the unit columns of `_unit_parts`."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3), (-1.0, 1.0)])
+    def test_reachable_generators(self, ab, n):
+        params = SystemParams(*ab)
+        rank = _exact_rank(_exact_columns(averaging._unit_parts(params, n), params.resonant))
+        assert rank == len(zeros.reachable_generators(params, n))
+        assert rank == reachable_zero_capacity(params, n) + 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("a", [1.0, -1.5])
+    def test_smooth_generators(self, a, n):
+        # a smooth unit direction is plus unit k on the front half and minus
+        # unit k on the back half, at b = a
+        units = averaging._unit_parts(SystemParams(a, a), n)
+        half = len(units) // 2
+        smooth_units = [(*u[:2], *v[2:]) for u, v in zip(units[:half], units[half:])]
+        assert _exact_rank(_exact_columns(smooth_units, False)) == len(smooth.smooth_generators(a, n))
+
+
 class TestCeiling:
     def test_random_search_below_claim(self, params, resonant_params):
         for p in (params, resonant_params):
             for n in (1, 2, 3):
-                claimed = hn_formula(CountFormulaInput(n, p.resonant))
+                claimed = hn_formula(n, p.resonant)
                 best, _ = random_search_max_zeros(p, n, 60, seed=3, r_max=6.0)
                 assert best <= claimed
 
@@ -475,7 +571,7 @@ class TestSurveySignDecisions:
         """Rows of the capacity placement at (1, -2), n = 4, jittered by 1e-13
         relative.  Their values cancel to the double roundoff level over much
         of the grid and, at some samples, to the long-double one."""
-        targets = list(np.linspace(0.3, 5.5, reachable_zero_capacity(cls.N, False)))
+        targets = list(np.linspace(0.3, 5.5, reachable_zero_capacity(cls.PARAMS, cls.N)))
         x = perturbation_for_expansion(cls.PARAMS, place_zeros(cls.PARAMS, cls.N, targets)).vector()
         rng = np.random.default_rng(404)
         return x * (1 + 1e-13 * rng.standard_normal((count, x.size)))
