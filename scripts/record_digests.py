@@ -11,8 +11,10 @@ process, each of these manifests:
 * a sweep over a placed perturbation (`pert_targets`) and a sweep over
   inline tables (`pert_inline`), at seed N.
 
-Each output line is the sha256 of `json.dumps(record, sort_keys=True)`
-and the manifest's name.  Two trees that print the same lines give
+Each of those lines is the sha256 of `json.dumps(record, sort_keys=True)`
+and the manifest's name.  A last line, `zero-layer`, is one sha256 over
+zero-layer outputs that no manifest pins (see `zero_layer`); it does not
+depend on N.  Two trees that print the same lines give
 byte-identical records, so comparing a parent checkout with a change is
 
     python scripts/record_digests.py --src ../parent/src --seed 3 > before
@@ -27,6 +29,8 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +55,46 @@ def manifests(seed: int):
     }
 
 
+def zero_layer() -> str:
+    """sha256 over placements, their zero reports and survey histograms.
+
+    At (a, b) = (1, -2), (1, -1), (-1.5, 2) and (0.7, -0.3), with
+    hi = min(5, 0.8 r0), for n = 1..5:
+
+    * `place_zeros` on linspace(0.1 hi, hi, p) for every p = 1..capacity
+      (144 placements), each coefficient encoded exactly as a double and
+      the double residual of the long double;
+    * each placement's `count_simple_zeros` report on (0, min(2 t_p,
+      0.95 r0)) at grid 800, t_p the last target;
+    * the 200-draw `random_search_max_zeros` histogram on (0, hi) at seed
+      5 + n.
+    """
+    from pwcycles.averaging import AveragedFunction
+    from pwcycles.kernels import SystemParams
+    from pwcycles.zeros import LONG, count_simple_zeros, place_zeros, random_search_max_zeros, reachable_zero_capacity
+
+    digest = hashlib.sha256()
+
+    def put(*items) -> None:
+        digest.update(repr(items).encode())
+
+    for a, b in ((1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3)):
+        params = SystemParams(a, b)
+        hi = min(5.0, 0.8 * params.r0)
+        for n in range(1, 6):
+            for p in range(1, reachable_zero_capacity(params, n) + 1):
+                targets = np.linspace(0.1 * hi, hi, p)
+                expansion = place_zeros(params, n, targets)
+                c = expansion.vector(LONG)
+                head = c.astype(float)
+                put(a, b, n, p, head.tolist(), (c - head).astype(float).tolist())
+                r_max = min(2 * targets[-1], 0.95 * params.r0)
+                report = count_simple_zeros(AveragedFunction(params, expansion), r_max, 800)
+                put(report.zeros, report.grid_resolution, report.degenerate, report.non_simple)
+            put(random_search_max_zeros(params, n, 200, 5 + n, hi))
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the pwcycles package")
@@ -62,6 +106,7 @@ def main(argv=None) -> int:
     for name, doc in manifests(args.seed):
         record = run_manifest(ExperimentManifest.from_dict(doc))
         print(hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest(), name)
+    print(zero_layer(), "zero-layer")
     return 0
 
 

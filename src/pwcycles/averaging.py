@@ -439,11 +439,11 @@ def _exact_parts(params: SystemParams, pert: PerturbationSpec) -> Tuple[list, li
 def _rounded(parts) -> np.ndarray:
     """The expansion vector of exact parts (coef_A, poly_plus, coef_B,
     poly_minus): the kernel coefficients, then the two halves' monomials
-    merged, each rounded to double once.  A zero half is not added: a unit
-    column has one, and the exact sums cost more than the rest."""
+    merged, each rounded to double once.  Zeros, most of a unit column, are
+    neither added nor converted: exact sums and conversions cost the most."""
     coef_A, poly_plus, coef_B, poly_minus = parts
     merged = (p + q if p and q else p or q for p, q in zip(poly_plus, poly_minus))
-    return np.array([float(x) for x in (*coef_A, *coef_B, *merged)])
+    return np.array([float(x) if x else 0.0 for x in (*coef_A, *coef_B, *merged)])
 
 
 def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:

@@ -10,6 +10,7 @@ lines go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -28,6 +29,7 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pwcycles",
@@ -55,12 +57,10 @@ def _manifest_from_args(args: argparse.Namespace) -> ExperimentManifest:
     kind = _SUBCOMMANDS[args.command]
     doc = {"schema_version": 1, "kind": kind}
     if args.config:
-        if not args.config.exists():
-            raise ManifestError(f"config file not found: {args.config}")
         try:
             loaded = json.loads(args.config.read_text())
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"config is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+            raise ManifestError(f"cannot read config {args.config} as JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ManifestError("config must be a JSON object")
         doc.update(loaded)
@@ -111,6 +111,9 @@ def main(argv=None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         _set_log_level()
+        blocker = next((p for p in (args.out, *args.out.parents) if p.exists() and not p.is_dir()), None)
+        if blocker is not None:
+            raise ManifestError(f"--out {args.out}: {blocker} exists and is not a directory")
         record = run_manifest(_manifest_from_args(args))
         written = emit_table(record, args.format, args.out)
     except ManifestError as exc:

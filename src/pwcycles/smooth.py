@@ -177,7 +177,7 @@ def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
     odd = 2 * (n // 2) + 1
     listed = smooth_generators(a, odd)
     pts = chebyshev_points(r_max / 100, r_max, 4 * len(listed))
-    listed_rank, _ = sample_rank((_generator_matrix(listed) @ basis_values(params, odd, pts, LONG)).T.astype(float))
+    listed_rank, _ = sample_rank(np.dot(_generator_matrix(listed), basis_values(params, odd, pts, LONG)).T.astype(float))
 
     _check_smooth_units(a, n)
     M = assembly_matrix(params, n)

@@ -57,6 +57,10 @@ reduction: they read the exact unit columns of `assembly_matrix`.  The
 survey decides signs in double where the dot-product roundoff bound
 certifies them, and in long double elsewhere; its histograms are those of
 the long-double evaluation.
+
+Long-double products use `np.dot`: numpy has no BLAS for long double, and
+its dot loop sums each entry in index order, as `@`'s does, in about half
+the time, so a product, or one over a column subset, equals `@`'s entries.
 """
 
 from __future__ import annotations
@@ -194,12 +198,12 @@ def _generator_matrix(gens: Sequence[BasisExpansion]) -> np.ndarray:
 
 
 def _envelope(coeffs: np.ndarray, abs_values: np.ndarray) -> np.ndarray:
-    """Roundoff envelope of `coeffs @ values`, given |values|.
+    """Roundoff envelope of the product of coeffs with values, given |values|.
 
     Sums the absolute contribution of every term scaled by long-double
     epsilon; values inside a small multiple of it are numerically zero.
     """
-    return np.abs(coeffs) @ abs_values * _EPS
+    return np.dot(np.abs(coeffs), abs_values) * _EPS
 
 
 def _sign_flips(vals: np.ndarray, env: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -301,13 +305,13 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
     n = fn.expansion.degree
 
     def values(r) -> np.ndarray:
-        return c @ basis_values(params, n, r, LONG)
+        return np.dot(c, basis_values(params, n, r, LONG))
 
     doublings = 0
     while True:
         rr = np.linspace(r_max / grid, r_max, grid)
         basis = basis_values(params, n, rr, LONG)
-        vals = c @ basis
+        vals = np.dot(c, basis)
         keep, flips = _sign_flips(vals, _envelope(c, np.abs(basis)))
         if keep.size == 0:
             return ZeroReport((), grid, degenerate=True)
@@ -369,7 +373,7 @@ def _row_space_basis(M: np.ndarray) -> np.ndarray:
     Q = np.empty((M.shape[1], 0), dtype=LONG)
     for row in M:
         for _ in range(2):
-            row = row - Q @ (Q.T @ row)
+            row = row - np.dot(Q, np.dot(Q.T, row))
         Q = np.column_stack([Q, row / np.sqrt(np.sum(row * row))])
     return Q
 
@@ -408,17 +412,16 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
         return gens[0]
 
     G = _generator_matrix(gens)
-
-    def stack(r) -> np.ndarray:
-        return G @ basis_values(params, n, r, LONG)
-
     r_hi = min(params.r0 * 0.999, 2.0 * targets[-1])
-    scan = np.linspace(r_hi / 2048, r_hi, 2048)
-    Gs = stack(scan)
+    scan = basis_values(params, n, np.linspace(r_hi / 2048, r_hi, 2048), LONG)
+    Gs = np.dot(G, scan)
     colscale = np.max(np.abs(Gs), axis=1)  # per-generator window scale
 
-    bt = basis_values(params, n, targets, LONG)
-    tstack = G @ bt
+    # The targets and their -fd and +fd neighbours, sampled together.
+    t = np.asarray(targets)
+    fd = 1e-6 * np.maximum(1.0, t)
+    near = basis_values(params, n, np.concatenate([t, t - fd, t + fd]), LONG)
+    tstack, tlo, thi = np.split(np.dot(G, near), 3, axis=1)
     M_long = (tstack / colscale[:, None]).T  # p x m, diagonally equilibrated
 
     # Condition diagnostic in an orthonormalized basis: it reflects the
@@ -437,19 +440,15 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
     Q = _row_space_basis(M_long)
     candidates = np.random.default_rng(0).standard_normal((5 * (m - p), m)).astype(LONG)
     for _ in range(2):
-        candidates -= (candidates @ Q) @ Q.T
-
-    fd = 1e-6 * np.maximum(1.0, np.asarray(targets))
-    tlo = stack(np.asarray(targets) - fd)
-    thi = stack(np.asarray(targets) + fd)
+        candidates -= np.dot(np.dot(candidates, Q), Q.T)
 
     abs_Gs = np.abs(Gs)
     best = None
     for c in candidates:
-        dg = c / colscale.astype(LONG)  # back to raw generator coordinates
-        vals = dg @ Gs
+        dg = c / colscale  # back to raw generator coordinates
+        vals = np.dot(dg, Gs)
         extra = max(0, len(_sign_flips(vals, _envelope(dg, abs_Gs))[1]) - p)
-        slope = (dg @ thi - dg @ tlo) / (2 * fd)
+        slope = (np.dot(dg, thi) - np.dot(dg, tlo)) / (2 * fd)
         scale_f = float(np.max(np.abs(vals)))
         score = (extra, -float(np.min(np.abs(slope))) / scale_f)
         if best is None or score < best[0]:
@@ -457,16 +456,16 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
     # Combined in long double: high-degree placements carry delicately
     # cancelling coefficients whose rounding to double would visibly
     # shift the outer zeros.
-    coeffs = best[1] @ G
+    coeffs = np.dot(best[1], G)
     # The sign changes `count_simple_zeros` would see on the scan; the basis
     # is nonnegative there, so |coeffs| times it is the envelope's sum.
-    # (np.dot takes half the time of @ on long double.)
-    vals, env = np.dot(np.stack([coeffs, np.abs(coeffs)]), basis_values(params, n, scan, LONG))
+    vals, env = np.dot(np.stack([coeffs, np.abs(coeffs)]), scan)
     resolved = len(_sign_flips(vals, env * _EPS)[1])
     if resolved < p:
         log.warning("placement: the scan resolves %d of %d targets; the placed function is below "
                     "long-double resolution between them", resolved, p)
-    envelope_ratio = np.max(np.abs(coeffs @ bt) / _envelope(coeffs, np.abs(bt)))
+    bt = near[:, :p]
+    envelope_ratio = np.max(np.abs(np.dot(coeffs, bt)) / _envelope(coeffs, np.abs(bt)))
     log.debug(
         "placement: %d targets, %d generators, condition %.3g, largest |F(t)|/envelope at the targets %.3g",
         p, m, condition, envelope_ratio,
@@ -504,7 +503,7 @@ def independence_check(params: SystemParams, n: int, r_max: float) -> Tuple[int,
         raise ValueError("need 0 < r_max < r0")
     gens = independence_generators(params, n)
     pts = chebyshev_points(r_max / 100.0, r_max, 4 * len(gens))
-    M = _generator_matrix(gens) @ basis_values(params, n, pts, LONG)
+    M = np.dot(_generator_matrix(gens), basis_values(params, n, pts, LONG))
     return sample_rank(M.T.astype(float))
 
 
@@ -633,10 +632,8 @@ def _survey(
         for i in np.flatnonzero(~decided.all(axis=1)):
             cols = np.flatnonzero(~decided[i])
             in_long += cols.size
-            # Long-double matmul sums each column in order, so a column
-            # subset gives the per-draw product's entries bitwise.
             cl = c[i].astype(LONG)
-            vals = cl @ basis[:, cols]
+            vals = np.dot(cl, basis[:, cols])
             sgn = np.where(neg[i], -1.0, 1.0)
             sgn[cols] = np.where(
                 np.abs(vals) > _NOISE_FACTOR * _envelope(cl, np.abs(basis[:, cols])), np.sign(vals), 0

@@ -474,8 +474,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert ("min(r_max, 8.0) = 8.0, which must stay below r0 = 2.0" in err) == (exit_code == 2)
 
-    def test_missing_config_exit_two(self, tmp_path):
-        assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
+    @pytest.mark.parametrize("case", ["absent", "directory", "not_utf8", "out_is_file", "out_under_file"])
+    def test_missing_config_exit_two(self, tmp_path, capsys, case):
+        # a --config that cannot be read, or an --out that is a file, is
+        # refused before the experiment runs, and nothing is written
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        command = "verify"
+        if case == "directory":
+            cfg.mkdir()
+        elif case == "not_utf8":
+            cfg.write_bytes(b"\xff\xfe{}")
+        elif case != "absent":
+            command = "reproduce-hn"
+            cfg.write_text(json.dumps(_verify_doc(kind="reproduce_hn", n_list=[1], draws=10)))
+            out.write_text("kept")
+            out = out if case == "out_is_file" else out / "sub"
+
+        def tree():
+            return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+        before = tree()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert tree() == before
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_parser_survives_a_rejected_call(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "xml"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "v.json"
+        cfg.write_text(json.dumps(_verify_doc()))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = tmp_path / "v.json"

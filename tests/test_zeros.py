@@ -628,3 +628,36 @@ class TestSurveySignDecisions:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+
+class TestLongDoubleDot:
+    """The zero layer's long-double products use np.dot (module docstring):
+    its entries must be those of @, bit for bit.  If a numpy release
+    changes either loop's summation order, this fails before any record."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dot_equals_matmul(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):  # long-double entries of magnitude 1e-10 to 1e10, both signs
+            mag = 10.0 ** rng.uniform(-10, 10, shape) * rng.choice([-1.0, 1.0], shape)
+            return mag.astype(zeros.LONG) / 3
+
+        G, B = draw(11, 14), draw(14, 2048)
+        G[4, 6], B[9, 100] = np.nan, np.inf
+        row, Q = draw(14), draw(14, 5)
+        cases = [
+            (G[2], B),  # 1-D . 2-D
+            (G, B),  # 2-D . 2-D
+            (G, row),  # 2-D . 1-D
+            (G[1], B[:, 700:1400]),  # column-subset view
+            (G, B[:, 5::3]),  # strided column view
+            (G[3], B[:, rng.permutation(2048)[:300]]),  # gathered columns
+            (Q.T, row),  # transposed . 1-D
+            (Q, Q.T @ row),  # 2-D . 1-D
+            (draw(30, 14), Q),  # 2-D . 2-D, as the candidates' projection
+            (draw(30, 5), Q.T),  # 2-D . transposed
+            (B[:, :14].T, G.T),  # transposed . transposed
+        ]
+        for x, y in cases:
+            assert np.array_equal(np.dot(x, y), x @ y, equal_nan=True)
