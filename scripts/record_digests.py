@@ -12,10 +12,11 @@ process, each of these manifests:
   inline tables (`pert_inline`), at seed N.
 
 Each of those lines is the sha256 of `json.dumps(record, sort_keys=True)`
-and the manifest's name.  A last line, `zero-layer`, is one sha256 over
-zero-layer outputs that no manifest pins (see `zero_layer`); it does not
-depend on N.  Two trees that print the same lines give
-byte-identical records, so comparing a parent checkout with a change is
+and the manifest's name.  The last two lines, `zero-layer` and
+`exact-layer`, are each one sha256 over outputs that no manifest pins
+(see `zero_layer` and `exact_layer`); they do not depend on N.  Two
+trees that print the same lines give byte-identical records, so
+comparing a parent checkout with a change is
 
     python scripts/record_digests.py --src ../parent/src --seed 3 > before
     python scripts/record_digests.py --seed 3 > after
@@ -95,6 +96,50 @@ def zero_layer() -> str:
     return digest.hexdigest()
 
 
+def exact_layer() -> str:
+    """sha256 over the exact reduction's rounded outputs.
+
+    At (a, b) = (1, -2), (1, -1), (-1.5, 2), (1, 1) and (0.7, -0.3), for
+    n = 1..6:
+
+    * the bytes of `assembly_matrix`;
+    * the bytes of `assemble(...).expansion.vector()` for three random
+      perturbations (seed 11), three with about 80 % of their
+      coefficients zeroed, and every unit perturbation;
+    * `coefficient_surjectivity_check`;
+
+    and, once per system, `eval_family` for A, B, I and J at i + j <= 5
+    and r = 0, 0.1 (inside the series radius of every constant here), 0.6
+    and 1.2, those below r0; then `wallis_half(k)` for k < 60.  Public
+    names only, so the function runs on any tree that has them.
+    """
+    from pwcycles.averaging import PerturbationSpec, assemble, assembly_matrix
+    from pwcycles.kernels import FamilyIndex, SystemParams, eval_family, wallis_half
+    from pwcycles.zeros import coefficient_surjectivity_check
+
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(11)
+    for a, b in ((1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (1.0, 1.0), (0.7, -0.3)):
+        params = SystemParams(a, b)
+        for n in range(1, 7):
+            M = assembly_matrix(params, n)
+            digest.update(M.tobytes())
+            size = M.shape[1]
+            perts = [PerturbationSpec.random(n, rng) for _ in range(3)]
+            perts += [PerturbationSpec.from_vector(n, rng.uniform(-1, 1, size) * (rng.random(size) >= 0.8))
+                      for _ in range(3)]
+            perts += [PerturbationSpec.from_vector(n, row) for row in np.eye(size)]
+            for pert in perts:
+                digest.update(assemble(params, pert).expansion.vector().tobytes())
+            digest.update(repr(coefficient_surjectivity_check(params, n)).encode())
+        values = [eval_family(FamilyIndex(fam, i, j), r, params)
+                  for fam in "ABIJ" for i in range(6) for j in range(6 - i)
+                  for r in (0.0, 0.1, 0.6, 1.2) if r < params.r0]
+        digest.update(repr(values).encode())
+    digest.update(repr([wallis_half(k) for k in range(60)]).encode())
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the pwcycles package")
@@ -107,6 +152,7 @@ def main(argv=None) -> int:
         record = run_manifest(ExperimentManifest.from_dict(doc))
         print(hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest(), name)
     print(zero_layer(), "zero-layer")
+    print(exact_layer(), "exact-layer")
     return 0
 
 

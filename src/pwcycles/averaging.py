@@ -7,8 +7,8 @@ For a degree-n perturbation the scaled averaged function
 is a finite combination of monomials r^i and of r^(2i) * A[0,0](r),
 r^(2i) * B[0,0](r).  Two independent routes compute it:
 
-* `assemble` reduces the coefficients symbolically (exact rational
-  arithmetic in Q + Q*pi): it combines the perturbation's nonzero
+* `assemble` reduces the coefficients symbolically (exact Fractions,
+  pi set by index parity): it combines the perturbation's nonzero
   coefficients with the exact unit columns of `_unit_parts` and rounds
   the sum to a `BasisExpansion` once.  A unit column is the reduction of
   one polar numerator entry (the sigma/tau sums): zero for an odd sine
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,7 +53,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .exact import PiNumber, as_fraction
+from .exact import as_fraction, pi_parity_float
 from .kernels import (
     BACK_HALF_CIRCLE,
     HALF_CIRCLE,
@@ -185,7 +184,7 @@ class PerturbationSpec:
 
 def _reduce_half(
     S: Table, c: Fraction, degree: int, alternate: bool
-) -> Tuple[List[Fraction], List[PiNumber]]:
+) -> Tuple[List[Fraction], List[Fraction]]:
     """Collapse one half-circle family to {r^(2i) K[0,0]} + monomials.
 
     The ladder for the squared-denominator family reads
@@ -201,7 +200,7 @@ def _reduce_half(
     h = (degree + 1) // 2
     coef_K = [Fraction(0)] * (h + 2)
     coef_L = [Fraction(0)] * (h + 1)
-    poly = [PiNumber()] * (2 * h + 2)
+    poly = [Fraction(0)] * (2 * h + 2)
 
     for (i, j), s in S.items():
         if s == 0:
@@ -210,17 +209,14 @@ def _reduce_half(
         if i >= 1:
             coef_L[j] += s * i * (-c) ** (i - 1)
         for k in range(i - 1):  # k = 0 .. i-2
-            w = wallis_half_exact(i - k - 2)
-            if w.is_zero:
-                continue
             lad = ((-1) ** i) * c**k if alternate else (-c) ** k
-            poly[2 * j + i - k - 2] += w * (s * (k + 1) * lad)
+            poly[2 * j + i - k - 2] += wallis_half_exact(i - k - 2) * (s * (k + 1) * lad)
 
     for j in range(h + 1):
         cl = coef_L[j]
         if cl == 0:
             continue
-        poly[2 * j + 1] += PiNumber.of(cl * linear_seed)
+        poly[2 * j + 1] += cl * linear_seed
         coef_K[j] += cl * c
         coef_K[j + 1] -= cl / c
 
@@ -230,7 +226,7 @@ def _reduce_half(
 @lru_cache(maxsize=None)
 def _unit_half(
     c: Fraction, alternate: bool, p: int, q: int
-) -> Tuple[Tuple[Fraction, ...], Tuple[PiNumber, ...]]:
+) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
     """The reduction of the single entry sigma[p, q] = 1, q even, at the
     smallest degree that holds it, max(1, p + q - 1): the only place a
     reduction runs.  sin^2 = 1 - cos^2 lowers the entry binomially onto
@@ -246,11 +242,9 @@ def _unit_half(
     S: Table = {(p + 2 * k, l - k): Fraction((-1) ** k * math.comb(l, k)) for k in range(l + 1)}
     degree = max(1, p + q - 1)
     coef, poly = _reduce_half(S, c, degree, alternate)
-    if not poly[2 * ((degree + 1) // 2)].is_zero:
+    if poly[2 * ((degree + 1) // 2)] != 0:
         raise AssemblyError("monomial coefficient at index 2*floor((n+1)/2) must vanish")
-    if poly[0].rat != 0:
-        raise AssemblyError("constant monomial must be a pure pi multiple")
-    if coef[0] != -(c * c) * poly[0].pi:
+    if coef[0] != -(c * c) * poly[0]:
         raise AssemblyError("constant-term tie between the kernel and monomial parts failed")
     return tuple(coef), tuple(poly)
 
@@ -309,7 +303,6 @@ class AveragedFunction:
 # (grid, dtype) pairs: a ceiling pass samples three grids 24 times.
 _GRID_MIN = 256
 _GRIDS_KEPT = 4
-_grids: "OrderedDict[Tuple[np.dtype, bytes], _GridRows]" = OrderedDict()
 
 
 class _GridRows:
@@ -336,20 +329,10 @@ class _GridRows:
         return self.kernels[key]
 
 
-def _grid_rows(r, dtype) -> _GridRows:
-    """The rows of the grid r in dtype: kept when r is a float64 grid of at
-    least _GRID_MIN points, keyed on its bytes."""
-    r64 = np.asarray(r)
-    if r64.dtype != np.float64 or r64.ndim != 1 or r64.size < _GRID_MIN:
-        return _GridRows(np.atleast_1d(np.asarray(r, dtype=dtype)))
-    key = (np.dtype(dtype), r64.tobytes())
-    if key in _grids:
-        _grids.move_to_end(key)
-    else:
-        _grids[key] = _GridRows(np.array(r64, dtype=dtype))
-        if len(_grids) > _GRIDS_KEPT:
-            _grids.popitem(last=False)
-    return _grids[key]
+@lru_cache(maxsize=_GRIDS_KEPT)
+def _kept_grid(grid: bytes, dtype: np.dtype) -> _GridRows:
+    """The rows of the float64 grid with these bytes, in dtype."""
+    return _GridRows(np.frombuffer(grid).astype(dtype))
 
 
 def basis_values(params: SystemParams, n: int, r, dtype=np.float64) -> np.ndarray:
@@ -364,11 +347,16 @@ def basis_values(params: SystemParams, n: int, r, dtype=np.float64) -> np.ndarra
     the analyticity domain give NaN columns.
 
     The powers and the kernel rows of a large grid are computed once
-    (`_grid_rows`) and shared by every degree and system that samples it;
+    (`_kept_grid`, for float64 grids of at least _GRID_MIN points, keyed
+    on their bytes) and shared by every degree and system that samples it;
     the values are those of sampling afresh, bit for bit.
     """
     h = (n + 1) // 2
-    grid = _grid_rows(r, dtype)
+    r64 = np.asarray(r)
+    if r64.dtype == np.float64 and r64.ndim == 1 and r64.size >= _GRID_MIN:
+        grid = _kept_grid(r64.tobytes(), np.dtype(dtype))
+    else:
+        grid = _GridRows(np.atleast_1d(np.asarray(r, dtype=dtype)))
     powers = grid.power_rows(2 * h + 3)
     even = powers[::2]
     return np.concatenate([even * grid.kernel(1, params.a), even * grid.kernel(-1, params.b), powers[:-1]])
@@ -399,7 +387,7 @@ def _unit_parts(params: SystemParams, n: int) -> Tuple[tuple, ...]:
     reads `_unit_half`, zero-padded to degree n, and the other half is zero.
     """
     h = (n + 1) // 2
-    zero = (Fraction(0),) * (h + 2), (PiNumber(),) * (2 * h + 2)
+    zero = (Fraction(0),) * (h + 2), (Fraction(0),) * (2 * h + 2)
     consts = (as_fraction(params.a), as_fraction(params.b))
     before = _unit_half.cache_info()
     units, zero_columns = [], 0
@@ -422,7 +410,7 @@ def _unit_parts(params: SystemParams, n: int) -> Tuple[tuple, ...]:
 def _exact_parts(params: SystemParams, pert: PerturbationSpec) -> Tuple[list, list, list, list]:
     """The exact parts (coef_A, poly_plus, coef_B, poly_minus) of a
     perturbation: its nonzero coefficients times the columns of
-    `_unit_parts`, summed in Q + Q*pi.  Every nonzero coefficient converts
+    `_unit_parts`, summed exactly.  Every nonzero coefficient converts
     exactly first, so a non-finite one raises ValueError wherever it sits."""
     units = _unit_parts(params, pert.degree)
     v = pert.vector()
@@ -439,11 +427,13 @@ def _exact_parts(params: SystemParams, pert: PerturbationSpec) -> Tuple[list, li
 def _rounded(parts) -> np.ndarray:
     """The expansion vector of exact parts (coef_A, poly_plus, coef_B,
     poly_minus): the kernel coefficients, then the two halves' monomials
-    merged, each rounded to double once.  Zeros, most of a unit column, are
-    neither added nor converted: exact sums and conversions cost the most."""
+    merged, each rounded to double once (`pi_parity_float`).  Zeros, most
+    of a unit column, are neither added nor converted: exact sums and
+    conversions cost the most."""
     coef_A, poly_plus, coef_B, poly_minus = parts
     merged = (p + q if p and q else p or q for p, q in zip(poly_plus, poly_minus))
-    return np.array([float(x) if x else 0.0 for x in (*coef_A, *coef_B, *merged)])
+    kernels = [float(x) if x else 0.0 for x in (*coef_A, *coef_B)]
+    return np.array(kernels + [pi_parity_float(x, k) if x else 0.0 for k, x in enumerate(merged)])
 
 
 def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:

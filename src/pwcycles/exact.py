@@ -1,17 +1,16 @@
-"""Exact arithmetic over the ring Q + Q*pi.
+"""Exact arithmetic of the expansion reduction: Fractions, pi set by parity.
 
-Every coefficient produced by the expansion reduction is of the form
-p + q*pi with p, q rational (the half-period cosine moments are rational
-for odd order and rational multiples of pi for even order).  Carrying the
-two components separately with `fractions.Fraction` keeps the whole
-reduction exact, so the structural identities of the expansion can be
-asserted with `==` instead of a tolerance.
+The half-period cosine moment m(k) is rational for odd k and a rational
+multiple of pi for even k, and the reduction puts m(k) on the monomial of
+index 2j + k.  So it carries plain `fractions.Fraction`s: the kernel and
+odd-index monomial coefficients are themselves, and an even-index monomial
+coefficient q stands for q*pi (`pi_parity_float`).  The reduction stays
+exact, so its structural identities are asserted with `==`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -31,42 +30,8 @@ def as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"not an exact scalar: {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class PiNumber:
-    """A number p + q*pi with exact rational components."""
-
-    rat: Fraction = Fraction(0)
-    pi: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(rat: Scalar = 0, pi: Scalar = 0) -> "PiNumber":
-        return PiNumber(as_fraction(rat), as_fraction(pi))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rat == 0 and self.pi == 0
-
-    def __bool__(self) -> bool:
-        return bool(self.rat or self.pi)
-
-    def __add__(self, other: "PiNumber | Scalar") -> "PiNumber":
-        o = other if isinstance(other, PiNumber) else PiNumber.of(other)
-        return PiNumber(self.rat + o.rat, self.pi + o.pi)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: "PiNumber | Scalar") -> "PiNumber":
-        if isinstance(other, PiNumber):
-            if self.pi != 0 and other.pi != 0:
-                raise ArithmeticError("product would leave the ring Q + Q*pi")
-            return PiNumber(
-                self.rat * other.rat,
-                self.rat * other.pi + self.pi * other.rat,
-            )
-        f = as_fraction(other)
-        return PiNumber(self.rat * f, self.pi * f)
-
-    __rmul__ = __mul__
-
-    def __float__(self) -> float:
-        return float(self.rat) + float(self.pi) * math.pi
+def pi_parity_float(q: Fraction, k: int) -> float:
+    """The double of the monomial coefficient q at index k (or of the
+    moment q of order k): q*pi for even k, q for odd k, rounded as
+    float(q) * math.pi and float(q)."""
+    return float(q) * math.pi if k % 2 == 0 else float(q)

@@ -4,7 +4,8 @@ The building blocks are the half-period cosine moments
 
     m(k) = integral of cos^k(t) over (-pi/2, pi/2)
 
-and four families of parameter-dependent integrals over half circles,
+(exact in `wallis_half_exact`, as m(k)/pi for even k) and four families
+of parameter-dependent integrals over half circles,
 
     A[i,j](r) = int cos^i t sin^j t / (r cos t + a)^2 dt   on (-pi/2, pi/2)
     I[i,j](r) = int cos^i t sin^j t / (r cos t + a)   dt   on (-pi/2, pi/2)
@@ -34,7 +35,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .exact import PiNumber
+from .exact import pi_parity_float
 
 HALF_CIRCLE = (-math.pi / 2, math.pi / 2)
 BACK_HALF_CIRCLE = (math.pi / 2, 3 * math.pi / 2)
@@ -132,22 +133,20 @@ class FamilyIndex:
 
 
 @lru_cache(maxsize=None)
-def wallis_half_exact(k: int) -> PiNumber:
-    """m(k) as an exact element of Q + Q*pi.
+def wallis_half_exact(k: int) -> Fraction:
+    """m(k)/pi for even k, m(k) for odd k, exactly (see `pwcycles.exact`).
 
     m(0) = pi, m(1) = 2, and m(k) = m(k-2) * (k-1)/k.
     """
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    if k == 0:
-        return PiNumber.of(0, 1)
-    if k == 1:
-        return PiNumber.of(2)
+    if k < 2:
+        return Fraction(k + 1)  # m(0)/pi = 1, m(1) = 2
     return wallis_half_exact(k - 2) * Fraction(k - 1, k)
 
 
 def wallis_half(k: int) -> float:
-    return float(wallis_half_exact(k))
+    return pi_parity_float(wallis_half_exact(k), k)
 
 
 # ---------------------------------------------------------------------------

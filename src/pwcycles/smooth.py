@@ -100,7 +100,7 @@ def _check_smooth_units(a: float, n: int) -> None:
         if coef_A != coef_B:
             raise AssemblyError("the two half-circles gave different kernel coefficients")
         for k, (p, q) in enumerate(zip(poly_plus, poly_minus)):
-            if (k % 2 == 1 or k > cap) and not (p + q).is_zero:
+            if (k % 2 == 1 or k > cap) and p + q != 0:
                 raise AssemblyError(f"monomial r^{k} outside the smooth range (even, at most r^{cap})")
 
 

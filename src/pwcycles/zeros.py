@@ -81,6 +81,7 @@ from .averaging import (
     assembly_matrix,
     basis_values,
 )
+from .exact import pi_parity_float
 from .kernels import SystemParams
 
 log = logging.getLogger("pwcycles")
@@ -99,6 +100,9 @@ _FLOOR = 2 * _TINY64 / _U64
 
 # Samples per block of the survey's double-precision products.
 _BLOCK_SAMPLES = 1 << 15
+
+# Normalized singular value above which `sample_rank` counts a direction.
+RANK_THRESHOLD = 1e-10
 
 # Derivative threshold separating simple zeros from tangencies, relative to
 # max|F| / r_max on the scan grid: a flag that does not depend on F's scale.
@@ -478,12 +482,13 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
 # ---------------------------------------------------------------------------
 
 
-def sample_rank(matrix: np.ndarray, threshold: float = 1e-10) -> Tuple[int, float]:
-    """Numerical rank of a column-normalized sample matrix."""
+def sample_rank(matrix: np.ndarray) -> Tuple[int, float]:
+    """Numerical rank of a column-normalized sample matrix: its singular
+    values above `RANK_THRESHOLD`, and the smallest singular value."""
     norms = np.linalg.norm(matrix, axis=0)
     norms[norms == 0] = 1.0
     sv = np.linalg.svd(matrix / norms, compute_uv=False)
-    rank = int(np.sum(sv > threshold))
+    rank = int(np.sum(sv > RANK_THRESHOLD))
     return rank, float(sv[-1])
 
 
@@ -496,8 +501,8 @@ def independence_check(params: SystemParams, n: int, r_max: float) -> Tuple[int,
     """Numerical linear independence of the candidate generating set.
 
     Samples every generator at 4x(set size) Chebyshev points in
-    (r_max/100, r_max); full rank (min singular value above 1e-10 after
-    column normalization) confirms independence at working precision.
+    (r_max/100, r_max); full rank (all column-normalized singular values
+    above `RANK_THRESHOLD`) confirms independence at working precision.
     """
     if not (0 < r_max < params.r0):
         raise ValueError("need 0 < r_max < r0")
@@ -536,7 +541,7 @@ def coefficient_surjectivity_check(params: SystemParams, n: int) -> Tuple[int, i
     claimed = claimed_coefficient_indices(n)
 
     def coords(kernel, poly) -> List[float]:
-        return [float(kernel[i] if kind == "kernel" else poly[i]) for kind, i in claimed]
+        return [float(kernel[i]) if kind == "kernel" else pi_parity_float(poly[i], i) for kind, i in claimed]
 
     cols = []
     for coef_A, poly_plus, coef_B, poly_minus in _unit_parts(params, n):
@@ -586,7 +591,8 @@ def _survey(
     values and envelope.  Each block of at most `_BLOCK_SAMPLES` samples
     takes two double BLAS products, v = c @ b64 and S = |c| @ |b64|, with
     b64 the basis rounded to double; only the samples that the roundoff
-    bound cannot decide from them are evaluated in long double.
+    bound cannot decide from them are evaluated in long double, the others
+    entering `_sign_flips` as +-1 with a zero envelope.
     """
     if not (0 < r_max < params.r0):
         raise ValueError(f"need 0 < r_max < r0 = {params.r0}")
@@ -633,13 +639,11 @@ def _survey(
             cols = np.flatnonzero(~decided[i])
             in_long += cols.size
             cl = c[i].astype(LONG)
-            vals = np.dot(cl, basis[:, cols])
-            sgn = np.where(neg[i], -1.0, 1.0)
-            sgn[cols] = np.where(
-                np.abs(vals) > _NOISE_FACTOR * _envelope(cl, np.abs(basis[:, cols])), np.sign(vals), 0
-            )
-            sgn = sgn[sgn != 0]
-            counts[start + i] = np.count_nonzero(sgn[1:] != sgn[:-1])
+            vals = np.where(neg[i], -1.0, 1.0).astype(LONG)
+            env = np.zeros(grid, dtype=LONG)
+            vals[cols] = np.dot(cl, basis[:, cols])
+            env[cols] = _envelope(cl, np.abs(basis[:, cols]))
+            counts[start + i] = len(_sign_flips(vals, env)[1])
     log.debug(
         "survey: %d draws, grid %d, %d draws per block, %d samples decided in long double",
         len(coeffs), grid, per_block, in_long,

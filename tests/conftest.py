@@ -28,9 +28,8 @@ def rng():
 
 def _clear_reduction_caches():
     for cached in (averaging.assembly_matrix, averaging._unit_parts, averaging._unit_half,
-                   smooth._check_smooth_units):
+                   averaging._kept_grid, smooth._check_smooth_units):
         cached.cache_clear()
-    averaging._grids.clear()
 
 
 @pytest.fixture

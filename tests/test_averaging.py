@@ -2,7 +2,6 @@
 
 import logging
 import math
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +26,7 @@ from pwcycles.averaging import (
     oracle_F,
     perturbation_for_expansion,
 )
-from pwcycles.exact import as_fraction
+from pwcycles.exact import as_fraction, pi_parity_float
 from pwcycles.kernels import DomainError, SystemParams, a00
 from pwcycles.smooth import (
     _random_smooth_rows,
@@ -164,9 +163,9 @@ def _reference_parts(params, pert, tables=None):
 
 def _reference_vector(parts):
     """The expansion vector of exact parts: the kernel coefficients, then
-    the two halves' monomials merged."""
+    the two halves' monomials merged, each rounded by index parity."""
     coef_A, poly_plus, coef_B, poly_minus = parts
-    merged = [float(p + q) for p, q in zip(poly_plus, poly_minus)]
+    merged = [pi_parity_float(p + q, k) for k, (p, q) in enumerate(zip(poly_plus, poly_minus))]
     return np.array([float(x) for x in (*coef_A, *coef_B)] + merged)
 
 
@@ -271,34 +270,32 @@ class TestAssemble:
             assert eval_F(fn, 0.0) == pytest.approx(0.0, abs=1e-13)
 
     def test_constant_tie_exact(self, params, rng):
-        # a0 = -(a^2/pi) b0 and c0 = -(b^2/pi) d0, exactly, pre-merge
+        # a0 = -(a^2/pi) b0 and c0 = -(b^2/pi) d0, exactly, pre-merge; the
+        # constant monomials b0, d0 are held as their multiples of pi
         fa, fb = Fraction(1), Fraction(-2)
         for n in (1, 2, 3, 4):
             coef_A, poly_plus, coef_B, poly_minus = _exact_parts(params, PerturbationSpec.random(n, rng))
-            assert poly_plus[0].rat == 0
-            assert coef_A[0] == -(fa * fa) * poly_plus[0].pi
-            assert poly_minus[0].rat == 0
-            assert coef_B[0] == -(fb * fb) * poly_minus[0].pi
+            assert coef_A[0] == -(fa * fa) * poly_plus[0]
+            assert coef_B[0] == -(fb * fb) * poly_minus[0]
 
     def test_structural_parity_exact(self, params, rng):
         # the monomial coefficient at index 2*floor((n+1)/2) vanishes exactly
         for n in (1, 2, 3, 4, 5):
             h = (n + 1) // 2
             _, poly_plus, _, poly_minus = _exact_parts(params, PerturbationSpec.random(n, rng))
-            assert poly_plus[2 * h].is_zero
-            assert poly_minus[2 * h].is_zero
+            assert poly_plus[2 * h] == 0
+            assert poly_minus[2 * h] == 0
 
     def test_even_degree_top_tie_exact(self, params, rng):
         # for even n the top monomial is rationally tied to the top kernel
         # coefficient on each half: b_top = -(2/a) a_top, d_top = (2/b) c_top
+        # (an odd index, so both sides are rational)
         fa, fb = Fraction(1), Fraction(-2)
         for n in (2, 4):
             h = (n + 1) // 2
             coef_A, poly_plus, coef_B, poly_minus = _exact_parts(params, PerturbationSpec.random(n, rng))
-            assert poly_plus[2 * h + 1].pi == 0
-            assert poly_plus[2 * h + 1].rat == -(Fraction(2) / fa) * coef_A[h + 1]
-            assert poly_minus[2 * h + 1].pi == 0
-            assert poly_minus[2 * h + 1].rat == (Fraction(2) / fb) * coef_B[h + 1]
+            assert poly_plus[2 * h + 1] == -(Fraction(2) / fa) * coef_A[h + 1]
+            assert poly_minus[2 * h + 1] == (Fraction(2) / fb) * coef_B[h + 1]
 
     def test_linearity(self, params, rng):
         p1 = PerturbationSpec.random(2, rng)
@@ -423,20 +420,20 @@ class TestBasisValues:
 
     @pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["double", "long_double"])
     @pytest.mark.parametrize("ab,hi", [((1.0, -2.0), 8.0), ((1.0, -1.0), 8.0), ((-1.5, 2.0), 2.0)])
-    def test_kept_grid_rows_give_the_fresh_values(self, monkeypatch, ab, hi, dtype):
+    def test_kept_grid_rows_give_the_fresh_values(self, ab, hi, dtype):
         # degrees out of order, so that the kept powers grow and are reread;
         # at (-1.5, 2) the grid runs past r0 = 1.5 into NaN columns
-        monkeypatch.setattr(averaging, "_grids", OrderedDict())
+        averaging._kept_grid.cache_clear()
         params = SystemParams(*ab)
         rr = np.linspace(hi / 600, hi, 600)
         for n in (3, 1, 4, 2, 6):
             got = basis_values(params, n, rr, dtype)
             assert got.dtype == dtype
             assert np.array_equal(got, _fresh_basis(params, n, rr, dtype), equal_nan=True)
-        assert len(averaging._grids) == 1
+        assert averaging._kept_grid.cache_info().currsize == 1
 
     def test_kernel_rows_are_sampled_once_per_grid_and_constant(self, monkeypatch):
-        monkeypatch.setattr(averaging, "_grids", OrderedDict())
+        averaging._kept_grid.cache_clear()
         calls = []
 
         def counting(r, a):
@@ -456,14 +453,14 @@ class TestBasisValues:
                 basis_values(SystemParams(1.0, -1.0), n, rr, LONG)
         assert len(calls) == 4
 
-    def test_kept_grids_are_few_and_private(self, monkeypatch):
-        monkeypatch.setattr(averaging, "_grids", OrderedDict())
+    def test_kept_grids_are_few_and_private(self):
+        averaging._kept_grid.cache_clear()
         params = SystemParams(1.0, -2.0)
         basis_values(params, 2, np.linspace(0.1, 1.0, averaging._GRID_MIN - 1), LONG)
-        assert len(averaging._grids) == 0
+        assert averaging._kept_grid.cache_info().currsize == 0
         for k in range(averaging._GRIDS_KEPT + 2):
             basis_values(params, 2, np.linspace(0.1, 1.0 + k, 400), LONG)
-        assert len(averaging._grids) == averaging._GRIDS_KEPT
+        assert averaging._kept_grid.cache_info().currsize == averaging._GRIDS_KEPT
         # neither the caller's grid nor the returned matrix is kept
         rr = np.linspace(0.1, 5.0, 400)
         basis_values(params, 2, rr)[:] = 0.0
@@ -521,7 +518,7 @@ class TestAssemblyMatrix:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_assemble_is_the_exact_unit_combination(self, n, rng):
         # the exact counterpart of the matrix product: the perturbation's
-        # coefficients times the unit parts, summed in Q + Q*pi
+        # coefficients times the unit parts, summed exactly
         params = SystemParams(0.7, -0.3)
         pert = PerturbationSpec.random(n, rng)
         want = [[0 * u for u in part] for part in _unit_parts(params, n)[0]]

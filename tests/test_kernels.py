@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from pwcycles.exact import PiNumber
 from pwcycles.kernels import (
     BACK_HALF_CIRCLE,
     HALF_CIRCLE,
@@ -57,11 +56,15 @@ class TestWallis:
         assert wallis_half(1) == 2.0
         # frozen quadrature value of cos^3 over the half circle: 4/3
         assert wallis_half(3) == pytest.approx(1.3333333333333333, rel=1e-12)
+        # the parity rule (m(k)/pi held for even k, m(k) for odd k) against
+        # the independent quadrature of cos^k
+        for k in range(21):
+            want = quad_oracle(trig_rational(k, 0, 0.0, 1.0), HALF_CIRCLE)
+            assert wallis_half(k) == pytest.approx(want, rel=1e-13)
 
     def test_recurrence_exact_mode(self):
         for k in range(2, 20):
             assert k * wallis_half_exact(k) == (k - 1) * wallis_half_exact(k - 2)
-            assert wallis_half_exact(k).pi == 0 or wallis_half_exact(k).rat == 0
 
     def test_recurrence_float_mode(self):
         for k in range(2, 20):
@@ -307,8 +310,3 @@ class TestQuadOracle:
         with pytest.raises(OracleConvergenceError):
             quad_oracle(f, HALF_CIRCLE)
 
-
-def test_exact_ring_guard():
-    x = PiNumber.of(0, 1)
-    with pytest.raises(ArithmeticError):
-        _ = x * x

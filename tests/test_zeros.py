@@ -445,22 +445,13 @@ class TestSurjectivity:
 def _exact_columns(units, resonant):
     """The expansion vector of each unit column in rationals: the kernel rows
     (A and B merged at b = -a, where B00 = A00), then the two halves'
-    merged monomials, each even-index one divided by pi.  Every
-    even-index monomial coefficient is a pure pi multiple and every
-    odd-index one rational (the parity of the Wallis order), which the
-    helper asserts; so the rank over Q is the rank over R."""
+    merged monomials.  An even-index monomial coefficient is held as its
+    multiple of pi (the parity of the Wallis order), so scaling those rows
+    by pi changes no rank: the rank over Q is the rank over R."""
     cols = []
     for coef_A, poly_plus, coef_B, poly_minus in units:
         kernels = [x + y for x, y in zip(coef_A, coef_B)] if resonant else [*coef_A, *coef_B]
-        monomials = []
-        for k, (p, q) in enumerate(zip(poly_plus, poly_minus)):
-            if k % 2 == 0:
-                assert p.rat == q.rat == 0
-                monomials.append(p.pi + q.pi)
-            else:
-                assert p.pi == q.pi == 0
-                monomials.append(p.rat + q.rat)
-        cols.append(kernels + monomials)
+        cols.append(kernels + [p + q for p, q in zip(poly_plus, poly_minus)])
     return cols
 
 
