@@ -12,11 +12,12 @@ process, each of these manifests:
   inline tables (`pert_inline`), at seed N.
 
 Each of those lines is the sha256 of `json.dumps(record, sort_keys=True)`
-and the manifest's name.  The last two lines, `zero-layer` and
-`exact-layer`, are each one sha256 over outputs that no manifest pins
-(see `zero_layer` and `exact_layer`); they do not depend on N.  Two
-trees that print the same lines give byte-identical records, so
-comparing a parent checkout with a change is
+and the manifest's name.  The last four lines, `zero-layer-placements`,
+`zero-layer-reports`, `zero-layer-histograms` and `exact-layer`, are
+each one sha256 over outputs that no manifest pins (see `zero_layer` and
+`exact_layer`); they do not depend on N.  Two trees that print the same
+lines give byte-identical records, so comparing a parent checkout with a
+change is
 
     python scripts/record_digests.py --src ../parent/src --seed 3 > before
     python scripts/record_digests.py --seed 3 > after
@@ -56,8 +57,9 @@ def manifests(seed: int):
     }
 
 
-def zero_layer() -> str:
-    """sha256 over placements, their zero reports and survey histograms.
+def zero_layer() -> dict:
+    """One sha256 each over placements, their zero reports and survey
+    histograms, keyed `placements`, `reports` and `histograms`.
 
     At (a, b) = (1, -2), (1, -1), (-1.5, 2) and (0.7, -0.3), with
     hi = min(5, 0.8 r0), for n = 1..5:
@@ -69,15 +71,18 @@ def zero_layer() -> str:
       0.95 r0)) at grid 800, t_p the last target;
     * the 200-draw `random_search_max_zeros` histogram on (0, hi) at seed
       5 + n.
+
+    Apart, they show whether a change that moves placements (say, in
+    long-double noise) leaves the survey histograms as they were.
     """
     from pwcycles.averaging import AveragedFunction
     from pwcycles.kernels import SystemParams
     from pwcycles.zeros import LONG, count_simple_zeros, place_zeros, random_search_max_zeros, reachable_zero_capacity
 
-    digest = hashlib.sha256()
+    digests = {part: hashlib.sha256() for part in ("placements", "reports", "histograms")}
 
-    def put(*items) -> None:
-        digest.update(repr(items).encode())
+    def put(part, *items) -> None:
+        digests[part].update(repr(items).encode())
 
     for a, b in ((1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3)):
         params = SystemParams(a, b)
@@ -88,12 +93,12 @@ def zero_layer() -> str:
                 expansion = place_zeros(params, n, targets)
                 c = expansion.vector(LONG)
                 head = c.astype(float)
-                put(a, b, n, p, head.tolist(), (c - head).astype(float).tolist())
+                put("placements", a, b, n, p, head.tolist(), (c - head).astype(float).tolist())
                 r_max = min(2 * targets[-1], 0.95 * params.r0)
                 report = count_simple_zeros(AveragedFunction(params, expansion), r_max, 800)
-                put(report.zeros, report.grid_resolution, report.degenerate, report.non_simple)
-            put(random_search_max_zeros(params, n, 200, 5 + n, hi))
-    return digest.hexdigest()
+                put("reports", a, b, n, p, report.zeros, report.grid_resolution, report.degenerate, report.non_simple)
+            put("histograms", a, b, n, random_search_max_zeros(params, n, 200, 5 + n, hi))
+    return {part: d.hexdigest() for part, d in digests.items()}
 
 
 def exact_layer() -> str:
@@ -151,7 +156,8 @@ def main(argv=None) -> int:
     for name, doc in manifests(args.seed):
         record = run_manifest(ExperimentManifest.from_dict(doc))
         print(hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest(), name)
-    print(zero_layer(), "zero-layer")
+    for part, digest in zero_layer().items():
+        print(digest, f"zero-layer-{part}")
     print(exact_layer(), "exact-layer")
     return 0
 

@@ -31,14 +31,16 @@ them in double for the realization and the surveys.
 
 `basis_values` is the package's one expansion evaluator: it samples the
 basis functions once, and any coefficient vector (`BasisExpansion.vector`,
-long double kept) times that matrix gives the expansion's values.  A
-grid of at least `_GRID_MIN` points keeps its powers r^k (extended as
-the degree grows) and its kernel rows A[0,0](+-r) per constant, for the
-`_GRIDS_KEPT` most recent grids, so a later degree or system on the same
-grid only multiplies and stacks them; the values are bit for bit those
-of sampling afresh.  The smooth system is the special case b = a with
-equal tables (see `pwcycles.smooth`); it has no reduction or evaluator
-of its own.
+long double kept) times that matrix gives the expansion's values.  Its
+powers r^k are running products r^(k-1) * r in long double, within
+(k-1)u/(1-(k-1)u) of the exact power (u = 2^-64), and libm `pow` in
+float64.  A grid of at least `_GRID_MIN` points keeps its powers
+(extended along the same chain as the degree grows) and its kernel rows
+A[0,0](+-r) per constant, for the `_GRIDS_KEPT` most recent grids, so a
+later degree or system on the same grid only multiplies and stacks them;
+the values are bit for bit those of sampling afresh.  The smooth system
+is the special case b = a with equal tables (see `pwcycles.smooth`); it
+has no reduction or evaluator of its own.
 """
 
 from __future__ import annotations
@@ -314,10 +316,28 @@ class _GridRows:
         self.kernels: Dict[Tuple[int, float], np.ndarray] = {}
 
     def power_rows(self, count: int) -> np.ndarray:
-        """r^k for k = 0..count-1; rows past those held are appended."""
+        """r^k for k = 0..count-1; rows past those held are appended.
+
+        Float64 rows are `pow`, within about half an ulp.  Long-double rows
+        are running products, row k = row[k-1] * r from row 0 = 1: libm
+        `powl` costs some 45 long-double multiplies per entry, and k - 1
+        roundings of an exact r leave row k within (k-1)u/(1-(k-1)u) of
+        r^k (u = 2^-64; Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., section 3.1), well inside the 64 eps noise
+        factor of the zero scans.  Appended rows extend the same chain, so
+        a kept grid's rows equal those of a freshly sampled one bit for bit.
+        """
         have = len(self.powers)
         if have < count:
-            self.powers = np.concatenate([self.powers, self.rr ** np.arange(have, count)[:, None]])
+            rows = np.empty((count, self.rr.size), dtype=self.rr.dtype)
+            rows[:have] = self.powers
+            if self.rr.dtype == np.float64:
+                np.power(self.rr, np.arange(have, count)[:, None], out=rows[have:])
+            else:
+                rows[0] = 1
+                for k in range(max(have, 1), count):
+                    np.multiply(rows[k - 1], self.rr, out=rows[k])
+            self.powers = rows
         return self.powers[:count]
 
     def kernel(self, side: int, c: float) -> np.ndarray:
@@ -346,10 +366,11 @@ def basis_values(params: SystemParams, n: int, r, dtype=np.float64) -> np.ndarra
     bounds the roundoff of that sum.  No domain checks: points outside
     the analyticity domain give NaN columns.
 
-    The powers and the kernel rows of a large grid are computed once
-    (`_kept_grid`, for float64 grids of at least _GRID_MIN points, keyed
-    on their bytes) and shared by every degree and system that samples it;
-    the values are those of sampling afresh, bit for bit.
+    The powers are running products in long double and `pow` in float64
+    (`_GridRows.power_rows`).  They and the kernel rows of a large grid are
+    computed once (`_kept_grid`, for float64 grids of at least _GRID_MIN
+    points, keyed on their bytes) and shared by every degree and system
+    that samples it; the values are those of sampling afresh, bit for bit.
     """
     h = (n + 1) // 2
     r64 = np.asarray(r)

@@ -1,6 +1,6 @@
 """Command-line front end for the experiment harness.
 
-Subcommands map onto manifest kinds; a JSON config supplies the inputs
+Commands map onto manifest kinds; a JSON config supplies the inputs
 and flags override its common fields.  Exit codes: 0 all checks passed,
 1 at least one check failed, 2 configuration error, 3 runtime or
 numerical error.  PWCYCLES_LOG sets the log level (default WARNING); log
@@ -31,25 +31,29 @@ _SUBCOMMANDS = {
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # One flat parser: the options are common to every command, so they
+    # may stand before or after it.
     parser = argparse.ArgumentParser(
         prog="pwcycles",
         description="Averaged-function zero analysis and return-map verification "
         "for the piecewise cubic center",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, kind in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=f"run a {kind} experiment")
-        p.add_argument("--config", type=Path, help="JSON manifest path")
-        p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
-        p.add_argument("--seed", type=int, help="override the manifest seed")
-        p.add_argument(
-            "--epsilon",
-            type=str,
-            help="comma-separated descending epsilon list, overrides the manifest",
-        )
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-        p.add_argument("--a", type=float, help="system constant for x >= 0")
-        p.add_argument("--b", type=float, help="system constant for x < 0")
+    parser.add_argument(
+        "command",
+        choices=_SUBCOMMANDS,
+        help="the experiment to run: " + ", ".join(f"{name} ({kind})" for name, kind in _SUBCOMMANDS.items()),
+    )
+    parser.add_argument("--config", type=Path, help="JSON manifest path")
+    parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
+    parser.add_argument("--seed", type=int, help="override the manifest seed")
+    parser.add_argument(
+        "--epsilon",
+        type=str,
+        help="comma-separated descending epsilon list, overrides the manifest",
+    )
+    parser.add_argument("--format", choices=("csv", "json", "both"), default="both")
+    parser.add_argument("--a", type=float, help="system constant for x >= 0")
+    parser.add_argument("--b", type=float, help="system constant for x < 0")
     return parser
 
 

@@ -22,6 +22,15 @@ def bounded_params():
 
 
 @pytest.fixture
+def triple_zero_expansion():
+    """(r - 1)^3 (r - 2) = 2 - 7r + 9r^2 - 5r^3 + r^4 at degree 3: an exact
+    non-simple zero at r = 1 and a simple one at r = 2."""
+    e = averaging.BasisExpansion.zeros(3)
+    e.coeff_poly[:5] = [2.0, -7.0, 9.0, -5.0, 1.0]
+    return e
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 

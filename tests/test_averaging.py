@@ -470,12 +470,44 @@ class TestBasisValues:
         assert np.array_equal(basis_values(params, 2, rr), _fresh_basis(params, 2, rr, np.float64))
 
 
+# The scan, count and survey grids that the benchmark's ceiling workload
+# (reproduce_hn at (1, -2) and (1, -1)) and smooth workload (a = 1) sample,
+# as (r_max, points) of linspace(r_max / points, r_max, points).
+_WORKLOAD_GRIDS = [(10.0, 2048), (7.5, 800), (8.0, 600), (0.999, 2048), (0.95, 2000), (0.95, 1500)]
+
+
+@pytest.mark.parametrize("r_max,points", _WORKLOAD_GRIDS)
+def test_power_rows_against_exact_rationals(r_max, points):
+    # long double: the running product r^k of an exact r is within
+    # (k-1)u/(1-(k-1)u) of the rational r^k, u = 2^-64; float64: `pow`
+    averaging._kept_grid.cache_clear()
+    params = SystemParams(1.0, -2.0)
+    rr = np.linspace(r_max / points, r_max, points)
+    powers = basis_values(params, 13, rr, LONG)[-16:-1]  # r^k, k = 0..14
+    ratios = [r.as_integer_ratio() for r in rr.tolist()]
+    for k, row in enumerate(powers):
+        slack = max(k - 1, 0)
+        for x, (p, q) in zip(row, ratios):
+            # |x - (p/q)^k| <= slack u / (1 - slack u) (p/q)^k with x = s/t,
+            # cross-multiplied into integers
+            s, t = x.as_integer_ratio()
+            assert abs(s * q**k - p**k * t) * (2**64 - slack) <= slack * p**k * t
+    assert np.array_equal(basis_values(params, 13, rr)[-16:-1], rr ** np.arange(15)[:, None])
+
+
 def _fresh_basis(params, n, r, dtype):
     """`basis_values` with every row sampled afresh: the reference for the
-    kept grid rows."""
+    kept grid rows.  Float64 powers are `pow`, long-double powers the
+    running products 1, r, r*r, (r*r)*r, ..."""
     h = (n + 1) // 2
     rr = np.atleast_1d(np.asarray(r, dtype=dtype))
-    powers = rr ** np.arange(2 * h + 3)[:, None]
+    if dtype == np.float64:
+        powers = rr ** np.arange(2 * h + 3)[:, None]
+    else:
+        powers = [np.ones_like(rr)]
+        for _ in range(2 * h + 2):
+            powers.append(powers[-1] * rr)
+        powers = np.array(powers)
     even = powers[::2]
     return np.concatenate([even * a00(rr, params.a), even * a00(-rr, params.b), powers[:-1]])
 

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from pwcycles.cli import main
+from pwcycles import manifest
+from pwcycles.averaging import AveragedFunction
+from pwcycles.cli import _build_parser, main
 from pwcycles.manifest import (
     OPTIONS,
     REQUIRED,
@@ -23,6 +25,7 @@ from pwcycles.manifest import (
     run_manifest,
 )
 from pwcycles.poincare import _INTERP_NODES
+from pwcycles.zeros import count_simple_zeros
 
 
 def _verify_doc(**over):
@@ -498,6 +501,29 @@ class TestCli:
         assert tree() == before
         assert capsys.readouterr().err.startswith("configuration error: ")
 
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name in ("verify", "reproduce-hn", "place", "simulate", "smooth", "sweep"):
+            assert name in out
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--seed", "3"]])
+    def test_missing_or_unknown_command_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "command" in capsys.readouterr().err
+
+    def test_options_parse_the_same_before_and_after_the_command(self):
+        parser = _build_parser()
+        options = ["--seed", "4", "--format", "json", "--a", "1.5", "--epsilon", "0.01,0.005"]
+        want = parser.parse_args(["sweep", *options])
+        assert parser.parse_args([*options, "sweep"]) == want
+        assert parser.parse_args([*options[:4], "sweep", *options[4:]]) == want
+        assert (want.command, want.seed, want.format, want.a) == ("sweep", 4, "json", 1.5)
+
     def test_parser_survives_a_rejected_call(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--format", "xml"])
@@ -698,22 +724,26 @@ class TestCli:
         assert any("zeros" in n for n in names)
         assert not any("fixed_points" in n for n in names)
 
-    def test_placed_zero_count_skips_flagged_zeros(self, caplog):
-        # at (0.7, -0.3) the degree-4 capacity placement on (0.5, 5) lies
-        # below long-double resolution beyond r = 2: the count on (0, 7.5)
-        # finds 6 of its 10 zeros and flags two of them, which the payload
-        # lists and the check does not count
+    def test_placed_zero_count_skips_flagged_zeros(self, caplog, monkeypatch, triple_zero_expansion):
+        # the count is stubbed to report F = (r - 1)^3 (r - 2), whose triple
+        # zero at r = 1 it flags: the payload lists both zeros and the check
+        # counts only the simple one
+        def count(fn, r_max, grid):
+            return count_simple_zeros(AveragedFunction(fn.params, triple_zero_expansion), r_max, grid)
+
+        monkeypatch.setattr(manifest, "count_simple_zeros", count)
         doc = {
-            "schema_version": 1, "kind": "place_and_simulate", "a": 0.7, "b": -0.3, "seed": 3,
-            "degree": 4, "targets": [0.5 + 0.5 * k for k in range(10)],
+            "schema_version": 1, "kind": "place_and_simulate", "a": 1.0, "b": -2.0, "seed": 3,
+            "degree": 1, "targets": [1.0, 2.0], "r_max": 3.0, "epsilons": [],
         }
         with caplog.at_level(logging.WARNING, logger="pwcycles"):
             record = run_manifest(ExperimentManifest.from_dict(doc))
         (check,) = record["checks"]
-        assert (check["name"], check["measured"], check["expected"]) == ("placed_zero_count", 4, 10)
-        flags = [row[2] for row in record["payloads"]["zeros"]["rows"]]
-        assert len(flags) == 6 and flags.count(False) == 2
-        assert sum("near-vanishing derivative" in m for m in caplog.messages) == 2
+        assert (check["name"], check["measured"], check["expected"]) == ("placed_zero_count", 1, 2)
+        rows = record["payloads"]["zeros"]["rows"]
+        assert [row[2] for row in rows] == [False, True]
+        assert rows[0][0] == pytest.approx(1.0, abs=1e-5) and rows[1][0] == pytest.approx(2.0, abs=1e-9)
+        assert sum("near-vanishing derivative" in m for m in caplog.messages) == 1
 
     def test_smooth_subcommand_runs_to_completion(self, tmp_path):
         # the benchmark's smooth workload at 20 draws: its verdicts, and each

@@ -95,15 +95,14 @@ class TestCountSimpleZeros:
         assert [(r.name, r.levelname) for r in caplog.records] == [("pwcycles", "WARNING")]
         assert "near-vanishing derivative" in caplog.records[0].getMessage()
 
-    def test_simple_count_skips_flagged_zeros(self, caplog):
-        # the degree-4 capacity placement at (0.7, -0.3) on (0.5, 5) is noise
-        # beyond r = 3: on (0, 10) the count finds 6 zeros and flags r ~ 3.00016
-        p = SystemParams(0.7, -0.3)
-        exp = place_zeros(p, 4, list(np.linspace(0.5, 5.0, 10)))
+    def test_simple_count_skips_flagged_zeros(self, caplog, triple_zero_expansion):
+        # F = (r - 1)^3 (r - 2) has a triple zero at r = 1, which the count
+        # finds and flags, and a simple one at r = 2
         with caplog.at_level(logging.WARNING, logger="pwcycles"):
-            report = count_simple_zeros(AveragedFunction(p, exp), 10.0)
-        assert report.non_simple == pytest.approx((3.00016,), abs=1e-5)
-        assert (report.count, report.simple_count) == (6, 5)
+            report = count_simple_zeros(AveragedFunction(SystemParams(1.0, -2.0), triple_zero_expansion), 3.0)
+        assert report.non_simple == pytest.approx((1.0,), abs=1e-5)
+        assert (report.count, report.simple_count) == (2, 1)
+        assert sum("near-vanishing derivative" in m for m in caplog.messages) == 1
 
     def test_simple_zero_flag_ignores_the_scale_of_f(self):
         # capacity placements at (-1.5, 2) on (0.3, 0.9) have max|F| ~ 1e-9
