@@ -22,6 +22,13 @@ change is
     python scripts/record_digests.py --src ../parent/src --seed 3 > before
     python scripts/record_digests.py --seed 3 > after
     diff before after
+
+With a `--src` other than this checkout's `src`, the script then prints
+how the zero layer's reports move from DIR to this checkout, whose
+reports a child process computes: per (system, degree) one `zero-move`
+line with the largest change of a zero location over its placements,
+or the placements whose zero count changed, and one `non-simple` line
+for every placement whose `non_simple` set changed.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,9 +65,10 @@ def manifests(seed: int):
     }
 
 
-def zero_layer() -> dict:
+def zero_layer():
     """One sha256 each over placements, their zero reports and survey
-    histograms, keyed `placements`, `reports` and `histograms`.
+    histograms, keyed `placements`, `reports` and `histograms`, and the
+    reports' (locations, non_simple) keyed by (a, b, n, p).
 
     At (a, b) = (1, -2), (1, -1), (-1.5, 2) and (0.7, -0.3), with
     hi = min(5, 0.8 r0), for n = 1..5:
@@ -80,6 +89,7 @@ def zero_layer() -> dict:
     from pwcycles.zeros import LONG, count_simple_zeros, place_zeros, random_search_max_zeros, reachable_zero_capacity
 
     digests = {part: hashlib.sha256() for part in ("placements", "reports", "histograms")}
+    reports = {}
 
     def put(part, *items) -> None:
         digests[part].update(repr(items).encode())
@@ -97,8 +107,27 @@ def zero_layer() -> dict:
                 r_max = min(2 * targets[-1], 0.95 * params.r0)
                 report = count_simple_zeros(AveragedFunction(params, expansion), r_max, 800)
                 put("reports", a, b, n, p, report.zeros, report.grid_resolution, report.degenerate, report.non_simple)
+                reports[a, b, n, p] = (report.locations, report.non_simple)
             put("histograms", a, b, n, random_search_max_zeros(params, n, 200, 5 + n, hi))
-    return {part: d.hexdigest() for part, d in digests.items()}
+    return {part: d.hexdigest() for part, d in digests.items()}, reports
+
+
+def zero_moves(before: dict, after: dict):
+    """Lines comparing two `zero_layer` report sets on the same keys."""
+    worst, recounted = {}, {}
+    for key, (locations, flagged) in before.items():
+        new_locations, new_flagged = after[key]
+        system = key[:3]
+        if len(new_locations) != len(locations):
+            recounted.setdefault(system, []).append(f"p={key[3]}: {len(locations)} -> {len(new_locations)}")
+        else:
+            move = max((abs(x - y) for x, y in zip(locations, new_locations)), default=0.0)
+            worst[system] = max(worst.get(system, 0.0), move)
+        if tuple(flagged) != tuple(new_flagged):
+            yield f"non-simple a={key[0]} b={key[1]} n={key[2]} p={key[3]}: {tuple(flagged)} -> {tuple(new_flagged)}"
+    for a, b, n in sorted(set(worst) | set(recounted)):
+        counts = "; zero counts changed at " + ", ".join(recounted[a, b, n]) if (a, b, n) in recounted else ""
+        yield f"zero-move a={a} b={b} n={n}: largest |location change| {worst.get((a, b, n), 0.0):.3g}{counts}"
 
 
 def exact_layer() -> str:
@@ -149,16 +178,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the pwcycles package")
     parser.add_argument("--seed", type=int, default=3, help="seed of the perfbench operations and the sweeps")
+    parser.add_argument("--zero-reports", action="store_true", help=argparse.SUPPRESS)  # the child's JSON
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    if args.zero_reports:
+        print(json.dumps([[key, value] for key, value in zero_layer()[1].items()]))
+        return 0
     from pwcycles.manifest import ExperimentManifest, run_manifest
 
     for name, doc in manifests(args.seed):
         record = run_manifest(ExperimentManifest.from_dict(doc))
         print(hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest(), name)
-    for part, digest in zero_layer().items():
+    digests, reports = zero_layer()
+    for part, digest in digests.items():
         print(digest, f"zero-layer-{part}")
     print(exact_layer(), "exact-layer")
+    if src != (ROOT / "src").resolve():
+        child = subprocess.run([sys.executable, __file__, "--zero-reports"], capture_output=True, text=True, check=True)
+        here = {tuple(key): value for key, value in json.loads(child.stdout)}
+        for line in zero_moves(reports, here):
+            print(line)
     return 0
 
 

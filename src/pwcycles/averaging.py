@@ -31,7 +31,9 @@ them in double for the realization and the surveys.
 
 `basis_values` is the package's one expansion evaluator: it samples the
 basis functions once, and any coefficient vector (`BasisExpansion.vector`,
-long double kept) times that matrix gives the expansion's values.  Its
+long double kept) times that matrix gives the expansion's values; on
+request it also gives the basis's derivative rows, so the same vector
+gives F' (zero refinement and placement scoring read them).  Its
 powers r^k are running products r^(k-1) * r in long double, within
 (k-1)u/(1-(k-1)u) of the exact power (u = 2^-64), and libm `pow` in
 float64.  A grid of at least `_GRID_MIN` points keeps its powers
@@ -62,6 +64,7 @@ from .kernels import (
     DomainError,
     SystemParams,
     a00,
+    a00_prime,
     quad_oracle,
     wallis_half_exact,
 )
@@ -314,6 +317,7 @@ class _GridRows:
         self.rr = rr
         self.powers = np.empty((0, rr.size), dtype=rr.dtype)
         self.kernels: Dict[Tuple[int, float], np.ndarray] = {}
+        self.slopes: Dict[Tuple[int, float], np.ndarray] = {}
 
     def power_rows(self, count: int) -> np.ndarray:
         """r^k for k = 0..count-1; rows past those held are appended.
@@ -348,6 +352,15 @@ class _GridRows:
             self.kernels[key] = a00(self.rr if key[0] > 0 else -self.rr, key[1])
         return self.kernels[key]
 
+    def kernel_slope(self, side: int, c: float) -> np.ndarray:
+        """d/dr of the row `kernel(side, c)`: side * A[0,0]'(side * r; c),
+        from that row through `a00_prime`, kept under the same key."""
+        key = (side if c > 0 else -side, abs(c))
+        if key not in self.slopes:
+            row = self.kernel(side, c)
+            self.slopes[key] = key[0] * a00_prime(key[0] * self.rr, key[1], row)
+        return self.slopes[key]
+
 
 @lru_cache(maxsize=_GRIDS_KEPT)
 def _kept_grid(grid: bytes, dtype: np.dtype) -> _GridRows:
@@ -355,7 +368,7 @@ def _kept_grid(grid: bytes, dtype: np.dtype) -> _GridRows:
     return _GridRows(np.frombuffer(grid).astype(dtype))
 
 
-def basis_values(params: SystemParams, n: int, r, dtype=np.float64) -> np.ndarray:
+def basis_values(params: SystemParams, n: int, r, dtype=np.float64, derivative: bool = False):
     """The degree-n basis at the points r, one row per basis function.
 
     Rows follow `BasisExpansion.vector`: r^(2i) A[0,0] for i = 0..h+1,
@@ -371,6 +384,12 @@ def basis_values(params: SystemParams, n: int, r, dtype=np.float64) -> np.ndarra
     computed once (`_kept_grid`, for float64 grids of at least _GRID_MIN
     points, keyed on their bytes) and shared by every degree and system
     that samples it; the values are those of sampling afresh, bit for bit.
+
+    With `derivative`, returns (values, slopes): slopes holds d/dr of each
+    row in the same order, from the same power and kernel rows: k r^(k-1)
+    for a monomial and 2i r^(2i-1) K + r^(2i) K' for a kernel row, K' from
+    `a00_prime` (`_GridRows.kernel_slope`).  The values are those returned
+    without it, bit for bit.
     """
     h = (n + 1) // 2
     r64 = np.asarray(r)
@@ -380,7 +399,17 @@ def basis_values(params: SystemParams, n: int, r, dtype=np.float64) -> np.ndarra
         grid = _GridRows(np.atleast_1d(np.asarray(r, dtype=dtype)))
     powers = grid.power_rows(2 * h + 3)
     even = powers[::2]
-    return np.concatenate([even * grid.kernel(1, params.a), even * grid.kernel(-1, params.b), powers[:-1]])
+    ka, kb = grid.kernel(1, params.a), grid.kernel(-1, params.b)
+    values = np.concatenate([even * ka, even * kb, powers[:-1]])
+    if not derivative:
+        return values
+    # d/dr r^k = k r^(k-1): the even rows' slopes 2i r^(2i-1) and the
+    # monomials' k r^(k-1), each the kept power row times an integer.
+    slopes = np.zeros((2 * h + 3, powers.shape[1]), dtype=powers.dtype)
+    slopes[1:] = np.arange(1, 2 * h + 3)[:, None] * powers[:-1]
+    d_even = slopes[::2]
+    da, db = grid.kernel_slope(1, params.a), grid.kernel_slope(-1, params.b)
+    return values, np.concatenate([d_even * ka + even * da, d_even * kb + even * db, slopes[:-1]])
 
 
 def eval_F(fn: AveragedFunction, r):

@@ -18,7 +18,9 @@ powers reduce binomially to j = 0, and the j = 0 ladders collapse to the
 forms (arctan inside the critical radius, log outside), a removable
 0/0 seam at r = a handled by a local series, and the parity identity
 A[0,0](r; a) = A[0,0](-r; -a), which also gives B[0,0](r; b) =
-A[0,0](-r; b) via the half-turn substitution.
+A[0,0](-r; b) via the half-turn substitution.  Its derivative comes from
+the first-order ODE it satisfies, and from the seam series on the seam
+(`a00_prime`).
 
 An adaptive-quadrature oracle (`quad_oracle`) provides an independent
 evaluation path for every family; the closed forms never feed it.
@@ -154,21 +156,25 @@ def wallis_half(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _a00_seam_series(s: np.ndarray, a: float) -> np.ndarray:
+def _a00_seam_series(s: np.ndarray, a: float, derivative: bool = False) -> np.ndarray:
     """Series solution of the first-order ODE about the regular point r = a.
 
     a*(a^2-r^2)*A' = 3*a*r*A - 4 with anchor A(a) = 4/(3 a^2) gives
     c0 = 4/(3 a^2), c_k = -(k+2) / (a*(2k+3)) * c_{k-1}; the nearest
     singularity is at distance 2a, so six terms at |s| <= 1e-3*a are
-    accurate to ~1e-20 relative.
+    accurate to ~1e-20 relative.  With `derivative`, the series of A'
+    from the same coefficients, sum of k c_k s^(k-1) for k = 1..6.
     """
     acc = np.zeros_like(s)
     coef = 4.0 / (3.0 * a * a)
     p = np.ones_like(s)
     for k in range(_SEAM_TERMS):
-        acc = acc + coef * p
-        p = p * s
+        if not derivative:
+            acc = acc + coef * p
         coef *= -(k + 3) / (a * (2 * k + 5))
+        if derivative:
+            acc = acc + (k + 1) * coef * p
+        p = p * s
     return acc
 
 
@@ -185,8 +191,7 @@ def a00(r, a: float):
     dtype = arr.dtype if arr.dtype in (np.float32, np.float64, np.longdouble) else np.float64
     rr = np.atleast_1d(arr.astype(dtype, copy=False))
     if a < 0:
-        out = a00(-rr, -a)
-        return float(out[0]) if scalar else out
+        rr, a = -rr, -a
 
     out = np.full(rr.shape, np.nan, dtype=dtype)
     valid = rr > -a
@@ -194,20 +199,41 @@ def a00(r, a: float):
     inner = valid & ~seam & (rr < a)
     outer = valid & ~seam & (rr > a)
 
-    if np.any(seam):
+    if seam.any():
         out[seam] = _a00_seam_series(rr[seam] - a, a)
-    if np.any(inner):
+    if inner.any():
         x = rr[inner]
         d = a * a - x * x
         t = np.sqrt((a - x) / (a + x))
         out[inner] = -2.0 * x / (a * d) + 4.0 * a * np.arctan(t) / (d * np.sqrt(d))
-    if np.any(outer):
+    if outer.any():
         x = rr[outer]
         d = x * x - a * a
         s = np.sqrt(d)
         out[outer] = 2.0 * x / (a * d) - 2.0 * a * np.log((x + s) / a) / (d * s)
 
     return float(out[0]) if scalar else out
+
+
+def a00_prime(r: np.ndarray, a: float, value: np.ndarray) -> np.ndarray:
+    """d/dr A[0,0](r; a) at the points r, given value = A[0,0](r; a) there.
+
+    Off the seam, the ODE a*(a^2-r^2)*A' = 3*a*r*A - 4, which holds for
+    either sign of a; within SEAM_BAND of r = a, where it divides by 0,
+    the derivative of the seam series.  Just outside the band the closed
+    forms of A cancel and the ODE divides their error by a^2 - r^2: at
+    twice the band width A' holds about 2e-9 relative in double (1e-12 in
+    long double for a = 1), against a few ulps elsewhere.  The dtype is
+    that of r, and a NaN value gives NaN; B[0,0]'(r) = -A'(-r; b) by the
+    half-turn rule.
+    """
+    x = r if a > 0 else -r  # the seam series is stated for a > 0
+    seam = np.abs(x - abs(a)) <= SEAM_BAND * abs(a)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at r = a, overwritten below
+        out = (3.0 * a * r * value - 4.0) / (a * (a * a - r * r))
+    if seam.any():
+        out[seam] = np.sign(a) * _a00_seam_series(x[seam] - abs(a), abs(a), derivative=True)
+    return out
 
 
 def _check_a_domain(r: float, a: float) -> None:

@@ -34,23 +34,32 @@ places at most dim - 1 simple zeros.  The candidates are fixed Gaussian
 draws with their component in the row space of the equilibrated
 collocation matrix removed, all in long double: the row space's
 orthonormal basis comes from classical Gram–Schmidt and every projection
-is applied twice.  No basis of the null space is formed and no seed is
-read, so a placement depends on its parameters, generators and targets
-alone.  All zero *verification* evaluates in long double with a running
-roundoff envelope, because high-degree placements are legitimately
+is applied twice.  At capacity (p = dim - 1) the null space is a line
+and draw 0 alone is taken; otherwise 5(dim - p) draws are scored by
+their extra sign changes on the scan window and then by the smallest
+|F'| at the targets, read from the analytic derivative rows.  No basis
+of the null space is formed and no seed is read, so a placement depends
+on its parameters, generators and targets alone.  All zero
+*verification* evaluates in long double with a running roundoff
+envelope, because high-degree placements are legitimately
 ill-conditioned in the raw generator basis.  Each placement logs its
 condition number and how close its values at the targets come to their
 roundoff envelope at DEBUG, and a WARNING when its scan window resolves
 fewer sign changes than there are targets.
 
-Counting refines all sign-change brackets of a grid together with
-`_bracketed_roots`, the package's one bracket refiner; `poincare` locates
-the return map's fixed points with it and the same sign scan.  A flagged
-zero (near-vanishing derivative) is left out of `simple_count`.  Only the
-scan grid carries a roundoff envelope; the refinement evaluates values
-alone.  The placement scan, the count grid and the survey grid of a
-ceiling run are the same few grids for every degree and system, so
-`basis_values` samples their powers and kernel rows once.
+Counting refines all sign-change brackets of a grid together by
+safeguarded Newton (`_newton_roots`, with regula falsi and bisection as
+the safeguards) on F and its analytic derivative:
+`basis_values` gives the derivative rows from the same kept rows, with
+A[0,0]' from `kernels.a00_prime`.  A bracket closes at a step of 5e-13
+or of its roundoff envelope over |F'|, whichever is larger, since no
+location is known more closely than that.  The flag of a non-simple zero
+(near-vanishing derivative), which leaves it out of `simple_count`,
+reads the same analytic F'.  `poincare` locates the return map's fixed
+points, which have no analytic derivative, with the same sign scan and
+`_bracketed_roots`.  The placement scan, the count grid and the survey
+grid of a ceiling run are the same few grids for every degree and
+system, so `basis_values` samples their powers and kernel rows once.
 
 The surjectivity rank and the random ceiling survey never re-run the
 reduction: they read the exact unit columns of `assembly_matrix`.  The
@@ -93,8 +102,10 @@ _EPS = float(np.finfo(LONG).eps)
 # numerically indistinguishable from zero.
 _NOISE_FACTOR = 64.0
 
-# Double-precision constants of the survey's sign decisions (see `_survey`).
-_U64 = float(np.finfo(float).eps) / 2
+# Double-precision constants of the survey's sign decisions (see `_survey`)
+# and of the Newton refinement's width test.
+_EPS64 = float(np.finfo(float).eps)
+_U64 = _EPS64 / 2
 _TINY64 = float(np.finfo(float).tiny)
 _FLOOR = 2 * _TINY64 / _U64
 
@@ -286,15 +297,73 @@ def _bracketed_roots(fun, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
     return roots
 
 
-def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> ZeroReport:
-    """Locate the simple zeros of F on (0, r_max) by sign scan + regula falsi.
+def _newton_roots(jet, lo, hi, f_lo, f_hi, xtol: float):
+    """A zero of F in each sign-change bracket [lo[k], hi[k]], all refined together.
 
-    `_bracketed_roots` refines the grid's brackets together to 5e-13.  The
-    scan doubles the grid (up to four times) whenever two detected zeros
-    sit closer than twice the grid spacing; zeros whose finite-difference
-    derivative (one-sided at 0 and r0) falls below SIMPLE_ZERO_RTOL *
+    `jet(x)` gives F, F' and F's roundoff envelope at the points x, in one
+    evaluation.  Safeguarded Newton from each bracket's midpoint: every
+    evaluation narrows its bracket to the side where F changes sign, and
+    the next point is the Newton step when that stays inside the open
+    bracket.  When it leaves the bracket (F' = 0 among the causes), the
+    next point is the bracket's regula falsi point: a zero within Newton's
+    overshoot of a bracket end would otherwise take a bisection per
+    halving of that overshoot.  The midpoint is taken when the regula falsi
+    point is not strictly inside either, or when the bracket has not
+    halved over its last three steps.  A bracket closes when F vanishes at
+    the point, when the Newton step is at most max(xtol, envelope/|F'|),
+    the noise over the slope (its zero is then the Newton point, kept in
+    the bracket), or when the bracket is at most 1e-12 (and a few ulps)
+    wide (its zero is the midpoint).  Returns the zeros, F' and
+    noise/|F'| at the last point of each bracket, and the counts of
+    Newton, regula falsi and bisection steps and of calls of `jet`.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f_lo, f_hi = np.array(f_lo), np.array(f_hi)
+    x = 0.5 * (lo + hi)
+    roots, slopes, noise = x.copy(), np.zeros_like(x), np.zeros_like(x)
+    history = np.full((3, lo.size), np.inf)  # bracket widths one, two and three steps back
+    work = np.zeros(4, dtype=int)  # Newton, regula falsi and bisection steps; calls
+    open_ = np.arange(lo.size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # F' = 0 gives a step that is not finite
+        while open_.size:
+            work[3] += 1
+            xo = x[open_]
+            f, d, env = jet(xo)
+            moves_lo = np.sign(f) == np.sign(f_lo[open_])
+            a = lo[open_] = np.where(moves_lo, xo, lo[open_])
+            b = hi[open_] = np.where(moves_lo, hi[open_], xo)
+            fa = f_lo[open_] = np.where(moves_lo, f, f_lo[open_])
+            fb = f_hi[open_] = np.where(moves_lo, f_hi[open_], f)
+            step = (-f / d).astype(float)
+            slopes[open_], noise[open_] = d, env / np.abs(d)
+            nxt, mid, width = xo + step, 0.5 * (a + b), b - a
+            small = (d != 0) & (np.abs(step) <= np.maximum(xtol, noise[open_]))
+            roots[open_] = np.where(f == 0, xo, np.where(small, np.clip(nxt, a, b), mid))
+            falsi = a + width * (fa / (fa - fb)).astype(float)
+            kind = np.select(  # 0 Newton, 1 regula falsi, 2 bisection
+                [width > 0.5 * history[2, open_], (a < nxt) & (nxt < b), (a < falsi) & (falsi < b)], [2, 0, 1], 2
+            )
+            history[1:, open_] = history[:-1, open_]
+            history[0, open_] = width
+            x[open_] = np.choose(kind, [nxt, falsi, mid])
+            go = (f != 0) & ~small & (width > 1e-12 + 4 * _EPS64 * (np.abs(a) + np.abs(b)))
+            work[:3] += np.bincount(kind[go], minlength=3)
+            open_ = open_[go]
+    return roots, slopes, noise, work
+
+
+def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> ZeroReport:
+    """Locate the simple zeros of F on (0, r_max) by sign scan + safeguarded Newton.
+
+    `_newton_roots` refines the grid's brackets together, on F and its
+    analytic derivative from `basis_values`, to 5e-13 or the noise over
+    |F'|, whichever is larger.  The scan doubles the grid (up to four
+    times) whenever two detected zeros sit closer than twice the grid
+    spacing; zeros whose analytic derivative falls below SIMPLE_ZERO_RTOL *
     max|F| / r_max are flagged and logged as a warning on the `pwcycles`
-    logger.
+    logger.  One DEBUG line per count gives the brackets, the Newton,
+    regula falsi and bisection steps, the evaluations, the doublings and
+    the largest noise/|F'| at the zeros.
     """
     params = fn.params
     if not (0 < r_max < params.r0):
@@ -303,15 +372,15 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
         raise ValueError("grid too coarse")
 
     # Long double because the raw basis is badly scaled at high degree and
-    # cancellation in double precision can bury genuine zeros in noise; only
-    # the scan grid needs the roundoff envelope.
+    # cancellation in double precision can bury genuine zeros in noise.
     c = fn.expansion.vector(LONG)
     n = fn.expansion.degree
 
-    def values(r) -> np.ndarray:
-        return np.dot(c, basis_values(params, n, r, LONG))
+    def jet(r):
+        values, slopes = basis_values(params, n, r, LONG, derivative=True)
+        return np.dot(c, values), np.dot(c, slopes), _envelope(c, np.abs(values))
 
-    doublings = 0
+    doublings, work = 0, np.zeros(4, dtype=int)
     while True:
         rr = np.linspace(r_max / grid, r_max, grid)
         basis = basis_values(params, n, rr, LONG)
@@ -320,7 +389,8 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
         if keep.size == 0:
             return ZeroReport((), grid, degenerate=True)
         i, j = keep[flips], keep[flips + 1]
-        zeros = _bracketed_roots(values, rr[i], rr[j], vals[i], vals[j], 5e-13)
+        zeros, derivs, noise, steps = _newton_roots(jet, rr[i], rr[j], vals[i], vals[j], 5e-13)
+        work += steps
         if not np.any(np.diff(zeros) < 2 * r_max / grid):
             break
         if doublings >= 4:
@@ -330,11 +400,11 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
         grid *= 2
         doublings += 1
 
-    h = 1e-6 * np.maximum(1.0, np.abs(zeros))
-    lo = np.where(zeros - h <= 0, zeros, zeros - h)
-    hi = np.where(zeros + h >= params.r0, zeros, zeros + h)
-    v = values(np.concatenate([lo, hi]))
-    derivs = ((v[zeros.size :] - v[: zeros.size]) / (hi - lo)).astype(float)
+    log.debug(
+        "count: %d brackets, %d Newton, %d regula falsi and %d bisection steps in %d evaluations, %d doublings, "
+        "largest noise/|F'| at the zeros %.3g",
+        zeros.size, *work, doublings, noise.max(initial=0.0),
+    )
     pairs = tuple(zip(zeros.tolist(), derivs.tolist()))
     threshold = SIMPLE_ZERO_RTOL * float(np.max(np.abs(vals))) / r_max
     flagged = []
@@ -364,12 +434,16 @@ def _orthonormal_transform(stack_window: np.ndarray) -> np.ndarray:
     return (Vt.T / S).astype(float)  # generators x orthonormal directions
 
 
-def _row_space_basis(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the rows of M (p x m) as the columns of an m x p array.
+def _null_draws(M: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` of fixed Gaussian draws of length m, rows of
+    `np.random.default_rng(0).standard_normal`, in long double, with their
+    component in the row space of M (p x m) removed; row k does not depend
+    on `count`.
 
-    Classical Gram–Schmidt in long double with each projection applied
-    twice, which keeps the basis orthogonal to working precision (Giraud,
-    Langou and Rozložník, Comput. Math. Appl. 50, 2005).  LAPACK has no
+    The row space's orthonormal basis comes from classical Gram–Schmidt in
+    long double, and every projection, the draws' too, is applied twice,
+    which keeps the basis orthogonal to working precision (Giraud, Langou
+    and Rozložník, Comput. Math. Appl. 50, 2005).  LAPACK has no
     extended-precision path, and double-precision null vectors of the
     badly conditioned collocation matrices stall far above the long-double
     floor.
@@ -379,15 +453,18 @@ def _row_space_basis(M: np.ndarray) -> np.ndarray:
         for _ in range(2):
             row = row - np.dot(Q, np.dot(Q.T, row))
         Q = np.column_stack([Q, row / np.sqrt(np.sum(row * row))])
-    return Q
+    draws = np.random.default_rng(0).standard_normal((count, M.shape[1])).astype(LONG)
+    for _ in range(2):
+        draws -= np.dot(np.dot(draws, Q), Q.T)
+    return draws
 
 
 def place_zeros(params: SystemParams, n: int, targets: Sequence[float]) -> BasisExpansion:
     """Construct an expansion whose zero set includes the given targets.
 
     With p targets and m reachable generators, p <= m - 1 leaves a null
-    space; among fixed Gaussian draws projected onto it the combination is
-    chosen to avoid spurious extra zeros on the scan window first and to
+    space; among fixed Gaussian draws projected onto it (draw 0 alone when
+    it is one-dimensional) the combination is chosen to avoid spurious extra zeros on the scan window first and to
     maximize the minimum |F'| over the targets second, and signed so that
     F rises through the first target.  The result depends on the
     parameters, the degree and the targets alone.  p >= m raises
@@ -397,7 +474,18 @@ def place_zeros(params: SystemParams, n: int, targets: Sequence[float]) -> Basis
 
 
 def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[float]) -> BasisExpansion:
-    """The null-space placement of `place_zeros` over a given generator list."""
+    """The null-space placement of `place_zeros` over a given generator list.
+
+    The collocation rows are the generators at the targets, each scaled by
+    its largest |value| on a 2048-point scan of (0, min(0.999 r0, 2 t_p)].
+    The candidates are `_null_draws` of those rows, 5(m - p) of them, or
+    draw 0 alone when m - p = 1, where every draw projects onto the same
+    null direction and scoring more would only pick among roundoffs.  A
+    candidate scores (extra sign changes on the scan, -min |F'(t)| / max
+    |F|), lower first, with F' at the targets from the derivative rows of
+    `basis_values`; the winner is normalized to max |F| = 1 on the scan and
+    signed so that F'(t_1) >= 0.
+    """
     targets = [float(t) for t in targets]
     if sorted(set(targets)) != targets:
         raise ValueError("targets must be strictly increasing and distinct")
@@ -419,13 +507,12 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
     r_hi = min(params.r0 * 0.999, 2.0 * targets[-1])
     scan = basis_values(params, n, np.linspace(r_hi / 2048, r_hi, 2048), LONG)
     Gs = np.dot(G, scan)
-    colscale = np.max(np.abs(Gs), axis=1)  # per-generator window scale
+    abs_Gs = np.abs(Gs)
+    colscale = np.max(abs_Gs, axis=1)  # per-generator window scale
 
-    # The targets and their -fd and +fd neighbours, sampled together.
-    t = np.asarray(targets)
-    fd = 1e-6 * np.maximum(1.0, t)
-    near = basis_values(params, n, np.concatenate([t, t - fd, t + fd]), LONG)
-    tstack, tlo, thi = np.split(np.dot(G, near), 3, axis=1)
+    # The generators and their slopes at the targets.
+    near, near_slopes = basis_values(params, n, np.asarray(targets), LONG, derivative=True)
+    tstack, tslope = np.dot(G, near), np.dot(G, near_slopes)
     M_long = (tstack / colscale[:, None]).T  # p x m, diagonally equilibrated
 
     # Condition diagnostic in an orthonormalized basis: it reflects the
@@ -439,20 +526,14 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
             "targets too close together or too near the annulus boundary"
         )
 
-    # Candidates: fixed Gaussian draws with their row-space part removed,
-    # twice, as the basis itself was built.
-    Q = _row_space_basis(M_long)
-    candidates = np.random.default_rng(0).standard_normal((5 * (m - p), m)).astype(LONG)
-    for _ in range(2):
-        candidates -= np.dot(np.dot(candidates, Q), Q.T)
-
-    abs_Gs = np.abs(Gs)
+    # A one-dimensional null space has one direction, which draw 0 gives.
+    candidates = _null_draws(M_long, 1 if m - p == 1 else 5 * (m - p))
     best = None
     for c in candidates:
         dg = c / colscale  # back to raw generator coordinates
         vals = np.dot(dg, Gs)
         extra = max(0, len(_sign_flips(vals, _envelope(dg, abs_Gs))[1]) - p)
-        slope = (np.dot(dg, thi) - np.dot(dg, tlo)) / (2 * fd)
+        slope = np.dot(dg, tslope)
         scale_f = float(np.max(np.abs(vals)))
         score = (extra, -float(np.min(np.abs(slope))) / scale_f)
         if best is None or score < best[0]:
@@ -468,8 +549,7 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
     if resolved < p:
         log.warning("placement: the scan resolves %d of %d targets; the placed function is below "
                     "long-double resolution between them", resolved, p)
-    bt = near[:, :p]
-    envelope_ratio = np.max(np.abs(np.dot(coeffs, bt)) / _envelope(coeffs, np.abs(bt)))
+    envelope_ratio = np.max(np.abs(np.dot(coeffs, near)) / _envelope(coeffs, np.abs(near)))
     log.debug(
         "placement: %d targets, %d generators, condition %.3g, largest |F(t)|/envelope at the targets %.3g",
         p, m, condition, envelope_ratio,

@@ -432,6 +432,36 @@ class TestBasisValues:
             assert np.array_equal(got, _fresh_basis(params, n, rr, dtype), equal_nan=True)
         assert averaging._kept_grid.cache_info().currsize == 1
 
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3)])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_derivative_rows_match_central_differences(self, ab, n):
+        # long-double central differences with step 1e-6 r: truncation about
+        # 1e-13 r^2 times the third derivative and roundoff about 1e-13 |f| / r,
+        # both inside the budget on (0.2, 0.9 r0) once 1e-2 clear of the seams
+        params = SystemParams(*ab)
+        hi = 0.9 * min(params.r0, 6.0)
+        rr = np.linspace(0.2, hi, 61)
+        rr = rr[(np.abs(rr - abs(params.a)) > 1e-2) & (np.abs(rr - abs(params.b)) > 1e-2)]
+        values, slopes = basis_values(params, n, rr, LONG, derivative=True)
+        assert np.array_equal(values, basis_values(params, n, rr, LONG))
+        r, h = rr.astype(LONG), LONG(1e-6) * rr.astype(LONG)
+        diff = (basis_values(params, n, r + h, LONG) - basis_values(params, n, r - h, LONG)) / (2 * h)
+        assert np.all(np.abs(diff - slopes) <= 1e-8 * np.abs(slopes) + 1e-14 * np.abs(values) / r)
+
+    @pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["double", "long_double"])
+    def test_derivative_rows_of_a_kept_grid(self, dtype):
+        # the value rows and the derivative rows of a kept grid equal those
+        # of sampling the same points afresh, in pieces below _GRID_MIN
+        averaging._kept_grid.cache_clear()
+        params = SystemParams(1.0, -2.0)
+        rr = np.linspace(0.01, 8.0, 600)
+        for n in (3, 1, 4):
+            values, slopes = basis_values(params, n, rr, dtype, derivative=True)
+            pieces = [basis_values(params, n, part, dtype, derivative=True) for part in np.split(rr, 3)]
+            assert np.array_equal(values, np.hstack([v for v, _ in pieces]))
+            assert np.array_equal(slopes, np.hstack([d for _, d in pieces]))
+        assert averaging._kept_grid.cache_info().currsize == 1
+
     def test_kernel_rows_are_sampled_once_per_grid_and_constant(self, monkeypatch):
         averaging._kept_grid.cache_clear()
         calls = []

@@ -12,12 +12,15 @@ import pytest
 from pwcycles.kernels import (
     BACK_HALF_CIRCLE,
     HALF_CIRCLE,
+    SEAM_BAND,
     DomainError,
     FamilyIndex,
     FamilyIndexError,
     OracleConvergenceError,
     SingularityError,
     SystemParams,
+    a00,
+    a00_prime,
     eval_A00,
     eval_B00,
     eval_family,
@@ -190,6 +193,52 @@ class TestB00:
             eval_B00(2.0, p)
         with pytest.raises(DomainError):
             eval_B00(2.5, p)
+
+
+class TestKernelSlopes:
+    """A[0,0]' and B[0,0]' against the quadrature of the differentiated
+    integrand, -2 cos t / (r cos t + c)^3 over the half circle."""
+
+    # Relative distances from the seam: inside the series band, and
+    # outside it, where the ODE's closed form divides by r^2 - a^2.
+    INSIDE = (-0.5 * SEAM_BAND, 0.5 * SEAM_BAND)
+    OUTSIDE = (-2 * SEAM_BAND, 2 * SEAM_BAND)
+
+    @staticmethod
+    def _oracle(r, c, interval):
+        return quad_oracle(lambda t: -2.0 * math.cos(t) / (r * math.cos(t) + c) ** 3, interval)
+
+    @staticmethod
+    def _slope(r, c):
+        x = np.array([r])
+        return float(a00_prime(x, c, a00(x, c))[0])
+
+    def _check(self, slope, seam, c, interval):
+        # The closed forms of A cancel toward the seam and the ODE divides
+        # that error by r^2 - a^2: at twice the band width A' keeps about
+        # 2e-9 relative in double.  Inside the band and away from the
+        # seam it is good to a few ulps.
+        for rel, tol in [(d, 1e-13) for d in self.INSIDE] + [(d, 1e-8) for d in self.OUTSIDE]:
+            r = seam * (1 + rel)
+            assert slope(r) == pytest.approx(self._oracle(r, c, interval), rel=tol), (c, rel)
+        for r in (0.5 * seam, -0.4 * seam, 2.5 * seam):
+            assert slope(r) == pytest.approx(self._oracle(r, c, interval), rel=1e-13), (c, r)
+
+    @pytest.mark.parametrize("a", [1.0, -1.5, 0.7])
+    def test_a_slope(self, a):
+        # the seam of A[0,0](r; a) is r = a, for either sign of a
+        self._check(lambda r: self._slope(r, a), a, a, HALF_CIRCLE)
+
+    @pytest.mark.parametrize("b", [-2.0, 2.0])
+    def test_b_slope_by_the_half_turn(self, b):
+        # B[0,0](r) = A[0,0](-r; b), so B' (r) = -A'(-r; b), seam at r = -b
+        self._check(lambda r: -self._slope(-r, b), -b, b, BACK_HALF_CIRCLE)
+
+    def test_dtype_and_domain(self):
+        r = np.linspace(-3.0, 3.0, 61).astype(np.longdouble)  # the seam r = 1 included
+        got = a00_prime(r, 1.0, a00(r, 1.0))
+        assert got.dtype == np.longdouble
+        assert np.array_equal(np.isnan(got), r <= -1.0)  # the domain is r > -a
 
 
 class TestSeeds:

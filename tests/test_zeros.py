@@ -127,6 +127,31 @@ class TestCountSimpleZeros:
         with pytest.raises(UnresolvedClusterError, match="after 4 doublings"):
             count_simple_zeros(AveragedFunction(params, e), 2.0)
 
+    def test_vanishing_slope_at_a_newton_point_bisects(self, params):
+        # F = (r - 1)^3 + 1e-3 on the 8-point grid 2j/7: its one bracket
+        # (6/7, 8/7) has midpoint 1, where F' = 0 exactly, so the first step
+        # is a bisection, not a step to the end of the bracket
+        e = BasisExpansion.zeros(1)
+        e.coeff_poly[:] = [1e-3 - 1.0, 3.0, -3.0, 1.0]
+        report = count_simple_zeros(AveragedFunction(params, e), 16 / 7, grid=8)
+        assert report.locations == pytest.approx((0.9,), abs=1e-12)
+        assert report.zeros[0][1] == pytest.approx(0.03, rel=1e-12)
+        assert report.non_simple == ()
+
+    def test_zero_at_a_bracket_end_takes_the_regula_falsi_point(self, params, monkeypatch):
+        # F = (r - z)(r - 3.3) with z = 0.5 + 1e-13, next to the grid point
+        # 0.5 of the 800-point grid on (0, 5]: Newton from the bracket's
+        # midpoint overshoots z by some 4e-6, out of the bracket, and the
+        # regula falsi point of the bracket lands on z; midpoints would
+        # take a dozen evaluations to get within Newton's reach
+        z = 0.5 + 1e-13
+        e = BasisExpansion.zeros(1)
+        e.coeff_poly[:3] = [3.3 * z, -(3.3 + z), 1.0]
+        seen = self._spy_on_basis_values(monkeypatch)
+        report = count_simple_zeros(AveragedFunction(params, e), 5.0, grid=800)
+        assert report.locations == pytest.approx((z, 3.3), abs=1e-15)
+        assert len(seen) - 1 <= 4
+
     def test_close_zeros_double_the_grid(self, params):
         # F = (r - 0.5)(r - 0.85) on the 10-point grid 0.2, 0.4, ..., 2.0: the
         # zeros fall in different cells but sit 0.35 apart, under twice the
@@ -148,29 +173,71 @@ class TestCountSimpleZeros:
         """Record the points of every `basis_values` call made by `zeros`."""
         seen = []
 
-        def spy(params, n, r, dtype=np.float64):
+        def spy(params, n, r, dtype=np.float64, derivative=False):
             seen.append(np.atleast_1d(r))
-            return basis_values(params, n, r, dtype)
+            return basis_values(params, n, r, dtype, derivative)
 
         monkeypatch.setattr(zeros, "basis_values", spy)
         return seen
 
     def test_refinement_calls_do_not_grow_with_brackets(self, params, monkeypatch):
-        # all brackets of a grid are refined together, one evaluation per
-        # iteration, and all derivatives come from one more evaluation
+        # all brackets of a grid are refined together: each Newton iteration
+        # is one evaluation of the values and analytic derivatives at every
+        # open bracket, and the simple-zero flag reads the last of them
         exp = place_zeros(params, 3, list(np.linspace(0.3, 5.0, 8)))
         seen = self._spy_on_basis_values(monkeypatch)
         report = count_simple_zeros(AveragedFunction(params, exp), 7.5, grid=800)
         assert report.count == 8
         assert len(seen) <= 20
 
+    def test_ceiling_capacity_counts_take_few_evaluations(self, monkeypatch):
+        # the eight capacity counts of the benchmark's ceiling workload
+        # (reproduce_hn at (1, -2) and (1, -1), n = 1..4: targets on
+        # (0.3, 5), counted on (0, 7.5) at grid 800).  Newton's evaluations
+        # carry the flag's derivatives too; regula falsi plus the
+        # finite-difference derivatives took 76 evaluations over the eight
+        fns = []
+        for b in (-2.0, -1.0):
+            params = SystemParams(1.0, b)
+            for n in (1, 2, 3, 4):
+                targets = list(np.linspace(0.3, 5.0, reachable_zero_capacity(params, n)))
+                fns.append((AveragedFunction(params, place_zeros(params, n, targets)), len(targets)))
+        seen = self._spy_on_basis_values(monkeypatch)
+        for fn, capacity in fns:
+            assert count_simple_zeros(fn, 7.5, grid=800).simple_count == capacity
+        assert len(seen) - len(fns) <= 38  # all but the one scan per count
+
+    def test_debug_line_reports_the_refinement_work(self, params, caplog):
+        exp = place_zeros(params, 3, list(np.linspace(0.3, 5.0, 8)))
+        lines = []
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+                report = count_simple_zeros(AveragedFunction(params, exp), 7.5, grid=800)
+            lines += [r.getMessage() for r in caplog.records if r.getMessage().startswith("count:")]
+        assert len(lines) == 2 and lines[0] == lines[1]
+        got = re.fullmatch(
+            r"count: 8 brackets, (\d+) Newton, (\d+) regula falsi and (\d+) bisection steps in (\d+) "
+            r"evaluations, 0 doublings, largest noise/\|F'\| at the zeros (\S+)",
+            lines[0],
+        )
+        assert got and report.count == 8
+        newton, falsi, bisections, calls = (int(got.group(k)) for k in (1, 2, 3, 4))
+        # every step lands on a point that the next evaluation samples
+        assert 1 <= calls <= 20 and newton + falsi + bisections <= 8 * (calls - 1)
+        # the noise is taken at each zero's last Newton point, within its step
+        c = exp.vector(zeros.LONG)
+        values, slopes = basis_values(params, 3, np.array(report.locations), zeros.LONG, derivative=True)
+        noise = zeros._envelope(c, np.abs(values)) / np.abs(np.dot(c, slopes))
+        assert float(got.group(5)) == pytest.approx(float(np.max(noise)), rel=1e-2)
+
     @pytest.mark.parametrize(
         "z0,r_max", [(5e-7, 1e-5), (1.5 - 3e-7, 1.5 - 1e-7)], ids=["origin", "annulus_edge"]
     )
     def test_derivative_samples_stay_inside_the_annulus(self, bounded_params, monkeypatch, z0, r_max):
-        # F = r - z0 with z0 within the difference step of 0 or of r0 = 1.5:
-        # the difference turns one-sided there and the basis is never
-        # sampled outside (0, r0), where it is not defined
+        # F = r - z0 with z0 within 1e-6 of 0 or of r0 = 1.5: the derivative
+        # is analytic at the Newton points, all inside their brackets, so
+        # the basis is never sampled outside (0, r0), where it is not defined
         e = BasisExpansion.zeros(1)
         e.coeff_poly[:2] = [-z0, 1.0]
         seen = self._spy_on_basis_values(monkeypatch)
@@ -329,6 +396,36 @@ class TestPlacement:
         targets = [0.5, 0.5 + 1e-14, 1.0, 1.5]
         with pytest.raises((RankDeficiencyError, ValueError)):
             place_zeros(params, 1, targets)
+
+    @pytest.mark.parametrize("n,free", [(1, 1), (3, 1), (4, 1), (3, 3), (2, 2)])
+    def test_candidates_scored(self, params, monkeypatch, n, free):
+        # m - p = 1 at capacity: the null space is a line, so draw 0 is the
+        # one candidate; a wider null space scores 5 (m - p) draws.  Each
+        # candidate's scan is one `_sign_flips` call, and the winner's
+        # resolution scan one more
+        p = reachable_zero_capacity(params, n) + 1 - free
+        targets = list(np.linspace(0.3, 5.0, p))
+        draws, flips = [], []
+        null_draws, sign_flips = zeros._null_draws, zeros._sign_flips
+        monkeypatch.setattr(zeros, "_null_draws", lambda M, count: draws.append(count) or null_draws(M, count))
+        monkeypatch.setattr(zeros, "_sign_flips", lambda v, e: flips.append(v.size) or sign_flips(v, e))
+        place_zeros(params, n, targets)
+        scored = 1 if free == 1 else 5 * free
+        assert draws == [scored]
+        assert flips == [2048] * (scored + 1)
+
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (0.7, -0.3)])
+    def test_capacity_placement_is_draw_zero(self, ab, monkeypatch):
+        # bit for bit the placement made from the first of five draws
+        params = SystemParams(*ab)
+        hi = min(5.0, 0.8 * params.r0)
+        wants = [place_zeros(params, n, list(np.linspace(0.1 * hi, hi, reachable_zero_capacity(params, n))))
+                 for n in (1, 2, 3, 4)]
+        null_draws = zeros._null_draws
+        monkeypatch.setattr(zeros, "_null_draws", lambda M, count: null_draws(M, 5)[:1])
+        for n, want in zip((1, 2, 3, 4), wants):
+            got = place_zeros(params, n, list(np.linspace(0.1 * hi, hi, reachable_zero_capacity(params, n))))
+            assert np.array_equal(got.vector(), want.vector())
 
     def test_deterministic(self, params):
         e1 = place_zeros(params, 2, [0.4, 1.0, 1.9])
