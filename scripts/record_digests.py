@@ -12,23 +12,25 @@ process, each of these manifests:
   inline tables (`pert_inline`), at seed N.
 
 Each of those lines is the sha256 of `json.dumps(record, sort_keys=True)`
-and the manifest's name.  The last four lines, `zero-layer-placements`,
-`zero-layer-reports`, `zero-layer-histograms` and `exact-layer`, are
-each one sha256 over outputs that no manifest pins (see `zero_layer` and
-`exact_layer`); they do not depend on N.  Two trees that print the same
-lines give byte-identical records, so comparing a parent checkout with a
-change is
+and the manifest's name.  The last five lines, `zero-layer-placements`,
+`zero-layer-reports`, `zero-layer-histograms`, `exact-layer` and
+`family-values`, are each one sha256 over outputs that no manifest pins
+(see `zero_layer`, `exact_layer` and `family_values`); they do not
+depend on N.  Two trees that print the same lines give byte-identical
+records, so comparing a parent checkout with a change is
 
     python scripts/record_digests.py --src ../parent/src --seed 3 > before
     python scripts/record_digests.py --seed 3 > after
     diff before after
 
 With a `--src` other than this checkout's `src`, the script then prints
-how the zero layer's reports move from DIR to this checkout, whose
-reports a child process computes: per (system, degree) one `zero-move`
-line with the largest change of a zero location over its placements,
-or the placements whose zero count changed, and one `non-simple` line
-for every placement whose `non_simple` set changed.
+how the zero layer's reports and the family values move from DIR to
+this checkout, whose outputs a child process computes: per (system,
+degree) one `zero-move` line with the largest change of a zero location
+over its placements, or the placements whose zero count changed, one
+`non-simple` line for every placement whose `non_simple` set changed,
+and one `family-move` line with the largest relative change of a
+family value.
 """
 
 from __future__ import annotations
@@ -142,13 +144,11 @@ def exact_layer() -> str:
       coefficients zeroed, and every unit perturbation;
     * `coefficient_surjectivity_check`;
 
-    and, once per system, `eval_family` for A, B, I and J at i + j <= 5
-    and r = 0, 0.1 (inside the series radius of every constant here), 0.6
-    and 1.2, those below r0; then `wallis_half(k)` for k < 60.  Public
-    names only, so the function runs on any tree that has them.
+    then `wallis_half(k)` for k < 60.  Public names only, so the function
+    runs on any tree that has them.
     """
     from pwcycles.averaging import PerturbationSpec, assemble, assembly_matrix
-    from pwcycles.kernels import FamilyIndex, SystemParams, eval_family, wallis_half
+    from pwcycles.kernels import SystemParams, wallis_half
     from pwcycles.zeros import coefficient_surjectivity_check
 
     digest = hashlib.sha256()
@@ -166,24 +166,43 @@ def exact_layer() -> str:
             for pert in perts:
                 digest.update(assemble(params, pert).expansion.vector().tobytes())
             digest.update(repr(coefficient_surjectivity_check(params, n)).encode())
-        values = [eval_family(FamilyIndex(fam, i, j), r, params)
-                  for fam in "ABIJ" for i in range(6) for j in range(6 - i)
-                  for r in (0.0, 0.1, 0.6, 1.2) if r < params.r0]
-        digest.update(repr(values).encode())
     digest.update(repr([wallis_half(k) for k in range(60)]).encode())
     return digest.hexdigest()
+
+
+def family_values() -> list:
+    """`eval_family` for A, B, I and J at i + j <= 5 and r = 0, 0.1 (inside
+    the series radius of every constant here), 0.6 and 1.2, those below
+    r0, at the systems of `exact_layer`.  Public names only."""
+    from pwcycles.kernels import FamilyIndex, SystemParams, eval_family
+
+    values = []
+    for a, b in ((1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (1.0, 1.0), (0.7, -0.3)):
+        params = SystemParams(a, b)
+        values += [eval_family(FamilyIndex(fam, i, j), r, params)
+                   for fam in "ABIJ" for i in range(6) for j in range(6 - i)
+                   for r in (0.0, 0.1, 0.6, 1.2) if r < params.r0]
+    return values
+
+
+def family_move(before: list, after: list) -> str:
+    """The largest relative change between two `family_values` lists; a
+    value that was zero counts its absolute change."""
+    move = max(abs(y - x) / (abs(x) or 1.0) for x, y in zip(before, after))
+    return f"family-move: largest relative change {move:.3g} over {len(before)} values"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the pwcycles package")
     parser.add_argument("--seed", type=int, default=3, help="seed of the perfbench operations and the sweeps")
-    parser.add_argument("--zero-reports", action="store_true", help=argparse.SUPPRESS)  # the child's JSON
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)  # the child's JSON
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
-    if args.zero_reports:
-        print(json.dumps([[key, value] for key, value in zero_layer()[1].items()]))
+    if args.child:
+        reports = [[key, value] for key, value in zero_layer()[1].items()]
+        print(json.dumps({"zero_reports": reports, "family_values": family_values()}))
         return 0
     from pwcycles.manifest import ExperimentManifest, run_manifest
 
@@ -194,11 +213,15 @@ def main(argv=None) -> int:
     for part, digest in digests.items():
         print(digest, f"zero-layer-{part}")
     print(exact_layer(), "exact-layer")
+    values = family_values()
+    print(hashlib.sha256(repr(values).encode()).hexdigest(), "family-values")
     if src != (ROOT / "src").resolve():
-        child = subprocess.run([sys.executable, __file__, "--zero-reports"], capture_output=True, text=True, check=True)
-        here = {tuple(key): value for key, value in json.loads(child.stdout)}
+        child = json.loads(subprocess.run([sys.executable, __file__, "--child"],
+                                          capture_output=True, text=True, check=True).stdout)
+        here = {tuple(key): value for key, value in child["zero_reports"]}
         for line in zero_moves(reports, here):
             print(line)
+        print(family_move(values, child["family_values"]))
     return 0
 
 

@@ -25,7 +25,6 @@ from .kernels import (
     wallis_half,
     eval_A00,
     eval_B00,
-    eval_I00_J00,
     eval_family,
     quad_oracle,
 )

@@ -12,9 +12,8 @@ r^(2i) * B[0,0](r).  Two independent routes compute it:
   coefficients with the exact unit columns of `_unit_parts` and rounds
   the sum to a `BasisExpansion` once.  A unit column is the reduction of
   one polar numerator entry (the sigma/tau sums): zero for an odd sine
-  power, else `_unit_half` (binomial lowering into the S/T tables,
-  collapse of the cosine ladders, elimination of the first-power seeds
-  I[0,0], J[0,0] through their closed relations).
+  power, else the checked reduction of that entry, `kernels._unit_half`
+  (the same reduction `kernels.eval_family` evaluates).
 
 * `oracle_F` integrates the polar right-hand side directly with adaptive
   quadrature and knows nothing about the reduction.
@@ -52,7 +51,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -63,19 +62,13 @@ from .kernels import (
     HALF_CIRCLE,
     DomainError,
     SystemParams,
+    _unit_half,
     a00,
     a00_prime,
     quad_oracle,
-    wallis_half_exact,
 )
 
-Table = Dict[Tuple[int, int], Fraction]
-
 log = logging.getLogger("pwcycles")
-
-
-class AssemblyError(RuntimeError):
-    """An exact structural identity of the reduction failed."""
 
 
 @lru_cache(maxsize=None)
@@ -185,73 +178,6 @@ class PerturbationSpec:
         if s == 0:
             return self
         return self.scaled_add(1.0 / s, self, 0.0)
-
-
-def _reduce_half(
-    S: Table, c: Fraction, degree: int, alternate: bool
-) -> Tuple[List[Fraction], List[Fraction]]:
-    """Collapse one half-circle family to {r^(2i) K[0,0]} + monomials.
-
-    The ladder for the squared-denominator family reads
-
-        r^i K[i,0] = (-c)^i K[0,0] + i (-c)^(i-1) L[0,0] + poly terms,
-
-    with poly ladder weights (-c)^k (front half) or (-1)^i c^k (back
-    half, `alternate=True`).  The first-power seed then dissolves via
-    L[0,0] = linear_seed * r + c*K[0,0] - (r^2/c)*K[0,0], where
-    linear_seed is +2/c^2 (front) or -2/c^2 (back).
-    """
-    linear_seed = Fraction(-2 if alternate else 2) / c**2
-    h = (degree + 1) // 2
-    coef_K = [Fraction(0)] * (h + 2)
-    coef_L = [Fraction(0)] * (h + 1)
-    poly = [Fraction(0)] * (2 * h + 2)
-
-    for (i, j), s in S.items():
-        if s == 0:
-            continue
-        coef_K[j] += s * (-c) ** i
-        if i >= 1:
-            coef_L[j] += s * i * (-c) ** (i - 1)
-        for k in range(i - 1):  # k = 0 .. i-2
-            lad = ((-1) ** i) * c**k if alternate else (-c) ** k
-            poly[2 * j + i - k - 2] += wallis_half_exact(i - k - 2) * (s * (k + 1) * lad)
-
-    for j in range(h + 1):
-        cl = coef_L[j]
-        if cl == 0:
-            continue
-        poly[2 * j + 1] += cl * linear_seed
-        coef_K[j] += cl * c
-        coef_K[j + 1] -= cl / c
-
-    return coef_K, poly
-
-
-@lru_cache(maxsize=None)
-def _unit_half(
-    c: Fraction, alternate: bool, p: int, q: int
-) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
-    """The reduction of the single entry sigma[p, q] = 1, q even, at the
-    smallest degree that holds it, max(1, p + q - 1): the only place a
-    reduction runs.  sin^2 = 1 - cos^2 lowers the entry binomially onto
-    S[p + 2k, l - k] = (-1)^k C(l, k), k = 0..l, l = q/2.
-
-    Then the half's exact structural identities are checked; a failure
-    means the reduction itself is broken, not the input.  A larger degree
-    only appends zeros to both parts, and its check at index
-    2*floor((n+1)/2) then reads one of them; the checks are linear, so
-    they hold for every degree and every combination `assemble` makes.
-    """
-    l = q // 2
-    S: Table = {(p + 2 * k, l - k): Fraction((-1) ** k * math.comb(l, k)) for k in range(l + 1)}
-    degree = max(1, p + q - 1)
-    coef, poly = _reduce_half(S, c, degree, alternate)
-    if poly[2 * ((degree + 1) // 2)] != 0:
-        raise AssemblyError("monomial coefficient at index 2*floor((n+1)/2) must vanish")
-    if coef[0] != -(c * c) * poly[0]:
-        raise AssemblyError("constant-term tie between the kernel and monomial parts failed")
-    return tuple(coef), tuple(poly)
 
 
 @dataclass(frozen=True)

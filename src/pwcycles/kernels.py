@@ -14,7 +14,9 @@ of parameter-dependent integrals over half circles,
 
 Everything reduces to A[0,0]: odd powers of sin integrate to zero, even
 powers reduce binomially to j = 0, and the j = 0 ladders collapse to the
-(i = 0) seeds plus polynomial terms.  A[0,0] itself has elementary closed
+seeds plus polynomial terms.  `_unit_half` holds that reduction, exact
+and checked, per entry; `pwcycles.averaging` assembles it and
+`eval_family` evaluates it.  A[0,0] itself has elementary closed
 forms (arctan inside the critical radius, log outside), a removable
 0/0 seam at r = a handled by a local series, and the parity identity
 A[0,0](r; a) = A[0,0](-r; -a), which also gives B[0,0](r; b) =
@@ -22,8 +24,9 @@ A[0,0](-r; b) via the half-turn substitution.  Its derivative comes from
 the first-order ODE it satisfies, and from the seam series on the seam
 (`a00_prime`).
 
-An adaptive-quadrature oracle (`quad_oracle`) provides an independent
-evaluation path for every family; the closed forms never feed it.
+An adaptive-quadrature oracle (`quad_oracle`, `oracle_family`) provides
+an independent evaluation path for every family; the closed forms and
+the reduction never feed it.
 """
 
 from __future__ import annotations
@@ -33,11 +36,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .exact import pi_parity_float
+from .exact import as_fraction, pi_parity_float
+
+Table = Dict[Tuple[int, int], Fraction]
 
 HALF_CIRCLE = (-math.pi / 2, math.pi / 2)
 BACK_HALF_CIRCLE = (math.pi / 2, 3 * math.pi / 2)
@@ -56,8 +62,8 @@ _QUAD_ABS_TOL = 1e-14
 _QUAD_REL_TOL = 1e-12
 _QUAD_MAX_SUBDIVISIONS = 2000
 
-# Fraction of |a| below which the defining power series in r is used for
-# the j = 0 ladders instead of the closed ladder (which divides by r^i).
+# Fraction of |a| below which `eval_family` uses the defining power series
+# in r instead of the reduction (which divides by r^(i+j)).
 _SERIES_RADIUS = 0.5
 
 
@@ -261,94 +267,156 @@ def eval_B00(r: float, params: SystemParams) -> float:
     return a00(-r, params.b)
 
 
-def _i00(r: float, a: float, A: float) -> float:
-    """I[0,0](r; a) from A = A[0,0](r; a); J[0,0](r) is _i00(-r, b, B[0,0](r))."""
-    return 2.0 * r / (a * a) + (a - r * r / a) * A
-
-
-def eval_I00_J00(r: float, params: SystemParams) -> Tuple[float, float]:
-    """First-power seeds expressed through A[0,0] and B[0,0]."""
-    return _i00(r, params.a, eval_A00(r, params)), _i00(-r, params.b, eval_B00(r, params))
-
-
 # ---------------------------------------------------------------------------
-# j = 0 ladders
+# The exact reduction
 # ---------------------------------------------------------------------------
 
 
-def _series_j0(i: int, r: float, c: float, power: int) -> float:
-    """Defining power series of A[i,0] (power=2) or I[i,0] (power=1).
+class AssemblyError(RuntimeError):
+    """An exact structural identity of the reduction failed."""
 
-    A[i,0](r) = c^-2 * sum_p (p+1) (-r/c)^p m(i+p); drop the (p+1) factor
-    and one power of c for I.  Converges geometrically for |r| < |c|; used
-    for |r| <= _SERIES_RADIUS*|c| where the closed ladder would divide by
-    a high power of r.
+
+def _reduce_half(
+    S: Table, c: Fraction, degree: int, alternate: bool
+) -> Tuple[List[Fraction], List[Fraction]]:
+    """Collapse one half-circle family to {r^(2i) K[0,0]} + monomials.
+
+    The ladder for the squared-denominator family reads
+
+        r^i K[i,0] = (-c)^i K[0,0] + i (-c)^(i-1) L[0,0] + poly terms,
+
+    with poly ladder weights (-c)^k (front half) or (-1)^i c^k (back
+    half, `alternate=True`).  The first-power seed then dissolves via
+    L[0,0] = linear_seed * r + c*K[0,0] - (r^2/c)*K[0,0], where
+    linear_seed is +2/c^2 (front) or -2/c^2 (back).
+    """
+    linear_seed = Fraction(-2 if alternate else 2) / c**2
+    h = (degree + 1) // 2
+    coef_K = [Fraction(0)] * (h + 2)
+    coef_L = [Fraction(0)] * (h + 1)
+    poly = [Fraction(0)] * (2 * h + 2)
+
+    for (i, j), s in S.items():
+        if s == 0:
+            continue
+        coef_K[j] += s * (-c) ** i
+        if i >= 1:
+            coef_L[j] += s * i * (-c) ** (i - 1)
+        for k in range(i - 1):  # k = 0 .. i-2
+            lad = ((-1) ** i) * c**k if alternate else (-c) ** k
+            poly[2 * j + i - k - 2] += wallis_half_exact(i - k - 2) * (s * (k + 1) * lad)
+
+    for j in range(h + 1):
+        cl = coef_L[j]
+        if cl == 0:
+            continue
+        poly[2 * j + 1] += cl * linear_seed
+        coef_K[j] += cl * c
+        coef_K[j + 1] -= cl / c
+
+    return coef_K, poly
+
+
+@lru_cache(maxsize=None)
+def _unit_half(
+    c: Fraction, alternate: bool, p: int, q: int
+) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """The reduction of the single entry sigma[p, q] = 1, q even, at the
+    smallest degree that holds it, max(1, p + q - 1): the only place a
+    reduction runs.  sin^2 = 1 - cos^2 lowers the entry binomially onto
+    S[p + 2k, l - k] = (-1)^k C(l, k), k = 0..l, l = q/2.  On the front
+    half the result is r^(p+q) A[p,q](r; c) over {r^(2i) A[0,0]} (coef)
+    and {r^i} (poly, pi set by index parity).
+
+    Then the half's exact structural identities are checked; a failure
+    means the reduction itself is broken, not the input.  A larger degree
+    only appends zeros to both parts, and its check at index
+    2*floor((n+1)/2) then reads one of them; the checks are linear, so
+    they hold for every degree and every combination `assemble` makes.
+    """
+    l = q // 2
+    S: Table = {(p + 2 * k, l - k): Fraction((-1) ** k * math.comb(l, k)) for k in range(l + 1)}
+    degree = max(1, p + q - 1)
+    coef, poly = _reduce_half(S, c, degree, alternate)
+    if poly[2 * ((degree + 1) // 2)] != 0:
+        raise AssemblyError("monomial coefficient at index 2*floor((n+1)/2) must vanish")
+    if coef[0] != -(c * c) * poly[0]:
+        raise AssemblyError("constant-term tie between the kernel and monomial parts failed")
+    return tuple(coef), tuple(poly)
+
+
+# ---------------------------------------------------------------------------
+# Family evaluation
+# ---------------------------------------------------------------------------
+
+
+def _series_j0(i: int, r: float, c: float) -> float:
+    """Defining power series of A[i,0](r; c),
+
+        A[i,0](r) = c^-2 * sum_p (p+1) (-r/c)^p m(i+p),
+
+    which converges geometrically for |r| < |c|; used for |r| <=
+    _SERIES_RADIUS*|c|, where the reduction would divide by a high power
+    of r.
     """
     q = -r / c
     acc = 0.0
     term = 1.0
     for p in range(0, 400):
-        w = wallis_half(i + p)
-        factor = (p + 1) if power == 2 else 1
-        contrib = factor * term * w
+        contrib = (p + 1) * term * wallis_half(i + p)
         acc += contrib
         term *= q
         if p > 4 and abs(contrib) <= 1e-17 * abs(acc):
             break
-    return acc / (c * c if power == 2 else c)
+    return acc / (c * c)
 
 
-def _a_i0(i: int, r: float, a: float) -> float:
-    """A[i,0](r; a) by series (small r) or the collapsed ladder."""
-    if i == 0:
-        return a00(r, a)
-    if r == 0.0:
-        return wallis_half(i) / (a * a)
-    if abs(r) <= _SERIES_RADIUS * abs(a):
-        return _series_j0(i, r, a, power=2)
-    A = a00(r, a)
-    acc = (-a) ** i * A + i * (-a) ** (i - 1) * _i00(r, a, A)
-    for k in range(i - 1):  # k = 0 .. i-2
-        acc += (k + 1) * (-a) ** k * wallis_half(i - k - 2) * r ** (i - k - 2)
-    return acc / r**i
+def _long(q: Fraction) -> np.longdouble:
+    return np.longdouble(q.numerator) / np.longdouble(q.denominator)
 
 
-def _i_i0(i: int, r: float, a: float) -> float:
-    """I[i,0](r; a) by series or the collapsed ladder."""
-    if r == 0.0:
-        return wallis_half(i) / a
-    if abs(r) <= _SERIES_RADIUS * abs(a):
-        return _series_j0(i, r, a, power=1)
-    I = _i00(r, a, a00(r, a))
-    if i == 0:
-        return I
-    acc = (-a) ** i * I
-    for k in range(i):  # k = 0 .. i-1
-        acc += (-a) ** (i - k - 1) * wallis_half(k) * r**k
-    return acc / r**i
+_PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _a_family(i: int, j: int, r: float, c: float) -> float:
+    """A[i,j](r; c) for even j.
+
+    Small |r|: the series of each A[i+2k,0] in the binomial lowering
+    sin^2 = 1 - cos^2.  Elsewhere the unit half of sigma[i, j], which is
+    r^(i+j) A[i,j], evaluated in long double and divided by r^(i+j).
+    """
+    if i + j == 0:
+        return a00(r, c)
+    if abs(r) <= _SERIES_RADIUS * abs(c):
+        l = j // 2
+        return sum((-1) ** k * math.comb(l, k) * _series_j0(i + 2 * k, r, c) for k in range(l + 1))
+    coef, poly = _unit_half(as_fraction(c), False, i, j)
+    x = np.longdouble(r)
+    kernel = npoly.polyval(x * x, [_long(u) for u in coef]) * a00(np.array([x]), c)[0]
+    monomials = npoly.polyval(x, [_long(u) * (_PI_LONG if k % 2 == 0 else 1) for k, u in enumerate(poly)])
+    return float((kernel + monomials) / x ** (i + j))
 
 
 def eval_family(idx: FamilyIndex, r: float, params: SystemParams) -> float:
     """Evaluate any of A, B, I, J at arbitrary (i, j).
 
     Odd j annihilates all four families (odd integrand on a symmetric
-    window).  Even j = 2l reduces binomially through sin^2 = 1 - cos^2 to
-    a signed sum of j = 0 members, which the ladders evaluate.  B and J
+    window).  For even j, A is `_a_family`; I[i,j] = r A[i+1,j] + c A[i,j]
+    exactly (the integrand times (r cos t + c)/(r cos t + c)).  B and J
     are A and I by the half-turn substitution t -> t + pi:
-    B[i,0](r; b) = (-1)^i A[i,0](-r; b), and J from I the same way.
+    B[i,j](r; b) = (-1)^i A[i,j](-r; b), and J from I the same way.
     """
     fam, i, j = idx.family, idx.i, idx.j
     if j % 2 == 1:
         return 0.0
     c, s = (params.a, 1) if fam in ("A", "I") else (params.b, -1)
-    _check_a_domain(s * r, c)
-    ladder = _a_i0 if fam in ("A", "B") else _i_i0
-    l = j // 2
-    acc = 0.0
-    for k in range(l + 1):
-        ii = i + 2 * k
-        acc += (-1) ** k * math.comb(l, k) * (s**ii * ladder(ii, s * r, c))
-    return acc
+    x = s * r
+    _check_a_domain(x, c)
+    if fam in ("A", "B"):
+        value = _a_family(i, j, x, c)
+    else:
+        value = x * _a_family(i + 1, j, x, c) + c * _a_family(i, j, x, c)
+    return s**i * value
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +477,7 @@ def quad_oracle(integrand: Callable[[float], float], interval: Tuple[float, floa
 
 
 def oracle_family(idx: FamilyIndex, r: float, params: SystemParams) -> float:
-    """Direct quadrature of the defining integral (independent of ladders)."""
+    """Direct quadrature of the defining integral (independent of the reduction)."""
     power = 2 if idx.family in ("A", "B") else 1
     if idx.family in ("A", "I"):
         return quad_oracle(trig_rational(idx.i, idx.j, r, params.a, power), HALF_CIRCLE)

@@ -42,7 +42,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .averaging import (
-    AssemblyError,
     AveragedFunction,
     BasisExpansion,
     PerturbationSpec,
@@ -54,6 +53,7 @@ from .averaging import (
 )
 from .kernels import (
     FULL_CIRCLE,
+    AssemblyError,
     DomainError,
     FamilyIndex,
     SystemParams,

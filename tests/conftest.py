@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pwcycles import SystemParams, averaging, smooth
+from pwcycles import SystemParams, averaging, kernels, smooth
 
 
 @pytest.fixture
@@ -36,7 +36,7 @@ def rng():
 
 
 def _clear_reduction_caches():
-    for cached in (averaging.assembly_matrix, averaging._unit_parts, averaging._unit_half,
+    for cached in (averaging.assembly_matrix, averaging._unit_parts, kernels._unit_half,
                    averaging._kept_grid, smooth._check_smooth_units):
         cached.cache_clear()
 
@@ -46,13 +46,13 @@ def reduce_calls(monkeypatch):
     """(c, alternate) of every `_reduce_half` call, from cold reduction
     caches; the caches are cleared again afterwards."""
     calls = []
-    original = averaging._reduce_half
+    original = kernels._reduce_half
 
     def counting(S, c, degree, alternate):
         calls.append((c, alternate))
         return original(S, c, degree, alternate)
 
-    monkeypatch.setattr(averaging, "_reduce_half", counting)
+    monkeypatch.setattr(kernels, "_reduce_half", counting)
     _clear_reduction_caches()
     yield calls
     _clear_reduction_caches()

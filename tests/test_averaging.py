@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from pwcycles import averaging
+from pwcycles import averaging, kernels
 from pwcycles.averaging import (
-    AssemblyError,
     AveragedFunction,
     BasisExpansion,
     PerturbationSpec,
@@ -27,7 +26,7 @@ from pwcycles.averaging import (
     perturbation_for_expansion,
 )
 from pwcycles.exact import as_fraction, pi_parity_float
-from pwcycles.kernels import DomainError, SystemParams, a00
+from pwcycles.kernels import AssemblyError, DomainError, SystemParams, a00
 from pwcycles.smooth import (
     _random_smooth_rows,
     assemble_smooth,
@@ -156,8 +155,8 @@ def _reference_parts(params, pert, tables=None):
     S, T = _st_reference(pert) if tables is None else tables
     n = pert.degree
     return (
-        *averaging._reduce_half(S, as_fraction(params.a), n, False),
-        *averaging._reduce_half(T, as_fraction(params.b), n, True),
+        *kernels._reduce_half(S, as_fraction(params.a), n, False),
+        *kernels._reduce_half(T, as_fraction(params.b), n, True),
     )
 
 
@@ -615,13 +614,13 @@ class TestAssemblyMatrix:
     def test_broken_reduction_is_refused(self, reduce_calls, monkeypatch):
         # a reduction that breaks the constant-term tie fails the checks of
         # the cached unit halves, which assemble reads too
-        reduce = averaging._reduce_half
+        reduce = kernels._reduce_half
 
         def broken(S, c, degree, alternate):
             coef, poly = reduce(S, c, degree, alternate)
             return [coef[0] + 1, *coef[1:]], poly
 
-        monkeypatch.setattr(averaging, "_reduce_half", broken)
+        monkeypatch.setattr(kernels, "_reduce_half", broken)
         with pytest.raises(AssemblyError, match="constant-term tie"):
             assembly_matrix(SystemParams(1.0, -2.0), 2)
         with pytest.raises(AssemblyError, match="constant-term tie"):

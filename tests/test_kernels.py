@@ -5,10 +5,12 @@ quadrature oracle (the independent path) and pasted as literals.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pwcycles import kernels
 from pwcycles.kernels import (
     BACK_HALF_CIRCLE,
     HALF_CIRCLE,
@@ -24,7 +26,6 @@ from pwcycles.kernels import (
     eval_A00,
     eval_B00,
     eval_family,
-    eval_I00_J00,
     oracle_family,
     quad_oracle,
     trig_rational,
@@ -241,23 +242,27 @@ class TestKernelSlopes:
         assert np.array_equal(np.isnan(got), r <= -1.0)  # the domain is r > -a
 
 
+def _seeds(r, p):
+    """I[0,0](r) and J[0,0](r)."""
+    return tuple(eval_family(FamilyIndex(fam, 0, 0), r, p) for fam in "IJ")
+
+
 class TestSeeds:
     def test_origin_values(self):
         p = SystemParams(1.5, -0.7)
-        i00, j00 = eval_I00_J00(0.0, p)
+        i00, j00 = _seeds(0.0, p)
         assert i00 == pytest.approx(math.pi / 1.5, rel=1e-14)
         assert j00 == pytest.approx(math.pi / -0.7, rel=1e-14)
 
     def test_frozen_oracle_values(self):
         p = SystemParams(1.0, 2.0)
-        i00, j00 = eval_I00_J00(0.3, p)
+        i00, j00 = _seeds(0.3, p)
         assert i00 == pytest.approx(2.6544745637853566, rel=1e-10)
         assert j00 == pytest.approx(1.7410629920716156, rel=1e-10)
 
     def test_negative_parameter(self):
         p = SystemParams(-2.0, 1.0)  # r0 = min(2, 1) = 1, r=0.5 valid
-        i00, _ = eval_I00_J00(0.5, p)
-        assert i00 == pytest.approx(-1.883278515744301, rel=1e-10)
+        assert eval_family(FamilyIndex("I", 0, 0), 0.5, p) == pytest.approx(-1.883278515744301, rel=1e-10)
 
 
 class TestFamilies:
@@ -269,7 +274,7 @@ class TestFamilies:
     def test_ladder_matches_seed_combination(self, params):
         # r A[1,0] = I[0,0] - a A[0,0]
         r = 0.4
-        i00, _ = eval_I00_J00(r, params)
+        i00 = eval_family(FamilyIndex("I", 0, 0), r, params)
         a00v = eval_A00(r, params)
         expected = (i00 - params.a * a00v) / r
         got = eval_family(FamilyIndex("A", 1, 0), r, params)
@@ -321,6 +326,43 @@ class TestFamilies:
                 with pytest.raises(want.type) as got:
                     eval_family(FamilyIndex(fam, 2, 2), r, p)
                 assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("c", [1.0, -1.5, 0.7])
+    def test_reduction_outside_the_series_radius(self, c, monkeypatch):
+        # past |r| = 0.5|c| every A and I value reads the exact unit half of
+        # the reduction; at and inside it, none does
+        p = SystemParams(c, c)
+        reads = []
+        original = kernels._unit_half
+
+        def spy(*args):
+            reads.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "_unit_half", spy)
+        for t in (0.25, 0.5):
+            for fam in "AI":
+                eval_family(FamilyIndex(fam, 2, 2), t * c, p)
+        assert reads == []
+        for t in (-0.7, 0.51, 1.3):
+            for fam in "AI":
+                reads.clear()
+                eval_family(FamilyIndex(fam, 2, 2), t * c, p)
+                assert (Fraction(c), False, 2, 2) in reads
+
+    @pytest.mark.parametrize("c", [1.0, -1.5, 0.7])
+    def test_both_sides_of_the_series_radius(self, c):
+        # the series just inside |r| = 0.5|c| and the reduction just outside
+        # agree with quadrature, for every family and i + j <= 8
+        p = SystemParams(c, -c)
+        for t in (0.5, 0.5 + 1e-9):
+            for fam in "ABIJ":
+                x = t * c if fam in "AI" else -t * c
+                for i in range(9):
+                    for j in range(0, 9 - i, 2):
+                        idx = FamilyIndex(fam, i, j)
+                        got, want = eval_family(idx, x, p), oracle_family(idx, x, p)
+                        assert abs(got - want) <= 1e-9 * (1 + abs(want)), (fam, i, j, x)
 
     def test_r_zero_uses_direct_values(self, params):
         # even orders at r = 0 come straight from the moments

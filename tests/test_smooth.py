@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pwcycles import averaging
-from pwcycles.averaging import AssemblyError, AveragedFunction, PerturbationSpec, _exact_parts
-from pwcycles.kernels import DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
+from pwcycles import kernels
+from pwcycles.averaging import AveragedFunction, PerturbationSpec, _exact_parts
+from pwcycles.kernels import AssemblyError, DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
 from pwcycles.smooth import (
     _random_smooth_rows,
     assemble_smooth,
@@ -102,13 +102,13 @@ class TestAssembleSmooth:
         # an odd monomial that both halves keep passes the piecewise checks
         # of the unit halves and fails the smooth ones, which assemble_smooth
         # and the survey read once per (a, n)
-        reduce = averaging._reduce_half
+        reduce = kernels._reduce_half
 
         def broken(S, c, degree, alternate):
             coef, poly = reduce(S, c, degree, alternate)
             return coef, [poly[0], poly[1] + 1, *poly[2:]]
 
-        monkeypatch.setattr(averaging, "_reduce_half", broken)
+        monkeypatch.setattr(kernels, "_reduce_half", broken)
         with pytest.raises(AssemblyError, match=r"monomial r\^1 outside the smooth range"):
             assemble_smooth(1.5, smooth_perturbation(2, f_table={(0, 0): 1.0}))
         with pytest.raises(AssemblyError, match=r"monomial r\^1 outside the smooth range"):
