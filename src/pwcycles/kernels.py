@@ -190,7 +190,8 @@ def a00(r, a: float):
     For a > 0 the domain is (-a, +inf) with a (r+a)^(-3/2) blow-up at the
     left end; a < 0 reduces through A[0,0](r; a) = A[0,0](-r; -a).
     Floating input dtype is preserved, so callers may evaluate in
-    longdouble when combining nearly-cancelling expansion terms.
+    longdouble when combining nearly-cancelling expansion terms; `a` is
+    cast to it first, so constants such as a*a form in that precision.
     """
     scalar = np.isscalar(r)
     arr = np.asarray(r)
@@ -198,6 +199,7 @@ def a00(r, a: float):
     rr = np.atleast_1d(arr.astype(dtype, copy=False))
     if a < 0:
         rr, a = -rr, -a
+    a = rr.dtype.type(a)
 
     out = np.full(rr.shape, np.nan, dtype=dtype)
     valid = rr > -a
@@ -230,9 +232,10 @@ def a00_prime(r: np.ndarray, a: float, value: np.ndarray) -> np.ndarray:
     forms of A cancel and the ODE divides their error by a^2 - r^2: at
     twice the band width A' holds about 2e-9 relative in double (1e-12 in
     long double for a = 1), against a few ulps elsewhere.  The dtype is
-    that of r, and a NaN value gives NaN; B[0,0]'(r) = -A'(-r; b) by the
-    half-turn rule.
+    that of r, `a` cast to it as in `a00`, and a NaN value gives NaN;
+    B[0,0]'(r) = -A'(-r; b) by the half-turn rule.
     """
+    a = r.dtype.type(a)
     x = r if a > 0 else -r  # the seam series is stated for a > 0
     seam = np.abs(x - abs(a)) <= SEAM_BAND * abs(a)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at r = a, overwritten below

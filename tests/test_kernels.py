@@ -241,6 +241,23 @@ class TestKernelSlopes:
         assert got.dtype == np.longdouble
         assert np.array_equal(np.isnan(got), r <= -1.0)  # the domain is r > -a
 
+    @pytest.mark.parametrize("r,a", [(1.0005, 1.0), (0.63, 0.7)])
+    def test_long_double_against_mpmath(self, r, a):
+        # on the seam, and off it at a constant that is not dyadic, long-double
+        # A[0,0] and A[0,0]' hold long-double accuracy against 40-digit
+        # quadrature (5.5e-17 and 1.2e-16 for the value with a in double)
+        import mpmath
+
+        x = np.array([r], dtype=np.longdouble)
+        got = a00(x, a)
+        with mpmath.workdps(40):
+            R, A = mpmath.mpf(r), mpmath.mpf(a)
+            half = [-mpmath.pi / 2, 0, mpmath.pi / 2]
+            value = mpmath.quad(lambda t: 1 / (R * mpmath.cos(t) + A) ** 2, half)
+            slope = mpmath.quad(lambda t: -2 * mpmath.cos(t) / (R * mpmath.cos(t) + A) ** 3, half)
+            assert abs(mpmath.mpf(str(got[0])) / value - 1) < 1e-18
+            assert abs(mpmath.mpf(str(a00_prime(x, a, got)[0])) / slope - 1) < 1e-17
+
 
 def _seeds(r, p):
     """I[0,0](r) and J[0,0](r)."""
