@@ -381,6 +381,21 @@ class TestFamilies:
                         got, want = eval_family(idx, x, p), oracle_family(idx, x, p)
                         assert abs(got - want) <= 1e-9 * (1 + abs(want)), (fam, i, j, x)
 
+    def test_accuracy_at_the_order_cap(self):
+        # every family entry of order MAX_FAMILY_ORDER, just past the series
+        # radius of the smallest measured constant, where the reduction
+        # loses the most, meets the 1e-9 of verify; one order more is refused
+        p = SystemParams(0.3, -0.3)
+        n = kernels.MAX_FAMILY_ORDER
+        for fam in "ABIJ":
+            for r in (0.3 * t for t in (-0.50156, -0.500074, 0.5000001)):
+                for i in range(n % 2, n + 1, 2):
+                    idx = FamilyIndex(fam, i, n - i)
+                    got, want = eval_family(idx, r, p), oracle_family(idx, r, p)
+                    assert abs(got - want) < 1e-9 * (1 + abs(want)), (fam, i, r)
+        with pytest.raises(FamilyIndexError):
+            FamilyIndex("A", n + 1, 0)
+
     def test_r_zero_uses_direct_values(self, params):
         # even orders at r = 0 come straight from the moments
         got = eval_family(FamilyIndex("A", 4, 2), 0.0, params)
