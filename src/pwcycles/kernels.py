@@ -24,9 +24,8 @@ A[0,0](-r; b) via the half-turn substitution.  Its derivative comes from
 the first-order ODE it satisfies, and from the seam series on the seam
 (`a00_prime`).
 
-An adaptive-quadrature oracle (`quad_oracle`, `oracle_family`) provides
-an independent evaluation path for every family; the closed forms and
-the reduction never feed it.
+An adaptive-quadrature oracle (`quad_oracle`) provides an independent
+evaluation path for every family; neither closed forms nor reduction feed it.
 """
 
 from __future__ import annotations
@@ -54,13 +53,11 @@ FULL_CIRCLE = (0.0, 2 * math.pi)
 SEAM_BAND = 1e-3
 _SEAM_TERMS = 6
 
-# Hard cap on family orders i + j.  Against `oracle_family`, with verify's
-# scaled error |got - want| / (1 + |want|), over A, B, I, J, every (i, j),
-# constants 0.3 <= |c| <= 2.5 and r/c in [-0.9, 3], the worst sits just past
-# the series radius at |c| = 0.3: 3.9e-10 at order 20, 9.1e-10 at 21 and
-# 1.6e-9 at 22.  The cap is the largest order that stays below verify's
-# 1e-9 with a factor two to spare; smaller constants lose more (2.2e-9 at
-# order 20 for |c| = 0.1).  The assembly reads the reduction uncapped.
+# Hard cap on family orders i + j: the largest whose worst scaled error
+# against `oracle_family` stays below verify's 1e-9 by a factor two.  Over
+# A, B, I, J, 0.3 <= |c| <= 2.5 and r/c in [-0.9, 3] the worst sits just
+# past the series radius at |c| = 0.3: 3.9e-10 at order 20, 9.1e-10 at 21,
+# 1.6e-9 at 22; smaller |c| loses more (2.2e-9 at order 20 for |c| = 0.1).
 MAX_FAMILY_ORDER = 20
 
 # Tolerances and subdivision budget of the quadrature oracle.
@@ -360,13 +357,9 @@ def _unit_half(
 
 
 def _series_j0(i: int, r: float, c: float) -> float:
-    """Defining power series of A[i,0](r; c),
-
-        A[i,0](r) = c^-2 * sum_p (p+1) (-r/c)^p m(i+p),
-
-    which converges geometrically for |r| < |c|; used for |r| <=
-    _SERIES_RADIUS*|c|, where the reduction would divide by a high power
-    of r.
+    """Defining power series of A[i,0](r; c), c^-2 * sum_p (p+1) (-r/c)^p
+    m(i+p).  Converges geometrically for |r| < |c|; used for |r| <=
+    _SERIES_RADIUS*|c|, where the reduction would divide by a high power of r.
     """
     q = -r / c
     acc = 0.0
@@ -388,12 +381,9 @@ _PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
 
 
 def _a_family(i: int, j: int, r: float, c: float) -> float:
-    """A[i,j](r; c) for even j.
-
-    Small |r|: the series of each A[i+2k,0] in the binomial lowering
-    sin^2 = 1 - cos^2.  Elsewhere the unit half of sigma[i, j], which is
-    r^(i+j) A[i,j], evaluated in long double and divided by r^(i+j).
-    """
+    """A[i,j](r; c), j even: at small |r| the series of each A[i+2k,0] of the
+    lowering sin^2 = 1 - cos^2, else the unit half of sigma[i, j], which is
+    r^(i+j) A[i,j], evaluated in long double and divided by r^(i+j)."""
     if i + j == 0:
         return a00(r, c)
     if abs(r) <= _SERIES_RADIUS * abs(c):
@@ -421,10 +411,9 @@ def eval_family(idx: FamilyIndex, r: float, params: SystemParams) -> float:
     c, s = (params.a, 1) if fam in ("A", "I") else (params.b, -1)
     x = s * r
     _check_a_domain(x, c)
-    if fam in ("A", "B"):
-        value = _a_family(i, j, x, c)
-    else:
-        value = x * _a_family(i + 1, j, x, c) + c * _a_family(i, j, x, c)
+    value = _a_family(i, j, x, c)
+    if fam in ("I", "J"):
+        value = x * _a_family(i + 1, j, x, c) + c * value
     return s**i * value
 
 
