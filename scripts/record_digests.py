@@ -46,6 +46,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The (a, b) of `exact_layer` and `family_values`.
+EXACT_SYSTEMS = ((1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (1.0, 1.0), (0.7, -0.3))
+
 
 def manifests(seed: int):
     """(name, manifest) pairs, in a fixed order."""
@@ -153,7 +156,7 @@ def exact_layer() -> str:
 
     digest = hashlib.sha256()
     rng = np.random.default_rng(11)
-    for a, b in ((1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (1.0, 1.0), (0.7, -0.3)):
+    for a, b in EXACT_SYSTEMS:
         params = SystemParams(a, b)
         for n in range(1, 7):
             M = assembly_matrix(params, n)
@@ -173,11 +176,11 @@ def exact_layer() -> str:
 def family_values() -> list:
     """`eval_family` for A, B, I and J at i + j <= 5 and r = 0, 0.1 (inside
     the series radius of every constant here), 0.6 and 1.2, those below
-    r0, at the systems of `exact_layer`.  Public names only."""
+    r0, at `EXACT_SYSTEMS`.  Public names only."""
     from pwcycles.kernels import FamilyIndex, SystemParams, eval_family
 
     values = []
-    for a, b in ((1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (1.0, 1.0), (0.7, -0.3)):
+    for a, b in EXACT_SYSTEMS:
         params = SystemParams(a, b)
         values += [eval_family(FamilyIndex(fam, i, j), r, params)
                    for fam in "ABIJ" for i in range(6) for j in range(6 - i)
