@@ -12,11 +12,12 @@ process, each of these manifests:
   inline tables (`pert_inline`), at seed N.
 
 Each of those lines is the sha256 of `json.dumps(record, sort_keys=True)`
-and the manifest's name.  The last five lines, `zero-layer-placements`,
-`zero-layer-reports`, `zero-layer-histograms`, `exact-layer` and
-`family-values`, are each one sha256 over outputs that no manifest pins
-(see `zero_layer`, `exact_layer` and `family_values`); they do not
-depend on N.  Two trees that print the same lines give byte-identical
+and the manifest's name.  The last six lines, `zero-layer-placements`,
+`zero-layer-reports`, `zero-layer-histograms`, `exact-layer`,
+`smooth-ranks` and `family-values`, are each one sha256 over outputs
+that no manifest of the lines above pins (see `zero_layer`,
+`exact_layer`, `smooth_ranks` and `family_values`); they do not depend
+on N.  Two trees that print the same lines give byte-identical
 records, so comparing a parent checkout with a change is
 
     python scripts/record_digests.py --src ../parent/src --seed 3 > before
@@ -173,6 +174,21 @@ def exact_layer() -> str:
     return digest.hexdigest()
 
 
+def smooth_ranks() -> str:
+    """sha256 over the records of a `smooth_theorem12` manifest (b = a,
+    n = 1..6, no survey draws) at a = 1, -1.5 and 0.7: every smooth rank
+    and generating-set size, beyond the smooth workload's n = 2, 3.
+    Through the manifest, so the function runs on any tree."""
+    from pwcycles.manifest import ExperimentManifest, run_manifest
+
+    digest = hashlib.sha256()
+    for a in (1.0, -1.5, 0.7):
+        doc = {"schema_version": 1, "kind": "smooth_theorem12", "a": a, "b": a, "seed": 0,
+               "n_list": [1, 2, 3, 4, 5, 6], "draws": 0}
+        digest.update(json.dumps(run_manifest(ExperimentManifest.from_dict(doc)), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def family_values() -> list:
     """`eval_family` for A, B, I and J at i + j <= 5 and r = 0, 0.1 (inside
     the series radius of every constant here), 0.6 and 1.2, those below
@@ -216,6 +232,7 @@ def main(argv=None) -> int:
     for part, digest in digests.items():
         print(digest, f"zero-layer-{part}")
     print(exact_layer(), "exact-layer")
+    print(smooth_ranks(), "smooth-ranks")
     values = family_values()
     print(hashlib.sha256(repr(values).encode()).hexdigest(), "family-values")
     if src != (ROOT / "src").resolve():

@@ -505,7 +505,7 @@ def _run_smooth(manifest: ExperimentManifest) -> Dict[str, Any]:
         checks.append(_check(f"smooth_attained_n{n}", attained == n, attained, n, 0))
         best, _ = random_search_max_smooth_zeros(a, n, opts["draws"], manifest.seed + n, 0.95 * abs(a))
         checks.append(_check(f"smooth_ceiling_n{n}", best <= n, best, n, 0))
-        ranks = smooth_generating_rank(a, n, 0.9 * abs(a))
+        ranks = smooth_generating_rank(a, n)
         ok = ranks["reachable_rank"] == ranks["expected_reachable"]
         checks.append(
             _check(f"smooth_rank_n{n}", ok, ranks["reachable_rank"], ranks["expected_reachable"], 0)

@@ -16,13 +16,12 @@ smooth perturbation is a `PerturbationSpec` with equal tables,
 `assemble_smooth` is `assemble` at `SystemParams(a, a)` plus the exact
 smooth checks, zeros are counted by `count_simple_zeros`, and placement
 and the ceiling survey run the piecewise code over `smooth_generators`
-and `assembly_matrix` at b = a.  The rank measurement
-`smooth_generating_rank` is `sample_rank` over the smooth unit columns
-of that matrix, with no random draws, against the length of
-`smooth_generators`.  The exact smooth checks run once per (a, n) and
-process, on the smooth unit directions as read from the cached
-piecewise unit reductions at b = a; the checks are linear, so they then
-hold for every draw.
+and `assembly_matrix` at b = a.  The exact smooth checks run once per
+(a, n) and process, on the smooth unit directions as read from the
+cached piecewise unit reductions at b = a; the checks are linear, so
+they then hold for every draw.  `smooth_generating_rank` takes the rank
+over Q of those directions (`exact.rank`) against the length of
+`smooth_generators`.
 Two independent paths stay separate on purpose: the full-circle
 quadrature oracle `oracle_smooth_F`, and the V families through
 
@@ -41,16 +40,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .averaging import (
-    AveragedFunction,
-    BasisExpansion,
-    PerturbationSpec,
-    _random_rows,
-    _unit_parts,
-    assemble,
-    assembly_matrix,
-    basis_values,
-)
+from . import exact
+from .averaging import AveragedFunction, BasisExpansion, PerturbationSpec, _random_rows, _unit_parts, assemble
 from .kernels import (
     FULL_CIRCLE,
     AssemblyError,
@@ -60,7 +51,7 @@ from .kernels import (
     eval_family,
     quad_oracle,
 )
-from .zeros import LONG, _basis_element, _generator_matrix, _place, _survey, chebyshev_points, sample_rank
+from .zeros import _basis_element, _place, _survey
 
 
 def smooth_perturbation(degree: int, f_table=None, g_table=None) -> PerturbationSpec:
@@ -86,22 +77,27 @@ def assemble_smooth(a: float, pert: PerturbationSpec) -> AveragedFunction:
 
 
 @lru_cache(maxsize=None)
-def _check_smooth_units(a: float, n: int) -> None:
-    """The smooth system's exact structural checks, once per (a, n), on each
-    smooth unit direction k: its plus parts are those of the cached
-    piecewise unit k at b = a, its minus parts those of unit k + half.  Both
-    half-circles give the same kernel coefficients, and their merged
-    monomials are even and capped at 2*floor((n-1)/2).  The checks are
+def _check_smooth_units(a: float, n: int) -> Tuple[tuple, ...]:
+    """The exact smooth unit directions of degree n, checked, once per (a, n).
+
+    Direction k is the plus unit k plus the minus unit k + half of the
+    cached piecewise unit reductions at b = a: its kernel coefficients,
+    which both half-circles must give alike, then its merged monomials,
+    which must be even and at most r^(2*floor((n-1)/2)).  The checks are
     linear, so they then hold for every smooth perturbation of degree n."""
     units = _unit_parts(SystemParams(a, a), n)
     half = len(units) // 2
     cap = 2 * ((n - 1) // 2)
+    directions = []
     for (coef_A, poly_plus, _, _), (_, _, coef_B, poly_minus) in zip(units[:half], units[half:]):
         if coef_A != coef_B:
             raise AssemblyError("the two half-circles gave different kernel coefficients")
-        for k, (p, q) in enumerate(zip(poly_plus, poly_minus)):
-            if (k % 2 == 1 or k > cap) and p + q != 0:
+        merged = tuple(p + q for p, q in zip(poly_plus, poly_minus))
+        for k, x in enumerate(merged):
+            if (k % 2 == 1 or k > cap) and x != 0:
                 raise AssemblyError(f"monomial r^{k} outside the smooth range (even, at most r^{cap})")
+        directions.append(coef_A + merged)
+    return tuple(directions)
 
 
 def eval_V_family(i: int, j: int, r: float, a: float) -> float:
@@ -154,8 +150,8 @@ def place_smooth_zeros(a: float, n: int, targets: Sequence[float]) -> BasisExpan
     return _place(SystemParams(a, a), smooth_generators(a, n), targets)
 
 
-def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
-    """Resolve the even-degree generating-set question by rank measurement.
+def smooth_generating_rank(a: float, n: int) -> Dict[str, int]:
+    """Resolve the even-degree generating-set question by exact rank.
 
     The listed generating set for degrees 2k and 2k+1 is identical
     ({r^(2i)}_(1..k), V-shift, {r^(2i) V}_(1..k+1)), the reachable set of
@@ -165,29 +161,14 @@ def smooth_generating_rank(a: float, n: int, r_max: float) -> Dict[str, int]:
     at 2*floor((n-1)/2), so for n = 2k the listed r^(2k) is unreachable
     and the set overcounts by one.
 
-    Both ranks are `sample_rank` of values at the same Chebyshev points:
-    the listed set's, and the smooth unit directions' (plus unit k plus
-    minus unit k of the cached `assembly_matrix` at b = a), which span the
-    reachable set; no random draws.  The sizes are list lengths:
+    `reachable_rank` is `exact.rank` of the smooth unit directions, which
+    span the reachable set (its dimension, if {r^(2i) V, r^(2i)} are
+    independent functions).  The sizes are list lengths:
     `smooth_generators(a, 2k+1)` listed, `smooth_generators(a, n)` expected.
     """
-    if not (0 < r_max < abs(a)):
-        raise ValueError("need 0 < r_max < |a|")
-    params = SystemParams(a, a)
-    odd = 2 * (n // 2) + 1
-    listed = smooth_generators(a, odd)
-    pts = chebyshev_points(r_max / 100, r_max, 4 * len(listed))
-    listed_rank, _ = sample_rank(np.dot(_generator_matrix(listed), basis_values(params, odd, pts, LONG)).T.astype(float))
-
-    _check_smooth_units(a, n)
-    M = assembly_matrix(params, n)
-    half = M.shape[1] // 2
-    reachable_rank, _ = sample_rank(((M[:, :half] + M[:, half:]).T @ basis_values(params, n, pts)).T)
-
     return {
-        "listed_set_size": len(listed),
-        "listed_rank": listed_rank,
-        "reachable_rank": reachable_rank,
+        "listed_set_size": len(smooth_generators(a, 2 * (n // 2) + 1)),
+        "reachable_rank": exact.rank(_check_smooth_units(a, n)),
         "expected_reachable": len(smooth_generators(a, n)),
     }
 

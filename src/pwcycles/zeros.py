@@ -55,17 +55,16 @@ A[0,0]' from `kernels.a00_prime`.  A bracket closes at a step of 5e-13
 or of its roundoff envelope over |F'|, whichever is larger, since no
 location is known more closely than that.  The flag of a non-simple zero
 (near-vanishing derivative), which leaves it out of `simple_count`,
-reads the same analytic F'.  `poincare` locates the return map's fixed
-points, which have no analytic derivative, with the same sign scan and
-`_bracketed_roots`.  The placement scan, the count grid and the survey
-grid of a ceiling run are the same few grids for every degree and
+reads the same analytic F'.  The placement scan, the count grid and the
+survey grid of a ceiling run are the same few grids for every degree and
 system, so `basis_values` samples their powers and kernel rows once.
 
 The surjectivity rank and the random ceiling survey never re-run the
-reduction: they read the exact unit columns of `assembly_matrix`.  The
-survey decides signs in double where the dot-product roundoff bound
-certifies them, and in long double elsewhere; its histograms are those of
-the long-double evaluation.
+reduction: the rank is `exact.rank` of the unit columns of `_unit_parts`,
+and the survey reads them in double from `assembly_matrix`.  The survey
+decides signs in double where the dot-product roundoff bound certifies
+them, and in long double elsewhere; its histograms are those of the
+long-double evaluation.
 
 Long-double products use `np.dot`: numpy has no BLAS for long double, and
 its dot loop sums each entry in index order, as `@`'s does, in about half
@@ -90,7 +89,7 @@ from .averaging import (
     assembly_matrix,
     basis_values,
 )
-from .exact import pi_parity_float
+from . import exact
 from .kernels import SystemParams
 
 log = logging.getLogger("pwcycles")
@@ -253,48 +252,6 @@ class ZeroReport:
     @property
     def simple_count(self) -> int:  # the zeros not flagged in `non_simple`
         return len(self.zeros) - len(self.non_simple)
-
-
-def _bracketed_roots(fun, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
-    """A root of `fun` in each sign-change bracket [lo[k], hi[k]], all refined together.
-
-    Illinois regula falsi: an end kept by two steps in a row has its
-    function value halved, so that both ends converge.  A bracket that has
-    not halved over its last three steps takes a bisection step instead,
-    which bounds the work when `fun` is noisy near the root.  Each
-    iteration makes one call of `fun` on the open brackets.  A bracket
-    closes when `fun` vanishes at the new point, or when it is at most
-    2*xtol + 4*eps*(|lo| + |hi|) wide; its midpoint is then within xtol
-    (and a few ulps) of a sign change.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    w_lo, w_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
-    roots = 0.5 * (lo + hi)
-    kept = np.zeros(lo.size, dtype=int)  # end kept by the last step: -1 lo, +1 hi
-    history = np.full((3, lo.size), np.inf)  # bracket widths one, two and three steps back
-
-    def wide(a, b):
-        return b - a > 2 * xtol + 4 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
-
-    open_ = np.flatnonzero(wide(lo, hi))
-    while open_.size:
-        a, b, wa, wb = lo[open_], hi[open_], w_lo[open_], w_hi[open_]
-        x = a + (b - a) * (wa / (wa - wb))
-        bisect = ~((a < x) & (x < b)) | (b - a > 0.5 * history[2, open_])
-        x = np.where(bisect, 0.5 * (a + b), x)
-        fx = np.asarray(fun(x), dtype=float)
-        history[1:, open_] = history[:-1, open_]
-        history[0, open_] = b - a
-        moves_lo = np.sign(fx) == np.sign(wa)
-        halve = kept[open_] == np.where(moves_lo, 1, -1)
-        lo[open_] = np.where(moves_lo, x, a)
-        hi[open_] = np.where(moves_lo, b, x)
-        w_lo[open_] = np.where(moves_lo, fx, np.where(halve, 0.5 * wa, wa))
-        w_hi[open_] = np.where(moves_lo, np.where(halve, 0.5 * wb, wb), fx)
-        kept[open_] = np.where(moves_lo, 1, -1)
-        roots[open_] = np.where(fx == 0, x, 0.5 * (lo[open_] + hi[open_]))
-        open_ = open_[(fx != 0) & wide(lo[open_], hi[open_])]
-    return roots
 
 
 def _newton_roots(jet, lo, hi, f_lo, f_hi, xtol: float):
@@ -614,24 +571,19 @@ def coefficient_surjectivity_check(params: SystemParams, n: int) -> Tuple[int, i
 
     Reads the assembly's unit columns (exact reduction, pre-merge
     coefficients) restricted to the claimed-arbitrary coordinate list for
-    both halves; returns (numerical rank, claimed count).  rank == claimed
-    certifies the joint-arbitrariness claim; a deficiency measures how far
-    the claim overcounts.
+    both halves; returns (`exact.rank`, claimed count).  rank == claimed
+    certifies the joint-arbitrariness claim (for the functions, if the
+    kernel terms and monomials are independent); a deficiency measures how
+    far the claim overcounts.
     """
     claimed = claimed_coefficient_indices(n)
 
-    def coords(kernel, poly) -> List[float]:
-        return [float(kernel[i]) if kind == "kernel" else pi_parity_float(poly[i], i) for kind, i in claimed]
+    def coords(kernel, poly) -> list:
+        return [kernel[i] if kind == "kernel" else poly[i] for kind, i in claimed]
 
-    cols = []
-    for coef_A, poly_plus, coef_B, poly_minus in _unit_parts(params, n):
-        cols.append(coords(coef_A, poly_plus) + coords(coef_B, poly_minus))
-    M = np.array(cols).T  # coordinates x perturbation directions
-    expected = 2 * len(claimed)
-    row_scale = np.max(np.abs(M), axis=1)
-    row_scale[row_scale == 0] = 1.0
-    rank, _ = sample_rank((M / row_scale[:, None]).T)
-    return rank, expected
+    cols = [coords(coef_A, poly_plus) + coords(coef_B, poly_minus)
+            for coef_A, poly_plus, coef_B, poly_minus in _unit_parts(params, n)]
+    return exact.rank(cols), 2 * len(claimed)
 
 
 # ---------------------------------------------------------------------------

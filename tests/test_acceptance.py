@@ -338,7 +338,7 @@ def test_criterion_6_smooth_case():
         fn = AveragedFunction(SystemParams(a, a), place_smooth_zeros(a, n, targets))
         zeros = count_simple_zeros(fn, 0.95, grid=2000).locations
         best, _ = random_search_max_smooth_zeros(a, n, 200, seed=606 + n, r_max=0.95)
-        ranks = smooth_generating_rank(a, n, 0.9)
+        ranks = smooth_generating_rank(a, n)
         details[n] = {
             "attained": len(zeros),
             "random_max": best,

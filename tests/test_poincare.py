@@ -26,13 +26,14 @@ from pwcycles.poincare import (
     EpsilonValidityError,
     NearSingularityError,
     PolarField,
+    _bracketed_roots,
     _displacement,
     _leg_rhs,
     cartesian_crosscheck,
     find_fixed_points,
     return_map,
 )
-from pwcycles.zeros import _bracketed_roots, _sign_flips, count_simple_zeros, place_zeros
+from pwcycles.zeros import _sign_flips, count_simple_zeros, place_zeros
 
 
 def _one_field_rhs(field, plus):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pwcycles import kernels
-from pwcycles.averaging import AveragedFunction, PerturbationSpec, _exact_parts
+from pwcycles.averaging import AveragedFunction, PerturbationSpec, _exact_parts, basis_values
 from pwcycles.kernels import AssemblyError, DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
 from pwcycles.smooth import (
     _random_smooth_rows,
@@ -16,9 +16,10 @@ from pwcycles.smooth import (
     place_smooth_zeros,
     random_search_max_smooth_zeros,
     smooth_generating_rank,
+    smooth_generators,
     smooth_perturbation,
 )
-from pwcycles.zeros import PlacementError, count_simple_zeros
+from pwcycles.zeros import LONG, PlacementError, _generator_matrix, chebyshev_points, count_simple_zeros, sample_rank
 
 
 def _random_smooth(n, rng):
@@ -162,14 +163,14 @@ class TestSmoothZeros:
         best, got = random_search_max_smooth_zeros(1.0, n, 60, seed, 0.95, grid=600)
         assert got == hist and best == max(hist)
 
-    def test_rank_reads_the_cached_matrix(self, reduce_calls):
-        # the reachable rank reads the smooth unit columns of assembly_matrix;
-        # the exact smooth checks read the same cached unit reductions:
-        # 8 even-sine entries sigma[p, q], p + q <= 4, on each half
+    def test_rank_reads_the_cached_unit_reductions(self, reduce_calls):
+        # the reachable rank reads the smooth unit directions of the exact
+        # smooth checks, from the cached unit reductions: 8 even-sine
+        # entries sigma[p, q], p + q <= 4, on each half
         counts = []
         for _ in range(2):
             reduce_calls.clear()
-            ranks = smooth_generating_rank(1.0, 3, 0.9)
+            ranks = smooth_generating_rank(1.0, 3)
             counts.append(len(reduce_calls))
             assert ranks["reachable_rank"] == 4
         assert counts == [16, 0]
@@ -177,14 +178,18 @@ class TestSmoothZeros:
     @pytest.mark.parametrize("a", [1.0, -1.3, 0.5, 2.0])
     def test_reachable_rank_is_n_plus_one(self, a):
         for n in range(1, 7):
-            assert smooth_generating_rank(a, n, 0.9 * abs(a))["reachable_rank"] == n + 1
+            assert smooth_generating_rank(a, n)["reachable_rank"] == n + 1
 
     def test_even_degree_rank_resolution(self):
         # the printed generating set for n = 2k lists one function more
-        # than the reachable span contains; n = 2k+1 matches exactly
-        r2 = smooth_generating_rank(1.0, 2, 0.9)
-        assert r2["listed_rank"] == r2["listed_set_size"] == 4
+        # than the reachable span contains; n = 2k+1 matches exactly.  The
+        # listed functions are independent: full sampled rank at 4x the
+        # set's size Chebyshev points in (0.009, 0.9)
+        r2 = smooth_generating_rank(1.0, 2)
+        values = basis_values(SystemParams(1.0, 1.0), 3, chebyshev_points(0.009, 0.9, 16), LONG)
+        listed = np.dot(_generator_matrix(smooth_generators(1.0, 3)), values)
+        assert sample_rank(listed.T.astype(float))[0] == r2["listed_set_size"] == 4
         assert r2["reachable_rank"] == r2["expected_reachable"] == 3
-        r3 = smooth_generating_rank(1.0, 3, 0.9)
+        r3 = smooth_generating_rank(1.0, 3)
         assert r3["reachable_rank"] == r3["expected_reachable"] == 4
         assert r3["listed_set_size"] == 4

@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from pwcycles import averaging, smooth, zeros
+from fractions import Fraction
+
+from pwcycles import averaging, exact, smooth, zeros
 from pwcycles.averaging import (
     AveragedFunction,
     BasisExpansion,
@@ -17,11 +19,11 @@ from pwcycles.averaging import (
     perturbation_for_expansion,
 )
 from pwcycles.kernels import SystemParams
+from pwcycles.poincare import _bracketed_roots
 from pwcycles.zeros import (
     PlacementError,
     RankDeficiencyError,
     UnresolvedClusterError,
-    _bracketed_roots,
     chebyshev_points,
     claimed_coefficient_indices,
     coefficient_surjectivity_check,
@@ -538,35 +540,36 @@ class TestSurjectivity:
         assert ("poly", 3) in claimed_coefficient_indices(2)
 
 
+class TestExactRank:
+    def test_degenerate_matrices(self):
+        row = [Fraction(1, 3), Fraction(0), Fraction(-2, 7)]
+        assert [exact.rank(m) for m in ([], [[0] * 3] * 2, [row, row], [row, [0] * 3, [1, 2, 0]])] == [0, 0, 1, 2]
+
+    def test_hilbert_matrix(self):
+        # nonsingular, but its condition (about 1e19) puts five sampled
+        # singular values below `RANK_THRESHOLD`
+        hilbert = [[Fraction(1, i + j + 1) for j in range(14)] for i in range(14)]
+        assert exact.rank(hilbert) == 14 and sample_rank(np.array(hilbert, dtype=float))[0] == 9
+
+    def test_ranks_read_no_threshold(self, monkeypatch):
+        def ranks():
+            surjectivity = [coefficient_surjectivity_check(SystemParams(1.0, -2.0), n) for n in (2, 3)]
+            return surjectivity + [smooth.smooth_generating_rank(1.0, n)["reachable_rank"] for n in (2, 3)]
+
+        before = ranks()
+        monkeypatch.setattr(zeros, "RANK_THRESHOLD", 0.5)
+        assert ranks() == before == [(8, 10), (12, 12), 3, 4]
+
+
 def _exact_columns(units, resonant):
     """The expansion vector of each unit column in rationals: the kernel rows
     (A and B merged at b = -a, where B00 = A00), then the two halves'
-    merged monomials.  An even-index monomial coefficient is held as its
-    multiple of pi (the parity of the Wallis order), so scaling those rows
-    by pi changes no rank: the rank over Q is the rank over R."""
+    merged monomials, of one pi parity each (see `pwcycles.exact`)."""
     cols = []
     for coef_A, poly_plus, coef_B, poly_minus in units:
         kernels = [x + y for x, y in zip(coef_A, coef_B)] if resonant else [*coef_A, *coef_B]
         cols.append(kernels + [p + q for p, q in zip(poly_plus, poly_minus)])
     return cols
-
-
-def _exact_rank(rows):
-    """Rank over Q of a list of equally long Fraction rows (Gaussian elimination)."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / top[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
-        rank += 1
-    return rank
 
 
 class TestGeneratorListsAgainstTheExactAssembly:
@@ -578,19 +581,16 @@ class TestGeneratorListsAgainstTheExactAssembly:
     @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3), (-1.0, 1.0)])
     def test_reachable_generators(self, ab, n):
         params = SystemParams(*ab)
-        rank = _exact_rank(_exact_columns(averaging._unit_parts(params, n), params.resonant))
+        rank = exact.rank(_exact_columns(averaging._unit_parts(params, n), params.resonant))
         assert rank == len(zeros.reachable_generators(params, n))
         assert rank == reachable_zero_capacity(params, n) + 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("a", [1.0, -1.5])
     def test_smooth_generators(self, a, n):
-        # a smooth unit direction is plus unit k on the front half and minus
+        # the smooth unit directions: plus unit k on the front half and minus
         # unit k on the back half, at b = a
-        units = averaging._unit_parts(SystemParams(a, a), n)
-        half = len(units) // 2
-        smooth_units = [(*u[:2], *v[2:]) for u, v in zip(units[:half], units[half:])]
-        assert _exact_rank(_exact_columns(smooth_units, False)) == len(smooth.smooth_generators(a, n))
+        assert exact.rank(smooth._check_smooth_units(a, n)) == len(smooth.smooth_generators(a, n))
 
 
 class TestCeiling:
