@@ -48,10 +48,12 @@ HALF_CIRCLE = (-math.pi / 2, math.pi / 2)
 BACK_HALF_CIRCLE = (math.pi / 2, 3 * math.pi / 2)
 FULL_CIRCLE = (0.0, 2 * math.pi)
 
-# Relative half-width of the seam around r = a where both closed forms
-# of A[0,0] lose all digits to 0/0 cancellation.
-SEAM_BAND = 1e-3
-_SEAM_TERMS = 6
+# Relative half-width of the band around r = a where A[0,0] is the seam
+# series, since both closed forms cancel toward r = a.  In long double, for
+# 0.3 <= |a| <= 2: 2.6e-19 relative inside, 1.7e-18 just outside (7.9e-15
+# just outside a band of 1e-3).
+SEAM_BAND = 0.1
+_SEAM_TERMS = 16
 
 # Hard cap on family orders i + j: the largest whose worst scaled error
 # against `oracle_family` stays below verify's 1e-9 by a factor two.  Over
@@ -169,22 +171,18 @@ def _a00_seam_series(s: np.ndarray, a: float, derivative: bool = False) -> np.nd
     """Series solution of the first-order ODE about the regular point r = a.
 
     a*(a^2-r^2)*A' = 3*a*r*A - 4 with anchor A(a) = 4/(3 a^2) gives
-    c0 = 4/(3 a^2), c_k = -(k+2) / (a*(2k+3)) * c_{k-1}; the nearest
-    singularity is at distance 2a, so six terms at |s| <= 1e-3*a are
-    accurate to ~1e-20 relative.  With `derivative`, the series of A'
-    from the same coefficients, sum of k c_k s^(k-1) for k = 1..6.
+    c0 = 4/(3 a^2), c_k = -(k+2) / (a*(2k+3)) * c_{k-1}, a ratio that tends
+    to 1/(2a): the nearest singularity is at distance 2a.  So at |s| <=
+    SEAM_BAND*a the first _SEAM_TERMS terms leave (SEAM_BAND/2)^_SEAM_TERMS
+    = 1.5e-21 relative.  With `derivative`, the series of A' from the same
+    coefficients, sum of k c_k s^(k-1) for k = 1.._SEAM_TERMS.  One product
+    of the powers of s with the coefficients, in the dtype of s.
     """
-    acc = np.zeros_like(s)
-    coef = 4.0 / (3.0 * a * a)
-    p = np.ones_like(s)
+    coefs = [4.0 / (3.0 * a * a)]
     for k in range(_SEAM_TERMS):
-        if not derivative:
-            acc = acc + coef * p
-        coef *= -(k + 3) / (a * (2 * k + 5))
-        if derivative:
-            acc = acc + (k + 1) * coef * p
-        p = p * s
-    return acc
+        coefs.append(coefs[-1] * (-(k + 3) / (a * (2 * k + 5))))
+    terms = [k * c for k, c in enumerate(coefs)][1:] if derivative else coefs[:-1]
+    return np.dot(np.vander(s, _SEAM_TERMS, increasing=True), np.array(terms))
 
 
 def a00(r, a: float):
@@ -232,9 +230,9 @@ def a00_prime(r: np.ndarray, a: float, value: np.ndarray) -> np.ndarray:
     Off the seam, the ODE a*(a^2-r^2)*A' = 3*a*r*A - 4, which holds for
     either sign of a; within SEAM_BAND of r = a, where it divides by 0,
     the derivative of the seam series.  Just outside the band the closed
-    forms of A cancel and the ODE divides their error by a^2 - r^2: at
-    twice the band width A' holds about 2e-9 relative in double (1e-12 in
-    long double for a = 1), against a few ulps elsewhere.  The dtype is
+    forms of A still cancel and the ODE divides their error by a^2 - r^2:
+    there A' holds about 4e-17 relative in long double and 8e-14 in
+    double, against a few ulps elsewhere.  The dtype is
     that of r, `a` cast to it as in `a00`, and a NaN value gives NaN;
     B[0,0]'(r) = -A'(-r; b) by the half-turn rule.
     """

@@ -217,7 +217,7 @@ class TestKernelSlopes:
     def _check(self, slope, seam, c, interval):
         # The closed forms of A cancel toward the seam and the ODE divides
         # that error by r^2 - a^2: at twice the band width A' keeps about
-        # 2e-9 relative in double.  Inside the band and away from the
+        # 1e-14 relative in double.  Inside the band and away from the
         # seam it is good to a few ulps.
         for rel, tol in [(d, 1e-13) for d in self.INSIDE] + [(d, 1e-8) for d in self.OUTSIDE]:
             r = seam * (1 + rel)
@@ -241,11 +241,14 @@ class TestKernelSlopes:
         assert got.dtype == np.longdouble
         assert np.array_equal(np.isnan(got), r <= -1.0)  # the domain is r > -a
 
-    @pytest.mark.parametrize("r,a", [(1.0005, 1.0), (0.63, 0.7)])
+    @pytest.mark.parametrize(
+        "r,a", [(1.0005, 1.0), (0.63, 0.7), (1.0011, 1.0), (0.7007, 0.7), (1.0015, 1.0), (0.9985, 1.0)]
+    )
     def test_long_double_against_mpmath(self, r, a):
         # on the seam, and off it at a constant that is not dyadic, long-double
         # A[0,0] and A[0,0]' hold long-double accuracy against 40-digit
-        # quadrature (5.5e-17 and 1.2e-16 for the value with a in double)
+        # quadrature (5.5e-17 and 1.2e-16 for the value with a in double),
+        # also within 1.5e-3 of the seam, where the closed forms cancel
         import mpmath
 
         x = np.array([r], dtype=np.longdouble)
