@@ -4,11 +4,10 @@ import logging
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-
-from fractions import Fraction
 
 from pwcycles import averaging, exact, smooth, zeros
 from pwcycles.averaging import (
