@@ -397,18 +397,18 @@ def _a_family(i: int, j: int, r: float, c: float) -> float:
 def eval_family(idx: FamilyIndex, r: float, params: SystemParams) -> float:
     """Evaluate any of A, B, I, J at arbitrary (i, j).
 
-    Odd j annihilates all four families (odd integrand on a symmetric
-    window).  For even j, A is `_a_family`; I[i,j] = r A[i+1,j] + c A[i,j]
+    An r outside the domain raises for every index.  Odd j annihilates all
+    four families (odd integrand on a symmetric window).  For even j, A is `_a_family`; I[i,j] = r A[i+1,j] + c A[i,j]
     exactly (the integrand times (r cos t + c)/(r cos t + c)).  B and J
     are A and I by the half-turn substitution t -> t + pi:
     B[i,j](r; b) = (-1)^i A[i,j](-r; b), and J from I the same way.
     """
     fam, i, j = idx.family, idx.i, idx.j
-    if j % 2 == 1:
-        return 0.0
     c, s = (params.a, 1) if fam in ("A", "I") else (params.b, -1)
     x = s * r
     _check_a_domain(x, c)
+    if j % 2 == 1:
+        return 0.0
     value = _a_family(i, j, x, c)
     if fam in ("I", "J"):
         value = x * _a_family(i + 1, j, x, c) + c * value

@@ -331,7 +331,7 @@ class TestFamilies:
     @pytest.mark.parametrize("a,b", [(1.0, 2.0), (-1.0, -2.0)])
     def test_back_half_families_are_the_half_turn_of_the_front(self, a, b):
         # B[i,j](r; b) = (-1)^i A[i,j](-r; b) and J from I, bit for bit; past
-        # and at r = b both raise eval_B00's error
+        # and at r = b both raise eval_B00's error, for odd j too
         p, front = SystemParams(a, b), SystemParams(b, a)
         for r in (t * b for t in (-2.0, -0.3, 0.0, 0.3, 0.49, 0.7, 0.999)):
             for back, fwd in (("B", "A"), ("J", "I")):
@@ -343,9 +343,10 @@ class TestFamilies:
             with pytest.raises((DomainError, SingularityError)) as want:
                 eval_B00(r, p)
             for fam in "BJ":
-                with pytest.raises(want.type) as got:
-                    eval_family(FamilyIndex(fam, 2, 2), r, p)
-                assert str(got.value) == str(want.value)
+                for i, j in ((2, 2), (1, 3)):
+                    with pytest.raises(want.type) as got:
+                        eval_family(FamilyIndex(fam, i, j), r, p)
+                    assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("c", [1.0, -1.5, 0.7])
     def test_reduction_outside_the_series_radius(self, c, monkeypatch):
