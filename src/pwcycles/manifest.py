@@ -212,7 +212,7 @@ class ExperimentManifest:
         if "seed" not in doc:
             raise ManifestError("manifest must carry an explicit integer 'seed'")
         common = _convert({k: doc[k] for k in COMMON}, COMMON, "manifest")
-        if common["a"] * common["b"] == 0:
+        if common["a"] == 0 or common["b"] == 0:
             raise ManifestError("system constants must be nonzero")
         given = {k: v for k, v in doc.items() if k not in ("schema_version", "kind", *COMMON)}
         options = _convert(given, OPTIONS[kind], kind, "option", ", besides schema_version, kind, a, b and seed")

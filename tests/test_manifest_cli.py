@@ -80,6 +80,13 @@ class TestManifestValidation:
         with pytest.raises(ManifestError, match="'a' and 'b'"):
             ExperimentManifest.from_dict(doc)
 
+    def test_constants_are_tested_for_zero_one_by_one(self):
+        # the product 1e-200 * -1e-200 underflows to zero; the constants do not
+        m = ExperimentManifest.from_dict(_verify_doc(a=1e-200, b=-1e-200))
+        assert (m.a, m.b) == (1e-200, -1e-200)
+        with pytest.raises(ManifestError, match="nonzero"):
+            ExperimentManifest.from_dict(_verify_doc(a=0.0))
+
     def test_epsilons_must_descend(self):
         doc = _verify_doc(kind="sweep", epsilons=[1e-3, 1e-2])
         with pytest.raises(ManifestError, match="descending"):
