@@ -8,6 +8,10 @@ process, each of these manifests:
 * the operations of every perfbench workload at seed N, read from
   `perfbench/workloads.operations` and left unchanged;
 * a `verify_identities` manifest at seed 7;
+* `simulate-degree3`: `place_and_simulate` at (1, -2), degree 3, eight
+  targets 0.4, 0.8, ..., 3.2, eps down to 1.25e-3, grid 60, at seed N,
+  whose fixed-point brackets mostly close by width, not at the roundoff
+  floor, so it covers the follow-up refinement;
 * a sweep over a placed perturbation (`pert_targets`) and a sweep over
   inline tables (`pert_inline`), at seed N.
 
@@ -60,6 +64,10 @@ def manifests(seed: int):
         for k, (_, doc) in enumerate(workloads.operations(workload, seed)):
             yield f"perfbench-{workload}-{k}", doc
     yield "verify", {"schema_version": 1, "kind": "verify_identities", "a": 1.0, "b": -2.0, "seed": 7}
+    yield "simulate-degree3", {
+        "schema_version": 1, "kind": "place_and_simulate", "a": 1.0, "b": -2.0, "seed": seed, "degree": 3,
+        "targets": [0.4, 0.8, 1.2, 1.6, 2.0, 2.4, 2.8, 3.2], "epsilons": [0.01, 0.005, 0.0025, 0.00125], "grid": 60,
+    }
     sweep = {
         "schema_version": 1, "kind": "sweep", "a": 1.0, "b": -2.0, "seed": seed,
         "epsilons": [0.01, 0.005], "r_grid": {"lo": 0.2, "hi": 2.5, "count": 12},

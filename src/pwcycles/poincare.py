@@ -29,8 +29,10 @@ beside the grids; the search maps the rows of the other brackets in one
 call of its own.  One more call checks the roots and samples the slopes
 beside them.  A bracket closes once the
 displacement at its point is within the map's roundoff, |P(r) - r| <=
-4*eps*r; the few that do not go on to `_bracketed_roots`, one call
-per iteration for all of them.  At the README example's displacement
+4*eps*r; the few that do not go on to the zero counting's bracketed
+root finder, `zeros._newton_roots`, one call per iteration for all of
+them.  Given no slope, it takes Illinois regula falsi and bisection
+steps only.  At the README example's displacement
 slopes, about 1e-7, that roundoff alone moves a fixed point by about 1e-8,
 so refining further gains nothing.
 
@@ -60,7 +62,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .averaging import PerturbationSpec
 from .kernels import SystemParams
-from .zeros import _sign_flips
+from .zeros import _newton_roots, _sign_flips
 
 log = logging.getLogger("pwcycles")
 
@@ -476,9 +478,8 @@ def _interpolated_roots(xs: np.ndarray, ds: np.ndarray) -> Tuple[np.ndarray, ...
     from the regula falsi point of [a, b] (Trefethen, Approximation Theory
     and Approximation Practice, 2013).  A Newton step that would leave
     (a, b) is not taken, so where the first one would, z is the regula
-    falsi point, the step `_bracketed_roots` takes first.  Returns
-    the points z and their brackets a, b with the displacement fa, fb at
-    a and b.
+    falsi point of [a, b].  Returns the points z and their brackets a, b
+    with the displacement fa, fb at a and b.
     """
     lo, hi = xs[:, 0], xs[:, -1]
     k = np.arange(lo.size)
@@ -495,48 +496,6 @@ def _interpolated_roots(xs: np.ndarray, ds: np.ndarray) -> Tuple[np.ndarray, ...
             step = z - half * chebyshev.chebval(t, c, tensor=False) / chebyshev.chebval(t, dc, tensor=False)
             z = np.where((a < step) & (step < b), step, z)
     return z, a, b, fa, fb
-
-
-def _bracketed_roots(fun, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
-    """A root of `fun` in each sign-change bracket [lo[k], hi[k]], all refined together.
-
-    Illinois regula falsi: an end kept by two steps in a row has its
-    function value halved, so that both ends converge.  A bracket that has
-    not halved over its last three steps takes a bisection step instead,
-    which bounds the work when `fun` is noisy near the root.  Each
-    iteration makes one call of `fun` on the open brackets.  A bracket
-    closes when `fun` vanishes at the new point, or when it is at most
-    2*xtol + 4*eps*(|lo| + |hi|) wide; its midpoint is then within xtol
-    (and a few ulps) of a sign change.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    w_lo, w_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
-    roots = 0.5 * (lo + hi)
-    kept = np.zeros(lo.size, dtype=int)  # end kept by the last step: -1 lo, +1 hi
-    history = np.full((3, lo.size), np.inf)  # bracket widths one, two and three steps back
-
-    def wide(a, b):
-        return b - a > 2 * xtol + 4 * np.finfo(float).eps * (np.abs(a) + np.abs(b))
-
-    open_ = np.flatnonzero(wide(lo, hi))
-    while open_.size:
-        a, b, wa, wb = lo[open_], hi[open_], w_lo[open_], w_hi[open_]
-        x = a + (b - a) * (wa / (wa - wb))
-        bisect = ~((a < x) & (x < b)) | (b - a > 0.5 * history[2, open_])
-        x = np.where(bisect, 0.5 * (a + b), x)
-        fx = np.asarray(fun(x), dtype=float)
-        history[1:, open_] = history[:-1, open_]
-        history[0, open_] = b - a
-        moves_lo = np.sign(fx) == np.sign(wa)
-        halve = kept[open_] == np.where(moves_lo, 1, -1)
-        lo[open_] = np.where(moves_lo, x, a)
-        hi[open_] = np.where(moves_lo, b, x)
-        w_lo[open_] = np.where(moves_lo, fx, np.where(halve, 0.5 * wa, wa))
-        w_hi[open_] = np.where(moves_lo, np.where(halve, 0.5 * wb, wb), fx)
-        kept[open_] = np.where(moves_lo, 1, -1)
-        roots[open_] = np.where(fx == 0, x, 0.5 * (lo[open_] + hi[open_]))
-        open_ = open_[(fx != 0) & wide(lo[open_], hi[open_])]
-    return roots
 
 
 def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray, mapped=((), ())) -> ReturnMapResult:
@@ -558,9 +517,10 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray, 
     2. the displacement at every z, with the rows z +- h of the slopes; a
        bracket closes at z where |P(z) - z| <= 4*eps*z (the map's
        roundoff, `_at_floor`);
-    3. `_bracketed_roots` on [a, z] or [z, b] for the others, one
-       call per iteration, closing at the roundoff floor or once a bracket
-       is at most 2e-11 wide.
+    3. `zeros._newton_roots` on [a, z] or [z, b] for the others, from
+       its regula falsi point and with no slope, one call per iteration,
+       closing at the roundoff floor or once a bracket is at most 2e-11
+       (and a few ulps) wide.
 
     With no sign change no call is made.  A row's image does not depend on
     the call it is mapped in, so the result is the same bit for bit with
@@ -594,11 +554,12 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray, 
         slopes = (d[n : 2 * n] - d[2 * n :]) / (2 * h)
         up = np.sign(dz) == np.sign(fa)  # the root lies in [z, b]
         refine = np.flatnonzero(dz != 0)
-        z[refine] = _bracketed_roots(
-            lambda r: _displacement(field, r, floored),
-            np.where(up, z, a)[refine], np.where(up, b, z)[refine],
-            np.where(up, dz, fa)[refine], np.where(up, fb, dz)[refine], _ROOT_XTOL,
-        )
+        a, b = np.where(up, z, a)[refine], np.where(up, b, z)[refine]
+        fa, fb = np.where(up, dz, fa)[refine], np.where(up, fb, dz)[refine]
+        z[refine] = _newton_roots(
+            lambda r: (_displacement(field, r, floored), np.nan, 0), a + (b - a) * (fa / (fa - fb)), a, b, fa, fb,
+            _ROOT_XTOL,
+        )[0]
     at_floor = np.concatenate([np.zeros(0), *floored])
     log.debug(
         "find_fixed_points: %d brackets (%d with interpolation rows from the caller's call, %d mapped here), "

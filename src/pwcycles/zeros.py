@@ -48,16 +48,19 @@ roundoff envelope at DEBUG, and a WARNING when its scan window resolves
 fewer sign changes than there are targets.
 
 Counting refines all sign-change brackets of a grid together by
-safeguarded Newton (`_newton_roots`, with regula falsi and bisection as
-the safeguards) on F and its analytic derivative:
+safeguarded Newton (`_newton_roots`, with Illinois regula falsi and
+bisection as the safeguards) on F and its analytic derivative:
 `basis_values` gives the derivative rows from the same kept rows, with
 A[0,0]' from `kernels.a00_prime`.  A bracket closes at a step of 5e-13
 or of its roundoff envelope over |F'|, whichever is larger, since no
-location is known more closely than that.  The flag of a non-simple zero
-(near-vanishing derivative), which leaves it out of `simple_count`,
-reads the same analytic F'.  The placement scan, the count grid and the
-survey grid of a ceiling run are the same few grids for every degree and
-system, so `basis_values` samples their powers and kernel rows once.
+location is known more closely than that.  The flag of a non-simple
+zero (near-vanishing derivative), which leaves it out of `simple_count`,
+reads the same analytic F'.  `_newton_roots` is the package's one
+bracketed root finder: `poincare.find_fixed_points` refines its fixed
+points with it too, on a displacement without a slope.  The placement
+scan, the count grid and the survey grid of a ceiling run are the same
+few grids for every degree and system, so `basis_values` samples their
+powers and kernel rows once.
 
 The surjectivity rank and the random ceiling survey never re-run the
 reduction: the rank is `exact.rank` of the unit columns of `_unit_parts`,
@@ -254,43 +257,57 @@ class ZeroReport:
         return len(self.zeros) - len(self.non_simple)
 
 
-def _newton_roots(jet, lo, hi, f_lo, f_hi, xtol: float):
+def _newton_roots(jet, x, lo, hi, f_lo, f_hi, xtol: float):
     """A zero of F in each sign-change bracket [lo[k], hi[k]], all refined together.
 
     `jet(x)` gives F, F' and F's roundoff envelope at the points x, in one
-    evaluation.  Safeguarded Newton from each bracket's midpoint: every
+    evaluation.  Safeguarded Newton from the first points `x` (one not
+    strictly inside its bracket is replaced by the midpoint): every
     evaluation narrows its bracket to the side where F changes sign, and
     the next point is the Newton step when that stays inside the open
     bracket.  When it leaves the bracket (F' = 0 among the causes), the
-    next point is the bracket's regula falsi point: a zero within Newton's
-    overshoot of a bracket end would otherwise take a bisection per
-    halving of that overshoot.  The midpoint is taken when the regula falsi
-    point is not strictly inside either, or when the bracket has not
-    halved over its last three steps.  A bracket closes when F vanishes at
-    the point, when the Newton step is at most max(xtol, envelope/|F'|),
-    the noise over the slope (its zero is then the Newton point, kept in
-    the bracket), or when the bracket is at most 1e-12 (and a few ulps)
-    wide (its zero is the midpoint).  Returns the zeros, F' and
+    next point is the bracket's Illinois regula falsi point, on ends whose
+    value is halved each time a step keeps them twice in a row: a zero
+    within Newton's overshoot of a bracket end would otherwise take a
+    bisection per halving of that overshoot.  The midpoint is taken when
+    the regula falsi point is not strictly inside, or when the bracket has
+    not halved over its last three steps.  A jet whose F' is NaN has no
+    Newton step inside any bracket, so every step is then regula falsi or
+    bisection.  A bracket closes when F vanishes at the point, when the
+    Newton step is at most max(xtol, envelope/|F'|), the noise over the
+    slope (its zero is then the Newton point, kept in the bracket), or when
+    it is at most 2*xtol + 4*eps*(|lo| + |hi|) wide (its zero is the
+    midpoint, within xtol and a few ulps of a sign change); a bracket that
+    narrow from the start is not evaluated.  Returns the zeros, F' and
     noise/|F'| at the last point of each bracket, and the counts of
     Newton, regula falsi and bisection steps and of calls of `jet`.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     f_lo, f_hi = np.array(f_lo), np.array(f_hi)
-    x = 0.5 * (lo + hi)
-    roots, slopes, noise = x.copy(), np.zeros_like(x), np.zeros_like(x)
+    roots, slopes, noise = 0.5 * (lo + hi), np.zeros_like(lo), np.zeros_like(lo)
+    x = np.where((lo < x) & (x < hi), x, roots)
     history = np.full((3, lo.size), np.inf)  # bracket widths one, two and three steps back
+    history[0] = hi - lo
+    kept = np.zeros(lo.size, dtype=int)  # end kept by the last step: -1 lo, +1 hi
     work = np.zeros(4, dtype=int)  # Newton, regula falsi and bisection steps; calls
-    open_ = np.arange(lo.size)
+
+    def wide(a, b):
+        return b - a > 2 * xtol + 4 * _EPS64 * (np.abs(a) + np.abs(b))
+
+    open_ = np.flatnonzero(wide(lo, hi))
     with np.errstate(divide="ignore", invalid="ignore"):  # F' = 0 gives a step that is not finite
         while open_.size:
             work[3] += 1
             xo = x[open_]
             f, d, env = jet(xo)
             moves_lo = np.sign(f) == np.sign(f_lo[open_])
+            side = np.where(moves_lo, 1, -1)
+            scale = np.where(kept[open_] == side, 0.5, 1.0)
+            kept[open_] = side
             a = lo[open_] = np.where(moves_lo, xo, lo[open_])
             b = hi[open_] = np.where(moves_lo, hi[open_], xo)
-            fa = f_lo[open_] = np.where(moves_lo, f, f_lo[open_])
-            fb = f_hi[open_] = np.where(moves_lo, f_hi[open_], f)
+            fa = f_lo[open_] = np.where(moves_lo, f, scale * f_lo[open_])
+            fb = f_hi[open_] = np.where(moves_lo, scale * f_hi[open_], f)
             step = (-f / d).astype(float)
             slopes[open_], noise[open_] = d, env / np.abs(d)
             nxt, mid, width = xo + step, 0.5 * (a + b), b - a
@@ -303,7 +320,7 @@ def _newton_roots(jet, lo, hi, f_lo, f_hi, xtol: float):
             history[1:, open_] = history[:-1, open_]
             history[0, open_] = width
             x[open_] = np.choose(kind, [nxt, falsi, mid])
-            go = (f != 0) & ~small & (width > 1e-12 + 4 * _EPS64 * (np.abs(a) + np.abs(b)))
+            go = (f != 0) & ~small & wide(a, b)
             work[:3] += np.bincount(kind[go], minlength=3)
             open_ = open_[go]
     return roots, slopes, noise, work
@@ -346,7 +363,7 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
         if keep.size == 0:
             return ZeroReport((), grid, degenerate=True)
         i, j = keep[flips], keep[flips + 1]
-        zeros, derivs, noise, steps = _newton_roots(jet, rr[i], rr[j], vals[i], vals[j], 5e-13)
+        zeros, derivs, noise, steps = _newton_roots(jet, 0.5 * (rr[i] + rr[j]), rr[i], rr[j], vals[i], vals[j], 5e-13)
         work += steps
         if not np.any(np.diff(zeros) < 2 * r_max / grid):
             break

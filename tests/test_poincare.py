@@ -26,14 +26,13 @@ from pwcycles.poincare import (
     EpsilonValidityError,
     NearSingularityError,
     PolarField,
-    _bracketed_roots,
     _displacement,
     _leg_rhs,
     cartesian_crosscheck,
     find_fixed_points,
     return_map,
 )
-from pwcycles.zeros import _sign_flips, count_simple_zeros, place_zeros
+from pwcycles.zeros import _newton_roots, _sign_flips, count_simple_zeros, place_zeros
 
 
 def _one_field_rhs(field, plus):
@@ -263,6 +262,16 @@ def _fixed_point_grid(ab, degree, targets, r_max):
     return fld, np.linspace(lo, hi, 60), predicted
 
 
+def _xtol_only_roots(fld, rr, images):
+    """The fixed points of the grid's brackets refined with no roundoff floor, from their regula
+    falsi points, until each bracket is at most 2*_ROOT_XTOL (and a few ulps) wide."""
+    disp = images - rr
+    keep, flips = _sign_flips(disp, 0.0)
+    lo, hi, f_lo, f_hi = rr[keep[flips]], rr[keep[flips + 1]], disp[keep[flips]], disp[keep[flips + 1]]
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    return _newton_roots(lambda r: (return_map(fld, r) - r, np.nan, 0), x, lo, hi, f_lo, f_hi, _ROOT_XTOL)[0]
+
+
 @pytest.fixture(scope="module")
 def readme_fp():
     """The fixed-point search of the README simulate example:
@@ -299,10 +308,7 @@ class TestFixedPointRefinement:
 
     def test_points_match_the_xtol_only_refinement(self, readme_fp, run):
         fld, rr, images = readme_fp
-        disp = images - rr
-        keep, flips = _sign_flips(disp, 0.0)
-        i, j = keep[flips], keep[flips + 1]
-        ref = _bracketed_roots(lambda r: return_map(fld, r) - r, rr[i], rr[j], disp[i], disp[j], _ROOT_XTOL)
+        ref = _xtol_only_roots(fld, rr, images)
         got = np.array([f.location for f in run[0].fixed_points])
         assert np.all(np.abs(got - ref) <= 1e-8)
 
@@ -366,10 +372,7 @@ class TestFixedPointRefinement:
             fld = PolarField(params, pert, 1.25e-3, r_range=(0.5 * lo, 5.0))
             rr = np.linspace(lo, hi, 60)
             images = return_map(fld, rr)
-            disp = images - rr
-            keep, flips = _sign_flips(disp, 0.0)
-            i, j = keep[flips], keep[flips + 1]
-            ref = _bracketed_roots(lambda r: return_map(fld, r) - r, rr[i], rr[j], disp[i], disp[j], _ROOT_XTOL)
+            ref = _xtol_only_roots(fld, rr, images)
             h = (hi - lo) / (8 * rr.size)
             ends = np.concatenate([ref + h, ref - h])
             d = return_map(fld, ends) - ends

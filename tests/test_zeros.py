@@ -18,11 +18,11 @@ from pwcycles.averaging import (
     perturbation_for_expansion,
 )
 from pwcycles.kernels import SystemParams
-from pwcycles.poincare import _bracketed_roots
 from pwcycles.zeros import (
     PlacementError,
     RankDeficiencyError,
     UnresolvedClusterError,
+    _newton_roots,
     chebyshev_points,
     claimed_coefficient_indices,
     coefficient_surjectivity_check,
@@ -257,15 +257,20 @@ class TestCountSimpleZeros:
 
 
 class TestBracketedRoots:
+    """`_newton_roots` on a jet with a NaN slope, as the fixed-point search
+    calls it: regula falsi and bisection steps only."""
+
     def _refine(self, fun, lo, hi, xtol):
         calls = []
 
-        def counted(x):
+        def jet(x):
             calls.append(x.size)
-            return fun(x)
+            return fun(x), np.nan, 0
 
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        return _bracketed_roots(counted, lo, hi, fun(lo), fun(hi), xtol), calls
+        f_lo, f_hi = fun(lo), fun(hi)
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        return _newton_roots(jet, x, lo, hi, f_lo, f_hi, xtol)[0], calls
 
     @pytest.mark.parametrize("xtol,tol", [(1e-11, 1e-11), (5e-13, 1e-12)], ids=["1e-11", "5e-13"])
     def test_smooth_roots_within_xtol(self, xtol, tol):
@@ -277,6 +282,15 @@ class TestBracketedRoots:
         # covering only the brackets still open
         assert len(calls) <= 15 and calls == sorted(calls, reverse=True)
 
+    def test_illinois_moves_the_end_plain_regula_falsi_keeps(self):
+        # x^10 - 1 is convex on [0, 1.3]: plain regula falsi keeps the end
+        # 1.3 and, with the same bisection safeguard, takes 28 calls; halving
+        # the kept end's value takes 13, as Illinois regula falsi did before
+        # it moved into this finder
+        got, calls = self._refine(lambda x: x**10 - 1, [0.0], [1.3], 1e-11)
+        assert abs(got[0] - 1.0) <= 1e-11
+        assert len(calls) <= 13
+
     def test_sign_step_falls_back_to_bisection(self):
         # a function with no slope to interpolate: only the bisection
         # safeguard can close the bracket
@@ -285,6 +299,12 @@ class TestBracketedRoots:
         assert abs(got[0] - edge) <= 1e-11
         # the safeguard at least halves the bracket every fourth step
         assert len(calls) <= 4 * 37
+
+    def test_a_bracket_narrower_than_the_stop_is_not_evaluated(self):
+        # it closes at its midpoint, whatever the first point
+        got, calls = self._refine(lambda x: x - 0.5, [0.5 - 4e-12, 0.0], [0.5 + 4e-12, 1.0], 5e-12)
+        assert got[0] == 0.5 and got[1] == 0.5
+        assert calls == [1]
 
 
 ROUND_TRIPS = [
