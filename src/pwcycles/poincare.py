@@ -556,9 +556,9 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray, 
         refine = np.flatnonzero(dz != 0)
         a, b = np.where(up, z, a)[refine], np.where(up, b, z)[refine]
         fa, fb = np.where(up, dz, fa)[refine], np.where(up, fb, dz)[refine]
+        falsi = a + (b - a) * (fa / (fa - fb))
         z[refine] = _newton_roots(
-            lambda r: (_displacement(field, r, floored), np.nan, 0), a + (b - a) * (fa / (fa - fb)), a, b, fa, fb,
-            _ROOT_XTOL,
+            lambda r: (_displacement(field, r, floored), np.nan, 0), falsi, a, b, fa, fb, _ROOT_XTOL
         )[0]
     at_floor = np.concatenate([np.zeros(0), *floored])
     log.debug(

@@ -284,9 +284,8 @@ class TestBracketedRoots:
 
     def test_illinois_moves_the_end_plain_regula_falsi_keeps(self):
         # x^10 - 1 is convex on [0, 1.3]: plain regula falsi keeps the end
-        # 1.3 and, with the same bisection safeguard, takes 28 calls; halving
-        # the kept end's value takes 13, as Illinois regula falsi did before
-        # it moved into this finder
+        # 1.3 and, with the same bisection safeguard, takes 28 calls;
+        # halving the kept end's value takes 13
         got, calls = self._refine(lambda x: x**10 - 1, [0.0], [1.3], 1e-11)
         assert abs(got[0] - 1.0) <= 1e-11
         assert len(calls) <= 13
