@@ -350,8 +350,9 @@ class TestFamilies:
 
     @pytest.mark.parametrize("c", [1.0, -1.5, 0.7])
     def test_reduction_outside_the_series_radius(self, c, monkeypatch):
-        # past |r| = 0.5|c| every A and I value reads the exact unit half of
-        # the reduction; at and inside it, none does
+        # past |r| = _SERIES_RADIUS |c| every A and I value reads the exact
+        # unit half of the reduction; at and inside it, none does
+        radius = kernels._SERIES_RADIUS
         p = SystemParams(c, c)
         reads = []
         original = kernels._unit_half
@@ -361,11 +362,11 @@ class TestFamilies:
             return original(*args)
 
         monkeypatch.setattr(kernels, "_unit_half", spy)
-        for t in (0.25, 0.5):
+        for t in (0.25, radius, -radius):
             for fam in "AI":
                 eval_family(FamilyIndex(fam, 2, 2), t * c, p)
         assert reads == []
-        for t in (-0.7, 0.51, 1.3):
+        for t in (-radius - 0.05, radius + 0.01, 1.3):
             for fam in "AI":
                 reads.clear()
                 eval_family(FamilyIndex(fam, 2, 2), t * c, p)
@@ -373,10 +374,10 @@ class TestFamilies:
 
     @pytest.mark.parametrize("c", [1.0, -1.5, 0.7])
     def test_both_sides_of_the_series_radius(self, c):
-        # the series just inside |r| = 0.5|c| and the reduction just outside
-        # agree with quadrature, for every family and i + j <= 8
+        # the series just inside |r| = _SERIES_RADIUS |c| and the reduction
+        # just outside agree with quadrature, for every family and i + j <= 8
         p = SystemParams(c, -c)
-        for t in (0.5, 0.5 + 1e-9):
+        for t in (kernels._SERIES_RADIUS, kernels._SERIES_RADIUS + 1e-9):
             for fam in "ABIJ":
                 x = t * c if fam in "AI" else -t * c
                 for i in range(9):
@@ -386,19 +387,37 @@ class TestFamilies:
                         assert abs(got - want) <= 1e-9 * (1 + abs(want)), (fam, i, j, x)
 
     def test_accuracy_at_the_order_cap(self):
-        # every family entry of order MAX_FAMILY_ORDER, just past the series
-        # radius of the smallest measured constant, where the reduction
-        # loses the most, meets the 1e-9 of verify; one order more is refused
+        # every family entry of order MAX_FAMILY_ORDER at |c| = 0.3, just
+        # past the series radius, where the reduction loses the most, and
+        # at the points just past 0.5|c| where a radius of 0.5 lost the
+        # most, meets the 1e-9 of verify; one order more is refused
         p = SystemParams(0.3, -0.3)
         n = kernels.MAX_FAMILY_ORDER
         for fam in "ABIJ":
-            for r in (0.3 * t for t in (-0.50156, -0.500074, 0.5000001)):
+            for r in (0.3 * t for t in (-0.50156, -0.500074, 0.5000001, -0.7500001, 0.7500001)):
                 for i in range(n % 2, n + 1, 2):
                     idx = FamilyIndex(fam, i, n - i)
                     got, want = eval_family(idx, r, p), oracle_family(idx, r, p)
                     assert abs(got - want) < 1e-9 * (1 + abs(want)), (fam, i, r)
         with pytest.raises(FamilyIndexError):
             FamilyIndex("A", n + 1, 0)
+
+    @pytest.mark.parametrize("c", [0.1, -0.1, 0.05, -0.05])
+    def test_small_constants_meet_verify_at_the_order_cap(self, c):
+        # at |c| = 0.1 and 0.05 the reduction over r^20 loses more than at
+        # larger constants (2.2e-9 and 3.6e-9 against quadrature at r/c =
+        # 0.5000001 with the series radius at 0.5); with the series out to
+        # 0.75|c| every entry of order MAX_FAMILY_ORDER, inside the radius
+        # and just past it, meets verify's 1e-9
+        p = SystemParams(c, -c)
+        n = kernels.MAX_FAMILY_ORDER
+        for fam in "ABIJ":
+            for t in (0.5000001, -0.5000001, 0.6, -0.6, 0.7500001, -0.7500001):
+                r = t * c if fam in "AI" else -t * c
+                for i in range(n % 2, n + 1, 2):
+                    idx = FamilyIndex(fam, i, n - i)
+                    got, want = eval_family(idx, r, p), oracle_family(idx, r, p)
+                    assert abs(got - want) < 1e-9 * (1 + abs(want)), (fam, i, t)
 
     def test_r_zero_uses_direct_values(self, params):
         # even orders at r = 0 come straight from the moments
