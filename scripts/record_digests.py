@@ -10,8 +10,8 @@ process, each of these manifests:
 * a `verify_identities` manifest at seed 7;
 * `simulate-degree3`: `place_and_simulate` at (1, -2), degree 3, eight
   targets 0.4, 0.8, ..., 3.2, eps down to 1.25e-3, grid 60, at seed N,
-  whose fixed-point brackets mostly close by width, not at the roundoff
-  floor, so it covers the follow-up refinement;
+  whose displacement slopes are about 1e-9, so its fixed points sit in
+  integrator noise and some brackets hold no predicted zero;
 * a sweep over a placed perturbation (`pert_targets`) and a sweep over
   inline tables (`pert_inline`), at seed N.
 
@@ -34,8 +34,10 @@ this checkout, whose outputs a child process computes: per (system,
 degree) one `zero-move` line with the largest change of a zero location
 over its placements, or the placements whose zero count changed, one
 `non-simple` line for every placement whose `non_simple` set changed,
-and one `family-move` line with the largest relative change of a
-family value.
+one `family-move` line with the largest relative change of a family
+value, and per `place_and_simulate` manifest one `fixed-point-move`
+line with the largest change of a fixed point's location, the largest
+relative change of its slope and each change of its stability class.
 """
 
 from __future__ import annotations
@@ -219,6 +221,28 @@ def family_move(before: list, after: list) -> str:
     return f"family-move: largest relative change {move:.3g} over {len(before)} values"
 
 
+def fixed_points(seed: int) -> dict:
+    """The (location, stability, slope) rows of each `place_and_simulate`
+    manifest's record, keyed by its name.  Public names only."""
+    from pwcycles.manifest import ExperimentManifest, run_manifest
+
+    return {name: run_manifest(ExperimentManifest.from_dict(doc))["payloads"]["fixed_points"]["rows"]
+            for name, doc in manifests(seed) if doc["kind"] == "place_and_simulate"}
+
+
+def fixed_point_move(name: str, before: list, after: list) -> str:
+    """How the fixed points of one manifest move between two row lists,
+    paired in order; a slope that was zero counts its absolute change."""
+    if len(before) != len(after):
+        return f"fixed-point-move {name}: fixed point count {len(before)} -> {len(after)}"
+    pairs = list(zip(before, after))
+    location = max((abs(y[0] - x[0]) for x, y in pairs), default=0.0)
+    slope = max((abs(y[2] - x[2]) / (abs(x[2]) or 1.0) for x, y in pairs), default=0.0)
+    classes = ", ".join(f"r={x[0]:.6g} {x[1]} -> {y[1]}" for x, y in pairs if x[1] != y[1]) or "none"
+    return (f"fixed-point-move {name}: largest |location change| {location:.3g}, "
+            f"largest relative slope change {slope:.3g}, class changes: {classes}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the pwcycles package")
@@ -229,13 +253,17 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(src))
     if args.child:
         reports = [[key, value] for key, value in zero_layer()[1].items()]
-        print(json.dumps({"zero_reports": reports, "family_values": family_values()}))
+        print(json.dumps({"zero_reports": reports, "family_values": family_values(),
+                          "fixed_points": fixed_points(args.seed)}))
         return 0
     from pwcycles.manifest import ExperimentManifest, run_manifest
 
+    located = {}
     for name, doc in manifests(args.seed):
         record = run_manifest(ExperimentManifest.from_dict(doc))
         print(hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest(), name)
+        if doc["kind"] == "place_and_simulate":
+            located[name] = record["payloads"]["fixed_points"]["rows"]
     digests, reports = zero_layer()
     for part, digest in digests.items():
         print(digest, f"zero-layer-{part}")
@@ -244,12 +272,14 @@ def main(argv=None) -> int:
     values = family_values()
     print(hashlib.sha256(repr(values).encode()).hexdigest(), "family-values")
     if src != (ROOT / "src").resolve():
-        child = json.loads(subprocess.run([sys.executable, __file__, "--child"],
+        child = json.loads(subprocess.run([sys.executable, __file__, "--child", "--seed", str(args.seed)],
                                           capture_output=True, text=True, check=True).stdout)
         here = {tuple(key): value for key, value in child["zero_reports"]}
         for line in zero_moves(reports, here):
             print(line)
         print(family_move(values, child["family_values"]))
+        for name, rows in located.items():
+            print(fixed_point_move(name, rows, child["fixed_points"][name]))
     return 0
 
 

@@ -48,7 +48,7 @@ from .kernels import (
     oracle_family,
     wallis_half,
 )
-from .poincare import PolarField, _interpolation_rows, find_fixed_points, return_map
+from .poincare import PolarField, find_fixed_points, interpolation_rows, return_map
 from .smooth import place_smooth_zeros, random_search_max_smooth_zeros, smooth_generating_rank
 from .zeros import (
     count_simple_zeros,
@@ -450,8 +450,7 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     # one lockstep call: the displacement grid at every eps, the fixed-point
     # grid and the interpolation rows of each grid interval that holds a
     # predicted zero, which the fixed-point search then need not map
-    k = np.array(sorted({int(m) for m in np.searchsorted(rr, predicted) if 0 < m < rr.size}), dtype=int)
-    inner = _interpolation_rows(rr[k - 1], rr[k]).ravel()
+    inner = interpolation_rows(rr, predicted)
     *images, images_fp, images_inner = return_map([(fld, rr) for fld in (*fields, field_fp)] + [(field_fp, inner)])
     payloads["displacement"] = _displacement_table(fn_scaled, fields, rr, images)
     rows = payloads["displacement"]["rows"]

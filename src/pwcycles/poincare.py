@@ -22,19 +22,18 @@ the largest degree.  A row's result is bit for bit
 independent of the batch it is in, so an experiment integrates the
 displacement grids at all its eps and the fixed-point grid in one call.
 Since a call costs about the same whatever its width, `find_fixed_points`
-takes the root of each bracket's interpolant through eight interior
-Chebyshev points (`_interpolation_rows`).  Where the averaged function
-predicts a fixed point, the experiment maps those rows in its one call
-beside the grids; the search maps the rows of the other brackets in one
-call of its own.  One more call checks the roots and samples the slopes
-beside them.  A bracket closes once the
-displacement at its point is within the map's roundoff, |P(r) - r| <=
-4*eps*r; the few that do not go on to the zero counting's bracketed
-root finder, `zeros._newton_roots`, one call per iteration for all of
-them.  Given no slope, it takes Illinois regula falsi and bisection
-steps only.  At the README example's displacement
-slopes, about 1e-7, that roundoff alone moves a fixed point by about 1e-8,
-so refining further gains nothing.
+takes each fixed point, and its slope, from its bracket's interpolant
+through eight interior Chebyshev points (`_interpolated_roots`).  Where
+the averaged function predicts a fixed point, the experiment maps those
+rows (`interpolation_rows`) in its one call beside the grids; the search
+maps the rows of the other brackets in one call of its own.  The root of
+each interpolant comes from the zero counting's bracketed root finder,
+`zeros._newton_roots`, on the interpolant and its derivative, with no
+further map call.  At the README example's displacement slopes, about
+1e-7, refining against the map itself moves a point off the interpolant's
+root by at most 3e-8, while the map's integration error alone puts its
+fixed points up to 5e-6 from an independent reference: a further call
+gains nothing.
 
 The Poincare section is {y = 0, x > 0} (theta = 0).  A first-order
 expansion of the return map gives P(r) - r = eps * f0(r) + O(eps^2), so
@@ -70,10 +69,8 @@ _H_FLOOR = 1e-10  # squared-denominator guard
 _INTEGRATOR_TOL = 1e-12
 _SECTION_MARGIN_FACTOR = 1e-3
 _ROOT_XTOL = 1e-11
-_MAP_ROUNDOFF = 4 * np.finfo(float).eps  # |P(r) - r| <= this * r is roundoff of the map
 _INTERP_NODES = 8  # interior Chebyshev points sampled in each fixed-point bracket
 _INTERP_T = -np.cos(np.pi * np.arange(_INTERP_NODES + 2) / (_INTERP_NODES + 1))  # -1 to 1, increasing
-_NEWTON_STEPS = 3  # on the README field Newton settles in two steps from the regula falsi point
 
 
 class NearSingularityError(RuntimeError):
@@ -447,19 +444,6 @@ def return_map(field, r_start=None):
     return float(r[0]) if np.ndim(r_start) == 0 else r
 
 
-def _at_floor(r: np.ndarray, d: np.ndarray, floored: List[np.ndarray]) -> np.ndarray:
-    """The displacement `d` at `r`, or exact 0.0 where |d| <= 4*eps*r, the map's roundoff, which
-    closes the bracket being refined there.  Appends the zeroed |d|, one array per call, to `floored`."""
-    at = np.abs(d) <= _MAP_ROUNDOFF * r
-    floored.append(np.abs(d[at]))
-    return np.where(at, 0.0, d)
-
-
-def _displacement(field: PolarField, r: np.ndarray, floored: List[np.ndarray]) -> np.ndarray:
-    """P(r) - r under the roundoff floor of `_at_floor`."""
-    return _at_floor(r, return_map(field, r) - r, floored)
-
-
 def _interpolation_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The `_INTERP_NODES` interior Chebyshev points of each bracket [lo[k], hi[k]], one row per
     bracket, increasing.  Each point is computed from its own bracket alone, so a caller that maps
@@ -467,19 +451,29 @@ def _interpolation_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo[:, None] + np.outer(hi - lo, 0.5 * (1 + _INTERP_T[1:-1]))
 
 
+def interpolation_rows(rr: np.ndarray, predicted: Sequence[float]) -> np.ndarray:
+    """The interior interpolation rows of the intervals [rr[k - 1], rr[k]] of the increasing grid
+    `rr` that hold a `predicted` zero, interval by interval: the rows `find_fixed_points` reads for
+    a fixed point there, which a caller maps beside the grid and passes back as `mapped`."""
+    k = np.array(sorted({int(m) for m in np.searchsorted(rr, predicted) if 0 < m < rr.size}), dtype=int)
+    return _interpolation_rows(rr[k - 1], rr[k]).ravel()
+
+
 def _interpolated_roots(xs: np.ndarray, ds: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """A root of each bracket's Chebyshev interpolant and the sampled sign change around it.
+    """A root of each bracket's Chebyshev interpolant, its slope there and the slope's error bound.
 
     Row k of `xs` holds the ends of bracket k with its `_INTERP_NODES`
-    interior Chebyshev points between them, in increasing order; `ds`
-    holds the displacement there.  The interpolant of degree `_INTERP_NODES` + 1
-    through a row changes sign where the samples do, so the first sampled
-    sign change [a, b] holds a root of it, which Newton's method reaches
-    from the regula falsi point of [a, b] (Trefethen, Approximation Theory
-    and Approximation Practice, 2013).  A Newton step that would leave
-    (a, b) is not taken, so where the first one would, z is the regula
-    falsi point of [a, b].  Returns the points z and their brackets a, b
-    with the displacement fa, fb at a and b.
+    interior Chebyshev points between them, in increasing order, and the
+    rows are disjoint and increasing; `ds` holds the displacement there.
+    The interpolant p of degree N = `_INTERP_NODES` + 1 through a row
+    (Trefethen, Approximation Theory and Approximation Practice, 2013)
+    changes sign where the samples do, so the first sampled sign change
+    [a, b] holds a root z of it.  `zeros._newton_roots` finds z on the jet
+    (p, p', 0) from the regula falsi point of [a, b], finding each point's
+    bracket by `np.searchsorted`.  The slope is p'(z); its error bound is
+    Markov's inequality on p's two highest Chebyshev coefficients,
+    N^2 (|c_N| + |c_(N-1)|) over the bracket's half-width.  Returns z, the
+    slopes, the bounds and `_newton_roots`' step counts.
     """
     lo, hi = xs[:, 0], xs[:, -1]
     k = np.arange(lo.size)
@@ -489,13 +483,15 @@ def _interpolated_roots(xs: np.ndarray, ds: np.ndarray) -> Tuple[np.ndarray, ...
     c = chebyshev.chebfit(_INTERP_T, ds.T, _INTERP_NODES + 1)
     dc = chebyshev.chebder(c)
     half = 0.5 * (hi - lo)
-    z = a + (b - a) * (fa / (fa - fb))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            t = (z - lo) / half - 1
-            step = z - half * chebyshev.chebval(t, c, tensor=False) / chebyshev.chebval(t, dc, tensor=False)
-            z = np.where((a < step) & (step < b), step, z)
-    return z, a, b, fa, fb
+
+    def p(at, r):
+        t = (r - lo[at]) / half[at] - 1
+        return chebyshev.chebval(t, c[:, at], tensor=False), chebyshev.chebval(t, dc[:, at], tensor=False) / half[at]
+
+    falsi = a + (b - a) * (fa / (fa - fb))
+    z, _, _, work = _newton_roots(lambda r: (*p(np.searchsorted(hi, r), r), 0), falsi, a, b, fa, fb, _ROOT_XTOL)
+    bound = (_INTERP_NODES + 1) ** 2 * (np.abs(c[-1]) + np.abs(c[-2])) / half
+    return z, p(k, z)[1], bound, work
 
 
 def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray, mapped=((), ())) -> ReturnMapResult:
@@ -504,29 +500,19 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray, 
     `images` = `return_map(field, radii)` on increasing `radii`; the caller
     evaluates them, typically in one call with other rows.  The sign
     changes of the displacement (`zeros._sign_flips`) bracket the fixed
-    points, one per bracket, and every call below maps all the brackets
-    it works on at once:
-
-    1. the displacement at the `_INTERP_NODES` interior Chebyshev points
-       of every bracket (`_interpolation_rows`).  `mapped` = (radii,
-       images) are rows the caller has already mapped, looked up by exact
-       radius: a bracket whose rows are all among them costs no call, and
-       the others are mapped here in one call.  The root z of each
-       bracket's interpolant, inside the sampled sign change [a, b]
-       (`_interpolated_roots`);
-    2. the displacement at every z, with the rows z +- h of the slopes; a
-       bracket closes at z where |P(z) - z| <= 4*eps*z (the map's
-       roundoff, `_at_floor`);
-    3. `zeros._newton_roots` on [a, z] or [z, b] for the others, from
-       its regula falsi point and with no slope, one call per iteration,
-       closing at the roundoff floor or once a bracket is at most 2e-11
-       (and a few ulps) wide.
-
-    With no sign change no call is made.  A row's image does not depend on
-    the call it is mapped in, so the result is the same bit for bit with
-    or without `mapped`.  Stability follows the sign of the displacement
-    slope at z: negative means the forward (theta-increasing) flow
-    contracts onto the cycle.
+    points, one per bracket.  Each bracket's fixed point and its slope come
+    from the interpolant through the bracket's ends and its
+    `_INTERP_NODES` interior Chebyshev points (`_interpolated_roots`).
+    `mapped` = (radii, images) are rows the caller has already mapped,
+    looked up by exact radius (`interpolation_rows` gives those of the
+    intervals that hold predicted fixed points): a bracket whose rows are
+    all among them costs no call, and the others are mapped here in one
+    call.  With every bracket's rows given, or no sign change, no call is
+    made.  A row's image does not depend on the call it is mapped in, so
+    the result is the same bit for bit with or without `mapped`.
+    Stability follows the sign of the slope p'(z): negative means the
+    forward (theta-increasing) flow contracts onto the cycle.  A slope
+    within the interpolant's own derivative error bound is "neutral".
     """
     rr, images = np.asarray(radii, dtype=float), np.asarray(images, dtype=float)
     disp = images - rr
@@ -535,44 +521,22 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray, 
     keep, flips = _sign_flips(disp, 0.0)
     i, j = keep[flips], keep[flips + 1]
     lo, hi = rr[i], rr[j]
-    n = lo.size
-    h = max(1e-4, (rr[-1] - rr[0]) / (8 * rr.size))
-    z, slopes = np.zeros(0), np.zeros(0)
-    floored: List[np.ndarray] = []
     known = dict(zip(*(np.asarray(v, dtype=float).tolist() for v in mapped)))
     inner = _interpolation_rows(lo, hi)
     p_inner = np.array([[known.get(r, np.nan) for r in row] for row in inner.tolist()]).reshape(inner.shape)
     here = np.isnan(p_inner).any(axis=1)  # return_map never gives NaN
     if here.any():
         p_inner[here] = return_map(field, inner[here].ravel()).reshape(-1, _INTERP_NODES)
-    if n:
-        xs, ds = np.column_stack([lo, inner, hi]), np.column_stack([disp[i], p_inner - inner, disp[j]])
-        z, a, b, fa, fb = _interpolated_roots(xs, ds)
-        ends = np.concatenate([z, z + h, z - h])
-        d = return_map(field, ends) - ends
-        dz = _at_floor(z, d[:n], floored)
-        slopes = (d[n : 2 * n] - d[2 * n :]) / (2 * h)
-        up = np.sign(dz) == np.sign(fa)  # the root lies in [z, b]
-        refine = np.flatnonzero(dz != 0)
-        a, b = np.where(up, z, a)[refine], np.where(up, b, z)[refine]
-        fa, fb = np.where(up, dz, fa)[refine], np.where(up, fb, dz)[refine]
-        falsi = a + (b - a) * (fa / (fa - fb))
-        z[refine] = _newton_roots(
-            lambda r: (_displacement(field, r, floored), np.nan, 0), falsi, a, b, fa, fb, _ROOT_XTOL
-        )[0]
-    at_floor = np.concatenate([np.zeros(0), *floored])
+    xs, ds = np.column_stack([lo, inner, hi]), np.column_stack([disp[i], p_inner - inner, disp[j]])
+    z, slopes, bound, work = _interpolated_roots(xs, ds)
     log.debug(
         "find_fixed_points: %d brackets (%d with interpolation rows from the caller's call, %d mapped here), "
-        "%d interpolation rows, %d closed at the interpolated point, "
-        "%d follow-up refinement calls, %d closed at the roundoff floor and %d by width, "
-        "largest |P(z) - z| %.2g at the floor-closed points",
-        n, n - here.sum(), here.sum(), n * _INTERP_NODES, floored[0].size if n else 0, max(len(floored) - 1, 0),
-        at_floor.size, n - at_floor.size, at_floor.max(initial=0.0),
+        "%d interpolation rows, %d Newton, %d regula falsi and %d bisection steps on the interpolants, "
+        "smallest |slope| over its error bound %.3g",
+        lo.size, lo.size - here.sum(), here.sum(), lo.size * _INTERP_NODES, *work[:3],
+        np.min(np.abs(slopes) / bound, initial=np.inf),
     )
-    # Classify by sign whenever the slope clears the finite-difference
-    # noise floor of two integrator-tolerance evaluations.
-    thr = 100.0 * _INTEGRATOR_TOL / h
-    kinds = np.where(slopes < -thr, "attracting", np.where(slopes > thr, "repelling", "neutral"))
+    kinds = np.where(np.abs(slopes) <= bound, "neutral", np.where(slopes < 0, "attracting", "repelling"))
     fixed = (FixedPoint(float(loc), str(kind), float(slope)) for loc, kind, slope in zip(z, kinds, slopes))
     return ReturnMapResult(samples, tuple(fixed), field.epsilon)
 

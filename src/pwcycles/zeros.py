@@ -56,11 +56,11 @@ or of its roundoff envelope over |F'|, whichever is larger, since no
 location is known more closely than that.  The flag of a non-simple
 zero (near-vanishing derivative), which leaves it out of `simple_count`,
 reads the same analytic F'.  `_newton_roots` is the package's one
-bracketed root finder: `poincare.find_fixed_points` refines its fixed
-points with it too, on a displacement without a slope.  The placement
-scan, the count grid and the survey grid of a ceiling run are the same
-few grids for every degree and system, so `basis_values` samples their
-powers and kernel rows once.
+bracketed root finder: `poincare.find_fixed_points` takes its fixed
+points with it too, on the Chebyshev interpolant of the displacement.
+The placement scan, the count grid and the survey grid of a ceiling run
+are the same few grids for every degree and system, so `basis_values`
+samples their powers and kernel rows once.
 
 The surjectivity rank and the random ceiling survey never re-run the
 reduction: the rank is `exact.rank` of the unit columns of `_unit_parts`,

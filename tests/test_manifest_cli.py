@@ -667,8 +667,7 @@ class TestCli:
         # interpolation rows of the intervals that hold a zero of F are one
         # return-map call.  Each of the 4 zeros lies in its own interval of
         # the grid and so does each fixed point, so the search maps no
-        # interpolation rows: one call for the points with their slope rows
-        # (3 per bracket), then regula falsi calls of at most one row each
+        # interpolation rows and makes no call of its own
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps(_SIM_REDUCED))
         monkeypatch.setenv("PWCYCLES_LOG", "DEBUG")
@@ -676,20 +675,38 @@ class TestCli:
         widths = [int(w) for w in re.findall(r"return_map: (\d+) radii in \d+ fields", capsys.readouterr().err)]
         brackets = len(_SIM_REDUCED["targets"])
         grid_rows = (len(_SIM_REDUCED["epsilons"]) + 1) * _SIM_REDUCED["grid"] + _INTERP_NODES * brackets
-        assert widths[:2] == [grid_rows, 3 * brackets]
-        assert all(w <= brackets for w in widths[2:])
+        assert widths == [grid_rows]
 
-    def test_readme_simulate_makes_three_return_map_calls(self, caplog):
-        # the grid call, the interpolated points with their slope rows, and
-        # one regula falsi call
+    def test_readme_simulate_makes_one_return_map_call(self, caplog):
+        # the grid call carries the interpolation rows of every fixed point
         text = (_ROOT / "README.md").read_text()
         start = text.index("\n", text.index("cat > sim.json")) + 1
         doc = json.loads(text[start : text.index("\nEOF", start)])
         with caplog.at_level(logging.DEBUG, logger="pwcycles"):
             record = run_manifest(ExperimentManifest.from_dict(doc))
         calls = [r for r in caplog.records if r.getMessage().startswith("return_map:")]
-        assert len(calls) == 3
+        assert len(calls) == 1
         assert len(record["payloads"]["fixed_points"]["rows"]) == 4
+
+    def test_degree_three_simulate_makes_at_most_two_return_map_calls(self, caplog):
+        # at (1, -2), degree 3, the displacement slopes are about 1e-9 and
+        # three of the eight predicted fixed points are not found; the
+        # search maps the rows of the brackets no zero of F predicts in
+        # one call of its own and chases no integrator noise after it
+        doc = {
+            "schema_version": 1, "kind": "place_and_simulate", "a": 1.0, "b": -2.0, "seed": 3, "degree": 3,
+            "targets": [0.4, 0.8, 1.2, 1.6, 2.0, 2.4, 2.8, 3.2], "epsilons": [0.01, 0.005, 0.0025, 0.00125],
+            "grid": 60,
+        }
+        with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+            record = run_manifest(ExperimentManifest.from_dict(doc))
+        calls = [r for r in caplog.records if r.getMessage().startswith("return_map:")]
+        assert len(calls) <= 2
+        statuses = {c["name"]: c["status"] for c in record["checks"]}
+        assert statuses == {
+            "placed_zero_count": "pass", "epsilon_convergence_slope": "pass",
+            "fixed_point_count": "fail", "fixed_points_near_zeros": "fail",
+        }
 
     def test_simulate_without_fixed_points_writes_strict_json(self, tmp_path):
         # at grid 2 the displacement keeps one sign, so no fixed point is

@@ -20,13 +20,11 @@ from pwcycles.averaging import (
 from pwcycles.kernels import SystemParams
 from pwcycles.poincare import (
     _LEGS,
-    _MAP_ROUNDOFF,
     _ROOT_XTOL,
     BlowUpError,
     EpsilonValidityError,
     NearSingularityError,
     PolarField,
-    _displacement,
     _leg_rhs,
     cartesian_crosscheck,
     find_fixed_points,
@@ -249,12 +247,13 @@ class TestReturnMap:
             return_map(field, 9.0)
 
 
-def _fixed_point_grid(ab, degree, targets, r_max):
-    """The fixed-point field at eps = 1.25e-3 of a placement, its
-    60-radius grid and the zeros of its averaged function, built as
+def _fixed_point_grid(ab, degree, targets, r_max, sign=1.0):
+    """The fixed-point field at eps = 1.25e-3 of a placement, times `sign`,
+    its 60-radius grid and the zeros of its averaged function, built as
     `manifest._run_place_and_simulate` builds them."""
     params = SystemParams(*ab)
     exp = place_zeros(params, degree, targets)
+    exp = BasisExpansion.from_vector(degree, sign * exp.vector())
     pert = perturbation_for_expansion(params, exp).normalized()
     predicted = count_simple_zeros(assemble(params, pert), r_max=r_max, grid=800).locations
     lo, hi = max(0.5 * min(predicted), 0.05), min(1.2 * max(predicted), 0.95 * r_max)
@@ -273,15 +272,26 @@ def _xtol_only_roots(fld, rr, images):
 
 
 @pytest.fixture(scope="module")
-def readme_fp():
-    """The fixed-point search of the README simulate example:
-    its field, its grid and the grid's images."""
-    fld, rr, _ = _fixed_point_grid((1.0, -2.0), 1, [0.5, 1.0, 1.5, 2.0], 5.0)
-    return fld, rr, return_map(fld, rr)
+def readme_fields():
+    """The fixed-point searches of the README simulate example and of its
+    negation, the two fields that the sign of a null vector can give: each
+    field, its grid and the grid's images."""
+    grids = (_fixed_point_grid((1.0, -2.0), 1, [0.5, 1.0, 1.5, 2.0], 5.0, sign) for sign in (1.0, -1.0))
+    return [(fld, rr, return_map(fld, rr)) for fld, rr, _ in grids]
+
+
+@pytest.fixture(scope="module")
+def readme_fp(readme_fields):
+    """The fixed-point search of the README simulate example."""
+    return readme_fields[0]
+
+
+# The fixed-point tolerance of the benchmark's pinned outputs.
+FLOAT_TOL = 1e-7
 
 
 class TestFixedPointRefinement:
-    """A bracket closes once the displacement is below the map's roundoff."""
+    """Each fixed point and its slope come from its bracket's interpolant."""
 
     @pytest.fixture
     def run(self, readme_fp, monkeypatch):
@@ -298,37 +308,29 @@ class TestFixedPointRefinement:
             m.setattr(poincare, "return_map", counted)
             return find_fixed_points(fld, rr, images), calls
 
-    def test_refinement_takes_at_most_three_calls(self, run):
+    def test_search_maps_only_the_interpolation_rows(self, run):
         result, calls = run
         assert len(result.fixed_points) == 4
-        # the interior Chebyshev points, z with the +-h slope rows, then
-        # at most one regula falsi call
-        assert len(calls) <= 3
-        assert calls[0].size == 4 * poincare._INTERP_NODES and calls[1].size == 3 * 4
+        # one call for the interior Chebyshev points, none after it
+        assert [c.size for c in calls] == [4 * poincare._INTERP_NODES]
 
-    def test_points_match_the_xtol_only_refinement(self, readme_fp, run):
-        fld, rr, images = readme_fp
-        ref = _xtol_only_roots(fld, rr, images)
-        got = np.array([f.location for f in run[0].fixed_points])
-        assert np.all(np.abs(got - ref) <= 1e-8)
-
-    def test_each_point_is_at_the_floor_or_in_a_narrow_bracket(self, readme_fp, run):
-        fld, rr, _ = readme_fp
-        result, calls = run
-        z = np.array([f.location for f in result.fixed_points])
-        at_floor = np.abs(return_map(fld, z) - z) <= _MAP_ROUNDOFF * z
-        seen = np.sort(np.concatenate([rr, *calls]))
-        for zk in z[~at_floor]:
-            a, b = seen[seen < zk].max(), seen[seen > zk].min()
-            assert b - a <= 2 * _ROOT_XTOL + 4 * np.finfo(float).eps * (abs(a) + abs(b))
-        assert at_floor.all()  # on this field every bracket closes at the floor
+    def test_displacement_changes_sign_within_float_tol_of_each_point(self, readme_fields):
+        # the map's own displacement brackets every point within the
+        # benchmark's pin tolerance, on both fields
+        for fld, rr, images in readme_fields:
+            z = np.array([f.location for f in find_fixed_points(fld, rr, images).fixed_points])
+            assert z.size == 4
+            ends = np.concatenate([z - FLOAT_TOL, z + FLOAT_TOL])
+            d = return_map(fld, ends) - ends
+            assert np.all(np.sign(d[: z.size]) == -np.sign(d[z.size :])), z
 
     def test_newton_leaving_the_sign_change_falls_back_to_regula_falsi(self, readme_fp, monkeypatch):
         # On the grid bracket [1, 2] the displacement is -1 + 2u^7 (times
         # 1e-3), u running from 0 to 1 over the fifth sampled sub-interval
         # [a, b].  It changes sign there only, and its interpolant is
         # itself; Newton from the regula falsi point u = 1/2 would jump to
-        # u = 5, past b, so the refinement starts from u = 1/2.
+        # u = 5, past b, so the root finder steps inside [a, b] on the
+        # interpolant and maps nothing after the interpolation rows.
         fld = readme_fp[0]
         nodes = 1 + 0.5 * (1 + poincare._INTERP_T)
         a, b = nodes[4], nodes[5]
@@ -346,7 +348,7 @@ class TestFixedPointRefinement:
         monkeypatch.setattr(poincare, "return_map", fake)
         rr = np.array([1.0, 2.0])
         (fp,) = find_fixed_points(fld, rr, rr + disp(rr)).fixed_points
-        assert abs(calls[1][0] - 0.5 * (a + b)) <= 1e-12
+        assert [c.size for c in calls] == [poincare._INTERP_NODES]
         root = a + (b - a) * 0.5 ** (1 / 7)
         assert abs(fp.location - root) <= 2 * _ROOT_XTOL
         assert fp.stability == "repelling"
@@ -360,39 +362,35 @@ class TestFixedPointRefinement:
         monkeypatch.setattr(poincare, "return_map", refuse)
         assert find_fixed_points(fld, rr, rr + np.abs(images - rr) + 1e-9).fixed_points == ()
 
-    def test_seeds_match_the_xtol_only_refinement(self, params):
-        # the README example's placement and its negation, the two fields
-        # that the sign of a null vector can give: the points within 2e-8 of the refinement that closes by width
-        # alone, in the same stability classes as the +-h slopes there
-        placed = place_zeros(params, 1, [0.5, 1.0, 1.5, 2.0])
-        for exp in (placed, BasisExpansion.from_vector(1, -placed.vector())):
-            pert = perturbation_for_expansion(params, exp).normalized()
-            predicted = count_simple_zeros(assemble(params, pert), r_max=5.0, grid=800).locations
-            lo, hi = max(0.5 * min(predicted), 0.05), min(1.2 * max(predicted), 0.95 * 5.0)
-            fld = PolarField(params, pert, 1.25e-3, r_range=(0.5 * lo, 5.0))
-            rr = np.linspace(lo, hi, 60)
-            images = return_map(fld, rr)
+    def test_seeds_match_the_xtol_only_refinement(self, readme_fields):
+        # on both fields the stability classes are the signs of the +-h
+        # slopes at the refinement that closes by width alone, and each
+        # slope p'(z) agrees with those slopes to 1 %
+        for fld, rr, images in readme_fields:
             ref = _xtol_only_roots(fld, rr, images)
-            h = (hi - lo) / (8 * rr.size)
+            h = (rr[-1] - rr[0]) / (8 * rr.size)
             ends = np.concatenate([ref + h, ref - h])
             d = return_map(fld, ends) - ends
-            ref_slopes = d[: ref.size] - d[ref.size :]
+            ref_slopes = (d[: ref.size] - d[ref.size :]) / (2 * h)
             got = find_fixed_points(fld, rr, images).fixed_points
-            assert np.all(np.abs(np.array([f.location for f in got]) - ref) <= 2e-8)
             assert [f.stability for f in got] == [("repelling" if s > 0 else "attracting") for s in ref_slopes]
+            assert np.allclose([f.displacement_slope for f in got], ref_slopes, rtol=1e-2, atol=0)
 
-    def test_displacement_above_the_floor_passes_unchanged(self, readme_fp, monkeypatch):
-        fld, rr, images = readme_fp
-        floored = []
-        assert np.array_equal(_displacement(fld, rr, floored), images - rr)
-        assert floored[0].size == 0
-        # 4*eps*r is 4 ulps of r = 1.0 and 6 ulps of r = 1.5
-        r = np.array([1.0, 1.0, 1.0, 1.5, 1.5, 1.5])
-        d = np.array([4, -5, 5, -6, 7, -7]) * np.spacing(r)
-        monkeypatch.setattr(poincare, "return_map", lambda field, radii: radii + d)
-        out = _displacement(fld, r, floored)
-        assert np.array_equal(out, np.where([True, False, False, True, False, False], 0.0, d))
-        assert np.array_equal(floored[1], np.abs(d[[0, 3]]))
+    @pytest.mark.parametrize("noise,kind", [(1e-8, "neutral"), (1e-10, "repelling")])
+    def test_slope_within_the_interpolants_error_is_neutral(self, readme_fp, monkeypatch, noise, kind):
+        # displacement 1e-6 (r - 1.5) plus noise * T_9 over the bracket
+        # [1, 2]: the interpolant's top coefficient is the noise, so its
+        # derivative error bound is 9^2 * noise / 0.5, 1.6e-6 against the
+        # slope 1e-6 (neutral) or 1.6e-8 (repelling), and the noise moves
+        # the slope by no more than that
+        def disp(r):
+            return 1e-6 * (r - 1.5) + noise * np.cos(9 * np.arccos(np.clip(2 * r - 3, -1, 1)))
+
+        monkeypatch.setattr(poincare, "return_map", lambda field, r: r + disp(r))
+        rr = np.array([1.0, 2.0])
+        (fp,) = find_fixed_points(readme_fp[0], rr, rr + disp(rr)).fixed_points
+        assert fp.stability == kind
+        assert abs(fp.displacement_slope - 1e-6) <= 9**2 * noise / 0.5
 
     def test_debug_line_counts_the_refinement(self, readme_fp, run, caplog):
         fld, rr, images = readme_fp
@@ -400,16 +398,15 @@ class TestFixedPointRefinement:
             find_fixed_points(fld, rr, images)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_fixed_points")]
         assert len(lines) == 1
-        brackets, given, here, rows, at_z, calls, floor, width = map(
+        brackets, given, here, rows, newton, falsi, bisection = map(
             int, re.match(r"find_fixed_points: (\d+) brackets \((\d+) with interpolation rows from the caller's "
-                          r"call, (\d+) mapped here\), (\d+) interpolation rows, (\d+) closed at the "
-                          r"interpolated point, (\d+) follow-up refinement calls, (\d+) closed at the roundoff "
-                          r"floor and (\d+) by width", lines[0]).groups()
+                          r"call, (\d+) mapped here\), (\d+) interpolation rows, (\d+) Newton, (\d+) regula falsi "
+                          r"and (\d+) bisection steps on the interpolants", lines[0]).groups()
         )
-        assert (brackets, given, here, rows, calls, floor, width) == (4, 0, 4, run[1][0].size, len(run[1]) - 2, 4, 0)
-        assert 1 <= at_z <= 4
-        largest = float(lines[0].rsplit("|P(z) - z| ", 1)[1].split()[0])
-        assert 0 <= largest <= _MAP_ROUNDOFF * 2.0
+        assert (brackets, given, here, rows) == (4, 0, 4, run[1][0].size)
+        assert newton >= 4 and falsi + bisection == 0
+        # every slope clears its error bound: no point is neutral
+        assert float(lines[0].rsplit("error bound ", 1)[1]) > 1
 
 
 class TestCallerMappedRows:
@@ -430,9 +427,9 @@ class TestCallerMappedRows:
             return find_fixed_points(fld, rr, images, mapped=mapped), calls
 
     @staticmethod
-    def _mapped_with_grid(fld, rr, k):
-        """The grid's images and the interpolation rows of the intervals [rr[k - 1], rr[k]], in one call."""
-        inner = poincare._interpolation_rows(rr[k - 1], rr[k]).ravel()
+    def _mapped_with_grid(fld, rr, predicted):
+        """The grid's images and the interpolation rows of the intervals that hold `predicted`, in one call."""
+        inner = poincare.interpolation_rows(rr, predicted)
         images, images_inner = return_map([(fld, rr), (fld, inner)])
         return images, (inner, images_inner)
 
@@ -444,14 +441,14 @@ class TestCallerMappedRows:
     )
     def test_predicted_rows_give_the_same_fixed_points_bitwise(self, monkeypatch, ab, degree, targets, r_max):
         fld, rr, predicted = _fixed_point_grid(ab, degree, targets, r_max)
-        images, mapped = self._mapped_with_grid(fld, rr, np.searchsorted(rr, predicted))
+        images, mapped = self._mapped_with_grid(fld, rr, predicted)
         want, want_calls = self._search(fld, rr, images, monkeypatch)
         got, calls = self._search(fld, rr, images, monkeypatch, mapped)
         assert len(got.fixed_points) == len(targets)
         assert repr(got) == repr(want)
-        # every bracket's rows came with the grid: the interpolation call is gone
-        assert want_calls[0].size == len(targets) * poincare._INTERP_NODES
-        assert [c.size for c in calls] == [c.size for c in want_calls[1:]]
+        # every bracket's rows came with the grid: the search makes no call
+        assert [c.size for c in want_calls] == [len(targets) * poincare._INTERP_NODES]
+        assert calls == []
 
     @pytest.mark.parametrize("case", ["shifted", "some"])
     def test_rows_that_miss_map_only_the_uncovered_brackets(self, readme_fp, monkeypatch, caplog, case):
@@ -461,15 +458,15 @@ class TestCallerMappedRows:
         k = keep[flips + 1]
         # rows one interval off cover no bracket; rows of two brackets cover those two
         covered = {"shifted": 0, "some": 2}[case]
-        _, mapped = self._mapped_with_grid(fld, rr, k + 1 if case == "shifted" else k[[0, 2]])
+        m = k + 1 if case == "shifted" else k[[0, 2]]
+        _, mapped = self._mapped_with_grid(fld, rr, 0.5 * (rr[m - 1] + rr[m]))
         want, want_calls = self._search(fld, rr, images, monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="pwcycles"):
             got, calls = self._search(fld, rr, images, monkeypatch, mapped)
         assert repr(got) == repr(want)
-        assert calls[0].size == (k.size - covered) * poincare._INTERP_NODES
+        assert [c.size for c in calls] == [(k.size - covered) * poincare._INTERP_NODES]
         counts = f"{k.size} brackets ({covered} with interpolation rows from the caller's call, {k.size - covered}"
         assert counts in caplog.text
-        assert [c.size for c in calls[1:]] == [c.size for c in want_calls[1:]]
 
 
 class TestLockstepEngine:
