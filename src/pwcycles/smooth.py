@@ -51,7 +51,7 @@ from .kernels import (
     eval_family,
     quad_oracle,
 )
-from .zeros import _basis_element, _place, _survey
+from .zeros import _basis_element, _check_survey, _place, _survey
 
 
 def smooth_perturbation(degree: int, f_table=None, g_table=None) -> PerturbationSpec:
@@ -177,6 +177,7 @@ def random_search_max_smooth_zeros(
     a: float, n: int, draws: int, seed: int, r_max: float, grid: int = 1500
 ) -> Tuple[int, Dict[int, int]]:
     """Max zero count over random smooth perturbations."""
+    _check_survey(draws, grid)
     _check_smooth_units(a, n)
     rows = _random_smooth_rows(n, np.random.default_rng(seed), draws)
     return _survey(SystemParams(a, a), n, r_max, grid, rows)

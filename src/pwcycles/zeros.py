@@ -65,13 +65,16 @@ samples their powers and kernel rows once.
 The surjectivity rank and the random ceiling survey never re-run the
 reduction: the rank is `exact.rank` of the unit columns of `_unit_parts`,
 and the survey reads them in double from `assembly_matrix`.  The survey
-decides signs in double where the dot-product roundoff bound certifies
-them, and in long double elsewhere; its histograms are those of the
+decides each sample's sign in two tiers (`_block_signs`): in double
+where the dot-product roundoff bound certifies it, and in long double for
+the rest of each block of draws; its histograms are those of the
 long-double evaluation.
 
 Long-double products use `np.dot`: numpy has no BLAS for long double, and
 its dot loop sums each entry in index order, as `@`'s does, in about half
 the time, so a product, or one over a column subset, equals `@`'s entries.
+The survey's gathered long-double product is one `np.matmul` over a stack
+of 1 x m by m x 1 operands, whose loop sums in the same order.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ _EPS = float(np.finfo(LONG).eps)
 # numerically indistinguishable from zero.
 _NOISE_FACTOR = 64.0
 
-# Double-precision constants of the survey's sign decisions (see `_survey`)
+# Double-precision constants of the survey's sign decisions (see `_block_signs`)
 # and of the Newton refinement's width test.
 _EPS64 = float(np.finfo(float).eps)
 _U64 = _EPS64 / 2
@@ -608,6 +611,14 @@ def coefficient_surjectivity_check(params: SystemParams, n: int) -> Tuple[int, i
 # ---------------------------------------------------------------------------
 
 
+def _check_survey(draws: int, grid: int) -> None:
+    """The survey entry points' argument checks, made before any draw."""
+    if draws < 0:
+        raise ValueError(f"draws must be >= 0, got {draws}")
+    if grid < 2:
+        raise ValueError(f"grid must be >= 2, got {grid}: a sign change needs two samples")
+
+
 def random_search_max_zeros(
     params: SystemParams,
     n: int,
@@ -621,6 +632,7 @@ def random_search_max_zeros(
     Counts envelope-significant sign changes on a fixed fine grid; used to
     stress the claimed ceiling, not to certify individual zero lists.
     """
+    _check_survey(draws, grid)
     rows = _random_rows(n, np.random.default_rng(seed), draws, 4)
     return _survey(params, n, r_max, grid, rows)
 
@@ -634,68 +646,119 @@ def _survey(
     (`PerturbationSpec.vector`) per row.  One product with
     `assembly_matrix` turns them into expansion coefficients, combining
     the exactly reduced unit columns in double; the basis is sampled once
-    on the grid and shared by every draw.
-
-    The counts are those of `_sign_flips` on each draw's long-double
-    values and envelope.  Each block of at most `_BLOCK_SAMPLES` samples
-    takes two double BLAS products, v = c @ b64 and S = |c| @ |b64|, with
-    b64 the basis rounded to double; only the samples that the roundoff
-    bound cannot decide from them are evaluated in long double, the others
-    entering `_sign_flips` as +-1 with a zero envelope.
+    on the grid in long double, and `_flip_counts` counts every draw's
+    sign changes on it.
     """
     if not (0 < r_max < params.r0):
         raise ValueError(f"need 0 < r_max < r0 = {params.r0}")
     coeffs = rows @ assembly_matrix(params, n).T
-    rr = np.linspace(r_max / grid, r_max, grid)
-    basis = basis_values(params, n, rr, LONG)
-    b64 = basis.astype(float)
-    abs_b64 = np.abs(b64)
-    # An entry outside double's normal range makes its column's threshold inf or NaN.
-    abs_b64[:, np.any((np.abs(basis) < _TINY64) & (basis != 0), axis=0)] = np.inf
-    # Why |v| > slack*S decides a sample.  Let m be the basis length, u the
-    # double unit roundoff, x = c @ basis exactly and T = |c| @ |basis|.
-    # The dot-product bounds (Higham, Accuracy and Stability of Numerical
-    # Algorithms, 2nd ed., section 3.1; any summation order) give, with
-    # gamma_m = m u / (1 - m u) and gamma^L_m its long-double analogue
-    # from u_L = _EPS/2:
-    #   |b64 - basis| <= u |basis|                                (cast)
-    #   |v - x| <= (gamma_m (1 + u) + u) T,  S >= (1 - gamma_m)(1 - u) T
-    #   |vals - x| <= gamma^L_m T,  env <= (1 + gamma^L_m) _EPS T  (long double)
-    # So |v| > slack*S gives |x| > (gamma^L_m + _NOISE_FACTOR (1 + gamma^L_m)
-    # _EPS) T: the long-double value clears `_NOISE_FACTOR` times its
-    # envelope, and vals, x and v share one sign.  The factor 1.01 covers
-    # the second-order terms and the 1/((1 - gamma_m)(1 - u)).  The cast
-    # bound needs every nonzero basis entry inside double's normal range,
-    # so other columns are never decided in double.  Requiring |v| >
-    # _FLOOR = 2^-968 as well keeps S above 2^-969, where the underflow of
-    # the products (at most m 2^-1075 in all) stays below m u^2 S.  NaN
-    # and inf samples fail the comparison and go to long double, where
-    # they are dropped.
-    m = len(basis)
-    slack = 1.01 * ((m + 4) * _U64 + m * _EPS / 2 + _NOISE_FACTOR * _EPS)
+    basis = basis_values(params, n, np.linspace(r_max / grid, r_max, grid), LONG)
+    hist = dict(Counter(_flip_counts(coeffs, basis).tolist()))
+    return max(hist, default=0), hist
+
+
+def _flip_counts(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Each draw's count of sign changes on the grid, one row of `coeffs`
+    per draw: the count `_sign_flips` gives on the draw's long-double
+    values c @ basis and envelope.
+
+    `_block_signs` decides the samples.  One decided in double keeps the
+    sign of its double value; one decided in long double keeps its sign if
+    it clears `_NOISE_FACTOR` times its envelope and is dropped otherwise.
+    The flips between kept samples are counted from flat indices, with no
+    scan per draw.  One DEBUG line gives the draws, the grid, the draws per
+    block, the samples decided in double and in long double, and the draws
+    that needed long double.
+    """
+    grid = basis.shape[1]
     per_block = max(1, _BLOCK_SAMPLES // grid)
     counts = np.empty(len(coeffs), dtype=int)
-    in_long = 0
-    for start in range(0, len(coeffs), per_block):
-        c = coeffs[start : start + per_block]
-        v = c @ b64
-        neg = v < 0
-        threshold = np.abs(c) @ abs_b64
-        threshold *= slack
-        decided = np.abs(v, out=v) > np.maximum(threshold, _FLOOR, out=threshold)
-        counts[start : start + len(c)] = np.count_nonzero(neg[:, 1:] != neg[:, :-1], axis=1)
-        for i in np.flatnonzero(~decided.all(axis=1)):
-            cols = np.flatnonzero(~decided[i])
-            in_long += cols.size
-            cl = c[i].astype(LONG)
-            vals = np.where(neg[i], -1.0, 1.0).astype(LONG)
-            env = np.zeros(grid, dtype=LONG)
-            vals[cols] = np.dot(cl, basis[:, cols])
-            env[cols] = _envelope(cl, np.abs(basis[:, cols]))
-            counts[start + i] = len(_sign_flips(vals, env)[1])
+    in_long = long_draws = 0
+    for block, neg, decided, vals, env in _block_signs(coeffs, basis, per_block):
+        count = counts[block]
+        count[:] = np.bincount(np.flatnonzero(neg[:, 1:] != neg[:, :-1]) // (grid - 1), minlength=len(neg))
+        if vals.size:
+            rows = np.flatnonzero(~decided.all(axis=1))
+            signs = np.where(neg[rows], -1.0, 1.0)
+            signs[~decided[rows]] = np.where(np.abs(vals) > _NOISE_FACTOR * env, np.sign(vals), 0.0)
+            keep = np.flatnonzero(signs)
+            at, kept = keep // grid, signs.ravel()[keep]
+            flips = np.flatnonzero((kept[1:] != kept[:-1]) & (at[1:] == at[:-1]))
+            count[rows] = np.bincount(at[flips], minlength=rows.size)
+            in_long += vals.size
+            long_draws += rows.size
     log.debug(
-        "survey: %d draws, grid %d, %d draws per block, %d samples decided in long double",
-        len(coeffs), grid, per_block, in_long,
+        "survey: %d draws, grid %d, %d draws per block, %d samples decided in double, "
+        "%d samples decided in long double, %d draws needed long double",
+        len(coeffs), grid, per_block, counts.size * grid - in_long, in_long, long_draws,
     )
-    hist = dict(Counter(counts.tolist()))
-    return max(hist, default=0), hist
+    return counts
+
+
+def _block_signs(coeffs: np.ndarray, basis: np.ndarray, per_block: int):
+    """The survey's sign decider: per block of `per_block` rows of
+    `coeffs` (double, one per draw) on the long-double `basis` (m x grid),
+    yields (block, neg, decided, vals, env).
+
+    `block` is the rows' slice.  Tier 1 takes two double BLAS products, v
+    = c @ b64 with b64 the basis rounded to double, and the threshold t =
+    [|c|, 1] @ [s64; _FLOOR], where s64 is slack |b64| rounded: the slack
+    and the floor ride in the product.  `neg` is v < 0 and `decided` is |v|
+    > t, which certifies that the long-double value has v's sign and clears
+    `_NOISE_FACTOR` times its envelope (proof below).  Tier 2 evaluates the
+    block's undecided samples, in row-major order, in one gathered long-
+    double product, a stack of 1 x m by m x 1 products: `vals` is c @
+    basis and `env` its `_envelope`, each summed in index order as np.dot
+    sums them.  Both are empty when the whole block is decided.
+    """
+    # Why |v| > t decides a sample.  Let m be the basis length, u the double
+    # unit roundoff, x = c @ basis exactly and T = |c| @ |basis|.  The
+    # dot-product bounds (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., section 3.1; any summation order) give, with
+    # gamma_k = k u / (1 - k u) and gamma^L_m its long-double analogue from
+    # u_L = _EPS/2, while nothing underflows or overflows:
+    #   |b64 - basis| <= u |basis|,  s64 >= (1 - u) slack |b64|      (casts)
+    #   |v - x| <= (gamma_m (1 + u) + u) T
+    #   t >= (1 - gamma_(m+1)) ((1 - u)^2 slack T + _FLOOR)      (m + 1 terms)
+    #   |vals - x| <= gamma^L_m T,  env <= (1 + gamma^L_m) _EPS T (long double)
+    # So |v| > t gives |x| > (gamma^L_m + _NOISE_FACTOR (1 + gamma^L_m) _EPS) T:
+    # the long-double value clears `_NOISE_FACTOR` times its envelope, and
+    # vals, x and v share one sign.  slack's (m + 4) u exceeds the (m + 1) u
+    # of the bound on v, and its factor 1.01 covers the second-order terms
+    # and the 1/((1 - gamma_(m+1)) (1 - u)^2) that rounding the folded slack
+    # and the threshold's extra term adds.  The casts' bounds need b64 and
+    # slack |b64| in double's normal range: a column with a nonzero entry
+    # whose s64 is below 2 _TINY64 gets t = inf and is never decided in
+    # double.  Underflow in the products of v and t adds at most m 2^-1075
+    # to each error, and the floor's (1 - gamma_(m+1)) _FLOOR > 2^-969 covers
+    # both for any m < 2^100.  No sum in v or t overflows for a draw with
+    # |c| @ max|b64| below 2^1020, taking each basis row's largest entry;
+    # every other draw gets t = inf.  A NaN in v or t fails the comparison
+    # and sends its sample to tier 2.
+    m, grid = basis.shape
+    slack = 1.01 * ((m + 4) * _U64 + m * _EPS / 2 + _NOISE_FACTOR * _EPS)
+    b64 = basis.astype(float)
+    abs_b64 = np.abs(b64)
+    s64 = np.vstack([slack * abs_b64, np.full(grid, _FLOOR)])
+    low = s64[:m] < 2 * _TINY64
+    if low.any():
+        s64[:m, np.any(low & (basis != 0), axis=0)] = np.inf
+    weights = np.hstack([np.abs(coeffs), np.ones((len(coeffs), 1))])
+    weights[~(weights[:, :m] @ abs_b64.max(axis=1, initial=0.0) < 2.0**1020)] = np.inf
+    none, columns = np.empty(0, dtype=LONG), None
+    for start in range(0, len(coeffs), per_block):
+        block = slice(start, start + per_block)
+        v = coeffs[block] @ b64
+        neg = v < 0
+        decided = np.abs(v, out=v) > weights[block] @ s64
+        if decided.all():
+            yield block, neg, decided, none, none
+            continue
+        if columns is None:  # the basis columns as contiguous rows, and their |.|
+            columns = np.ascontiguousarray(basis.T)
+            abs_columns = np.abs(columns)
+        i, j = np.nonzero(~decided)
+        c = coeffs[block].astype(LONG)
+        vals = np.matmul(c[i, None, :], columns[j, :, None])[:, 0, 0]
+        env = np.matmul(np.abs(c)[i, None, :], abs_columns[j, :, None])[:, 0, 0]
+        yield block, neg, decided, vals, env * _EPS

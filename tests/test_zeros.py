@@ -654,16 +654,20 @@ class TestCeiling:
         assert counts == [5, 0]
 
 
+def _long_double_counts(coeffs, basis):
+    """Each draw's sign changes from one long-double evaluation per draw:
+    the oracle that `zeros._flip_counts` must reproduce draw for draw."""
+    abs_basis = np.abs(basis)
+    return [len(zeros._sign_flips(c @ basis, zeros._envelope(c, abs_basis))[1]) for c in coeffs.astype(zeros.LONG)]
+
+
 def _long_double_survey(params, n, r_max, grid, rows):
     """The survey as one long-double evaluation per draw: the oracle that
     `zeros._survey` must reproduce histogram for histogram."""
     coeffs = rows @ assembly_matrix(params, n).T
-    rr = np.linspace(r_max / grid, r_max, grid)
-    basis = basis_values(params, n, rr, zeros.LONG)
-    abs_basis = np.abs(basis)
+    basis = basis_values(params, n, np.linspace(r_max / grid, r_max, grid), zeros.LONG)
     hist = {}
-    for c in coeffs.astype(zeros.LONG):
-        count = len(zeros._sign_flips(c @ basis, zeros._envelope(c, abs_basis))[1])
+    for count in _long_double_counts(coeffs, basis):
         hist[count] = hist.get(count, 0) + 1
     return max(hist, default=0), hist
 
@@ -681,17 +685,35 @@ class TestSurveySignDecisions:
         rng = np.random.default_rng(404)
         return x * (1 + 1e-13 * rng.standard_normal((count, x.size)))
 
+    @classmethod
+    def _coeffs_and_basis(cls, rows):
+        """The survey's expansion coefficients of `rows` and its long-double basis."""
+        rr = np.linspace(cls.R_MAX / cls.GRID, cls.R_MAX, cls.GRID)
+        return rows @ assembly_matrix(cls.PARAMS, cls.N).T, basis_values(cls.PARAMS, cls.N, rr, zeros.LONG)
+
     @staticmethod
-    def _long_double_samples(caplog):
+    def _decision_counts(caplog):
+        """The survey DEBUG line's samples decided in double and in long
+        double, and draws that needed long double."""
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("survey:")]
-        return int(re.search(r"(\d+) samples decided in long double", line).group(1))
+        got = re.search(
+            r"(\d+) samples decided in double, (\d+) samples decided in long double, (\d+) draws needed long double",
+            line,
+        )
+        return tuple(int(g) for g in got.groups())
 
     def test_noise_band_rows_match_the_long_double_loop(self, caplog):
         rows = self._noise_band_rows(40)
         with caplog.at_level(logging.DEBUG, logger="pwcycles"):
             got = zeros._survey(self.PARAMS, self.N, self.R_MAX, self.GRID, rows)
         assert got == _long_double_survey(self.PARAMS, self.N, self.R_MAX, self.GRID, rows)
-        assert self._long_double_samples(caplog) > 0
+        undecided = np.vstack([
+            ~decided
+            for _, _, decided, _, _ in zeros._block_signs(*self._coeffs_and_basis(rows), zeros._BLOCK_SAMPLES // self.GRID)
+        ])
+        want = (int(undecided.size - undecided.sum()), int(undecided.sum()), int(undecided.any(axis=1).sum()))
+        assert self._decision_counts(caplog) == want
+        assert want[1] > 0
         # the rows tell the two precisions apart: plain double signs count
         # other flips than the long-double survey
         rr = np.linspace(self.R_MAX / self.GRID, self.R_MAX, self.GRID)
@@ -712,7 +734,75 @@ class TestSurveySignDecisions:
             got = random_search_max_zeros(self.PARAMS, 2, 200, seed=9, r_max=8.0)
         rows = averaging._random_rows(2, np.random.default_rng(9), 200, 4)
         assert got == _long_double_survey(self.PARAMS, 2, 8.0, 600, rows)
-        assert self._long_double_samples(caplog) == 0
+        assert self._decision_counts(caplog) == (200 * 600, 0, 0)
+
+    @pytest.mark.parametrize("noise_band", [True, False])
+    def test_samples_decided_in_double_have_the_long_double_sign(self, noise_band):
+        if noise_band:
+            rows = self._noise_band_rows(60)
+        else:
+            rows = averaging._random_rows(self.N, np.random.default_rng(8), 60, 4)
+        coeffs, basis = self._coeffs_and_basis(rows)
+        vals = np.dot(coeffs.astype(zeros.LONG), basis)
+        env = zeros._envelope(coeffs.astype(zeros.LONG), np.abs(basis))
+        in_double = 0
+        for block, neg, decided, _, _ in zeros._block_signs(coeffs, basis, zeros._BLOCK_SAMPLES // self.GRID):
+            v, e = vals[block][decided], env[block][decided]
+            assert np.array_equal(v < 0, neg[decided])
+            assert np.all(np.abs(v) > zeros._NOISE_FACTOR * e)
+            in_double += np.count_nonzero(decided)
+        assert 0 < in_double < vals.size if noise_band else in_double == vals.size
+
+    def test_tier_two_equals_the_per_draw_dot_loop(self):
+        coeffs, basis = self._coeffs_and_basis(self._noise_band_rows(60))
+        batched = 0
+        for block, _, decided, vals, env in zeros._block_signs(coeffs, basis, zeros._BLOCK_SAMPLES // self.GRID):
+            want_vals, want_env = [np.empty(0, dtype=zeros.LONG)], [np.empty(0, dtype=zeros.LONG)]
+            for c, d in zip(coeffs[block], decided):
+                cols = np.flatnonzero(~d)
+                cl = c.astype(zeros.LONG)
+                want_vals.append(np.dot(cl, basis[:, cols]))
+                want_env.append(zeros._envelope(cl, np.abs(basis[:, cols])))
+            assert np.array_equal(vals, np.concatenate(want_vals))
+            assert np.array_equal(env, np.concatenate(want_env))
+            batched += vals.size
+        assert batched > 0
+
+    def test_crafted_inputs_match_the_long_double_oracle(self):
+        per_block = zeros._BLOCK_SAMPLES // self.GRID
+        rows = self._noise_band_rows(2 * per_block + 7)  # three blocks, the last of 7 draws
+        rows[1::4] = averaging._random_rows(self.N, np.random.default_rng(6), len(rows[1::4]), 4)
+        coeffs, basis = self._coeffs_and_basis(rows)
+        coeffs[2] = 0.0  # an all-zero draw
+        coeffs[5] *= 1e-305  # a random draw whose values lie below _FLOOR
+        coeffs[9] *= 1e305  # a random draw whose values overflow in double
+        coeffs[per_block + 3, 4] = np.nan
+        coeffs[-2, 0] = np.inf
+        coeffs[-1, 5] = -np.inf
+        basis[3, 17] = zeros.LONG(1e-310)  # subnormal in double
+        basis[5, 40] = zeros.LONG("1e-400")  # zero in double
+        with np.errstate(invalid="ignore", over="ignore"):  # the inf, NaN and overflowing draws
+            assert zeros._flip_counts(coeffs, basis).tolist() == _long_double_counts(coeffs, basis)
+            decisions = list(zeros._block_signs(coeffs, basis, per_block))
+        assert [len(neg) for _, neg, _, _, _ in decisions] == [per_block, per_block, 7]
+        for _, _, decided, vals, _ in decisions:
+            assert not decided[:, [17, 40]].any()
+            assert np.count_nonzero(~decided.all(axis=1)) > 2  # more than the tiny columns send
+        for draw in (2, 5, 9, per_block + 3, -2, -1):
+            block, i = divmod(draw % len(coeffs), per_block)
+            assert not decisions[block][2][i].any()
+
+    @pytest.mark.parametrize("draws,grid,name", [(-1, 600, "draws"), (5, 1, "grid"), (5, 0, "grid")])
+    def test_survey_arguments_validated(self, draws, grid, name):
+        with pytest.raises(ValueError, match=name):
+            random_search_max_zeros(self.PARAMS, 2, draws, seed=1, r_max=4.0, grid=grid)
+        with pytest.raises(ValueError, match=name):
+            smooth.random_search_max_smooth_zeros(1.0, 2, draws, seed=1, r_max=0.9, grid=grid)
+
+    def test_smallest_valid_survey_arguments(self):
+        assert random_search_max_zeros(self.PARAMS, 2, 0, seed=1, r_max=4.0) == (0, {})
+        assert sum(random_search_max_zeros(self.PARAMS, 2, 5, seed=1, r_max=4.0, grid=2)[1].values()) == 5
+        assert sum(smooth.random_search_max_smooth_zeros(1.0, 2, 5, seed=1, r_max=0.9, grid=2)[1].values()) == 5
 
     def test_r_max_outside_the_annulus_raises(self):
         with pytest.raises(ValueError, match="r0"):
@@ -766,3 +856,7 @@ class TestLongDoubleDot:
         ]
         for x, y in cases:
             assert np.array_equal(np.dot(x, y), x @ y, equal_nan=True)
+        # a stack of 1 x m by m x 1 products, as the survey's gathered tier 2
+        pairs = B[:, rng.permutation(2048)[:11]].T
+        stacked = np.matmul(G[:, None, :], pairs[:, :, None])[:, 0, 0]
+        assert np.array_equal(stacked, [np.dot(g, b) for g, b in zip(G, pairs)], equal_nan=True)
