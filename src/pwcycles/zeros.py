@@ -738,13 +738,15 @@ def _block_signs(coeffs: np.ndarray, basis: np.ndarray, per_block: int):
     m, grid = basis.shape
     slack = 1.01 * ((m + 4) * _U64 + m * _EPS / 2 + _NOISE_FACTOR * _EPS)
     b64 = basis.astype(float)
-    abs_b64 = np.abs(b64)
-    s64 = np.vstack([slack * abs_b64, np.full(grid, _FLOOR)])
+    s64 = np.empty((m + 1, grid))
+    np.abs(b64, out=s64[:m])
+    weights = np.hstack([np.abs(coeffs), np.ones((len(coeffs), 1))])
+    weights[~(weights[:, :m] @ s64[:m].max(axis=1, initial=0.0) < 2.0**1020)] = np.inf
+    s64[:m] *= slack
+    s64[m] = _FLOOR
     low = s64[:m] < 2 * _TINY64
     if low.any():
         s64[:m, np.any(low & (basis != 0), axis=0)] = np.inf
-    weights = np.hstack([np.abs(coeffs), np.ones((len(coeffs), 1))])
-    weights[~(weights[:, :m] @ abs_b64.max(axis=1, initial=0.0) < 2.0**1020)] = np.inf
     none, columns = np.empty(0, dtype=LONG), None
     for start in range(0, len(coeffs), per_block):
         block = slice(start, start + per_block)
