@@ -658,17 +658,14 @@ def _survey(
 
 
 def _flip_counts(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Each draw's count of sign changes on the grid, one row of `coeffs`
-    per draw: the count `_sign_flips` gives on the draw's long-double
-    values c @ basis and envelope.
+    """Each draw's sign changes on the grid (one row of `coeffs` per draw),
+    as `_sign_flips` counts them on its long-double values and envelope.
 
-    `_block_signs` decides the samples.  One decided in double keeps the
-    sign of its double value; one decided in long double keeps its sign if
-    it clears `_NOISE_FACTOR` times its envelope and is dropped otherwise.
-    The flips between kept samples are counted from flat indices, with no
-    scan per draw.  One DEBUG line gives the draws, the grid, the draws per
-    block, the samples decided in double and in long double, and the draws
-    that needed long double.
+    Over `_block_signs`' decisions, a sample keeps its double sign, or its
+    long-double one if that clears `_NOISE_FACTOR` envelopes, and the flips
+    between kept samples are counted from flat indices.  One DEBUG line
+    gives the draws, the grid, the draws per block, the samples decided in
+    double and in long double, and the draws that needed long double.
     """
     grid = basis.shape[1]
     per_block = max(1, _BLOCK_SAMPLES // grid)
@@ -696,20 +693,18 @@ def _flip_counts(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _block_signs(coeffs: np.ndarray, basis: np.ndarray, per_block: int):
-    """The survey's sign decider: per block of `per_block` rows of
-    `coeffs` (double, one per draw) on the long-double `basis` (m x grid),
-    yields (block, neg, decided, vals, env).
+    """The survey's sign decider: yields (block, neg, decided, vals, env)
+    per slice `block` of `per_block` rows c of `coeffs` on `basis` (m x grid).
 
-    `block` is the rows' slice.  Tier 1 takes two double BLAS products, v
-    = c @ b64 with b64 the basis rounded to double, and the threshold t =
-    [|c|, 1] @ [s64; _FLOOR], where s64 is slack |b64| rounded: the slack
-    and the floor ride in the product.  `neg` is v < 0 and `decided` is |v|
-    > t, which certifies that the long-double value has v's sign and clears
-    `_NOISE_FACTOR` times its envelope (proof below).  Tier 2 evaluates the
-    block's undecided samples, in row-major order, in one gathered long-
-    double product, a stack of 1 x m by m x 1 products: `vals` is c @
-    basis and `env` its `_envelope`, each summed in index order as np.dot
-    sums them.  Both are empty when the whole block is decided.
+    Tier 1 takes two double BLAS products, v = c @ b64 with b64 the basis
+    rounded to double, and t = [|c|, 1] @ [s64; _FLOOR] with s64 = slack
+    |b64| rounded, so the slack and the floor ride in the product.  `neg` is
+    v < 0; `decided`, |v| > t, certifies that the long-double value has v's
+    sign and clears `_NOISE_FACTOR` envelopes (proof below).  Tier 2 takes
+    the block's undecided samples, in row-major order, in one gathered
+    long-double product: `vals` is c @ basis and `env` its `_envelope`, each
+    summed in index order as np.dot sums them, both empty when tier 1
+    decides the whole block.
     """
     # Why |v| > t decides a sample.  Let m be the basis length, u the double
     # unit roundoff, x = c @ basis exactly and T = |c| @ |basis|.  The
