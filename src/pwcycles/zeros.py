@@ -723,13 +723,14 @@ def _block_signs(coeffs: np.ndarray, basis: np.ndarray, per_block: int):
     # and the 1/((1 - gamma_(m+1)) (1 - u)^2) that rounding the folded slack
     # and the threshold's extra term adds.  The casts' bounds need b64 and
     # slack |b64| in double's normal range: a column with a nonzero entry
-    # whose s64 is below 2 _TINY64 gets t = inf and is never decided in
-    # double.  Underflow in the products of v and t adds at most m 2^-1075
-    # to each error, and the floor's (1 - gamma_(m+1)) _FLOOR > 2^-969 covers
-    # both for any m < 2^100.  No sum in v or t overflows for a draw with
-    # |c| @ max|b64| below 2^1020, taking each basis row's largest entry;
-    # every other draw gets t = inf.  A NaN in v or t fails the comparison
-    # and sends its sample to tier 2.
+    # whose s64 is below 2 _TINY64 has its s64 set to inf.  Underflow in the
+    # products of v and t adds at most m 2^-1075 to each error, and the
+    # floor's (1 - gamma_(m+1)) _FLOOR > 2^-969 covers both for any m <
+    # 2^100.  No sum in v or t overflows for a draw with |c| @ max|b64|
+    # below 2^1020, taking each basis row's largest entry; every other draw
+    # has its weights set to inf.  Such columns and draws get t = inf or
+    # NaN, and a NaN in v or t fails the comparison, so all of them go to
+    # tier 2.
     m, grid = basis.shape
     slack = 1.01 * ((m + 4) * _U64 + m * _EPS / 2 + _NOISE_FACTOR * _EPS)
     b64 = basis.astype(float)
