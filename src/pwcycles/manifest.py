@@ -284,12 +284,13 @@ def _sweep_perturbation(manifest: ExperimentManifest, params: SystemParams) -> P
 
 def _displacement_table(fn: AveragedFunction, fields, rr, images) -> Dict[str, Any]:
     """Scaled displacements (P(r) - r)/eps of each field's `images` of the
-    radii `rr`, against the f0 = F/r prediction of `fn`."""
-    pred = eval_F(fn, rr) / rr
+    radii `rr`, against the f0 = F/r prediction of `fn`.  The cells are
+    Python floats, which `csv.writer` formats faster than numpy scalars."""
+    pred = (eval_F(fn, rr) / rr).tolist()
     rows = [
-        [fld.epsilon, float(r), d, p, abs(d - p)]
+        [fld.epsilon, r, d, p, abs(d - p)]
         for fld, image in zip(fields, images)
-        for r, d, p in zip(rr, ((image - rr) / fld.epsilon).tolist(), pred)
+        for r, d, p in zip(rr.tolist(), ((image - rr) / fld.epsilon).tolist(), pred)
     ]
     return {
         "columns": ["epsilon", "r", "scaled_displacement", "f0_prediction", "abs_error"],

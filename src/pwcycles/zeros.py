@@ -35,9 +35,12 @@ draws with their component in the row space of the equilibrated
 collocation matrix removed, all in long double: the row space's
 orthonormal basis comes from classical Gram–Schmidt and every projection
 is applied twice.  At capacity (p = dim - 1) the null space is a line
-and draw 0 alone is taken; otherwise 5(dim - p) draws are scored by
-their extra sign changes on the scan window and then by the smallest
-|F'| at the targets, read from the analytic derivative rows.  No basis
+and draw 0 alone is taken, unscored; otherwise 5(dim - p) draws are
+scored by their extra sign changes on the scan window and then by the
+smallest |F'| at the targets, read from the analytic derivative rows.
+The generators' values and slopes are their one to three nonzero terms
+over the kept basis rows (`_generator_rows`), equal bit for bit to the
+dense long-double product with the generator matrix.  No basis
 of the null space is formed and no seed is read, so a placement depends
 on its parameters, generators and targets alone.  All zero
 *verification* evaluates in long double with a running roundoff
@@ -51,9 +54,12 @@ Counting refines all sign-change brackets of a grid together by
 safeguarded Newton (`_newton_roots`, with Illinois regula falsi and
 bisection as the safeguards) on F and its analytic derivative:
 `basis_values` gives the derivative rows from the same kept rows, with
-A[0,0]' from `kernels.a00_prime`.  A bracket closes at a step of 5e-13
-or of its roundoff envelope over |F'|, whichever is larger, since no
-location is known more closely than that.  The flag of a non-simple
+A[0,0]' from `kernels.a00_prime`.  The scan and every Newton evaluation
+take F and its envelope from one product of [c; |c|] with the basis,
+which is nonnegative on (0, r0), so |c| times it is `_envelope`'s sum.
+A bracket closes at a step of 5e-13 or of its roundoff envelope over
+|F'|, whichever is larger, since no location is known more closely than
+that.  The flag of a non-simple
 zero (near-vanishing derivative), which leaves it out of `simple_count`,
 reads the same analytic F'.  `_newton_roots` is the package's one
 bracketed root finder: `poincare.find_fixed_points` takes its fixed
@@ -217,6 +223,21 @@ def _generator_matrix(gens: Sequence[BasisExpansion]) -> np.ndarray:
     return np.array([g.vector(LONG) for g in gens])
 
 
+def _generator_rows(G: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`np.dot(G, rows)` for a generator matrix G, from the kept rows alone.
+
+    Each generator has one to three nonzero coefficients; their products
+    with the selected rows are added to a zero start in index order, as
+    np.dot adds every term, and a product with 1 is the row itself.  The
+    terms skipped are exact zeros on finite rows, and adding a zero
+    changes no sum, so the two agree bit for bit.
+    """
+    out = np.zeros((len(G), rows.shape[1]), dtype=LONG)
+    for i, k in zip(*np.nonzero(G)):  # row-major: each generator's terms in index order
+        out[i] += rows[k] if G[i, k] == 1 else G[i, k] * rows[k]
+    return out
+
+
 def _envelope(coeffs: np.ndarray, abs_values: np.ndarray) -> np.ndarray:
     """Roundoff envelope of the product of coeffs with values, given |values|.
 
@@ -317,8 +338,9 @@ def _newton_roots(jet, x, lo, hi, f_lo, f_hi, xtol: float):
             small = (d != 0) & (np.abs(step) <= np.maximum(xtol, noise[open_]))
             roots[open_] = np.where(f == 0, xo, np.where(small, np.clip(nxt, a, b), mid))
             falsi = a + width * (fa / (fa - fb)).astype(float)
-            kind = np.select(  # 0 Newton, 1 regula falsi, 2 bisection
-                [width > 0.5 * history[2, open_], (a < nxt) & (nxt < b), (a < falsi) & (falsi < b)], [2, 0, 1], 2
+            kind = np.where(  # 0 Newton, 1 regula falsi, 2 bisection
+                width > 0.5 * history[2, open_], 2,
+                np.where((a < nxt) & (nxt < b), 0, np.where((a < falsi) & (falsi < b), 1, 2)),
             )
             history[1:, open_] = history[:-1, open_]
             history[0, open_] = width
@@ -334,9 +356,10 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
 
     `_newton_roots` refines the grid's brackets together, on F and its
     analytic derivative from `basis_values`, to 5e-13 or the noise over
-    |F'|, whichever is larger.  The scan doubles the grid (up to four
-    times) whenever two detected zeros sit closer than twice the grid
-    spacing; zeros whose analytic derivative falls below SIMPLE_ZERO_RTOL *
+    |F'|, whichever is larger.  The scan and each Newton evaluation take F
+    and its roundoff envelope from one product of [c; |c|] with the basis
+    rows.  The scan doubles the grid (up to four times) whenever two
+    detected zeros sit closer than twice the grid spacing; zeros whose analytic derivative falls below SIMPLE_ZERO_RTOL *
     max|F| / r_max are flagged and logged as a warning on the `pwcycles`
     logger.  One DEBUG line per count gives the brackets, the Newton,
     regula falsi and bisection steps, the evaluations, the doublings and
@@ -351,18 +374,19 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
     # Long double because the raw basis is badly scaled at high degree and
     # cancellation in double precision can bury genuine zeros in noise.
     c = fn.expansion.vector(LONG)
+    c_and_abs = np.stack([c, np.abs(c)])
     n = fn.expansion.degree
 
     def jet(r):
         values, slopes = basis_values(params, n, r, LONG, derivative=True)
-        return np.dot(c, values), np.dot(c, slopes), _envelope(c, np.abs(values))
+        f, env = np.dot(c_and_abs, values)
+        return f, np.dot(c, slopes), env * _EPS
 
     doublings, work = 0, np.zeros(4, dtype=int)
     while True:
         rr = np.linspace(r_max / grid, r_max, grid)
-        basis = basis_values(params, n, rr, LONG)
-        vals = np.dot(c, basis)
-        keep, flips = _sign_flips(vals, _envelope(c, np.abs(basis)))
+        vals, env = np.dot(c_and_abs, basis_values(params, n, rr, LONG))
+        keep, flips = _sign_flips(vals, env * _EPS)
         if keep.size == 0:
             return ZeroReport((), grid, degenerate=True)
         i, j = keep[flips], keep[flips + 1]
@@ -400,13 +424,16 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
 def _orthonormal_transform(stack_window: np.ndarray) -> np.ndarray:
     """Column transform turning the raw generators into an orthonormal set.
 
-    SVD of the window-sampled generator matrix gives combinations that are
-    orthonormal in the discrete window measure; interpolating in that
-    basis makes the collocation condition number reflect the target
-    geometry instead of the (badly scaled) raw basis.
+    The SVD of the window-sampled generator matrix W gives combinations
+    that are orthonormal in the discrete window measure; interpolating in
+    that basis makes the collocation condition number reflect the target
+    geometry instead of the (badly scaled) raw basis.  It is taken as the
+    SVD of the m x m R factor of W = QR, so the samples x m U factor is
+    never formed; the singular values and right vectors agree with W's to
+    roundoff, which moves only the condition number's last digits.
     """
     W = stack_window.T.astype(float)  # samples x generators
-    _, S, Vt = np.linalg.svd(W, full_matrices=False)
+    _, S, Vt = np.linalg.svd(np.linalg.qr(W, mode="r"))
     S = np.maximum(S, S[0] * 1e-300)
     return (Vt.T / S).astype(float)  # generators x orthonormal directions
 
@@ -425,11 +452,11 @@ def _null_draws(M: np.ndarray, count: int) -> np.ndarray:
     badly conditioned collocation matrices stall far above the long-double
     floor.
     """
-    Q = np.empty((M.shape[1], 0), dtype=LONG)
-    for row in M:
+    Q = np.empty(M.shape[::-1], dtype=LONG)
+    for i, row in enumerate(M):
         for _ in range(2):
-            row = row - np.dot(Q, np.dot(Q.T, row))
-        Q = np.column_stack([Q, row / np.sqrt(np.sum(row * row))])
+            row = row - np.dot(Q[:, :i], np.dot(Q[:, :i].T, row))
+        Q[:, i] = row / np.sqrt(np.sum(row * row))
     draws = np.random.default_rng(0).standard_normal((count, M.shape[1])).astype(LONG)
     for _ in range(2):
         draws -= np.dot(np.dot(draws, Q), Q.T)
@@ -453,15 +480,17 @@ def place_zeros(params: SystemParams, n: int, targets: Sequence[float]) -> Basis
 def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[float]) -> BasisExpansion:
     """The null-space placement of `place_zeros` over a given generator list.
 
-    The collocation rows are the generators at the targets, each scaled by
-    its largest |value| on a 2048-point scan of (0, min(0.999 r0, 2 t_p)].
-    The candidates are `_null_draws` of those rows, 5(m - p) of them, or
-    draw 0 alone when m - p = 1, where every draw projects onto the same
-    null direction and scoring more would only pick among roundoffs.  A
-    candidate scores (extra sign changes on the scan, -min |F'(t)| / max
-    |F|), lower first, with F' at the targets from the derivative rows of
-    `basis_values`; the winner is normalized to max |F| = 1 on the scan and
-    signed so that F'(t_1) >= 0.
+    The generators' scan, target and slope rows are `_generator_rows` of
+    the kept basis rows.  The collocation rows are the generators at the
+    targets, each scaled by its largest |value| on a 2048-point scan of
+    (0, min(0.999 r0, 2 t_p)].  The candidates are `_null_draws` of those
+    rows, 5(m - p) of them, or draw 0 alone when m - p = 1, where every
+    draw projects onto the same null direction; that lone candidate is
+    taken unscored.  Otherwise a candidate scores (extra sign changes on
+    the scan, -min |F'(t)| / max |F|), lower first, with F' at the targets
+    from the derivative rows of `basis_values`.  The winner is normalized
+    to max |F| = 1 on the scan and signed so that F'(t_1) >= 0.  The
+    DEBUG line's |F(t)|/envelope ratio is computed only when DEBUG is on.
     """
     targets = [float(t) for t in targets]
     if sorted(set(targets)) != targets:
@@ -483,13 +512,12 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
     G = _generator_matrix(gens)
     r_hi = min(params.r0 * 0.999, 2.0 * targets[-1])
     scan = basis_values(params, n, np.linspace(r_hi / 2048, r_hi, 2048), LONG)
-    Gs = np.dot(G, scan)
-    abs_Gs = np.abs(Gs)
-    colscale = np.max(abs_Gs, axis=1)  # per-generator window scale
+    Gs = _generator_rows(G, scan)
+    colscale = np.maximum(Gs.max(axis=1), -Gs.min(axis=1))  # per-generator window scale
 
     # The generators and their slopes at the targets.
     near, near_slopes = basis_values(params, n, np.asarray(targets), LONG, derivative=True)
-    tstack, tslope = np.dot(G, near), np.dot(G, near_slopes)
+    tstack, tslope = _generator_rows(G, near), _generator_rows(G, near_slopes)
     M_long = (tstack / colscale[:, None]).T  # p x m, diagonally equilibrated
 
     # Condition diagnostic in an orthonormalized basis: it reflects the
@@ -503,16 +531,20 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
             "targets too close together or too near the annulus boundary"
         )
 
-    # A one-dimensional null space has one direction, which draw 0 gives.
+    # A one-dimensional null space has one direction, which draw 0 gives;
+    # that lone candidate is not scored, since its score would choose nothing.
     candidates = _null_draws(M_long, 1 if m - p == 1 else 5 * (m - p))
+    abs_Gs = np.abs(Gs) if len(candidates) > 1 else None
     best = None
     for c in candidates:
         dg = c / colscale  # back to raw generator coordinates
         vals = np.dot(dg, Gs)
-        extra = max(0, len(_sign_flips(vals, _envelope(dg, abs_Gs))[1]) - p)
         slope = np.dot(dg, tslope)
-        scale_f = float(np.max(np.abs(vals)))
-        score = (extra, -float(np.min(np.abs(slope))) / scale_f)
+        scale_f = float(np.maximum(vals.max(), -vals.min()))
+        score = None
+        if abs_Gs is not None:
+            extra = max(0, len(_sign_flips(vals, _envelope(dg, abs_Gs))[1]) - p)
+            score = (extra, -float(np.min(np.abs(slope))) / scale_f)
         if best is None or score < best[0]:
             best = (score, dg / scale_f if slope[0] >= 0 else -dg / scale_f)
     # Combined in long double: high-degree placements carry delicately
@@ -526,11 +558,11 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
     if resolved < p:
         log.warning("placement: the scan resolves %d of %d targets; the placed function is below "
                     "long-double resolution between them", resolved, p)
-    envelope_ratio = np.max(np.abs(np.dot(coeffs, near)) / _envelope(coeffs, np.abs(near)))
-    log.debug(
-        "placement: %d targets, %d generators, condition %.3g, largest |F(t)|/envelope at the targets %.3g",
-        p, m, condition, envelope_ratio,
-    )
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "placement: %d targets, %d generators, condition %.3g, largest |F(t)|/envelope at the targets %.3g",
+            p, m, condition, np.max(np.abs(np.dot(coeffs, near)) / _envelope(coeffs, np.abs(near))),
+        )
     return BasisExpansion.from_vector(n, coeffs)
 
 
@@ -565,7 +597,7 @@ def independence_check(params: SystemParams, n: int, r_max: float) -> Tuple[int,
         raise ValueError("need 0 < r_max < r0")
     gens = independence_generators(params, n)
     pts = chebyshev_points(r_max / 100.0, r_max, 4 * len(gens))
-    M = np.dot(_generator_matrix(gens), basis_values(params, n, pts, LONG))
+    M = _generator_rows(_generator_matrix(gens), basis_values(params, n, pts, LONG))
     return sample_rank(M.T.astype(float))
 
 

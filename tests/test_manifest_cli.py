@@ -206,6 +206,16 @@ class TestEmission:
         assert rows[0] == ["location", "derivative", "simple_flag"]
         assert len(rows) == 5  # header + four zeros
 
+    def test_simulate_payload_cells_are_python_scalars(self):
+        # csv.writer formats numpy scalars through numpy's str, several
+        # times slower than a built-in float's repr, which prints the same
+        record = run_manifest(ExperimentManifest.from_dict(_SIM_REDUCED))
+        assert set(record["payloads"]) == {"zeros", "displacement", "fixed_points"}
+        for table in record["payloads"].values():
+            assert table["rows"]
+            for row in table["rows"]:
+                assert {type(cell) for cell in row} <= {bool, int, float, str}
+
     def test_bad_format_rejected(self, tmp_path):
         m = ExperimentManifest.from_dict(_verify_doc())
         with pytest.raises(ManifestError):

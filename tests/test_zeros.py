@@ -420,9 +420,9 @@ class TestPlacement:
     @pytest.mark.parametrize("n,free", [(1, 1), (3, 1), (4, 1), (3, 3), (2, 2)])
     def test_candidates_scored(self, params, monkeypatch, n, free):
         # m - p = 1 at capacity: the null space is a line, so draw 0 is the
-        # one candidate; a wider null space scores 5 (m - p) draws.  Each
-        # candidate's scan is one `_sign_flips` call, and the winner's
-        # resolution scan one more
+        # one candidate, taken unscored; a wider null space scores 5 (m - p)
+        # draws, each with one `_sign_flips` scan.  The winner's resolution
+        # scan is one more
         p = reachable_zero_capacity(params, n) + 1 - free
         targets = list(np.linspace(0.3, 5.0, p))
         draws, flips = [], []
@@ -430,9 +430,9 @@ class TestPlacement:
         monkeypatch.setattr(zeros, "_null_draws", lambda M, count: draws.append(count) or null_draws(M, count))
         monkeypatch.setattr(zeros, "_sign_flips", lambda v, e: flips.append(v.size) or sign_flips(v, e))
         place_zeros(params, n, targets)
-        scored = 1 if free == 1 else 5 * free
-        assert draws == [scored]
-        assert flips == [2048] * (scored + 1)
+        candidates = 1 if free == 1 else 5 * free
+        assert draws == [candidates]
+        assert flips == [2048] * (1 if free == 1 else candidates + 1)
 
     @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (0.7, -0.3)])
     def test_capacity_placement_is_draw_zero(self, ab, monkeypatch):
@@ -823,6 +823,72 @@ class TestSurveySignDecisions:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+
+def _same_bits(x, y):
+    """Equal entries with equal signs, so a +0 and a -0 differ too."""
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestGeneratorRows:
+    """Placement's generator rows and counting's stacked value-and-envelope
+    product against the dense long-double products they stand for."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3)])
+    def test_generator_rows_equal_the_dense_product(self, ab, n):
+        # the scan, target and slope rows of a capacity placement, and the
+        # Chebyshev rows of `independence_check`, for all three generator sets
+        piecewise, smooth_params = SystemParams(*ab), SystemParams(ab[0], ab[0])
+        sets = [
+            (piecewise, zeros.reachable_generators(piecewise, n)),
+            (piecewise, independence_generators(piecewise, n)),
+            (smooth_params, smooth.smooth_generators(ab[0], n)),
+        ]
+        for params, gens in sets:
+            G = zeros._generator_matrix(gens)
+            assert np.count_nonzero(G, axis=1).max() > 1  # some generators combine rows
+            hi = min(5.0, 0.8 * params.r0)
+            targets = np.linspace(0.1 * hi, hi, len(gens) - 1)
+            r_hi = min(0.999 * params.r0, 2 * targets[-1])
+            near, slopes = basis_values(params, n, targets, zeros.LONG, derivative=True)
+            for rows in (
+                basis_values(params, n, np.linspace(r_hi / 2048, r_hi, 2048), zeros.LONG),
+                near,
+                slopes,
+                basis_values(params, n, chebyshev_points(hi / 100, hi, 4 * len(gens)), zeros.LONG),
+            ):
+                assert _same_bits(zeros._generator_rows(G, rows), np.dot(G, rows))
+
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3)])
+    def test_count_products_equal_the_separate_ones(self, ab, monkeypatch):
+        # every scan and Newton evaluation of a count: F and its envelope
+        # from the stacked product are np.dot(c, b) and `_envelope(c, |b|)`
+        params = SystemParams(*ab)
+        hi = min(5.0, 0.8 * params.r0)
+        n = 3
+        expansion = place_zeros(params, n, list(np.linspace(0.1 * hi, hi, reachable_zero_capacity(params, n))))
+        c = expansion.vector(zeros.LONG)
+        r_max = min(2 * hi, 0.95 * params.r0)
+        scans, jets = [], []
+        sign_flips, newton_roots = zeros._sign_flips, zeros._newton_roots
+
+        def newton(jet, *args):
+            return newton_roots(lambda x: jets.append((x, *jet(x))) or jets[-1][1:], *args)
+
+        monkeypatch.setattr(zeros, "_sign_flips", lambda v, e: scans.append((v, e)) or sign_flips(v, e))
+        monkeypatch.setattr(zeros, "_newton_roots", newton)
+        count_simple_zeros(AveragedFunction(params, expansion), r_max, grid=800)
+        assert scans and jets
+        for vals, env in scans:
+            b = basis_values(params, n, np.linspace(r_max / vals.size, r_max, vals.size), zeros.LONG)
+            assert _same_bits(vals, np.dot(c, b))
+            assert _same_bits(env, zeros._envelope(c, np.abs(b)))
+        for x, f, d, env in jets:
+            values, slopes = basis_values(params, n, x, zeros.LONG, derivative=True)
+            assert _same_bits(f, np.dot(c, values))
+            assert _same_bits(d, np.dot(c, slopes))
+            assert _same_bits(env, zeros._envelope(c, np.abs(values)))
 
 
 class TestLongDoubleDot:
