@@ -16,7 +16,9 @@ process, each of these manifests:
   inline tables (`pert_inline`), at seed N.
 
 Each of those lines is the sha256 of `json.dumps(record, sort_keys=True)`
-and the manifest's name.  The last six lines, `zero-layer-placements`,
+and the manifest's name.  The next line, `csv-tables`, is one sha256
+over the CSV files that `emit_table` writes for the perfbench operations'
+records (see `csv_tables`).  The last six lines, `zero-layer-placements`,
 `zero-layer-reports`, `zero-layer-histograms`, `exact-layer`,
 `smooth-ranks` and `family-values`, are each one sha256 over outputs
 that no manifest of the lines above pins (see `zero_layer`,
@@ -47,6 +49,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,19 @@ def manifests(seed: int):
         **sweep,
         "pert_inline": {"degree": 2, "plus_f": [[0, 0, 1.0], [1, 1, -0.5]], "minus_g": [[0, 2, 0.3]]},
     }
+
+
+def csv_tables(records) -> str:
+    """sha256 over the CSV files `emit_table` writes for `records`, each
+    file's name and bytes in the order written.  Public names only."""
+    from pwcycles.manifest import emit_table
+
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out:
+        for record in records:
+            for path in emit_table(record, "csv", out):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def zero_layer():
@@ -258,12 +274,15 @@ def main(argv=None) -> int:
         return 0
     from pwcycles.manifest import ExperimentManifest, run_manifest
 
-    located = {}
+    located, perfbench = {}, []
     for name, doc in manifests(args.seed):
         record = run_manifest(ExperimentManifest.from_dict(doc))
         print(hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest(), name)
         if doc["kind"] == "place_and_simulate":
             located[name] = record["payloads"]["fixed_points"]["rows"]
+        if name.startswith("perfbench-"):
+            perfbench.append(record)
+    print(csv_tables(perfbench), "csv-tables")
     digests, reports = zero_layer()
     for part, digest in digests.items():
         print(digest, f"zero-layer-{part}")
