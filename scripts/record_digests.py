@@ -49,7 +49,6 @@ import hashlib
 import json
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +86,8 @@ def manifests(seed: int):
 def csv_tables(records) -> str:
     """sha256 over the CSV files `emit_table` writes for `records`, each
     file's name and bytes in the order written.  Public names only."""
+    import tempfile
+
     from pwcycles.manifest import emit_table
 
     digest = hashlib.sha256()

@@ -452,7 +452,7 @@ def _null_draws(M: np.ndarray, count: int) -> np.ndarray:
     badly conditioned collocation matrices stall far above the long-double
     floor.
     """
-    Q = np.empty(M.shape[::-1], dtype=LONG)
+    Q = np.empty((M.shape[1], len(M)), dtype=LONG)  # column i: row i of M, orthonormalized
     for i, row in enumerate(M):
         for _ in range(2):
             row = row - np.dot(Q[:, :i], np.dot(Q[:, :i].T, row))
@@ -490,7 +490,8 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
     the scan, -min |F'(t)| / max |F|), lower first, with F' at the targets
     from the derivative rows of `basis_values`.  The winner is normalized
     to max |F| = 1 on the scan and signed so that F'(t_1) >= 0.  The
-    DEBUG line's |F(t)|/envelope ratio is computed only when DEBUG is on.
+    DEBUG line's |F(t)|/envelope ratio is computed only when the logger
+    is enabled for DEBUG.
     """
     targets = [float(t) for t in targets]
     if sorted(set(targets)) != targets:

@@ -874,7 +874,11 @@ class TestGeneratorRows:
         sign_flips, newton_roots = zeros._sign_flips, zeros._newton_roots
 
         def newton(jet, *args):
-            return newton_roots(lambda x: jets.append((x, *jet(x))) or jets[-1][1:], *args)
+            def recorded(x):
+                jets.append((x, *jet(x)))
+                return jets[-1][1:]
+
+            return newton_roots(recorded, *args)
 
         monkeypatch.setattr(zeros, "_sign_flips", lambda v, e: scans.append((v, e)) or sign_flips(v, e))
         monkeypatch.setattr(zeros, "_newton_roots", newton)
