@@ -18,10 +18,11 @@ process, each of these manifests:
 Each of those lines is the sha256 of `json.dumps(record, sort_keys=True)`
 and the manifest's name.  The next line, `csv-tables`, is one sha256
 over the CSV files that `emit_table` writes for the perfbench operations'
-records (see `csv_tables`).  The last six lines, `zero-layer-placements`,
-`zero-layer-reports`, `zero-layer-histograms`, `exact-layer`,
-`smooth-ranks` and `family-values`, are each one sha256 over outputs
-that no manifest of the lines above pins (see `zero_layer`,
+records (see `csv_tables`).  The last seven lines,
+`zero-layer-placements`, `zero-layer-reports`, `zero-layer-histograms`,
+`zero-layer-smooth-placements`, `exact-layer`, `smooth-ranks` and
+`family-values`, are each one sha256 over outputs that no manifest of
+the lines above pins (see `zero_layer`, `smooth_placements`,
 `exact_layer`, `smooth_ranks` and `family_values`); they do not depend
 on N.  Two trees that print the same lines give byte-identical
 records, so comparing a parent checkout with a change is
@@ -143,6 +144,24 @@ def zero_layer():
                 reports[a, b, n, p] = (report.locations, report.non_simple)
             put("histograms", a, b, n, random_search_max_zeros(params, n, 200, 5 + n, hi))
     return {part: d.hexdigest() for part, d in digests.items()}, reports
+
+
+def smooth_placements() -> str:
+    """sha256 over `place_smooth_zeros(a, n, linspace(0.15 |a|, 0.8 |a|, p))`
+    for a = 1, -1.5 and 0.7, n = 1..6 and p = 1..n: 63 placements, 45 of
+    them below the capacity n, so that their candidates are scored.  Each
+    coefficient is encoded as in `zero_layer`.  Public names only."""
+    from pwcycles.smooth import place_smooth_zeros
+    from pwcycles.zeros import LONG
+
+    digest = hashlib.sha256()
+    for a in (1.0, -1.5, 0.7):
+        for n in range(1, 7):
+            for p in range(1, n + 1):
+                c = place_smooth_zeros(a, n, np.linspace(0.15 * abs(a), 0.8 * abs(a), p)).vector(LONG)
+                head = c.astype(float)
+                digest.update(repr((a, n, p, head.tolist(), (c - head).astype(float).tolist())).encode())
+    return digest.hexdigest()
 
 
 def zero_moves(before: dict, after: dict):
@@ -287,6 +306,7 @@ def main(argv=None) -> int:
     digests, reports = zero_layer()
     for part, digest in digests.items():
         print(digest, f"zero-layer-{part}")
+    print(smooth_placements(), "zero-layer-smooth-placements")
     print(exact_layer(), "exact-layer")
     print(smooth_ranks(), "smooth-ranks")
     values = family_values()

@@ -29,13 +29,13 @@ the smooth checks read them as they are, and `assembly_matrix` holds
 them in double for the realization and the surveys.
 
 `basis_values` is the package's one expansion evaluator: it samples the
-basis functions once, and any coefficient vector (`BasisExpansion.vector`,
-long double kept) times that matrix gives the expansion's values; on
-request it also gives the basis's derivative rows, so the same vector
-gives F' (zero refinement and placement scoring read them).  Its
-powers r^k are running products r^(k-1) * r in long double, within
-(k-1)u/(1-(k-1)u) of the exact power (u = 2^-64), and libm `pow` in
-float64.  A grid of at least `_GRID_MIN` points keeps its powers
+basis functions once, in long double, and any coefficient vector
+(`BasisExpansion.vector`) times that matrix gives the expansion's values
+(`eval_F` rounds that product to double once); on request it also gives
+the basis's derivative rows, so the same vector gives F' (zero
+refinement and placement scoring read them).  Its powers r^k are running
+products r^(k-1) * r, within (k-1)u/(1-(k-1)u) of the exact power
+(u = 2^-64).  A grid of at least `_GRID_MIN` points keeps its powers
 (extended along the same chain as the degree grows) and its kernel rows
 A[0,0](+-r) per constant, for the `_GRIDS_KEPT` most recent grids, so a
 later degree or system on the same grid only multiplies and stacks them;
@@ -69,6 +69,7 @@ from .kernels import (
 )
 
 log = logging.getLogger("pwcycles")
+LONG = np.longdouble  # the precision of every basis row and every product with one
 
 
 @lru_cache(maxsize=None)
@@ -231,26 +232,25 @@ class AveragedFunction:
 
 # Grids of at least _GRID_MIN points keep the rows of `basis_values` that
 # do not depend on the degree, for the _GRIDS_KEPT most recently sampled
-# (grid, dtype) pairs: a ceiling pass samples three grids 24 times.
+# grids: a ceiling pass samples three grids 24 times.
 _GRID_MIN = 256
 _GRIDS_KEPT = 4
 
 
 class _GridRows:
-    """The powers r^k and the kernel rows of one sampled grid."""
+    """The powers r^k and the kernel rows of one sampled long-double grid."""
 
     def __init__(self, rr: np.ndarray):
         self.rr = rr
-        self.powers = np.empty((0, rr.size), dtype=rr.dtype)
+        self.powers = np.empty((0, rr.size), dtype=LONG)
         self.kernels: Dict[Tuple[int, float], np.ndarray] = {}
         self.slopes: Dict[Tuple[int, float], np.ndarray] = {}
 
     def power_rows(self, count: int) -> np.ndarray:
         """r^k for k = 0..count-1; rows past those held are appended.
 
-        Float64 rows are `pow`, within about half an ulp.  Long-double rows
-        are running products, row k = row[k-1] * r from row 0 = 1: libm
-        `powl` costs some 45 long-double multiplies per entry, and k - 1
+        The rows are running products, row k = row[k-1] * r from row 0 = 1:
+        libm `powl` costs some 45 long-double multiplies per entry, and k - 1
         roundings of an exact r leave row k within (k-1)u/(1-(k-1)u) of
         r^k (u = 2^-64; Higham, Accuracy and Stability of Numerical
         Algorithms, 2nd ed., section 3.1), well inside the 64 eps noise
@@ -259,14 +259,11 @@ class _GridRows:
         """
         have = len(self.powers)
         if have < count:
-            rows = np.empty((count, self.rr.size), dtype=self.rr.dtype)
+            rows = np.empty((count, self.rr.size), dtype=LONG)
             rows[:have] = self.powers
-            if self.rr.dtype == np.float64:
-                np.power(self.rr, np.arange(have, count)[:, None], out=rows[have:])
-            else:
-                rows[0] = 1
-                for k in range(max(have, 1), count):
-                    np.multiply(rows[k - 1], self.rr, out=rows[k])
+            rows[0] = 1
+            for k in range(max(have, 1), count):
+                np.multiply(rows[k - 1], self.rr, out=rows[k])
             self.powers = rows
         return self.powers[:count]
 
@@ -289,13 +286,13 @@ class _GridRows:
 
 
 @lru_cache(maxsize=_GRIDS_KEPT)
-def _kept_grid(grid: bytes, dtype: np.dtype) -> _GridRows:
-    """The rows of the float64 grid with these bytes, in dtype."""
-    return _GridRows(np.frombuffer(grid).astype(dtype))
+def _kept_grid(grid: bytes) -> _GridRows:
+    """The long-double rows of the float64 grid with these bytes."""
+    return _GridRows(np.frombuffer(grid).astype(LONG))
 
 
-def basis_values(params: SystemParams, n: int, r, dtype=np.float64, derivative: bool = False):
-    """The degree-n basis at the points r, one row per basis function.
+def basis_values(params: SystemParams, n: int, r, *, derivative: bool = False):
+    """The degree-n basis at the points r, one long-double row per basis function.
 
     Rows follow `BasisExpansion.vector`: r^(2i) A[0,0] for i = 0..h+1,
     r^(2i) B[0,0] for i = 0..h+1, then r^k for k = 0..2h+1, with
@@ -305,11 +302,11 @@ def basis_values(params: SystemParams, n: int, r, dtype=np.float64, derivative: 
     bounds the roundoff of that sum.  No domain checks: points outside
     the analyticity domain give NaN columns.
 
-    The powers are running products in long double and `pow` in float64
-    (`_GridRows.power_rows`).  They and the kernel rows of a large grid are
-    computed once (`_kept_grid`, for float64 grids of at least _GRID_MIN
-    points, keyed on their bytes) and shared by every degree and system
-    that samples it; the values are those of sampling afresh, bit for bit.
+    The powers are running products (`_GridRows.power_rows`).  They and
+    the kernel rows of a large grid are computed once (`_kept_grid`, for
+    float64 grids of at least _GRID_MIN points, keyed on their bytes) and
+    shared by every degree and system that samples it; the values are
+    those of sampling afresh, bit for bit.
 
     With `derivative`, returns (values, slopes): slopes holds d/dr of each
     row in the same order, from the same power and kernel rows: k r^(k-1)
@@ -320,9 +317,9 @@ def basis_values(params: SystemParams, n: int, r, dtype=np.float64, derivative: 
     h = (n + 1) // 2
     r64 = np.asarray(r)
     if r64.dtype == np.float64 and r64.ndim == 1 and r64.size >= _GRID_MIN:
-        grid = _kept_grid(r64.tobytes(), np.dtype(dtype))
+        grid = _kept_grid(r64.tobytes())
     else:
-        grid = _GridRows(np.atleast_1d(np.asarray(r, dtype=dtype)))
+        grid = _GridRows(np.atleast_1d(np.asarray(r, dtype=LONG)))
     powers = grid.power_rows(2 * h + 3)
     even = powers[::2]
     ka, kb = grid.kernel(1, params.a), grid.kernel(-1, params.b)
@@ -331,7 +328,7 @@ def basis_values(params: SystemParams, n: int, r, dtype=np.float64, derivative: 
         return values
     # d/dr r^k = k r^(k-1): the even rows' slopes 2i r^(2i-1) and the
     # monomials' k r^(k-1), each the kept power row times an integer.
-    slopes = np.zeros((2 * h + 3, powers.shape[1]), dtype=powers.dtype)
+    slopes = np.zeros((2 * h + 3, powers.shape[1]), dtype=LONG)
     slopes[1:] = np.arange(1, 2 * h + 3)[:, None] * powers[:-1]
     d_even = slopes[::2]
     da, db = grid.kernel_slope(1, params.a), grid.kernel_slope(-1, params.b)
@@ -339,13 +336,12 @@ def basis_values(params: SystemParams, n: int, r, dtype=np.float64, derivative: 
 
 
 def eval_F(fn: AveragedFunction, r):
-    """F(r) on [0, r0); rejects points outside the period annulus."""
+    """F(r) on [0, r0), the long-double product with `basis_values` rounded
+    to double once; rejects points outside the period annulus, NaN too."""
     rr = np.asarray(r, dtype=float)
-    r0 = fn.params.r0
-    if np.any(rr < 0) or np.any(rr >= r0):
-        raise DomainError(f"evaluation point outside [0, {r0})")
-    c = fn.expansion.vector()
-    out = c @ basis_values(fn.params, fn.expansion.degree, rr, c.dtype)
+    if not np.all((rr >= 0) & (rr < fn.params.r0)):
+        raise DomainError(f"evaluation point outside [0, {fn.params.r0})")
+    out = np.dot(fn.expansion.vector(LONG), basis_values(fn.params, fn.expansion.degree, rr)).astype(float)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 

@@ -104,6 +104,9 @@ class SystemParams:
     b: float
 
     def __post_init__(self) -> None:
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not math.isfinite(value):
+                raise ValueError(f"system constant {name} must be finite, got {value!r}")
         if self.a == 0 or self.b == 0:
             raise ValueError("both system constants must be nonzero")
 

@@ -38,11 +38,8 @@ is applied twice.  At capacity (p = dim - 1) the null space is a line
 and draw 0 alone is taken, unscored; otherwise 5(dim - p) draws are
 scored by their extra sign changes on the scan window and then by the
 smallest |F'| at the targets, read from the analytic derivative rows.
-The generators' values and slopes are their one to three nonzero terms
-over the kept basis rows (`_generator_rows`), equal bit for bit to the
-dense long-double product with the generator matrix.  No basis
-of the null space is formed and no seed is read, so a placement depends
-on its parameters, generators and targets alone.  All zero
+No basis of the null space is formed and no seed is read, so a placement
+depends on its parameters, generators and targets alone.  All zero
 *verification* evaluates in long double with a running roundoff
 envelope, because high-degree placements are legitimately
 ill-conditioned in the raw generator basis.  Each placement logs its
@@ -94,6 +91,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .averaging import (
+    LONG,
     AveragedFunction,
     BasisExpansion,
     _random_rows,
@@ -106,7 +104,6 @@ from .kernels import SystemParams
 
 log = logging.getLogger("pwcycles")
 
-LONG = np.longdouble
 _EPS = float(np.finfo(LONG).eps)
 
 # Multiple of the roundoff envelope below which a value is treated as
@@ -136,7 +133,7 @@ class PlacementError(RuntimeError):
 
 
 class RankDeficiencyError(PlacementError):
-    """Interpolation matrix numerically singular (cond > 1e12)."""
+    """Interpolation matrix numerically singular (cond > 1e12 or not finite)."""
 
 
 class UnresolvedClusterError(RuntimeError):
@@ -378,14 +375,14 @@ def count_simple_zeros(fn: AveragedFunction, r_max: float, grid: int = 400) -> Z
     n = fn.expansion.degree
 
     def jet(r):
-        values, slopes = basis_values(params, n, r, LONG, derivative=True)
+        values, slopes = basis_values(params, n, r, derivative=True)
         f, env = np.dot(c_and_abs, values)
         return f, np.dot(c, slopes), env * _EPS
 
     doublings, work = 0, np.zeros(4, dtype=int)
     while True:
         rr = np.linspace(r_max / grid, r_max, grid)
-        vals, env = np.dot(c_and_abs, basis_values(params, n, rr, LONG))
+        vals, env = np.dot(c_and_abs, basis_values(params, n, rr))
         keep, flips = _sign_flips(vals, env * _EPS)
         if keep.size == 0:
             return ZeroReport((), grid, degenerate=True)
@@ -430,12 +427,14 @@ def _orthonormal_transform(stack_window: np.ndarray) -> np.ndarray:
     geometry instead of the (badly scaled) raw basis.  It is taken as the
     SVD of the m x m R factor of W = QR, so the samples x m U factor is
     never formed; the singular values and right vectors agree with W's to
-    roundoff, which moves only the condition number's last digits.
+    roundoff, which moves only the condition number's last digits.  It is
+    NaN for samples that overflow double, infinite for ones singular there.
     """
-    W = stack_window.T.astype(float)  # samples x generators
-    _, S, Vt = np.linalg.svd(np.linalg.qr(W, mode="r"))
-    S = np.maximum(S, S[0] * 1e-300)
-    return (Vt.T / S).astype(float)  # generators x orthonormal directions
+    R = np.linalg.qr(stack_window.T.astype(float), mode="r")  # W: samples x generators
+    if not np.isfinite(R).all():
+        return np.full(R.shape, np.nan)
+    _, S, Vt = np.linalg.svd(R)
+    return Vt.T / S  # generators x orthonormal directions
 
 
 def _null_draws(M: np.ndarray, count: int) -> np.ndarray:
@@ -487,11 +486,13 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
     rows, 5(m - p) of them, or draw 0 alone when m - p = 1, where every
     draw projects onto the same null direction; that lone candidate is
     taken unscored.  Otherwise a candidate scores (extra sign changes on
-    the scan, -min |F'(t)| / max |F|), lower first, with F' at the targets
-    from the derivative rows of `basis_values`.  The winner is normalized
-    to max |F| = 1 on the scan and signed so that F'(t_1) >= 0.  The
-    DEBUG line's |F(t)|/envelope ratio is computed only when the logger
-    is enabled for DEBUG.
+    the scan, -min |F'(t)| / max |F|), the first lowest winning, with F'
+    at the targets from the derivative rows of `basis_values`; values,
+    envelopes and slopes are one long-double product over all candidates.
+    The winner is normalized to max |F| = 1 on the scan and signed so that
+    F'(t_1) >= 0.  A condition that is not finite or exceeds 1e12 raises
+    RankDeficiencyError.  The DEBUG line's |F(t)|/envelope ratio is
+    computed only when the logger is enabled for DEBUG.
     """
     targets = [float(t) for t in targets]
     if sorted(set(targets)) != targets:
@@ -512,46 +513,44 @@ def _place(params: SystemParams, gens: List[BasisExpansion], targets: Sequence[f
 
     G = _generator_matrix(gens)
     r_hi = min(params.r0 * 0.999, 2.0 * targets[-1])
-    scan = basis_values(params, n, np.linspace(r_hi / 2048, r_hi, 2048), LONG)
+    scan = basis_values(params, n, np.linspace(r_hi / 2048, r_hi, 2048))
     Gs = _generator_rows(G, scan)
     colscale = np.maximum(Gs.max(axis=1), -Gs.min(axis=1))  # per-generator window scale
 
     # The generators and their slopes at the targets.
-    near, near_slopes = basis_values(params, n, np.asarray(targets), LONG, derivative=True)
+    near, near_slopes = basis_values(params, n, np.asarray(targets), derivative=True)
     tstack, tslope = _generator_rows(G, near), _generator_rows(G, near_slopes)
     M_long = (tstack / colscale[:, None]).T  # p x m, diagonally equilibrated
 
     # Condition diagnostic in an orthonormalized basis: it reflects the
-    # geometry of the targets, not the raw basis skew.
-    T = _orthonormal_transform(Gs)
-    sv_geo = np.linalg.svd(tstack.T.astype(float) @ T, compute_uv=False)
-    condition = sv_geo[0] / sv_geo[p - 1]
-    if condition > 1e12:
+    # geometry of the targets, not the raw basis skew; NaN on window
+    # samples that are singular or overflow in double.
+    with np.errstate(all="ignore"):
+        geo = tstack.T.astype(float) @ _orthonormal_transform(Gs)
+        sv_geo = np.linalg.svd(geo, compute_uv=False) if np.isfinite(geo).all() else np.full(p, np.nan)
+        condition = sv_geo[0] / sv_geo[p - 1]
+    if not condition <= 1e12:
         raise RankDeficiencyError(
-            f"interpolation matrix condition {condition:.2e} exceeds 1e12; "
+            f"interpolation matrix condition {condition:.2e} is not finite or exceeds 1e12; "
             "targets too close together or too near the annulus boundary"
         )
 
-    # A one-dimensional null space has one direction, which draw 0 gives;
-    # that lone candidate is not scored, since its score would choose nothing.
-    candidates = _null_draws(M_long, 1 if m - p == 1 else 5 * (m - p))
-    abs_Gs = np.abs(Gs) if len(candidates) > 1 else None
-    best = None
-    for c in candidates:
-        dg = c / colscale  # back to raw generator coordinates
-        vals = np.dot(dg, Gs)
-        slope = np.dot(dg, tslope)
-        scale_f = float(np.maximum(vals.max(), -vals.min()))
-        score = None
-        if abs_Gs is not None:
-            extra = max(0, len(_sign_flips(vals, _envelope(dg, abs_Gs))[1]) - p)
-            score = (extra, -float(np.min(np.abs(slope))) / scale_f)
-        if best is None or score < best[0]:
-            best = (score, dg / scale_f if slope[0] >= 0 else -dg / scale_f)
+    # The candidates in raw generator coordinates; a null space that is a
+    # line has one direction, which draw 0 gives.
+    dg = _null_draws(M_long, 1 if m - p == 1 else 5 * (m - p)) / colscale
+    vals, slopes = np.dot(dg, Gs), np.dot(dg, tslope)
+    scale_f = np.maximum(vals.max(axis=1), -vals.min(axis=1)).astype(float)
+    k = 0
+    if len(dg) > 1:
+        env = _envelope(dg, np.abs(Gs))
+        extra = [max(0, len(_sign_flips(v, e)[1]) - p) for v, e in zip(vals, env)]
+        low = np.abs(slopes).min(axis=1).astype(float) / scale_f
+        k = min(range(len(dg)), key=lambda i: (extra[i], -low[i]))
+    winner = dg[k] / scale_f[k] if slopes[k, 0] >= 0 else -dg[k] / scale_f[k]
     # Combined in long double: high-degree placements carry delicately
     # cancelling coefficients whose rounding to double would visibly
     # shift the outer zeros.
-    coeffs = np.dot(best[1], G)
+    coeffs = np.dot(winner, G)
     # The sign changes `count_simple_zeros` would see on the scan; the basis
     # is nonnegative there, so |coeffs| times it is the envelope's sum.
     vals, env = np.dot(np.stack([coeffs, np.abs(coeffs)]), scan)
@@ -598,7 +597,7 @@ def independence_check(params: SystemParams, n: int, r_max: float) -> Tuple[int,
         raise ValueError("need 0 < r_max < r0")
     gens = independence_generators(params, n)
     pts = chebyshev_points(r_max / 100.0, r_max, 4 * len(gens))
-    M = _generator_rows(_generator_matrix(gens), basis_values(params, n, pts, LONG))
+    M = _generator_rows(_generator_matrix(gens), basis_values(params, n, pts))
     return sample_rank(M.T.astype(float))
 
 
@@ -685,7 +684,7 @@ def _survey(
     if not (0 < r_max < params.r0):
         raise ValueError(f"need 0 < r_max < r0 = {params.r0}")
     coeffs = rows @ assembly_matrix(params, n).T
-    basis = basis_values(params, n, np.linspace(r_max / grid, r_max, grid), LONG)
+    basis = basis_values(params, n, np.linspace(r_max / grid, r_max, grid))
     hist = dict(Counter(_flip_counts(coeffs, basis).tolist()))
     return max(hist, default=0), hist
 

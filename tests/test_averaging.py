@@ -72,6 +72,14 @@ class TestPerturbationSpec:
         assert p.minus_g[1, 0] == -1.0
         assert p.plus_g.sum() == 0.0
 
+    def test_table_shape_checked(self):
+        with pytest.raises(ValueError, match=r"^minus_g: expected shape \(3, 3\), got \(2, 2\)$"):
+            PerturbationSpec(2, minus_g=np.zeros((2, 2)))
+
+    def test_scaled_add_needs_equal_degrees(self, rng):
+        with pytest.raises(ValueError, match="degrees differ"):
+            PerturbationSpec.random(2, rng).scaled_add(1.0, PerturbationSpec.random(3, rng), 1.0)
+
 
 def _random_table(degree, rng, scale):
     """The per-table draw that `_random_rows` replaced, kept as the
@@ -330,10 +338,36 @@ class TestEvalF:
         with pytest.raises(DomainError):
             eval_F(fn, 0.8)
 
+    @pytest.mark.parametrize("r", [math.nan, [0.2, math.nan], -1e-300])
+    def test_points_outside_the_annulus_refused(self, params, r):
+        # NaN used to give NaN; it is outside [0, r0) like any other point
+        fn = assemble(params, PerturbationSpec(1, plus_f={(0, 0): 1.0}))
+        with pytest.raises(DomainError, match=r"outside \[0, inf\)"):
+            eval_F(fn, r)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_long_double_sum_rounded_once(self, params, rng, n):
+        # the long-double product with the basis, rounded to double: within
+        # half an ulp of the long-double Horner reference and a few of its
+        # envelopes, the cancelling placed expansions included
+        rr = np.linspace(0.05, 4.0, 80)
+        capacity = reachable_zero_capacity(params, n)
+        for expansion in (assemble(params, PerturbationSpec.random(n, rng)).expansion,
+                          place_zeros(params, n, np.linspace(0.3, 3.5, capacity))):
+            got = eval_F(AveragedFunction(params, expansion), rr)
+            want, env = _horner_values_precise(expansion, params, rr)
+            assert got.dtype == np.float64
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want.astype(float))) / 2 + 16 * env)
+
 
 class TestOracleF:
     def test_zero_perturbation(self, params):
         assert oracle_F(params, PerturbationSpec(2), 0.7) == 0.0
+
+    @pytest.mark.parametrize("ab,r", [((1.0, -2.0), 0.0), ((1.0, -2.0), -0.5), ((1.0, 0.8), 0.8)])
+    def test_domain_refused(self, ab, r):
+        with pytest.raises(DomainError, match="oracle needs 0 < r < "):
+            oracle_F(SystemParams(*ab), PerturbationSpec(1, plus_f={(0, 0): 1.0}), r)
 
     def test_odd_symmetry_case(self):
         # g_plus = const integrates sin(t)/(r cos t + a)^2 over the half circle: 0
@@ -409,7 +443,7 @@ class TestBasisValues:
         capacity = reachable_zero_capacity(params, n)
         placed = place_zeros(params, n, [0.5, 1.2, 2.0][:capacity])
         assert placed.coeff_A.dtype == LONG
-        basis = basis_values(params, n, rr, LONG)
+        basis = basis_values(params, n, rr)
         for expansion in (assembled, placed):
             want, want_env = _horner_values_precise(expansion, params, rr)
             c = expansion.vector(LONG)
@@ -417,6 +451,8 @@ class TestBasisValues:
             assert np.all(np.abs(got - want) <= 16 * want_env)
             assert np.all(np.abs(got_env - want_env) <= 16 * eps * want_env)
 
+    # dtype is that of the points: a double grid is kept, a long-double one
+    # is sampled afresh on every call
     @pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["double", "long_double"])
     @pytest.mark.parametrize("ab,hi", [((1.0, -2.0), 8.0), ((1.0, -1.0), 8.0), ((-1.5, 2.0), 2.0)])
     def test_kept_grid_rows_give_the_fresh_values(self, ab, hi, dtype):
@@ -424,12 +460,12 @@ class TestBasisValues:
         # at (-1.5, 2) the grid runs past r0 = 1.5 into NaN columns
         averaging._kept_grid.cache_clear()
         params = SystemParams(*ab)
-        rr = np.linspace(hi / 600, hi, 600)
+        rr = np.linspace(hi / 600, hi, 600).astype(dtype)
         for n in (3, 1, 4, 2, 6):
-            got = basis_values(params, n, rr, dtype)
-            assert got.dtype == dtype
-            assert np.array_equal(got, _fresh_basis(params, n, rr, dtype), equal_nan=True)
-        assert averaging._kept_grid.cache_info().currsize == 1
+            got = basis_values(params, n, rr)
+            assert got.dtype == LONG
+            assert np.array_equal(got, _fresh_basis(params, n, rr), equal_nan=True)
+        assert averaging._kept_grid.cache_info().currsize == (dtype == np.float64)
 
     @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3)])
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -441,25 +477,26 @@ class TestBasisValues:
         hi = 0.9 * min(params.r0, 6.0)
         rr = np.linspace(0.2, hi, 61)
         rr = rr[(np.abs(rr - abs(params.a)) > 1e-2) & (np.abs(rr - abs(params.b)) > 1e-2)]
-        values, slopes = basis_values(params, n, rr, LONG, derivative=True)
-        assert np.array_equal(values, basis_values(params, n, rr, LONG))
+        values, slopes = basis_values(params, n, rr, derivative=True)
+        assert np.array_equal(values, basis_values(params, n, rr))
         r, h = rr.astype(LONG), LONG(1e-6) * rr.astype(LONG)
-        diff = (basis_values(params, n, r + h, LONG) - basis_values(params, n, r - h, LONG)) / (2 * h)
+        diff = (basis_values(params, n, r + h) - basis_values(params, n, r - h)) / (2 * h)
         assert np.all(np.abs(diff - slopes) <= 1e-8 * np.abs(slopes) + 1e-14 * np.abs(values) / r)
 
     @pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["double", "long_double"])
     def test_derivative_rows_of_a_kept_grid(self, dtype):
-        # the value rows and the derivative rows of a kept grid equal those
+        # the value rows and the derivative rows of a grid of double points,
+        # which is kept, or of long-double points, which is not, equal those
         # of sampling the same points afresh, in pieces below _GRID_MIN
         averaging._kept_grid.cache_clear()
         params = SystemParams(1.0, -2.0)
-        rr = np.linspace(0.01, 8.0, 600)
+        rr = np.linspace(0.01, 8.0, 600).astype(dtype)
         for n in (3, 1, 4):
-            values, slopes = basis_values(params, n, rr, dtype, derivative=True)
-            pieces = [basis_values(params, n, part, dtype, derivative=True) for part in np.split(rr, 3)]
+            values, slopes = basis_values(params, n, rr, derivative=True)
+            pieces = [basis_values(params, n, part, derivative=True) for part in np.split(rr, 3)]
             assert np.array_equal(values, np.hstack([v for v, _ in pieces]))
             assert np.array_equal(slopes, np.hstack([d for _, d in pieces]))
-        assert averaging._kept_grid.cache_info().currsize == 1
+        assert averaging._kept_grid.cache_info().currsize == (dtype == np.float64)
 
     def test_kernel_rows_are_sampled_once_per_grid_and_constant(self, monkeypatch):
         averaging._kept_grid.cache_clear()
@@ -473,30 +510,30 @@ class TestBasisValues:
         grids = [np.linspace(0.01, 8.0, 600), np.linspace(0.01, 7.0, 800)]
         for rr in grids:
             for n in (1, 2, 3, 4):
-                basis_values(SystemParams(1.0, -2.0), n, rr, LONG)
+                basis_values(SystemParams(1.0, -2.0), n, rr)
         assert calls == [1.0, 2.0, 1.0, 2.0]
         # at (1, -1) the A row is that of a = 1 again, and B[0,0](r; -1) is
         # A[0,0](r; 1), the same row
         for rr in grids:
             for n in (1, 2, 3, 4):
-                basis_values(SystemParams(1.0, -1.0), n, rr, LONG)
+                basis_values(SystemParams(1.0, -1.0), n, rr)
         assert len(calls) == 4
 
     def test_kept_grids_are_few_and_private(self):
         averaging._kept_grid.cache_clear()
         params = SystemParams(1.0, -2.0)
-        basis_values(params, 2, np.linspace(0.1, 1.0, averaging._GRID_MIN - 1), LONG)
+        basis_values(params, 2, np.linspace(0.1, 1.0, averaging._GRID_MIN - 1))
         assert averaging._kept_grid.cache_info().currsize == 0
         for k in range(averaging._GRIDS_KEPT + 2):
-            basis_values(params, 2, np.linspace(0.1, 1.0 + k, 400), LONG)
+            basis_values(params, 2, np.linspace(0.1, 1.0 + k, 400))
         assert averaging._kept_grid.cache_info().currsize == averaging._GRIDS_KEPT
         # neither the caller's grid nor the returned matrix is kept
         rr = np.linspace(0.1, 5.0, 400)
         basis_values(params, 2, rr)[:] = 0.0
-        want = _fresh_basis(params, 2, rr, np.float64)
+        want = _fresh_basis(params, 2, rr)
         assert np.array_equal(basis_values(params, 2, rr), want)
         rr *= 0.5
-        assert np.array_equal(basis_values(params, 2, rr), _fresh_basis(params, 2, rr, np.float64))
+        assert np.array_equal(basis_values(params, 2, rr), _fresh_basis(params, 2, rr))
 
 
 # The scan, count and survey grids that the benchmark's ceiling workload
@@ -507,12 +544,12 @@ _WORKLOAD_GRIDS = [(10.0, 2048), (7.5, 800), (8.0, 600), (0.999, 2048), (0.95, 2
 
 @pytest.mark.parametrize("r_max,points", _WORKLOAD_GRIDS)
 def test_power_rows_against_exact_rationals(r_max, points):
-    # long double: the running product r^k of an exact r is within
-    # (k-1)u/(1-(k-1)u) of the rational r^k, u = 2^-64; float64: `pow`
+    # the running product r^k of an exact r is within (k-1)u/(1-(k-1)u)
+    # of the rational r^k, u = 2^-64
     averaging._kept_grid.cache_clear()
     params = SystemParams(1.0, -2.0)
     rr = np.linspace(r_max / points, r_max, points)
-    powers = basis_values(params, 13, rr, LONG)[-16:-1]  # r^k, k = 0..14
+    powers = basis_values(params, 13, rr)[-16:-1]  # r^k, k = 0..14
     ratios = [r.as_integer_ratio() for r in rr.tolist()]
     for k, row in enumerate(powers):
         slack = max(k - 1, 0)
@@ -521,22 +558,18 @@ def test_power_rows_against_exact_rationals(r_max, points):
             # cross-multiplied into integers
             s, t = x.as_integer_ratio()
             assert abs(s * q**k - p**k * t) * (2**64 - slack) <= slack * p**k * t
-    assert np.array_equal(basis_values(params, 13, rr)[-16:-1], rr ** np.arange(15)[:, None])
 
 
-def _fresh_basis(params, n, r, dtype):
+def _fresh_basis(params, n, r):
     """`basis_values` with every row sampled afresh: the reference for the
-    kept grid rows.  Float64 powers are `pow`, long-double powers the
-    running products 1, r, r*r, (r*r)*r, ..."""
+    kept grid rows, with the powers the long-double running products 1, r,
+    r*r, (r*r)*r, ..."""
     h = (n + 1) // 2
-    rr = np.atleast_1d(np.asarray(r, dtype=dtype))
-    if dtype == np.float64:
-        powers = rr ** np.arange(2 * h + 3)[:, None]
-    else:
-        powers = [np.ones_like(rr)]
-        for _ in range(2 * h + 2):
-            powers.append(powers[-1] * rr)
-        powers = np.array(powers)
+    rr = np.atleast_1d(np.asarray(r, dtype=LONG))
+    powers = [np.ones_like(rr)]
+    for _ in range(2 * h + 2):
+        powers.append(powers[-1] * rr)
+    powers = np.array(powers)
     even = powers[::2]
     return np.concatenate([even * a00(rr, params.a), even * a00(-rr, params.b), powers[:-1]])
 

@@ -44,10 +44,17 @@ class TestSystemParams:
         assert SystemParams(1.0, 0.5).r0 == 0.5
 
     def test_nonzero_constants_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^both system constants must be nonzero$"):
             SystemParams(0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^both system constants must be nonzero$"):
             SystemParams(1.0, 0.0)
+
+    @pytest.mark.parametrize("a,b,name", [(math.nan, -2.0, "a"), (1.0, math.inf, "b"), (-math.inf, math.nan, "a")])
+    def test_finite_constants_required(self, a, b, name):
+        # a NaN constant used to build with r0 = inf, and a placement on it
+        # then failed inside numpy's SVD
+        with pytest.raises(ValueError, match=f"^system constant {name} must be finite, got "):
+            SystemParams(a, b)
 
     def test_resonance_is_exact(self):
         assert SystemParams(1.0, -1.0).resonant
@@ -69,6 +76,10 @@ class TestWallis:
     def test_recurrence_exact_mode(self):
         for k in range(2, 20):
             assert k * wallis_half_exact(k) == (k - 1) * wallis_half_exact(k - 2)
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            wallis_half_exact(-1)
 
     def test_recurrence_float_mode(self):
         for k in range(2, 20):

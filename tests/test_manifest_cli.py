@@ -15,7 +15,7 @@ import pytest
 
 from pwcycles import manifest
 from pwcycles.averaging import AveragedFunction
-from pwcycles.cli import _build_parser, main
+from pwcycles.cli import _build_parser, _manifest_from_args, main
 from pwcycles.manifest import (
     OPTIONS,
     REQUIRED,
@@ -63,6 +63,17 @@ class TestManifestValidation:
     def test_empty_manifest_names_missing_field(self):
         with pytest.raises(ManifestError, match="schema_version"):
             ExperimentManifest.from_dict({})
+
+    @pytest.mark.parametrize("doc", [[_verify_doc()], "verify_identities", None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ManifestError, match="^manifest must be a JSON object$"):
+            ExperimentManifest.from_dict(doc)
+
+    @pytest.mark.parametrize("entry", [[0, 0], [0, 0, 1.0, 2.0], {"i": 0, "j": 0, "value": 1.0}, "0 0 1"])
+    def test_table_entry_must_be_a_triple(self, entry):
+        doc = _verify_doc(kind="sweep", epsilons=[0.01], pert_inline={"degree": 1, "plus_f": [entry]})
+        with pytest.raises(ManifestError, match=r"^pert_inline 'plus_f': expected an \[i, j, value\] entry, got "):
+            ExperimentManifest.from_dict(doc)
 
     def test_unknown_kind(self):
         with pytest.raises(ManifestError, match="kind"):
@@ -263,6 +274,13 @@ class TestCli:
         cfg = tmp_path / "v.json"
         cfg.write_text(json.dumps(_verify_doc()))
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_b_and_seed_override_the_config(self, tmp_path):
+        cfg = tmp_path / "v.json"
+        cfg.write_text(json.dumps(_verify_doc()))
+        args = _build_parser().parse_args(["verify", "--config", str(cfg), "--b", "-3", "--seed", "9"])
+        m = _manifest_from_args(args)
+        assert (m.a, m.b, m.seed) == (1.0, -3.0, 9)
 
     def test_verify_negative_a_exit_zero(self, tmp_path, capsys):
         # for a < 0 the ODE-residual grid a * t must stay in A00's domain r < -a

@@ -98,6 +98,11 @@ class TestPolarField:
         with pytest.raises(ValueError):
             PolarField(p, PerturbationSpec(1), 1e-3, r_range=(0.1, 2.0))
 
+    @pytest.mark.parametrize("r_range", [(0.0, 1.0), (1.0, 0.5), (0.5, 0.5), (math.nan, 1.0)])
+    def test_invalid_r_range_refused(self, params, r_range):
+        with pytest.raises(ValueError, match="^invalid r_range$"):
+            PolarField(params, PerturbationSpec(1), 1e-3, r_range=r_range)
+
     def test_validation_grid_matches_pointwise_loop(self, params, rng):
         # the validation grid is evaluated in one pass; the reference is the
         # per-point loop it replaced, which names the first offending
@@ -542,6 +547,12 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="r_start 9.0 outside"):
             return_map(field, np.array([0.5, 9.0, 1.0]))
 
+    def test_two_dimensional_radii_refused(self, field):
+        with pytest.raises(ValueError, match="r_start must be a number or a 1-D array of radii"):
+            return_map(field, np.array([[0.5, 1.0], [1.5, 2.0]]))
+        with pytest.raises(ValueError, match="r_start must be a number or a 1-D array of radii"):
+            return_map([(field, 0.5), (field, np.array([[0.5]]))])
+
     def test_near_singularity_in_batch(self, bounded_params):
         # a radial push on the plus side carries r cos(theta) onto the
         # singular line x = 1.5 just after the section
@@ -702,3 +713,10 @@ class TestCartesianCrosscheck:
             cartesian_crosscheck(fld, (-0.5, 0.0))
         with pytest.raises(ValueError):
             cartesian_crosscheck(fld, (0.0, 0.5))
+
+    @pytest.mark.parametrize("start", [(3.5, 0.0), (0.09, 0.0), (2.4, 2.4)])
+    def test_start_radius_outside_the_validated_range(self, params, start):
+        # the range is [lo / 2, hi] of the field's r_range (0.2, 3.0)
+        fld = PolarField(params, PerturbationSpec(1), 0.0, r_range=(0.2, 3.0))
+        with pytest.raises(ValueError, match="outside the validated range"):
+            cartesian_crosscheck(fld, start)

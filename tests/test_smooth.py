@@ -19,7 +19,7 @@ from pwcycles.smooth import (
     smooth_generators,
     smooth_perturbation,
 )
-from pwcycles.zeros import LONG, PlacementError, _generator_matrix, chebyshev_points, count_simple_zeros, sample_rank
+from pwcycles.zeros import PlacementError, _generator_matrix, chebyshev_points, count_simple_zeros, sample_rank
 
 
 def _random_smooth(n, rng):
@@ -63,6 +63,11 @@ class TestAssembleSmooth:
     def test_zero_perturbation(self):
         fn = assemble_smooth(1.0, smooth_perturbation(2))
         assert fn.expansion.max_abs_coeff == 0.0
+
+    @pytest.mark.parametrize("a,r", [(1.0, 0.0), (1.0, 1.0), (-1.5, 1.6)])
+    def test_oracle_domain_refused(self, a, r):
+        with pytest.raises(DomainError, match="need 0 < r < "):
+            oracle_smooth_F(a, smooth_perturbation(1, f_table={(0, 0): 1.0}), r)
 
     def test_frozen_linear_case(self):
         # n=1, f = 1: F(0.4) = 0.4 * integral of cos/(0.4 cos + 1)^2
@@ -186,7 +191,7 @@ class TestSmoothZeros:
         # listed functions are independent: full sampled rank at 4x the
         # set's size Chebyshev points in (0.009, 0.9)
         r2 = smooth_generating_rank(1.0, 2)
-        values = basis_values(SystemParams(1.0, 1.0), 3, chebyshev_points(0.009, 0.9, 16), LONG)
+        values = basis_values(SystemParams(1.0, 1.0), 3, chebyshev_points(0.009, 0.9, 16))
         listed = np.dot(_generator_matrix(smooth_generators(1.0, 3)), values)
         assert sample_rank(listed.T.astype(float))[0] == r2["listed_set_size"] == 4
         assert r2["reachable_rank"] == r2["expected_reachable"] == 3

@@ -174,9 +174,9 @@ class TestCountSimpleZeros:
         """Record the points of every `basis_values` call made by `zeros`."""
         seen = []
 
-        def spy(params, n, r, dtype=np.float64, derivative=False):
+        def spy(params, n, r, *, derivative=False):
             seen.append(np.atleast_1d(r))
-            return basis_values(params, n, r, dtype, derivative)
+            return basis_values(params, n, r, derivative=derivative)
 
         monkeypatch.setattr(zeros, "basis_values", spy)
         return seen
@@ -228,7 +228,7 @@ class TestCountSimpleZeros:
         assert 1 <= calls <= 20 and newton + falsi + bisections <= 8 * (calls - 1)
         # the noise is taken at each zero's last Newton point, within its step
         c = exp.vector(zeros.LONG)
-        values, slopes = basis_values(params, 3, np.array(report.locations), zeros.LONG, derivative=True)
+        values, slopes = basis_values(params, 3, np.array(report.locations), derivative=True)
         noise = zeros._envelope(c, np.abs(values)) / np.abs(np.dot(c, slopes))
         assert float(got.group(5)) == pytest.approx(float(np.max(noise)), rel=1e-2)
 
@@ -417,6 +417,32 @@ class TestPlacement:
         with pytest.raises((RankDeficiencyError, ValueError)):
             place_zeros(params, 1, targets)
 
+    @pytest.mark.parametrize(
+        "n,targets",
+        [(1, [1e-60, 2e-60]), (1, [1e-200, 2e-200]), (2, [1e120, 2e120])],
+        ids=["nan_condition", "svd_failure", "overflow"],
+    )
+    def test_condition_that_is_not_finite_refused(self, params, n, targets):
+        # window samples that are singular in double make the orthonormal
+        # transform infinite, and samples that overflow double make it NaN:
+        # 1e-60 used to pass the `condition > 1e12` test with a NaN condition
+        # and return a placement whose scan resolves none of its targets,
+        # 1e-200 and 1e120 failed inside numpy's SVD after overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficiencyError, match="condition nan is not finite or exceeds 1e12"):
+                place_zeros(params, n, targets)
+
+    @pytest.mark.parametrize("targets", [[1.0, 0.5], [0.5, 0.5, 1.0]])
+    def test_targets_must_increase_strictly(self, params, targets):
+        with pytest.raises(ValueError, match="strictly increasing and distinct"):
+            place_zeros(params, 2, targets)
+
+    @pytest.mark.parametrize("ab,targets", [((1.0, -2.0), [0.0, 1.0]), ((-1.5, 2.0), [0.5, 1.5])])
+    def test_targets_must_lie_in_the_annulus(self, ab, targets):
+        with pytest.raises(ValueError, match=r"targets must lie in \(0, "):
+            place_zeros(SystemParams(*ab), 2, targets)
+
     @pytest.mark.parametrize("n,free", [(1, 1), (3, 1), (4, 1), (3, 3), (2, 2)])
     def test_candidates_scored(self, params, monkeypatch, n, free):
         # m - p = 1 at capacity: the null space is a line, so draw 0 is the
@@ -433,6 +459,38 @@ class TestPlacement:
         candidates = 1 if free == 1 else 5 * free
         assert draws == [candidates]
         assert flips == [2048] * (1 if free == 1 else candidates + 1)
+
+    @pytest.mark.parametrize("ab,n,p", [((1.0, -2.0), 3, 3), ((1.0, -1.0), 4, 2), ((0.7, -0.3), 5, 6)])
+    def test_scores_match_the_per_candidate_loop(self, monkeypatch, ab, n, p):
+        # the reference scores the candidates one at a time and keeps the
+        # first lowest score; the products over all candidates must pick
+        # the same winner and give its coefficients bit for bit
+        params = SystemParams(*ab)
+        draws, rows = [], []
+        null_draws, generator_rows = zeros._null_draws, zeros._generator_rows
+
+        def keep(out, value):
+            out.append(value)
+            return value
+
+        monkeypatch.setattr(zeros, "_null_draws", lambda M, count: keep(draws, null_draws(M, count)))
+        monkeypatch.setattr(zeros, "_generator_rows", lambda G, b: keep(rows, generator_rows(G, b)))
+        hi = min(5.0, 0.8 * params.r0)
+        got = place_zeros(params, n, list(np.linspace(0.1 * hi, hi, p))).vector()
+        (candidates,), (Gs, _, tslope) = draws, rows
+        assert len(candidates) > 1
+        colscale = np.maximum(Gs.max(axis=1), -Gs.min(axis=1))
+        best = None
+        for c in candidates:
+            dg = c / colscale
+            vals, slope = np.dot(dg, Gs), np.dot(dg, tslope)
+            scale_f = float(np.maximum(vals.max(), -vals.min()))
+            extra = max(0, len(zeros._sign_flips(vals, zeros._envelope(dg, np.abs(Gs)))[1]) - p)
+            score = (extra, -float(np.min(np.abs(slope))) / scale_f)
+            if best is None or score < best[0]:
+                best = (score, dg / scale_f if slope[0] >= 0 else -dg / scale_f)
+        G = zeros._generator_matrix(zeros.reachable_generators(params, n))
+        assert _same_bits(got, np.dot(best[1], G))
 
     @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (0.7, -0.3)])
     def test_capacity_placement_is_draw_zero(self, ab, monkeypatch):
@@ -465,10 +523,10 @@ class TestPlacement:
         for p in sorted({m - 1, m // 2}):
             targets = np.linspace(0.1 * hi, hi, p)
             c = place_zeros(params, n, list(targets)).vector(zeros.LONG)
-            b = basis_values(params, n, targets, zeros.LONG)
+            b = basis_values(params, n, targets)
             assert np.all(np.abs(c @ b) <= zeros._NOISE_FACTOR * zeros._envelope(c, np.abs(b)))
             h = 1e-6 * max(1.0, targets[0])
-            below, above = c @ basis_values(params, n, targets[0] + np.array([-h, h]), zeros.LONG)
+            below, above = c @ basis_values(params, n, targets[0] + np.array([-h, h]))
             assert above > below
 
     @pytest.mark.parametrize("n,resolved", [(4, 6), (5, 4)])
@@ -507,7 +565,7 @@ class TestPlacement:
         )
         assert got
         assert float(got.group(1)) == pytest.approx(1.05e4, rel=0.01)
-        b = basis_values(params, 4, np.array(targets), zeros.LONG)
+        b = basis_values(params, 4, np.array(targets))
         margin = float(np.max(np.abs(c @ b) / zeros._envelope(c, np.abs(b))))
         assert float(got.group(2)) == pytest.approx(margin, rel=1e-3)
         assert margin <= zeros._NOISE_FACTOR
@@ -524,11 +582,16 @@ class TestIndependence:
         assert rank == 6
         assert sv > 1e-10
 
+    @pytest.mark.parametrize("r_max", [0.0, 1.5, 2.0])
+    def test_r_max_must_lie_in_the_annulus(self, bounded_params, r_max):
+        with pytest.raises(ValueError, match="need 0 < r_max < r0"):
+            independence_check(bounded_params, 1, r_max)
+
     def test_duplicate_column_drops_rank(self, params):
         gens = independence_generators(params, 1)
         pts = chebyshev_points(0.04, 4.0, 4 * len(gens))
         coeffs = np.array([g.vector() for g in gens])
-        M = (coeffs @ basis_values(params, 1, pts)).T
+        M = (coeffs @ basis_values(params, 1, pts).astype(float)).T
         rank, _ = sample_rank(M)
         M_dup = np.hstack([M, M[:, :1]])
         rank_dup, _ = sample_rank(M_dup)
@@ -665,7 +728,7 @@ def _long_double_survey(params, n, r_max, grid, rows):
     """The survey as one long-double evaluation per draw: the oracle that
     `zeros._survey` must reproduce histogram for histogram."""
     coeffs = rows @ assembly_matrix(params, n).T
-    basis = basis_values(params, n, np.linspace(r_max / grid, r_max, grid), zeros.LONG)
+    basis = basis_values(params, n, np.linspace(r_max / grid, r_max, grid))
     hist = {}
     for count in _long_double_counts(coeffs, basis):
         hist[count] = hist.get(count, 0) + 1
@@ -689,7 +752,7 @@ class TestSurveySignDecisions:
     def _coeffs_and_basis(cls, rows):
         """The survey's expansion coefficients of `rows` and its long-double basis."""
         rr = np.linspace(cls.R_MAX / cls.GRID, cls.R_MAX, cls.GRID)
-        return rows @ assembly_matrix(cls.PARAMS, cls.N).T, basis_values(cls.PARAMS, cls.N, rr, zeros.LONG)
+        return rows @ assembly_matrix(cls.PARAMS, cls.N).T, basis_values(cls.PARAMS, cls.N, rr)
 
     @staticmethod
     def _decision_counts(caplog):
@@ -717,7 +780,7 @@ class TestSurveySignDecisions:
         # the rows tell the two precisions apart: plain double signs count
         # other flips than the long-double survey
         rr = np.linspace(self.R_MAX / self.GRID, self.R_MAX, self.GRID)
-        neg = (rows @ assembly_matrix(self.PARAMS, self.N).T @ basis_values(self.PARAMS, self.N, rr)) < 0
+        neg = (rows @ assembly_matrix(self.PARAMS, self.N).T @ basis_values(self.PARAMS, self.N, rr).astype(float)) < 0
         plain = np.count_nonzero(neg[:, 1:] != neg[:, :-1], axis=1)
         assert {k: int(np.sum(plain == k)) for k in np.unique(plain)} != got[1]
 
@@ -728,6 +791,27 @@ class TestSurveySignDecisions:
         for draws in (0, 1, per_block - 1, per_block, per_block + 1):
             got = zeros._survey(self.PARAMS, self.N, self.R_MAX, self.GRID, rows[:draws])
             assert got == _long_double_survey(self.PARAMS, self.N, self.R_MAX, self.GRID, rows[:draws])
+
+    def test_window_orthonormal_draws_match_the_long_double_loop(self, caplog):
+        # Gaussian weights on the window-orthonormal basis of the reachable
+        # span (`_orthonormal_transform`), mapped to expansion coefficients
+        # in long double and rounded to double: draws that reach the
+        # capacity, 10, and thousands of samples that double cannot decide
+        # (3,559 in 451 draws with x86-64 long double), not crafted ones
+        rr = np.linspace(8.0 / self.GRID, 8.0, self.GRID)
+        basis = basis_values(self.PARAMS, self.N, rr)
+        G = zeros._generator_matrix(zeros.reachable_generators(self.PARAMS, self.N))
+        T = zeros._orthonormal_transform(zeros._generator_rows(G, basis))
+        weights = np.random.default_rng(7).standard_normal((500, len(G)))
+        coeffs = np.dot((weights @ T.T).astype(zeros.LONG), G).astype(float)
+        with caplog.at_level(logging.DEBUG, logger="pwcycles"):
+            got = zeros._flip_counts(coeffs, basis)
+        assert got.tolist() == _long_double_counts(coeffs, basis)
+        assert got.max() == reachable_zero_capacity(self.PARAMS, self.N)
+        undecided = np.vstack([~decided for _, _, decided, _, _ in zeros._block_signs(coeffs, basis, zeros._BLOCK_SAMPLES // self.GRID)])
+        want = (int(undecided.size - undecided.sum()), int(undecided.sum()), int(undecided.any(axis=1).sum()))
+        assert self._decision_counts(caplog) == want
+        assert want[1] > 3000 and want[2] > 400
 
     def test_random_draws_decided_in_double(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="pwcycles"):
@@ -851,12 +935,12 @@ class TestGeneratorRows:
             hi = min(5.0, 0.8 * params.r0)
             targets = np.linspace(0.1 * hi, hi, len(gens) - 1)
             r_hi = min(0.999 * params.r0, 2 * targets[-1])
-            near, slopes = basis_values(params, n, targets, zeros.LONG, derivative=True)
+            near, slopes = basis_values(params, n, targets, derivative=True)
             for rows in (
-                basis_values(params, n, np.linspace(r_hi / 2048, r_hi, 2048), zeros.LONG),
+                basis_values(params, n, np.linspace(r_hi / 2048, r_hi, 2048)),
                 near,
                 slopes,
-                basis_values(params, n, chebyshev_points(hi / 100, hi, 4 * len(gens)), zeros.LONG),
+                basis_values(params, n, chebyshev_points(hi / 100, hi, 4 * len(gens))),
             ):
                 assert _same_bits(zeros._generator_rows(G, rows), np.dot(G, rows))
 
@@ -885,11 +969,11 @@ class TestGeneratorRows:
         count_simple_zeros(AveragedFunction(params, expansion), r_max, grid=800)
         assert scans and jets
         for vals, env in scans:
-            b = basis_values(params, n, np.linspace(r_max / vals.size, r_max, vals.size), zeros.LONG)
+            b = basis_values(params, n, np.linspace(r_max / vals.size, r_max, vals.size))
             assert _same_bits(vals, np.dot(c, b))
             assert _same_bits(env, zeros._envelope(c, np.abs(b)))
         for x, f, d, env in jets:
-            values, slopes = basis_values(params, n, x, zeros.LONG, derivative=True)
+            values, slopes = basis_values(params, n, x, derivative=True)
             assert _same_bits(f, np.dot(c, values))
             assert _same_bits(d, np.dot(c, slopes))
             assert _same_bits(env, zeros._envelope(c, np.abs(values)))
@@ -926,6 +1010,10 @@ class TestLongDoubleDot:
         ]
         for x, y in cases:
             assert np.array_equal(np.dot(x, y), x @ y, equal_nan=True)
+        # each row of a 2-D product is the 1-D product of that row, as the
+        # placement's candidates are scored together
+        rows = draw(30, 14)
+        assert np.array_equal(np.dot(rows, B), [np.dot(r, B) for r in rows], equal_nan=True)
         # a stack of 1 x m by m x 1 products, as the survey's gathered tier 2
         pairs = B[:, rng.permutation(2048)[:11]].T
         stacked = np.matmul(G[:, None, :], pairs[:, :, None])[:, 0, 0]
