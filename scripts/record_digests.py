@@ -18,14 +18,15 @@ process, each of these manifests:
 Each of those lines is the sha256 of `json.dumps(record, sort_keys=True)`
 and the manifest's name.  The next line, `csv-tables`, is one sha256
 over the CSV files that `emit_table` writes for the perfbench operations'
-records (see `csv_tables`).  The last seven lines,
+records (see `csv_tables`).  The last eight lines,
 `zero-layer-placements`, `zero-layer-reports`, `zero-layer-histograms`,
-`zero-layer-smooth-placements`, `exact-layer`, `smooth-ranks` and
-`family-values`, are each one sha256 over outputs that no manifest of
-the lines above pins (see `zero_layer`, `smooth_placements`,
-`exact_layer`, `smooth_ranks` and `family_values`); they do not depend
-on N.  Two trees that print the same lines give byte-identical
-records, so comparing a parent checkout with a change is
+`zero-layer-smooth-placements`, `exact-layer`, `smooth-ranks`,
+`family-values` and `return-map`, are each one sha256 over outputs that
+no manifest of the lines above pins (see `zero_layer`,
+`smooth_placements`, `exact_layer`, `smooth_ranks`, `family_values` and
+`return_map_images`); they do not depend on N.  Two trees that print
+the same lines give byte-identical records, so comparing a parent
+checkout with a change is
 
     python scripts/record_digests.py --src ../parent/src --seed 3 > before
     python scripts/record_digests.py --seed 3 > after
@@ -235,6 +236,39 @@ def smooth_ranks() -> str:
     return digest.hexdigest()
 
 
+def return_map_images() -> str:
+    """sha256 over `return_map` images on three fields that no manifest
+    pins, mapped one field to a call:
+
+    * the README simulate placement (targets 0.5, 1, 1.5, 2 at (1, -2),
+      degree 1) at eps = 0.3, where many steps are rejected, on 60 radii
+      over (0.25, 2.4);
+    * the placement of targets 0.5, 1, 1.5 at (1, -1), degree 2, at eps =
+      1.25e-3, on 60 radii over (0.25, 1.8);
+    * a degree-1 perturbation at (-1.5, 2) drawn at seed 13, at eps = 1e-3,
+      on 30 radii over (0.1, 1.35), near the plus-side singular line x = 1.5.
+
+    They do not depend on N.  Public names only."""
+    from pwcycles.averaging import PerturbationSpec, perturbation_for_expansion
+    from pwcycles.kernels import SystemParams
+    from pwcycles.poincare import PolarField, return_map
+    from pwcycles.zeros import place_zeros
+
+    def placed(a, b, n, targets):
+        params = SystemParams(a, b)
+        return params, perturbation_for_expansion(params, place_zeros(params, n, targets)).normalized()
+
+    bounded = SystemParams(-1.5, 2.0), PerturbationSpec.from_vector(1, np.random.default_rng(13).uniform(-1, 1, 12))
+    digest = hashlib.sha256()
+    for (params, pert), eps, r_range, radii in (
+        (placed(1.0, -2.0, 1, [0.5, 1.0, 1.5, 2.0]), 0.3, (0.125, 5.0), np.linspace(0.25, 2.4, 60)),
+        (placed(1.0, -1.0, 2, [0.5, 1.0, 1.5]), 1.25e-3, (0.125, 1.9), np.linspace(0.25, 1.8, 60)),
+        (bounded, 1e-3, (0.1, 1.35), np.linspace(0.1, 1.35, 30)),
+    ):
+        digest.update(return_map(PolarField(params, pert, eps, r_range=r_range), radii).tobytes())
+    return digest.hexdigest()
+
+
 def family_values() -> list:
     """`eval_family` for A, B, I and J at i + j <= 5 and r = 0, 0.1 (inside
     the series radius of every constant here), 0.6 and 1.2, those below
@@ -311,6 +345,7 @@ def main(argv=None) -> int:
     print(smooth_ranks(), "smooth-ranks")
     values = family_values()
     print(hashlib.sha256(repr(values).encode()).hexdigest(), "family-values")
+    print(return_map_images(), "return-map")
     if src != (ROOT / "src").resolve():
         child = json.loads(subprocess.run([sys.executable, __file__, "--child", "--seed", str(args.seed)],
                                           capture_output=True, text=True, check=True).stdout)

@@ -441,8 +441,18 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
     # whose even-order displacement terms vanish.
     pert_g = pert.scaled_add(1.0, null_perturbation(n), 0.1)
 
+    if not predicted:
+        raise ManifestError(
+            f"the scaled averaged function has no simple zero below r_max = {r_max} for targets {targets}, "
+            "so there is no window for the return map"
+        )
     lo = max(0.5 * min(predicted), 0.05)
     hi = min(1.2 * max(predicted), 0.95 * r_max)
+    if not lo < hi:
+        raise ManifestError(
+            f"targets {targets} leave no return-map window: its floor max(half the smallest zero, 0.05) = {lo} "
+            f"is not below its top min(1.2 times the largest zero, 0.95 r_max) = {hi}, with r_max = {r_max}"
+        )
     r_range = (lo * 0.5, r_max)
     fields = [PolarField(params, pert_g, eps, r_range=r_range) for eps in epsilons]
     eps_fp = min(epsilons)

@@ -21,6 +21,10 @@ and perturbation from one array of all the fields' tables, zero-padded to
 the largest degree.  A row's result is bit for bit
 independent of the batch it is in, so an experiment integrates the
 displacement grids at all its eps and the fixed-point grid in one call.
+Each step takes the cosines and sines of all its stage angles in one
+call each and adds each stage's slope to all later stage sums in one
+update (`_dop853`), in an order that keeps every bit of the row-by-row
+sums.
 Since a call costs about the same whatever its width, `find_fixed_points`
 takes each fixed point, and its slope, from its bracket's interpolant
 through eight interior Chebyshev points (`_interpolated_roots`).  Where
@@ -161,7 +165,9 @@ def _leg_rhs(fields: Sequence["PolarField"], group: np.ndarray, plus: bool) -> C
 
     `_dop853` calls the result once per step with the indices of its live
     rows, which gathers their coefficients once for all stages; the
-    function it returns evaluates dr/dtheta on arrays (theta, r).
+    function it returns evaluates dr/dtheta on arrays (cos theta, sin
+    theta, r), the engine taking the cosines and sines of a step's stage
+    angles in one call each.
     """
     const = fields[0].params.a if plus else fields[0].params.b
     terms_at = _leg_terms(fields, plus)
@@ -169,8 +175,8 @@ def _leg_rhs(fields: Sequence["PolarField"], group: np.ndarray, plus: bool) -> C
     def at(live):
         terms = terms_at(group[live])
 
-        def rhs(theta, r):
-            h, num, den = terms(np.cos(theta), np.sin(theta), r)
+        def rhs(cos, sin, r):
+            h, num, den = terms(cos, sin, r)
             # fmin skips NaN rows and an empty batch, so each row is judged alone
             h_min = np.fmin.reduce(h, axis=None, initial=np.inf)
             if h_min < _H_FLOOR:
@@ -206,13 +212,22 @@ class PolarField:
             raise ValueError(f"r_range must stay inside the annulus (r0 = {self.params.r0})")
         self._validate_theta_speed()
 
-    def _validate_theta_speed(self) -> None:
+    def _theta_speed(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """dtheta/dt on 33 radii over `r_range` (rows) by 181 angles over one
+        turn (columns), with the radii and the angles.  Each half-plane's
+        terms are evaluated on its own angles only, cos theta >= 0 on the
+        plus side, with the radii broadcast against them."""
         thetas = np.linspace(0.0, 2 * math.pi, 181)
         radii = np.linspace(self.r_range[0], self.r_range[1], 33)
-        r, t = np.meshgrid(radii, thetas, indexing="ij")
-        c, s = np.cos(t), np.sin(t)
-        plus, minus = (_leg_terms((self,), side)(0)(c, s, r)[2] for side in (True, False))
-        speed = np.where(c >= 0, plus, minus)
+        c, s = np.cos(thetas), np.sin(thetas)
+        front = c >= 0
+        speed = np.empty((radii.size, thetas.size))
+        for plus, on in ((True, front), (False, ~front)):
+            speed[:, on] = _leg_terms((self,), plus)(0)(c[on], s[on], radii[:, None])[2]
+        return radii, thetas, speed
+
+    def _validate_theta_speed(self) -> None:
+        radii, thetas, speed = self._theta_speed()
         bad = ~(speed > 0)  # NaN included
         if bad.any():
             i, k = np.unravel_index(np.argmax(bad), bad.shape)
@@ -244,7 +259,8 @@ class ReturnMapResult:
 # Equations I, II.5): the tableau, the step-size factors and the error
 # exponent are literals equal to scipy's, bit for bit (a test compares them
 # with scipy.integrate's DOP853), so that each radius takes scipy's steps.
-# Each tableau row lists its nonzero (stage, weight) pairs.
+# Each tableau row lists its nonzero (stage, weight) pairs; `_W` lays them
+# out densely for the engine's running stage sums.
 _STAGES = 12
 _STEP_EXPONENT = 0.125  # 1 / (error estimator order 7 + 1)
 SAFETY = 0.9
@@ -304,22 +320,18 @@ _E5 = (
 )
 
 
-def _combine(weights, K: List[np.ndarray]) -> np.ndarray:
-    """sum_j w_j K[j], added left to right.
-
-    A fixed elementwise order, not a BLAS product (whose blocking depends
-    on the number of radii), keeps each radius's result independent of the
-    batch it is in.
-    """
-    (j, w), *rest = weights
-    acc = K[j] * w
-    for j, w in rest:
-        acc += K[j] * w
-    return acc
+# The running stage-sum block: one row per sum a step forms, the
+# arguments of stages 1 to 11 (A[1:]), then y_new (B) and the two error
+# estimates (E5, E3); one column per stage.  The slope at the step's end
+# point (t + h, y_new), the next step's first, has weight zero in every
+# row and no column.
+_W = np.array([[dict(pairs).get(j, 0.0) for j in range(_STAGES)] for pairs in (*_A[1:], _B, _E5, _E3)])
+_W_COLUMNS = tuple(_W[s:, s, None].copy() for s in range(_STAGES))  # stage s adds to rows s and on
+_C_STAGES = np.array(_C[1:])[:, None]
 
 
-def _dop853(rhs_at, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarray, int, int]:
-    """Integrate dr/dtheta = rhs(theta, r) from t0 to t1 for every start radius.
+def _dop853(rhs_at, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarray, int, int, int]:
+    """Integrate dr/dtheta = rhs(cos theta, sin theta, r) from t0 to t1 for every start radius.
 
     `rhs_at(rows)` returns the right-hand side of the rows with those
     indices.  Each radius keeps its own angle, step size and accept/reject
@@ -328,27 +340,40 @@ def _dop853(rhs_at, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarr
     selection, error norm, step-size factors, minimum step and clipping at
     t1.  Only the right-hand side is evaluated for all unfinished radii
     together.  Returns the radii at t1, the number of right-hand-side
-    evaluations summed over radii and the number of rejected steps.
+    evaluations summed over radii, the number of rejected steps and the
+    number of lockstep steps.
+
+    A step costs numpy calls more than arithmetic, so it makes few: the
+    cosines and sines of its stage angles t + C[s] h in one call each (the
+    last, C = 1, is also the step's end), and its sums in one running
+    block `acc` with the rows of `_W`.  Once stage s has its slope k,
+    ``acc[s:] += _W[s:, s, None] * k`` adds its term to every later sum.
+    Each sum gets its terms in stage order, and a zero weight adds an exact
+    zero to a finite sum, so every stage argument, y_new and both error
+    sums equal those of summing each tableau row's nonzero weights alone,
+    bit for bit.  No BLAS product, whose blocking depends on the number of
+    radii, touches a radius's result, so it does not depend on the batch.
     """
     tol = _INTEGRATOR_TOL
     r = r_start.copy()
     theta = np.full_like(r, t0)
     rhs = rhs_at(np.arange(r.size))
-    f = rhs(theta, r)
+    f = rhs(np.cos(theta), np.sin(theta), r)
     span = t1 - t0
     # scipy.integrate._ivp.common.select_initial_step, radius by radius
     scale = tol + np.abs(r) * tol
     d0, d1 = np.abs(r / scale), np.abs(f / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), span)
-        d2 = np.abs((rhs(theta + h0, r + h0 * f) - f) / scale) / h0
+        t_h0 = theta + h0
+        d2 = np.abs((rhs(np.cos(t_h0), np.sin(t_h0), r + h0 * f) - f) / scale) / h0
         h1 = np.where(
             (d1 <= 1e-15) & (d2 <= 1e-15),
             np.maximum(1e-6, h0 * 1e-3),
             (0.01 / np.maximum(d1, d2)) ** _STEP_EXPONENT,
         )
     step = np.minimum(np.minimum(100 * h0, h1), span)
-    nfev, rejected = 2 * r.size, 0
+    nfev, rejected, steps = 2 * r.size, 0, 0
     retry = np.zeros(r.shape, dtype=bool)
     live = np.arange(r.size)
     while live.size:
@@ -366,15 +391,20 @@ def _dop853(rhs_at, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarr
             )
         t_new = np.minimum(t + h_abs, t1)
         h = t_new - t
-        K = [f[live]]
+        angle = t + _C_STAGES * h
+        cos, sin = np.cos(angle), np.sin(angle)
+        acc = _W_COLUMNS[0] * f[live]
         for s in range(1, _STAGES):
-            K.append(rhs(t + _C[s] * h, y + _combine(_A[s], K) * h))
-        y_new = y + h * _combine(_B, K)
-        K.append(rhs(t + h, y_new))
+            k = rhs(cos[s - 1], sin[s - 1], y + acc[s - 1] * h)
+            acc[s:] += _W_COLUMNS[s] * k
+        b, e5, e3 = acc[_STAGES - 1 :]
+        y_new = y + h * b
+        f_new = rhs(cos[-1], sin[-1], y_new)
         nfev += _STAGES * live.size
+        steps += 1
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        e5 = (_combine(_E5, K) / scale) ** 2
-        e3 = (_combine(_E3, K) / scale) ** 2
+        e5 = (e5 / scale) ** 2
+        e3 = (e3 / scale) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             err = np.where((e5 == 0) & (e3 == 0), 0.0, np.abs(h) * e5 / np.sqrt(e5 + 0.01 * e3))
             factor = SAFETY * err**-_STEP_EXPONENT
@@ -389,9 +419,9 @@ def _dop853(rhs_at, t0: float, t1: float, r_start: np.ndarray) -> Tuple[np.ndarr
         retry[live] = ~accept
         rejected += live.size - int(np.count_nonzero(accept))
         moved = live[accept]
-        theta[moved], r[moved], f[moved] = t_new[accept], y_new[accept], K[-1][accept]
+        theta[moved], r[moved], f[moved] = t_new[accept], y_new[accept], f_new[accept]
         live = live[~accept | (t_new < t1)]
-    return r, nfev, rejected
+    return r, nfev, rejected, steps
 
 
 _LEGS = ((0.0, math.pi / 2, True), (math.pi / 2, 3 * math.pi / 2, False), (3 * math.pi / 2, 2 * math.pi, True))
@@ -429,15 +459,17 @@ def return_map(field, r_start=None):
     group = np.repeat(np.arange(len(fields)), [rr.size for rr in radii])
     r = np.concatenate(radii)
     nfev = rejected = 0
+    steps = []
     for t0, t1, plus in _LEGS:
-        r, leg_nfev, leg_rejected = _dop853(_leg_rhs(fields, group, plus), t0, t1, r)
+        r, leg_nfev, leg_rejected, leg_steps = _dop853(_leg_rhs(fields, group, plus), t0, t1, r)
         nfev, rejected = nfev + leg_nfev, rejected + leg_rejected
+        steps.append(str(leg_steps))
         left = ~((0 < r) & (r < params.r0))
         if left.any():
             raise BlowUpError(f"trajectory left the annulus: r = {float(r[np.argmax(left)])}")
     log.debug(
-        "return_map: %d radii in %d fields, %d RHS evaluations, %d rejected steps",
-        r.size, len(fields), nfev, rejected,
+        "return_map: %d radii in %d fields, %d RHS evaluations, %d rejected steps, %s lockstep steps per leg",
+        r.size, len(fields), nfev, rejected, "/".join(steps),
     )
     if not one:
         return np.split(r, np.cumsum([rr.size for rr in radii])[:-1])

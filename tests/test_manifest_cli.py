@@ -591,6 +591,35 @@ class TestCli:
         )
         assert main(["place", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize(
+        "targets,code,message",
+        [
+            ([1e-20, 2e-20], 2, "the scaled averaged function has no simple zero below r_max = 2.9999999999999997e-20 "
+                                "for targets [1e-20, 2e-20], so there is no window for the return map"),
+            ([1e-3, 2e-3], 2, "targets [0.001, 0.002] leave no return-map window: its floor max(half the smallest "
+                              "zero, 0.05) = 0.05 is not below its top min(1.2 times the largest zero, 0.95 r_max)"),
+            ([0.01, 0.02], 2, "targets [0.01, 0.02] leave no return-map window: its floor max(half the smallest "
+                              "zero, 0.05) = 0.05 is not below its top min(1.2 times the largest zero, 0.95 r_max)"),
+            ([0.04, 0.08], 1, None),
+        ],
+        ids=["unresolved", "below_the_floor", "top_below_the_floor", "window_above_the_floor"],
+    )
+    def test_small_targets_name_the_return_map_window(self, tmp_path, capsys, targets, code, message):
+        # at the default r_max = 1.5 x the largest target, these used to exit 3
+        # naming no input: min() of no predicted zeros, "invalid r_range", and
+        # grid radii outside the field's range.  Targets 0.04 and 0.08 leave a
+        # window, and the run fails a check
+        doc = {key: value for key, value in _SIM_REDUCED.items() if key != "r_max"}
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({**doc, "targets": targets}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err.splitlines()
+        if message is None:
+            assert not any("error" in line for line in err)
+            return
+        assert err[-1].startswith(f"configuration error: {message}") and "r_max" in err[-1]
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_log_level_exit_two(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "v.json"
         cfg.write_text(json.dumps(_verify_doc()))

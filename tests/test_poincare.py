@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,8 +35,10 @@ from pwcycles.zeros import _newton_roots, _sign_flips, count_simple_zeros, place
 
 
 def _one_field_rhs(field, plus):
-    """The right-hand side `return_map` integrates, for rows of one field."""
-    return _leg_rhs([field], np.zeros(1, dtype=int), plus)(np.zeros(1, dtype=int))
+    """The right-hand side `return_map` integrates, for rows of one field, as
+    a function of (theta, r)."""
+    rhs = _leg_rhs([field], np.zeros(1, dtype=int), plus)(np.zeros(1, dtype=int))
+    return lambda theta, r: rhs(np.cos(theta), np.sin(theta), r)
 
 
 def polar_rhs(field, theta, r):
@@ -62,6 +65,114 @@ def polar_XY(field, theta, r, plus):
     w = gv * c - fv * s
     Y = -(fv * c + gv * s) * w / (h * (r * h + field.epsilon * w))
     return X, Y
+
+
+def _combine(weights, K):
+    """sum_j w_j K[j] over a tableau row's nonzero (stage, weight) pairs, added left to right."""
+    (j, w), *rest = weights
+    acc = K[j] * w
+    for j, w in rest:
+        acc += K[j] * w
+    return acc
+
+
+def _reference_dop853(rhs_at, t0, t1, r_start):
+    """The lockstep engine as it was before the running stage-sum block:
+    sparse stage sums (`_combine`) and each evaluation's cosine and sine
+    taken on its own angle.  `poincare._dop853` must equal it bit for bit."""
+    P = poincare
+    tol = P._INTEGRATOR_TOL
+    r = r_start.copy()
+    theta = np.full_like(r, t0)
+
+    def at(rows):
+        rhs = rhs_at(rows)
+        return lambda t, y: rhs(np.cos(t), np.sin(t), y)
+
+    rhs = at(np.arange(r.size))
+    f = rhs(theta, r)
+    span = t1 - t0
+    scale = tol + np.abs(r) * tol
+    d0, d1 = np.abs(r / scale), np.abs(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), span)
+        d2 = np.abs((rhs(theta + h0, r + h0 * f) - f) / scale) / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            (0.01 / np.maximum(d1, d2)) ** P._STEP_EXPONENT,
+        )
+    step = np.minimum(np.minimum(100 * h0, h1), span)
+    nfev, rejected, steps = 2 * r.size, 0, 0
+    retry = np.zeros(r.shape, dtype=bool)
+    live = np.arange(r.size)
+    while live.size:
+        rhs = at(live)
+        t, y = theta[live], r[live]
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(~retry[live] & (step[live] < min_step), min_step, step[live])
+        stuck = ~(h_abs >= min_step)
+        if stuck.any():
+            i = np.argmax(stuck)
+            raise BlowUpError(
+                f"integration failed on leg ({t0:.3g},{t1:.3g}) at theta = {t[i]:.6g}, "
+                f"r = {float(y[i])!r}: required step size is less than spacing between numbers"
+            )
+        t_new = np.minimum(t + h_abs, t1)
+        h = t_new - t
+        K = [f[live]]
+        for s in range(1, P._STAGES):
+            K.append(rhs(t + P._C[s] * h, y + _combine(P._A[s], K) * h))
+        y_new = y + h * _combine(P._B, K)
+        K.append(rhs(t + h, y_new))
+        nfev += P._STAGES * live.size
+        steps += 1
+        scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+        e5 = (_combine(P._E5, K) / scale) ** 2
+        e3 = (_combine(P._E3, K) / scale) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where((e5 == 0) & (e3 == 0), 0.0, np.abs(h) * e5 / np.sqrt(e5 + 0.01 * e3))
+            factor = P.SAFETY * err**-P._STEP_EXPONENT
+        accept = err < 1
+        factor = np.where(
+            accept,
+            np.where(err == 0, P.MAX_FACTOR, np.minimum(P.MAX_FACTOR, factor)),
+            np.fmax(P.MIN_FACTOR, factor),
+        )
+        factor = np.where(accept & retry[live], np.minimum(1.0, factor), factor)
+        step[live] = np.abs(h) * factor
+        retry[live] = ~accept
+        rejected += live.size - int(np.count_nonzero(accept))
+        moved = live[accept]
+        theta[moved], r[moved], f[moved] = t_new[accept], y_new[accept], K[-1][accept]
+        live = live[~accept | (t_new < t1)]
+    return r, nfev, rejected, steps
+
+
+def _legs(engine, groups):
+    """The three legs of `return_map(groups)` through `engine`: the images
+    of all rows in one array, and per leg the engine's (RHS evaluations,
+    rejected steps, lockstep steps)."""
+    fields, radii = zip(*((fld, np.asarray(rr, dtype=float)) for fld, rr in groups))
+    group = np.repeat(np.arange(len(fields)), [rr.size for rr in radii])
+    r, work = np.concatenate(radii), []
+    for t0, t1, plus in _LEGS:
+        r, *counts = engine(_leg_rhs(fields, group, plus), t0, t1, r)
+        work.append(tuple(counts))
+    return r, work
+
+
+def _meshgrid_speed(field):
+    """dtheta/dt on the validation grid in its whole-grid form: both
+    half-planes' terms on the full 33 x 181 meshgrid, each point keeping
+    its own side's value.  `field` needs only the attributes `_leg_terms`
+    and the grid read, so one that fails validation can be given."""
+    thetas = np.linspace(0.0, 2 * math.pi, 181)
+    radii = np.linspace(field.r_range[0], field.r_range[1], 33)
+    r, t = np.meshgrid(radii, thetas, indexing="ij")
+    c, s = np.cos(t), np.sin(t)
+    plus, minus = (poincare._leg_terms((field,), side)(0)(c, s, r)[2] for side in (True, False))
+    return np.where(c >= 0, plus, minus)
 
 
 @pytest.fixture
@@ -134,6 +245,38 @@ class TestPolarField:
                     PolarField(params, pert, eps, r_range=(0.2, 3.0))
                 assert f"(r={want[0]:.3g}, theta={want[1]:.3g})" in str(exc.value)
         assert verdicts == {True, False}
+
+    def test_per_half_speed_equals_the_meshgrid_form_bitwise(self, params, rng):
+        # each half-plane's terms on its own angles, against the radii
+        # broadcast, give the whole-grid values bit for bit; the columns at
+        # theta = pi/2 (cos = 6e-17, plus side) and 3 pi/2 (minus side) lie
+        # on the switching line.  Fields that fail validation are compared too
+        for n in (1, 2, 3):
+            pert = PerturbationSpec.random(n, rng)
+            for eps in (1e-3, 0.3, 30.0):
+                fld = SimpleNamespace(params=params, pert=pert, epsilon=eps, r_range=(0.2, 3.0))
+                radii, thetas, speed = PolarField._theta_speed(fld)
+                assert speed.tobytes() == _meshgrid_speed(fld).tobytes(), (n, eps)
+        assert thetas[[45, 135]].tolist() == [math.pi / 2, 3 * math.pi / 2]
+        assert np.cos(thetas[45]) > 0 > np.cos(thetas[135])
+
+    def test_back_half_failure_keeps_its_message(self, params):
+        # a constant minus-side g slows the angle only where cos theta < 0;
+        # the error names the first failing point in r-major order, as the
+        # whole-grid form finds it
+        pert = PerturbationSpec(1, minus_g={(0, 0): 1.0})
+        fld = SimpleNamespace(params=params, pert=pert, epsilon=1.0, r_range=(0.05, 3.0))
+        speed = _meshgrid_speed(fld)
+        radii, thetas = np.linspace(0.05, 3.0, 33), np.linspace(0.0, 2 * math.pi, 181)
+        front = np.cos(thetas) >= 0
+        assert (speed[:, front] > 0).all() and not (speed[:, ~front] > 0).all()
+        i, k = np.unravel_index(np.argmax(~(speed > 0)), speed.shape)
+        with pytest.raises(EpsilonValidityError) as exc:
+            PolarField(params, pert, 1.0, r_range=(0.05, 3.0))
+        assert str(exc.value) == (
+            f"dtheta/dt = {speed[i, k]:.3g} at (r={radii[i]:.3g}, theta={thetas[k]:.3g}); "
+            "epsilon too large for this annulus"
+        )
 
 
 class TestPolarRhs:
@@ -480,7 +623,20 @@ class TestLockstepEngine:
     def test_matches_scalar_scipy_dop853(self, ab, n, rng):
         # each radius takes the steps scipy's scalar DOP853 takes on it alone
         fld = PolarField(SystemParams(*ab), PerturbationSpec.random(n, rng), 1e-3, r_range=(0.2, 3.5))
-        rr = np.linspace(0.3, 3.2, 7)
+        self._assert_matches_scipy(fld, np.linspace(0.3, 3.2, 7))
+
+    def test_matches_scalar_scipy_dop853_through_rejected_steps(self, readme_fp):
+        # the README field at eps = 0.3 rejects steps, and the step accepted
+        # after a rejection may not grow (`retry`), as in scipy
+        fld = readme_fp[0]
+        fld = PolarField(fld.params, fld.pert, 0.3, r_range=fld.r_range)
+        rr = np.linspace(0.3, 2.4, 7)
+        _, work = _legs(poincare._dop853, [(fld, rr)])
+        assert sum(rejected for _, rejected, _ in work) > 0
+        self._assert_matches_scipy(fld, rr)
+
+    @staticmethod
+    def _assert_matches_scipy(fld, rr):
         got = return_map(fld, rr)
         for r, g in zip(rr, got):
             want = float(r)
@@ -533,11 +689,87 @@ class TestLockstepEngine:
         assert return_map(field, [1.0]).shape == (1,)
 
     def test_debug_log_counts_work(self, field, caplog):
+        rr = np.array([0.5, 1.0, 2.0])
         with caplog.at_level(logging.DEBUG, logger="pwcycles"):
-            return_map(field, np.array([0.5, 1.0, 2.0]))
+            return_map(field, rr)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("return_map")]
-        assert len(lines) == 1
-        assert "3 radii" in lines[0] and "RHS evaluations" in lines[0] and "rejected steps" in lines[0]
+        _, work = _legs(poincare._dop853, [(field, rr)])
+        nfev, rejected, steps = zip(*work)
+        assert lines == [
+            f"return_map: 3 radii in 1 fields, {sum(nfev)} RHS evaluations, {sum(rejected)} rejected steps, "
+            f"{steps[0]}/{steps[1]}/{steps[2]} lockstep steps per leg"
+        ]
+        assert min(steps) > 0
+
+
+class TestStageSums:
+    """The running stage-sum block against the sparse sums it replaced."""
+
+    @staticmethod
+    def _groups(case, rng):
+        if case == "bounded_degree_1":
+            # up to r = 1.35, near the plus-side singular line x = 1.5
+            pert = PerturbationSpec.random(1, rng)
+            return [(PolarField(SystemParams(-1.5, 2.0), pert, 1e-3, r_range=(0.1, 1.35)), np.linspace(0.1, 1.35, 30))]
+        if case == "resonant_degree_2":
+            fld, rr, _ = _fixed_point_grid((1.0, -1.0), 2, [0.5, 1.0, 1.5], 1.9)
+            return [(fld, rr)]
+        fld, rr, _ = _fixed_point_grid((1.0, -2.0), 1, [0.5, 1.0, 1.5, 2.0], 5.0)
+        eps = {"readme": fld.epsilon, "readme_eps_0.3": 0.3}[case]
+        return [(PolarField(fld.params, fld.pert, eps, r_range=fld.r_range), rr)]
+
+    @pytest.mark.parametrize("case", ["readme", "readme_eps_0.3", "resonant_degree_2", "bounded_degree_1"])
+    def test_images_and_work_equal_the_sparse_sums_bitwise(self, case, rng):
+        groups = self._groups(case, rng)
+        got, work = _legs(poincare._dop853, groups)
+        want, want_work = _legs(_reference_dop853, groups)
+        assert got.tobytes() == want.tobytes()
+        assert work == want_work  # RHS evaluations, rejected and lockstep steps, per leg
+        assert sum(rejected for _, rejected, _ in work) > 0
+        assert np.concatenate(return_map(groups)).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("stage,value", [(2, np.inf), (5, np.nan), (9, -np.inf)])
+    @pytest.mark.parametrize("every", [True, False], ids=["every_step", "third_step"])
+    def test_non_finite_stage_as_the_sparse_sums(self, stage, value, every):
+        # a right-hand side that gives `value` on the first live row at one
+        # stage, of every step or of the third only.  Stage 2 has zero weight
+        # in y_new and the error sums, so the block adds 0 * inf = NaN there,
+        # where the sparse sums meet the non-finite value through the stages
+        # after it; either way the step is rejected.  Every step's: both
+        # engines fail with one message.  The third step's: both finish alike,
+        # with more rejected steps than without the fault.
+        def rhs_at_factory(value):
+            calls = []
+
+            def rhs_at(rows):
+                def rhs(cos, sin, r):
+                    calls.append(None)
+                    k = 0.5 * r * cos
+                    n = len(calls) - 3  # after the two calls of the initial step
+                    if value is not None and n >= 0 and n % poincare._STAGES == stage - 1 and (
+                        every or n // poincare._STAGES == 2
+                    ):
+                        k[0] = value
+                    return k
+
+                return rhs
+
+            return rhs_at
+
+        outcomes = []
+        for engine in (poincare._dop853, _reference_dop853):
+            try:
+                with np.errstate(invalid="ignore"):
+                    r, *work = engine(rhs_at_factory(value), 0.0, 1.0, np.array([0.5, 1.0]))
+                outcomes.append((r.tobytes(), work))
+            except BlowUpError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if every:
+            assert outcomes[0].startswith("integration failed on leg (0,1) at theta = 0, r = 0.5")
+        else:
+            clean = poincare._dop853(rhs_at_factory(None), 0.0, 1.0, np.array([0.5, 1.0]))
+            assert outcomes[0][1][1] > clean[2]
 
 
 class TestErrorPaths:
@@ -568,7 +800,7 @@ class TestErrorPaths:
         fld = PolarField(bounded_params, PerturbationSpec(1), 0.01, r_range=(0.2, 1.45))
         rhs = _leg_rhs([fld], np.zeros(2, dtype=int), True)(np.arange(2))
         with pytest.raises(NearSingularityError):
-            rhs(np.zeros(2), np.array([np.nan, 1.5]))
+            rhs(np.ones(2), np.zeros(2), np.array([np.nan, 1.5]))  # theta = 0
 
     def test_blow_up_in_batch(self, bounded_params):
         # a radial push on the minus side carries the orbit past r0 = 1.5
@@ -586,7 +818,7 @@ class TestErrorPaths:
         # a NaN step is neither accepted nor rejected; it used to leave the
         # radius live forever
         def rhs_at(rows):
-            return lambda theta, r: np.full(r.shape, np.nan)
+            return lambda cos, sin, r: np.full(r.shape, np.nan)
 
         with pytest.raises(BlowUpError, match="integration failed"):
             poincare._dop853(rhs_at, 0.0, 1.0, np.array([0.5, 1.0]))
