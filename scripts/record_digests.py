@@ -18,13 +18,13 @@ process, each of these manifests:
 Each of those lines is the sha256 of `json.dumps(record, sort_keys=True)`
 and the manifest's name.  The next line, `csv-tables`, is one sha256
 over the CSV files that `emit_table` writes for the perfbench operations'
-records (see `csv_tables`).  The last eight lines,
+records (see `csv_tables`).  The last nine lines,
 `zero-layer-placements`, `zero-layer-reports`, `zero-layer-histograms`,
-`zero-layer-smooth-placements`, `exact-layer`, `smooth-ranks`,
-`family-values` and `return-map`, are each one sha256 over outputs that
-no manifest of the lines above pins (see `zero_layer`,
-`smooth_placements`, `exact_layer`, `smooth_ranks`, `family_values` and
-`return_map_images`); they do not depend on N.  Two trees that print
+`zero-layer-smooth-placements`, `survey-fallback`, `exact-layer`,
+`smooth-ranks`, `family-values` and `return-map`, are each one sha256
+over outputs that no manifest of the lines above pins (see `zero_layer`,
+`smooth_placements`, `survey_fallback`, `exact_layer`, `smooth_ranks`,
+`family_values` and `return_map_images`); they do not depend on N.  Two trees that print
 the same lines give byte-identical records, so comparing a parent
 checkout with a change is
 
@@ -163,6 +163,39 @@ def smooth_placements() -> str:
                 head = c.astype(float)
                 digest.update(repr((a, n, p, head.tolist(), (c - head).astype(float).tolist())).encode())
     return digest.hexdigest()
+
+
+def survey_fallback() -> str:
+    """sha256 over the per-draw counts of `zeros._flip_counts` on two
+    ensembles at (1, -2), n = 4, whose samples double cannot all decide,
+    so that the survey's long-double fallback runs; no manifest and no
+    other digest survey sends a sample there.
+
+    * 500 draws of Gaussian weights (seed 7) on the window-orthonormal
+      basis of the reachable span (`_orthonormal_transform`) sampled at
+      grid 600 on (0, 8], mapped to expansion coefficients in long double
+      and rounded to double;
+    * 60 perturbation rows of the capacity placement on linspace(0.3,
+      5.5, 10), jittered by 1e-13 relative (seed 404), through
+      `assembly_matrix`, on grid 600 over (0, 7.7].
+
+    The test suite's survey ensembles."""
+    from pwcycles import zeros
+    from pwcycles.averaging import assembly_matrix, basis_values, perturbation_for_expansion
+    from pwcycles.kernels import SystemParams
+
+    params, n = SystemParams(1.0, -2.0), 4
+    basis = basis_values(params, n, np.linspace(8.0 / 600, 8.0, 600))
+    G = zeros._generator_matrix(zeros.reachable_generators(params, n))
+    T = zeros._orthonormal_transform(zeros._generator_rows(G, basis))
+    weights = np.random.default_rng(7).standard_normal((500, len(G)))
+    window = zeros._flip_counts(np.dot((weights @ T.T).astype(zeros.LONG), G).astype(float), basis)
+    targets = np.linspace(0.3, 5.5, zeros.reachable_zero_capacity(params, n))
+    x = perturbation_for_expansion(params, zeros.place_zeros(params, n, targets)).vector()
+    rows = x * (1 + 1e-13 * np.random.default_rng(404).standard_normal((60, x.size)))
+    basis = basis_values(params, n, np.linspace(7.7 / 600, 7.7, 600))
+    noise_band = zeros._flip_counts(rows @ assembly_matrix(params, n).T, basis)
+    return hashlib.sha256(repr((window.tolist(), noise_band.tolist())).encode()).hexdigest()
 
 
 def zero_moves(before: dict, after: dict):
@@ -341,6 +374,7 @@ def main(argv=None) -> int:
     for part, digest in digests.items():
         print(digest, f"zero-layer-{part}")
     print(smooth_placements(), "zero-layer-smooth-placements")
+    print(survey_fallback(), "survey-fallback")
     print(exact_layer(), "exact-layer")
     print(smooth_ranks(), "smooth-ranks")
     values = family_values()

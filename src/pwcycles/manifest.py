@@ -453,6 +453,12 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
             f"targets {targets} leave no return-map window: its floor max(half the smallest zero, 0.05) = {lo} "
             f"is not below its top min(1.2 times the largest zero, 0.95 r_max) = {hi}, with r_max = {r_max}"
         )
+    outside = [z for z in predicted if not lo < z < hi]
+    if outside:
+        raise ManifestError(
+            f"predicted zeros {outside} lie outside the return-map grid, from its floor max(half the smallest "
+            f"zero, 0.05) = {lo} to its top min(1.2 times the largest zero, 0.95 r_max) = {hi}, with r_max = {r_max}"
+        )
     r_range = (lo * 0.5, r_max)
     fields = [PolarField(params, pert_g, eps, r_range=r_range) for eps in epsilons]
     eps_fp = min(epsilons)
@@ -504,6 +510,8 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
 
 def _run_smooth(manifest: ExperimentManifest) -> Dict[str, Any]:
     a = manifest.a
+    if manifest.b != a:
+        raise ManifestError(f"smooth_theorem12 is the smooth system b = a; got a = {a}, b = {manifest.b}")
     params = SystemParams(a, a)
     opts = manifest.options
     checks: List[Dict[str, Any]] = []

@@ -68,16 +68,17 @@ samples their powers and kernel rows once.
 The surjectivity rank and the random ceiling survey never re-run the
 reduction: the rank is `exact.rank` of the unit columns of `_unit_parts`,
 and the survey reads them in double from `assembly_matrix`.  The survey
-decides each sample's sign in two tiers (`_block_signs`): in double
-where the dot-product roundoff bound certifies it, and in long double for
-the rest of each block of draws; its histograms are those of the
-long-double evaluation.
+decides each sample's sign in double, in blocks of draws, where the
+dot-product roundoff bound certifies that `_sign_flips` would keep it
+with that sign (`_block_signs`); a draw with a sample left undecided is
+evaluated in long double over its whole row and counted by `_sign_flips`.
+So counting, placement, the survey and the fixed-point search share one
+counting rule, and the survey's histograms are those of the long-double
+evaluation.
 
 Long-double products use `np.dot`: numpy has no BLAS for long double, and
 its dot loop sums each entry in index order, as `@`'s does, in about half
 the time, so a product, or one over a column subset, equals `@`'s entries.
-The survey's gathered long-double product is one `np.matmul` over a stack
-of 1 x m by m x 1 operands, whose loop sums in the same order.
 """
 
 from __future__ import annotations
@@ -693,50 +694,44 @@ def _flip_counts(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Each draw's sign changes on the grid (one row of `coeffs` per draw),
     as `_sign_flips` counts them on its long-double values and envelope.
 
-    Over `_block_signs`' decisions, a sample keeps its double sign, or its
-    long-double one if that clears `_NOISE_FACTOR` envelopes, and the flips
-    between kept samples are counted from flat indices.  One DEBUG line
-    gives the draws, the grid, the draws per block, the samples decided in
-    double and in long double, and the draws that needed long double.
+    A block of draws that `_block_signs` decides in full is counted from
+    its double signs; each draw with an undecided sample is evaluated in
+    long double over its whole row and counted by `_sign_flips`.  One
+    DEBUG line gives the draws, the grid, the draws per block, the samples
+    left undecided in double and the draws evaluated in long double.
     """
     grid = basis.shape[1]
     per_block = max(1, _BLOCK_SAMPLES // grid)
     counts = np.empty(len(coeffs), dtype=int)
-    in_long = long_draws = 0
-    for block, neg, decided, vals, env in _block_signs(coeffs, basis, per_block):
-        count = counts[block]
-        count[:] = np.bincount(np.flatnonzero(neg[:, 1:] != neg[:, :-1]) // (grid - 1), minlength=len(neg))
-        if vals.size:
-            rows = np.flatnonzero(~decided.all(axis=1))
-            signs = np.where(neg[rows], -1.0, 1.0)
-            signs[~decided[rows]] = np.where(np.abs(vals) > _NOISE_FACTOR * env, np.sign(vals), 0.0)
-            keep = np.flatnonzero(signs)
-            at, kept = keep // grid, signs.ravel()[keep]
-            flips = np.flatnonzero((kept[1:] != kept[:-1]) & (at[1:] == at[:-1]))
-            count[rows] = np.bincount(at[flips], minlength=rows.size)
-            in_long += vals.size
-            long_draws += rows.size
+    undecided = long_draws = 0
+    for block, neg, decided in _block_signs(coeffs, basis, per_block):
+        counts[block] = np.bincount(np.flatnonzero(neg[:, 1:] != neg[:, :-1]) // (grid - 1), minlength=len(neg))
+        if decided.all():
+            continue
+        rows = block.start + np.flatnonzero(~decided.all(axis=1))
+        c = coeffs[rows].astype(LONG)
+        for i, vals, env in zip(rows, np.dot(c, basis), _envelope(c, np.abs(basis))):
+            counts[i] = len(_sign_flips(vals, env)[1])
+        undecided += decided.size - np.count_nonzero(decided)
+        long_draws += rows.size
     log.debug(
-        "survey: %d draws, grid %d, %d draws per block, %d samples decided in double, "
-        "%d samples decided in long double, %d draws needed long double",
-        len(coeffs), grid, per_block, counts.size * grid - in_long, in_long, long_draws,
+        "survey: %d draws, grid %d, %d draws per block, %d samples undecided in double, "
+        "%d draws evaluated in long double",
+        len(coeffs), grid, per_block, undecided, long_draws,
     )
     return counts
 
 
 def _block_signs(coeffs: np.ndarray, basis: np.ndarray, per_block: int):
-    """The survey's sign decider: yields (block, neg, decided, vals, env)
-    per slice `block` of `per_block` rows c of `coeffs` on `basis` (m x grid).
+    """The survey's sign decider: yields (block, neg, decided) per slice
+    `block` of `per_block` rows c of `coeffs` on `basis` (m x grid).
 
-    Tier 1 takes two double BLAS products, v = c @ b64 with b64 the basis
+    It takes two double BLAS products, v = c @ b64 with b64 the basis
     rounded to double, and t = [|c|, 1] @ [s64; _FLOOR] with s64 = slack
     |b64| rounded, so the slack and the floor ride in the product.  `neg` is
     v < 0; `decided`, |v| > t, certifies that the long-double value has v's
-    sign and clears `_NOISE_FACTOR` envelopes (proof below).  Tier 2 takes
-    the block's undecided samples, in row-major order, in one gathered
-    long-double product: `vals` is c @ basis and `env` its `_envelope`, each
-    summed in index order as np.dot sums them, both empty when tier 1
-    decides the whole block.
+    sign and clears `_NOISE_FACTOR` envelopes (proof below), so
+    `_sign_flips` keeps the sample with v's sign.
     """
     # Why |v| > t decides a sample.  Let m be the basis length, u the double
     # unit roundoff, x = c @ basis exactly and T = |c| @ |basis|.  The
@@ -761,8 +756,8 @@ def _block_signs(coeffs: np.ndarray, basis: np.ndarray, per_block: int):
     # 2^100.  No sum in v or t overflows for a draw with |c| @ max|b64|
     # below 2^1020, taking each basis row's largest entry; every other draw
     # has its weights set to inf.  Such columns and draws get t = inf or
-    # NaN, and a NaN in v or t fails the comparison, so all of them go to
-    # tier 2.
+    # NaN, and a NaN in v or t fails the comparison, so none of their
+    # samples is decided.
     m, grid = basis.shape
     slack = 1.01 * ((m + 4) * _U64 + m * _EPS / 2 + _NOISE_FACTOR * _EPS)
     b64 = basis.astype(float)
@@ -775,20 +770,8 @@ def _block_signs(coeffs: np.ndarray, basis: np.ndarray, per_block: int):
     low = s64[:m] < 2 * _TINY64
     if low.any():
         s64[:m, np.any(low & (basis != 0), axis=0)] = np.inf
-    none, columns = np.empty(0, dtype=LONG), None
     for start in range(0, len(coeffs), per_block):
         block = slice(start, start + per_block)
         v = coeffs[block] @ b64
         neg = v < 0
-        decided = np.abs(v, out=v) > weights[block] @ s64
-        if decided.all():
-            yield block, neg, decided, none, none
-            continue
-        if columns is None:  # the basis columns as contiguous rows, and their |.|
-            columns = np.ascontiguousarray(basis.T)
-            abs_columns = np.abs(columns)
-        i, j = np.nonzero(~decided)
-        c = coeffs[block].astype(LONG)
-        vals = np.matmul(c[i, None, :], columns[j, :, None])[:, 0, 0]
-        env = np.matmul(np.abs(c)[i, None, :], abs_columns[j, :, None])[:, 0, 0]
-        yield block, neg, decided, vals, env * _EPS
+        yield block, neg, np.abs(v, out=v) > weights[block] @ s64

@@ -592,31 +592,38 @@ class TestCli:
         assert main(["place", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
     @pytest.mark.parametrize(
-        "targets,code,message",
+        "over,message",
         [
-            ([1e-20, 2e-20], 2, "the scaled averaged function has no simple zero below r_max = 2.9999999999999997e-20 "
-                                "for targets [1e-20, 2e-20], so there is no window for the return map"),
-            ([1e-3, 2e-3], 2, "targets [0.001, 0.002] leave no return-map window: its floor max(half the smallest "
-                              "zero, 0.05) = 0.05 is not below its top min(1.2 times the largest zero, 0.95 r_max)"),
-            ([0.01, 0.02], 2, "targets [0.01, 0.02] leave no return-map window: its floor max(half the smallest "
-                              "zero, 0.05) = 0.05 is not below its top min(1.2 times the largest zero, 0.95 r_max)"),
-            ([0.04, 0.08], 1, None),
+            ({"targets": [1e-20, 2e-20]}, "the scaled averaged function has no simple zero below r_max = "
+                                          "2.9999999999999997e-20 for targets [1e-20, 2e-20], so there is no "
+                                          "window for the return map"),
+            ({"targets": [1e-3, 2e-3]}, "targets [0.001, 0.002] leave no return-map window: its floor max(half "
+                                        "the smallest zero, 0.05) = 0.05 is not below its top min(1.2 times the "
+                                        "largest zero, 0.95 r_max)"),
+            ({"targets": [0.01, 0.02]}, "targets [0.01, 0.02] leave no return-map window: its floor max(half "
+                                        "the smallest zero, 0.05) = 0.05 is not below its top min(1.2 times the "
+                                        "largest zero, 0.95 r_max)"),
+            ({"targets": [0.04, 0.08]}, "predicted zeros [0.04000000000020495] lie outside the return-map grid, "
+                                        "from its floor max(half the smallest zero, 0.05) = 0.05 to its top"),
+            ({"targets": [0.5, 1.0, 1.5, 2.0], "r_max": 2.05},
+             "predicted zeros [1.9999999999951323] lie outside the return-map grid, from its floor max(half the "
+             "smallest zero, 0.05) = 0.2500000000002386 to its top min(1.2 times the largest zero, 0.95 r_max) "
+             "= 1.9474999999999998, with r_max = 2.05"),
         ],
-        ids=["unresolved", "below_the_floor", "top_below_the_floor", "window_above_the_floor"],
+        ids=["unresolved", "below_the_floor", "top_below_the_floor", "window_above_the_floor", "zero_above_the_top"],
     )
-    def test_small_targets_name_the_return_map_window(self, tmp_path, capsys, targets, code, message):
+    def test_small_targets_name_the_return_map_window(self, tmp_path, capsys, over, message):
         # at the default r_max = 1.5 x the largest target, these used to exit 3
         # naming no input: min() of no predicted zeros, "invalid r_range", and
-        # grid radii outside the field's range.  Targets 0.04 and 0.08 leave a
-        # window, and the run fails a check
+        # grid radii outside the field's range.  A zero outside the grid the
+        # return map samples used to fail `fixed_point_count` (exit 1), as if
+        # the map had missed a cycle: targets 0.04 and 0.08 put one below the
+        # grid's floor 0.05, and r_max = 2.05 puts the zero at 2 above its top
         doc = {key: value for key, value in _SIM_REDUCED.items() if key != "r_max"}
         cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({**doc, "targets": targets}))
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        cfg.write_text(json.dumps({**doc, **over}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
-        if message is None:
-            assert not any("error" in line for line in err)
-            return
         assert err[-1].startswith(f"configuration error: {message}") and "r_max" in err[-1]
         assert not (tmp_path / "o").exists()
 
@@ -841,6 +848,16 @@ class TestCli:
         table = record["payloads"]["smooth_counts"]
         columns = [table["columns"].index(c) for c in ("n", "attained", "reachable_rank")]
         assert [[row[i] for i in columns] for row in table["rows"]] == [[2, 2, 3], [3, 3, 4]]
+
+    def test_smooth_refuses_b_other_than_a(self, tmp_path, capsys):
+        # the smooth system is b = a; a b that the run would not read used to
+        # give the b = a payload under another experiment id
+        cfg, out = tmp_path / "smooth.json", tmp_path / "o"
+        cfg.write_text(json.dumps(_verify_doc(kind="smooth_theorem12", a=1.0, b=2.0, n_list=[2], draws=5)))
+        assert main(["smooth", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "a = 1.0, b = 2.0" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command,epsilons", [("place", []), ("simulate", [0.01, 0.005, 0.0025])]

@@ -756,13 +756,10 @@ class TestSurveySignDecisions:
 
     @staticmethod
     def _decision_counts(caplog):
-        """The survey DEBUG line's samples decided in double and in long
-        double, and draws that needed long double."""
+        """The survey DEBUG line's samples left undecided in double and
+        draws evaluated in long double."""
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("survey:")]
-        got = re.search(
-            r"(\d+) samples decided in double, (\d+) samples decided in long double, (\d+) draws needed long double",
-            line,
-        )
+        got = re.search(r"(\d+) samples undecided in double, (\d+) draws evaluated in long double", line)
         return tuple(int(g) for g in got.groups())
 
     def test_noise_band_rows_match_the_long_double_loop(self, caplog):
@@ -772,11 +769,11 @@ class TestSurveySignDecisions:
         assert got == _long_double_survey(self.PARAMS, self.N, self.R_MAX, self.GRID, rows)
         undecided = np.vstack([
             ~decided
-            for _, _, decided, _, _ in zeros._block_signs(*self._coeffs_and_basis(rows), zeros._BLOCK_SAMPLES // self.GRID)
+            for _, _, decided in zeros._block_signs(*self._coeffs_and_basis(rows), zeros._BLOCK_SAMPLES // self.GRID)
         ])
-        want = (int(undecided.size - undecided.sum()), int(undecided.sum()), int(undecided.any(axis=1).sum()))
+        want = (int(undecided.sum()), int(undecided.any(axis=1).sum()))
         assert self._decision_counts(caplog) == want
-        assert want[1] > 0
+        assert want[0] > 0
         # the rows tell the two precisions apart: plain double signs count
         # other flips than the long-double survey
         rr = np.linspace(self.R_MAX / self.GRID, self.R_MAX, self.GRID)
@@ -808,17 +805,17 @@ class TestSurveySignDecisions:
             got = zeros._flip_counts(coeffs, basis)
         assert got.tolist() == _long_double_counts(coeffs, basis)
         assert got.max() == reachable_zero_capacity(self.PARAMS, self.N)
-        undecided = np.vstack([~decided for _, _, decided, _, _ in zeros._block_signs(coeffs, basis, zeros._BLOCK_SAMPLES // self.GRID)])
-        want = (int(undecided.size - undecided.sum()), int(undecided.sum()), int(undecided.any(axis=1).sum()))
+        undecided = np.vstack([~decided for _, _, decided in zeros._block_signs(coeffs, basis, zeros._BLOCK_SAMPLES // self.GRID)])
+        want = (int(undecided.sum()), int(undecided.any(axis=1).sum()))
         assert self._decision_counts(caplog) == want
-        assert want[1] > 3000 and want[2] > 400
+        assert want[0] > 3000 and want[1] > 400
 
     def test_random_draws_decided_in_double(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="pwcycles"):
             got = random_search_max_zeros(self.PARAMS, 2, 200, seed=9, r_max=8.0)
         rows = averaging._random_rows(2, np.random.default_rng(9), 200, 4)
         assert got == _long_double_survey(self.PARAMS, 2, 8.0, 600, rows)
-        assert self._decision_counts(caplog) == (200 * 600, 0, 0)
+        assert self._decision_counts(caplog) == (0, 0)
 
     @pytest.mark.parametrize("noise_band", [True, False])
     def test_samples_decided_in_double_have_the_long_double_sign(self, noise_band):
@@ -830,27 +827,12 @@ class TestSurveySignDecisions:
         vals = np.dot(coeffs.astype(zeros.LONG), basis)
         env = zeros._envelope(coeffs.astype(zeros.LONG), np.abs(basis))
         in_double = 0
-        for block, neg, decided, _, _ in zeros._block_signs(coeffs, basis, zeros._BLOCK_SAMPLES // self.GRID):
+        for block, neg, decided in zeros._block_signs(coeffs, basis, zeros._BLOCK_SAMPLES // self.GRID):
             v, e = vals[block][decided], env[block][decided]
             assert np.array_equal(v < 0, neg[decided])
             assert np.all(np.abs(v) > zeros._NOISE_FACTOR * e)
             in_double += np.count_nonzero(decided)
         assert (0 < in_double < vals.size) if noise_band else (in_double == vals.size)
-
-    def test_tier_two_equals_the_per_draw_dot_loop(self):
-        coeffs, basis = self._coeffs_and_basis(self._noise_band_rows(60))
-        batched = 0
-        for block, _, decided, vals, env in zeros._block_signs(coeffs, basis, zeros._BLOCK_SAMPLES // self.GRID):
-            want_vals, want_env = [np.empty(0, dtype=zeros.LONG)], [np.empty(0, dtype=zeros.LONG)]
-            for c, d in zip(coeffs[block], decided):
-                cols = np.flatnonzero(~d)
-                cl = c.astype(zeros.LONG)
-                want_vals.append(np.dot(cl, basis[:, cols]))
-                want_env.append(zeros._envelope(cl, np.abs(basis[:, cols])))
-            assert np.array_equal(vals, np.concatenate(want_vals))
-            assert np.array_equal(env, np.concatenate(want_env))
-            batched += vals.size
-        assert batched > 0
 
     def test_crafted_inputs_match_the_long_double_oracle(self):
         per_block = zeros._BLOCK_SAMPLES // self.GRID
@@ -868,8 +850,8 @@ class TestSurveySignDecisions:
         with np.errstate(invalid="ignore", over="ignore"):  # the inf, NaN and overflowing draws
             assert zeros._flip_counts(coeffs, basis).tolist() == _long_double_counts(coeffs, basis)
             decisions = list(zeros._block_signs(coeffs, basis, per_block))
-        assert [len(neg) for _, neg, _, _, _ in decisions] == [per_block, per_block, 7]
-        for _, _, decided, _, _ in decisions:
+        assert [len(neg) for _, neg, _ in decisions] == [per_block, per_block, 7]
+        for _, _, decided in decisions:
             assert not decided[:, [17, 40]].any()
             assert not np.delete(decided, [17, 40], axis=1).all()  # undecided samples elsewhere too
         for draw in (2, 5, 9, per_block + 3, -2, -1):
@@ -1011,10 +993,7 @@ class TestLongDoubleDot:
         for x, y in cases:
             assert np.array_equal(np.dot(x, y), x @ y, equal_nan=True)
         # each row of a 2-D product is the 1-D product of that row, as the
-        # placement's candidates are scored together
+        # placement's candidates are scored together and the survey's
+        # undecided draws are evaluated
         rows = draw(30, 14)
         assert np.array_equal(np.dot(rows, B), [np.dot(r, B) for r in rows], equal_nan=True)
-        # a stack of 1 x m by m x 1 products, as the survey's gathered tier 2
-        pairs = B[:, rng.permutation(2048)[:11]].T
-        stacked = np.matmul(G[:, None, :], pairs[:, :, None])[:, 0, 0]
-        assert np.array_equal(stacked, [np.dot(g, b) for g, b in zip(G, pairs)], equal_nan=True)
