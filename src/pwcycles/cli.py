@@ -78,7 +78,9 @@ def _manifest_from_args(args: argparse.Namespace) -> ExperimentManifest:
         doc["b"] = args.b
     if args.seed is not None:
         doc["seed"] = args.seed
-    if args.epsilon:
+    if args.epsilon is not None:
+        if args.command == "place":
+            raise ManifestError("--epsilon: place runs no simulation; use simulate")
         try:
             doc["epsilons"] = [float(x) for x in args.epsilon.split(",")]
         except ValueError as exc:

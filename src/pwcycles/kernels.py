@@ -195,13 +195,13 @@ def a00(r, a: float):
 
     For a > 0 the domain is (-a, +inf) with a (r+a)^(-3/2) blow-up at the
     left end; a < 0 reduces through A[0,0](r; a) = A[0,0](-r; -a).
-    Floating input dtype is preserved, so callers may evaluate in
-    longdouble when combining nearly-cancelling expansion terms; `a` is
-    cast to it first, so constants such as a*a form in that precision.
+    Long-double input evaluates in long double (callers combine
+    nearly-cancelling expansion terms there), any other in double; `a` is
+    cast to that dtype first, so constants such as a*a form in it.
     """
     scalar = np.isscalar(r)
     arr = np.asarray(r)
-    dtype = arr.dtype if arr.dtype in (np.float32, np.float64, np.longdouble) else np.float64
+    dtype = np.longdouble if arr.dtype == np.longdouble else np.float64
     rr = np.atleast_1d(arr.astype(dtype, copy=False))
     if a < 0:
         rr, a = -rr, -a

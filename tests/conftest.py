@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pwcycles import SystemParams, averaging, kernels, smooth
+from pwcycles import averaging, kernels, smooth
+from pwcycles.kernels import SystemParams
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
-"""Import cost: the package loads no scipy; the oracles load it on first use."""
+"""Import cost and layering: the package loads no scipy, the oracles load it
+on first use, each layer loads only the layers below it, and the
+independent oracles share no code with the paths they check."""
 
+import ast
 import json
 import os
 import subprocess
@@ -7,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pwcycles
+from pwcycles import averaging, kernels, poincare, smooth
 from pwcycles.averaging import PerturbationSpec, oracle_F
 from pwcycles.kernels import FamilyIndex, SystemParams, oracle_family
 from pwcycles.poincare import PolarField, cartesian_crosscheck
@@ -71,3 +75,55 @@ def test_oracles_load_scipy_on_first_use():
     )
     assert got[:2] == [[], True]
     assert got[2] == oracle_values()
+
+
+# The layers in an order in which each one's imports come before it.
+LAYERS = ("exact", "kernels", "averaging", "zeros", "poincare", "smooth", "manifest", "cli")
+
+
+def test_each_layer_loads_only_itself():
+    # the package root used to import every layer, so the first import
+    # loaded all of them
+    got = _fresh(
+        "import importlib\n"
+        "def loaded():\n"
+        "    return {k for k in sys.modules if k.split('.')[0] in ('pwcycles', 'scipy')}\n"
+        "steps = []\n"
+        f"for layer in {LAYERS!r}:\n"
+        "    before = loaded()\n"
+        "    importlib.import_module('pwcycles.' + layer)\n"
+        "    steps.append([sorted(loaded() - before), 'numpy.random' in sys.modules])\n"
+        "print(json.dumps(steps))\n"
+    )
+    root = [["pwcycles"]] + [[]] * (len(LAYERS) - 1)
+    assert got == [[r + [f"pwcycles.{layer}"], True] for r, layer in zip(root, LAYERS)]
+
+
+# The independent oracles and their helpers, by module.
+ORACLES = {
+    kernels: ("quad_oracle", "oracle_family", "trig_rational"),
+    averaging: ("oracle_F", "_poly_eval"),
+    smooth: ("oracle_smooth_F",),
+    poincare: ("cartesian_crosscheck", "_cartesian_rhs", "_leg_time_bound", "solve_ivp"),
+}
+# The reduction, evaluator and return-map code that the oracles check.
+CHECKED_PATHS = {
+    "_unit_half", "_reduce_half", "_unit_parts", "_exact_parts", "assemble", "assembly_matrix",
+    "basis_values", "eval_F", "eval_family", "_a_family", "a00", "a00_prime", "_leg_terms",
+    "_leg_rhs", "_dop853", "return_map", "_polyval2d",
+}
+
+
+def test_oracles_name_none_of_the_checked_paths():
+    found, shared = set(), {}
+    for module, names in ORACLES.items():
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                found.add(node.name)
+                used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                used |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                if used & CHECKED_PATHS:
+                    shared[node.name] = sorted(used & CHECKED_PATHS)
+    assert found == {name for names in ORACLES.values() for name in names}
+    assert shared == {}

@@ -471,6 +471,24 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command,value,message",
+        [
+            ("simulate", "", "--epsilon: could not convert string to float: ''"),
+            ("place", "0.02,0.01", "--epsilon: place runs no simulation; use simulate"),
+        ],
+        ids=["empty", "place"],
+    )
+    def test_epsilon_flag_refused(self, tmp_path, capsys, command, value, message):
+        # an empty value used to run the config's epsilons, and place used to
+        # drop the flag; both exited 0
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(_SIM_REDUCED))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--epsilon", value]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_option_names_the_known_keys(self, tmp_path, capsys):
         # a misspelt epsilons used to skip the simulation with exit 0
         cfg = tmp_path / "sim.json"
