@@ -226,9 +226,6 @@ class AveragedFunction:
     params: SystemParams
     expansion: BasisExpansion
 
-    def value(self, r):
-        return eval_F(self, r)
-
 
 # Grids of at least _GRID_MIN points keep the rows of `basis_values` that
 # do not depend on the degree, for the _GRIDS_KEPT most recently sampled

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .manifest import ExperimentManifest, ManifestError, emit_table, run_manifest
+from .manifest import OPTIONS, ExperimentManifest, ManifestError, emit_table, run_manifest
 
 _SUBCOMMANDS = {
     "verify": "verify_identities",
@@ -81,6 +81,8 @@ def _manifest_from_args(args: argparse.Namespace) -> ExperimentManifest:
     if args.epsilon is not None:
         if args.command == "place":
             raise ManifestError("--epsilon: place runs no simulation; use simulate")
+        if "epsilons" not in OPTIONS[kind]:
+            raise ManifestError(f"--epsilon: {args.command} runs no simulation; use simulate or sweep")
         try:
             doc["epsilons"] = [float(x) for x in args.epsilon.split(",")]
         except ValueError as exc:

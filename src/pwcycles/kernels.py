@@ -16,13 +16,12 @@ Everything reduces to A[0,0]: odd powers of sin integrate to zero, even
 powers reduce binomially to j = 0, and the j = 0 ladders collapse to the
 seeds plus polynomial terms.  `_unit_half` holds that reduction, exact
 and checked, per entry; `pwcycles.averaging` assembles it and
-`eval_family` evaluates it.  A[0,0] itself has elementary closed
-forms (arctan inside the critical radius, log outside), a removable
-0/0 seam at r = a handled by a local series, and the parity identity
-A[0,0](r; a) = A[0,0](-r; -a), which also gives B[0,0](r; b) =
-A[0,0](-r; b) via the half-turn substitution.  Its derivative comes from
-the first-order ODE it satisfies, and from the seam series on the seam
-(`a00_prime`).
+`eval_family` evaluates it, for every family and index, A[0,0] and
+B[0,0] included.  A[0,0] itself has elementary closed forms (arctan
+inside the critical radius, log outside), a removable 0/0 seam at r = a
+handled by a local series, and the parity identity A[0,0](r; a) =
+A[0,0](-r; -a).  Its derivative comes from the first-order ODE it
+satisfies, and from the seam series on the seam (`a00_prime`).
 
 An adaptive-quadrature oracle (`quad_oracle`) provides an independent
 evaluation path for every family; neither closed forms nor reduction feed it.
@@ -258,22 +257,6 @@ def _check_a_domain(r: float, a: float) -> None:
     if (r < sing) if a > 0 else (r > sing):
         domain = f"({sing}, +inf)" if a > 0 else f"(-inf, {sing})"
         raise DomainError(f"r = {r} is outside the analyticity domain {domain}")
-
-
-def eval_A00(r: float, params: SystemParams) -> float:
-    """A[0,0](r) = int dt / (r cos t + a)^2 over the front half circle."""
-    _check_a_domain(r, params.a)
-    return a00(r, params.a)
-
-
-def eval_B00(r: float, params: SystemParams) -> float:
-    """B[0,0](r) = int dt / (r cos t + b)^2 over the back half circle.
-
-    The half-turn substitution t -> t + pi turns this into A[0,0](-r; b);
-    the identity is cross-checked against the quadrature oracle in tests.
-    """
-    _check_a_domain(-r, params.b)
-    return a00(-r, params.b)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,6 @@ class FixedPoint:
 class ReturnMapResult:
     samples: Tuple[Tuple[float, float], ...]  # (r_in, r_out)
     fixed_points: Tuple[FixedPoint, ...]
-    epsilon: float
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +569,7 @@ def find_fixed_points(field: PolarField, radii: np.ndarray, images: np.ndarray, 
     )
     kinds = np.where(np.abs(slopes) <= bound, "neutral", np.where(slopes < 0, "attracting", "repelling"))
     fixed = (FixedPoint(float(loc), str(kind), float(slope)) for loc, kind, slope in zip(z, kinds, slopes))
-    return ReturnMapResult(samples, tuple(fixed), field.epsilon)
+    return ReturnMapResult(samples, tuple(fixed))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from pwcycles.averaging import (
 from pwcycles.kernels import (
     FamilyIndex,
     SystemParams,
-    eval_A00,
     eval_family,
     oracle_family,
 )
@@ -54,6 +53,7 @@ from pwcycles.zeros import (
     reachable_zero_capacity,
 )
 
+A00 = FamilyIndex("A", 0, 0)
 NONRES = SystemParams(1.0, -2.0)
 RES = SystemParams(1.0, -1.0)
 
@@ -104,7 +104,7 @@ def test_criterion_2_ode_residuals_and_anchor():
         grid = grid[np.abs(np.abs(grid) - abs(a)) > 1e-3]
         for r in grid:
             h = 1e-6 * max(1.0, abs(r))
-            am, a0, ap = eval_A00(r - h, p), eval_A00(r, p), eval_A00(r + h, p)
+            am, a0, ap = eval_family(A00, r - h, p), eval_family(A00, r, p), eval_family(A00, r + h, p)
             d1 = (ap - am) / (2 * h)
             worst1 = max(worst1, abs(a * (a * a - r * r) * d1 - 3 * a * r * a0 + 4))
         lo2, hi2 = (-0.5 * a, 4.0 * a) if a > 0 else (4.0 * a, 0.5 * abs(a))
@@ -112,12 +112,12 @@ def test_criterion_2_ode_residuals_and_anchor():
         grid2 = grid2[np.abs(np.abs(grid2) - abs(a)) > 1e-3]
         for r in grid2:
             h = 1e-3 * max(1.0, abs(r))
-            f = [eval_A00(r + k * h, p) for k in (-2, -1, 0, 1, 2)]
+            f = [eval_family(A00, r + k * h, p) for k in (-2, -1, 0, 1, 2)]
             d1 = (8 * (f[3] - f[1]) - (f[4] - f[0])) / (12 * h)
             d2 = (-f[4] + 16 * f[3] - 30 * f[2] + 16 * f[1] - f[0]) / (12 * h * h)
             worst2 = max(worst2, abs((a * a - r * r) * d2 - 5 * r * d1 - 3 * f[2]))
     anchor_err = max(
-        abs(eval_A00(a, SystemParams(a, 1.0)) - 4 / (3 * a * a)) / (4 / (3 * a * a))
+        abs(eval_family(A00, a, SystemParams(a, 1.0)) - 4 / (3 * a * a)) / (4 / (3 * a * a))
         for a in (1.0, 2.0, 0.5)
     )
     ok = worst1 < 1e-8 and worst2 < 1e-6 and anchor_err < 1e-12

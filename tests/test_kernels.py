@@ -23,8 +23,6 @@ from pwcycles.kernels import (
     SystemParams,
     a00,
     a00_prime,
-    eval_A00,
-    eval_B00,
     eval_family,
     oracle_family,
     quad_oracle,
@@ -32,6 +30,9 @@ from pwcycles.kernels import (
     wallis_half,
     wallis_half_exact,
 )
+
+
+A00, B00 = FamilyIndex("A", 0, 0), FamilyIndex("B", 0, 0)
 
 
 class TestSystemParams:
@@ -91,28 +92,28 @@ class TestA00:
         # removable 0/0 point of the closed form; exact value 4/(3a^2)
         for a in (1.0, 2.0, 0.3):
             p = SystemParams(a, 1.0)
-            assert eval_A00(a, p) == pytest.approx(4 / (3 * a * a), rel=1e-12)
+            assert eval_family(A00, a, p) == pytest.approx(4 / (3 * a * a), rel=1e-12)
 
     def test_origin_value(self):
         for a in (1.0, -2.0, 0.7):
             p = SystemParams(a, 1.0)
-            assert eval_A00(0.0, p) == pytest.approx(math.pi / a**2, rel=1e-14)
+            assert eval_family(A00, 0.0, p) == pytest.approx(math.pi / a**2, rel=1e-14)
 
     def test_frozen_oracle_value(self):
         p = SystemParams(2.0, 1.0)
-        assert eval_A00(1.0, p) == pytest.approx(0.4727997174374301, rel=1e-10)
+        assert eval_family(A00, 1.0, p) == pytest.approx(0.4727997174374301, rel=1e-10)
 
     def test_domain_errors(self):
         p = SystemParams(1.0, 1.0)
         with pytest.raises(SingularityError):
-            eval_A00(-1.0, p)
+            eval_family(A00, -1.0, p)
         with pytest.raises(DomainError):
-            eval_A00(-1.5, p)
+            eval_family(A00, -1.5, p)
         pn = SystemParams(-1.0, 1.0)  # domain is (-inf, 1)
         with pytest.raises(SingularityError):
-            eval_A00(1.0, pn)
+            eval_family(A00, 1.0, pn)
         with pytest.raises(DomainError):
-            eval_A00(1.5, pn)
+            eval_family(A00, 1.5, pn)
 
     def test_ode_residual_first_order(self):
         # a (a^2 - r^2) A' = 3 a r A - 4, residual below 1e-8 off the seams.
@@ -128,8 +129,8 @@ class TestA00:
             grid = grid[np.abs(np.abs(grid) - abs(a)) > 1e-3]
             for r in grid:
                 h = 1e-6 * max(1.0, abs(r))
-                d = (eval_A00(r + h, p) - eval_A00(r - h, p)) / (2 * h)
-                res = a * (a * a - r * r) * d - 3 * a * r * eval_A00(r, p) + 4
+                d = (eval_family(A00, r + h, p) - eval_family(A00, r - h, p)) / (2 * h)
+                res = a * (a * a - r * r) * d - 3 * a * r * eval_family(A00, r, p) + 4
                 assert abs(res) < 1e-8, (a, r, res)
 
     def test_ode_residual_second_order(self):
@@ -143,7 +144,7 @@ class TestA00:
         grid = grid[np.abs(np.abs(grid) - a) > 1e-3]
         for r in grid:
             h = 1e-3 * max(1.0, abs(r))
-            f = [eval_A00(r + k * h, p) for k in (-2, -1, 0, 1, 2)]
+            f = [eval_family(A00, r + k * h, p) for k in (-2, -1, 0, 1, 2)]
             d1 = (8 * (f[3] - f[1]) - (f[4] - f[0])) / (12 * h)
             d2 = (-f[4] + 16 * f[3] - 30 * f[2] + 16 * f[1] - f[0]) / (12 * h * h)
             res = (a * a - r * r) * d2 - 5 * r * d1 - 3 * f[2]
@@ -157,7 +158,7 @@ class TestA00:
             errs = []
             for k in range(2, 6):
                 r = -a + 10.0 ** (-k)
-                ratio = eval_A00(r, p) * (r + a) ** 1.5
+                ratio = eval_family(A00, r, p) * (r + a) ** 1.5
                 err = abs(ratio - limit) / limit
                 assert err <= 0.5 * 10.0 ** (-k / 2), (a, k, err)
                 errs.append(err)
@@ -169,24 +170,24 @@ class TestA00:
             p = SystemParams(a, 1.0)
             for k in (2, 3, 4):
                 r = 10.0**k
-                assert r * eval_A00(r, p) == pytest.approx(2 / a, rel=5e-2 / 10 ** (k - 2))
+                assert r * eval_family(A00, r, p) == pytest.approx(2 / a, rel=5e-2 / 10 ** (k - 2))
 
 
 class TestB00:
     def test_origin_value(self):
         for b in (1.0, -2.0, 0.5):
             p = SystemParams(1.0, b)
-            assert eval_B00(0.0, p) == pytest.approx(math.pi / b**2, rel=1e-14)
+            assert eval_family(B00, 0.0, p) == pytest.approx(math.pi / b**2, rel=1e-14)
 
     def test_half_turn_identity_frozen(self):
         # B00(0.5; b=1) computed by quadrature on the back half circle
         p = SystemParams(1.0, 1.0)
-        assert eval_B00(0.5, p) == pytest.approx(7.782397739499441, rel=1e-10)
-        assert eval_B00(0.5, p) == pytest.approx(eval_A00(-0.5, p), rel=1e-14)
+        assert eval_family(B00, 0.5, p) == pytest.approx(7.782397739499441, rel=1e-10)
+        assert eval_family(B00, 0.5, p) == pytest.approx(eval_family(A00, -0.5, p), rel=1e-14)
 
     def test_frozen_oracle_value(self):
         p = SystemParams(1.0, 3.0)
-        assert eval_B00(-1.0, p) == pytest.approx(0.24307407342933038, rel=1e-10)
+        assert eval_family(B00, -1.0, p) == pytest.approx(0.24307407342933038, rel=1e-10)
 
     def test_symmetry_property(self, rng):
         # B00(r; b) = A00(-r; b) wherever both sides are defined
@@ -197,14 +198,14 @@ class TestB00:
                 rng.uniform(0.9 * b, 3 * abs(b))
             )
             pa = SystemParams(b, 1.0)
-            assert eval_B00(r, p) == pytest.approx(eval_A00(-r, pa), rel=1e-10)
+            assert eval_family(B00, r, p) == pytest.approx(eval_family(A00, -r, pa), rel=1e-10)
 
     def test_domain_errors(self):
         p = SystemParams(1.0, 2.0)  # domain r < 2
         with pytest.raises(SingularityError):
-            eval_B00(2.0, p)
+            eval_family(B00, 2.0, p)
         with pytest.raises(DomainError):
-            eval_B00(2.5, p)
+            eval_family(B00, 2.5, p)
 
 
 class TestKernelSlopes:
@@ -306,7 +307,7 @@ class TestFamilies:
         # r A[1,0] = I[0,0] - a A[0,0]
         r = 0.4
         i00 = eval_family(FamilyIndex("I", 0, 0), r, params)
-        a00v = eval_A00(r, params)
+        a00v = eval_family(A00, r, params)
         expected = (i00 - params.a * a00v) / r
         got = eval_family(FamilyIndex("A", 1, 0), r, params)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -342,7 +343,7 @@ class TestFamilies:
     @pytest.mark.parametrize("a,b", [(1.0, 2.0), (-1.0, -2.0)])
     def test_back_half_families_are_the_half_turn_of_the_front(self, a, b):
         # B[i,j](r; b) = (-1)^i A[i,j](-r; b) and J from I, bit for bit; past
-        # and at r = b both raise eval_B00's error, for odd j too
+        # and at r = b both raise B[0,0]'s error, for odd j too
         p, front = SystemParams(a, b), SystemParams(b, a)
         for r in (t * b for t in (-2.0, -0.3, 0.0, 0.3, 0.49, 0.7, 0.999)):
             for back, fwd in (("B", "A"), ("J", "I")):
@@ -352,7 +353,7 @@ class TestFamilies:
                         assert got == (-1) ** i * eval_family(FamilyIndex(fwd, i, j), -r, front)
         for r in (b, 1.5 * b):
             with pytest.raises((DomainError, SingularityError)) as want:
-                eval_B00(r, p)
+                eval_family(B00, r, p)
             for fam in "BJ":
                 for i, j in ((2, 2), (1, 3)):
                     with pytest.raises(want.type) as got:

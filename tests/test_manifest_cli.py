@@ -88,7 +88,7 @@ class TestManifestValidation:
     def test_missing_constants(self):
         doc = _verify_doc()
         del doc["a"]
-        with pytest.raises(ManifestError, match="'a' and 'b'"):
+        with pytest.raises(ManifestError, match="manifest needs 'a'"):
             ExperimentManifest.from_dict(doc)
 
     def test_constants_are_tested_for_zero_one_by_one(self):
@@ -472,21 +472,43 @@ class TestCli:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize(
-        "command,value,message",
+        "command,doc,value,message",
         [
-            ("simulate", "", "--epsilon: could not convert string to float: ''"),
-            ("place", "0.02,0.01", "--epsilon: place runs no simulation; use simulate"),
+            ("simulate", _SIM_REDUCED, "", "--epsilon: could not convert string to float: ''"),
+            ("place", _SIM_REDUCED, "0.02,0.01", "--epsilon: place runs no simulation; use simulate"),
+            ("verify", _verify_doc(), "0.01", "--epsilon: verify runs no simulation; use simulate or sweep"),
+            ("reproduce-hn", _verify_doc(kind="reproduce_hn"), "0.01",
+             "--epsilon: reproduce-hn runs no simulation; use simulate or sweep"),
+            ("smooth", _verify_doc(kind="smooth_theorem12", b=1.0), "0.01",
+             "--epsilon: smooth runs no simulation; use simulate or sweep"),
         ],
-        ids=["empty", "place"],
+        ids=["empty", "place", "verify", "reproduce-hn", "smooth"],
     )
-    def test_epsilon_flag_refused(self, tmp_path, capsys, command, value, message):
+    def test_epsilon_flag_refused(self, tmp_path, capsys, command, doc, value, message):
         # an empty value used to run the config's epsilons, and place used to
-        # drop the flag; both exited 0
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps(_SIM_REDUCED))
+        # drop the flag; both exited 0.  On a kind without epsilons the
+        # refusal used to name the key 'epsilons', which the user never wrote
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out), "--epsilon", value]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,kind,n_list",
+        [("reproduce-hn", "reproduce_hn", [1, 1]), ("smooth", "smooth_theorem12", [2, 3, 2])],
+        ids=["reproduce-hn", "smooth"],
+    )
+    def test_repeated_degree_refused(self, tmp_path, capsys, command, kind, n_list):
+        # a repeated degree used to run twice and write two checks of one name
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(_verify_doc(kind=kind, b=1.0, n_list=n_list, draws=0)))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {kind} 'n_list': expected distinct items, got {n_list}\n"
+        )
         assert not out.exists()
 
     def test_unknown_option_names_the_known_keys(self, tmp_path, capsys):
@@ -615,12 +637,14 @@ class TestCli:
             ({"targets": [1e-20, 2e-20]}, "the scaled averaged function has no simple zero below r_max = "
                                           "2.9999999999999997e-20 for targets [1e-20, 2e-20], so there is no "
                                           "window for the return map"),
-            ({"targets": [1e-3, 2e-3]}, "targets [0.001, 0.002] leave no return-map window: its floor max(half "
-                                        "the smallest zero, 0.05) = 0.05 is not below its top min(1.2 times the "
-                                        "largest zero, 0.95 r_max)"),
-            ({"targets": [0.01, 0.02]}, "targets [0.01, 0.02] leave no return-map window: its floor max(half "
-                                        "the smallest zero, 0.05) = 0.05 is not below its top min(1.2 times the "
-                                        "largest zero, 0.95 r_max)"),
+            ({"targets": [1e-3, 2e-3]}, "predicted zeros [0.0010000000021576894, 0.0019999999988861913] lie "
+                                        "outside the return-map grid, from its floor max(half the smallest zero, "
+                                        "0.05) = 0.05 to its top min(1.2 times the largest zero, 0.95 r_max) = "
+                                        "0.0023999999986634296"),
+            ({"targets": [0.01, 0.02]}, "predicted zeros [0.010000000000113134, 0.019999999999930688] lie "
+                                        "outside the return-map grid, from its floor max(half the smallest zero, "
+                                        "0.05) = 0.05 to its top min(1.2 times the largest zero, 0.95 r_max) = "
+                                        "0.023999999999916824"),
             ({"targets": [0.04, 0.08]}, "predicted zeros [0.04000000000020495] lie outside the return-map grid, "
                                         "from its floor max(half the smallest zero, 0.05) = 0.05 to its top"),
             ({"targets": [0.5, 1.0, 1.5, 2.0], "r_max": 2.05},

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pwcycles import kernels
-from pwcycles.averaging import AveragedFunction, PerturbationSpec, _exact_parts, basis_values
+from pwcycles.averaging import AveragedFunction, PerturbationSpec, _exact_parts, basis_values, eval_F
 from pwcycles.kernels import AssemblyError, DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
 from pwcycles.smooth import (
     _random_smooth_rows,
@@ -72,7 +72,7 @@ class TestAssembleSmooth:
     def test_frozen_linear_case(self):
         # n=1, f = 1: F(0.4) = 0.4 * integral of cos/(0.4 cos + 1)^2
         fn = assemble_smooth(1.0, smooth_perturbation(1, f_table={(0, 0): 1.0}))
-        assert fn.value(0.4) == pytest.approx(-1.3058128016138242, rel=1e-9)
+        assert eval_F(fn, 0.4) == pytest.approx(-1.3058128016138242, rel=1e-9)
 
     def test_oracle_equivalence(self, rng):
         a = 1.0
@@ -80,7 +80,7 @@ class TestAssembleSmooth:
         fn = assemble_smooth(a, pert)
         for r in np.linspace(0.05, 0.9, 20):
             want = oracle_smooth_F(a, pert, float(r))
-            assert fn.value(float(r)) == pytest.approx(want, rel=1e-8, abs=1e-12)
+            assert eval_F(fn, float(r)) == pytest.approx(want, rel=1e-8, abs=1e-12)
 
     def test_evenness_exact(self, rng):
         # the two halves' merged monomials: only even ones, none beyond
@@ -135,7 +135,7 @@ class TestAssembleSmooth:
         G = np.array(cols).T
         for _ in range(6):
             fn = assemble_smooth(a, _random_smooth(n, rng))
-            y = fn.value(rr)
+            y = eval_F(fn, rr)
             coef, *_ = np.linalg.lstsq(G, y, rcond=None)
             assert np.linalg.norm(y - G @ coef) < 1e-10 * max(1.0, np.linalg.norm(y))
 

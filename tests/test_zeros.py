@@ -653,17 +653,62 @@ def _exact_columns(units, resonant):
     return cols
 
 
+def _exact_generators(params, n):
+    """`zeros.reachable_generators` in the coordinates of `_exact_columns`:
+    the shifted kernel's constant -pi/c^2 as its pi multiple -1/c^2 at
+    index 0, the even-n top tie -2/a or 2/b at index 2h+1, A and B merged
+    at b = -a.  The monomial r^k of even k is written as pi r^k, the same
+    direction."""
+    h = (n + 1) // 2
+    a, b = exact.as_fraction(params.a), exact.as_fraction(params.b)
+    halves = [(a, -2 / a)] if params.resonant else [(a, -2 / a), (b, 2 / b)]
+    width = len(halves) * (h + 2)
+
+    def column(kernel, poly):
+        col = [Fraction(0)] * (width + 2 * h + 2)
+        for k in kernel:
+            col[k] = Fraction(1)
+        for k, q in poly.items():
+            col[width + k] = q
+        return col
+
+    gens = []
+    for side, (c, tie) in enumerate(halves):
+        first = side * (h + 2)
+        gens.append(column([first], {0: -1 / c**2}))
+        gens += [column([first + i], {}) for i in range(1, h + 1)]
+        if n % 2 == 0:
+            gens.append(column([first + h + 1], {2 * h + 1: tie}))
+    return gens + [column([], {k: Fraction(1)}) for k in range(1, 2 * h)]
+
+
 class TestGeneratorListsAgainstTheExactAssembly:
-    """The hand-written generator lists have as many functions as the exact
-    assembly's column space has dimensions: their lengths, and so every
-    capacity, are the exact rank of the unit columns of `_unit_parts`."""
+    """The hand-written generator lists span exactly the exact assembly's
+    column space: their lengths, and so every capacity, are the exact rank
+    of the unit columns of `_unit_parts`."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0), (-1.5, 2.0), (0.7, -0.3), (-1.0, 1.0)])
     def test_reachable_generators(self, ab, n):
         params = SystemParams(*ab)
-        rank = exact.rank(_exact_columns(averaging._unit_parts(params, n), params.resonant))
-        assert rank == len(zeros.reachable_generators(params, n))
+        units = _exact_columns(averaging._unit_parts(params, n), params.resonant)
+        gens = _exact_generators(params, n)
+        floats = zeros.reachable_generators(params, n)
+        assert len(gens) == len(floats)
+        for want, g in zip(gens, floats):
+            # each exact generator is the direction of its float one
+            kernel = g.coeff_A + g.coeff_B if params.resonant else np.concatenate([g.coeff_A, g.coeff_B])
+            got = np.concatenate([kernel, g.coeff_poly])
+            image = np.array(
+                [float(q) for q in want[: kernel.size]]
+                + [exact.pi_parity_float(q, k) for k, q in enumerate(want[kernel.size :])]
+            )
+            np.testing.assert_allclose(
+                got / got[np.argmax(np.abs(got))], image / image[np.argmax(np.abs(image))], rtol=1e-14, atol=0
+            )
+        rank = exact.rank(units)
+        assert rank == exact.rank(gens) == exact.rank(units + gens)
+        assert rank == len(floats)
         assert rank == reachable_zero_capacity(params, n) + 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
