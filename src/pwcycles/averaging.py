@@ -216,10 +216,6 @@ class BasisExpansion:
         k = (degree + 1) // 2 + 2
         return BasisExpansion(degree, v[:k], v[k : 2 * k], v[2 * k :])
 
-    @property
-    def max_abs_coeff(self) -> float:
-        return float(np.max(np.abs(self.vector())))
-
 
 @dataclass(frozen=True)
 class AveragedFunction:

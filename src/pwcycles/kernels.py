@@ -110,16 +110,8 @@ class SystemParams:
             raise ValueError("both system constants must be nonzero")
 
     @property
-    def r1(self) -> float:
-        return -self.a if self.a < 0 else math.inf
-
-    @property
-    def r2(self) -> float:
-        return self.b if self.b > 0 else math.inf
-
-    @property
     def r0(self) -> float:
-        return min(self.r1, self.r2)
+        return min(-self.a if self.a < 0 else math.inf, self.b if self.b > 0 else math.inf)
 
     @property
     def resonant(self) -> bool:

@@ -483,9 +483,9 @@ def _run_place_and_simulate(manifest: ExperimentManifest) -> Dict[str, Any]:
             0,
         )
     )
-    # each fixed point against its nearest predicted zero; with none to
-    # pair, nothing is measured and the check fails
-    gaps = [min(abs(f.location - z) for z in predicted) for f in result.fixed_points] if predicted else []
+    # each fixed point against its nearest predicted zero; with no fixed
+    # point, nothing is measured and the check fails
+    gaps = [min(abs(f.location - z) for z in predicted) for f in result.fixed_points]
     worst_gap = max(gaps, default=None)
     checks.append(
         _check(

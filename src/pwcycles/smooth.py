@@ -12,9 +12,9 @@ up to 2*floor((n-1)/2) survive — two structural differences from the
 piecewise case that halve the attainable zero count.
 
 This module adds no reduction, evaluator or zero finder of its own.  A
-smooth perturbation is a `PerturbationSpec` with equal tables,
-`assemble_smooth` is `assemble` at `SystemParams(a, a)` plus the exact
-smooth checks, zeros are counted by `count_simple_zeros`, and placement
+smooth perturbation is `PerturbationSpec(n, f, g, f, g)`, assembled by
+`assemble` at `SystemParams(a, a)`, zeros are counted by
+`count_simple_zeros`, and placement
 and the ceiling survey run the piecewise code over `smooth_generators`
 and `assembly_matrix` at b = a.  The exact smooth checks run once per
 (a, n) and process, on the smooth unit directions as read from the
@@ -41,7 +41,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import exact
-from .averaging import AveragedFunction, BasisExpansion, PerturbationSpec, _random_rows, _unit_parts, assemble
+from .averaging import BasisExpansion, PerturbationSpec, _random_rows, _unit_parts
 from .kernels import (
     FULL_CIRCLE,
     AssemblyError,
@@ -52,28 +52,6 @@ from .kernels import (
     quad_oracle,
 )
 from .zeros import _basis_element, _check_survey, _place, _survey
-
-
-def smooth_perturbation(degree: int, f_table=None, g_table=None) -> PerturbationSpec:
-    """The same f and g tables on both half-planes."""
-    return PerturbationSpec(degree, f_table, g_table, f_table, g_table)
-
-
-def _random_smooth_rows(degree: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` smooth coefficient rows: uniform (-1, 1) f, then g, on the
-    triangle i + j <= degree, the (f, g) row repeated on both half-planes."""
-    return np.tile(_random_rows(degree, rng, count, 2), 2)
-
-
-def assemble_smooth(a: float, pert: PerturbationSpec) -> AveragedFunction:
-    """`assemble` at b = a, after the smooth system's exact structural checks.
-
-    Raises ValueError when the half-planes carry different tables.
-    """
-    if not (np.array_equal(pert.plus_f, pert.minus_f) and np.array_equal(pert.plus_g, pert.minus_g)):
-        raise ValueError("the smooth system needs the same f and g tables on both half-planes")
-    _check_smooth_units(a, pert.degree)
-    return assemble(SystemParams(a, a), pert)
 
 
 @lru_cache(maxsize=None)
@@ -176,8 +154,9 @@ def smooth_generating_rank(a: float, n: int) -> Dict[str, int]:
 def random_search_max_smooth_zeros(
     a: float, n: int, draws: int, seed: int, r_max: float, grid: int = 1500
 ) -> Tuple[int, Dict[int, int]]:
-    """Max zero count over random smooth perturbations."""
+    """Max zero count over random smooth perturbations: uniform (-1, 1) f,
+    then g, on the triangle i + j <= n, the same tables on both half-planes."""
     _check_survey(draws, grid)
     _check_smooth_units(a, n)
-    rows = _random_smooth_rows(n, np.random.default_rng(seed), draws)
+    rows = np.tile(_random_rows(n, np.random.default_rng(seed), draws, 2), 2)
     return _survey(SystemParams(a, a), n, r_max, grid, rows)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from pwcycles import averaging, kernels
+from pwcycles import averaging, kernels, smooth
 from pwcycles.averaging import (
     AveragedFunction,
     BasisExpansion,
@@ -27,13 +27,7 @@ from pwcycles.averaging import (
 )
 from pwcycles.exact import as_fraction, pi_parity_float
 from pwcycles.kernels import AssemblyError, DomainError, SystemParams, a00
-from pwcycles.smooth import (
-    _random_smooth_rows,
-    assemble_smooth,
-    oracle_smooth_F,
-    random_search_max_smooth_zeros,
-    smooth_perturbation,
-)
+from pwcycles.smooth import oracle_smooth_F, random_search_max_smooth_zeros
 from pwcycles.zeros import _survey, place_zeros, random_search_max_zeros, reachable_zero_capacity
 
 LONG = np.longdouble
@@ -88,25 +82,33 @@ def _random_table(degree, rng, scale):
     return np.where(_triangle(degree), t, 0.0)
 
 
+def _smooth_tables(degree, rng, count):
+    """`count` smooth (f, g) table pairs, f then g drawn per table."""
+    return [(_random_table(degree, rng, 1.0), _random_table(degree, rng, 1.0)) for _ in range(count)]
+
+
 class TestRandomRows:
     # the one-call rows are the numbers of the per-table draws, bit for
-    # bit, and leave the generator in the same state
+    # bit, and leave the generator in the same state; the smooth survey's
+    # rows are the per-table f, g draws repeated on both half-planes
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
-    def test_rows_equal_per_table_draws_bitwise(self, n):
+    def test_rows_equal_per_table_draws_bitwise(self, n, monkeypatch):
         old, new = np.random.default_rng(3), np.random.default_rng(3)
         want = [PerturbationSpec(n, *[_random_table(n, old, 1.0) for _ in range(4)]).vector()
                 for _ in range(40)]
         assert _random_rows(n, new, 40, 4).tobytes() == np.array(want).tobytes()
-        want = [smooth_perturbation(n, _random_table(n, old, 1.0), _random_table(n, old, 1.0)).vector()
-                for _ in range(40)]
-        assert _random_smooth_rows(n, new, 40).tobytes() == np.array(want).tobytes()
         want = PerturbationSpec(n, *[_random_table(n, old, 1.0) for _ in range(4)])
         got = PerturbationSpec.random(n, new)
         assert all(getattr(got, t).tobytes() == getattr(want, t).tobytes() for t in TABLES)
-        f, g = _random_table(n, old, 1.0), _random_table(n, old, 1.0)
-        got = PerturbationSpec.from_vector(n, _random_smooth_rows(n, new, 1)[0])
-        assert got.vector().tobytes() == smooth_perturbation(n, f, g).vector().tobytes()
         assert old.random() == new.random()
+        surveyed = []
+        monkeypatch.setattr(smooth, "_survey", lambda params, n, r_max, grid, rows: surveyed.append(rows) or (0, {}))
+        random_search_max_smooth_zeros(1.0, n, 40, 3, 0.95)
+        tables = _smooth_tables(n, np.random.default_rng(3), 40)
+        want = [PerturbationSpec(n, f, g, f, g).vector() for f, g in tables]
+        assert surveyed[0].tobytes() == np.array(want).tobytes()
+        got = PerturbationSpec.from_vector(n, surveyed[0][0])
+        assert all(getattr(got, t).tobytes() == tables[0][k % 2].tobytes() for k, t in enumerate(TABLES))
 
     def test_surveys_draw_the_reference_rows(self):
         params = SystemParams(1.0, -2.0)
@@ -114,9 +116,7 @@ class TestRandomRows:
         rows = [PerturbationSpec(2, *[_random_table(2, rng, 1.0) for _ in range(4)]).vector()
                 for _ in range(30)]
         assert random_search_max_zeros(params, 2, 30, 5, 4.0) == _survey(params, 2, 4.0, 600, np.array(rows))
-        rng = np.random.default_rng(6)
-        rows = [smooth_perturbation(3, _random_table(3, rng, 1.0), _random_table(3, rng, 1.0)).vector()
-                for _ in range(30)]
+        rows = [PerturbationSpec(3, f, g, f, g).vector() for f, g in _smooth_tables(3, np.random.default_rng(6), 30)]
         want = _survey(SystemParams(1.0, 1.0), 3, 0.95, 1500, np.array(rows))
         assert random_search_max_smooth_zeros(1.0, 3, 30, 6, 0.95) == want
 
@@ -195,7 +195,7 @@ class TestSigmaTau:
         # explicit zero coefficients are skipped, not accumulated
         pert = PerturbationSpec(2, plus_f={(0, 0): 0.0}, minus_g={(1, 0): 0.0})
         _assert_reduces_to(params, pert, ({}, {}))
-        assert assemble(params, pert).expansion.max_abs_coeff == 0.0
+        assert not assemble(params, pert).expansion.vector().any()
 
     def test_single_f_constant(self, params):
         # plus_f[0,0] feeds sigma[1,0] through the cosine factor only
@@ -228,7 +228,7 @@ class TestSTTables:
         # y in f and x in g feed tau[1,1], an odd sine power
         pert = PerturbationSpec(1, minus_f={(0, 1): 2.0}, minus_g={(1, 0): 3.0})
         _assert_reduces_to(params, pert, ({}, {}))
-        assert assemble(params, pert).expansion.max_abs_coeff == 0.0
+        assert not assemble(params, pert).expansion.vector().any()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_equals_dense_reference_exactly(self, n, rng):
@@ -257,7 +257,7 @@ class TestAssemble:
 
     def test_zero_perturbation(self, params):
         fn = assemble(params, PerturbationSpec(2))
-        assert fn.expansion.max_abs_coeff == 0.0
+        assert not fn.expansion.vector().any()
         assert eval_F(fn, 1.3) == 0.0
 
     def test_against_oracle_frozen(self):
@@ -402,8 +402,8 @@ class TestSmoothRestriction:
         # full-circle quadrature
         for a in (1.3, -1.7):
             for n in (1, 2, 3, 4):
-                pert = PerturbationSpec.from_vector(n, _random_smooth_rows(n, rng, 1)[0])
-                fn = assemble_smooth(a, pert)
+                pert = PerturbationSpec.from_vector(n, np.tile(_random_rows(n, rng, 1, 2), 2)[0])
+                fn = assemble(SystemParams(a, a), pert)
                 rr = np.linspace(0.05, 0.9 * abs(a), 9)
                 want = np.array([oracle_smooth_F(a, pert, float(r)) for r in rr])
                 assert np.max(np.abs(eval_F(fn, rr) - want)) < 1e-9
@@ -699,4 +699,4 @@ class TestRealization:
 
     def test_null_perturbation_assembles_to_zero(self, params):
         fn = assemble(params, null_perturbation(3))
-        assert fn.expansion.max_abs_coeff == 0.0
+        assert not fn.expansion.vector().any()

@@ -38,8 +38,8 @@ A00, B00 = FamilyIndex("A", 0, 0), FamilyIndex("B", 0, 0)
 class TestSystemParams:
     def test_radii_cases(self):
         # negative a bounds the annulus on the plus side, positive b on the minus side
-        assert SystemParams(-1.5, 2.0).r1 == 1.5
-        assert SystemParams(-1.5, 2.0).r2 == 2.0
+        assert SystemParams(-1.5, -2.0).r0 == 1.5
+        assert SystemParams(1.0, 2.0).r0 == 2.0
         assert SystemParams(-1.5, 2.0).r0 == 1.5
         assert SystemParams(1.0, -2.0).r0 == math.inf
         assert SystemParams(1.0, 0.5).r0 == 0.5

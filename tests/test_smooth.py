@@ -1,30 +1,53 @@
 """Smooth case (b = a, equal tables): V families, assembly, zero capacity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pwcycles import kernels
-from pwcycles.averaging import AveragedFunction, PerturbationSpec, _exact_parts, basis_values, eval_F
+from pwcycles import exact, kernels
+from pwcycles.averaging import (
+    AveragedFunction,
+    PerturbationSpec,
+    _exact_parts,
+    _random_rows,
+    assemble,
+    basis_values,
+    eval_F,
+)
 from pwcycles.kernels import AssemblyError, DomainError, SystemParams, quad_oracle, trig_rational, FULL_CIRCLE
 from pwcycles.smooth import (
-    _random_smooth_rows,
-    assemble_smooth,
+    _check_smooth_units,
     eval_V_family,
     oracle_smooth_F,
     place_smooth_zeros,
     random_search_max_smooth_zeros,
     smooth_generating_rank,
     smooth_generators,
-    smooth_perturbation,
 )
 from pwcycles.zeros import PlacementError, _generator_matrix, chebyshev_points, count_simple_zeros, sample_rank
 
 
 def _random_smooth(n, rng):
-    """Uniform random f, then g, on the triangle i + j <= n."""
-    return PerturbationSpec.from_vector(n, _random_smooth_rows(n, rng, 1)[0])
+    """Uniform random f, then g, on the triangle i + j <= n, the same
+    tables on both half-planes."""
+    return PerturbationSpec.from_vector(n, np.tile(_random_rows(n, rng, 1, 2), 2)[0])
+
+
+F1 = {(0, 0): 1.0}
+
+
+def _smooth_direction(n, kernel, monomials):
+    """A row in the coordinates of the smooth unit directions of degree n:
+    kernel coefficients, then merged monomials (an even index q is q*pi)."""
+    h = (n + 1) // 2
+    row = [Fraction(0)] * (3 * h + 4)
+    for idx, q in kernel.items():
+        row[idx] = Fraction(q)
+    for idx, q in monomials.items():
+        row[h + 2 + idx] = Fraction(q)
+    return row
 
 
 def _smooth_zeros(a, expansion, r_max):
@@ -61,23 +84,23 @@ class TestVFamily:
 
 class TestAssembleSmooth:
     def test_zero_perturbation(self):
-        fn = assemble_smooth(1.0, smooth_perturbation(2))
-        assert fn.expansion.max_abs_coeff == 0.0
+        fn = assemble(SystemParams(1.0, 1.0), PerturbationSpec(2))
+        assert not fn.expansion.vector().any()
 
     @pytest.mark.parametrize("a,r", [(1.0, 0.0), (1.0, 1.0), (-1.5, 1.6)])
     def test_oracle_domain_refused(self, a, r):
         with pytest.raises(DomainError, match="need 0 < r < "):
-            oracle_smooth_F(a, smooth_perturbation(1, f_table={(0, 0): 1.0}), r)
+            oracle_smooth_F(a, PerturbationSpec(1, F1, None, F1, None), r)
 
     def test_frozen_linear_case(self):
         # n=1, f = 1: F(0.4) = 0.4 * integral of cos/(0.4 cos + 1)^2
-        fn = assemble_smooth(1.0, smooth_perturbation(1, f_table={(0, 0): 1.0}))
+        fn = assemble(SystemParams(1.0, 1.0), PerturbationSpec(1, F1, None, F1, None))
         assert eval_F(fn, 0.4) == pytest.approx(-1.3058128016138242, rel=1e-9)
 
     def test_oracle_equivalence(self, rng):
         a = 1.0
         pert = _random_smooth(3, rng)
-        fn = assemble_smooth(a, pert)
+        fn = assemble(SystemParams(a, a), pert)
         for r in np.linspace(0.05, 0.9, 20):
             want = oracle_smooth_F(a, pert, float(r))
             assert eval_F(fn, float(r)) == pytest.approx(want, rel=1e-8, abs=1e-12)
@@ -93,21 +116,10 @@ class TestAssembleSmooth:
                 if idx % 2 == 1 or idx > 2 * ((n - 1) // 2):
                     assert p + q == 0
 
-    def test_unequal_tables_rejected(self, rng):
-        f = _random_smooth(2, rng)
-        shifted = f.plus_f.copy()
-        shifted[0, 0] += 0.5
-        for tables in (
-            (f.plus_f, f.plus_g, shifted, f.plus_g),
-            (f.plus_f, f.plus_g, f.plus_f, np.zeros_like(f.plus_g)),
-        ):
-            with pytest.raises(ValueError, match="same f and g"):
-                assemble_smooth(1.0, PerturbationSpec(2, *tables))
-
     def test_broken_reduction_is_refused(self, reduce_calls, monkeypatch):
         # an odd monomial that both halves keep passes the piecewise checks
-        # of the unit halves and fails the smooth ones, which assemble_smooth
-        # and the survey read once per (a, n)
+        # of the unit halves, so `assemble` at b = a takes it, and fails the
+        # smooth ones, which the rank and the survey read once per (a, n)
         reduce = kernels._reduce_half
 
         def broken(S, c, degree, alternate):
@@ -115,8 +127,9 @@ class TestAssembleSmooth:
             return coef, [poly[0], poly[1] + 1, *poly[2:]]
 
         monkeypatch.setattr(kernels, "_reduce_half", broken)
+        assemble(SystemParams(1.5, 1.5), PerturbationSpec(2, F1, None, F1, None))
         with pytest.raises(AssemblyError, match=r"monomial r\^1 outside the smooth range"):
-            assemble_smooth(1.5, smooth_perturbation(2, f_table={(0, 0): 1.0}))
+            smooth_generating_rank(1.5, 2)
         with pytest.raises(AssemblyError, match=r"monomial r\^1 outside the smooth range"):
             random_search_max_smooth_zeros(1.5, 2, 5, 0, 1.4)
 
@@ -134,7 +147,7 @@ class TestAssembleSmooth:
         cols += [rr ** (2 * i) for i in range(1, k + 1)]
         G = np.array(cols).T
         for _ in range(6):
-            fn = assemble_smooth(a, _random_smooth(n, rng))
+            fn = assemble(SystemParams(a, a), _random_smooth(n, rng))
             y = eval_F(fn, rr)
             coef, *_ = np.linalg.lstsq(G, y, rcond=None)
             assert np.linalg.norm(y - G @ coef) < 1e-10 * max(1.0, np.linalg.norm(y))
@@ -182,8 +195,29 @@ class TestSmoothZeros:
 
     @pytest.mark.parametrize("a", [1.0, -1.3, 0.5, 2.0])
     def test_reachable_rank_is_n_plus_one(self, a):
+        # `smooth_generators` written exactly in the coordinates of the
+        # smooth unit directions (kernel coefficients, then merged monomials,
+        # an even-index q standing for q*pi) spans exactly their span
         for n in range(1, 7):
             assert smooth_generating_rank(a, n)["reachable_rank"] == n + 1
+            dirs = list(_check_smooth_units(a, n))
+            k = (n + 1) // 2 + 2
+            gens = [_smooth_direction(n, {0: 1}, {0: -2 / exact.as_fraction(a) ** 2})]
+            gens += [_smooth_direction(n, {i: 1}, {}) for i in range(1, n // 2 + 2)]
+            gens += [_smooth_direction(n, {}, {2 * i: 1}) for i in range(1, (n - 1) // 2 + 1)]
+            floats = smooth_generators(a, n)
+            assert len(gens) == len(floats)
+            for want, g in zip(gens, floats):
+                # V = A + B: both kernel halves carry the kernel coefficients
+                assert g.coeff_A.tobytes() == g.coeff_B.tobytes()
+                got = np.concatenate([g.coeff_A, g.coeff_poly])
+                image = np.array(
+                    [float(q) for q in want[:k]] + [exact.pi_parity_float(q, i) for i, q in enumerate(want[k:])]
+                )
+                np.testing.assert_allclose(
+                    got / got[np.argmax(np.abs(got))], image / image[np.argmax(np.abs(image))], rtol=1e-14, atol=0
+                )
+            assert exact.rank(dirs) == exact.rank(gens) == exact.rank(dirs + gens) == n + 1
 
     def test_even_degree_rank_resolution(self):
         # the printed generating set for n = 2k lists one function more
