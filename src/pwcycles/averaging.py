@@ -25,8 +25,8 @@ The reduction is one exact linear map of `PerturbationSpec.vector`, and
 checked once per half-circle constant and is shared by every unit,
 degree and system, so its checks cover every input.  `_exact_parts`
 combines the columns exactly for `assemble`; the surjectivity rank and
-the smooth checks read them as they are, and `assembly_matrix` holds
-them in double for the realization and the surveys.
+the smooth checks read them as they are, and `assembly_matrix` rounds
+them to double for the realization and the surveys.
 
 `basis_values` is the package's one expansion evaluator: it samples the
 basis functions once, in long double, and any coefficient vector
@@ -36,7 +36,7 @@ the basis's derivative rows, so the same vector gives F' (zero
 refinement and placement scoring read them).  Its powers r^k are running
 products r^(k-1) * r, within (k-1)u/(1-(k-1)u) of the exact power
 (u = 2^-64).  A grid of at least `_GRID_MIN` points keeps its powers
-(extended along the same chain as the degree grows) and its kernel rows
+(recomputed from r^0 when a higher degree needs more) and its kernel rows
 A[0,0](+-r) per constant, for the `_GRIDS_KEPT` most recent grids, so a
 later degree or system on the same grid only multiplies and stacks them;
 the values are bit for bit those of sampling afresh.  The smooth system
@@ -240,24 +240,20 @@ class _GridRows:
         self.slopes: Dict[Tuple[int, float], np.ndarray] = {}
 
     def power_rows(self, count: int) -> np.ndarray:
-        """r^k for k = 0..count-1; rows past those held are appended.
+        """r^k for k = 0..count-1.
 
         The rows are running products, row k = row[k-1] * r from row 0 = 1:
         libm `powl` costs some 45 long-double multiplies per entry, and k - 1
         roundings of an exact r leave row k within (k-1)u/(1-(k-1)u) of
         r^k (u = 2^-64; Higham, Accuracy and Stability of Numerical
         Algorithms, 2nd ed., section 3.1), well inside the 64 eps noise
-        factor of the zero scans.  Appended rows extend the same chain, so
-        a kept grid's rows equal those of a freshly sampled one bit for bit.
+        factor of the zero scans.
         """
-        have = len(self.powers)
-        if have < count:
-            rows = np.empty((count, self.rr.size), dtype=LONG)
-            rows[:have] = self.powers
-            rows[0] = 1
-            for k in range(max(have, 1), count):
-                np.multiply(rows[k - 1], self.rr, out=rows[k])
-            self.powers = rows
+        if len(self.powers) < count:
+            self.powers = np.empty((count, self.rr.size), dtype=LONG)
+            self.powers[0] = 1
+            for k in range(1, count):
+                np.multiply(self.powers[k - 1], self.rr, out=self.powers[k])
         return self.powers[:count]
 
     def kernel(self, side: int, c: float) -> np.ndarray:
@@ -296,7 +292,7 @@ def basis_values(params: SystemParams, n: int, r, *, derivative: bool = False):
     the analyticity domain give NaN columns.
 
     The powers are running products (`_GridRows.power_rows`).  They and
-    the kernel rows of a large grid are computed once (`_kept_grid`, for
+    the kernel rows of a large grid are kept (`_kept_grid`, for
     float64 grids of at least _GRID_MIN points, keyed on their bytes) and
     shared by every degree and system that samples it; the values are
     those of sampling afresh, bit for bit.
@@ -407,17 +403,14 @@ def assemble(params: SystemParams, pert: PerturbationSpec) -> AveragedFunction:
     return AveragedFunction(params, BasisExpansion.from_vector(pert.degree, _rounded(_exact_parts(params, pert))))
 
 
-@lru_cache(maxsize=None)
 def assembly_matrix(params: SystemParams, n: int) -> np.ndarray:
-    """The degree-n assembly as a read-only float64 matrix.
+    """The degree-n assembly as a float64 matrix.
 
     Column k is the rounded k-th unit column of `_unit_parts`, so
     `assembly_matrix(params, n) @ pert.vector()` is `assemble(params,
     pert).expansion.vector()` up to double rounding of the sum.
     """
-    M = np.array([_rounded(unit) for unit in _unit_parts(params, n)]).T
-    M.flags.writeable = False
-    return M
+    return np.array([_rounded(unit) for unit in _unit_parts(params, n)]).T
 
 
 def null_perturbation(degree: int) -> PerturbationSpec:

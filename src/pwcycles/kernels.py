@@ -171,8 +171,7 @@ def _a00_seam_series(s: np.ndarray, a: float, derivative: bool = False) -> np.nd
     to 1/(2a): the nearest singularity is at distance 2a.  So at |s| <=
     SEAM_BAND*a the first _SEAM_TERMS terms leave (SEAM_BAND/2)^_SEAM_TERMS
     = 1.5e-21 relative.  With `derivative`, the series of A' from the same
-    coefficients, sum of k c_k s^(k-1) for k = 1.._SEAM_TERMS.  One product
-    of the powers of s with the coefficients, in the dtype of s.
+    coefficients, sum of k c_k s^(k-1) for k = 1.._SEAM_TERMS.
     """
     coefs = [4.0 / (3.0 * a * a)]
     for k in range(_SEAM_TERMS):
@@ -186,19 +185,15 @@ def a00(r, a: float):
 
     For a > 0 the domain is (-a, +inf) with a (r+a)^(-3/2) blow-up at the
     left end; a < 0 reduces through A[0,0](r; a) = A[0,0](-r; -a).
-    Long-double input evaluates in long double (callers combine
-    nearly-cancelling expansion terms there), any other in double; `a` is
-    cast to that dtype first, so constants such as a*a form in it.
+    A scalar r gives a float.
     """
     scalar = np.isscalar(r)
-    arr = np.asarray(r)
-    dtype = np.longdouble if arr.dtype == np.longdouble else np.float64
-    rr = np.atleast_1d(arr.astype(dtype, copy=False))
+    rr = np.atleast_1d(np.asarray(r, dtype=np.longdouble))
     if a < 0:
         rr, a = -rr, -a
-    a = rr.dtype.type(a)
+    a = np.longdouble(a)
 
-    out = np.full(rr.shape, np.nan, dtype=dtype)
+    out = np.full(rr.shape, np.nan, dtype=np.longdouble)
     valid = rr > -a
     seam = valid & (np.abs(rr - a) <= SEAM_BAND * a)
     inner = valid & ~seam & (rr < a)
@@ -227,12 +222,10 @@ def a00_prime(r: np.ndarray, a: float, value: np.ndarray) -> np.ndarray:
     either sign of a; within SEAM_BAND of r = a, where it divides by 0,
     the derivative of the seam series.  Just outside the band the closed
     forms of A still cancel and the ODE divides their error by a^2 - r^2:
-    there A' holds about 4e-17 relative in long double and 8e-14 in
-    double, against a few ulps elsewhere.  The dtype is
-    that of r, `a` cast to it as in `a00`, and a NaN value gives NaN;
-    B[0,0]'(r) = -A'(-r; b) by the half-turn rule.
+    there A' holds about 4e-17 relative, against a few ulps elsewhere.
+    A NaN value gives NaN; B[0,0]'(r) = -A'(-r; b) by the half-turn rule.
     """
-    a = r.dtype.type(a)
+    r, a = np.asarray(r, dtype=np.longdouble), np.longdouble(a)
     x = r if a > 0 else -r  # the seam series is stated for a > 0
     seam = np.abs(x - abs(a)) <= SEAM_BAND * abs(a)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at r = a, overwritten below

@@ -37,8 +37,8 @@ def rng():
 
 
 def _clear_reduction_caches():
-    for cached in (averaging.assembly_matrix, averaging._unit_parts, kernels._unit_half,
-                   averaging._kept_grid, smooth._check_smooth_units):
+    for cached in (averaging._unit_parts, kernels._unit_half, averaging._kept_grid,
+                   smooth._check_smooth_units):
         cached.cache_clear()
 
 

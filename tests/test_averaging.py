@@ -659,13 +659,6 @@ class TestAssemblyMatrix:
         with pytest.raises(AssemblyError, match="constant-term tie"):
             assemble(SystemParams(1.0, -2.0), PerturbationSpec(2, minus_g={(1, 1): 1.0}))
 
-    def test_read_only_and_cached(self):
-        M = assembly_matrix(SystemParams(1.0, -2.0), 2)
-        assert assembly_matrix(SystemParams(1.0, -2.0), 2) is M
-        assert not M.flags.writeable
-        with pytest.raises(ValueError):
-            M[0, 0] = 1.0
-
     def test_matrix_product_is_assembly(self, params, rng):
         for n in (1, 2, 3, 4):
             pert = PerturbationSpec.random(n, rng)

@@ -228,13 +228,11 @@ class TestKernelSlopes:
 
     def _check(self, slope, seam, c, interval):
         # The closed forms of A cancel toward the seam and the ODE divides
-        # that error by r^2 - a^2: at twice the band width A' keeps about
-        # 1e-14 relative in double.  Inside the band and away from the
-        # seam it is good to a few ulps.
-        for rel, tol in [(d, 1e-13) for d in self.INSIDE] + [(d, 1e-8) for d in self.OUTSIDE]:
-            r = seam * (1 + rel)
-            assert slope(r) == pytest.approx(self._oracle(r, c, interval), rel=tol), (c, rel)
-        for r in (0.5 * seam, -0.4 * seam, 2.5 * seam):
+        # that error by r^2 - a^2, but A' is evaluated in long double, where
+        # it keeps about 4e-17 relative at twice the band width: inside the
+        # band, just outside it and away from the seam, a double result is
+        # good to a few ulps.
+        for r in [seam * (1 + d) for d in self.INSIDE + self.OUTSIDE] + [0.5 * seam, -0.4 * seam, 2.5 * seam]:
             assert slope(r) == pytest.approx(self._oracle(r, c, interval), rel=1e-13), (c, r)
 
     @pytest.mark.parametrize("a", [1.0, -1.5, 0.7])
@@ -252,6 +250,22 @@ class TestKernelSlopes:
         got = a00_prime(r, 1.0, a00(r, 1.0))
         assert got.dtype == np.longdouble
         assert np.array_equal(np.isnan(got), r <= -1.0)  # the domain is r > -a
+        # every input evaluates in long double: float64 and float32 points
+        # give the values and slopes of the same points cast to long double,
+        # bit for bit, and a scalar gives the float of the long-double value
+        for a in (1.0, -1.5, 0.7):
+            for dtype in (np.float64, np.float32):
+                x = np.linspace(-3.0, 3.0, 61).astype(dtype)
+                wide = x.astype(np.longdouble)
+                value, want = a00(x, a), a00(wide, a)
+                assert value.dtype == np.longdouble and np.array_equal(value, want, equal_nan=True)
+                slope = a00_prime(x, a, value)
+                assert slope.dtype == np.longdouble
+                assert np.array_equal(slope, a00_prime(wide, a, want), equal_nan=True)
+            for r in (0.5 * a, a, 2.5 * a, -0.4 * a):  # inner, seam, outer, negative side
+                got = a00(r, a)
+                assert type(got) is float and got == float(a00(np.longdouble(r), a))
+                assert a00(np.float64(r), a) == got
 
     @pytest.mark.parametrize(
         "r,a", [(1.0005, 1.0), (0.63, 0.7), (1.0011, 1.0), (0.7007, 0.7), (1.0015, 1.0), (0.9985, 1.0)]

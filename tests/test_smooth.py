@@ -141,7 +141,7 @@ class TestAssembleSmooth:
         rr = np.linspace(0.03, 0.9, 60)
         from pwcycles.kernels import a00
 
-        v00 = a00(rr, a) + a00(-rr, a)
+        v00 = (a00(rr, a) + a00(-rr, a)).astype(float)  # lstsq has no long double
         cols = [v00 - 2 * math.pi / a**2]
         cols += [rr ** (2 * i) * v00 for i in range(1, n // 2 + 2)]
         cols += [rr ** (2 * i) for i in range(1, k + 1)]

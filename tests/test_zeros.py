@@ -719,6 +719,83 @@ class TestGeneratorListsAgainstTheExactAssembly:
         assert exact.rank(smooth._check_smooth_units(a, n)) == len(smooth.smooth_generators(a, n))
 
 
+def _left_null_space(cols):
+    """A basis over Q of the vectors y with y . col = 0 for every column:
+    the null space of the matrix whose rows are the columns, one vector per
+    free coordinate of its reduced row echelon form."""
+    rows = [list(map(Fraction, col)) for col in cols]
+    width = len(rows[0])
+    pivots = []
+    for j in range(width):
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [x / rows[k][j] for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[j]:
+                rows[i] = [x - row[j] * y for x, y in zip(row, rows[k])]
+        pivots.append(j)
+    basis = []
+    for free in sorted(set(range(width)) - set(pivots)):
+        y = [Fraction(0)] * width
+        y[free] = Fraction(1)
+        for k, j in enumerate(pivots):
+            y[j] = -rows[k][free]
+        basis.append(y)
+    return basis
+
+
+class TestReachableSpanAnnihilators:
+    """Every linear relation over Q that the exact assembly's columns obey,
+    in the coordinates of `_exact_columns`: the left null space of the unit
+    columns is spanned by exactly the relations the reduction is known to
+    impose, so the reachable span has no tie beyond them."""
+
+    @staticmethod
+    def _known(params, n):
+        """F(0) = 0, which reads A_0/a^2 + B_0/b^2 + p_0 = 0 with p_0 held as
+        its multiple of pi (A[0,0](0; c) = pi/c^2); the structural zeros,
+        kernel slot h + 1 and monomials 2h, 2h + 1 for odd n and monomial 2h
+        for even n; and for even n the halves' top ties merged into one,
+        (2/a) A_(h+1) - (2/b) B_(h+1) + p_(2h+1) = 0.  At (1, -2) the ties
+        read A_0 + B_0/4 + p_0 = 0 and 2A_(h+1) + B_(h+1) + p_(2h+1) = 0; at
+        b = -a the kernels merge and B drops out: A_0 + p_0 = 0 and
+        2A_(h+1) + p_(2h+1) = 0 at (1, -1)."""
+        h = (n + 1) // 2
+        a, b = exact.as_fraction(params.a), exact.as_fraction(params.b)
+        halves = [a] if params.resonant else [a, b]
+        width = len(halves) * (h + 2)
+
+        def vector(entries):
+            y = [Fraction(0)] * (width + 2 * h + 2)
+            for k, q in entries.items():
+                y[k] = Fraction(q)
+            return y
+
+        known = [vector({**{side * (h + 2): 1 / c**2 for side, c in enumerate(halves)}, width: 1})]
+        if n % 2:
+            known += [vector({side * (h + 2) + h + 1: 1}) for side in range(len(halves))]
+            known += [vector({width + 2 * h: 1}), vector({width + 2 * h + 1: 1})]
+        else:
+            known.append(vector({width + 2 * h: 1}))
+            ties = {h + 1: 2 / a} if params.resonant else {h + 1: 2 / a, 2 * h + 3: -2 / b}
+            known.append(vector({**ties, width + 2 * h + 1: 1}))
+        return known
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ab", [(1.0, -2.0), (1.0, -1.0)])
+    def test_left_null_space(self, ab, n):
+        params = SystemParams(*ab)
+        cols = _exact_columns(averaging._unit_parts(params, n), params.resonant)
+        null = _left_null_space(cols)
+        assert all(sum(x * y for x, y in zip(col, v)) == 0 for col in cols for v in null)
+        assert len(null) == len(cols[0]) - exact.rank(cols)
+        known = self._known(params, n)
+        assert len(null) == len(known) == exact.rank(known) == exact.rank(null + known)
+
+
 class TestCeiling:
     def test_random_search_below_claim(self, params, resonant_params):
         for p in (params, resonant_params):
@@ -760,6 +837,57 @@ class TestCeiling:
             smooth.random_search_max_smooth_zeros(1.0, 2, draws, seed=1, r_max=0.9, grid=100)
             counts.append(len(reduce_calls))
         assert counts == [5, 0]
+
+
+class TestSurveyAgainstKacRice:
+    """The survey's mean count over Gaussian perturbations against the
+    Kac-Rice expectation of the zeros of the random function it counts.
+
+    With coefficients x ~ N(0, I), F(r) = x . u(r) and F'(r) = x . w(r),
+    u = M^T phi(r) and w = M^T phi'(r), where M is `assembly_matrix` and
+    phi, phi' are the rows of `basis_values` in double.  F's expected
+    number of zeros on the survey's window (8/600, 8] is
+
+        E = (1/pi) int sqrt(|u|^2 |w|^2 - (u . w)^2) / |u|^2 dr
+
+    (Edelman and Kostlan, Bull. AMS 32, 1995), here by the trapezoid rule
+    on 40,001 points.  The oracle shares only `basis_values` with the
+    survey, besides the matrix that defines F: no sign decision, envelope
+    or count of `zeros` enters E.
+
+    A count of sign changes on a grid can only miss zeros (two in one
+    grid step), so the bound is one-sided by delta, the expected number
+    of zeros the grid misses: E less the grid's expected count of sign
+    changes, sum over steps of arccos(rho_k)/pi, rho_k the correlation of
+    F at neighbouring grid points (a centered Gaussian pair changes sign
+    with that probability; Sheppard 1899).  Within 4 standard errors of
+    the mean: mean <= E + 4 SE and mean >= E - 4 SE - delta.  Measured
+    within 2.4 SE of E for all eight cases, with delta at most 1e-5.
+    """
+
+    R_MAX, GRID, DRAWS = 8.0, 600, 2000
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("b", [-2.0, -1.0])
+    def test_mean_count(self, b, n):
+        params = SystemParams(1.0, b)
+        rows = np.random.default_rng(7).standard_normal((self.DRAWS, len(averaging.PerturbationSpec(n).vector())))
+        _, hist = zeros._survey(params, n, self.R_MAX, self.GRID, rows)
+        counts = np.repeat(list(hist), list(hist.values()))
+        mean, se = counts.mean(), counts.std(ddof=1) / np.sqrt(self.DRAWS)
+
+        M = assembly_matrix(params, n)
+        r = np.linspace(self.R_MAX / self.GRID, self.R_MAX, 40001)
+        phi, dphi = basis_values(params, n, r, derivative=True)
+        u, w = M.T @ phi.astype(float), M.T @ dphi.astype(float)
+        uu, ww, uw = (u * u).sum(0), (w * w).sum(0), (u * w).sum(0)
+        expected = np.trapezoid(np.sqrt(np.maximum(uu * ww - uw**2, 0.0)) / uu, r) / np.pi
+
+        g = M.T @ basis_values(params, n, np.linspace(self.R_MAX / self.GRID, self.R_MAX, self.GRID)).astype(float)
+        norms = np.sqrt((g * g).sum(0))
+        rho = np.clip((g[:, 1:] * g[:, :-1]).sum(0) / (norms[1:] * norms[:-1]), -1.0, 1.0)
+        delta = expected - np.arccos(rho).sum() / np.pi
+        assert expected - 4 * se - delta <= mean <= expected + 4 * se, (mean, se, expected, delta)
 
 
 def _long_double_counts(coeffs, basis):
